@@ -46,8 +46,17 @@ class PlanarArray:
         """Absolute position of element ``p``; element 0 is the origin."""
         if not 0 <= p < self.num_elements:
             raise IndexError(f"element index {p} out of range for {self.rows}x{self.cols} array")
-        row, col = divmod(p, self.cols)
-        return self.origin + self.axis_row * (row * self.spacing) + self.axis_col * (col * self.spacing)
+        return Vec3(*self.element_positions()[p].tolist())
+
+    def element_positions(self) -> np.ndarray:
+        """(num_elements, 3) absolute positions, element order p = row*cols + col.
+
+        Each is origin + axis_row * (row * spacing) + axis_col * (col * spacing),
+        evaluated in that order.
+        """
+        row, col = np.divmod(np.arange(self.num_elements), self.cols)
+        o, r, c = (np.array(v.as_tuple()) for v in (self.origin, self.axis_row, self.axis_col))
+        return o + r * (row * self.spacing)[:, None] + c * (col * self.spacing)[:, None]
 
     def element_offsets(self) -> np.ndarray:
         """(num_elements, 3) offsets from the origin, element order p = row*cols + col."""

@@ -35,7 +35,8 @@ SPREAD_QUANTITIES = csvio.SPREADS_HEADER[2:]
 
 
 def _frame_times(rc: RunConfig) -> list[float]:
-    return [k * rc.tracker.ts for k in range(rc.n_frames)]
+    # clamped: k * Ts can overshoot the scene's end by rounding (3 * 0.1 > 0.3)
+    return [min(k * rc.tracker.ts, rc.scene.duration) for k in range(rc.n_frames)]
 
 
 def _with_seed(rc: RunConfig, seed: int | None) -> RunConfig:
@@ -51,22 +52,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = rc.scene.seed
     scene = generate_scene(rc.scene)
 
+    times = _frame_times(rc)
     obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = (rc.scene.sigma_delay, rc.scene.sigma_angle)
-    frames = [observe(scene, t, noise, obs_rng) for t in _frame_times(rc)]
+    frames = [observe(scene, t, noise, obs_rng) for t in times]
 
     tx = rc.tx_array()
     rx_template = rc.rx_template()
     pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     draws = comm.draw_polarization_set(scene, rc.comm, pol_rng)
-
-    sensing_taps = [(t, sensing.monostatic_cir(scene, t, tx)) for t in _frame_times(rc)]
-    pairs = None if args.all_pairs else [(0, 0)]
-    comm_taps = []
-    for t in _frame_times(rc):
-        cir = comm.comm_cir(scene, t, tx, rx_template, rc.comm, draws, pairs=pairs)
-        taps = [tap for key in sorted(cir) for tap in cir[key]]
-        comm_taps.append((t, taps))
+    sensing_taps = [(t, sensing.monostatic_cir(scene, t, tx)) for t in times]
 
     os.makedirs(args.out, exist_ok=True)
     save_scene(scene, os.path.join(args.out, "scene.txt"))
@@ -75,7 +70,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csvio.write_comm_observations(os.path.join(args.out, "observations.csv"), frames)
     csvio.write_sensing_observations(os.path.join(args.out, "sensing_observations.csv"), frames)
     csvio.write_sensing_taps(os.path.join(args.out, "sensing_taps.csv"), sensing_taps)
-    csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), comm_taps)
+
+    # comm taps for the (q, p) grid of pairs, written frame by frame
+    n_rx, n_tx = (rx_template.num_elements, tx.num_elements) if args.all_pairs else (1, 1)
+    q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
+    csvio.write_comm_taps(
+        os.path.join(args.out, "comm_taps.csv"),
+        ((t, comm.frame_taps(scene, t, tx, rx_template, rc.comm, draws, q, p)) for t in times),
+    )
 
     print(f"scene: {len(scene.scatterers)} scatterers, {len(scene.paths)} paths")
     print(f"frames: {len(frames)} at Ts={rc.tracker.ts} s")
@@ -189,19 +191,25 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ensemble_row(power: float, bs: Vec3, user: Vec3, fb: Vec3, lb: Vec3, virtual_delay: float = 0.0):
+    """(power, delay, AoD az, AoD el, AoA az, AoA el) of a path via ``fb`` and ``lb``."""
+    delay = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT + virtual_delay
+    aod = angles_from_displacement(fb - bs)
+    aoa = angles_from_displacement(lb - user)
+    return (power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
+
+
 def _oracle_ensembles(scene: SceneTruth, rc: RunConfig) -> list[tuple[int, float, stats.PathEnsemble]]:
     out = []
-    bs = scene.bs_position
     for k, t in enumerate(_frame_times(rc)):
-        user = scene.user_position(t)
-        rows = []
-        for p in ground_truth_paths(scene, t):
-            fb = scene.scatterer(p.fb_id).position_at(t)
-            lb = scene.scatterer(p.lb_id).position_at(t)
-            delay = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT + p.virtual_delay
-            aod = angles_from_displacement(fb - bs)
-            aoa = angles_from_displacement(lb - user)
-            rows.append((p.power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation))
+        rows = [
+            _ensemble_row(
+                p.power, scene.bs_position, scene.user_position(t),
+                scene.scatterer(p.fb_id).position_at(t), scene.scatterer(p.lb_id).position_at(t),
+                p.virtual_delay,
+            )
+            for p in ground_truth_paths(scene, t)
+        ]
         if rows:
             out.append((k, t, stats.PathEnsemble.from_rows(rows)))
     return out
@@ -236,7 +244,6 @@ def _trajectory_ensembles(run_dir: str, track_dir: str) -> list[tuple[int, float
             float(r["est_x"]), float(r["est_y"]), float(r["est_z"])
         )
 
-    bs = scene.bs_position
     out = []
     for k, frame in enumerate(frames):
         user = est.get((k, tracker.KIND_USER, -1))
@@ -246,14 +253,8 @@ def _trajectory_ensembles(run_dir: str, track_dir: str) -> list[tuple[int, float
         for obs in frame.comm_paths:
             fb = est.get((k, tracker.KIND_FB, obs.path_id))
             lb = est.get((k, tracker.KIND_LB, obs.path_id))
-            if fb is None or lb is None:
-                continue
-            delay = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT
-            aod = angles_from_displacement(fb - bs)
-            aoa = angles_from_displacement(lb - user)
-            ens_rows.append(
-                (obs.power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
-            )
+            if fb is not None and lb is not None:
+                ens_rows.append(_ensemble_row(obs.power, scene.bs_position, user, fb, lb))
         if ens_rows:
             out.append((k, frame.time, stats.PathEnsemble.from_rows(ens_rows)))
     return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .antenna import PlanarArray
 from .constants import SPEED_OF_LIGHT
-from .geometry import AngleSet, Vec3, angles_from_displacement
+from .geometry import AngleSet, Vec3, angles_from_displacement, check_finite
 from .scene import LOS_PATH_ID, SceneTruth, ground_truth_paths
 
 KIND_LOS = "los"
@@ -80,6 +80,7 @@ class CommParams:
     copol_imbalance: float = 1.0
 
     def validate(self) -> None:
+        check_finite(self, CommError)
         if self.k_factor < 0.0:
             raise CommError(f"Rician K must be nonnegative, got {self.k_factor}")
         if self.copol_imbalance <= 0.0:
@@ -158,6 +159,131 @@ class CommTap:
         return abs(self.amplitude) ** 2
 
 
+def rician_weights(k_factor: float) -> tuple[float, float]:
+    """Direct and scattered amplitude weights sqrt(K/(K+1)) and sqrt(1/(K+1))."""
+    if k_factor < 0.0:
+        raise CommError(f"Rician K must be nonnegative, got {k_factor}")
+    return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
+
+
+@dataclass(frozen=True)
+class TapBlock:
+    """Taps of a block of antenna pairs at one time.
+
+    ``q`` and ``p`` have the pair shape: (Q, P) for a grid of pairs, (N,)
+    for a list. ``path_id``, ``delay`` and the amplitude parts ``re`` and
+    ``im`` add a last axis over the pair's taps, sorted by (delay, path_id).
+    """
+
+    q: np.ndarray
+    p: np.ndarray
+    path_id: np.ndarray
+    delay: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+    def taps(self, index) -> list[CommTap]:
+        """The taps of the pair at ``index`` into the pair shape."""
+        q, p = int(self.q[index]), int(self.p[index])
+        columns = (a[index].tolist() for a in (self.path_id, self.delay, self.re, self.im))
+        return [
+            CommTap(q, p, KIND_LOS if pid == LOS_PATH_ID else KIND_NLOS, pid, d, complex(re, im))
+            for pid, d, re, im in zip(*columns)
+        ]
+
+
+def _coupling(kind: str, draw: PolarizationDraw, aod_disp: Vec3, aoa_disp: Vec3, patterns) -> complex:
+    """Polarization coupling of one path, with the patterns evaluated toward it."""
+    aod, aoa = angles_from_displacement(aod_disp), angles_from_displacement(aoa_disp)
+    tx_pattern, rx_pattern = patterns
+    return complex(rx_pattern.vector(aoa) @ polarization_matrix(draw, kind) @ tx_pattern.vector(aod))
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Length over the last axis, summed in Vec3.norm's order."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + j ai) * (br + j bi), evaluated as Python's complex type does."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def pair_taps(
+    tx: PlanarArray,
+    rx: PlanarArray,
+    q: np.ndarray,
+    p: np.ndarray,
+    carrier_hz: float,
+    direct_draw: PolarizationDraw | None,
+    scattered: list[tuple[int, Vec3, Vec3, float, float, PolarizationDraw]],
+    weights: tuple[float, float] | None = None,
+    patterns: tuple[PolarizedPattern, PolarizedPattern] = (ISOTROPIC_VERTICAL, ISOTROPIC_VERTICAL),
+) -> TapBlock:
+    """Taps for rx elements ``q`` and tx elements ``p``, the one tap kernel.
+
+    ``q`` and ``p`` broadcast to the pair shape; (Q, 1) and (1, P) index
+    columns give a grid whose legs are computed once per element. The
+    direct path (when ``direct_draw`` is given) has delay |tx_p - rx_q| / c;
+    each scattered path (path_id, fb, lb, power, virtual_delay, draw) has
+    (|fb - tx_p| + |lb - rx_q|) / c plus its virtual delay, the
+    bounce-to-bounce leg carrying no geometric delay. The amplitude is
+    w * coupling * sqrt(power) * exp(j 2 pi f_c delay), where the
+    coupling, evaluated once per path, takes the patterns (tx, rx) at the
+    angles seen from the array origins, and w is the direct or scattered
+    Rician weight of ``weights`` (1 when None).
+
+    Complex products are written out in real arithmetic: numpy's
+    vectorized complex multiply uses fused multiply-adds (FMA) and rounds
+    the last bit of about 4 in 10 products differently from Python's
+    complex type. With element positions and norms in the operation order
+    of PlanarArray.element_position and Vec3.norm, every tap is bit-equal
+    to a scalar evaluation of the same formulas.
+    """
+    if carrier_hz <= 0.0:
+        raise CommError(f"carrier frequency must be positive, got {carrier_hz}")
+    q, p = np.asarray(q), np.asarray(p)
+    if np.any((q < 0) | (q >= rx.num_elements)) or np.any((p < 0) | (p >= tx.num_elements)):
+        raise IndexError("antenna element index out of range")
+    tx_pos = tx.element_positions()[p][..., None, :]
+    rx_pos = rx.element_positions()[q][..., None, :]
+
+    legs = [
+        _norm(tx_pos - np.array([s[1].as_tuple() for s in scattered]).reshape(-1, 3)),
+        _norm(rx_pos - np.array([s[2].as_tuple() for s in scattered]).reshape(-1, 3)),
+    ]
+    dist = legs[0] + legs[1]
+    if direct_draw is not None:
+        legs.append(_norm(tx_pos - rx_pos))
+        dist = np.concatenate([legs[-1], dist], axis=-1)
+    if any(np.any(leg <= 0.0) for leg in legs):
+        raise CommError("zero-length leg between an antenna and a path end")
+
+    ids = [s[0] for s in scattered]
+    virtual_delay = [s[4] for s in scattered]
+    gains = [
+        _coupling(KIND_NLOS, draw, fb - tx.origin, lb - rx.origin, patterns) * math.sqrt(power)
+        for _, fb, lb, power, _, draw in scattered
+    ]
+    if direct_draw is not None:
+        ids.insert(0, LOS_PATH_ID)
+        virtual_delay.insert(0, 0.0)
+        gains.insert(0, _coupling(KIND_LOS, direct_draw, rx.origin - tx.origin, tx.origin - rx.origin, patterns))
+    delay = dist / SPEED_OF_LIGHT + np.array(virtual_delay)
+
+    gain = np.array(gains, dtype=complex)
+    phasor = np.exp(1j * (TWO_PI * carrier_hz * delay))
+    re, im = _cmul(gain.real, gain.imag, phasor.real, phasor.imag)
+    path_id = np.array(ids, dtype=int)
+    if weights is not None:
+        re, im = _cmul(np.where(path_id == LOS_PATH_ID, *weights), 0.0, re, im)
+
+    path_id = np.broadcast_to(path_id, delay.shape)
+    order = np.lexsort((path_id, delay), axis=-1)
+    q, p = np.broadcast_arrays(q, p)
+    return TapBlock(q, p, *(np.take_along_axis(a, order, axis=-1) for a in (path_id, delay, re, im)))
+
+
 def los_tap(
     p: int,
     q: int,
@@ -168,27 +294,8 @@ def los_tap(
     tx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
     rx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
 ) -> CommTap:
-    """Unweighted direct tap between tx element ``p`` and rx element ``q``.
-
-    Patterns are evaluated at the boresight angles between the array
-    origins; the per-pair element geometry enters via the exact delay and
-    its carrier phase.
-    """
-    if carrier_hz <= 0.0:
-        raise CommError(f"carrier frequency must be positive, got {carrier_hz}")
-    tx_pos = tx.element_position(p)
-    rx_pos = rx.element_position(q)
-    dist = tx_pos.distance_to(rx_pos)
-    if dist <= 0.0:
-        raise CommError(f"coincident antennas: tx {p} and rx {q}")
-    aod = angles_from_displacement(rx.origin - tx.origin)
-    aoa = angles_from_displacement(tx.origin - rx.origin)
-    coupling = complex(
-        rx_pattern.vector(aoa) @ polarization_matrix(draw, KIND_LOS) @ tx_pattern.vector(aod)
-    )
-    delay = dist / SPEED_OF_LIGHT
-    amplitude = coupling * np.exp(1j * TWO_PI * carrier_hz * delay)
-    return CommTap(q, p, KIND_LOS, LOS_PATH_ID, delay, complex(amplitude))
+    """Unweighted direct tap between tx element ``p`` and rx element ``q``."""
+    return pair_taps(tx, rx, [q], [p], carrier_hz, draw, [], patterns=(tx_pattern, rx_pattern)).taps(0)[0]
 
 
 def nlos_tap(
@@ -206,29 +313,11 @@ def nlos_tap(
     tx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
     rx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
 ) -> CommTap:
-    """Unweighted scattered tap via first bounce ``fb`` and last bounce ``lb``.
-
-    Per-pair distance is |fb - tx_p| + |lb - rx_q|; the bounce-to-bounce
-    leg carries no geometric delay and is represented by
-    ``virtual_delay``. Departure angles point at the first bounce,
-    arrival angles at the last.
-    """
-    if carrier_hz <= 0.0:
-        raise CommError(f"carrier frequency must be positive, got {carrier_hz}")
+    """Unweighted scattered tap via first bounce ``fb`` and last bounce ``lb``."""
     if path_power < 0.0 or virtual_delay < 0.0:
         raise CommError("path power and virtual delay must be nonnegative")
-    d_tx = tx.element_position(p).distance_to(fb)
-    d_rx = rx.element_position(q).distance_to(lb)
-    if d_tx <= 0.0 or d_rx <= 0.0:
-        raise CommError(f"zero-length leg on path {path_id}")
-    aod = angles_from_displacement(fb - tx.origin)
-    aoa = angles_from_displacement(lb - rx.origin)
-    coupling = complex(
-        rx_pattern.vector(aoa) @ polarization_matrix(draw, KIND_NLOS) @ tx_pattern.vector(aod)
-    )
-    delay = (d_tx + d_rx) / SPEED_OF_LIGHT + virtual_delay
-    amplitude = coupling * math.sqrt(path_power) * np.exp(1j * TWO_PI * carrier_hz * delay)
-    return CommTap(q, p, KIND_NLOS, path_id, delay, complex(amplitude))
+    path = (path_id, fb, lb, path_power, virtual_delay, draw)
+    return pair_taps(tx, rx, [q], [p], carrier_hz, None, [path], patterns=(tx_pattern, rx_pattern)).taps(0)[0]
 
 
 def combine_rician(los: list[CommTap], nlos: list[CommTap], k_factor: float) -> list[CommTap]:
@@ -238,10 +327,7 @@ def combine_rician(los: list[CommTap], nlos: list[CommTap], k_factor: float) -> 
     scattered path powers summing to 1 and unit-magnitude direct
     couplings, the power split per pair is exactly K : 1.
     """
-    if k_factor < 0.0:
-        raise CommError(f"Rician K must be nonnegative, got {k_factor}")
-    w_los = math.sqrt(k_factor / (k_factor + 1.0))
-    w_nlos = math.sqrt(1.0 / (k_factor + 1.0))
+    w_los, w_nlos = rician_weights(k_factor)
     out: list[CommTap] = []
     for tap in los:
         if tap.kind != KIND_LOS:
@@ -253,6 +339,43 @@ def combine_rician(los: list[CommTap], nlos: list[CommTap], k_factor: float) -> 
         out.append(CommTap(tap.q, tap.p, tap.kind, tap.path_id, tap.delay, w_nlos * tap.amplitude))
     out.sort(key=lambda tap: (tap.q, tap.p, tap.delay, tap.path_id))
     return out
+
+
+def frame_taps(
+    scene: SceneTruth,
+    t: float,
+    tx: PlanarArray,
+    rx_template: PlanarArray,
+    params: CommParams,
+    pol_draws: dict[int, PolarizationDraw],
+    q: np.ndarray,
+    p: np.ndarray,
+    tx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
+    rx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
+) -> TapBlock:
+    """Rician-combined taps at time ``t`` for rx elements ``q`` and tx elements ``p``.
+
+    ``rx_template`` supplies the user array geometry and is translated to
+    the user position at ``t``. Each pair gets the direct tap plus one tap
+    per path alive at ``t``; see ``pair_taps`` for the index shapes.
+    """
+    scene.check_time(t)
+    params.validate()
+    rx = rx_template.moved_to(scene.user_position(t))
+    truths = ground_truth_paths(scene, t)
+    try:
+        los_draw = pol_draws[LOS_PATH_ID]
+        scattered = [
+            (pt.path_id, scene.scatterer(pt.fb_id).position_at(t), scene.scatterer(pt.lb_id).position_at(t),
+             pt.power, pt.virtual_delay, pol_draws[pt.path_id])
+            for pt in truths
+        ]
+    except KeyError as exc:
+        raise CommError(f"missing polarization draw for path {exc.args[0]!r}") from exc
+    return pair_taps(
+        tx, rx, q, p, scene.config.carrier_hz, los_draw, scattered,
+        rician_weights(params.k_factor), (tx_pattern, rx_pattern),
+    )
 
 
 def comm_cir(
@@ -268,43 +391,18 @@ def comm_cir(
 ) -> dict[tuple[int, int], list[CommTap]]:
     """Impulse response at time ``t`` for the requested (q, p) pairs.
 
-    ``rx_template`` supplies the user array geometry and is translated to
-    the user position at ``t``. ``pairs`` defaults to every antenna pair;
-    pass e.g. [(0, 0)] for the reference pair only. Each list holds the
-    Rician-combined direct tap plus one tap per alive path, sorted by
-    delay.
+    ``pairs`` defaults to every antenna pair; pass e.g. [(0, 0)] for the
+    reference pair only. Each list holds the Rician-combined direct tap
+    plus one tap per alive path, sorted by delay. The taps come from the
+    array kernel ``pair_taps``, which writes its complex products in real
+    arithmetic because numpy's vectorized complex multiply fuses
+    multiply-adds (FMA) and would change the last bit of many amplitudes.
     """
-    scene.check_time(t)
-    params.validate()
-    f_c = scene.config.carrier_hz
-    rx = rx_template.moved_to(scene.user_position(t))
     if pairs is None:
-        pairs = [(q, p) for q in range(rx.num_elements) for p in range(tx.num_elements)]
-    else:
-        pairs = list(pairs)
-
-    truths = ground_truth_paths(scene, t)
-    positions = {
-        pt.path_id: (
-            scene.scatterer(pt.fb_id).position_at(t),
-            scene.scatterer(pt.lb_id).position_at(t),
-        )
-        for pt in truths
-    }
-    try:
-        los_draw = pol_draws[LOS_PATH_ID]
-        out: dict[tuple[int, int], list[CommTap]] = {}
-        for q, p in pairs:
-            direct = [los_tap(p, q, tx, rx, f_c, los_draw, tx_pattern, rx_pattern)]
-            scattered = [
-                nlos_tap(
-                    p, q, tx, rx, positions[pt.path_id][0], positions[pt.path_id][1],
-                    pt.path_id, pt.power, pt.virtual_delay, f_c, pol_draws[pt.path_id],
-                    tx_pattern, rx_pattern,
-                )
-                for pt in truths
-            ]
-            out[(q, p)] = combine_rician(direct, scattered, params.k_factor)
-    except KeyError as exc:
-        raise CommError(f"missing polarization draw for path {exc.args[0]!r}") from exc
-    return out
+        pairs = [(q, p) for q in range(rx_template.num_elements) for p in range(tx.num_elements)]
+    pairs = [(q, p) for q, p in pairs]
+    qp = np.array(pairs, dtype=int).reshape(-1, 2)
+    block = frame_taps(
+        scene, t, tx, rx_template, params, pol_draws, qp[:, 0], qp[:, 1], tx_pattern, rx_pattern
+    )
+    return {pair: block.taps(i) for i, pair in enumerate(pairs)}

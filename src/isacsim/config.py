@@ -14,27 +14,9 @@ from dataclasses import dataclass, replace
 
 from .antenna import PlanarArray, half_wavelength_array
 from .comm import CommParams
-from .geometry import ORIGIN, Vec3
+from .geometry import ORIGIN, Vec3, check_finite
 from .scene import ConfigError, SceneConfig
 from .tracker import TrackerConfig
-
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "run": ("seed", "duration"),
-    "scene": (
-        "n_clusters", "fb_per_cluster", "lb_per_cluster",
-        "region_min", "region_max", "speed_min", "speed_max",
-        "birth_death_rate", "rcs_min", "rcs_max",
-        "sigma_delay", "sigma_angle_deg", "pdp_decay", "virtual_delay_max",
-        "bs_position", "user_start", "user_velocity",
-    ),
-    "arrays": ("tx_rows", "tx_cols", "rx_rows", "rx_cols", "spacing_wavelengths"),
-    "channel": ("carrier_hz", "k_factor", "xpr_db", "copol_imbalance"),
-    "tracker": (
-        "n_particles", "ts", "process_pos_std", "process_vel_std",
-        "meas_delay_std", "meas_angle_deg", "init_pos_std", "init_vel_std",
-        "gate_sigma",
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -51,6 +33,7 @@ class RunConfig:
     spacing_wavelengths: float = 0.5
 
     def validate(self) -> None:
+        check_finite(self, ConfigError)
         self.scene.validate()
         self.comm.validate()
         self.tracker.validate()
@@ -71,8 +54,34 @@ class RunConfig:
 
     @property
     def n_frames(self) -> int:
-        """Frames per run including the initial one."""
-        return int(round(self.scene.duration / self.tracker.ts)) + 1
+        """Frames k * ts within the duration, k = 0 included (to 1e-9 of a frame)."""
+        return math.floor(self.scene.duration / self.tracker.ts + 1e-9) + 1
+
+
+# Every INI key, in file order: (section, the RunConfig field whose
+# dataclass holds the keys ("" for RunConfig itself), keys). A key is its
+# field's name except for the angles below, written in degrees and held
+# in radians.
+_SCHEMA: tuple[tuple[str, str, tuple[str, ...]], ...] = (
+    ("run", "scene", ("seed", "duration")),
+    ("scene", "scene", (
+        "n_clusters", "fb_per_cluster", "lb_per_cluster",
+        "region_min", "region_max", "speed_min", "speed_max",
+        "birth_death_rate", "rcs_min", "rcs_max",
+        "sigma_delay", "sigma_angle_deg", "pdp_decay", "virtual_delay_max",
+        "bs_position", "user_start", "user_velocity",
+    )),
+    ("arrays", "", ("tx_rows", "tx_cols", "rx_rows", "rx_cols", "spacing_wavelengths")),
+    ("channel", "scene", ("carrier_hz",)),
+    ("channel", "comm", ("k_factor", "xpr_db", "copol_imbalance")),
+    ("tracker", "tracker", (
+        "n_particles", "ts", "process_pos_std", "process_vel_std",
+        "meas_delay_std", "meas_angle_deg", "init_pos_std", "init_vel_std",
+        "gate_sigma",
+    )),
+)
+_DEGREE_FIELDS = {"sigma_angle_deg": "sigma_angle", "meas_angle_deg": "meas_angle_std"}
+_KEYS = [(section, holder, key) for section, holder, keys in _SCHEMA for key in keys]
 
 
 def _find_line(text: str, token: str) -> int:
@@ -83,11 +92,27 @@ def _find_line(text: str, token: str) -> int:
     return 0
 
 
-def _vec3(raw: str, where: str) -> Vec3:
+def _render(value) -> str:
+    """INI text of an int, float (repr, exact round trip) or Vec3."""
+    if isinstance(value, Vec3):
+        return " ".join(repr(float(c)) for c in value.as_tuple())
+    return str(value) if isinstance(value, int) else repr(float(value))
+
+
+def _parse(raw: str, like, key: str):
+    """``raw`` read as the type of ``like``."""
+    if not isinstance(like, Vec3):
+        return type(like)(raw)
     parts = raw.replace(",", " ").split()
     if len(parts) != 3:
-        raise ConfigError(f"{where}: expected three numbers, got {raw!r}")
+        raise ConfigError(f"{key}: expected three numbers, got {raw!r}")
     return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
+
+
+def _file_value(rc: RunConfig, holder: str, key: str):
+    """The value of ``key`` in ``rc``, in the file's units."""
+    value = getattr(getattr(rc, holder) if holder else rc, _DEGREE_FIELDS.get(key, key))
+    return math.degrees(value) if key in _DEGREE_FIELDS else value
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -98,77 +123,36 @@ def parse_run_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    known = {section: {key for s, _, key in _KEYS if s == section} for section, _, _ in _SCHEMA}
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in known:
             raise ConfigError(f"unknown section [{section}] at line {_find_line(text, '[' + section + ']')}")
         for key in cp.options(section):
-            if key not in _SECTIONS[section]:
+            if key not in known[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}] at line {_find_line(text, key)}"
                 )
 
-    def get(section: str, key: str, cast, default):
+    defaults = RunConfig()
+    values: dict[str, dict[str, object]] = {holder: {} for _, holder, _ in _SCHEMA}
+    for section, holder, key in _KEYS:
         if not cp.has_option(section, key):
-            return default
-        raw = cp.get(section, key)
+            continue
         try:
-            return cast(raw)
+            value = _parse(cp.get(section, key), _file_value(defaults, holder, key), key)
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for {key!r} in [{section}] at line {_find_line(text, key)}: {exc}"
             ) from exc
-
-    scene_defaults = SceneConfig()
-    scene = SceneConfig(
-        n_clusters=get("scene", "n_clusters", int, scene_defaults.n_clusters),
-        fb_per_cluster=get("scene", "fb_per_cluster", int, scene_defaults.fb_per_cluster),
-        lb_per_cluster=get("scene", "lb_per_cluster", int, scene_defaults.lb_per_cluster),
-        region_min=get("scene", "region_min", lambda r: _vec3(r, "region_min"), scene_defaults.region_min),
-        region_max=get("scene", "region_max", lambda r: _vec3(r, "region_max"), scene_defaults.region_max),
-        speed_min=get("scene", "speed_min", float, scene_defaults.speed_min),
-        speed_max=get("scene", "speed_max", float, scene_defaults.speed_max),
-        birth_death_rate=get("scene", "birth_death_rate", float, scene_defaults.birth_death_rate),
-        rcs_min=get("scene", "rcs_min", float, scene_defaults.rcs_min),
-        rcs_max=get("scene", "rcs_max", float, scene_defaults.rcs_max),
-        sigma_delay=get("scene", "sigma_delay", float, scene_defaults.sigma_delay),
-        sigma_angle=math.radians(get("scene", "sigma_angle_deg", float, math.degrees(scene_defaults.sigma_angle))),
-        seed=get("run", "seed", int, scene_defaults.seed),
-        duration=get("run", "duration", float, scene_defaults.duration),
-        carrier_hz=get("channel", "carrier_hz", float, scene_defaults.carrier_hz),
-        pdp_decay=get("scene", "pdp_decay", float, scene_defaults.pdp_decay),
-        virtual_delay_max=get("scene", "virtual_delay_max", float, scene_defaults.virtual_delay_max),
-        bs_position=get("scene", "bs_position", lambda r: _vec3(r, "bs_position"), scene_defaults.bs_position),
-        user_start=get("scene", "user_start", lambda r: _vec3(r, "user_start"), scene_defaults.user_start),
-        user_velocity=get("scene", "user_velocity", lambda r: _vec3(r, "user_velocity"), scene_defaults.user_velocity),
-    )
-    comm_defaults = CommParams()
-    comm = CommParams(
-        k_factor=get("channel", "k_factor", float, comm_defaults.k_factor),
-        xpr_db=get("channel", "xpr_db", float, comm_defaults.xpr_db),
-        copol_imbalance=get("channel", "copol_imbalance", float, comm_defaults.copol_imbalance),
-    )
-    tracker_defaults = TrackerConfig()
-    tracker = TrackerConfig(
-        n_particles=get("tracker", "n_particles", int, tracker_defaults.n_particles),
-        ts=get("tracker", "ts", float, tracker_defaults.ts),
-        process_pos_std=get("tracker", "process_pos_std", float, tracker_defaults.process_pos_std),
-        process_vel_std=get("tracker", "process_vel_std", float, tracker_defaults.process_vel_std),
-        meas_delay_std=get("tracker", "meas_delay_std", float, tracker_defaults.meas_delay_std),
-        meas_angle_std=math.radians(get("tracker", "meas_angle_deg", float, math.degrees(tracker_defaults.meas_angle_std))),
-        init_pos_std=get("tracker", "init_pos_std", float, tracker_defaults.init_pos_std),
-        init_vel_std=get("tracker", "init_vel_std", float, tracker_defaults.init_vel_std),
-        gate_sigma=get("tracker", "gate_sigma", float, tracker_defaults.gate_sigma),
-    )
-    rc_defaults = RunConfig()
+        if key in _DEGREE_FIELDS:
+            values[holder][_DEGREE_FIELDS[key]] = math.radians(value)
+        else:
+            values[holder][key] = value
     rc = RunConfig(
-        scene=scene,
-        comm=comm,
-        tracker=tracker,
-        tx_rows=get("arrays", "tx_rows", int, rc_defaults.tx_rows),
-        tx_cols=get("arrays", "tx_cols", int, rc_defaults.tx_cols),
-        rx_rows=get("arrays", "rx_rows", int, rc_defaults.rx_rows),
-        rx_cols=get("arrays", "rx_cols", int, rc_defaults.rx_cols),
-        spacing_wavelengths=get("arrays", "spacing_wavelengths", float, rc_defaults.spacing_wavelengths),
+        scene=SceneConfig(**values["scene"]),
+        comm=CommParams(**values["comm"]),
+        tracker=TrackerConfig(**values["tracker"]),
+        **values[""],
     )
     rc.validate()
     return rc
@@ -177,19 +161,9 @@ def parse_run_config(text: str) -> RunConfig:
 def load_run_config(path: str | None) -> RunConfig:
     """RunConfig from an INI file; None gives the defaults."""
     if path is None:
-        rc = RunConfig()
-        rc.validate()
-        return rc
+        return parse_run_config("")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_run_config(fh.read())
-
-
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
-def _v(v: Vec3) -> str:
-    return f"{_f(v.x)} {_f(v.y)} {_f(v.z)}"
 
 
 def resolved_config_text(rc: RunConfig) -> str:
@@ -198,53 +172,9 @@ def resolved_config_text(rc: RunConfig) -> str:
     The output parses back to an identical RunConfig, so a run directory
     always carries its exact configuration.
     """
-    s, c, t = rc.scene, rc.comm, rc.tracker
-    lines = [
-        "[run]",
-        f"seed = {s.seed}",
-        f"duration = {_f(s.duration)}",
-        "",
-        "[scene]",
-        f"n_clusters = {s.n_clusters}",
-        f"fb_per_cluster = {s.fb_per_cluster}",
-        f"lb_per_cluster = {s.lb_per_cluster}",
-        f"region_min = {_v(s.region_min)}",
-        f"region_max = {_v(s.region_max)}",
-        f"speed_min = {_f(s.speed_min)}",
-        f"speed_max = {_f(s.speed_max)}",
-        f"birth_death_rate = {_f(s.birth_death_rate)}",
-        f"rcs_min = {_f(s.rcs_min)}",
-        f"rcs_max = {_f(s.rcs_max)}",
-        f"sigma_delay = {_f(s.sigma_delay)}",
-        f"sigma_angle_deg = {_f(math.degrees(s.sigma_angle))}",
-        f"pdp_decay = {_f(s.pdp_decay)}",
-        f"virtual_delay_max = {_f(s.virtual_delay_max)}",
-        f"bs_position = {_v(s.bs_position)}",
-        f"user_start = {_v(s.user_start)}",
-        f"user_velocity = {_v(s.user_velocity)}",
-        "",
-        "[arrays]",
-        f"tx_rows = {rc.tx_rows}",
-        f"tx_cols = {rc.tx_cols}",
-        f"rx_rows = {rc.rx_rows}",
-        f"rx_cols = {rc.rx_cols}",
-        f"spacing_wavelengths = {_f(rc.spacing_wavelengths)}",
-        "",
-        "[channel]",
-        f"carrier_hz = {_f(s.carrier_hz)}",
-        f"k_factor = {_f(c.k_factor)}",
-        f"xpr_db = {_f(c.xpr_db)}",
-        f"copol_imbalance = {_f(c.copol_imbalance)}",
-        "",
-        "[tracker]",
-        f"n_particles = {t.n_particles}",
-        f"ts = {_f(t.ts)}",
-        f"process_pos_std = {_f(t.process_pos_std)}",
-        f"process_vel_std = {_f(t.process_vel_std)}",
-        f"meas_delay_std = {_f(t.meas_delay_std)}",
-        f"meas_angle_deg = {_f(math.degrees(t.meas_angle_std))}",
-        f"init_pos_std = {_f(t.init_pos_std)}",
-        f"init_vel_std = {_f(t.init_vel_std)}",
-        f"gate_sigma = {_f(t.gate_sigma)}",
-    ]
+    lines: list[str] = []
+    for section, holder, key in _KEYS:
+        if f"[{section}]" not in lines:
+            lines += ([""] if lines else []) + [f"[{section}]"]
+        lines.append(f"{key} = {_render(_file_value(rc, holder, key))}")
     return "\n".join(lines) + "\n"

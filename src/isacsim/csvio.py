@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 from typing import Iterable, Sequence
 
-from .comm import CommTap
+import numpy as np
+
+from .comm import KIND_LOS, KIND_NLOS, CommTap, TapBlock
 from .geometry import AngleSet
-from .scene import ObservationFrame, PathObservation, SensingDetection
+from .scene import LOS_PATH_ID, ObservationFrame, PathObservation, SensingDetection
 from .sensing import SensingTap
 
 
@@ -181,17 +183,27 @@ def read_sensing_taps(path: str) -> list[dict[str, float]]:
     ]
 
 
-def write_comm_taps(path: str, taps_by_time: Sequence[tuple[float, Sequence[CommTap]]]) -> None:
-    rows = []
-    for t, taps in taps_by_time:
-        for tap in taps:
-            rows.append(
-                [
-                    _fmt(t), str(tap.q), str(tap.p), tap.kind, str(tap.path_id),
-                    _fmt(tap.delay), _fmt(tap.amplitude.real), _fmt(tap.amplitude.imag),
-                ]
-            )
-    _write(path, "comm_taps", COMM_TAPS_HEADER, rows)
+def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock | Sequence[CommTap]]]) -> None:
+    """Write the taps of one frame at a time: a TapBlock, pairs in C order, or a CommTap list.
+
+    Lines are formatted directly: no field of this schema ever needs CSV
+    quoting, so the bytes equal those of ``csv.writer``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
+        for t, taps in taps_by_time:
+            if isinstance(taps, TapBlock):
+                n = taps.delay.shape[-1]
+                q, p = np.repeat(taps.q, n).tolist(), np.repeat(taps.p, n).tolist()
+                pid, delay, re, im = (a.ravel().tolist() for a in (taps.path_id, taps.delay, taps.re, taps.im))
+                kind = [KIND_LOS if i == LOS_PATH_ID else KIND_NLOS for i in pid]
+                rows = zip(q, p, kind, pid, delay, re, im)
+            else:
+                rows = ((tap.q, tap.p, tap.kind, tap.path_id, float(tap.delay), float(tap.amplitude.real),
+                         float(tap.amplitude.imag)) for tap in taps)
+            ts = _fmt(t)
+            fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
+                             for q, p, kind, pid, d, re, im in rows))
 
 
 def read_comm_taps(path: str) -> list[tuple[float, CommTap]]:
@@ -233,10 +245,6 @@ def read_trajectory(path: str) -> list[dict[str, str]]:
 
 def write_summary(path: str, rows: Sequence[Sequence[str]]) -> None:
     _write(path, "track_summary", SUMMARY_HEADER, rows)
-
-
-def read_summary(path: str) -> list[dict[str, str]]:
-    return _read(path, "track_summary", SUMMARY_HEADER)
 
 
 def write_rmse(path: str, rows: Sequence[Sequence[str]]) -> None:

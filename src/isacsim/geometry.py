@@ -8,7 +8,7 @@ Conventions: azimuth in the xy-plane from +x toward +y, wrapped to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -16,6 +16,14 @@ HALF_PI = 0.5 * math.pi
 
 class GeometryError(ValueError):
     """Geometrically undefined input, e.g. a zero-length displacement."""
+
+
+def check_finite(obj, error: type[ValueError]) -> None:
+    """Raise ``error`` naming the first float field of dataclass ``obj`` that is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")
 
 
 def wrap_angle(theta: float) -> float:

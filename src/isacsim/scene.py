@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import AngleSet, Vec3, angles_from_displacement, path_distance, wrap_angle
+from .geometry import AngleSet, Vec3, angles_from_displacement, check_finite, path_distance, wrap_angle
 
 ROLE_FB = "fb"
 ROLE_LB = "lb"
@@ -183,6 +183,7 @@ class SceneConfig:
     user_velocity: Vec3 = Vec3(0.0, 1.0, 0.0)
 
     def validate(self) -> None:
+        check_finite(self, ConfigError)
         if self.n_clusters < 1:
             raise ConfigError("need at least one cluster")
         if self.fb_per_cluster < 1:

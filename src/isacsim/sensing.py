@@ -15,7 +15,7 @@ import numpy as np
 
 from .antenna import PlanarArray, steering_vector
 from .constants import SPEED_OF_LIGHT
-from .geometry import Vec3, angles_from_displacement
+from .geometry import AngleSet, angles_from_displacement
 from .scene import ROLE_FB, SceneTruth
 
 
@@ -52,9 +52,9 @@ def doppler_shift(wavelength: float, closing_speed: float) -> float:
 class SensingTap:
     """One echo of the mono-static impulse response.
 
-    ``steering`` holds the per-element complex response of the BS array
-    toward the scatterer; ``amplitude`` already includes the sqrt-gain
-    and the delay/Doppler phase factors.
+    ``amplitude`` already includes the sqrt-gain and the delay/Doppler
+    phase factors. ``array`` and ``wavelength`` give the BS array's
+    per-element response toward the echo, computed on demand.
     """
 
     scatterer_id: int
@@ -64,10 +64,12 @@ class SensingTap:
     angle_azimuth: float
     angle_elevation: float
     amplitude: complex
-    steering: np.ndarray
+    array: PlanarArray
+    wavelength: float
 
     def element_response(self) -> np.ndarray:
-        return self.amplitude * self.steering
+        angle = AngleSet(self.angle_azimuth, self.angle_elevation)
+        return self.amplitude * steering_vector(self.array, angle, self.wavelength)
 
 
 def monostatic_cir(
@@ -110,7 +112,8 @@ def monostatic_cir(
                 angle_azimuth=angle.azimuth,
                 angle_elevation=angle.elevation,
                 amplitude=complex(amp),
-                steering=steering_vector(array, angle, lam),
+                array=array,
+                wavelength=lam,
             )
         )
     taps.sort(key=lambda tap: (tap.delay, tap.scatterer_id))

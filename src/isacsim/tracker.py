@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, unit_vector_from_angles
+from .geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, check_finite, unit_vector_from_angles
 from .scene import (
     LOS_PATH_ID,
     ObservationFrame,
@@ -76,6 +76,7 @@ class TrackerConfig:
     gate_sigma: float = 3.0
 
     def validate(self) -> None:
+        check_finite(self, TrackerError)
         if self.n_particles < 1:
             raise TrackerError("need at least one particle")
         if self.ts <= 0.0:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -164,3 +165,71 @@ def test_resolved_config_reparses(tmp_path, cfg_path):
     with open(os.path.join(run_dir, "config_resolved.ini")) as fh:
         text = fh.read()
     assert parse_run_config(text) == load_run_config(cfg_path)
+
+
+ALLPAIRS_CFG = """
+[run]
+seed = 19
+duration = 0.2
+
+[scene]
+n_clusters = 2
+fb_per_cluster = 1
+lb_per_cluster = 1
+virtual_delay_max = 5e-8
+
+[arrays]
+tx_rows = 4
+tx_cols = 2
+"""
+
+# sha256 of comm_taps.csv as written by the per-tap scalar synthesis that the
+# array kernel replaced; the kernel must keep every byte
+ALLPAIRS_COMM_TAPS_SHA256 = "e7ed80b484a3417b3cb3190f6c4dcd4d9d9bd7a1e8b389583f5b75e15044f6f3"
+
+
+def test_all_pairs_comm_taps_bytes_pinned(tmp_path):
+    cfg = tmp_path / "allpairs.ini"
+    cfg.write_text(ALLPAIRS_CFG)
+    out = str(tmp_path / "run")
+    assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
+    with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
+        data = fh.read()
+    assert data.count(b"\n") == 2 + 3 * 32 * 5  # 3 frames x 32 pairs x (LoS + 4 paths)
+    assert hashlib.sha256(data).hexdigest() == ALLPAIRS_COMM_TAPS_SHA256
+
+
+def test_duration_off_the_float_grid_runs_every_stage(tmp_path):
+    # 3 * 0.1 = 0.30000000000000004 overshoots a 0.3 s scene
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(SMALL_CFG.replace("duration = 1.0", "duration = 0.3"))
+    run_dir = simulate(tmp_path, str(cfg))
+    frames = csvio.read_observation_frames(
+        os.path.join(run_dir, "observations.csv"), os.path.join(run_dir, "sensing_observations.csv")
+    )
+    assert [f.time for f in frames] == [0.0, 0.1, 0.2, 0.3]
+    trk = str(tmp_path / "trk")
+    assert run("track", "--config", str(cfg), "--run", run_dir, "--out", trk) == 0
+    sts = str(tmp_path / "sts")
+    assert run(
+        "stats", "--config", str(cfg), "--run", run_dir, "--track", trk,
+        "--source", "trajectory", "--out", sts,
+    ) == 0
+    assert len(csvio.read_spreads(os.path.join(sts, "spreads_trajectory.csv"))) == 4
+
+
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("run", "duration = inf", "duration must be finite, got inf"),
+        ("tracker", "meas_delay_std = nan", "meas_delay_std must be finite, got nan"),
+    ],
+)
+def test_non_finite_value_exits_2(tmp_path, capsys, section, line, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "x")

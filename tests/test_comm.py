@@ -17,13 +17,14 @@ from isacsim.comm import (
     combine_rician,
     comm_cir,
     draw_polarization_set,
+    frame_taps,
     los_tap,
     nlos_tap,
     polarization_matrix,
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3
-from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene
+from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, ground_truth_paths
 
 F_C = 28e9
 LAM = SPEED_OF_LIGHT / F_C
@@ -218,3 +219,59 @@ def test_tap_validation():
 def test_xpr_conversion():
     assert CommParams(xpr_db=0.0).xpr_linear == pytest.approx(1.0)
     assert CommParams(xpr_db=10.0).xpr_linear == pytest.approx(10.0)
+
+
+def test_frame_taps_every_pair_of_a_nonstationary_scene():
+    scene = generate_scene(SceneConfig(birth_death_rate=0.05, virtual_delay_max=5e-8))
+    k = 3.0
+    params = CommParams(k_factor=k)
+    lam = scene.config.wavelength
+    tx = half_wavelength_array(32, 4, lam, scene.bs_position)
+    rx_template = half_wavelength_array(2, 2, lam, ORIGIN)
+    draws = draw_polarization_set(scene, params, np.random.default_rng(4))
+    q, p = np.arange(4)[:, None], np.arange(128)[None, :]
+    alive_sets = set()
+    for t in (0.0, 6.5, 13.2, 20.0):
+        block = frame_taps(scene, t, tx, rx_template, params, draws, q, p)
+        truths = ground_truth_paths(scene, t)
+        alive_sets.add(frozenset(pt.path_id for pt in truths))
+        assert block.delay.shape == (4, 128, 1 + len(truths))
+        assert np.array_equal(block.q, np.broadcast_to(q, (4, 128)))
+        assert np.array_equal(block.p, np.broadcast_to(p, (4, 128)))
+
+        # independent per-pair delays: element positions from the array offsets
+        tx_el = tx.origin.as_tuple() + tx.element_offsets()  # (128, 3)
+        rx_el = np.array(scene.user_position(t).as_tuple()) + rx_template.element_offsets()  # (4, 3)
+        want = {LOS_PATH_ID: np.linalg.norm(rx_el[:, None, :] - tx_el[None, :, :], axis=-1) / SPEED_OF_LIGHT}
+        for pt in truths:
+            fb = np.array(scene.scatterer(pt.fb_id).position_at(t).as_tuple())
+            lb = np.array(scene.scatterer(pt.lb_id).position_at(t).as_tuple())
+            d_tx = np.linalg.norm(fb - tx_el, axis=-1)
+            d_rx = np.linalg.norm(lb - rx_el, axis=-1)
+            want[pt.path_id] = (d_tx[None, :] + d_rx[:, None]) / SPEED_OF_LIGHT + pt.virtual_delay
+        for pid, delays in want.items():
+            col = block.path_id == pid
+            assert np.all(col.sum(axis=-1) == 1)
+            got = np.where(col, block.delay, 0.0).sum(axis=-1)
+            np.testing.assert_allclose(got, delays, rtol=1e-12, atol=0.0)
+
+        power = block.re**2 + block.im**2
+        los = np.where(block.path_id == LOS_PATH_ID, power, 0.0).sum(axis=-1)
+        nlos = np.where(block.path_id != LOS_PATH_ID, power, 0.0).sum(axis=-1)
+        np.testing.assert_allclose(los / nlos, k, rtol=1e-9)
+
+        step = np.diff(block.delay, axis=-1)
+        assert np.all(step >= 0.0)
+        assert np.all((step > 0.0) | (np.diff(block.path_id, axis=-1) > 0))
+    assert len(alive_sets) > 1  # births and deaths changed the alive paths
+
+
+def test_frame_taps_reference_pair_matches_comm_cir():
+    scene = generate_scene(SceneConfig(virtual_delay_max=5e-8))
+    lam = scene.config.wavelength
+    tx = half_wavelength_array(32, 4, lam, scene.bs_position)
+    rx = half_wavelength_array(2, 2, lam, ORIGIN)
+    draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
+    block = frame_taps(scene, 1.0, tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]))
+    assert block.delay.shape == (1, 1, 1 + len(scene.paths))
+    assert block.taps((0, 0)) == comm_cir(scene, 1.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])[(0, 0)]

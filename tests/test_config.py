@@ -84,6 +84,18 @@ def test_n_frames():
     assert rc.n_frames == 5  # t = 0, 0.5, 1.0, 1.5, 2.0
 
 
+def test_n_frames_stays_within_the_duration():
+    assert parse_run_config("[run]\nduration = 0.3\n").n_frames == 4  # 0.3 / 0.1 = 2.9999999999999996
+    assert parse_run_config("[run]\nduration = 0.36\n").n_frames == 4  # no frame past the end
+
+
+@pytest.mark.parametrize("text", ["[channel]\nk_factor = nan\n", "[arrays]\nspacing_wavelengths = inf\n",
+                                  "[scene]\nsigma_angle_deg = -inf\n", "[tracker]\nts = inf\n"])
+def test_non_finite_values_rejected(text):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_run_config(text)
+
+
 def test_arrays_built_from_config():
     rc = parse_run_config("")
     tx = rc.tx_array()
