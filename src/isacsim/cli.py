@@ -21,7 +21,7 @@ import numpy as np
 from . import comm, csvio, sensing, stats, tracker
 from .config import RunConfig, load_run_config, resolved_config_text
 from .constants import SPEED_OF_LIGHT
-from .geometry import Vec3, angles_from_displacement
+from .geometry import Vec3, path_terms
 from .scene import (
     SceneTruth,
     generate_scene,
@@ -45,6 +45,11 @@ def _with_seed(rc: RunConfig, seed: int | None) -> RunConfig:
     from dataclasses import replace
 
     return replace(rc, scene=replace(rc.scene, seed=seed))
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """``--config`` when given, else the configuration the run was simulated with."""
+    return load_run_config(args.config or os.path.join(args.run, "config_resolved.ini"))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -95,7 +100,7 @@ def _truth_state(scene: SceneTruth, kind: str, entity_id: int, t: float):
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    rc = load_run_config(args.config)
+    rc = _run_config(args)
     seed = rc.scene.seed if args.seed is None else args.seed
     scene = load_scene(os.path.join(args.run, "scene.txt"))
     frames = csvio.read_observation_frames(
@@ -191,23 +196,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ensemble_row(power: float, bs: Vec3, user: Vec3, fb: Vec3, lb: Vec3, virtual_delay: float = 0.0):
-    """(power, delay, AoD az, AoD el, AoA az, AoA el) of a path via ``fb`` and ``lb``."""
-    delay = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT + virtual_delay
-    aod = angles_from_displacement(fb - bs)
-    aoa = angles_from_displacement(lb - user)
-    return (power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
-
-
 def _oracle_ensembles(scene: SceneTruth, rc: RunConfig) -> list[tuple[int, float, stats.PathEnsemble]]:
     out = []
     for k, t in enumerate(_frame_times(rc)):
         rows = [
-            _ensemble_row(
-                p.power, scene.bs_position, scene.user_position(t),
-                scene.scatterer(p.fb_id).position_at(t), scene.scatterer(p.lb_id).position_at(t),
-                p.virtual_delay,
-            )
+            (p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation)
             for p in ground_truth_paths(scene, t)
         ]
         if rows:
@@ -254,14 +247,17 @@ def _trajectory_ensembles(run_dir: str, track_dir: str) -> list[tuple[int, float
             fb = est.get((k, tracker.KIND_FB, obs.path_id))
             lb = est.get((k, tracker.KIND_LB, obs.path_id))
             if fb is not None and lb is not None:
-                ens_rows.append(_ensemble_row(obs.power, scene.bs_position, user, fb, lb))
+                leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
+                ens_rows.append(
+                    (obs.power, leg / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
+                )
         if ens_rows:
             out.append((k, frame.time, stats.PathEnsemble.from_rows(ens_rows)))
     return out
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rc = load_run_config(args.config)
+    rc = _run_config(args)
     if args.source == "scene":
         scene = load_scene(os.path.join(args.run, "scene.txt"))
         ensembles = _oracle_ensembles(scene, rc)
@@ -330,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_trk = sub.add_parser("track", help="run the particle filter on recorded observations")
-    p_trk.add_argument("--config", help="INI config file (must match the simulate run)")
+    p_trk.add_argument("--config", help="INI config file (default: the run's config_resolved.ini)")
     p_trk.add_argument("--seed", type=int, help="tracker seed (default: config seed)")
     p_trk.add_argument("--run", required=True, help="simulate output directory")
     p_trk.add_argument("--out", required=True, help="output directory")
     p_trk.set_defaults(func=cmd_track)
 
     p_sts = sub.add_parser("stats", help="spread time series and CDFs")
-    p_sts.add_argument("--config", help="INI config file")
+    p_sts.add_argument("--config", help="INI config file (default: the run's config_resolved.ini)")
     p_sts.add_argument("--run", required=True, help="simulate output directory")
     p_sts.add_argument("--track", help="track output directory (for --source trajectory)")
     p_sts.add_argument(

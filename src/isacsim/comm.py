@@ -18,7 +18,7 @@ import numpy as np
 
 from .antenna import PlanarArray
 from .constants import SPEED_OF_LIGHT
-from .geometry import AngleSet, Vec3, angles_from_displacement, check_finite
+from .geometry import AngleSet, Vec3, check_finite, path_terms
 from .scene import LOS_PATH_ID, SceneTruth, ground_truth_paths
 
 KIND_LOS = "los"
@@ -192,9 +192,10 @@ class TapBlock:
         ]
 
 
-def _coupling(kind: str, draw: PolarizationDraw, aod_disp: Vec3, aoa_disp: Vec3, patterns) -> complex:
-    """Polarization coupling of one path, with the patterns evaluated toward it."""
-    aod, aoa = angles_from_displacement(aod_disp), angles_from_displacement(aoa_disp)
+def _coupling(kind: str, draw: PolarizationDraw, tx: PlanarArray, rx: PlanarArray, fb: Vec3, lb: Vec3,
+              patterns) -> complex:
+    """Polarization coupling of the path via ``fb`` and ``lb``, patterns evaluated toward it."""
+    _, aod, aoa = path_terms(tx.origin, rx.origin, fb, lb)
     tx_pattern, rx_pattern = patterns
     return complex(rx_pattern.vector(aoa) @ polarization_matrix(draw, kind) @ tx_pattern.vector(aod))
 
@@ -262,13 +263,13 @@ def pair_taps(
     ids = [s[0] for s in scattered]
     virtual_delay = [s[4] for s in scattered]
     gains = [
-        _coupling(KIND_NLOS, draw, fb - tx.origin, lb - rx.origin, patterns) * math.sqrt(power)
+        _coupling(KIND_NLOS, draw, tx, rx, fb, lb, patterns) * math.sqrt(power)
         for _, fb, lb, power, _, draw in scattered
     ]
     if direct_draw is not None:
         ids.insert(0, LOS_PATH_ID)
         virtual_delay.insert(0, 0.0)
-        gains.insert(0, _coupling(KIND_LOS, direct_draw, rx.origin - tx.origin, tx.origin - rx.origin, patterns))
+        gains.insert(0, _coupling(KIND_LOS, direct_draw, tx, rx, rx.origin, tx.origin, patterns))
     delay = dist / SPEED_OF_LIGHT + np.array(virtual_delay)
 
     gain = np.array(gains, dtype=complex)
@@ -320,27 +321,6 @@ def nlos_tap(
     return pair_taps(tx, rx, [q], [p], carrier_hz, None, [path], patterns=(tx_pattern, rx_pattern)).taps(0)[0]
 
 
-def combine_rician(los: list[CommTap], nlos: list[CommTap], k_factor: float) -> list[CommTap]:
-    """Scale amplitudes by the Rician weights and merge, sorted by delay.
-
-    Direct taps get sqrt(K/(K+1)), scattered taps sqrt(1/(K+1)). With
-    scattered path powers summing to 1 and unit-magnitude direct
-    couplings, the power split per pair is exactly K : 1.
-    """
-    w_los, w_nlos = rician_weights(k_factor)
-    out: list[CommTap] = []
-    for tap in los:
-        if tap.kind != KIND_LOS:
-            raise CommError("direct tap list may only hold los taps")
-        out.append(CommTap(tap.q, tap.p, tap.kind, tap.path_id, tap.delay, w_los * tap.amplitude))
-    for tap in nlos:
-        if tap.kind != KIND_NLOS:
-            raise CommError("scattered tap list may only hold nlos taps")
-        out.append(CommTap(tap.q, tap.p, tap.kind, tap.path_id, tap.delay, w_nlos * tap.amplitude))
-    out.sort(key=lambda tap: (tap.q, tap.p, tap.delay, tap.path_id))
-    return out
-
-
 def frame_taps(
     scene: SceneTruth,
     t: float,
@@ -365,11 +345,7 @@ def frame_taps(
     truths = ground_truth_paths(scene, t)
     try:
         los_draw = pol_draws[LOS_PATH_ID]
-        scattered = [
-            (pt.path_id, scene.scatterer(pt.fb_id).position_at(t), scene.scatterer(pt.lb_id).position_at(t),
-             pt.power, pt.virtual_delay, pol_draws[pt.path_id])
-            for pt in truths
-        ]
+        scattered = [(pt.path_id, pt.fb, pt.lb, pt.power, pt.virtual_delay, pol_draws[pt.path_id]) for pt in truths]
     except KeyError as exc:
         raise CommError(f"missing polarization draw for path {exc.args[0]!r}") from exc
     return pair_taps(

@@ -14,9 +14,11 @@ from dataclasses import dataclass, replace
 
 from .antenna import PlanarArray, half_wavelength_array
 from .comm import CommParams
-from .geometry import ORIGIN, Vec3, check_finite
-from .scene import ConfigError, SceneConfig
+from .geometry import ORIGIN, check_finite
+from .scene import ConfigError, SceneConfig, parse_value, render_value
 from .tracker import TrackerConfig
+
+MAX_FRAMES = 10**6  # a run holds at most this many frames (the shipped config has 201)
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.spacing_wavelengths <= 0.0:
             raise ConfigError("spacing_wavelengths must be positive")
+        frames = self.scene.duration / self.tracker.ts
+        if not math.isfinite(frames) or self.n_frames > MAX_FRAMES:
+            raise ConfigError(f"duration / ts gives {frames} frames, more than {MAX_FRAMES}")
 
     def tx_array(self) -> PlanarArray:
         arr = half_wavelength_array(self.tx_rows, self.tx_cols, self.scene.wavelength,
@@ -92,23 +97,6 @@ def _find_line(text: str, token: str) -> int:
     return 0
 
 
-def _render(value) -> str:
-    """INI text of an int, float (repr, exact round trip) or Vec3."""
-    if isinstance(value, Vec3):
-        return " ".join(repr(float(c)) for c in value.as_tuple())
-    return str(value) if isinstance(value, int) else repr(float(value))
-
-
-def _parse(raw: str, like, key: str):
-    """``raw`` read as the type of ``like``."""
-    if not isinstance(like, Vec3):
-        return type(like)(raw)
-    parts = raw.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three numbers, got {raw!r}")
-    return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
-
-
 def _file_value(rc: RunConfig, holder: str, key: str):
     """The value of ``key`` in ``rc``, in the file's units."""
     value = getattr(getattr(rc, holder) if holder else rc, _DEGREE_FIELDS.get(key, key))
@@ -139,7 +127,7 @@ def parse_run_config(text: str) -> RunConfig:
         if not cp.has_option(section, key):
             continue
         try:
-            value = _parse(cp.get(section, key), _file_value(defaults, holder, key), key)
+            value = parse_value(cp.get(section, key), _file_value(defaults, holder, key), key)
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for {key!r} in [{section}] at line {_find_line(text, key)}: {exc}"
@@ -176,5 +164,5 @@ def resolved_config_text(rc: RunConfig) -> str:
     for section, holder, key in _KEYS:
         if f"[{section}]" not in lines:
             lines += ([""] if lines else []) + [f"[{section}]"]
-        lines.append(f"{key} = {_render(_file_value(rc, holder, key))}")
+        lines.append(f"{key} = {render_value(_file_value(rc, holder, key))}")
     return "\n".join(lines) + "\n"

@@ -183,8 +183,8 @@ def read_sensing_taps(path: str) -> list[dict[str, float]]:
     ]
 
 
-def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock | Sequence[CommTap]]]) -> None:
-    """Write the taps of one frame at a time: a TapBlock, pairs in C order, or a CommTap list.
+def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
+    """Write the taps of one frame at a time, the block's pairs in C order.
 
     Lines are formatted directly: no field of this schema ever needs CSV
     quoting, so the bytes equal those of ``csv.writer``.
@@ -192,15 +192,11 @@ def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock | Se
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
         for t, taps in taps_by_time:
-            if isinstance(taps, TapBlock):
-                n = taps.delay.shape[-1]
-                q, p = np.repeat(taps.q, n).tolist(), np.repeat(taps.p, n).tolist()
-                pid, delay, re, im = (a.ravel().tolist() for a in (taps.path_id, taps.delay, taps.re, taps.im))
-                kind = [KIND_LOS if i == LOS_PATH_ID else KIND_NLOS for i in pid]
-                rows = zip(q, p, kind, pid, delay, re, im)
-            else:
-                rows = ((tap.q, tap.p, tap.kind, tap.path_id, float(tap.delay), float(tap.amplitude.real),
-                         float(tap.amplitude.imag)) for tap in taps)
+            n = taps.delay.shape[-1]
+            q, p = np.repeat(taps.q, n).tolist(), np.repeat(taps.p, n).tolist()
+            pid, delay, re, im = (a.ravel().tolist() for a in (taps.path_id, taps.delay, taps.re, taps.im))
+            kind = [KIND_LOS if i == LOS_PATH_ID else KIND_NLOS for i in pid]
+            rows = zip(q, p, kind, pid, delay, re, im)
             ts = _fmt(t)
             fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
                              for q, p, kind, pid, d, re, im in rows))

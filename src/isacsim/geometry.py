@@ -126,11 +126,18 @@ def angles_from_displacement(d: Vec3) -> AngleSet:
     return AngleSet(math.atan2(d.y, d.x), elevation)
 
 
-def path_distance(tx_ant: Vec3, fb: Vec3, lb: Vec3, rx_ant: Vec3) -> float:
-    """Propagation length transmitter->first bounce plus last bounce->receiver.
+def path_terms(bs: Vec3, user: Vec3, fb: Vec3, lb: Vec3) -> tuple[float, AngleSet, AngleSet]:
+    """Outer-leg length, AoD and AoA of the path via first bounce ``fb`` and last bounce ``lb``.
 
-    The first-to-last-bounce leg is deliberately excluded; in-between
-    propagation is carried by a path's virtual delay instead. With
-    ``fb == lb`` this is the single-bounce path length.
+    The length is |fb - bs| + |lb - user|: the first-to-last-bounce leg is
+    deliberately excluded, in-between propagation being carried by a
+    path's virtual delay. The AoD points from the BS at the first bounce,
+    the AoA from the user at the last bounce. With ``fb == lb`` this is a
+    single-bounce path; with ``fb == user`` and ``lb == bs`` both legs are
+    the direct path.
+
+    Raises:
+        GeometryError: if either outer leg has zero length.
     """
-    return (fb - tx_ant).norm() + (lb - rx_ant).norm()
+    to_fb, to_lb = fb - bs, lb - user
+    return to_fb.norm() + to_lb.norm(), angles_from_displacement(to_fb), angles_from_displacement(to_lb)

@@ -4,20 +4,21 @@ A scene holds constant-velocity scatterer trajectories with birth-death,
 a constant-velocity user, and the path structure connecting them: every
 first-bounce (FB) scatterer carries one single-bounce path (FB == LB)
 and pairs with each last-bounce (LB) scatterer of its own cluster for
-double-bounce paths. Queries (`ground_truth_paths`, `observe`) are pure
-functions of the immutable scene and are safe to run concurrently.
+double-bounce paths. Queries (`ground_truth_paths`, `echoes`, `observe`)
+are pure functions of the immutable scene and are safe to run
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import AngleSet, Vec3, angles_from_displacement, check_finite, path_distance, wrap_angle
+from .geometry import AngleSet, Vec3, angles_from_displacement, check_finite, path_terms, wrap_angle
 
 ROLE_FB = "fb"
 ROLE_LB = "lb"
@@ -31,6 +32,10 @@ class ConfigError(ValueError):
 
 class SceneRangeError(ValueError):
     """Query time outside the scene duration."""
+
+
+class SensingError(ValueError):
+    """Invalid sensing-channel input."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class PathSkeleton:
 
 @dataclass(frozen=True)
 class PathTruth:
-    """Path identity plus its power at one evaluation time."""
+    """Path identity plus its bounce points, delay, angles and power at one time."""
 
     path_id: int
     fb_id: int
@@ -90,6 +95,11 @@ class PathTruth:
     cluster_id: int
     virtual_delay: float
     power: float
+    fb: Vec3
+    lb: Vec3
+    delay: float
+    aod: AngleSet
+    aoa: AngleSet
 
     def __post_init__(self) -> None:
         if self.power < 0.0 or self.virtual_delay < 0.0:
@@ -340,34 +350,76 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
     return SceneTruth(cfg, tuple(scatterers), tuple(paths))
 
 
-def path_delay(scene: SceneTruth, skeleton: PathSkeleton, t: float) -> float:
-    """Geometric delay plus virtual delay of one path at time ``t``."""
-    fb = scene.scatterer(skeleton.fb_id).position_at(t)
-    lb = scene.scatterer(skeleton.lb_id).position_at(t)
-    dist = path_distance(scene.bs_position, fb, lb, scene.user_position(t))
-    return dist / SPEED_OF_LIGHT + skeleton.virtual_delay
-
-
 def ground_truth_paths(scene: SceneTruth, t: float) -> list[PathTruth]:
     """Alive paths at ``t`` with powers from the exponential delay profile.
 
-    Powers follow exp(-delay / pdp_decay) and are normalized to sum to 1
-    over the frame, which makes the Rician LoS/NLoS power split exact.
+    Each path is resolved once: its bounce points at ``t``, its delay (the
+    outer legs over c plus the virtual delay) and its AoD and AoA. Powers
+    follow exp(-delay / pdp_decay) and are normalized to sum to 1 over the
+    frame, which makes the Rician LoS/NLoS power split exact.
     """
     scene.check_time(t)
-    alive = [
-        p for p in scene.paths
-        if scene.scatterer(p.fb_id).alive(t) and scene.scatterer(p.lb_id).alive(t)
-    ]
+    bs, user = scene.bs_position, scene.user_position(t)
+    alive = []
+    for p in scene.paths:
+        fb, lb = scene.scatterer(p.fb_id), scene.scatterer(p.lb_id)
+        if fb.alive(t) and lb.alive(t):
+            fb_pos, lb_pos = fb.position_at(t), lb.position_at(t)
+            leg, aod, aoa = path_terms(bs, user, fb_pos, lb_pos)
+            alive.append((p, fb_pos, lb_pos, leg / SPEED_OF_LIGHT + p.virtual_delay, aod, aoa))
     if not alive:
         return []
-    delays = np.array([path_delay(scene, p, t) for p in alive])
-    raw = np.exp(-delays / scene.config.pdp_decay)
+    raw = np.exp(-np.array([a[3] for a in alive]) / scene.config.pdp_decay)
     powers = raw / raw.sum()
     return [
-        PathTruth(p.path_id, p.fb_id, p.lb_id, p.cluster_id, p.virtual_delay, float(w))
-        for p, w in zip(alive, powers)
+        PathTruth(p.path_id, p.fb_id, p.lb_id, p.cluster_id, p.virtual_delay, float(w), *terms)
+        for (p, *terms), w in zip(alive, powers)
     ]
+
+
+def sensing_gain(wavelength: float, rcs: float, distance: float) -> float:
+    """Two-way power gain of a point scatterer at ``distance`` meters.
+
+    lambda^2 * rcs / (64 pi^3 d^4): the product of two free-space legs
+    and the radar cross section, without antenna gains.
+    """
+    if wavelength <= 0.0 or rcs <= 0.0 or distance <= 0.0:
+        raise SensingError("wavelength, rcs and distance must all be positive")
+    return wavelength**2 * rcs / (64.0 * math.pi**3 * distance**4)
+
+
+def echo_delay(distance: float) -> float:
+    """Round-trip delay 2 d / c of an echo from ``distance`` meters."""
+    if distance <= 0.0:
+        raise SensingError(f"distance must be positive, got {distance}")
+    return 2.0 * distance / SPEED_OF_LIGHT
+
+
+def doppler_shift(wavelength: float, closing_speed: float) -> float:
+    """Two-way Doppler 2 v / lambda; ``closing_speed`` > 0 means approaching."""
+    if wavelength <= 0.0:
+        raise SensingError(f"wavelength must be positive, got {wavelength}")
+    return 2.0 * closing_speed / wavelength
+
+
+def echoes(scene: SceneTruth, t: float) -> list[SensingDetection]:
+    """Noise-free echo of every first-bounce scatterer alive at ``t``, in scene order.
+
+    Round-trip delay, direction seen from the BS, two-way Doppler of the
+    closing speed (receding gives negative Doppler) and radar gain.
+    """
+    scene.check_time(t)
+    bs, lam = scene.bs_position, scene.config.wavelength
+    out = []
+    for s in scene.alive_scatterers(t, role=ROLE_FB):
+        disp = s.position_at(t) - bs
+        d = disp.norm()
+        closing_speed = -s.velocity.dot(disp * (1.0 / d))
+        out.append(SensingDetection(
+            s.id, echo_delay(d), angles_from_displacement(disp), doppler_shift(lam, closing_speed),
+            sensing_gain(lam, s.rcs, d),
+        ))
+    return out
 
 
 def _noisy_angles(a: AngleSet, sigma: float, rng: np.random.Generator) -> AngleSet:
@@ -397,59 +449,39 @@ def observe(
         raise ConfigError("noise standard deviations must be nonnegative")
     scene.check_time(t)
 
-    bs = scene.bs_position
-    user = scene.user_position(t)
-    lam = scene.config.wavelength
-
-    comm: list[PathObservation] = []
-    for p in ground_truth_paths(scene, t):
-        fb = scene.scatterer(p.fb_id).position_at(t)
-        lb = scene.scatterer(p.lb_id).position_at(t)
-        delay = path_distance(bs, fb, lb, user) / SPEED_OF_LIGHT + p.virtual_delay
-        aod = angles_from_displacement(fb - bs)
-        aoa = angles_from_displacement(lb - user)
-        comm.append(
-            PathObservation(
-                p.path_id,
-                p.fb_id,
-                p.lb_id,
-                p.cluster_id,
-                delay + float(rng.normal(0.0, sigma_delay)),
-                _noisy_angles(aod, sigma_angle, rng),
-                _noisy_angles(aoa, sigma_angle, rng),
-                p.power,
-            )
+    comm = [
+        PathObservation(
+            p.path_id, p.fb_id, p.lb_id, p.cluster_id,
+            p.delay + float(rng.normal(0.0, sigma_delay)),
+            _noisy_angles(p.aod, sigma_angle, rng),
+            _noisy_angles(p.aoa, sigma_angle, rng),
+            p.power,
         )
+        for p in ground_truth_paths(scene, t)
+    ]
 
-    los_delay = (user - bs).norm() / SPEED_OF_LIGHT
+    bs, user = scene.bs_position, scene.user_position(t)
+    leg, aod, aoa = path_terms(bs, user, user, bs)  # both legs are the direct path
     los = PathObservation(
         LOS_PATH_ID,
         LOS_PATH_ID,
         LOS_PATH_ID,
         LOS_PATH_ID,
-        los_delay + float(rng.normal(0.0, sigma_delay)),
-        _noisy_angles(angles_from_displacement(user - bs), sigma_angle, rng),
-        _noisy_angles(angles_from_displacement(bs - user), sigma_angle, rng),
+        leg / 2.0 / SPEED_OF_LIGHT + float(rng.normal(0.0, sigma_delay)),
+        _noisy_angles(aod, sigma_angle, rng),
+        _noisy_angles(aoa, sigma_angle, rng),
         1.0,
         kind="los",
     )
 
-    detections: list[SensingDetection] = []
-    for s in scene.alive_scatterers(t, role=ROLE_FB):
-        pos = s.position_at(t)
-        d = (pos - bs).norm()
-        u = (pos - bs) * (1.0 / d)
-        closing_speed = -s.velocity.dot(u)  # receding gives negative Doppler
-        detections.append(
-            SensingDetection(
-                s.id,
-                2.0 * d / SPEED_OF_LIGHT + float(rng.normal(0.0, sigma_delay)),
-                _noisy_angles(angles_from_displacement(pos - bs), sigma_angle, rng),
-                2.0 * closing_speed / lam,
-                lam**2 * s.rcs / (64.0 * math.pi**3 * d**4),
-            )
+    detections = [
+        replace(
+            e,
+            round_trip_delay=e.round_trip_delay + float(rng.normal(0.0, sigma_delay)),
+            angle=_noisy_angles(e.angle, sigma_angle, rng),
         )
-
+        for e in echoes(scene, t)
+    ]
     return ObservationFrame(t, tuple(comm), tuple(detections), los)
 
 
@@ -469,16 +501,27 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def render_value(value) -> str:
+    """Text of a config int, float (repr, exact round trip) or Vec3."""
+    if isinstance(value, Vec3):
+        return " ".join(_fmt(c) for c in value.as_tuple())
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+def parse_value(raw: str, like, key: str):
+    """``raw`` read as the type of ``like``; a Vec3 is three numbers split by spaces or commas."""
+    if not isinstance(like, Vec3):
+        return type(like)(raw)
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 3:
+        raise ConfigError(f"{key}: expected three numbers, got {raw!r}")
+    return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
+
+
 def scene_to_text(scene: SceneTruth) -> str:
     lines = [SCENE_HEADER]
     for f in fields(SceneConfig):
-        value = getattr(scene.config, f.name)
-        if isinstance(value, Vec3):
-            lines.append(f"C {f.name} {_fmt(value.x)} {_fmt(value.y)} {_fmt(value.z)}")
-        elif isinstance(value, int):
-            lines.append(f"C {f.name} {value}")
-        else:
-            lines.append(f"C {f.name} {_fmt(value)}")
+        lines.append(f"C {f.name} {render_value(getattr(scene.config, f.name))}")
     for s in scene.scatterers:
         lines.append(
             "S "
@@ -509,7 +552,7 @@ def scene_from_text(text: str) -> SceneTruth:
     if not lines or lines[0].strip() != SCENE_HEADER:
         raise ConfigError(f"not a scene file (expected header {SCENE_HEADER!r})")
     cfg_kwargs: dict[str, object] = {}
-    field_types = {f.name: f.type for f in fields(SceneConfig)}
+    defaults = {f.name: getattr(SceneConfig(), f.name) for f in fields(SceneConfig)}
     scatterers: list[ScattererTruth] = []
     paths: list[PathSkeleton] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -519,15 +562,10 @@ def scene_from_text(text: str) -> SceneTruth:
         tag, *parts = line.split()
         try:
             if tag == "C":
-                name, values = parts[0], parts[1:]
-                if name not in field_types:
+                name = parts[0]
+                if name not in defaults:
                     raise ConfigError(f"unknown config field {name!r}")
-                if len(values) == 3:
-                    cfg_kwargs[name] = Vec3(float(values[0]), float(values[1]), float(values[2]))
-                elif "int" in str(field_types[name]):
-                    cfg_kwargs[name] = int(values[0])
-                else:
-                    cfg_kwargs[name] = float(values[0])
+                cfg_kwargs[name] = parse_value(" ".join(parts[1:]), defaults[name], name)
             elif tag == "S":
                 scatterers.append(
                     ScattererTruth(

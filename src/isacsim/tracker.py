@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, check_finite, unit_vector_from_angles
+from .geometry import ORIGIN, AngleSet, GeometryError, Vec3, check_finite, path_terms, unit_vector_from_angles
 from .scene import (
     LOS_PATH_ID,
     ObservationFrame,
@@ -254,20 +254,11 @@ def predict_measurement(
     user at the last bounce. Degenerate (vertical) directions come back
     flagged on the AngleSet rather than raising.
     """
-    d_t = fb.position.distance_to(bs_pos)
-    d_r = lb.position.distance_to(user.position)
-    if d_t <= 0.0 or d_r <= 0.0:
-        raise TrackerError("first bounce must be away from the BS and last bounce away from the user")
-    return PathObservation(
-        path_id,
-        fb_id,
-        lb_id,
-        cluster_id,
-        (d_t + d_r) / SPEED_OF_LIGHT + virtual_delay,
-        angles_from_displacement(fb.position - bs_pos),
-        angles_from_displacement(lb.position - user.position),
-        0.0,
-    )
+    try:
+        leg, aod, aoa = path_terms(bs_pos, user.position, fb.position, lb.position)
+    except GeometryError as exc:
+        raise TrackerError("first bounce must be away from the BS and last bounce away from the user") from exc
+    return PathObservation(path_id, fb_id, lb_id, cluster_id, leg / SPEED_OF_LIGHT + virtual_delay, aod, aoa, 0.0)
 
 
 def solve_lb_range(

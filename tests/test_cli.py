@@ -233,3 +233,63 @@ def test_non_finite_value_exits_2(tmp_path, capsys, section, line, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "x")
+
+
+# sha256 of the observation, sensing-tap and oracle-spread files of a 3-frame
+# default run; the path geometry and echo laws behind them must keep every byte
+DEFAULT_RUN_SHA256 = {
+    "run/observations.csv": "c9df8d3021c6b49cfbcb8a690191461da24739bfb680d7b06e4cc749f70706fb",
+    "run/sensing_observations.csv": "1f3a2f2f0bb498709b66a6d069b28fd9a6240c6d66c0fe8deada42c4da592f22",
+    "run/sensing_taps.csv": "0045d08c2fafaed225bcb2e425eadec190426799f4ba585dce29316a6467d726",
+    "sts/spreads_oracle.csv": "a12b70954878b645f24f703a8208407e690ff50d390dbd5fd5abe7c3c656c7f2",
+}
+
+
+def test_default_run_bytes_pinned(tmp_path):
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[run]\nduration = 0.2\n")
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+    assert run(
+        "stats", "--config", str(cfg), "--run", str(tmp_path / "run"), "--source", "scene",
+        "--out", str(tmp_path / "sts"), "--label", "oracle",
+    ) == 0
+    for name, digest in DEFAULT_RUN_SHA256.items():
+        with open(tmp_path / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+@pytest.fixture()
+def ts_02_run(tmp_path):
+    cfg = tmp_path / "ts02.ini"
+    cfg.write_text("[tracker]\nts = 0.2\nn_particles = 100\n")
+    return simulate(tmp_path, str(cfg))
+
+
+def test_stats_without_config_reads_the_run_config(tmp_path, ts_02_run):
+    sts = str(tmp_path / "sts")
+    assert run("stats", "--run", ts_02_run, "--source", "scene", "--out", sts) == 0
+    assert len(csvio.read_spreads(os.path.join(sts, "spreads_scene.csv"))) == 101  # 20 s at Ts 0.2
+
+
+def test_track_without_config_reads_the_run_config(tmp_path, ts_02_run):
+    trk = str(tmp_path / "trk")
+    assert run("track", "--run", ts_02_run, "--out", trk) == 0
+    assert {int(r["k"]) for r in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))} == set(range(101))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nduration = 1e300\n\n[tracker]\nts = 1e-10\n", "duration / ts gives inf frames, more than 1000000"),
+        ("[run]\nduration = 1e9\n", "duration / ts gives 10000000000.0 frames, more than 1000000"),
+    ],
+    ids=["duration-1e300-ts-1e-10", "duration-1e9"],
+)
+def test_frame_count_capped(tmp_path, capsys, text, message):
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(text)
+    code = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "x")

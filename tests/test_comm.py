@@ -14,13 +14,14 @@ from isacsim.comm import (
     CommTap,
     PolarizationDraw,
     PolarizedPattern,
-    combine_rician,
     comm_cir,
     draw_polarization_set,
     frame_taps,
     los_tap,
     nlos_tap,
+    pair_taps,
     polarization_matrix,
+    rician_weights,
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3
@@ -135,10 +136,9 @@ def test_combine_rician_weights():
     tx, rx = tx_pair()
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
-    direct = los_tap(0, 0, tx, rx, F_C, unit_draw())
-    scattered = nlos_tap(0, 0, tx, rx, fb, lb, 0, 1.0, 0.0, F_C, unit_draw())
     k = 3.0
-    out = combine_rician([direct], [scattered], k)
+    scattered = [(0, fb, lb, 1.0, 0.0, unit_draw())]
+    out = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), scattered, rician_weights(k)).taps(0)
     los_power = sum(t.power for t in out if t.kind == KIND_LOS)
     total = sum(t.power for t in out)
     assert los_power / total == pytest.approx(k / (k + 1.0), abs=1e-12)
@@ -146,18 +146,8 @@ def test_combine_rician_weights():
 
 def test_combine_rician_k_zero_removes_los_power():
     tx, rx = tx_pair()
-    direct = los_tap(0, 0, tx, rx, F_C, unit_draw())
-    out = combine_rician([direct], [], 0.0)
+    out = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), [], rician_weights(0.0)).taps(0)
     assert out[0].power == 0.0
-
-
-def test_combine_rician_kind_check_and_order():
-    tx, rx = tx_pair()
-    direct = los_tap(0, 0, tx, rx, F_C, unit_draw())
-    with pytest.raises(CommError):
-        combine_rician([], [direct], 3.0)
-    with pytest.raises(CommError):
-        combine_rician([direct], [direct], 3.0)
 
 
 def test_comm_cir_reference_pair():

@@ -77,6 +77,8 @@ def test_bad_value_rejected_with_line():
 def test_invalid_combination_rejected():
     with pytest.raises(ConfigError):
         parse_run_config("[scene]\nspeed_min = 5.0\nspeed_max = 1.0\n").validate()
+    with pytest.raises(ConfigError, match="carrier frequency must be positive"):
+        parse_run_config("[channel]\ncarrier_hz = 0\n")
 
 
 def test_n_frames():

@@ -3,7 +3,7 @@ import pytest
 
 from isacsim import csvio
 from isacsim.antenna import half_wavelength_array
-from isacsim.comm import CommParams, comm_cir, draw_polarization_set
+from isacsim.comm import CommParams, draw_polarization_set, frame_taps
 from isacsim.geometry import ORIGIN
 from isacsim.scene import SceneConfig, generate_scene, observe
 from isacsim.sensing import monostatic_cir
@@ -83,10 +83,10 @@ def test_comm_taps_round_trip(tmp_path, scene):
     tx = half_wavelength_array(2, 2, scene.config.wavelength, scene.bs_position)
     rx = half_wavelength_array(1, 2, scene.config.wavelength, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(2))
-    cir = comm_cir(scene, 0.0, tx, rx, CommParams(), draws, pairs=[(0, 0), (1, 1)])
-    flat = [tap for key in sorted(cir) for tap in cir[key]]
+    block = frame_taps(scene, 0.0, tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]))
+    flat = block.taps(0) + block.taps(1)
     path = tmp_path / "ctaps.csv"
-    csvio.write_comm_taps(str(path), [(0.0, flat)])
+    csvio.write_comm_taps(str(path), [(0.0, block)])
     back = csvio.read_comm_taps(str(path))
     assert len(back) == len(flat)
     t0, tap0 = back[0]

@@ -8,7 +8,7 @@ from isacsim.geometry import (
     GeometryError,
     Vec3,
     angles_from_displacement,
-    path_distance,
+    path_terms,
     unit_vector_from_angles,
     wrap_angle,
 )
@@ -131,11 +131,11 @@ def test_path_distance_excludes_middle_leg():
     fb = Vec3(0.0, 3.0, 4.0)  # 5 m from tx
     lb = Vec3(100.0, 0.0, 0.0)
     rx = Vec3(100.0, 6.0, 8.0)  # 10 m from lb
-    assert path_distance(tx, fb, lb, rx) == pytest.approx(15.0, abs=1e-12)
+    assert path_terms(tx, rx, fb, lb)[0] == pytest.approx(15.0, abs=1e-12)
 
 
 def test_path_distance_single_bounce():
     s = Vec3(0.0, 5.0, 0.0)
-    assert path_distance(ORIGIN, s, s, Vec3(10.0, 0.0, 0.0)) == pytest.approx(
+    assert path_terms(ORIGIN, Vec3(10.0, 0.0, 0.0), s, s)[0] == pytest.approx(
         5.0 + math.sqrt(125.0)
     )

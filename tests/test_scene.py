@@ -17,7 +17,6 @@ from isacsim.scene import (
     ground_truth_paths,
     load_scene,
     observe,
-    path_delay,
     save_scene,
     scene_from_text,
     scene_to_text,
@@ -119,7 +118,7 @@ def test_ground_truth_powers_sum_to_one_and_order():
     total = sum(p.power for p in paths)
     assert total == pytest.approx(1.0, abs=1e-12)
     # longer delay -> smaller power under the exponential profile
-    pairs = [(path_delay(scene, scene.path(p.path_id), 3.0), p.power) for p in paths]
+    pairs = [(p.delay, p.power) for p in paths]
     pairs.sort()
     for (d1, w1), (d2, w2) in zip(pairs, pairs[1:]):
         assert w1 >= w2 or math.isclose(w1, w2)
@@ -127,11 +126,11 @@ def test_ground_truth_powers_sum_to_one_and_order():
 
 def test_path_delay_excludes_middle_leg():
     scene = generate_scene(SceneConfig())
-    p = next(p for p in scene.paths if not p.single_bounce)
+    p = next(p for p in ground_truth_paths(scene, 0.0) if p.fb_id != p.lb_id)
     fb = scene.scatterer(p.fb_id).position_at(0.0)
     lb = scene.scatterer(p.lb_id).position_at(0.0)
     d = scene.bs_position.distance_to(fb) + scene.user_position(0.0).distance_to(lb)
-    assert path_delay(scene, p, 0.0) == pytest.approx(d / SPEED_OF_LIGHT, rel=1e-15)
+    assert p.delay == pytest.approx(d / SPEED_OF_LIGHT, rel=1e-15)
 
 
 def test_observe_noiseless_matches_geometry():
@@ -226,6 +225,10 @@ def test_malformed_text_reports_line():
     lines = scene_to_text(scene).splitlines()
     lines[3] = "Q bogus record"
     with pytest.raises(ConfigError, match="line 4"):
+        scene_from_text("\n".join(lines))
+    lines = scene_to_text(scene).splitlines()
+    lines[1] = "C n_clusters 1 2 3"  # an int field takes one value
+    with pytest.raises(ConfigError, match="line 2"):
         scene_from_text("\n".join(lines))
 
 

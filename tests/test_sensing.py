@@ -105,16 +105,6 @@ def test_element_response_shape_and_modulus():
     assert np.allclose(np.abs(resp), abs(taps[0].amplitude), atol=1e-15)
 
 
-def test_carrier_override():
-    scene = _scene()
-    arr = _array(scene)
-    default = monostatic_cir(scene, 0.0, arr)
-    override = monostatic_cir(scene, 0.0, arr, carrier_hz=scene.config.carrier_hz)
-    assert [t.amplitude for t in default] == [t.amplitude for t in override]
-    with pytest.raises(SensingError):
-        monostatic_cir(scene, 0.0, arr, carrier_hz=0.0)
-
-
 def test_doppler_matches_closing_speed():
     scene = _scene()
     taps = monostatic_cir(scene, 0.0, _array(scene))
