@@ -346,14 +346,22 @@ def _gated_detection(
     frame: ObservationFrame,
     cfg: TrackerConfig,
 ):
-    """Sensing detection for the path's first bounce, or None if out of gate."""
+    """Sensing detection for the path's first bounce, or None if out of gate.
+
+    The echo direction and the comm AoD each carry independent angle
+    noise of std s = ``meas_angle_std`` around the same true direction,
+    so their difference has variance s^2 + s^2 and std sqrt(2) s. Each
+    angle is gated at ``gate_sigma`` stds of that difference, which
+    rejects a true echo with probability P(|Z| > gate_sigma) per angle.
+    """
     det = frame.sensing_by_id().get(obs.fb_id)
     if det is None:
         return None
+    angle_gate = math.sqrt(2.0) * cfg.gate_sigma * cfg.meas_angle_std
     d_az = math.remainder(det.angle.azimuth - obs.aod.azimuth, 2.0 * math.pi)
-    if abs(d_az) > cfg.gate_sigma * cfg.meas_angle_std:
+    if abs(d_az) > angle_gate:
         return None
-    if abs(det.angle.elevation - obs.aod.elevation) > cfg.gate_sigma * cfg.meas_angle_std:
+    if abs(det.angle.elevation - obs.aod.elevation) > angle_gate:
         return None
     if obs.delay - det.round_trip_delay / 2.0 < -cfg.gate_sigma * cfg.meas_delay_std:
         return None

@@ -26,6 +26,7 @@ from isacsim.tracker import (
     ParticleCloud,
     TrackerConfig,
     TrackerError,
+    _gated_detection,
     estimate,
     initialize,
     initialize_at_truth,
@@ -362,6 +363,30 @@ def test_initialize_fb_free_fallback():
     along = (lb_est - user).norm()
     ray_point = user + unit(obs.aoa) * along
     assert lb_est.distance_to(ray_point) < 1e-9
+
+
+def test_angle_gate_rejects_true_echoes_at_the_nominal_rate():
+    # echo direction and comm AoD carry independent N(0, s^2) noise around
+    # the same first bounce; a 3-sigma gate on their difference must reject
+    # each angle with P(|Z| > 3) = 0.27 %, not P(|Z| > 3/sqrt(2)) = 3.4 %
+    cfg = TrackerConfig()
+    s = cfg.meas_angle_std
+    bs = Vec3(0.0, 0.0, 10.0)
+    user = Vec3(0.0, 120.0, 1.2)
+    fb = Vec3(-30.0, 60.0, 8.0)
+    obs = hand_obs(0, fb, Vec3(20.0, 30.0, 5.0), bs, user)
+    det = hand_det(0, fb, bs)
+    rng = np.random.default_rng(8)
+    n = 20000
+    for angle in ("azimuth", "elevation"):
+        rejected = 0
+        for e_obs, e_det in rng.normal(0.0, s, size=(n, 2)):
+            noisy_obs = replace(obs, aod=replace(obs.aod, **{angle: getattr(obs.aod, angle) + e_obs}))
+            noisy_det = replace(det, angle=replace(det.angle, **{angle: getattr(det.angle, angle) + e_det}))
+            frame = hand_frame(0.0, [noisy_obs], [noisy_det])
+            rejected += _gated_detection(noisy_obs, frame, cfg) is None
+        # 0.27 % of 20000 is 54 (binomial std 7); 3.4 % would be 680
+        assert 20 <= rejected <= 100, (angle, rejected)
 
 
 def test_initialize_failure_on_infeasible_budget():
