@@ -293,3 +293,38 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "x")
+
+
+# sha256 of trajectory.csv and rmse.csv from two short runs, taken from the
+# per-cloud tracker before it was batched; stepping all clouds as one array
+# must keep every byte
+TRACK_CFGS = {
+    "default": "[run]\nduration = 1.0\n",
+    "birth-death-virtual-delay": (
+        "[run]\nseed = 5\nduration = 2.0\n\n"
+        "[scene]\nbirth_death_rate = 0.05\nvirtual_delay_max = 5e-8\n\n"
+        "[tracker]\nn_particles = 250\n"
+    ),
+}
+TRACK_SHA256 = {
+    "default": {
+        "trajectory.csv": "0858b11025a851ca0ecf50bf3f3833214b0db11af1b47e8ce36ed9df16e8547b",
+        "rmse.csv": "dcb103312b40d41efd13815beda30d4a3d10b05e92d19c5c95d98f12d5dcb270",
+    },
+    "birth-death-virtual-delay": {
+        "trajectory.csv": "42730b6b2d4e120da8b037342b75fde49b3d260c2044343f7ef6cb0af878d487",
+        "rmse.csv": "260ba27a2a5706c2614edcd35885642405f8237fb1874c68412bbf87ebc6b244",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACK_CFGS))
+def test_track_bytes_pinned(tmp_path, name):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS[name])
+    run_dir = simulate(tmp_path, str(cfg))
+    trk = tmp_path / "trk"
+    assert run("track", "--run", run_dir, "--out", str(trk)) == 0
+    for fname, digest in TRACK_SHA256[name].items():
+        with open(trk / fname, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
