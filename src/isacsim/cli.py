@@ -23,6 +23,7 @@ from .config import RunConfig, load_run_config, resolved_config_text
 from .constants import SPEED_OF_LIGHT
 from .geometry import Vec3, path_terms
 from .scene import (
+    ConfigError,
     SceneTruth,
     generate_scene,
     ground_truth_paths,
@@ -48,8 +49,26 @@ def _with_seed(rc: RunConfig, seed: int | None) -> RunConfig:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """``--config`` when given, else the configuration the run was simulated with."""
-    return load_run_config(args.config or os.path.join(args.run, "config_resolved.ini"))
+    """The configuration the run was simulated with.
+
+    An explicit ``--config`` must resolve to the same values; the first
+    key that differs is reported.
+    """
+    run_ini = os.path.join(args.run, "config_resolved.ini")
+    rc = load_run_config(run_ini)
+    if args.config:
+        section = ""
+        for given, recorded in zip(
+            resolved_config_text(load_run_config(args.config)).splitlines(),
+            resolved_config_text(rc).splitlines(),
+        ):
+            section = given if given.startswith("[") else section
+            if given != recorded:
+                raise ConfigError(
+                    f"--config {args.config} does not match the run's {run_ini}: "
+                    f"{section} {given}, the run has {recorded.split(' = ', 1)[1]}"
+                )
+    return rc
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -120,21 +139,21 @@ def cmd_track(args: argparse.Namespace) -> int:
         frames[0], scene.bs_position, user0, rc.tracker, np.random.SeedSequence([seed, 2])
     )
     for frame in frames[1:]:
-        state = tracker.step(state, frame)
+        tracker.step(state, frame)
 
-    keys = state.cloud_keys()
-    errors: dict[tuple[str, int], list[float | None]] = {key: [] for key in keys}
-    coast_counts = {key: 0 for key in keys}
+    keys, ids = state.keys, state.entity_ids
+    estimates = np.stack(state.estimates).tolist()  # (K+1, E, 6) as floats
+    coasted = np.stack(state.coasted)
+    diverged = np.stack(state.diverged)
+    ess = np.stack(state.ess)
+    errors: list[list[float | None]] = [[] for _ in keys]
     traj_rows = []
-    for rec in state.records:
-        for key in keys:
-            est = rec.estimates[key]
-            cloud = state.clouds[key]
-            tp, tv = _truth_state(scene, key[0], cloud.entity_id, rec.time)
-            coasted = key in rec.coasted
-            coast_counts[key] += int(coasted)
-            err = est.position.distance_to(tp) if tp is not None else None
-            errors[key].append(err)
+    for k, t in enumerate(state.times):
+        for e, key in enumerate(keys):
+            x, y, z, vx, vy, vz = estimates[k][e]
+            tp, tv = _truth_state(scene, key[0], ids[e], t)
+            err = Vec3(x, y, z).distance_to(tp) if tp is not None else None
+            errors[e].append(err)
             truth_cols = (
                 [repr(tp.x), repr(tp.y), repr(tp.z), repr(tv.x), repr(tv.y), repr(tv.z)]
                 if tp is not None
@@ -142,47 +161,49 @@ def cmd_track(args: argparse.Namespace) -> int:
             )
             traj_rows.append(
                 [
-                    str(rec.k), repr(rec.time), key[0], str(key[1]), str(cloud.entity_id),
-                    repr(est.position.x), repr(est.position.y), repr(est.position.z),
-                    repr(est.velocity.x), repr(est.velocity.y), repr(est.velocity.z),
+                    str(k), repr(t), key[0], str(key[1]), str(ids[e]),
+                    repr(x), repr(y), repr(z), repr(vx), repr(vy), repr(vz),
                     *truth_cols,
                     repr(err) if err is not None else "",
-                    str(int(coasted)), str(int(key in rec.diverged)),
+                    str(int(coasted[k, e])), str(int(diverged[k, e])),
                 ]
             )
 
     summary_rows = []
-    for key in keys:
-        cloud = state.clouds[key]
-        known = [e for e in errors[key] if e is not None]
-        final = errors[key][-1]
+    coast_counts = coasted.sum(axis=0)
+    for e, key in enumerate(keys):
+        known = [err for err in errors[e] if err is not None]
+        final = errors[e][-1]
+        weighted = ess[:, e][~np.isnan(ess[:, e])]
         summary_rows.append(
             [
-                key[0], str(key[1]), str(cloud.entity_id), str(coast_counts[key]),
-                str(int(cloud.diverged)),
+                key[0], str(key[1]), str(ids[e]), str(coast_counts[e]),
+                str(int(state.clouds.diverged[e])),
                 repr(final) if final is not None else "",
                 repr(float(np.mean(known))) if known else "",
+                repr(float(weighted.min())) if weighted.size else "",
+                repr(float(np.median(weighted))) if weighted.size else "",
             ]
         )
     for pid in state.failed_paths:
-        summary_rows.append(["failed", str(pid), "", "", "", "", ""])
+        summary_rows.append(["failed", str(pid)] + [""] * 7)
 
     rmse_rows = []
     for kind in (tracker.KIND_USER, tracker.KIND_FB, tracker.KIND_LB):
-        kind_keys = [key for key in keys if key[0] == kind]
-        finals = [errors[key][-1] for key in kind_keys if errors[key][-1] is not None]
+        kind_errors = [errors[e] for e, key in enumerate(keys) if key[0] == kind]
+        finals = [errs[-1] for errs in kind_errors if errs[-1] is not None]
         means = [
-            float(np.mean([e for e in errors[key] if e is not None]))
-            for key in kind_keys
-            if any(e is not None for e in errors[key])
+            float(np.mean([err for err in errs if err is not None]))
+            for errs in kind_errors
+            if any(err is not None for err in errs)
         ]
         if finals:
             final_rmse = float(np.sqrt(np.mean(np.square(finals))))
             mean_rmse = float(np.mean(means))
-            rmse_rows.append([kind, str(len(kind_keys)), repr(final_rmse), repr(mean_rmse)])
-            print(f"{kind}: {len(kind_keys)} clouds, final RMSE {final_rmse:.3f} m")
+            rmse_rows.append([kind, str(len(kind_errors)), repr(final_rmse), repr(mean_rmse)])
+            print(f"{kind}: {len(kind_errors)} clouds, final RMSE {final_rmse:.3f} m")
 
-    total_coasts = sum(coast_counts.values())
+    total_coasts = int(coast_counts.sum())
     if total_coasts:
         print(f"coasted cloud-steps: {total_coasts}")
     if state.failed_paths:
@@ -326,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_trk = sub.add_parser("track", help="run the particle filter on recorded observations")
-    p_trk.add_argument("--config", help="INI config file (default: the run's config_resolved.ini)")
+    p_trk.add_argument("--config", help="INI config file; must match the run's config_resolved.ini, the default")
     p_trk.add_argument("--seed", type=int, help="tracker seed (default: config seed)")
     p_trk.add_argument("--run", required=True, help="simulate output directory")
     p_trk.add_argument("--out", required=True, help="output directory")
     p_trk.set_defaults(func=cmd_track)
 
     p_sts = sub.add_parser("stats", help="spread time series and CDFs")
-    p_sts.add_argument("--config", help="INI config file (default: the run's config_resolved.ini)")
+    p_sts.add_argument("--config", help="INI config file; must match the run's config_resolved.ini, the default")
     p_sts.add_argument("--run", required=True, help="simulate output directory")
     p_sts.add_argument("--track", help="track output directory (for --source trajectory)")
     p_sts.add_argument(

@@ -1,7 +1,7 @@
 """CSV schemas for simulator artifacts.
 
-Every file starts with a version line ``# isacsim <schema> v1`` followed
-by a header row. Floats are written with repr() so a write/read cycle
+Every file starts with a version line ``# isacsim <schema> v<n>`` (v1
+except where ``_VERSIONS`` says otherwise) followed by a header row. Floats are written with repr() so a write/read cycle
 reproduces the values bit for bit; nothing time- or host-dependent is
 emitted, so equal inputs give byte-identical files.
 """
@@ -27,8 +27,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# schemas past v1; track_summary v2 added the ess_min and ess_median columns
+_VERSIONS = {"track_summary": 2}
+
+
 def _schema_line(name: str) -> str:
-    return f"# isacsim {name} v1"
+    return f"# isacsim {name} v{_VERSIONS.get(name, 1)}"
 
 
 def _write(path: str, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -225,7 +229,7 @@ TRAJECTORY_HEADER = (
 
 SUMMARY_HEADER = (
     "kind", "path_id", "entity_id", "coast_steps", "diverged",
-    "final_pos_error_m", "mean_pos_error_m",
+    "final_pos_error_m", "mean_pos_error_m", "ess_min", "ess_median",
 )
 
 RMSE_HEADER = ("kind", "n_clouds", "final_rmse_m", "mean_rmse_m")

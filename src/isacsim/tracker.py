@@ -1,22 +1,24 @@
 """Particle-filter localization of the user and the path scatterers.
 
-One independent cloud per tracked entity: the user, and per comm path a
-first-bounce (FB) and a last-bounce (LB) cloud. All entities share
-constant-velocity dynamics; measurements are range/bearing slices taken
-from the observation frames (sensing round trip and comm departure
-angles for FB, residual delay and arrival angles for LB, direct-path
-delay and departure angles for the user). Weights are Gaussian
-likelihoods of the wrapped residuals, resampling is systematic, and the
-point estimate is the highest-weight particle.
+One cloud per tracked entity: the user, and per comm path a first-bounce
+(FB) and a last-bounce (LB) cloud, all stepped as one batch (``Clouds``).
+All entities share constant-velocity dynamics; measurements are
+range/bearing slices taken from the observation frames (sensing round
+trip and comm departure angles for FB, residual delay and arrival angles
+for LB, direct-path delay and departure angles for the user). Weights
+are Gaussian likelihoods of the wrapped residuals, resampling is
+systematic, the point estimate is the highest-weight particle, and the
+effective sample size 1/sum(w^2) is recorded before resampling.
 
-Every cloud owns its rng stream (spawned from one seed), so step order
-never changes the draws a cloud sees.
+Every cloud owns its rng stream (spawned from one seed) and draws from
+it in the same order as when stepped alone, so batching never changes
+the draws a cloud sees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +38,8 @@ KIND_LB = "lb"
 
 USER_KEY = (KIND_USER, LOS_PATH_ID)
 
+MAX_PARTICLES = 10**6  # over all clouds of a tracker (the shipped config steps 37 x 1000)
+
 _EPS = 1e-9
 
 
@@ -52,13 +56,6 @@ class EntityState:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.position.as_tuple() + self.velocity.as_tuple())
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "EntityState":
-        return cls(
-            Vec3(float(a[0]), float(a[1]), float(a[2])),
-            Vec3(float(a[3]), float(a[4]), float(a[5])),
-        )
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,7 @@ class TrackerConfig:
         check_finite(self, TrackerError)
         if self.n_particles < 1:
             raise TrackerError("need at least one particle")
+        _check_size(1, self.n_particles)
         if self.ts <= 0.0:
             raise TrackerError(f"sampling interval must be positive, got {self.ts}")
         if self.meas_delay_std <= 0.0 or self.meas_angle_std <= 0.0:
@@ -90,87 +88,118 @@ class TrackerConfig:
             raise TrackerError("gate_sigma must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleCloud:
-    """C weighted constant-velocity hypotheses for one entity.
+def _check_size(n_clouds: int, n_particles: int) -> None:
+    if n_clouds * n_particles > MAX_PARTICLES:
+        raise TrackerError(f"{n_clouds} clouds x {n_particles} particles is more than {MAX_PARTICLES}")
 
-    ``states`` is (C, 6): columns x, y, z, vx, vy, vz. The rng is owned
-    by the cloud and shared (deliberately) across its successive
-    versions; ``diverged`` latches once a weight update underflows.
+
+@dataclass(frozen=True, eq=False)
+class Clouds:
+    """E clouds of C weighted constant-velocity hypotheses.
+
+    ``states`` is (E, C, 6): columns x, y, z, vx, vy, vz; ``weights`` is
+    (E, C). Cloud e draws from ``rngs[e]``, which every version of the
+    batch shares (deliberately); ``diverged[e]`` latches once that
+    cloud's weight update underflows.
+
+    ``states`` is a view of a (6, E, C) buffer, ``states.transpose(2, 0,
+    1)``, so that the per-coordinate arithmetic runs over contiguous
+    memory; other layouts are copied into this one on construction.
     """
 
-    kind: str
-    path_id: int
-    entity_id: int
     states: np.ndarray
     weights: np.ndarray
-    rng: np.random.Generator
-    diverged: bool = False
+    rngs: tuple[np.random.Generator, ...]
+    diverged: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.states.ndim != 2 or self.states.shape[1] != 6:
-            raise TrackerError(f"states must be (C, 6), got {self.states.shape}")
-        if self.weights.shape != (self.states.shape[0],):
+        if self.states.ndim != 3 or self.states.shape[2] != 6:
+            raise TrackerError(f"states must be (E, C, 6), got {self.states.shape}")
+        if self.states.strides[1] != self.states.itemsize:
+            buffer = np.ascontiguousarray(self.states.transpose(2, 0, 1))
+            object.__setattr__(self, "states", buffer.transpose(1, 2, 0))
+        if self.weights.shape != self.states.shape[:2]:
             raise TrackerError("one weight per particle required")
-        if self.states.shape[0] < 1:
+        if self.states.shape[1] < 1:
             raise TrackerError("cloud needs at least one particle")
+        if len(self.rngs) != self.states.shape[0] or self.diverged.shape != self.states.shape[:1]:
+            raise TrackerError("one rng and one divergence flag per cloud required")
 
     @property
     def size(self) -> int:
-        return self.states.shape[0]
+        """Particles over all clouds."""
+        return self.weights.size
+
+    def take(self, rows: np.ndarray) -> "Clouds":
+        """The clouds at sorted ``rows``, as views if consecutive, sharing their rng streams."""
+        i = _index(rows)
+        states = self.states.transpose(2, 0, 1)[:, i].transpose(1, 2, 0)
+        return Clouds(states, self.weights[i], tuple(self.rngs[r] for r in rows), self.diverged[i])
+
+    def put(self, rows: np.ndarray, part: "Clouds") -> None:
+        """Write ``part``, stepped from ``take(rows)``, back in place."""
+        i = _index(rows)
+        self.states[i] = part.states
+        self.weights[i] = part.weights
+        self.diverged[i] = part.diverged
+
+
+def _index(rows: np.ndarray) -> slice | np.ndarray:
+    """Sorted cloud indices, as a slice when they are consecutive."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementSlice:
-    """One entity's measurement: optional delay plus bearing angles.
+class Slices:
+    """One measurement per cloud: [delay_s, azimuth, elevation].
 
-    ``values`` is [delay_s, azimuth, elevation] (or [azimuth, elevation]
-    when ``include_delay`` is false); all are taken relative to
-    ``reference``, the point the entity is ranged/sighted from.
+    Row e is ranged and sighted from ``reference[e]``. Where
+    ``has_delay[e]`` is false the row's delay value is ignored and its
+    angles alone are scored.
     """
 
-    reference: Vec3
+    reference: np.ndarray
     values: np.ndarray
     sigmas: np.ndarray
-    include_delay: bool = True
+    has_delay: np.ndarray
 
     def __post_init__(self) -> None:
-        expect = 3 if self.include_delay else 2
-        if self.values.shape != (expect,) or self.sigmas.shape != (expect,):
-            raise TrackerError(f"slice needs {expect} values and sigmas")
+        if {a.shape for a in (self.reference, self.values, self.sigmas)} != {(len(self.has_delay), 3)}:
+            raise TrackerError("slices need (n, 3) references, values and sigmas and n delay flags")
         if np.any(self.sigmas <= 0.0):
             raise TrackerError("measurement noise stds must be positive")
 
-    @property
-    def angle_mask(self) -> np.ndarray:
-        mask = np.ones(self.values.shape[0], dtype=bool)
-        if self.include_delay:
-            mask[0] = False
-        return mask
 
+def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-particle delay_s, azimuth and elevation seen from each cloud's reference.
 
-def predicted_slice_values(states: np.ndarray, z: MeasurementSlice) -> np.ndarray:
-    """Per-particle predicted measurement for slice ``z``, shape (C, m)."""
-    ref = np.array(z.reference.as_tuple())
-    disp = states[:, :3] - ref
-    d = np.linalg.norm(disp, axis=1)
+    ``states`` is (E, C, 6) and ``reference`` (E, 3); each result is (E, C).
+    """
+    dx, dy, dz = (states[..., j] - reference[:, j, None] for j in range(3))
+    d = np.sqrt((dx * dx + dy * dy) + dz * dz)  # np.linalg.norm's summation order
     safe = np.where(d > 0.0, d, 1.0)
-    az = np.arctan2(disp[:, 1], disp[:, 0])
-    el = np.arcsin(np.clip(disp[:, 2] / safe, -1.0, 1.0))
-    az = np.where(d > 0.0, az, 0.0)
-    el = np.where(d > 0.0, el, 0.0)
-    cols = [az, el]
-    if z.include_delay:
-        cols.insert(0, d / SPEED_OF_LIGHT)
-    return np.stack(cols, axis=1)
+    az = np.where(d > 0.0, np.arctan2(dy, dx), 0.0)
+    el = np.where(d > 0.0, np.arcsin(np.clip(dz / safe, -1.0, 1.0)), 0.0)
+    return d / SPEED_OF_LIGHT, az, el
 
 
-def predict(
-    cloud: ParticleCloud,
-    ts: float,
-    process_noise: tuple[float, float],
-    rng: np.random.Generator | None = None,
-) -> ParticleCloud:
+def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, float]) -> np.ndarray:
+    """(E, 2, C, 3) draws: N(0, stds[0]) then N(0, stds[1]) from each cloud's rng.
+
+    Equal bit for bit to ``rng.normal(0.0, std, (C, 3))`` for each std in
+    turn, which computes 0.0 + std * z (the + 0.0 turns -0.0 into 0.0).
+    """
+    out = np.empty((len(rngs), 2, c, 3))
+    for rng, block in zip(rngs, out):
+        rng.standard_normal(out=block)
+    out *= np.array(stds, dtype=float)[:, None, None]
+    out += 0.0
+    return out
+
+
+def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float]) -> Clouds:
     """Constant-velocity transition with additive Gaussian process noise.
 
     Positions advance by velocity times ``ts`` plus noise; velocities by
@@ -178,62 +207,74 @@ def predict(
     """
     if ts <= 0.0:
         raise TrackerError(f"sampling interval must be positive, got {ts}")
-    pos_std, vel_std = process_noise
-    if pos_std < 0.0 or vel_std < 0.0:
+    if min(process_noise) < 0.0:
         raise TrackerError("process noise stds must be nonnegative")
-    gen = cloud.rng if rng is None else rng
-    c = cloud.size
-    states = cloud.states.copy()
-    states[:, :3] += states[:, 3:] * ts + gen.normal(0.0, pos_std, size=(c, 3))
-    states[:, 3:] += gen.normal(0.0, vel_std, size=(c, 3))
-    return replace(cloud, states=states)
+    noise = _noise(clouds.rngs, clouds.weights.shape[1], process_noise)
+    x = clouds.states
+    states = np.empty_like(x)  # coordinate-major like x
+    for j in range(3):
+        np.add(x[..., j], x[..., 3 + j] * ts + noise[:, 0, :, j], out=states[..., j])
+        np.add(x[..., 3 + j], noise[:, 1, :, j], out=states[..., 3 + j])
+    return replace(clouds, states=states)
 
 
-def weight(cloud: ParticleCloud, z: MeasurementSlice) -> ParticleCloud:
-    """Gaussian-likelihood reweighting against one measurement slice.
+def weight(clouds: Clouds, z: Slices) -> Clouds:
+    """Gaussian-likelihood reweighting of cloud e against slice row e.
 
-    Residuals are componentwise, angles wrapped into (-pi, pi]; the log
-    weights are shifted by their maximum before exponentiation. If every
-    weight still underflows to zero the cloud falls back to uniform
-    weights and latches its divergence flag.
+    Residuals are componentwise, angles wrapped into (-pi, pi]; each
+    cloud's log weights are shifted by their maximum before
+    exponentiation. A cloud whose weights all still underflow to zero
+    falls back to uniform weights and latches its divergence flag.
     """
-    predicted = predicted_slice_values(cloud.states, z)
-    residual = z.values[None, :] - predicted
-    mask = z.angle_mask
-    residual[:, mask] = np.mod(residual[:, mask] + np.pi, 2.0 * np.pi) - np.pi
-    with np.errstate(over="ignore"):  # far-off particles saturate to -inf
-        log_w = -0.5 * np.sum((residual / z.sigmas[None, :]) ** 2, axis=1)
-    peak = np.max(log_w)
-    if np.isfinite(peak):
+    if z.values.shape[0] != clouds.weights.shape[0]:
+        raise TrackerError("one slice per cloud required")
+    delay, az, el = predicted_slice_values(clouds.states, z.reference)
+    v, s = z.values[:, :, None], z.sigmas[:, :, None]
+    r_delay = np.where(z.has_delay[:, None], v[:, 0] - delay, 0.0)
+    r_az = np.mod(v[:, 1] - az + np.pi, 2.0 * np.pi) - np.pi
+    r_el = np.mod(v[:, 2] - el + np.pi, 2.0 * np.pi) - np.pi
+    # far-off particles saturate to -inf; a cloud that underflows entirely gives nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_w = -0.5 * (((r_delay / s[:, 0]) ** 2 + (r_az / s[:, 1]) ** 2) + (r_el / s[:, 2]) ** 2)
+        peak = np.max(log_w, axis=1, keepdims=True)
         w = np.exp(log_w - peak)
-        total = float(np.sum(w))
-    else:
-        total = 0.0
-    if total <= 0.0 or not np.isfinite(total):
-        c = cloud.size
-        return replace(cloud, weights=np.full(c, 1.0 / c), diverged=True)
-    return replace(cloud, weights=w / total)
+        total = np.sum(w, axis=1, keepdims=True)
+        w /= total
+    ok = np.isfinite(peak[:, 0]) & (total[:, 0] > 0.0) & np.isfinite(total[:, 0])
+    w[~ok] = 1.0 / w.shape[1]
+    return replace(clouds, weights=w, diverged=clouds.diverged | ~ok)
 
 
-def resample(cloud: ParticleCloud, rng: np.random.Generator | None = None) -> ParticleCloud:
-    """Systematic resampling; C preserved, weights reset to 1/C.
+def effective_sample_size(weights: np.ndarray) -> np.ndarray:
+    """1 / sum(w^2) over the last axis of normalized weights: C if uniform, 1 if one-hot."""
+    return 1.0 / np.sum(np.square(weights), axis=-1)
 
-    Output particles are a multiset subset of the input; a particle with
-    weight w is copied about C*w times.
+
+def resample(clouds: Clouds) -> Clouds:
+    """Systematic resampling of every cloud; C preserved, weights reset to 1/C.
+
+    Each cloud's output particles are a multiset subset of its input; a
+    particle with weight w is copied about C*w times.
     """
-    gen = cloud.rng if rng is None else rng
-    c = cloud.size
-    positions = (gen.random() + np.arange(c)) / c
-    cumulative = np.cumsum(cloud.weights)
-    cumulative[-1] = max(cumulative[-1], 1.0)  # guard rounding at the top end
-    idx = np.searchsorted(cumulative, positions, side="right")
-    idx = np.minimum(idx, c - 1)
-    return replace(cloud, states=cloud.states[idx].copy(), weights=np.full(c, 1.0 / c))
+    e, c = clouds.weights.shape
+    u = np.array([rng.random() for rng in clouds.rngs])
+    positions = (u[:, None] + np.arange(c)) / c
+    cumulative = np.cumsum(clouds.weights, axis=1)
+    cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)  # guard rounding at the top end
+    idx = np.empty((e, c), dtype=np.intp)
+    for i in range(e):
+        idx[i] = np.searchsorted(cumulative[i], positions[i], side="right")
+    np.minimum(idx, c - 1, out=idx)
+    idx += np.arange(e)[:, None] * c
+    buffer = clouds.states.transpose(2, 0, 1).reshape(6, e * c)
+    states = np.take(buffer, idx, axis=1).transpose(1, 2, 0)
+    return replace(clouds, states=states, weights=np.full((e, c), 1.0 / c))
 
 
-def estimate(cloud: ParticleCloud) -> EntityState:
-    """State of the highest-weight particle (first one on ties)."""
-    return EntityState.from_array(cloud.states[int(np.argmax(cloud.weights))])
+def estimate(clouds: Clouds) -> np.ndarray:
+    """(E, 6) state of each cloud's highest-weight particle (first one on ties)."""
+    best = np.argmax(clouds.weights, axis=1)
+    return clouds.states[np.arange(best.size), best]
 
 
 def predict_measurement(
@@ -294,51 +335,70 @@ def solve_lb_range(
     return min(max(r, 0.0), a)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Estimates and flags produced by one tracker step."""
-
-    k: int
-    time: float
-    estimates: dict[tuple[str, int], EntityState]
-    coasted: frozenset[tuple[str, int]]
-    diverged: frozenset[tuple[str, int]]
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class TrackerState:
-    """Filter state after k steps plus the per-step history."""
+    """Filter state after k steps plus the per-step history.
 
-    k: int
-    time: float
+    Cloud e tracks ``keys[e]`` (user first, then FB clouds, then LB
+    clouds, each by path id), whose scatterer is ``entity_ids[e]``. The
+    history holds one entry per step k = 0..K: the frame time, the (E, 6)
+    estimates, (E,) coasted and diverged flags, and the (E,) effective
+    sample sizes, NaN for clouds not weighted that step.
+    """
+
     config: TrackerConfig
     bs_pos: Vec3
-    clouds: dict[tuple[str, int], ParticleCloud]
+    keys: tuple[tuple[str, int], ...]
+    entity_ids: tuple[int, ...]
+    clouds: Clouds
     failed_paths: tuple[int, ...]
-    records: tuple[StepRecord, ...]
+    times: list[float] = field(default_factory=list)
+    estimates: list[np.ndarray] = field(default_factory=list)
+    coasted: list[np.ndarray] = field(default_factory=list)
+    diverged: list[np.ndarray] = field(default_factory=list)
+    ess: list[np.ndarray] = field(default_factory=list)
+    row: dict[tuple[str, int], int] = field(init=False, repr=False)
 
-    def cloud_keys(self) -> list[tuple[str, int]]:
-        """User first, then FB clouds, then LB clouds, each by path id."""
-        fb = sorted(k for k in self.clouds if k[0] == KIND_FB)
-        lb = sorted(k for k in self.clouds if k[0] == KIND_LB)
-        return [USER_KEY] + fb + lb
+    def __post_init__(self) -> None:
+        self.row = {key: e for e, key in enumerate(self.keys)}
+
+    @property
+    def k(self) -> int:
+        return len(self.times) - 1
+
+    @property
+    def time(self) -> float:
+        return self.times[-1]
+
+    def record(self, time: float, estimates: np.ndarray, coasted: np.ndarray, ess: np.ndarray) -> None:
+        self.times.append(time)
+        self.estimates.append(estimates)
+        self.coasted.append(coasted)
+        self.diverged.append(self.clouds.diverged.copy())
+        self.ess.append(ess)
 
 
-def _seed_cloud(
-    kind: str,
-    path_id: int,
-    entity_id: int,
-    mean: EntityState,
-    cfg: TrackerConfig,
-    rng: np.random.Generator,
-    pos_std: float,
-    vel_std: float,
-) -> ParticleCloud:
-    c = cfg.n_particles
-    states = np.tile(mean.as_array(), (c, 1))
-    states[:, :3] += rng.normal(0.0, pos_std, size=(c, 3))
-    states[:, 3:] += rng.normal(0.0, vel_std, size=(c, 3))
-    return ParticleCloud(kind, path_id, entity_id, states, np.full(c, 1.0 / c), rng)
+def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
+    """Clouds around ``entities``: (key, entity id, EntityState) of the
+    user, then of each path's FB, then of each path's LB.
+
+    The user cloud draws from the root seed's first spawned stream, and
+    path i's FB and LB clouds from streams 1 + 2i and 2 + 2i.
+    """
+    e, c = len(entities), cfg.n_particles
+    _check_size(e, c)
+    root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
+    streams = [np.random.default_rng(s) for s in root.spawn(e)]
+    rngs = tuple(streams[:1] + streams[1::2] + streams[2::2])
+    states = np.repeat(np.array([s.as_array() for _, _, s in entities])[:, None, :], c, axis=1)
+    noise = _noise(rngs, c, stds)
+    states[..., :3] += noise[:, 0]
+    states[..., 3:] += noise[:, 1]
+    clouds = Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
+    keys = tuple(key for key, _, _ in entities)
+    tracker = TrackerState(cfg, bs_pos, keys, tuple(i for _, i, _ in entities), clouds, failed)
+    tracker.record(t0, estimate(clouds), np.zeros(e, dtype=bool), np.full(e, np.nan))
+    return tracker
 
 
 def _gated_detection(
@@ -388,8 +448,8 @@ def initialize(
     cfg.validate()
     slack = cfg.gate_sigma * SPEED_OF_LIGHT * cfg.meas_delay_std
 
-    plans: list[tuple[int, PathObservation, Vec3 | None]] = []
-    failed: list[int] = []
+    fbs, lbs, failed = [], [], []
+    still = Vec3(0.0, 0.0, 0.0)
     for obs in sorted(frame0.comm_paths, key=lambda o: o.path_id):
         det = _gated_detection(obs, frame0, cfg)
         if det is not None:
@@ -400,51 +460,18 @@ def initialize(
                 failed.append(obs.path_id)
                 continue
             lb_point = user0.position + unit_vector_from_angles(obs.aoa) * max(remaining, 0.0)
-            plans.append((obs.path_id, obs, fb_point))
-            plans.append((obs.path_id, obs, lb_point))
         else:
             r = solve_lb_range(bs_pos, user0.position, obs.aoa, SPEED_OF_LIGHT * obs.delay, slack)
             if r is None:
                 failed.append(obs.path_id)
                 continue
-            point = user0.position + unit_vector_from_angles(obs.aoa) * r
-            plans.append((obs.path_id, obs, point))
-            plans.append((obs.path_id, obs, point))
+            fb_point = lb_point = user0.position + unit_vector_from_angles(obs.aoa) * r
+        fbs.append(((KIND_FB, obs.path_id), obs.fb_id, EntityState(fb_point, still)))
+        lbs.append(((KIND_LB, obs.path_id), obs.lb_id, EntityState(lb_point, still)))
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = [np.random.default_rng(s) for s in root.spawn(1 + len(plans))]
-
-    clouds: dict[tuple[str, int], ParticleCloud] = {}
-    clouds[USER_KEY] = _seed_cloud(
-        KIND_USER, LOS_PATH_ID, LOS_PATH_ID, user0, cfg, streams[0],
-        cfg.init_pos_std, cfg.init_vel_std,
-    )
-    still = Vec3(0.0, 0.0, 0.0)
-    for (path_id, obs, point), rng in zip(plans[0::2], streams[1::2]):
-        clouds[(KIND_FB, path_id)] = _seed_cloud(
-            KIND_FB, path_id, obs.fb_id, EntityState(point, still), cfg, rng,
-            cfg.init_pos_std, cfg.init_vel_std,
-        )
-    for (path_id, obs, point), rng in zip(plans[1::2], streams[2::2]):
-        clouds[(KIND_LB, path_id)] = _seed_cloud(
-            KIND_LB, path_id, obs.lb_id, EntityState(point, still), cfg, rng,
-            cfg.init_pos_std, cfg.init_vel_std,
-        )
-
-    ordered = {USER_KEY: clouds[USER_KEY]}
-    for key in sorted(k for k in clouds if k[0] == KIND_FB):
-        ordered[key] = clouds[key]
-    for key in sorted(k for k in clouds if k[0] == KIND_LB):
-        ordered[key] = clouds[key]
-
-    record = StepRecord(
-        0,
-        frame0.time,
-        {key: estimate(c) for key, c in ordered.items()},
-        frozenset(),
-        frozenset(),
-    )
-    return TrackerState(0, frame0.time, cfg, bs_pos, ordered, tuple(failed), (record,))
+    entities = [(USER_KEY, LOS_PATH_ID, user0)] + fbs + lbs
+    stds = (cfg.init_pos_std, cfg.init_vel_std)
+    return _start(cfg, bs_pos, frame0.time, entities, seed, stds, tuple(failed))
 
 
 def initialize_at_truth(
@@ -460,126 +487,83 @@ def initialize_at_truth(
     of the stepping recursion. Meant for exactness checks.
     """
     cfg.validate()
-    truths = ground_truth_paths(scene, t0)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = [np.random.default_rng(s) for s in root.spawn(1 + 2 * len(truths))]
+    truths = sorted(ground_truth_paths(scene, t0), key=lambda p: p.path_id)
 
-    user0 = EntityState(scene.user_position(t0), scene.config.user_velocity)
-    clouds: dict[tuple[str, int], ParticleCloud] = {}
-    clouds[USER_KEY] = _seed_cloud(
-        KIND_USER, LOS_PATH_ID, LOS_PATH_ID, user0, cfg, streams[0], 0.0, 0.0
+    def truth(kind: str, path_id: int, sid: int):
+        s = scene.scatterer(sid)
+        return (kind, path_id), sid, EntityState(s.position_at(t0), s.velocity)
+
+    entities = (
+        [(USER_KEY, LOS_PATH_ID, EntityState(scene.user_position(t0), scene.config.user_velocity))]
+        + [truth(KIND_FB, p.path_id, p.fb_id) for p in truths]
+        + [truth(KIND_LB, p.path_id, p.lb_id) for p in truths]
     )
-    fb_clouds = {}
-    lb_clouds = {}
-    for i, pt in enumerate(sorted(truths, key=lambda p: p.path_id)):
-        fb = scene.scatterer(pt.fb_id)
-        lb = scene.scatterer(pt.lb_id)
-        fb_state = EntityState(fb.position_at(t0), fb.velocity)
-        lb_state = EntityState(lb.position_at(t0), lb.velocity)
-        fb_clouds[(KIND_FB, pt.path_id)] = _seed_cloud(
-            KIND_FB, pt.path_id, pt.fb_id, fb_state, cfg, streams[1 + 2 * i], 0.0, 0.0
-        )
-        lb_clouds[(KIND_LB, pt.path_id)] = _seed_cloud(
-            KIND_LB, pt.path_id, pt.lb_id, lb_state, cfg, streams[2 + 2 * i], 0.0, 0.0
-        )
-    clouds.update(sorted(fb_clouds.items()))
-    clouds.update(sorted(lb_clouds.items()))
-
-    record = StepRecord(
-        0, t0, {key: estimate(c) for key, c in clouds.items()}, frozenset(), frozenset()
-    )
-    return TrackerState(0, t0, cfg, scene.bs_position, clouds, (), (record,))
+    return _start(cfg, scene.bs_position, t0, entities, seed, (0.0, 0.0), ())
 
 
-def _slice_for(
-    key: tuple[str, int],
-    cloud: ParticleCloud,
-    frame: ObservationFrame,
-    cfg: TrackerConfig,
-    bs_pos: Vec3,
-    estimates: dict[tuple[str, int], EntityState],
-) -> MeasurementSlice | None:
-    kind, path_id = key
-    s_d, s_a = cfg.meas_delay_std, cfg.meas_angle_std
-    if kind == KIND_USER:
-        if frame.los is None:
-            return None
-        los = frame.los
-        return MeasurementSlice(
-            bs_pos,
-            np.array([los.delay, los.aod.azimuth, los.aod.elevation]),
-            np.array([s_d, s_a, s_a]),
-        )
-    obs = frame.comm_by_path().get(path_id)
-    if obs is None:
-        return None
-    if kind == KIND_FB:
-        det = frame.sensing_by_id().get(cloud.entity_id)
-        if det is not None:
-            return MeasurementSlice(
-                bs_pos,
-                np.array([det.round_trip_delay / 2.0, obs.aod.azimuth, obs.aod.elevation]),
-                np.array([s_d / 2.0, s_a, s_a]),
-            )
-        return MeasurementSlice(
-            bs_pos,
-            np.array([obs.aod.azimuth, obs.aod.elevation]),
-            np.array([s_a, s_a]),
-            include_delay=False,
-        )
-    # last bounce: range is what the comm delay leaves after the sensed first leg
-    fb_est = estimates[(KIND_FB, path_id)]
-    user_est = estimates[USER_KEY]
-    residual_delay = obs.delay - fb_est.position.distance_to(bs_pos) / SPEED_OF_LIGHT
-    return MeasurementSlice(
-        user_est.position,
-        np.array([residual_delay, obs.aoa.azimuth, obs.aoa.elevation]),
-        np.array([s_d, s_a, s_a]),
+def _slices(rows: list[tuple[int, np.ndarray, tuple, tuple, bool]]) -> tuple[np.ndarray, Slices]:
+    """Cloud indices and slices from (cloud, reference, values, sigmas, has_delay) rows."""
+    cols = list(zip(*rows)) or [()] * 5
+    return np.array(cols[0], dtype=np.intp), Slices(
+        np.array(cols[1], dtype=float).reshape(-1, 3),
+        np.array(cols[2], dtype=float).reshape(-1, 3),
+        np.array(cols[3], dtype=float).reshape(-1, 3),
+        np.array(cols[4], dtype=bool),
     )
 
 
-def step(tracker: TrackerState, frame: ObservationFrame) -> TrackerState:
+def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     """Advance every cloud by one frame: predict, weight, estimate, resample.
 
-    Clouds with no usable observation this frame coast on prediction
-    alone. The user cloud updates first, then FB clouds, then LB clouds,
-    because the LB slice is built from this step's user and FB estimates.
-    Estimates are taken from the weighted clouds before resampling.
+    All clouds predict at once. The user and FB clouds are weighted in
+    one pass, then the LB clouds, because the LB slice is built from
+    this step's user and FB estimates. Estimates are taken from the
+    weighted clouds before resampling. Clouds with no usable observation
+    this frame coast on prediction alone. ``tracker`` is advanced in
+    place and the step appended to its history.
     """
     cfg = tracker.config
     if not math.isclose(frame.time, tracker.time + cfg.ts, rel_tol=0.0, abs_tol=1e-9):
         raise TrackerError(
             f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}"
         )
-    noise = (cfg.process_pos_std, cfg.process_vel_std)
-    new_clouds: dict[tuple[str, int], ParticleCloud] = {}
-    estimates: dict[tuple[str, int], EntityState] = {}
-    coasted: set[tuple[str, int]] = set()
-    diverged: set[tuple[str, int]] = set()
+    clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std))
+    comm, sensing = frame.comm_by_path(), frame.sensing_by_id()
+    s_d, s_a = cfg.meas_delay_std, cfg.meas_angle_std
+    bs = np.array(tracker.bs_pos.as_tuple())
 
-    for key in tracker.cloud_keys():
-        cloud = predict(tracker.clouds[key], cfg.ts, noise)
-        z = _slice_for(key, cloud, frame, cfg, tracker.bs_pos, estimates)
-        if z is None:
-            coasted.add(key)
-            estimates[key] = estimate(cloud)
-        else:
-            cloud = weight(cloud, z)
-            estimates[key] = estimate(cloud)
-            cloud = resample(cloud)
-        if cloud.diverged:
-            diverged.add(key)
-        new_clouds[key] = cloud
+    first, last = [], []
+    if frame.los is not None:
+        los = frame.los
+        first.append((0, bs, (los.delay, los.aod.azimuth, los.aod.elevation), (s_d, s_a, s_a), True))
+    for e, (kind, path_id) in enumerate(tracker.keys[1:], start=1):
+        obs = comm.get(path_id)
+        if obs is not None and kind == KIND_LB:
+            last.append((e, obs))
+        elif obs is not None:
+            det = sensing.get(tracker.entity_ids[e])
+            delay = 0.0 if det is None else det.round_trip_delay / 2.0
+            values = (delay, obs.aod.azimuth, obs.aod.elevation)
+            first.append((e, bs, values, (s_d / 2.0, s_a, s_a), det is not None))
+    rows, z = _slices(first)
+    clouds.put(rows, weight(clouds.take(rows), z))
+    est = estimate(clouds)
 
-    record = StepRecord(
-        tracker.k + 1, frame.time, estimates, frozenset(coasted), frozenset(diverged)
-    )
-    return TrackerState(
-        tracker.k + 1,
-        frame.time,
-        cfg,
-        tracker.bs_pos,
-        new_clouds,
-        tracker.failed_paths,
-        tracker.records + (record,),
-    )
+    # last bounce: range is what the comm delay leaves after the sensed first leg
+    for i, (e, obs) in enumerate(last):
+        fb_pos = Vec3(*est[tracker.row[(KIND_FB, obs.path_id)], :3].tolist())
+        residual_delay = obs.delay - fb_pos.distance_to(tracker.bs_pos) / SPEED_OF_LIGHT
+        last[i] = (e, est[0, :3], (residual_delay, obs.aoa.azimuth, obs.aoa.elevation), (s_d, s_a, s_a), True)
+    lb_rows, z = _slices(last)
+    lb = weight(clouds.take(lb_rows), z)
+    clouds.put(lb_rows, lb)
+    est[lb_rows] = estimate(lb)
+
+    weighted = np.concatenate([rows, lb_rows])
+    ess = np.full(len(tracker.keys), np.nan)
+    ess[weighted] = effective_sample_size(clouds.weights[weighted])
+    coasted = np.ones(len(tracker.keys), dtype=bool)
+    coasted[weighted] = False
+    clouds.put(weighted, resample(clouds.take(weighted)))
+    tracker.clouds = clouds
+    tracker.record(frame.time, est, coasted, ess)

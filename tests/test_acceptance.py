@@ -29,12 +29,10 @@ from isacsim.scene import SceneConfig, generate_scene, ground_truth_paths, obser
 from isacsim.sensing import doppler_shift, echo_delay, sensing_gain
 from isacsim.stats import PathEnsemble, delay_spread
 from isacsim.tracker import (
-    KIND_FB,
-    KIND_LB,
     USER_KEY,
+    Clouds,
     EntityState,
-    MeasurementSlice,
-    ParticleCloud,
+    Slices,
     TrackerConfig,
     initialize_at_truth,
     predict_measurement,
@@ -193,14 +191,13 @@ def test_criterion_5_filter_exactness():
     rng = np.random.default_rng(0)
     for k in range(1, 201):
         t = k * cfg.ts
-        state = step(state, observe(scene, t, (0.0, 0.0), rng))
-        rec = state.records[-1]
-        for key, est in rec.estimates.items():
+        step(state, observe(scene, t, (0.0, 0.0), rng))
+        for key, sid, est in zip(state.keys, state.entity_ids, state.estimates[-1].tolist()):
             if key == USER_KEY:
                 truth = scene.user_position(t)
             else:
-                truth = scene.scatterer(state.clouds[key].entity_id).position_at(t)
-            assert est.position.distance_to(truth) < 1e-6
+                truth = scene.scatterer(sid).position_at(t)
+            assert Vec3(*est[:3]).distance_to(truth) < 1e-6
 
 
 @criterion(6, "tracking regression", 300.0)
@@ -228,13 +225,14 @@ def test_criterion_8_pf_invariants():
     rng = np.random.default_rng(42)
     n = 64
     states = rng.normal(0.0, 40.0, size=(n, 6))
-    cloud = ParticleCloud(KIND_FB, 0, 0, states, np.full(n, 1.0 / n), rng)
+    cloud = Clouds(states[None], np.full((1, n), 1.0 / n), (rng,), np.zeros(1, dtype=bool))
     base_rows = {tuple(r) for r in states}
     for _ in range(10_000):
-        z = MeasurementSlice(
-            Vec3(0.0, 0.0, 0.0),
-            np.array([rng.uniform(0.0, 1e-6), rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)]),
-            np.array([rng.uniform(1e-9, 1e-7), 0.05, 0.05]),
+        z = Slices(
+            np.zeros((1, 3)),
+            np.array([[rng.uniform(0.0, 1e-6), rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)]]),
+            np.array([[rng.uniform(1e-9, 1e-7), 0.05, 0.05]]),
+            np.ones(1, dtype=bool),
         )
         cloud = weight(cloud, z)
         assert cloud.size == n
@@ -243,7 +241,7 @@ def test_criterion_8_pf_invariants():
         cloud = resample(cloud)
         assert cloud.size == n
         assert abs(cloud.weights.sum() - 1.0) <= 1e-12
-    assert all(tuple(r) in base_rows for r in cloud.states)
+    assert all(tuple(r) in base_rows for r in cloud.states[0])
 
 
 @criterion(9, "sensing laws", 1.0)

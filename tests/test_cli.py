@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 
@@ -85,6 +86,12 @@ def test_track_outputs(tmp_path, cfg_path):
     rows = csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))
     ks = {int(r["k"]) for r in rows}
     assert ks == set(range(11))  # duration 1.0 at Ts 0.1
+    with open(os.path.join(trk, "summary.csv"), newline="") as fh:
+        assert fh.readline() == "# isacsim track_summary v2\n"
+        summary = [r for r in csv.DictReader(fh) if r["kind"] != "failed"]
+    assert len(summary) == 9  # user + 4 FB + 4 LB clouds
+    for r in summary:
+        assert 1.0 <= float(r["ess_min"]) <= float(r["ess_median"]) <= 100.0  # n_particles
 
 
 def test_stats_and_compare(tmp_path, cfg_path):
@@ -275,6 +282,22 @@ def test_track_without_config_reads_the_run_config(tmp_path, ts_02_run):
     trk = str(tmp_path / "trk")
     assert run("track", "--run", ts_02_run, "--out", trk) == 0
     assert {int(r["k"]) for r in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))} == set(range(101))
+
+
+@pytest.mark.parametrize("argv", [["stats", "--source", "scene"], ["track"]], ids=["stats", "track"])
+def test_mismatched_config_exits_2(tmp_path, ts_02_run, capsys, argv):
+    # the run has ts = 0.2 (101 frames); a --config at the default 0.1 once
+    # gave 201 oracle snapshots from stats and a frame-spacing error from track
+    cfg = tmp_path / "other.ini"
+    cfg.write_text("[tracker]\nn_particles = 100\n")
+    code = run(*argv, "--config", str(cfg), "--run", ts_02_run, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f"error: --config {cfg} does not match the run's {ts_02_run}/config_resolved.ini: "
+        "[tracker] ts = 0.1, the run has 0.2\n"
+    )
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,8 @@ from isacsim.geometry import (
 )
 from isacsim.stats import PathEnsemble, delay_spread, empirical_cdf, ks_distance
 from isacsim.tracker import (
-    KIND_FB,
-    MeasurementSlice,
-    ParticleCloud,
+    Clouds,
+    Slices,
     estimate,
     resample,
     solve_lb_range,
@@ -108,11 +107,12 @@ def test_delay_spread_power_scale_invariance(paths, scale):
 def test_weight_resample_invariants(n, seed):
     rng = np.random.default_rng(seed)
     states = rng.normal(0.0, 30.0, size=(n, 6))
-    cloud = ParticleCloud(KIND_FB, 0, 0, states, np.full(n, 1.0 / n), rng)
-    z = MeasurementSlice(
-        Vec3(0.0, 0.0, 0.0),
-        np.array([rng.uniform(0.0, 1e-6), rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)]),
-        np.array([5e-9, 0.02, 0.02]),
+    cloud = Clouds(states[None], np.full((1, n), 1.0 / n), (rng,), np.zeros(1, dtype=bool))
+    z = Slices(
+        np.zeros((1, 3)),
+        np.array([[rng.uniform(0.0, 1e-6), rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)]]),
+        np.array([[5e-9, 0.02, 0.02]]),
+        np.ones(1, dtype=bool),
     )
     weighted = weight(cloud, z)
     assert weighted.size == n
@@ -122,10 +122,10 @@ def test_weight_resample_invariants(n, seed):
     assert out.size == n
     assert abs(out.weights.sum() - 1.0) <= 1e-12
     in_rows = {tuple(r) for r in states}
-    assert all(tuple(r) in in_rows for r in out.states)
+    assert all(tuple(r) in in_rows for r in out.states[0])
     # the point estimate is one of the particles
-    est = estimate(weighted)
-    assert any(np.allclose(est.as_array(), s) for s in states)
+    est = estimate(weighted)[0]
+    assert any(np.allclose(est, s) for s in states)
 
 
 @given(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,13 +21,15 @@ from isacsim.tracker import (
     KIND_FB,
     KIND_LB,
     KIND_USER,
+    MAX_PARTICLES,
     USER_KEY,
+    Clouds,
     EntityState,
-    MeasurementSlice,
-    ParticleCloud,
+    Slices,
     TrackerConfig,
     TrackerError,
     _gated_detection,
+    effective_sample_size,
     estimate,
     initialize,
     initialize_at_truth,
@@ -42,11 +45,25 @@ from isacsim.tracker import (
 C = 299792458.0
 
 
-def make_cloud(states, weights=None, kind=KIND_FB, seed=0):
+def make_cloud(states, weights=None, seed=0):
+    """A batch of one cloud."""
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    return ParticleCloud(kind, 0, 0, states, w, np.random.default_rng(seed))
+    return Clouds(states[None], w[None], (np.random.default_rng(seed),), np.zeros(1, dtype=bool))
+
+
+def one_slice(reference, values, sigmas, has_delay=True):
+    """Slices for a batch of one cloud."""
+    return Slices(
+        np.array([reference.as_tuple()]), np.asarray(values, dtype=float)[None],
+        np.asarray(sigmas, dtype=float)[None], np.array([has_delay]),
+    )
+
+
+def est_pos(state, key, k=-1):
+    """Estimated position of cloud ``key`` at step ``k``."""
+    return Vec3(*state.estimates[k][state.row[key], :3].tolist())
 
 
 # --- last-bounce range solve -------------------------------------------------
@@ -116,8 +133,8 @@ def unit(a: AngleSet) -> Vec3:
 def test_predict_zero_noise_is_linear():
     cloud = make_cloud([[0.0, 0.0, 0.0, 1.0, 2.0, -1.0], [5.0, 5.0, 5.0, 0.0, 0.0, 0.0]])
     out = predict(cloud, 0.5, (0.0, 0.0))
-    assert np.allclose(out.states[0], [0.5, 1.0, -0.5, 1.0, 2.0, -1.0], atol=1e-15)
-    assert np.allclose(out.states[1], cloud.states[1], atol=1e-15)
+    assert np.allclose(out.states[0, 0], [0.5, 1.0, -0.5, 1.0, 2.0, -1.0], atol=1e-15)
+    assert np.allclose(out.states[0, 1], cloud.states[0, 1], atol=1e-15)
 
 
 def test_predict_validation():
@@ -131,8 +148,8 @@ def test_predict_validation():
 def test_predict_noise_statistics():
     cloud = make_cloud(np.zeros((20000, 6)))
     out = predict(cloud, 1.0, (0.5, 0.1))
-    assert out.states[:, 0].std() == pytest.approx(0.5, rel=0.05)
-    assert out.states[:, 3].std() == pytest.approx(0.1, rel=0.05)
+    assert out.states[0, :, 0].std() == pytest.approx(0.5, rel=0.05)
+    assert out.states[0, :, 3].std() == pytest.approx(0.1, rel=0.05)
 
 
 def test_weight_prefers_consistent_particle():
@@ -143,15 +160,15 @@ def test_weight_prefers_consistent_particle():
     states[2, :3] = (40.0, -10.0, 0.0)
     cloud = make_cloud(states)
     a = angles_from_displacement(truth - ORIGIN)
-    z = MeasurementSlice(
+    z = one_slice(
         ORIGIN,
-        np.array([truth.norm() / C, a.azimuth, a.elevation]),
-        np.array([5e-9, math.radians(1.0), math.radians(1.0)]),
+        [truth.norm() / C, a.azimuth, a.elevation],
+        [5e-9, math.radians(1.0), math.radians(1.0)],
     )
     out = weight(cloud, z)
-    assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.argmax(out.weights) == 0
-    assert not out.diverged
+    assert out.weights[0].sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.argmax(out.weights[0]) == 0
+    assert not out.diverged[0]
 
 
 def test_weight_wraps_angle_residual():
@@ -161,33 +178,33 @@ def test_weight_wraps_angle_residual():
     states[0, :3] = (-10.0, -1e-6, 0.0)   # azimuth ~ -pi
     states[1, :3] = (10.0, 10.0, 0.0)
     cloud = make_cloud(states)
-    z = MeasurementSlice(
+    z = one_slice(
         ORIGIN,
-        np.array([10.0 / C, math.pi - 1e-7, 0.0]),  # azimuth ~ +pi
-        np.array([5e-9, math.radians(1.0), math.radians(1.0)]),
+        [10.0 / C, math.pi - 1e-7, 0.0],  # azimuth ~ +pi
+        [5e-9, math.radians(1.0), math.radians(1.0)],
     )
     out = weight(cloud, z)
-    assert np.argmax(out.weights) == 0
+    assert np.argmax(out.weights[0]) == 0
 
 
 def test_weight_divergence_latches():
     cloud = make_cloud([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    z = MeasurementSlice(
+    z = one_slice(
         ORIGIN,
-        np.array([1e160, 0.0, 0.0]),  # absurd range: all likelihoods underflow
-        np.array([1e-12, 1e-6, 1e-6]),
+        [1e160, 0.0, 0.0],  # absurd range: all likelihoods underflow
+        [1e-12, 1e-6, 1e-6],
     )
     out = weight(cloud, z)
-    assert out.diverged
+    assert out.diverged[0]
     assert np.allclose(out.weights, 0.5)
     # flag stays set across a subsequent healthy update
-    ok = MeasurementSlice(
+    ok = one_slice(
         ORIGIN,
-        np.array([1.0 / C, 0.0, 0.0]),
-        np.array([5e-9, 0.02, 0.02]),
+        [1.0 / C, 0.0, 0.0],
+        [5e-9, 0.02, 0.02],
     )
     again = weight(out, ok)
-    assert again.diverged
+    assert again.diverged[0]
 
 
 def test_resample_invariants():
@@ -196,10 +213,10 @@ def test_resample_invariants():
     out = resample(cloud)
     assert out.size == cloud.size
     assert np.allclose(out.weights, 1.0 / 5)
-    in_rows = {tuple(r) for r in cloud.states}
-    assert all(tuple(r) in in_rows for r in out.states)
+    in_rows = {tuple(r) for r in cloud.states[0]}
+    assert all(tuple(r) in in_rows for r in out.states[0])
     # the dominant particle is copied several times
-    copies = sum(1 for r in out.states if tuple(r) == tuple(states[2]))
+    copies = sum(1 for r in out.states[0] if tuple(r) == tuple(states[2]))
     assert copies >= 3
 
 
@@ -208,28 +225,31 @@ def test_estimate_argmax_first_on_ties():
     states[1, 0] = 7.0
     states[2, 0] = 9.0
     cloud = make_cloud(states, weights=[0.4, 0.4, 0.2])
-    est = estimate(cloud)
-    assert est.position == Vec3(0.0, 0.0, 0.0)
+    est = estimate(cloud)[0]
+    assert Vec3(*est[:3]) == Vec3(0.0, 0.0, 0.0)
 
 
 def test_measurement_slice_validation():
     with pytest.raises(TrackerError):
-        MeasurementSlice(ORIGIN, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+        one_slice(ORIGIN, np.zeros(3), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(TrackerError):
-        MeasurementSlice(ORIGIN, np.zeros(2), np.ones(3))
-    z = MeasurementSlice(ORIGIN, np.zeros(2), np.ones(2), include_delay=False)
-    assert z.angle_mask.tolist() == [True, True]
+        Slices(np.zeros((1, 3)), np.zeros((1, 2)), np.ones((1, 3)), np.ones(1, dtype=bool))
+    # a slice without a delay scores its two angles alone
+    states = np.zeros((3, 6))
+    states[:, :3] = [(10.0, 0.0, 0.0), (20.0, 1.0, 0.0), (5.0, -1.0, 1.0)]
+    angles_only = [
+        weight(make_cloud(states), one_slice(ORIGIN, [delay, 0.05, 0.0], [5e-9, 0.1, 0.1], has_delay=False))
+        for delay in (0.0, 1e-3)
+    ]
+    assert angles_only[0].weights.tolist() == angles_only[1].weights.tolist()
 
 
 def test_predicted_slice_values_shape():
-    states = np.zeros((4, 6))
-    states[:, 0] = (1.0, 2.0, 3.0, 4.0)
-    z = MeasurementSlice(ORIGIN, np.zeros(3), np.ones(3))
-    vals = predicted_slice_values(states, z)
-    assert vals.shape == (4, 3)
-    assert np.allclose(vals[:, 0], states[:, 0] / C)
-    z2 = MeasurementSlice(ORIGIN, np.zeros(2), np.ones(2), include_delay=False)
-    assert predicted_slice_values(states, z2).shape == (4, 2)
+    states = np.zeros((1, 4, 6))
+    states[0, :, 0] = (1.0, 2.0, 3.0, 4.0)
+    delay, az, el = predicted_slice_values(states, np.zeros((1, 3)))
+    assert delay.shape == az.shape == el.shape == (1, 4)
+    assert np.allclose(delay[0], states[0, :, 0] / C)
 
 
 def test_config_validation():
@@ -287,13 +307,12 @@ def test_initialize_exact_at_zero_noise():
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
     assert not state.failed_paths
-    rec = state.records[0]
     for obs in frame0.comm_paths:
         fb_truth = scene.scatterer(obs.fb_id).position_at(0.0)
         lb_truth = scene.scatterer(obs.lb_id).position_at(0.0)
-        assert rec.estimates[(KIND_FB, obs.path_id)].position.distance_to(fb_truth) < 1e-6
-        assert rec.estimates[(KIND_LB, obs.path_id)].position.distance_to(lb_truth) < 1e-6
-    assert rec.estimates[USER_KEY].position.distance_to(scene.user_position(0.0)) < 1e-12
+        assert est_pos(state, (KIND_FB, obs.path_id), 0).distance_to(fb_truth) < 1e-6
+        assert est_pos(state, (KIND_LB, obs.path_id), 0).distance_to(lb_truth) < 1e-6
+    assert est_pos(state, USER_KEY, 0).distance_to(scene.user_position(0.0)) < 1e-12
 
 
 def test_initialize_cloud_bookkeeping():
@@ -301,7 +320,7 @@ def test_initialize_cloud_bookkeeping():
     frame0 = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
-    keys = state.cloud_keys()
+    keys = state.keys
     assert keys[0] == USER_KEY
     n_paths = len(frame0.comm_paths)
     assert len(keys) == 1 + 2 * n_paths
@@ -309,8 +328,8 @@ def test_initialize_cloud_bookkeeping():
         (KIND_FB, o.path_id) for o in frame0.comm_paths
     )
     for obs in frame0.comm_paths:
-        assert state.clouds[(KIND_FB, obs.path_id)].entity_id == obs.fb_id
-        assert state.clouds[(KIND_LB, obs.path_id)].entity_id == obs.lb_id
+        assert state.entity_ids[state.row[(KIND_FB, obs.path_id)]] == obs.fb_id
+        assert state.entity_ids[state.row[(KIND_LB, obs.path_id)]] == obs.lb_id
 
 
 def hand_frame(t, obs_list, detections, los=None):
@@ -354,10 +373,9 @@ def test_initialize_fb_free_fallback():
     )
     frame = hand_frame(0.0, [obs], [bogus], los_obs(bs, user))
     state = initialize(frame, bs, EntityState(user, ORIGIN), exact_cfg(), seed=2)
-    rec = state.records[0]
     assert not state.failed_paths
-    fb_est = rec.estimates[(KIND_FB, 0)].position
-    lb_est = rec.estimates[(KIND_LB, 0)].position
+    fb_est = est_pos(state, (KIND_FB, 0), 0)
+    lb_est = est_pos(state, (KIND_LB, 0), 0)
     assert fb_est.distance_to(lb_est) < 1e-9  # single-bounce hypothesis
     # the hypothesized scatterer lies on the arrival ray
     along = (lb_est - user).norm()
@@ -401,8 +419,8 @@ def test_initialize_failure_on_infeasible_budget():
     frame = hand_frame(0.0, [good, bad], [det], los_obs(bs, user))
     state = initialize(frame, bs, EntityState(user, ORIGIN), exact_cfg(), seed=2)
     assert state.failed_paths == (1,)
-    assert (KIND_FB, 0) in state.clouds
-    assert (KIND_FB, 1) not in state.clouds
+    assert (KIND_FB, 0) in state.keys
+    assert (KIND_FB, 1) not in state.keys
 
 
 def test_initialize_deterministic_given_seed():
@@ -412,8 +430,7 @@ def test_initialize_deterministic_given_seed():
     cfg = TrackerConfig(n_particles=20)
     a = initialize(frame0, scene.bs_position, user0, cfg, seed=5)
     b = initialize(frame0, scene.bs_position, user0, cfg, seed=5)
-    for key in a.clouds:
-        assert np.array_equal(a.clouds[key].states, b.clouds[key].states)
+    assert np.array_equal(a.clouds.states, b.clouds.states)
 
 
 # --- stepping ------------------------------------------------------------------
@@ -444,16 +461,12 @@ def test_zero_noise_tracking_is_exact():
     rng = np.random.default_rng(0)
     for k in range(1, 21):
         t = k * cfg.ts
-        state = step(state, observe(scene, t, (0.0, 0.0), rng))
-        rec = state.records[-1]
-        assert rec.estimates[USER_KEY].position.distance_to(scene.user_position(t)) < 1e-6
-        for key, est in rec.estimates.items():
-            if key == USER_KEY:
-                continue
-            sid = state.clouds[key].entity_id
+        step(state, observe(scene, t, (0.0, 0.0), rng))
+        assert est_pos(state, USER_KEY).distance_to(scene.user_position(t)) < 1e-6
+        for key, sid in zip(state.keys[1:], state.entity_ids[1:]):
             truth = scene.scatterer(sid).position_at(t)
-            assert est.position.distance_to(truth) < 1e-6
-        assert not rec.coasted and not rec.diverged
+            assert est_pos(state, key).distance_to(truth) < 1e-6
+        assert not state.coasted[-1].any() and not state.diverged[-1].any()
 
 
 def test_coasting_extrapolates_straight_line():
@@ -468,30 +481,108 @@ def test_coasting_extrapolates_straight_line():
         full.sensing_detections,
         full.los,
     )
-    state = step(state, pruned)
-    rec = state.records[-1]
-    assert (KIND_FB, pid) in rec.coasted and (KIND_LB, pid) in rec.coasted
+    step(state, pruned)
+    coasted = {key for key, flag in zip(state.keys, state.coasted[-1]) if flag}
+    assert (KIND_FB, pid) in coasted and (KIND_LB, pid) in coasted
     # zero process noise: coasted estimate is the exact linear advance,
     # which here still matches the constant-velocity truth
-    truth = scene.scatterer(state.clouds[(KIND_FB, pid)].entity_id).position_at(cfg.ts)
-    assert rec.estimates[(KIND_FB, pid)].position.distance_to(truth) < 1e-9
+    truth = scene.scatterer(state.entity_ids[state.row[(KIND_FB, pid)]]).position_at(cfg.ts)
+    assert est_pos(state, (KIND_FB, pid)).distance_to(truth) < 1e-9
 
 
 def test_step_updates_counters_and_history():
     scene = static_scene()
     cfg = zero_noise_cfg()
     state = initialize_at_truth(scene, cfg, seed=1)
-    assert state.k == 0 and len(state.records) == 1
-    state = step(state, observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0)))
+    assert state.k == 0 and len(state.estimates) == 1
+    step(state, observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0)))
     assert state.k == 1 and state.time == pytest.approx(cfg.ts)
-    assert len(state.records) == 2
-    assert state.records[1].k == 1
+    assert len(state.estimates) == 2
+    assert len(state.times) == len(state.coasted) == len(state.diverged) == len(state.ess) == 2
 
 
 def test_initialize_at_truth_exact_at_k0():
     scene = generate_scene(SceneConfig())
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=3)
-    rec = state.records[0]
     for p in ground_truth_paths(scene, 0.0):
         fb_t = scene.scatterer(p.fb_id).position_at(0.0)
-        assert rec.estimates[(KIND_FB, p.path_id)].position.distance_to(fb_t) == 0.0
+        assert est_pos(state, (KIND_FB, p.path_id), 0).distance_to(fb_t) == 0.0
+
+
+# --- batching, effective sample size, size cap ---------------------------------
+
+
+def test_batched_step_equals_each_cloud_stepped_alone():
+    # every cloud draws from its own stream, so a cloud's predict, weight
+    # and resample give the same bits in a batch as on their own
+    rng = np.random.default_rng(6)
+    e, c = 4, 50
+    states = rng.normal(0.0, 30.0, size=(e, c, 6))
+
+    def batch():
+        rngs = tuple(np.random.default_rng(seed) for seed in range(e))
+        return Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
+
+    z = Slices(
+        rng.normal(0.0, 5.0, size=(e, 3)),
+        np.column_stack([rng.uniform(0.0, 2e-7, e), rng.uniform(-3.0, 3.0, e), rng.uniform(-1.5, 1.5, e)]),
+        np.tile([5e-9, 0.05, 0.05], (e, 1)),
+        np.array([True, False, True, True]),
+    )
+    together = resample(weight(predict(batch(), 0.1, (0.3, 0.1)), z))
+    clouds = batch()
+    for i in range(e):
+        alone = clouds.take(np.array([i]))
+        z_i = Slices(z.reference[i:i + 1], z.values[i:i + 1], z.sigmas[i:i + 1], z.has_delay[i:i + 1])
+        alone = resample(weight(predict(alone, 0.1, (0.3, 0.1)), z_i))
+        assert np.array_equal(alone.states[0], together.states[i])
+
+
+def test_effective_sample_size_bounds():
+    c = 1000
+    assert effective_sample_size(np.full(c, 1.0 / c)) == pytest.approx(c, rel=1e-12)
+    one_hot = np.zeros(c)
+    one_hot[17] = 1.0
+    assert effective_sample_size(one_hot) == 1.0
+    rng = np.random.default_rng(3)
+    w = rng.exponential(size=(200, c)) ** rng.uniform(0.0, 8.0, size=(200, 1))
+    w /= w.sum(axis=1, keepdims=True)
+    ess = effective_sample_size(w)
+    assert ess.shape == (200,)
+    assert np.all((ess >= 1.0) & (ess <= c * (1.0 + 1e-12)))
+
+
+def test_step_records_ess_of_weighted_clouds_only():
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=40)
+    state = initialize_at_truth(scene, cfg, seed=1)
+    full = observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0))
+    pid = full.comm_paths[0].path_id
+    pruned = ObservationFrame(
+        full.time, tuple(o for o in full.comm_paths if o.path_id != pid), full.sensing_detections, full.los
+    )
+    step(state, pruned)
+    assert np.isnan(state.ess[0]).all()  # nothing is weighted at k = 0
+    ess = state.ess[-1]
+    assert np.array_equal(np.isnan(ess), state.coasted[-1])
+    assert np.all((ess[~state.coasted[-1]] >= 1.0) & (ess[~state.coasted[-1]] <= 40.0 + 1e-9))
+
+
+def test_particle_count_capped_before_allocation():
+    with pytest.raises(TrackerError, match=f"more than {MAX_PARTICLES}"):
+        TrackerConfig(n_particles=MAX_PARTICLES + 1).validate()
+    scene = static_scene()
+    frame0 = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
+    cfg = TrackerConfig(n_particles=MAX_PARTICLES // 4)  # one cloud fits, 1 + 2 * 18 do not
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrackerError, match=f"37 clouds x {MAX_PARTICLES // 4} particles"):
+            initialize(frame0, scene.bs_position, user0, cfg, seed=1)
+        with pytest.raises(TrackerError, match="more than"):
+            initialize_at_truth(scene, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one cloud's states alone would take MAX_PARTICLES // 4 * 48 bytes
+    assert peak < MAX_PARTICLES // 4 * 48 / 10
