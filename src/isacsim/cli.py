@@ -142,15 +142,12 @@ def cmd_track(args: argparse.Namespace) -> int:
         tracker.step(state, frame)
 
     keys, ids = state.keys, state.entity_ids
-    estimates = np.stack(state.estimates).tolist()  # (K+1, E, 6) as floats
-    coasted = np.stack(state.coasted)
-    diverged = np.stack(state.diverged)
-    ess = np.stack(state.ess)
     errors: list[list[float | None]] = [[] for _ in keys]
     traj_rows = []
-    for k, t in enumerate(state.times):
-        for e, key in enumerate(keys):
-            x, y, z, vx, vy, vz = estimates[k][e]
+    for k, (t, estimates, coasted, diverged) in enumerate(
+        zip(state.times, state.estimates, state.coasted, state.diverged)
+    ):
+        for e, (key, (x, y, z, vx, vy, vz)) in enumerate(zip(keys, estimates.tolist())):
             tp, tv = _truth_state(scene, key[0], ids[e], t)
             err = Vec3(x, y, z).distance_to(tp) if tp is not None else None
             errors[e].append(err)
@@ -165,12 +162,13 @@ def cmd_track(args: argparse.Namespace) -> int:
                     repr(x), repr(y), repr(z), repr(vx), repr(vy), repr(vz),
                     *truth_cols,
                     repr(err) if err is not None else "",
-                    str(int(coasted[k, e])), str(int(diverged[k, e])),
+                    str(int(coasted[e])), str(int(diverged[e])),
                 ]
             )
 
     summary_rows = []
-    coast_counts = coasted.sum(axis=0)
+    coast_counts = np.sum(state.coasted, axis=0)
+    ess = np.stack(state.ess)
     for e, key in enumerate(keys):
         known = [err for err in errors[e] if err is not None]
         final = errors[e][-1]

@@ -186,17 +186,20 @@ def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> tuple[n
 
 
 def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, float]) -> np.ndarray:
-    """(E, 2, C, 3) draws: N(0, stds[0]) then N(0, stds[1]) from each cloud's rng.
+    """Coordinate-major (E, C, 6) draws, N(0, stds[0]) for x, y, z and N(0, stds[1]) for vx, vy, vz.
 
-    Equal bit for bit to ``rng.normal(0.0, std, (C, 3))`` for each std in
-    turn, which computes 0.0 + std * z (the + 0.0 turns -0.0 into 0.0).
+    Cloud e's draws equal, bit for bit, ``rngs[e].normal(0.0, std, (C, 3))``
+    for each std in turn, which computes 0.0 + std * z (the + 0.0 turns
+    -0.0 into 0.0).
     """
-    out = np.empty((len(rngs), 2, c, 3))
-    for rng, block in zip(rngs, out):
+    buffer = np.empty((2, 3, len(rngs), c))
+    block = np.empty((2, c, 3))
+    for e, rng in enumerate(rngs):
         rng.standard_normal(out=block)
-    out *= np.array(stds, dtype=float)[:, None, None]
-    out += 0.0
-    return out
+        buffer[:, :, e] = block.transpose(0, 2, 1)
+    buffer *= np.array(stds, dtype=float)[:, None, None, None]
+    buffer += 0.0
+    return buffer.reshape(6, len(rngs), c).transpose(1, 2, 0)
 
 
 def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float]) -> Clouds:
@@ -209,12 +212,11 @@ def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float]) -> Cl
         raise TrackerError(f"sampling interval must be positive, got {ts}")
     if min(process_noise) < 0.0:
         raise TrackerError("process noise stds must be nonnegative")
-    noise = _noise(clouds.rngs, clouds.weights.shape[1], process_noise)
     x = clouds.states
-    states = np.empty_like(x)  # coordinate-major like x
+    states = _noise(clouds.rngs, clouds.weights.shape[1], process_noise)
     for j in range(3):
-        np.add(x[..., j], x[..., 3 + j] * ts + noise[:, 0, :, j], out=states[..., j])
-        np.add(x[..., 3 + j], noise[:, 1, :, j], out=states[..., 3 + j])
+        np.add(x[..., j], x[..., 3 + j] * ts + states[..., j], out=states[..., j])
+        states[..., 3 + j] += x[..., 3 + j]
     return replace(clouds, states=states)
 
 
@@ -390,10 +392,8 @@ def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
     streams = [np.random.default_rng(s) for s in root.spawn(e)]
     rngs = tuple(streams[:1] + streams[1::2] + streams[2::2])
-    states = np.repeat(np.array([s.as_array() for _, _, s in entities])[:, None, :], c, axis=1)
-    noise = _noise(rngs, c, stds)
-    states[..., :3] += noise[:, 0]
-    states[..., 3:] += noise[:, 1]
+    states = _noise(rngs, c, stds)
+    states += np.array([s.as_array() for _, _, s in entities])[:, None, :]
     clouds = Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
     keys = tuple(key for key, _, _ in entities)
     tracker = TrackerState(cfg, bs_pos, keys, tuple(i for _, i, _ in entities), clouds, failed)
@@ -527,7 +527,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
         raise TrackerError(
             f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}"
         )
-    clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std))
+    tracker.clouds = clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std))
     comm, sensing = frame.comm_by_path(), frame.sensing_by_id()
     s_d, s_a = cfg.meas_delay_std, cfg.meas_angle_std
     bs = np.array(tracker.bs_pos.as_tuple())
@@ -565,5 +565,4 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     coasted = np.ones(len(tracker.keys), dtype=bool)
     coasted[weighted] = False
     clouds.put(weighted, resample(clouds.take(weighted)))
-    tracker.clouds = clouds
     tracker.record(frame.time, est, coasted, ess)
