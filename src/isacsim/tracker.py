@@ -532,29 +532,31 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     s_d, s_a = cfg.meas_delay_std, cfg.meas_angle_std
     bs = np.array(tracker.bs_pos.as_tuple())
 
-    first, last = [], []
+    user_fb, lb_obs = [], []
     if frame.los is not None:
         los = frame.los
-        first.append((0, bs, (los.delay, los.aod.azimuth, los.aod.elevation), (s_d, s_a, s_a), True))
+        user_fb.append((0, bs, (los.delay, los.aod.azimuth, los.aod.elevation), (s_d, s_a, s_a), True))
     for e, (kind, path_id) in enumerate(tracker.keys[1:], start=1):
         obs = comm.get(path_id)
         if obs is not None and kind == KIND_LB:
-            last.append((e, obs))
+            lb_obs.append((e, obs))
         elif obs is not None:
             det = sensing.get(tracker.entity_ids[e])
             delay = 0.0 if det is None else det.round_trip_delay / 2.0
             values = (delay, obs.aod.azimuth, obs.aod.elevation)
-            first.append((e, bs, values, (s_d / 2.0, s_a, s_a), det is not None))
-    rows, z = _slices(first)
+            user_fb.append((e, bs, values, (s_d / 2.0, s_a, s_a), det is not None))
+    rows, z = _slices(user_fb)
     clouds.put(rows, weight(clouds.take(rows), z))
     est = estimate(clouds)
 
     # last bounce: range is what the comm delay leaves after the sensed first leg
-    for i, (e, obs) in enumerate(last):
+    lb_slices = []
+    for e, obs in lb_obs:
         fb_pos = Vec3(*est[tracker.row[(KIND_FB, obs.path_id)], :3].tolist())
         residual_delay = obs.delay - fb_pos.distance_to(tracker.bs_pos) / SPEED_OF_LIGHT
-        last[i] = (e, est[0, :3], (residual_delay, obs.aoa.azimuth, obs.aoa.elevation), (s_d, s_a, s_a), True)
-    lb_rows, z = _slices(last)
+        values = (residual_delay, obs.aoa.azimuth, obs.aoa.elevation)
+        lb_slices.append((e, est[0, :3], values, (s_d, s_a, s_a), True))
+    lb_rows, z = _slices(lb_slices)
     lb = weight(clouds.take(lb_rows), z)
     clouds.put(lb_rows, lb)
     est[lb_rows] = estimate(lb)
