@@ -1,13 +1,12 @@
-"""Planar antenna arrays: element layout and narrowband steering vectors."""
+"""Planar antenna arrays: element layout."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import AngleSet, Vec3, unit_vector_from_angles
+from .geometry import Vec3
 
 _AXIS_TOL = 1e-9
 
@@ -83,15 +82,3 @@ def half_wavelength_array(
     """Half-wavelength-spaced planar array, rows along z by default."""
     return PlanarArray(rows, cols, wavelength / 2.0, origin, axis_row, axis_col)
 
-
-def steering_vector(arr: PlanarArray, a: AngleSet, wavelength: float) -> np.ndarray:
-    """Per-element phase response toward direction ``a``.
-
-    Element ``p`` carries ``exp(+j * 2*pi/wavelength * <u(a), pos_p - origin>)``
-    so every entry has unit magnitude and element 0 is the phase reference.
-    """
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    u = np.array(unit_vector_from_angles(a).as_tuple())
-    phases = (2.0 * math.pi / wavelength) * (arr.element_offsets() @ u)
-    return np.exp(1j * phases)

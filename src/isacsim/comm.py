@@ -139,26 +139,6 @@ def polarization_matrix(draw: PolarizationDraw, kind: str) -> np.ndarray:
     raise CommError(f"unknown tap kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CommTap:
-    """One tap of the impulse response between tx element p and rx element q."""
-
-    q: int
-    p: int
-    kind: str
-    path_id: int
-    delay: float
-    amplitude: complex
-
-    def __post_init__(self) -> None:
-        if not self.delay > 0.0:
-            raise CommError(f"tap delay must be positive, got {self.delay}")
-
-    @property
-    def power(self) -> float:
-        return abs(self.amplitude) ** 2
-
-
 def rician_weights(k_factor: float) -> tuple[float, float]:
     """Direct and scattered amplitude weights sqrt(K/(K+1)) and sqrt(1/(K+1))."""
     if k_factor < 0.0:
@@ -181,15 +161,6 @@ class TapBlock:
     delay: np.ndarray
     re: np.ndarray
     im: np.ndarray
-
-    def taps(self, index) -> list[CommTap]:
-        """The taps of the pair at ``index`` into the pair shape."""
-        q, p = int(self.q[index]), int(self.p[index])
-        columns = (a[index].tolist() for a in (self.path_id, self.delay, self.re, self.im))
-        return [
-            CommTap(q, p, KIND_LOS if pid == LOS_PATH_ID else KIND_NLOS, pid, d, complex(re, im))
-            for pid, d, re, im in zip(*columns)
-        ]
 
 
 def _coupling(kind: str, draw: PolarizationDraw, tx: PlanarArray, rx: PlanarArray, fb: Vec3, lb: Vec3,
@@ -285,42 +256,6 @@ def pair_taps(
     return TapBlock(q, p, *(np.take_along_axis(a, order, axis=-1) for a in (path_id, delay, re, im)))
 
 
-def los_tap(
-    p: int,
-    q: int,
-    tx: PlanarArray,
-    rx: PlanarArray,
-    carrier_hz: float,
-    draw: PolarizationDraw,
-    tx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
-    rx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
-) -> CommTap:
-    """Unweighted direct tap between tx element ``p`` and rx element ``q``."""
-    return pair_taps(tx, rx, [q], [p], carrier_hz, draw, [], patterns=(tx_pattern, rx_pattern)).taps(0)[0]
-
-
-def nlos_tap(
-    p: int,
-    q: int,
-    tx: PlanarArray,
-    rx: PlanarArray,
-    fb: Vec3,
-    lb: Vec3,
-    path_id: int,
-    path_power: float,
-    virtual_delay: float,
-    carrier_hz: float,
-    draw: PolarizationDraw,
-    tx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
-    rx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
-) -> CommTap:
-    """Unweighted scattered tap via first bounce ``fb`` and last bounce ``lb``."""
-    if path_power < 0.0 or virtual_delay < 0.0:
-        raise CommError("path power and virtual delay must be nonnegative")
-    path = (path_id, fb, lb, path_power, virtual_delay, draw)
-    return pair_taps(tx, rx, [q], [p], carrier_hz, None, [path], patterns=(tx_pattern, rx_pattern)).taps(0)[0]
-
-
 def frame_taps(
     scene: SceneTruth,
     t: float,
@@ -364,21 +299,14 @@ def comm_cir(
     pairs: Iterable[tuple[int, int]] | None = None,
     tx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
     rx_pattern: PolarizedPattern = ISOTROPIC_VERTICAL,
-) -> dict[tuple[int, int], list[CommTap]]:
-    """Impulse response at time ``t`` for the requested (q, p) pairs.
+) -> TapBlock:
+    """``frame_taps`` for a list of (q, p) pairs, as an (N,) block.
 
-    ``pairs`` defaults to every antenna pair; pass e.g. [(0, 0)] for the
-    reference pair only. Each list holds the Rician-combined direct tap
-    plus one tap per alive path, sorted by delay. The taps come from the
-    array kernel ``pair_taps``, which writes its complex products in real
-    arithmetic because numpy's vectorized complex multiply fuses
-    multiply-adds (FMA) and would change the last bit of many amplitudes.
+    ``pairs`` defaults to every antenna pair, q-major. The CLI calls
+    ``frame_taps``; this entry point is kept for the benchmark's
+    ``comm.comm_cir`` span.
     """
     if pairs is None:
         pairs = [(q, p) for q in range(rx_template.num_elements) for p in range(tx.num_elements)]
-    pairs = [(q, p) for q, p in pairs]
-    qp = np.array(pairs, dtype=int).reshape(-1, 2)
-    block = frame_taps(
-        scene, t, tx, rx_template, params, pol_draws, qp[:, 0], qp[:, 1], tx_pattern, rx_pattern
-    )
-    return {pair: block.taps(i) for i, pair in enumerate(pairs)}
+    qp = np.array(list(pairs), dtype=int).reshape(-1, 2)
+    return frame_taps(scene, t, tx, rx_template, params, pol_draws, qp[:, 0], qp[:, 1], tx_pattern, rx_pattern)

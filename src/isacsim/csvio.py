@@ -13,10 +13,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .comm import KIND_LOS, KIND_NLOS, CommTap, TapBlock
+from .comm import KIND_LOS, KIND_NLOS, TapBlock
 from .geometry import AngleSet
 from .scene import LOS_PATH_ID, ObservationFrame, PathObservation, SensingDetection
-from .sensing import SensingTap
 
 
 class CsvFormatError(ValueError):
@@ -165,12 +164,12 @@ SENSING_TAPS_HEADER = ("time", "scatterer_id", "delay_s", "doppler_hz", "gain")
 COMM_TAPS_HEADER = ("t", "q", "p", "kind", "path_id", "delay_s", "re", "im")
 
 
-def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, Sequence[SensingTap]]]) -> None:
+def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, Sequence[SensingDetection]]]) -> None:
     rows = []
     for t, taps in taps_by_time:
-        for tap in taps:
+        for e in taps:
             rows.append(
-                [_fmt(t), str(tap.scatterer_id), _fmt(tap.delay), _fmt(tap.doppler), _fmt(tap.gain)]
+                [_fmt(t), str(e.scatterer_id), _fmt(e.round_trip_delay), _fmt(e.doppler), _fmt(e.gain)]
             )
     _write(path, "sensing_taps", SENSING_TAPS_HEADER, rows)
 
@@ -206,16 +205,11 @@ def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -
                              for q, p, kind, pid, d, re, im in rows))
 
 
-def read_comm_taps(path: str) -> list[tuple[float, CommTap]]:
+def read_comm_taps(path: str) -> dict[str, np.ndarray]:
+    """The file's columns: ``q``, ``p`` and ``path_id`` as ints, ``kind`` as strings, the rest floats."""
     rows = _read(path, "comm_taps", COMM_TAPS_HEADER)
-    out = []
-    for r in rows:
-        tap = CommTap(
-            int(r["q"]), int(r["p"]), r["kind"], int(r["path_id"]),
-            float(r["delay_s"]), complex(float(r["re"]), float(r["im"])),
-        )
-        out.append((float(r["t"]), tap))
-    return out
+    types = {"q": int, "p": int, "kind": str, "path_id": int}
+    return {key: np.array([types.get(key, float)(r[key]) for r in rows]) for key in COMM_TAPS_HEADER}
 
 
 # --- tracker outputs ----------------------------------------------------------

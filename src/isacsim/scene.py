@@ -554,7 +554,7 @@ def scene_from_text(text: str) -> SceneTruth:
     cfg_kwargs: dict[str, object] = {}
     defaults = {f.name: getattr(SceneConfig(), f.name) for f in fields(SceneConfig)}
     scatterers: list[ScattererTruth] = []
-    paths: list[PathSkeleton] = []
+    paths: dict[int, PathSkeleton] = {}  # keyed by line number
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -580,16 +580,22 @@ def scene_from_text(text: str) -> SceneTruth:
                     )
                 )
             elif tag == "P":
-                paths.append(
-                    PathSkeleton(int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
+                paths[lineno] = PathSkeleton(
+                    int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
                 )
             else:
                 raise ConfigError(f"unknown record tag {tag!r}")
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"scene file line {lineno}: {exc}") from exc
+    known = {s.id for s in scatterers}
+    for lineno, path in paths.items():
+        for sid in (path.fb_id, path.lb_id):
+            if sid not in known:
+                raise ConfigError(f"scene file line {lineno}: path {path.path_id} names scatterer {sid}, "
+                                  "which has no S record")
     cfg = SceneConfig(**cfg_kwargs)  # type: ignore[arg-type]
     cfg.validate()
-    return SceneTruth(cfg, tuple(scatterers), tuple(paths))
+    return SceneTruth(cfg, tuple(scatterers), tuple(paths.values()))
 
 
 def save_scene(scene: SceneTruth, path: str) -> None:

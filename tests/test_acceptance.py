@@ -16,16 +16,10 @@ import pytest
 from isacsim import csvio
 from isacsim.antenna import half_wavelength_array
 from isacsim.cli import main as cli_main
-from isacsim.comm import (
-    KIND_LOS,
-    KIND_NLOS,
-    CommParams,
-    comm_cir,
-    draw_polarization_set,
-)
+from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, wrap_angle
-from isacsim.scene import SceneConfig, generate_scene, ground_truth_paths, observe
+from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, ground_truth_paths, observe
 from isacsim.sensing import doppler_shift, echo_delay, sensing_gain
 from isacsim.stats import PathEnsemble, delay_spread
 from isacsim.tracker import (
@@ -125,9 +119,10 @@ def test_criterion_2_rician_split():
         params = CommParams(k_factor=k)
         draws = draw_polarization_set(scene, params, np.random.default_rng(6))
         cir = comm_cir(scene, 2.0, tx, rx, params, draws, pairs=[(0, 0), (1, 5)])
-        for taps in cir.values():
-            los = sum(t.power for t in taps if t.kind == KIND_LOS)
-            total = sum(t.power for t in taps)
+        for ids, re, im in zip(cir.path_id, cir.re, cir.im):
+            power = np.abs(re + 1j * im) ** 2
+            los = power[ids == LOS_PATH_ID].sum()
+            total = power.sum()
             assert abs(los / total - k / (k + 1.0)) <= 1e-12
 
 

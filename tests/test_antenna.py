@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from isacsim.antenna import PlanarArray, half_wavelength_array, steering_vector
-from isacsim.geometry import ORIGIN, AngleSet, Vec3
+from isacsim.antenna import PlanarArray, half_wavelength_array
+from isacsim.geometry import ORIGIN, Vec3
 
 WAVELENGTH = 0.0107  # ~28 GHz
 
@@ -52,31 +50,3 @@ def test_validation():
     with pytest.raises(ValueError):
         PlanarArray(2, 2, 0.5, ORIGIN, z, z)  # not orthogonal
 
-
-def test_steering_unit_modulus_and_reference():
-    arr = half_wavelength_array(4, 2, WAVELENGTH, ORIGIN)
-    v = steering_vector(arr, AngleSet(0.3, -0.2), WAVELENGTH)
-    assert v.shape == (8,)
-    assert np.allclose(np.abs(v), 1.0, atol=1e-12)
-    assert v[0] == 1.0 + 0.0j  # element 0 is the phase reference
-
-
-def test_steering_endfire_two_elements():
-    # two elements lambda/2 apart along y, wave arriving along +y:
-    # phase difference = 2*pi/lambda * lambda/2 = pi -> second entry -1
-    arr = _ula(2)
-    v = steering_vector(arr, AngleSet(math.pi / 2, 0.0), WAVELENGTH)
-    assert v[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert v[1] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
-
-
-def test_steering_broadside_is_flat():
-    # arrival orthogonal to the array axis: no phase progression
-    arr = _ula(5)
-    v = steering_vector(arr, AngleSet(0.0, 0.0), WAVELENGTH)
-    assert np.allclose(v, 1.0, atol=1e-12)
-
-
-def test_steering_rejects_bad_wavelength():
-    with pytest.raises(ValueError):
-        steering_vector(_ula(2), AngleSet(0.0, 0.0), 0.0)

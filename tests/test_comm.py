@@ -11,14 +11,11 @@ from isacsim.comm import (
     KIND_NLOS,
     CommError,
     CommParams,
-    CommTap,
     PolarizationDraw,
     PolarizedPattern,
     comm_cir,
     draw_polarization_set,
     frame_taps,
-    los_tap,
-    nlos_tap,
     pair_taps,
     polarization_matrix,
     rician_weights,
@@ -77,59 +74,67 @@ def test_draw_set_deterministic():
     assert a == b
 
 
+def amplitude(block):
+    return block.re + 1j * block.im
+
+
+def power(block):
+    return np.abs(amplitude(block)) ** 2
+
+
 def test_los_tap_delay_and_phase():
     tx, rx = tx_pair()
-    tap = los_tap(1, 0, tx, rx, F_C, unit_draw())
+    block = pair_taps(tx, rx, [0], [1], F_C, unit_draw(), [])
+    delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
     dist = tx.element_position(1).distance_to(rx.element_position(0))
-    assert tap.delay == pytest.approx(dist / SPEED_OF_LIGHT, rel=1e-15)
-    assert abs(tap.amplitude) == pytest.approx(1.0, abs=1e-12)  # isotropic v-pol, unit coupling
-    assert cmath.phase(tap.amplitude) == pytest.approx(
-        math.remainder(2.0 * math.pi * F_C * tap.delay, 2.0 * math.pi), abs=1e-6
+    assert delay == pytest.approx(dist / SPEED_OF_LIGHT, rel=1e-15)
+    assert abs(amp) == pytest.approx(1.0, abs=1e-12)  # isotropic v-pol, unit coupling
+    assert cmath.phase(amp) == pytest.approx(
+        math.remainder(2.0 * math.pi * F_C * delay, 2.0 * math.pi), abs=1e-6
     )
-    assert tap.kind == KIND_LOS and tap.path_id == LOS_PATH_ID
-    assert (tap.q, tap.p) == (0, 1)
+    assert block.path_id[0, 0] == LOS_PATH_ID
+    assert (block.q[0], block.p[0]) == (0, 1)
 
 
 def test_los_tap_per_pair_delays_differ():
     tx, rx = tx_pair()
-    t00 = los_tap(0, 0, tx, rx, F_C, unit_draw())
-    t10 = los_tap(1, 0, tx, rx, F_C, unit_draw())
-    assert t00.delay != t10.delay
+    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, unit_draw(), [])
+    assert block.delay[0, 0] != block.delay[1, 0]
 
 
 def test_los_tap_coincident_rejected():
     tx = half_wavelength_array(1, 2, LAM, ORIGIN)
     with pytest.raises(CommError):
-        los_tap(0, 0, tx, tx, F_C, unit_draw())
+        pair_taps(tx, tx, [0], [0], F_C, unit_draw(), [])
 
 
 def test_nlos_tap_two_leg_delay_and_power():
     tx, rx = tx_pair()
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
-    tap = nlos_tap(0, 1, tx, rx, fb, lb, 7, 0.25, 0.0, F_C, unit_draw())
+    block = pair_taps(tx, rx, [1], [0], F_C, None, [(7, fb, lb, 0.25, 0.0, unit_draw())])
     want = (
         tx.element_position(0).distance_to(fb) + rx.element_position(1).distance_to(lb)
     ) / SPEED_OF_LIGHT
-    assert tap.delay == pytest.approx(want, rel=1e-15)
-    assert abs(tap.amplitude) == pytest.approx(math.sqrt(0.25), abs=1e-12)
-    assert tap.kind == KIND_NLOS and tap.path_id == 7
+    assert block.delay[0, 0] == pytest.approx(want, rel=1e-15)
+    assert abs(amplitude(block)[0, 0]) == pytest.approx(math.sqrt(0.25), abs=1e-12)
+    assert block.path_id[0, 0] == 7
 
 
 def test_nlos_tap_virtual_delay_added():
     tx, rx = tx_pair()
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
-    base = nlos_tap(0, 0, tx, rx, fb, lb, 1, 1.0, 0.0, F_C, unit_draw())
-    shifted = nlos_tap(0, 0, tx, rx, fb, lb, 1, 1.0, 30e-9, F_C, unit_draw())
-    assert shifted.delay == pytest.approx(base.delay + 30e-9, rel=1e-12)
+    paths = [(1, fb, lb, 1.0, 0.0, unit_draw()), (2, fb, lb, 1.0, 30e-9, unit_draw())]
+    base, shifted = pair_taps(tx, rx, [0], [0], F_C, None, paths).delay[0]
+    assert shifted == pytest.approx(base + 30e-9, rel=1e-12)
 
 
 def test_patterns_enter_coupling():
     tx, rx = tx_pair()
     half = PolarizedPattern(lambda a: 0.5, lambda a: 0.0)
-    tap = los_tap(0, 0, tx, rx, F_C, unit_draw(), tx_pattern=half, rx_pattern=half)
-    assert abs(tap.amplitude) == pytest.approx(0.25, abs=1e-12)
+    block = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), [], patterns=(half, half))
+    assert abs(amplitude(block)[0, 0]) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_combine_rician_weights():
@@ -138,16 +143,16 @@ def test_combine_rician_weights():
     lb = Vec3(30.0, 25.0, 0.0)
     k = 3.0
     scattered = [(0, fb, lb, 1.0, 0.0, unit_draw())]
-    out = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), scattered, rician_weights(k)).taps(0)
-    los_power = sum(t.power for t in out if t.kind == KIND_LOS)
-    total = sum(t.power for t in out)
+    block = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), scattered, rician_weights(k))
+    los_power = power(block)[block.path_id == LOS_PATH_ID].sum()
+    total = power(block).sum()
     assert los_power / total == pytest.approx(k / (k + 1.0), abs=1e-12)
 
 
 def test_combine_rician_k_zero_removes_los_power():
     tx, rx = tx_pair()
-    out = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), [], rician_weights(0.0)).taps(0)
-    assert out[0].power == 0.0
+    block = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), [], rician_weights(0.0))
+    assert power(block)[0, 0] == 0.0
 
 
 def test_comm_cir_reference_pair():
@@ -156,12 +161,11 @@ def test_comm_cir_reference_pair():
     rx = half_wavelength_array(2, 2, scene.config.wavelength, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
     cir = comm_cir(scene, 0.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])
-    assert set(cir) == {(0, 0)}
-    taps = cir[(0, 0)]
-    kinds = [t.kind for t in taps]
-    assert kinds.count(KIND_LOS) == 1
-    assert kinds.count(KIND_NLOS) == len(scene.paths)
-    delays = [t.delay for t in taps]
+    assert (cir.q.tolist(), cir.p.tolist()) == ([0], [0])
+    ids = cir.path_id[0]
+    assert np.count_nonzero(ids == LOS_PATH_ID) == 1
+    assert np.count_nonzero(ids != LOS_PATH_ID) == len(scene.paths)
+    delays = cir.delay[0].tolist()
     assert delays == sorted(delays)
 
 
@@ -171,8 +175,9 @@ def test_comm_cir_all_pairs_default():
     rx = half_wavelength_array(2, 1, scene.config.wavelength, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
     cir = comm_cir(scene, 0.0, tx, rx, CommParams(), draws)
-    assert len(cir) == tx.num_elements * rx.num_elements
-    assert (1, 3) in cir
+    pairs = set(zip(cir.q.tolist(), cir.p.tolist()))
+    assert len(pairs) == cir.q.size == tx.num_elements * rx.num_elements
+    assert (1, 3) in pairs
 
 
 def test_comm_cir_power_split_every_pair():
@@ -183,9 +188,9 @@ def test_comm_cir_power_split_every_pair():
     rx = half_wavelength_array(1, 2, scene.config.wavelength, ORIGIN)
     draws = draw_polarization_set(scene, params, np.random.default_rng(9))
     cir = comm_cir(scene, 5.0, tx, rx, params, draws)
-    for taps in cir.values():
-        los_power = sum(t.power for t in taps if t.kind == KIND_LOS)
-        nlos_power = sum(t.power for t in taps if t.kind == KIND_NLOS)
+    for ids, pw in zip(cir.path_id, power(cir)):
+        los_power = pw[ids == LOS_PATH_ID].sum()
+        nlos_power = pw[ids != LOS_PATH_ID].sum()
         assert los_power / (los_power + nlos_power) == pytest.approx(k / (k + 1.0), abs=1e-12)
 
 
@@ -198,8 +203,6 @@ def test_comm_cir_missing_draw():
 
 
 def test_tap_validation():
-    with pytest.raises(CommError):
-        CommTap(0, 0, KIND_LOS, -1, 0.0, 1.0 + 0.0j)
     with pytest.raises(CommError):
         CommParams(k_factor=-1.0).validate()
     with pytest.raises(CommError):
@@ -264,4 +267,7 @@ def test_frame_taps_reference_pair_matches_comm_cir():
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
     block = frame_taps(scene, 1.0, tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]))
     assert block.delay.shape == (1, 1, 1 + len(scene.paths))
-    assert block.taps((0, 0)) == comm_cir(scene, 1.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])[(0, 0)]
+    cir = comm_cir(scene, 1.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])
+    assert (cir.q.tolist(), cir.p.tolist()) == ([0], [0])
+    for name in ("path_id", "delay", "re", "im"):
+        assert np.array_equal(getattr(block, name)[0, 0], getattr(cir, name)[0])

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isacsim import config
+from isacsim.cli import main
 from isacsim.config import (
     RunConfig,
     load_run_config,
@@ -135,3 +143,68 @@ def test_runconfig_is_immutable_dataclass():
     assert isinstance(rc, RunConfig)
     with pytest.raises(AttributeError):
         rc.tx_rows = 1
+
+
+# --- every drawn INI runs or fails with one error line -------------------------
+
+# good values that keep a simulate run small: at most 0.5 s of 0.05 s frames
+_GOOD_RANGES = {
+    "seed": (0, 1000), "n_clusters": (1, 3), "fb_per_cluster": (1, 3), "lb_per_cluster": (0, 3),
+    "tx_rows": (1, 4), "tx_cols": (1, 4), "rx_rows": (1, 3), "rx_cols": (1, 3), "n_particles": (1, 50),
+    "duration": (0.05, 0.5), "ts": (0.05, 0.25), "speed_min": (0.0, 1.0), "birth_death_rate": (0.0, 0.5),
+    "virtual_delay_max": (0.0, 1e-7),
+}
+_BAD_TEXT = ["", "abc", "1 2", "0x10", "1e400", "-1e400", "nan", "inf", "-inf", "None"]
+
+
+def _good(key, default):
+    if isinstance(default, Vec3):
+        offset = st.floats(-10.0, 10.0, allow_nan=False)
+        return st.tuples(offset, offset, offset).map(
+            lambda d: ", ".join(repr(c + o) for c, o in zip(default.as_tuple(), d)))
+    lo, hi = _GOOD_RANGES.get(key, (0.5 * default, 2.0 * default))
+    if isinstance(default, int):
+        return st.integers(lo, hi).map(str)
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+def _value(key, default):
+    """A good value, a bad string, or a negative, nan or inf in the key's format."""
+    good = _good(key, default)
+    if isinstance(default, Vec3):
+        bad = st.sampled_from(["1, 2", "1 2 3 4", "nan 0 0", "0 inf 0", "a b c"] + _BAD_TEXT)
+    else:
+        bad = st.sampled_from(_BAD_TEXT)
+    negative = good.map(lambda v: "-" + v if not v.startswith("-") else v[1:])
+    return st.one_of(good, good, bad, negative)
+
+
+def _config_texts():
+    keys = [(section, key, config._file_value(RunConfig(), holder, key)) for section, holder, key in config._KEYS]
+    duration = [k for k in keys if k[1] == "duration"]
+
+    @st.composite
+    def draw(draw_from):
+        # the duration is always set, so no run takes the 20 s default
+        chosen = duration + draw_from(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+        sections: dict[str, list[str]] = {}
+        for section, key, default in chosen:
+            sections.setdefault(section, []).append(f"{key} = {draw_from(_value(key, default))}")
+        return "".join(f"[{s}]\n" + "".join(line + "\n" for line in lines) for s, lines in sections.items())
+
+    return draw()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_config_texts())
+def test_any_drawn_config_runs_or_prints_one_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "run")])
+    lines = err.getvalue().splitlines()
+    if code != 0:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)

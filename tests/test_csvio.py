@@ -5,7 +5,7 @@ from isacsim import csvio
 from isacsim.antenna import half_wavelength_array
 from isacsim.comm import CommParams, draw_polarization_set, frame_taps
 from isacsim.geometry import ORIGIN
-from isacsim.scene import SceneConfig, generate_scene, observe
+from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, observe
 from isacsim.sensing import monostatic_cir
 
 
@@ -70,13 +70,12 @@ def test_header_mismatch(tmp_path, frames):
 
 
 def test_sensing_taps_round_trip(tmp_path, scene):
-    arr = half_wavelength_array(4, 2, scene.config.wavelength, scene.bs_position)
-    data = [(t, monostatic_cir(scene, t, arr)) for t in (0.0, 0.1)]
+    data = [(t, monostatic_cir(scene, t)) for t in (0.0, 0.1)]
     path = tmp_path / "staps.csv"
     csvio.write_sensing_taps(str(path), data)
     rows = csvio.read_sensing_taps(str(path))
     assert len(rows) == sum(len(taps) for _, taps in data)
-    assert rows[0]["delay_s"] == data[0][1][0].delay
+    assert rows[0]["delay_s"] == data[0][1][0].round_trip_delay
 
 
 def test_comm_taps_round_trip(tmp_path, scene):
@@ -84,14 +83,18 @@ def test_comm_taps_round_trip(tmp_path, scene):
     rx = half_wavelength_array(1, 2, scene.config.wavelength, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(2))
     block = frame_taps(scene, 0.0, tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]))
-    flat = block.taps(0) + block.taps(1)
     path = tmp_path / "ctaps.csv"
     csvio.write_comm_taps(str(path), [(0.0, block)])
     back = csvio.read_comm_taps(str(path))
-    assert len(back) == len(flat)
-    t0, tap0 = back[0]
-    assert t0 == 0.0
-    assert tap0 == flat[0]  # exact round trip including complex amplitude
+    n = block.delay.shape[-1]
+    assert len(back["t"]) == block.delay.size
+    assert np.all(back["t"] == 0.0)
+    assert np.array_equal(back["q"], np.repeat(block.q, n))
+    assert np.array_equal(back["p"], np.repeat(block.p, n))
+    assert back["kind"].tolist() == ["los" if i == LOS_PATH_ID else "nlos" for i in block.path_id.ravel()]
+    # exact round trip including the complex amplitude
+    for key, column in (("path_id", block.path_id), ("delay_s", block.delay), ("re", block.re), ("im", block.im)):
+        assert np.array_equal(back[key], column.ravel())
 
 
 def test_spreads_round_trip(tmp_path):

@@ -230,6 +230,10 @@ def test_malformed_text_reports_line():
     lines[1] = "C n_clusters 1 2 3"  # an int field takes one value
     with pytest.raises(ConfigError, match="line 2"):
         scene_from_text("\n".join(lines))
+    lines = scene_to_text(scene).splitlines()
+    lines[-1] = "P 0 999 0 0 0.0"  # no scatterer 999
+    with pytest.raises(ConfigError, match=f"line {len(lines)}: .*scatterer 999"):
+        scene_from_text("\n".join(lines))
 
 
 def test_bad_header_rejected():
