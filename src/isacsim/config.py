@@ -78,7 +78,7 @@ _SCHEMA: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     )),
     ("arrays", "", ("tx_rows", "tx_cols", "rx_rows", "rx_cols", "spacing_wavelengths")),
     ("channel", "scene", ("carrier_hz",)),
-    ("channel", "comm", ("k_factor", "xpr_db", "copol_imbalance")),
+    ("channel", "comm", ("k_factor",)),
     ("tracker", "tracker", (
         "n_particles", "ts", "process_pos_std", "process_vel_std",
         "meas_delay_std", "meas_angle_deg", "init_pos_std", "init_vel_std",

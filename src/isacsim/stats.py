@@ -20,8 +20,6 @@ from .scene import PathObservation
 SIDE_TX = "T"
 SIDE_RX = "R"
 
-SPREAD_NAMES = ("delay", "aod_azimuth", "aod_elevation", "aoa_azimuth", "aoa_elevation")
-
 
 class StatsError(ValueError):
     """Invalid statistics input (empty or zero-power ensemble)."""
@@ -57,13 +55,11 @@ class PathEnsemble:
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5])
 
     @classmethod
-    def from_observations(
-        cls, paths: Sequence[PathObservation], include_los: bool = False
-    ) -> "PathEnsemble":
-        kept = [p for p in paths if include_los or p.kind == "nlos"]
+    def from_observations(cls, paths: Sequence[PathObservation]) -> "PathEnsemble":
+        """The scattered paths of one frame (``ObservationFrame.comm_paths``, which holds no LoS)."""
         return cls.from_rows(
             (p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation)
-            for p in kept
+            for p in paths
         )
 
 

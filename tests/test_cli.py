@@ -206,6 +206,38 @@ def test_all_pairs_comm_taps_bytes_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == ALLPAIRS_COMM_TAPS_SHA256
 
 
+NONSTATIONARY_CFG = """
+[run]
+seed = 5
+duration = 1.0
+
+[scene]
+birth_death_rate = 0.5
+virtual_delay_max = 5e-8
+
+[arrays]
+tx_rows = 4
+tx_cols = 2
+"""
+
+# sha256 of comm_taps.csv as written by the full 2x2 polarization coupling
+# that the one co-polar phase per path replaced; paths born after t = 0 must
+# keep the phase their id was drawn
+NONSTATIONARY_COMM_TAPS_SHA256 = "32bed45703ab0940c9fb935b43489e7f889e68658a3df70b1c6547e684bd490b"
+
+
+def test_nonstationary_all_pairs_comm_taps_bytes_pinned(tmp_path):
+    cfg = tmp_path / "nonstationary.ini"
+    cfg.write_text(NONSTATIONARY_CFG)
+    out = str(tmp_path / "run")
+    assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
+    taps = csvio.read_comm_taps(os.path.join(out, "comm_taps.csv"))
+    first = set(taps["path_id"][taps["t"] == 0.0].tolist())
+    assert set(taps["path_id"].tolist()) - first  # some taps belong to paths born later
+    with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == NONSTATIONARY_COMM_TAPS_SHA256
+
+
 def test_duration_off_the_float_grid_runs_every_stage(tmp_path):
     # 3 * 0.1 = 0.30000000000000004 overshoots a 0.3 s scene
     cfg = tmp_path / "short.ini"
@@ -298,6 +330,22 @@ def test_mismatched_config_exits_2(tmp_path, ts_02_run, capsys, argv):
         "[tracker] ts = 0.1, the run has 0.2\n"
     )
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_track_frame_gap_exits_2(tmp_path, cfg_path, capsys):
+    run_dir = simulate(tmp_path, cfg_path)
+    for name in ("observations.csv", "sensing_observations.csv"):
+        path = os.path.join(run_dir, name)
+        with open(path) as fh:
+            lines = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines(line for line in lines if not line.startswith("4,"))  # drop frame k = 4
+    capsys.readouterr()
+    code = run("track", "--run", run_dir, "--out", str(tmp_path / "trk"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: frame at t=0.5 does not follow t=0.30000000000000004 by Ts=0.1\n"
+    assert not os.path.exists(tmp_path / "trk")
 
 
 @pytest.mark.parametrize(

@@ -6,18 +6,12 @@ import pytest
 
 from isacsim.antenna import half_wavelength_array
 from isacsim.comm import (
-    ISOTROPIC_VERTICAL,
-    KIND_LOS,
-    KIND_NLOS,
     CommError,
     CommParams,
-    PolarizationDraw,
-    PolarizedPattern,
     comm_cir,
     draw_polarization_set,
     frame_taps,
     pair_taps,
-    polarization_matrix,
     rician_weights,
 )
 from isacsim.constants import SPEED_OF_LIGHT
@@ -28,43 +22,23 @@ F_C = 28e9
 LAM = SPEED_OF_LIGHT / F_C
 
 
-def unit_draw():
-    return PolarizationDraw(0.0, 0.0, 0.0, 0.0, kappa=10 ** 0.8, mu=1.0)
-
-
 def tx_pair():
     tx = half_wavelength_array(1, 2, LAM, ORIGIN)
     rx = half_wavelength_array(1, 2, LAM, Vec3(30.0, 0.0, 0.0))
     return tx, rx
 
 
-def test_polarization_matrix_los_structure():
-    draw = PolarizationDraw(0.3, 0.9, 1.2, 2.0, kappa=4.0, mu=1.0)
-    m = polarization_matrix(draw, KIND_LOS)
-    assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-    assert m[0, 0] == pytest.approx(cmath.exp(1j * 0.3))
-    assert m[1, 1] == pytest.approx(-cmath.exp(1j * 2.0))  # sign flip on hh
-
-
-def test_polarization_matrix_nlos_magnitudes():
-    draw = PolarizationDraw(0.1, 0.2, 0.3, 0.4, kappa=4.0, mu=2.0)
-    m = polarization_matrix(draw, KIND_NLOS)
-    assert abs(m[0, 0]) == pytest.approx(1.0)
-    assert abs(m[0, 1]) == pytest.approx(math.sqrt(2.0 / 4.0))
-    assert abs(m[1, 0]) == pytest.approx(math.sqrt(1.0 / 4.0))
-    assert abs(m[1, 1]) == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(CommError):
-        polarization_matrix(draw, "direct")
-
-
 def test_draw_set_covers_all_paths_with_phases_in_range():
-    scene = generate_scene(SceneConfig())
+    scene = generate_scene(SceneConfig(birth_death_rate=0.5))
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
     assert set(draws) == {LOS_PATH_ID} | {p.path_id for p in scene.paths}
-    for d in draws.values():
-        for xi in (d.xi_vv, d.xi_vh, d.xi_hv, d.xi_hh):
-            assert 0.0 <= xi < 2.0 * math.pi
-        assert d.kappa == pytest.approx(10 ** 0.8)  # 8 dB default
+    # the first of four coupling phases drawn per path, LoS first
+    ref = np.random.default_rng(3)
+    for pid in [LOS_PATH_ID] + [p.path_id for p in scene.paths]:
+        xi = draws[pid]
+        assert type(xi) is float
+        assert 0.0 <= xi < 2.0 * math.pi
+        assert xi == float(ref.uniform(0.0, 2.0 * math.pi, size=4)[0])
 
 
 def test_draw_set_deterministic():
@@ -84,57 +58,56 @@ def power(block):
 
 def test_los_tap_delay_and_phase():
     tx, rx = tx_pair()
-    block = pair_taps(tx, rx, [0], [1], F_C, unit_draw(), [])
-    delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
     dist = tx.element_position(1).distance_to(rx.element_position(0))
-    assert delay == pytest.approx(dist / SPEED_OF_LIGHT, rel=1e-15)
-    assert abs(amp) == pytest.approx(1.0, abs=1e-12)  # isotropic v-pol, unit coupling
-    assert cmath.phase(amp) == pytest.approx(
-        math.remainder(2.0 * math.pi * F_C * delay, 2.0 * math.pi), abs=1e-6
-    )
-    assert block.path_id[0, 0] == LOS_PATH_ID
-    assert (block.q[0], block.p[0]) == (0, 1)
+    for xi in (0.0, 1.1, 5.9):  # the drawn co-polar phase
+        block = pair_taps(tx, rx, [0], [1], F_C, xi, [])
+        delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
+        assert delay == pytest.approx(dist / SPEED_OF_LIGHT, rel=1e-15)
+        assert abs(amp) == pytest.approx(1.0, abs=1e-12)  # isotropic v-pol, unit coupling
+        assert cmath.phase(amp) == pytest.approx(
+            math.remainder(xi + 2.0 * math.pi * F_C * delay, 2.0 * math.pi), abs=1e-6
+        )
+        assert block.path_id[0, 0] == LOS_PATH_ID
+        assert (block.q[0], block.p[0]) == (0, 1)
 
 
 def test_los_tap_per_pair_delays_differ():
     tx, rx = tx_pair()
-    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, unit_draw(), [])
+    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, 0.0, [])
     assert block.delay[0, 0] != block.delay[1, 0]
 
 
 def test_los_tap_coincident_rejected():
     tx = half_wavelength_array(1, 2, LAM, ORIGIN)
     with pytest.raises(CommError):
-        pair_taps(tx, tx, [0], [0], F_C, unit_draw(), [])
+        pair_taps(tx, tx, [0], [0], F_C, 0.0, [])
 
 
 def test_nlos_tap_two_leg_delay_and_power():
     tx, rx = tx_pair()
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
-    block = pair_taps(tx, rx, [1], [0], F_C, None, [(7, fb, lb, 0.25, 0.0, unit_draw())])
     want = (
         tx.element_position(0).distance_to(fb) + rx.element_position(1).distance_to(lb)
     ) / SPEED_OF_LIGHT
-    assert block.delay[0, 0] == pytest.approx(want, rel=1e-15)
-    assert abs(amplitude(block)[0, 0]) == pytest.approx(math.sqrt(0.25), abs=1e-12)
-    assert block.path_id[0, 0] == 7
+    for xi in (0.0, 2.4, 4.0):  # the drawn co-polar phase
+        block = pair_taps(tx, rx, [1], [0], F_C, None, [(7, fb, lb, 0.25, 0.0, xi)])
+        delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
+        assert delay == pytest.approx(want, rel=1e-15)
+        assert abs(amp) == pytest.approx(math.sqrt(0.25), abs=1e-12)
+        assert cmath.phase(amp) == pytest.approx(
+            math.remainder(xi + 2.0 * math.pi * F_C * delay, 2.0 * math.pi), abs=1e-6
+        )
+        assert block.path_id[0, 0] == 7
 
 
 def test_nlos_tap_virtual_delay_added():
     tx, rx = tx_pair()
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
-    paths = [(1, fb, lb, 1.0, 0.0, unit_draw()), (2, fb, lb, 1.0, 30e-9, unit_draw())]
+    paths = [(1, fb, lb, 1.0, 0.0, 0.0), (2, fb, lb, 1.0, 30e-9, 0.0)]
     base, shifted = pair_taps(tx, rx, [0], [0], F_C, None, paths).delay[0]
     assert shifted == pytest.approx(base + 30e-9, rel=1e-12)
-
-
-def test_patterns_enter_coupling():
-    tx, rx = tx_pair()
-    half = PolarizedPattern(lambda a: 0.5, lambda a: 0.0)
-    block = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), [], patterns=(half, half))
-    assert abs(amplitude(block)[0, 0]) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_combine_rician_weights():
@@ -142,8 +115,8 @@ def test_combine_rician_weights():
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
     k = 3.0
-    scattered = [(0, fb, lb, 1.0, 0.0, unit_draw())]
-    block = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), scattered, rician_weights(k))
+    scattered = [(0, fb, lb, 1.0, 0.0, 0.0)]
+    block = pair_taps(tx, rx, [0], [0], F_C, 0.0, scattered, rician_weights(k))
     los_power = power(block)[block.path_id == LOS_PATH_ID].sum()
     total = power(block).sum()
     assert los_power / total == pytest.approx(k / (k + 1.0), abs=1e-12)
@@ -151,7 +124,7 @@ def test_combine_rician_weights():
 
 def test_combine_rician_k_zero_removes_los_power():
     tx, rx = tx_pair()
-    block = pair_taps(tx, rx, [0], [0], F_C, unit_draw(), [], rician_weights(0.0))
+    block = pair_taps(tx, rx, [0], [0], F_C, 0.0, [], rician_weights(0.0))
     assert power(block)[0, 0] == 0.0
 
 
@@ -205,13 +178,6 @@ def test_comm_cir_missing_draw():
 def test_tap_validation():
     with pytest.raises(CommError):
         CommParams(k_factor=-1.0).validate()
-    with pytest.raises(CommError):
-        PolarizationDraw(0.0, 0.0, 0.0, 0.0, kappa=0.0, mu=1.0)
-
-
-def test_xpr_conversion():
-    assert CommParams(xpr_db=0.0).xpr_linear == pytest.approx(1.0)
-    assert CommParams(xpr_db=10.0).xpr_linear == pytest.approx(10.0)
 
 
 def test_frame_taps_every_pair_of_a_nonstationary_scene():

@@ -75,6 +75,8 @@ def test_unknown_section_rejected_with_line():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="n_cluster"):
         parse_run_config("[scene]\nn_cluster = 3\n")
+    with pytest.raises(ConfigError, match="'xpr_db' in \\[channel\\] at line 2"):
+        parse_run_config("[channel]\nxpr_db = 8.0\n")
 
 
 def test_bad_value_rejected_with_line():

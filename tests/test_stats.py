@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from isacsim.geometry import AngleSet
-from isacsim.scene import PathObservation
 from isacsim.stats import (
     SIDE_RX,
     SIDE_TX,
@@ -130,16 +128,6 @@ def test_monte_carlo_two_point_convergence():
         e = ens([(p, d1, 0, 0, 0, 0), (1 - p, d2, 0, 0, 0, 0)])
         want = math.sqrt(p * (1 - p)) * (d2 - d1)
         assert delay_spread(e) == pytest.approx(want, rel=1e-9)
-
-
-def test_from_observations_filters_los():
-    a = AngleSet(0.1, 0.2)
-    nlos = PathObservation(0, 0, 1, 0, 100e-9, a, a, 0.5)
-    los = PathObservation(-1, -1, -1, -1, 50e-9, a, a, 0.5, kind="los")
-    e = PathEnsemble.from_observations([nlos, los])
-    assert e.size == 1
-    both = PathEnsemble.from_observations([nlos, los], include_los=True)
-    assert both.size == 2
 
 
 # --- empirical CDF / KS -------------------------------------------------------
