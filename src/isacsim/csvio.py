@@ -9,6 +9,7 @@ emitted, so equal inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +43,8 @@ def _write(path: str, name: str, header: Sequence[str], rows: Iterable[Sequence[
         writer.writerows(rows)
 
 
-def _read(path: str, name: str, header: Sequence[str]) -> list[dict[str, str]]:
+def _read(path: str, name: str, header: Sequence[str], floats: Sequence[str] = ()) -> list[dict]:
+    """Rows as dicts of strings, except the ``floats`` fields, parsed and checked finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != _schema_line(name):
@@ -60,7 +62,16 @@ def _read(path: str, name: str, header: Sequence[str]) -> list[dict[str, str]]:
                 continue
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            out.append(dict(zip(header, row)))
+            rec = dict(zip(header, row))
+            for key in floats:
+                try:
+                    value = float(rec[key])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise CsvFormatError(f"{path}:{lineno}: {key} must be a finite number, got {rec[key]!r}")
+                rec[key] = value
+            out.append(rec)
     return out
 
 
@@ -76,6 +87,11 @@ OBS_SENSING_HEADER = (
     "k", "t", "scatterer_id", "round_trip_delay_s",
     "az_rad", "el_rad", "degenerate", "doppler_hz", "gain",
 )
+
+
+# fields read as floats: a NaN or infinity there is rejected with its line
+_OBS_COMM_FLOATS = ("t", "delay_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "power")
+_OBS_SENSING_FLOATS = ("t", "round_trip_delay_s", "az_rad", "el_rad", "doppler_hz", "gain")
 
 
 def write_comm_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
@@ -111,21 +127,21 @@ def write_sensing_observations(path: str, frames: Sequence[ObservationFrame]) ->
 
 def read_observation_frames(comm_path: str, sensing_path: str) -> list[ObservationFrame]:
     """Rebuild per-frame observations from the two observation files."""
-    comm_rows = _read(comm_path, "comm_observations", OBS_COMM_HEADER)
-    sens_rows = _read(sensing_path, "sensing_observations", OBS_SENSING_HEADER)
+    comm_rows = _read(comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS)
+    sens_rows = _read(sensing_path, "sensing_observations", OBS_SENSING_HEADER, _OBS_SENSING_FLOATS)
 
     times: dict[int, float] = {}
     comm_by_k: dict[int, list[PathObservation]] = {}
     los_by_k: dict[int, PathObservation] = {}
     for r in comm_rows:
         k = int(r["k"])
-        times.setdefault(k, float(r["t"]))
+        times.setdefault(k, r["t"])
         obs = PathObservation(
             int(r["path_id"]), int(r["fb_id"]), int(r["lb_id"]), int(r["cluster_id"]),
-            float(r["delay_s"]),
-            AngleSet(float(r["aod_az_rad"]), float(r["aod_el_rad"]), degenerate=r["aod_degenerate"] == "1"),
-            AngleSet(float(r["aoa_az_rad"]), float(r["aoa_el_rad"]), degenerate=r["aoa_degenerate"] == "1"),
-            float(r["power"]),
+            r["delay_s"],
+            AngleSet(r["aod_az_rad"], r["aod_el_rad"], degenerate=r["aod_degenerate"] == "1"),
+            AngleSet(r["aoa_az_rad"], r["aoa_el_rad"], degenerate=r["aoa_degenerate"] == "1"),
+            r["power"],
             kind=r["kind"],
         )
         if obs.kind == "los":
@@ -135,12 +151,12 @@ def read_observation_frames(comm_path: str, sensing_path: str) -> list[Observati
     sens_by_k: dict[int, list[SensingDetection]] = {}
     for r in sens_rows:
         k = int(r["k"])
-        times.setdefault(k, float(r["t"]))
+        times.setdefault(k, r["t"])
         sens_by_k.setdefault(k, []).append(
             SensingDetection(
-                int(r["scatterer_id"]), float(r["round_trip_delay_s"]),
-                AngleSet(float(r["az_rad"]), float(r["el_rad"]), degenerate=r["degenerate"] == "1"),
-                float(r["doppler_hz"]), float(r["gain"]),
+                int(r["scatterer_id"]), r["round_trip_delay_s"],
+                AngleSet(r["az_rad"], r["el_rad"], degenerate=r["degenerate"] == "1"),
+                r["doppler_hz"], r["gain"],
             )
         )
 

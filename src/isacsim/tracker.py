@@ -23,7 +23,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import ORIGIN, AngleSet, GeometryError, Vec3, check_finite, path_terms, unit_vector_from_angles
+from .geometry import (
+    HALF_PI,
+    ORIGIN,
+    TWO_PI,
+    AngleSet,
+    GeometryError,
+    Vec3,
+    check_finite,
+    path_terms,
+    unit_vector_from_angles,
+)
 from .scene import (
     LOS_PATH_ID,
     ObservationFrame,
@@ -41,6 +51,7 @@ USER_KEY = (KIND_USER, LOS_PATH_ID)
 MAX_PARTICLES = 10**6  # over all clouds of a tracker (the shipped config steps 37 x 1000)
 
 _EPS = 1e-9
+_SUBNORMAL = np.nextafter(0.0, 1.0)
 
 
 class TrackerError(ValueError):
@@ -136,10 +147,15 @@ class Clouds:
         states = self.states.transpose(2, 0, 1)[:, i].transpose(1, 2, 0)
         return Clouds(states, self.weights[i], tuple(self.rngs[r] for r in rows), self.diverged[i])
 
-    def put(self, rows: np.ndarray, part: "Clouds") -> None:
-        """Write ``part``, stepped from ``take(rows)``, back in place."""
+    def put(self, rows: np.ndarray, part: "Clouds", states: bool = True) -> None:
+        """Write ``part``, stepped from ``take(rows)``, back in place.
+
+        ``states=False`` skips the states, for a ``part`` that only
+        reweighted them.
+        """
         i = _index(rows)
-        self.states[i] = part.states
+        if states:
+            self.states[i] = part.states
         self.weights[i] = part.weights
         self.diverged[i] = part.diverged
 
@@ -153,7 +169,8 @@ def _index(rows: np.ndarray) -> slice | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Slices:
-    """One measurement per cloud: [delay_s, azimuth, elevation].
+    """One measurement per cloud: [delay_s, azimuth, elevation], with the
+    azimuth in [-pi, pi] and the elevation in [-pi/2, pi/2].
 
     Row e is ranged and sighted from ``reference[e]``. Where
     ``has_delay[e]`` is false the row's delay value is ignored and its
@@ -170,19 +187,31 @@ class Slices:
             raise TrackerError("slices need (n, 3) references, values and sigmas and n delay flags")
         if np.any(self.sigmas <= 0.0):
             raise TrackerError("measurement noise stds must be positive")
+        # keeps every angle residual + pi inside the domain of _wrap_residual
+        if not (np.all(np.abs(self.values[:, 1]) <= np.pi) and np.all(np.abs(self.values[:, 2]) <= HALF_PI)):
+            raise TrackerError("slice azimuths must lie in [-pi, pi] and elevations in [-pi/2, pi/2]")
 
 
 def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-particle delay_s, azimuth and elevation seen from each cloud's reference.
 
     ``states`` is (E, C, 6) and ``reference`` (E, 3); each result is (E, C).
+    A particle at distance 0 from its reference gets azimuth and elevation 0.
     """
     dx, dy, dz = (states[..., j] - reference[:, j, None] for j in range(3))
-    d = np.sqrt((dx * dx + dy * dy) + dz * dz)  # np.linalg.norm's summation order
-    safe = np.where(d > 0.0, d, 1.0)
-    az = np.where(d > 0.0, np.arctan2(dy, dx), 0.0)
-    el = np.where(d > 0.0, np.arcsin(np.clip(dz / safe, -1.0, 1.0)), 0.0)
-    return d / SPEED_OF_LIGHT, az, el
+    az = np.arctan2(dy, dx)
+    # np.linalg.norm's summation order, (dx^2 + dy^2) + dz^2, in the dx buffer
+    d = np.square(dx, out=dx)
+    d += np.square(dy, out=dy)
+    d += np.square(dz, out=dy)
+    np.sqrt(d, out=d)
+    on = d == 0.0
+    # max(d, smallest subnormal) is d itself wherever d > 0
+    el = np.divide(dz, np.maximum(d, _SUBNORMAL, out=dy), out=dz)
+    np.arcsin(np.clip(el, -1.0, 1.0, out=el), out=el)
+    az[on] = 0.0
+    el[on] = 0.0
+    return np.divide(d, SPEED_OF_LIGHT, out=d), az, el
 
 
 def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, float]) -> np.ndarray:
@@ -220,26 +249,53 @@ def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float]) -> Cl
     return replace(clouds, states=states)
 
 
+def _wrap_residual(x: np.ndarray) -> np.ndarray:
+    """``np.mod(x, 2 pi) - pi`` in place, bit for bit, for x in [-pi, 3 pi].
+
+    There numpy's divmod takes fmod(x, 2 pi), which is exactly x, or
+    x - 2 pi for x >= 2 pi (two floats within a factor of two subtract
+    exactly), and adds 2 pi where it is negative. Shifting x by -2 pi,
+    0 or 2 pi gives the same bits with two compares per element.
+    """
+    shift = (x >= TWO_PI).astype(float)
+    shift -= x < 0.0
+    shift *= TWO_PI
+    x -= shift
+    x -= np.pi
+    return x
+
+
 def weight(clouds: Clouds, z: Slices) -> Clouds:
     """Gaussian-likelihood reweighting of cloud e against slice row e.
 
-    Residuals are componentwise, angles wrapped into (-pi, pi]; each
+    Residuals are componentwise, angles wrapped into [-pi, pi) as by
+    np.mod (where x + 2 pi rounds up to 2 pi that gives pi itself); each
     cloud's log weights are shifted by their maximum before
     exponentiation. A cloud whose weights all still underflow to zero
     falls back to uniform weights and latches its divergence flag.
     """
     if z.values.shape[0] != clouds.weights.shape[0]:
         raise TrackerError("one slice per cloud required")
-    delay, az, el = predicted_slice_values(clouds.states, z.reference)
+    residuals = predicted_slice_values(clouds.states, z.reference)
     v, s = z.values[:, :, None], z.sigmas[:, :, None]
-    r_delay = np.where(z.has_delay[:, None], v[:, 0] - delay, 0.0)
-    r_az = np.mod(v[:, 1] - az + np.pi, 2.0 * np.pi) - np.pi
-    r_el = np.mod(v[:, 2] - el + np.pi, 2.0 * np.pi) - np.pi
+    for j, r in enumerate(residuals):
+        np.subtract(v[:, j], r, out=r)
+    residuals[0][~z.has_delay] = 0.0
+    for r in residuals[1:]:
+        # measured and predicted angles keep r + pi in [-pi, 3 pi]
+        r += np.pi
+        _wrap_residual(r)
     # far-off particles saturate to -inf; a cloud that underflows entirely gives nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_w = -0.5 * (((r_delay / s[:, 0]) ** 2 + (r_az / s[:, 1]) ** 2) + (r_el / s[:, 2]) ** 2)
+        for j, r in enumerate(residuals):
+            np.square(np.divide(r, s[:, j], out=r), out=r)
+        log_w = residuals[0]
+        log_w += residuals[1]
+        log_w += residuals[2]
+        log_w *= -0.5
         peak = np.max(log_w, axis=1, keepdims=True)
-        w = np.exp(log_w - peak)
+        log_w -= peak
+        w = np.exp(log_w, out=log_w)
         total = np.sum(w, axis=1, keepdims=True)
         w /= total
     ok = np.isfinite(peak[:, 0]) & (total[:, 0] > 0.0) & np.isfinite(total[:, 0])
@@ -546,7 +602,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
             values = (delay, obs.aod.azimuth, obs.aod.elevation)
             user_fb.append((e, bs, values, (s_d / 2.0, s_a, s_a), det is not None))
     rows, z = _slices(user_fb)
-    clouds.put(rows, weight(clouds.take(rows), z))
+    clouds.put(rows, weight(clouds.take(rows), z), states=False)
     est = estimate(clouds)
 
     # last bounce: range is what the comm delay leaves after the sensed first leg
@@ -558,7 +614,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
         lb_slices.append((e, est[0, :3], values, (s_d, s_a, s_a), True))
     lb_rows, z = _slices(lb_slices)
     lb = weight(clouds.take(lb_rows), z)
-    clouds.put(lb_rows, lb)
+    clouds.put(lb_rows, lb, states=False)
     est[lb_rows] = estimate(lb)
 
     weighted = np.concatenate([rows, lb_rows])

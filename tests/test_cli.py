@@ -348,6 +348,49 @@ def test_track_frame_gap_exits_2(tmp_path, cfg_path, capsys):
     assert not os.path.exists(tmp_path / "trk")
 
 
+def set_field(path, lineno, name, value):
+    """Overwrite field ``name`` on line ``lineno`` (1-based) of a CSV with one header line after the schema line."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    header = lines[1].rstrip("\n").split(",")
+    row = lines[lineno - 1].rstrip("\n").split(",")
+    row[header.index(name)] = value
+    lines[lineno - 1] = ",".join(row) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["track"], ["stats", "--source", "observations"]],
+    ids=["track", "stats"],
+)
+@pytest.mark.parametrize(
+    "fname, name, value",
+    [
+        ("observations.csv", "delay_s", "nan"),
+        ("observations.csv", "power", "inf"),
+        ("observations.csv", "t", "-inf"),
+        ("sensing_observations.csv", "round_trip_delay_s", "inf"),
+        ("sensing_observations.csv", "doppler_hz", "nan"),
+        ("sensing_observations.csv", "gain", "inf"),
+    ],
+)
+def test_non_finite_observation_exits_2(tmp_path, cfg_path, capsys, argv, fname, name, value):
+    run_dir = simulate(tmp_path, cfg_path)
+    path = os.path.join(run_dir, fname)
+    with open(path) as fh:
+        last = len(fh.readlines())  # a frame after the first, which track's initialization reads
+    set_field(path, last, name, value)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run(*argv, "--run", run_dir, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}:{last}: {name} must be a finite number, got {value!r}\n"
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from isacsim.tracker import (
     TrackerConfig,
     TrackerError,
     _gated_detection,
+    _wrap_residual,
     effective_sample_size,
     estimate,
     initialize,
@@ -250,6 +252,70 @@ def test_predicted_slice_values_shape():
     delay, az, el = predicted_slice_values(states, np.zeros((1, 3)))
     assert delay.shape == az.shape == el.shape == (1, 4)
     assert np.allclose(delay[0], states[0, :, 0] / C)
+
+
+def test_wrap_residual_matches_np_mod_bit_for_bit():
+    # the shipped run puts a few hundred of its 14.8 M residuals below 0 and
+    # none at or above 2 pi, so its pinned outputs cannot guard the wrap
+    rng = np.random.default_rng(9)
+    n = 10**6
+    two_pi = 2.0 * math.pi
+    measured = rng.uniform(-math.pi, math.pi, n)
+    predicted = np.arctan2(rng.normal(size=n), rng.normal(size=n))
+    edges = [
+        math.pi, -math.pi, 0.0, -0.0, np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0),
+        two_pi, np.nextafter(two_pi, 0.0), np.nextafter(two_pi, 7.0), 3.0 * math.pi, two_pi + math.pi,
+        -1.0, -1e-300, -5e-324, 5e-324, 7.0,
+    ]
+    x = np.concatenate([(measured - predicted) + math.pi, rng.uniform(-math.pi, 3.0 * math.pi, n), edges])
+    assert (x < 0.0).sum() > 1000 and (x > two_pi).sum() > 1000
+    expected = np.mod(x, two_pi) - math.pi
+    got = _wrap_residual(x.copy())
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "az, el",
+    [
+        (np.nextafter(math.pi, 4.0), 0.0),
+        (-np.nextafter(math.pi, 4.0), 0.0),
+        (0.0, np.nextafter(math.pi / 2.0, 2.0)),
+        (0.0, -np.nextafter(math.pi / 2.0, 2.0)),
+        (math.nan, 0.0),
+        (0.0, math.nan),
+        (math.inf, 0.0),
+    ],
+)
+def test_slice_angle_out_of_range_raises(az, el):
+    with pytest.raises(TrackerError, match="azimuths must lie in"):
+        one_slice(ORIGIN, [1e-7, az, el], [5e-9, 0.02, 0.02])
+
+
+def test_slice_angles_on_their_bounds_are_scored():
+    cloud = make_cloud(np.array([[-10.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 10.0, 0.0, 0.0, 0.0]]))
+    for az, el in ((math.pi, 0.0), (-math.pi, 0.0), (0.0, math.pi / 2.0), (0.0, -math.pi / 2.0)):
+        out = weight(cloud, one_slice(ORIGIN, [10.0 / C, az, el], [5e-9, 0.02, 0.02]))
+        assert np.all(np.isfinite(out.weights)) and not out.diverged[0]
+
+
+def test_particle_on_its_reference_gets_zero_angles():
+    # cloud 0 has a particle exactly on its reference; on cloud 1's the
+    # squared offsets underflow, so the distance is 0 there as well
+    states = np.zeros((2, 3, 6))
+    states[0, :, :3] = [(3.0, -4.0, 1.5), (13.0, -4.0, 1.5), (3.0, 6.0, 11.5)]
+    states[1, :, :3] = [(0.0, 1e-170, 1e-170), (5.0, 5.0, 0.0), (0.0, 0.0, -5.0)]
+    reference = np.array([[3.0, -4.0, 1.5], [0.0, 0.0, 0.0]])
+    rngs = (np.random.default_rng(0), np.random.default_rng(1))
+    cloud = Clouds(states, np.full((2, 3), 1.0 / 3.0), rngs, np.zeros(2, dtype=bool))
+    z = Slices(reference, np.zeros((2, 3)), np.tile([5e-9, 0.02, 0.02], (2, 1)), np.ones(2, dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delay, az, el = predicted_slice_values(cloud.states, reference)
+        out = weight(cloud, z)
+    assert delay[:, 0].tolist() == [0.0, 0.0]
+    assert az[:, 0].tolist() == [0.0, 0.0] and el[:, 0].tolist() == [0.0, 0.0]
+    assert np.all(np.isfinite(out.weights)) and not out.diverged.any()
+    assert np.argmax(out.weights, axis=1).tolist() == [0, 0]
 
 
 def test_config_validation():
