@@ -409,9 +409,10 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
     assert not os.path.exists(tmp_path / "x")
 
 
-# sha256 of trajectory.csv and rmse.csv from two short runs, taken from the
-# per-cloud tracker before it was batched; stepping all clouds as one array
-# must keep every byte
+# sha256 of the track outputs and of the tracked and observed spreads of two
+# short runs. trajectory.csv and rmse.csv were taken from the per-cloud
+# tracker before it was batched, the rest from the per-row scoring and the
+# per-snapshot ensemble objects before they became arrays; every byte must stay
 TRACK_CFGS = {
     "default": "[run]\nduration = 1.0\n",
     "birth-death-virtual-delay": (
@@ -422,12 +423,18 @@ TRACK_CFGS = {
 }
 TRACK_SHA256 = {
     "default": {
-        "trajectory.csv": "0858b11025a851ca0ecf50bf3f3833214b0db11af1b47e8ce36ed9df16e8547b",
-        "rmse.csv": "dcb103312b40d41efd13815beda30d4a3d10b05e92d19c5c95d98f12d5dcb270",
+        "trk/trajectory.csv": "0858b11025a851ca0ecf50bf3f3833214b0db11af1b47e8ce36ed9df16e8547b",
+        "trk/rmse.csv": "dcb103312b40d41efd13815beda30d4a3d10b05e92d19c5c95d98f12d5dcb270",
+        "trk/summary.csv": "5be0362e35682faff4a4eb4f718ab528350eff886c1a4e9ac88cddd40ad08696",
+        "sts/spreads_tracked.csv": "7cb4e51f5bd6395511de5560e95efe4826e1dc127b09bba2ab5f65b64f31f89e",
+        "sts/spreads_observations.csv": "a7a5429d2ffc12757a5161d1564cca336d2a0eff2001a88e83be437e850285de",
     },
     "birth-death-virtual-delay": {
-        "trajectory.csv": "42730b6b2d4e120da8b037342b75fde49b3d260c2044343f7ef6cb0af878d487",
-        "rmse.csv": "260ba27a2a5706c2614edcd35885642405f8237fb1874c68412bbf87ebc6b244",
+        "trk/trajectory.csv": "42730b6b2d4e120da8b037342b75fde49b3d260c2044343f7ef6cb0af878d487",
+        "trk/rmse.csv": "260ba27a2a5706c2614edcd35885642405f8237fb1874c68412bbf87ebc6b244",
+        "trk/summary.csv": "aa0087316985b3c89d96d8aeaf944440fe2272776e308b7e7625a5795d2b16e2",
+        "sts/spreads_tracked.csv": "0937ec7a5f1e686d2c2e4bace75bb480a8f26e7558bcd500419c001483a6fad9",
+        "sts/spreads_observations.csv": "2fd845557436f63918b0b5dafc87916c48c135687fed0f702388a076963cd001",
     },
 }
 
@@ -437,8 +444,11 @@ def test_track_bytes_pinned(tmp_path, name):
     cfg = tmp_path / "run.ini"
     cfg.write_text(TRACK_CFGS[name])
     run_dir = simulate(tmp_path, str(cfg))
-    trk = tmp_path / "trk"
-    assert run("track", "--run", run_dir, "--out", str(trk)) == 0
+    trk, sts = str(tmp_path / "trk"), str(tmp_path / "sts")
+    assert run("track", "--run", run_dir, "--out", trk) == 0
+    assert run("stats", "--run", run_dir, "--track", trk, "--source", "trajectory", "--out", sts,
+               "--label", "tracked") == 0
+    assert run("stats", "--run", run_dir, "--source", "observations", "--out", sts) == 0
     for fname, digest in TRACK_SHA256[name].items():
-        with open(trk / fname, "rb") as fh:
+        with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
