@@ -12,17 +12,21 @@ All outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
 from . import comm, csvio, sensing, stats, tracker
 from .config import RunConfig, load_run_config, resolved_config_text
 from .constants import SPEED_OF_LIGHT
-from .geometry import Vec3, path_terms
+from .geometry import AngleSet, Vec3, norms, path_terms
 from .scene import (
+    LOS_PATH_ID,
     ConfigError,
+    ObservationFrame,
     SceneTruth,
     generate_scene,
     ground_truth_paths,
@@ -108,23 +112,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _truth_state(scene: SceneTruth, kind: str, entity_id: int, t: float):
-    if kind == tracker.KIND_USER:
-        return scene.user_position(t), scene.config.user_velocity
-    s = scene.scatterer(entity_id)
-    if not s.alive(t):
-        return None, None
-    return s.position_at(t), s.velocity
+def _read_frames(run_dir: str) -> list[ObservationFrame]:
+    return csvio.read_observation_frames(
+        os.path.join(run_dir, "observations.csv"),
+        os.path.join(run_dir, "sensing_observations.csv"),
+    )
+
+
+def _truth_tracks(scene: SceneTruth, state: tracker.TrackerState) -> tuple[np.ndarray, ...]:
+    """Each cloud's true entity at each step: the (K, E) alive mask, the
+    (K, E, 3) positions, NaN where not alive, and the (E, 3) velocities.
+
+    A position is anchor + velocity * (t - birth), element by element as
+    ``ScattererTruth.position_at`` computes it; the user's anchor is its
+    start position at time 0.
+    """
+    cfg = scene.config
+    anchors = []
+    for (kind, _), entity_id in zip(state.keys, state.entity_ids):
+        if kind == tracker.KIND_USER:
+            anchors.append((*cfg.user_start.as_tuple(), *cfg.user_velocity.as_tuple(), 0.0, math.inf))
+        else:
+            s = scene.scatterer(entity_id)
+            anchors.append((*s.position.as_tuple(), *s.velocity.as_tuple(), s.birth_time, s.death_time))
+    a = np.array(anchors)
+    anchor, velocity, birth, death = a[:, :3], a[:, 3:6], a[:, 6], a[:, 7]
+    t = np.array(state.times)[:, None]
+    alive = (birth <= t) & (t < death)
+    positions = anchor + velocity * (t - birth)[..., None]
+    return alive, np.where(alive[..., None], positions, np.nan), velocity
 
 
 def cmd_track(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     seed = rc.scene.seed if args.seed is None else args.seed
     scene = load_scene(os.path.join(args.run, "scene.txt"))
-    frames = csvio.read_observation_frames(
-        os.path.join(args.run, "observations.csv"),
-        os.path.join(args.run, "sensing_observations.csv"),
-    )
+    frames = _read_frames(args.run)
     if len(frames) < 2:
         raise tracker.TrackerError("need at least two observation frames")
 
@@ -135,44 +158,42 @@ def cmd_track(args: argparse.Namespace) -> int:
     for frame in frames[1:]:
         tracker.step(state, frame)
 
+    # (K, E) scores: K steps, E clouds, NaN where the cloud's entity is not alive
     keys, ids = state.keys, state.entity_ids
-    errors: list[list[float | None]] = [[] for _ in keys]
-    traj_rows = []
-    for k, (t, estimates, coasted, diverged) in enumerate(
-        zip(state.times, state.estimates, state.coasted, state.diverged)
-    ):
-        for e, (key, (x, y, z, vx, vy, vz)) in enumerate(zip(keys, estimates.tolist())):
-            tp, tv = _truth_state(scene, key[0], ids[e], t)
-            err = Vec3(x, y, z).distance_to(tp) if tp is not None else None
-            errors[e].append(err)
-            truth_cols = (
-                [repr(tp.x), repr(tp.y), repr(tp.z), repr(tv.x), repr(tv.y), repr(tv.z)]
-                if tp is not None
-                else [""] * 6
-            )
-            traj_rows.append(
-                [
-                    str(k), repr(t), key[0], str(key[1]), str(ids[e]),
-                    repr(x), repr(y), repr(z), repr(vx), repr(vy), repr(vz),
-                    *truth_cols,
-                    repr(err) if err is not None else "",
-                    str(int(coasted[e])), str(int(diverged[e])),
-                ]
-            )
+    alive, truth_pos, truth_vel = _truth_tracks(scene, state)
+    estimates = np.stack(state.estimates)
+    errors = norms(estimates[..., :3] - truth_pos)
+    coasted, diverged = np.stack(state.coasted).astype(int), np.stack(state.diverged).astype(int)
 
+    def trajectory_rows():
+        velocities = truth_vel.tolist()
+        for k, t in enumerate(state.times):
+            rows = zip(keys, ids, estimates[k].tolist(), truth_pos[k].tolist(), velocities,
+                       errors[k].tolist(), alive[k].tolist(), coasted[k].tolist(), diverged[k].tolist())
+            for (kind, pid), eid, est, pos, vel, err, known, coast, div in rows:
+                yield [
+                    str(k), repr(t), kind, str(pid), str(eid), *map(repr, est),
+                    *(map(repr, pos + vel) if known else [""] * 6),
+                    repr(err) if known else "", str(coast), str(div),
+                ]
+
+    # per-cloud means over the steps its entity is alive, in step order
+    seen = alive.any(axis=0)
+    cloud_means = np.array(
+        [float(np.mean(errors[alive[:, e], e])) if seen[e] else np.nan for e in range(len(keys))]
+    )
+    finals = np.where(alive[-1], errors[-1], np.nan)
     summary_rows = []
-    coast_counts = np.sum(state.coasted, axis=0)
+    coast_counts = np.sum(coasted, axis=0)
     ess = np.stack(state.ess)
     for e, key in enumerate(keys):
-        known = [err for err in errors[e] if err is not None]
-        final = errors[e][-1]
         weighted = ess[:, e][~np.isnan(ess[:, e])]
         summary_rows.append(
             [
                 key[0], str(key[1]), str(ids[e]), str(coast_counts[e]),
                 str(int(state.clouds.diverged[e])),
-                repr(final) if final is not None else "",
-                repr(float(np.mean(known))) if known else "",
+                repr(float(finals[e])) if alive[-1, e] else "",
+                repr(float(cloud_means[e])) if seen[e] else "",
                 repr(float(weighted.min())) if weighted.size else "",
                 repr(float(np.median(weighted))) if weighted.size else "",
             ]
@@ -181,19 +202,16 @@ def cmd_track(args: argparse.Namespace) -> int:
         summary_rows.append(["failed", str(pid)] + [""] * 7)
 
     rmse_rows = []
+    kinds = np.array([key[0] for key in keys])
     for kind in (tracker.KIND_USER, tracker.KIND_FB, tracker.KIND_LB):
-        kind_errors = [errors[e] for e, key in enumerate(keys) if key[0] == kind]
-        finals = [errs[-1] for errs in kind_errors if errs[-1] is not None]
-        means = [
-            float(np.mean([err for err in errs if err is not None]))
-            for errs in kind_errors
-            if any(err is not None for err in errs)
-        ]
-        if finals:
-            final_rmse = float(np.sqrt(np.mean(np.square(finals))))
-            mean_rmse = float(np.mean(means))
-            rmse_rows.append([kind, str(len(kind_errors)), repr(final_rmse), repr(mean_rmse)])
-            print(f"{kind}: {len(kind_errors)} clouds, final RMSE {final_rmse:.3f} m")
+        of_kind = kinds == kind
+        kind_finals = finals[of_kind & alive[-1]]
+        if kind_finals.size:
+            final_rmse = float(np.sqrt(np.mean(np.square(kind_finals))))
+            mean_rmse = float(np.mean(cloud_means[of_kind & seen]))
+            n_clouds = int(np.count_nonzero(of_kind))
+            rmse_rows.append([kind, str(n_clouds), repr(final_rmse), repr(mean_rmse)])
+            print(f"{kind}: {n_clouds} clouds, final RMSE {final_rmse:.3f} m")
 
     total_coasts = int(coast_counts.sum())
     if total_coasts:
@@ -202,90 +220,65 @@ def cmd_track(args: argparse.Namespace) -> int:
         print(f"failed path inits: {list(state.failed_paths)}")
 
     os.makedirs(args.out, exist_ok=True)
-    csvio.write_trajectory(os.path.join(args.out, "trajectory.csv"), traj_rows)
+    csvio.write_trajectory(os.path.join(args.out, "trajectory.csv"), trajectory_rows())
     csvio.write_summary(os.path.join(args.out, "summary.csv"), summary_rows)
     csvio.write_rmse(os.path.join(args.out, "rmse.csv"), rmse_rows)
     print(f"outputs in {args.out}")
     return 0
 
 
-def _oracle_ensembles(scene: SceneTruth, rc: RunConfig) -> list[tuple[int, float, stats.PathEnsemble]]:
-    out = []
+# Each snapshot source yields (k, t, rows) per frame: the snapshot table
+# that stats.all_spreads takes, one _row per path
+Snapshots = Iterator[tuple[int, float, list[tuple[float, ...]]]]
+
+
+def _row(power: float, delay: float, aod: AngleSet, aoa: AngleSet) -> tuple[float, ...]:
+    return (power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
+
+
+def _oracle_snapshots(scene: SceneTruth, rc: RunConfig) -> Snapshots:
     for k, t in enumerate(_frame_times(rc)):
-        rows = [
-            (p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation)
-            for p in ground_truth_paths(scene, t)
-        ]
-        if rows:
-            out.append((k, t, stats.PathEnsemble.from_rows(rows)))
-    return out
+        yield k, t, [_row(p.power, p.delay, p.aod, p.aoa) for p in ground_truth_paths(scene, t)]
 
 
-def _observation_ensembles(run_dir: str) -> list[tuple[int, float, stats.PathEnsemble]]:
-    frames = csvio.read_observation_frames(
-        os.path.join(run_dir, "observations.csv"),
-        os.path.join(run_dir, "sensing_observations.csv"),
-    )
-    out = []
+def _observation_snapshots(run_dir: str) -> Snapshots:
+    for k, frame in enumerate(_read_frames(run_dir)):
+        yield k, frame.time, [_row(p.power, p.delay, p.aod, p.aoa) for p in frame.comm_paths]
+
+
+def _trajectory_snapshots(run_dir: str, track_dir: str, bs: Vec3) -> Snapshots:
+    """Each frame's observed paths whose FB and LB clouds both have estimates, at their observed powers."""
+    frames = _read_frames(run_dir)
+    est = csvio.read_trajectory(os.path.join(track_dir, "trajectory.csv"))
     for k, frame in enumerate(frames):
-        if frame.comm_paths:
-            out.append((k, frame.time, stats.PathEnsemble.from_observations(frame.comm_paths)))
-    return out
-
-
-def _trajectory_ensembles(run_dir: str, track_dir: str) -> list[tuple[int, float, stats.PathEnsemble]]:
-    scene = load_scene(os.path.join(run_dir, "scene.txt"))
-    frames = csvio.read_observation_frames(
-        os.path.join(run_dir, "observations.csv"),
-        os.path.join(run_dir, "sensing_observations.csv"),
-    )
-    rows = csvio.read_trajectory(os.path.join(track_dir, "trajectory.csv"))
-
-    est: dict[tuple[int, str, int], Vec3] = {}
-    times: dict[int, float] = {}
-    for r in rows:
-        k = int(r["k"])
-        times[k] = float(r["t"])
-        est[(k, r["kind"], int(r["path_id"]))] = Vec3(
-            float(r["est_x"]), float(r["est_y"]), float(r["est_z"])
-        )
-
-    out = []
-    for k, frame in enumerate(frames):
-        user = est.get((k, tracker.KIND_USER, -1))
+        user = est.get((k, tracker.KIND_USER, LOS_PATH_ID))
         if user is None:
             continue
-        ens_rows = []
+        user, rows = Vec3(*user), []
         for obs in frame.comm_paths:
             fb = est.get((k, tracker.KIND_FB, obs.path_id))
             lb = est.get((k, tracker.KIND_LB, obs.path_id))
             if fb is not None and lb is not None:
-                leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
-                ens_rows.append(
-                    (obs.power, leg / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
-                )
-        if ens_rows:
-            out.append((k, frame.time, stats.PathEnsemble.from_rows(ens_rows)))
-    return out
+                leg, aod, aoa = path_terms(bs, user, Vec3(*fb), Vec3(*lb))
+                rows.append(_row(obs.power, leg / SPEED_OF_LIGHT, aod, aoa))
+        yield k, frame.time, rows
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     if args.source == "scene":
-        scene = load_scene(os.path.join(args.run, "scene.txt"))
-        ensembles = _oracle_ensembles(scene, rc)
+        snapshots = _oracle_snapshots(load_scene(os.path.join(args.run, "scene.txt")), rc)
     elif args.source == "observations":
-        ensembles = _observation_ensembles(args.run)
+        snapshots = _observation_snapshots(args.run)
     else:
         if args.track is None:
             raise stats.StatsError("--track is required when --source trajectory")
-        ensembles = _trajectory_ensembles(args.run, args.track)
-    if not ensembles:
+        snapshots = _trajectory_snapshots(args.run, args.track, rc.scene.bs_position)
+    spread_rows = [(k, t, stats.all_spreads(rows)) for k, t, rows in snapshots if rows]
+    if not spread_rows:
         raise stats.StatsError("no frames with paths to analyze")
 
     label = args.label or args.source
-    spread_rows = [(k, t, stats.all_spreads(e)) for k, t, e in ensembles]
-
     os.makedirs(args.out, exist_ok=True)
     csvio.write_spreads(os.path.join(args.out, f"spreads_{label}.csv"), spread_rows)
     for idx, quantity in enumerate(SPREAD_QUANTITIES):

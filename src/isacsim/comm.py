@@ -19,7 +19,7 @@ import numpy as np
 
 from .antenna import PlanarArray
 from .constants import SPEED_OF_LIGHT
-from .geometry import Vec3, check_finite
+from .geometry import Vec3, check_finite, norms
 from .scene import LOS_PATH_ID, SceneTruth, ground_truth_paths
 
 KIND_LOS = "los"
@@ -86,11 +86,6 @@ class TapBlock:
     im: np.ndarray
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Length over the last axis, summed in Vec3.norm's order."""
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
-
-
 def _cmul(ar, ai, br, bi):
     """(ar + j ai) * (br + j bi), evaluated as Python's complex type does."""
     return ar * br - ai * bi, ar * bi + ai * br
@@ -102,21 +97,21 @@ def pair_taps(
     q: np.ndarray,
     p: np.ndarray,
     carrier_hz: float,
-    direct_phase: float | None,
+    direct_phase: float,
     scattered: list[tuple[int, Vec3, Vec3, float, float, float]],
-    weights: tuple[float, float] | None = None,
+    weights: tuple[float, float],
 ) -> TapBlock:
     """Taps for rx elements ``q`` and tx elements ``p``, the one tap kernel.
 
     ``q`` and ``p`` broadcast to the pair shape; (Q, 1) and (1, P) index
     columns give a grid whose legs are computed once per element. The
-    direct path (when ``direct_phase`` is given) has delay |tx_p - rx_q| / c
-    and unit power; each scattered path (path_id, fb, lb, power,
-    virtual_delay, phase) has (|fb - tx_p| + |lb - rx_q|) / c plus its
-    virtual delay, the bounce-to-bounce leg carrying no geometric delay.
-    The amplitude is w * exp(j phase) * sqrt(power) * exp(j 2 pi f_c delay),
-    where phase is the path's drawn co-polar phase and w is the direct or
-    scattered Rician weight of ``weights`` (1 when None).
+    direct path has delay |tx_p - rx_q| / c and unit power; each
+    scattered path (path_id, fb, lb, power, virtual_delay, phase) has
+    (|fb - tx_p| + |lb - rx_q|) / c plus its virtual delay, the
+    bounce-to-bounce leg carrying no geometric delay. The amplitude is
+    w * exp(j phase) * sqrt(power) * exp(j 2 pi f_c delay), where phase is
+    the path's drawn co-polar phase (``direct_phase`` for the direct path)
+    and w is the direct or scattered Rician weight of ``weights``.
 
     Complex products are written out in real arithmetic: numpy's
     vectorized complex multiply uses fused multiply-adds (FMA) and rounds
@@ -133,32 +128,25 @@ def pair_taps(
     tx_pos = tx.element_positions()[p][..., None, :]
     rx_pos = rx.element_positions()[q][..., None, :]
 
-    legs = [
-        _norm(tx_pos - np.array([s[1].as_tuple() for s in scattered]).reshape(-1, 3)),
-        _norm(rx_pos - np.array([s[2].as_tuple() for s in scattered]).reshape(-1, 3)),
-    ]
-    dist = legs[0] + legs[1]
-    if direct_phase is not None:
-        legs.append(_norm(tx_pos - rx_pos))
-        dist = np.concatenate([legs[-1], dist], axis=-1)
-    if any(np.any(leg <= 0.0) for leg in legs):
+    direct, to_fb, to_lb = (
+        norms(tx_pos - rx_pos),
+        norms(tx_pos - np.array([s[1].as_tuple() for s in scattered]).reshape(-1, 3)),
+        norms(rx_pos - np.array([s[2].as_tuple() for s in scattered]).reshape(-1, 3)),
+    )
+    if any(np.any(leg <= 0.0) for leg in (direct, to_fb, to_lb)):
         raise CommError("zero-length leg between an antenna and a path end")
+    dist = np.concatenate([direct, to_fb + to_lb], axis=-1)
 
-    ids = [s[0] for s in scattered]
-    virtual_delay = [s[4] for s in scattered]
-    gains = [complex(np.exp(1j * phase)) * math.sqrt(power) for _, _, _, power, _, phase in scattered]
-    if direct_phase is not None:
-        ids.insert(0, LOS_PATH_ID)
-        virtual_delay.insert(0, 0.0)
-        gains.insert(0, complex(np.exp(1j * direct_phase)))
-    delay = dist / SPEED_OF_LIGHT + np.array(virtual_delay)
-
-    gain = np.array(gains, dtype=complex)
+    path_id = np.array([LOS_PATH_ID] + [s[0] for s in scattered], dtype=int)
+    delay = dist / SPEED_OF_LIGHT + np.array([0.0] + [s[4] for s in scattered])
+    gain = np.array(
+        [complex(np.exp(1j * direct_phase))]
+        + [complex(np.exp(1j * phase)) * math.sqrt(power) for _, _, _, power, _, phase in scattered],
+        dtype=complex,
+    )
     phasor = np.exp(1j * (TWO_PI * carrier_hz * delay))
     re, im = _cmul(gain.real, gain.imag, phasor.real, phasor.imag)
-    path_id = np.array(ids, dtype=int)
-    if weights is not None:
-        re, im = _cmul(np.where(path_id == LOS_PATH_ID, *weights), 0.0, re, im)
+    re, im = _cmul(np.where(path_id == LOS_PATH_ID, *weights), 0.0, re, im)
 
     path_id = np.broadcast_to(path_id, delay.shape)
     order = np.lexsort((path_id, delay), axis=-1)

@@ -43,8 +43,12 @@ def _write(path: str, name: str, header: Sequence[str], rows: Iterable[Sequence[
         writer.writerows(rows)
 
 
-def _read(path: str, name: str, header: Sequence[str], floats: Sequence[str] = ()) -> list[dict]:
-    """Rows as dicts of strings, except the ``floats`` fields, parsed and checked finite."""
+def _read(
+    path: str, name: str, header: Sequence[str], floats: Sequence[str] = (), keep: Sequence[str] | None = None
+) -> list[dict]:
+    """Rows as dicts of the ``keep`` fields (all by default), as strings
+    except the ``floats`` fields, which are parsed and checked finite."""
+    columns = [(key, list(header).index(key)) for key in (header if keep is None else keep)]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != _schema_line(name):
@@ -62,7 +66,7 @@ def _read(path: str, name: str, header: Sequence[str], floats: Sequence[str] = (
                 continue
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rec = dict(zip(header, row))
+            rec = {key: row[i] for key, i in columns}
             for key in floats:
                 try:
                     value = float(rec[key])
@@ -245,12 +249,15 @@ SUMMARY_HEADER = (
 RMSE_HEADER = ("kind", "n_clouds", "final_rmse_m", "mean_rmse_m")
 
 
-def write_trajectory(path: str, rows: Sequence[Sequence[str]]) -> None:
+def write_trajectory(path: str, rows: Iterable[Sequence[str]]) -> None:
     _write(path, "trajectory", TRAJECTORY_HEADER, rows)
 
 
-def read_trajectory(path: str) -> list[dict[str, str]]:
-    return _read(path, "trajectory", TRAJECTORY_HEADER)
+def read_trajectory(path: str) -> dict[tuple[int, str, int], tuple[float, float, float]]:
+    """Estimated position by (k, kind, path_id); the other columns are not kept."""
+    est = ("est_x", "est_y", "est_z")
+    rows = _read(path, "trajectory", TRAJECTORY_HEADER, est, keep=("k", "kind", "path_id") + est)
+    return {(int(r["k"]), r["kind"], int(r["path_id"])): (r["est_x"], r["est_y"], r["est_z"]) for r in rows}
 
 
 def write_summary(path: str, rows: Sequence[Sequence[str]]) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
@@ -73,6 +75,11 @@ class Vec3:
 
 
 ORIGIN = Vec3(0.0, 0.0, 0.0)
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """Length over the last axis, summed in Vec3.norm's order, so each equals its Vec3's bit for bit."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
 
 
 @dataclass(frozen=True)

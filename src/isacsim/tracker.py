@@ -25,13 +25,10 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     HALF_PI,
-    ORIGIN,
     TWO_PI,
     AngleSet,
-    GeometryError,
     Vec3,
     check_finite,
-    path_terms,
     unit_vector_from_angles,
 )
 from .scene import (
@@ -333,31 +330,6 @@ def estimate(clouds: Clouds) -> np.ndarray:
     """(E, 6) state of each cloud's highest-weight particle (first one on ties)."""
     best = np.argmax(clouds.weights, axis=1)
     return clouds.states[np.arange(best.size), best]
-
-
-def predict_measurement(
-    user: EntityState,
-    fb: EntityState,
-    lb: EntityState,
-    bs_pos: Vec3 = ORIGIN,
-    virtual_delay: float = 0.0,
-    path_id: int = -2,
-    fb_id: int = -2,
-    lb_id: int = -2,
-    cluster_id: int = -2,
-) -> PathObservation:
-    """Noise-free path observation implied by hypothesized entity states.
-
-    Delay is the two outer legs over c plus ``virtual_delay``; departure
-    angles point from the BS at the first bounce, arrival angles from the
-    user at the last bounce. Degenerate (vertical) directions come back
-    flagged on the AngleSet rather than raising.
-    """
-    try:
-        leg, aod, aoa = path_terms(bs_pos, user.position, fb.position, lb.position)
-    except GeometryError as exc:
-        raise TrackerError("first bounce must be away from the BS and last bounce away from the user") from exc
-    return PathObservation(path_id, fb_id, lb_id, cluster_id, leg / SPEED_OF_LIGHT + virtual_delay, aod, aoa, 0.0)
 
 
 def solve_lb_range(

@@ -18,18 +18,16 @@ from isacsim.antenna import half_wavelength_array
 from isacsim.cli import main as cli_main
 from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, wrap_angle
+from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_terms, wrap_angle
 from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, ground_truth_paths, observe
 from isacsim.sensing import doppler_shift, echo_delay, sensing_gain
-from isacsim.stats import PathEnsemble, delay_spread
+from isacsim.stats import all_spreads
 from isacsim.tracker import (
     USER_KEY,
     Clouds,
-    EntityState,
     Slices,
     TrackerConfig,
     initialize_at_truth,
-    predict_measurement,
     resample,
     step,
     weight,
@@ -89,24 +87,24 @@ def default_run(tmp_path_factory):
 
 @criterion(1, "analytic spreads", 1.0)
 def test_criterion_1_analytic_spreads():
-    two = PathEnsemble.from_rows([
+    two = [
         (0.5, 100e-9, 0, 0, 0, 0),
         (0.5, 300e-9, 0, 0, 0, 0),
-    ])
-    got = delay_spread(two)
+    ]
+    got = all_spreads(two)[0]
     assert abs(got - 100e-9) <= 1e-12 * 100e-9
 
-    three = PathEnsemble.from_rows([
+    three = [
         (0.5, 0.0, 0, 0, 0, 0),
         (0.25, 100e-9, 0, 0, 0, 0),
         (0.25, 200e-9, 0, 0, 0, 0),
-    ])
+    ]
     # independent scalar evaluation of the moment formulas
     powers, delays = (0.5, 0.25, 0.25), (0.0, 100e-9, 200e-9)
     mean = sum(p * d for p, d in zip(powers, delays))
     second = sum(p * d * d for p, d in zip(powers, delays))
     want = math.sqrt(second - mean * mean)
-    got3 = delay_spread(three)
+    got3 = all_spreads(three)[0]
     assert abs(got3 - want) <= 1e-9 * want
 
 
@@ -153,22 +151,20 @@ def test_criterion_4_oracle_closure():
     scene = generate_scene(SceneConfig(n_clusters=5, fb_per_cluster=1, lb_per_cluster=1))
     assert len(scene.scatterers) == 10
     rng = np.random.default_rng(0)
-    still = Vec3(0.0, 0.0, 0.0)
     for k in range(201):
         t = k * 0.1
         frame = observe(scene, t, (0.0, 0.0), rng)
-        user = EntityState(scene.user_position(t), scene.config.user_velocity)
+        user = scene.user_position(t)
         for obs in frame.comm_paths:
-            fb = EntityState(scene.scatterer(obs.fb_id).position_at(t), still)
-            lb = EntityState(scene.scatterer(obs.lb_id).position_at(t), still)
-            pred = predict_measurement(
-                user, fb, lb, scene.bs_position, scene.path(obs.path_id).virtual_delay
-            )
-            assert abs(pred.delay - obs.delay) <= 1e-12
-            assert abs(wrap_angle(pred.aod.azimuth - obs.aod.azimuth)) <= 1e-12
-            assert abs(pred.aod.elevation - obs.aod.elevation) <= 1e-12
-            assert abs(wrap_angle(pred.aoa.azimuth - obs.aoa.azimuth)) <= 1e-12
-            assert abs(pred.aoa.elevation - obs.aoa.elevation) <= 1e-12
+            fb = scene.scatterer(obs.fb_id).position_at(t)
+            lb = scene.scatterer(obs.lb_id).position_at(t)
+            leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
+            delay = leg / SPEED_OF_LIGHT + scene.path(obs.path_id).virtual_delay
+            assert abs(delay - obs.delay) <= 1e-12
+            assert abs(wrap_angle(aod.azimuth - obs.aod.azimuth)) <= 1e-12
+            assert abs(aod.elevation - obs.aod.elevation) <= 1e-12
+            assert abs(wrap_angle(aoa.azimuth - obs.aoa.azimuth)) <= 1e-12
+            assert abs(aoa.elevation - obs.aoa.elevation) <= 1e-12
 
 
 @criterion(5, "filter exactness at zero noise", 30.0)

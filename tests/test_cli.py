@@ -83,8 +83,7 @@ def test_track_outputs(tmp_path, cfg_path):
     rmse = csvio.read_rmse(os.path.join(trk, "rmse.csv"))
     assert {"user", "fb", "lb"} <= set(rmse)
     assert rmse["fb"]["n_clouds"] == 4.0  # 2 clusters x 1 FB x (self + 1 LB)
-    rows = csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))
-    ks = {int(r["k"]) for r in rows}
+    ks = {k for k, _, _ in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))}
     assert ks == set(range(11))  # duration 1.0 at Ts 0.1
     with open(os.path.join(trk, "summary.csv"), newline="") as fh:
         assert fh.readline() == "# isacsim track_summary v2\n"
@@ -313,7 +312,7 @@ def test_stats_without_config_reads_the_run_config(tmp_path, ts_02_run):
 def test_track_without_config_reads_the_run_config(tmp_path, ts_02_run):
     trk = str(tmp_path / "trk")
     assert run("track", "--run", ts_02_run, "--out", trk) == 0
-    assert {int(r["k"]) for r in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))} == set(range(101))
+    assert {k for k, _, _ in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))} == set(range(101))
 
 
 @pytest.mark.parametrize("argv", [["stats", "--source", "scene"], ["track"]], ids=["stats", "track"])
@@ -452,3 +451,4 @@ def test_track_bytes_pinned(tmp_path, name):
     for fname, digest in TRACK_SHA256[name].items():
         with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
+

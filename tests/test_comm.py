@@ -48,6 +48,10 @@ def test_draw_set_deterministic():
     assert a == b
 
 
+# Rician weights of 1: the kernel's taps before the direct/scattered split
+UNIT = (1.0, 1.0)
+
+
 def amplitude(block):
     return block.re + 1j * block.im
 
@@ -60,7 +64,7 @@ def test_los_tap_delay_and_phase():
     tx, rx = tx_pair()
     dist = tx.element_position(1).distance_to(rx.element_position(0))
     for xi in (0.0, 1.1, 5.9):  # the drawn co-polar phase
-        block = pair_taps(tx, rx, [0], [1], F_C, xi, [])
+        block = pair_taps(tx, rx, [0], [1], F_C, xi, [], UNIT)
         delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
         assert delay == pytest.approx(dist / SPEED_OF_LIGHT, rel=1e-15)
         assert abs(amp) == pytest.approx(1.0, abs=1e-12)  # isotropic v-pol, unit coupling
@@ -73,14 +77,14 @@ def test_los_tap_delay_and_phase():
 
 def test_los_tap_per_pair_delays_differ():
     tx, rx = tx_pair()
-    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, 0.0, [])
+    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, 0.0, [], UNIT)
     assert block.delay[0, 0] != block.delay[1, 0]
 
 
 def test_los_tap_coincident_rejected():
     tx = half_wavelength_array(1, 2, LAM, ORIGIN)
     with pytest.raises(CommError):
-        pair_taps(tx, tx, [0], [0], F_C, 0.0, [])
+        pair_taps(tx, tx, [0], [0], F_C, 0.0, [], UNIT)
 
 
 def test_nlos_tap_two_leg_delay_and_power():
@@ -91,14 +95,15 @@ def test_nlos_tap_two_leg_delay_and_power():
         tx.element_position(0).distance_to(fb) + rx.element_position(1).distance_to(lb)
     ) / SPEED_OF_LIGHT
     for xi in (0.0, 2.4, 4.0):  # the drawn co-polar phase
-        block = pair_taps(tx, rx, [1], [0], F_C, None, [(7, fb, lb, 0.25, 0.0, xi)])
-        delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
+        block = pair_taps(tx, rx, [1], [0], F_C, 0.0, [(7, fb, lb, 0.25, 0.0, xi)], UNIT)
+        j = 1  # after the direct tap, which is shorter
+        delay, amp = block.delay[0, j], amplitude(block)[0, j]
         assert delay == pytest.approx(want, rel=1e-15)
         assert abs(amp) == pytest.approx(math.sqrt(0.25), abs=1e-12)
         assert cmath.phase(amp) == pytest.approx(
             math.remainder(xi + 2.0 * math.pi * F_C * delay, 2.0 * math.pi), abs=1e-6
         )
-        assert block.path_id[0, 0] == 7
+        assert block.path_id[0, j] == 7
 
 
 def test_nlos_tap_virtual_delay_added():
@@ -106,7 +111,8 @@ def test_nlos_tap_virtual_delay_added():
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
     paths = [(1, fb, lb, 1.0, 0.0, 0.0), (2, fb, lb, 1.0, 30e-9, 0.0)]
-    base, shifted = pair_taps(tx, rx, [0], [0], F_C, None, paths).delay[0]
+    direct, base, shifted = pair_taps(tx, rx, [0], [0], F_C, 0.0, paths, UNIT).delay[0]
+    assert direct < base
     assert shifted == pytest.approx(base + 30e-9, rel=1e-12)
 
 

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import (
     ORIGIN,
     AngleSet,
@@ -12,6 +14,7 @@ from isacsim.geometry import (
     unit_vector_from_angles,
     wrap_angle,
 )
+from isacsim.scene import SceneConfig, generate_scene, observe
 
 
 def test_wrap_angle_basic():
@@ -139,3 +142,24 @@ def test_path_distance_single_bounce():
     assert path_terms(ORIGIN, Vec3(10.0, 0.0, 0.0), s, s)[0] == pytest.approx(
         5.0 + math.sqrt(125.0)
     )
+
+
+def test_path_terms_matches_noiseless_observation():
+    scene = generate_scene(SceneConfig())
+    t = 2.0
+    frame = observe(scene, t, (0.0, 0.0), np.random.default_rng(0))
+    user = scene.user_position(t)
+    for obs in frame.comm_paths:
+        fb = scene.scatterer(obs.fb_id).position_at(t)
+        lb = scene.scatterer(obs.lb_id).position_at(t)
+        leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
+        delay = leg / SPEED_OF_LIGHT + scene.path(obs.path_id).virtual_delay
+        assert delay == pytest.approx(obs.delay, abs=1e-15)
+        assert aod.azimuth == pytest.approx(obs.aod.azimuth, abs=1e-12)
+        assert aoa.elevation == pytest.approx(obs.aoa.elevation, abs=1e-12)
+
+
+def test_path_terms_rejects_zero_leg():
+    at_bs = ORIGIN
+    with pytest.raises(GeometryError):
+        path_terms(ORIGIN, Vec3(10.0, 0.0, 0.0), at_bs, at_bs)

@@ -14,7 +14,7 @@ from isacsim.geometry import (
     unit_vector_from_angles,
     wrap_angle,
 )
-from isacsim.stats import PathEnsemble, delay_spread, empirical_cdf, ks_distance
+from isacsim.stats import all_spreads, empirical_cdf, ks_distance
 from isacsim.tracker import (
     Clouds,
     Slices,
@@ -96,8 +96,8 @@ def test_ks_metric_properties(xs, ys):
 def test_delay_spread_power_scale_invariance(paths, scale):
     rows = [(p, d, 0.0, 0.0, 0.0, 0.0) for p, d in paths]
     scaled = [(p * scale, d, 0.0, 0.0, 0.0, 0.0) for p, d in paths]
-    s1 = delay_spread(PathEnsemble.from_rows(rows))
-    s2 = delay_spread(PathEnsemble.from_rows(scaled))
+    s1 = all_spreads(rows)[0]
+    s2 = all_spreads(scaled)[0]
     # abs_tol covers rounding residue (~eps * delay) when all delays coincide
     assert math.isclose(s1, s2, rel_tol=1e-9, abs_tol=1e-15)
 

@@ -4,119 +4,121 @@ import numpy as np
 import pytest
 
 from isacsim.stats import (
-    SIDE_RX,
-    SIDE_TX,
     EmpiricalCdf,
-    PathEnsemble,
     StatsError,
     all_spreads,
-    azimuth_spread,
-    delay_spread,
-    elevation_spread,
     empirical_cdf,
     ks_distance,
 )
 
+# snapshot-table rows: (power, delay, aod_az, aod_el, aoa_az, aoa_el); the
+# spreads come back as (delay, aod_az, aod_el, aoa_az, aoa_el)
+DELAY, AOD_AZ, AOD_EL, AOA_AZ, AOA_EL = range(5)
 
-def ens(rows):
-    return PathEnsemble.from_rows(rows)
 
-
-# rows: (power, delay, aod_az, aod_el, aoa_az, aoa_el)
+def spread(rows, which):
+    return all_spreads(np.array(rows, dtype=float).reshape(-1, 6))[which]
 
 
 def test_single_path_zero_spread():
-    e = ens([(1.0, 50e-9, 0.1, 0.2, 0.3, 0.4)])
-    assert delay_spread(e) == 0.0
-    assert azimuth_spread(e, SIDE_TX) == 0.0
-    assert elevation_spread(e, SIDE_RX) == 0.0
+    e = [(1.0, 50e-9, 0.1, 0.2, 0.3, 0.4)]
+    assert spread(e, DELAY) == 0.0
+    assert spread(e, AOD_AZ) == 0.0
+    assert spread(e, AOA_EL) == 0.0
 
 
 def test_two_equal_power_paths_delay():
-    e = ens([(0.5, 100e-9, 0, 0, 0, 0), (0.5, 300e-9, 0, 0, 0, 0)])
-    assert delay_spread(e) == pytest.approx(100e-9, rel=1e-12)
+    e = [(0.5, 100e-9, 0, 0, 0, 0), (0.5, 300e-9, 0, 0, 0, 0)]
+    assert spread(e, DELAY) == pytest.approx(100e-9, rel=1e-12)
 
 
 def test_three_path_hand_case():
-    e = ens([
+    e = [
         (0.5, 0.0, 0, 0, 0, 0),
         (0.25, 100e-9, 0, 0, 0, 0),
         (0.25, 200e-9, 0, 0, 0, 0),
-    ])
+    ]
     # mean 75 ns, second moment 12500 ns^2
     want = math.sqrt(12500e-18 - (75e-9) ** 2)
-    assert delay_spread(e) == pytest.approx(want, rel=1e-9)
+    assert spread(e, DELAY) == pytest.approx(want, rel=1e-9)
 
 
 def test_power_normalization_irrelevant():
-    a = ens([(0.5, 0.0, 0, 0, 0, 0), (0.25, 100e-9, 0, 0, 0, 0), (0.25, 200e-9, 0, 0, 0, 0)])
-    b = ens([(2.0, 0.0, 0, 0, 0, 0), (1.0, 100e-9, 0, 0, 0, 0), (1.0, 200e-9, 0, 0, 0, 0)])
-    assert delay_spread(a) == pytest.approx(delay_spread(b), rel=1e-12)
+    a = [(0.5, 0.0, 0, 0, 0, 0), (0.25, 100e-9, 0, 0, 0, 0), (0.25, 200e-9, 0, 0, 0, 0)]
+    b = [(2.0, 0.0, 0, 0, 0, 0), (1.0, 100e-9, 0, 0, 0, 0), (1.0, 200e-9, 0, 0, 0, 0)]
+    assert spread(a, DELAY) == pytest.approx(spread(b, DELAY), rel=1e-12)
 
 
 def test_delay_offset_invariance():
     rows = [(0.3, 10e-9, 0, 0, 0, 0), (0.7, 90e-9, 0, 0, 0, 0)]
     shifted = [(p, d + 1e-6, 0, 0, 0, 0) for p, d, *_ in rows]
-    assert delay_spread(ens(rows)) == pytest.approx(delay_spread(ens(shifted)), rel=1e-9)
+    assert spread(rows, DELAY) == pytest.approx(spread(shifted, DELAY), rel=1e-9)
 
 
 def test_azimuth_two_point():
     a30 = math.radians(30.0)
-    e = ens([(0.5, 0, a30, 0, 0, 0), (0.5, 0, -a30, 0, 0, 0)])
-    assert azimuth_spread(e, SIDE_TX) == pytest.approx(math.pi / 6, rel=1e-12)
+    e = [(0.5, 0, a30, 0, 0, 0), (0.5, 0, -a30, 0, 0, 0)]
+    assert spread(e, AOD_AZ) == pytest.approx(math.pi / 6, rel=1e-12)
 
 
 def test_azimuth_seam_recentering():
     # equal power at 175 and -175 degrees: 5 degrees after recentering
-    e = ens([
+    e = [
         (0.5, 0, math.radians(175.0), 0, 0, 0),
         (0.5, 0, math.radians(-175.0), 0, 0, 0),
-    ])
-    assert azimuth_spread(e, SIDE_TX) == pytest.approx(math.radians(5.0), rel=1e-9)
+    ]
+    assert spread(e, AOD_AZ) == pytest.approx(math.radians(5.0), rel=1e-9)
 
 
 def test_azimuth_rotation_invariance():
     rng = np.random.default_rng(2)
     az = rng.uniform(-math.pi, math.pi, 6)
     p = rng.uniform(0.1, 1.0, 6)
-    base = ens([(pi, 0, a, 0, 0, 0) for pi, a in zip(p, az)])
-    s0 = azimuth_spread(base, SIDE_TX)
+    base = [(pi, 0, a, 0, 0, 0) for pi, a in zip(p, az)]
+    s0 = spread(base, AOD_AZ)
     for rot in (0.5, 2.0, -3.0):
-        rotated = ens([(pi, 0, a + rot, 0, 0, 0) for pi, a in zip(p, az)])
-        assert azimuth_spread(rotated, SIDE_TX) == pytest.approx(s0, rel=1e-9)
+        rotated = [(pi, 0, a + rot, 0, 0, 0) for pi, a in zip(p, az)]
+        assert spread(rotated, AOD_AZ) == pytest.approx(s0, rel=1e-9)
 
 
 def test_sides_are_independent():
-    e = ens([
+    e = [
         (0.5, 0, 0.1, 0.0, 1.0, 0.2),
         (0.5, 0, 0.3, 0.0, 1.0, 0.6),
-    ])
-    assert azimuth_spread(e, SIDE_TX) == pytest.approx(0.1, rel=1e-12)
-    assert azimuth_spread(e, SIDE_RX) == 0.0
-    assert elevation_spread(e, SIDE_RX) == pytest.approx(0.2, rel=1e-12)
+    ]
+    assert spread(e, AOD_AZ) == pytest.approx(0.1, rel=1e-12)
+    assert spread(e, AOA_AZ) == 0.0
+    assert spread(e, AOA_EL) == pytest.approx(0.2, rel=1e-12)
     with pytest.raises(StatsError):
-        azimuth_spread(e, "X")
+        all_spreads(np.zeros((2, 5)))  # a table without both sides' columns
 
 
 def test_all_spreads_order():
-    e = ens([
+    e = [
         (0.5, 100e-9, 0.1, 0.2, 0.3, 0.4),
         (0.5, 300e-9, 0.5, 0.4, 0.9, 0.8),
-    ])
+    ]
     s = all_spreads(e)
-    assert s[0] == pytest.approx(delay_spread(e))
-    assert s[1] == pytest.approx(azimuth_spread(e, SIDE_TX))
-    assert s[2] == pytest.approx(elevation_spread(e, SIDE_TX))
-    assert s[3] == pytest.approx(azimuth_spread(e, SIDE_RX))
-    assert s[4] == pytest.approx(elevation_spread(e, SIDE_RX))
+    # two equal-power paths: each spread is half its column's gap
+    assert s[DELAY] == pytest.approx(100e-9)
+    assert s[AOD_AZ] == pytest.approx(0.2)
+    assert s[AOD_EL] == pytest.approx(0.1)
+    assert s[AOA_AZ] == pytest.approx(0.3)
+    assert s[AOA_EL] == pytest.approx(0.2)
+    for column in range(1, 6):  # a table varying in one column spreads in one slot only
+        rows = np.zeros((2, 6))
+        rows[:, 0], rows[1, column] = 1.0, 0.2
+        assert [v > 0.0 for v in all_spreads(rows)] == [i == column - 1 for i in range(5)]
 
 
 def test_zero_power_rejected():
-    e = ens([(0.0, 0, 0, 0, 0, 0)])
+    e = [(0.0, 0, 0, 0, 0, 0)]
     with pytest.raises(StatsError):
-        delay_spread(e)
+        spread(e, DELAY)
     with pytest.raises(StatsError):
-        delay_spread(ens([]))
+        spread([], DELAY)
+    with pytest.raises(StatsError):
+        spread([(-1.0, 0, 0, 0, 0, 0), (2.0, 1e-9, 0, 0, 0, 0)], DELAY)
 
 
 def test_monte_carlo_two_point_convergence():
@@ -125,9 +127,9 @@ def test_monte_carlo_two_point_convergence():
     for _ in range(50):
         p = float(rng.uniform(0.05, 0.95))
         d1, d2 = sorted(rng.uniform(0.0, 1e-6, 2))
-        e = ens([(p, d1, 0, 0, 0, 0), (1 - p, d2, 0, 0, 0, 0)])
+        e = [(p, d1, 0, 0, 0, 0), (1 - p, d2, 0, 0, 0, 0)]
         want = math.sqrt(p * (1 - p)) * (d2 - d1)
-        assert delay_spread(e) == pytest.approx(want, rel=1e-9)
+        assert spread(e, DELAY) == pytest.approx(want, rel=1e-9)
 
 
 # --- empirical CDF / KS -------------------------------------------------------

@@ -36,7 +36,6 @@ from isacsim.tracker import (
     initialize,
     initialize_at_truth,
     predict,
-    predict_measurement,
     predicted_slice_values,
     resample,
     solve_lb_range,
@@ -327,32 +326,6 @@ def test_config_validation():
         TrackerConfig(ts=-0.1).validate()
     with pytest.raises(TrackerError):
         TrackerConfig(gate_sigma=0.0).validate()
-
-
-# --- measurement prediction oracle -------------------------------------------
-
-
-def test_predict_measurement_matches_noiseless_observation():
-    scene = generate_scene(SceneConfig())
-    t = 2.0
-    frame = observe(scene, t, (0.0, 0.0), np.random.default_rng(0))
-    user = EntityState(scene.user_position(t), scene.config.user_velocity)
-    still = Vec3(0.0, 0.0, 0.0)
-    for obs in frame.comm_paths:
-        fb = EntityState(scene.scatterer(obs.fb_id).position_at(t), still)
-        lb = EntityState(scene.scatterer(obs.lb_id).position_at(t), still)
-        skel = scene.path(obs.path_id)
-        pred = predict_measurement(user, fb, lb, scene.bs_position, skel.virtual_delay)
-        assert pred.delay == pytest.approx(obs.delay, abs=1e-15)
-        assert pred.aod.azimuth == pytest.approx(obs.aod.azimuth, abs=1e-12)
-        assert pred.aoa.elevation == pytest.approx(obs.aoa.elevation, abs=1e-12)
-
-
-def test_predict_measurement_rejects_zero_leg():
-    user = EntityState(Vec3(10.0, 0.0, 0.0), ORIGIN)
-    at_bs = EntityState(ORIGIN, ORIGIN)
-    with pytest.raises(TrackerError):
-        predict_measurement(user, at_bs, at_bs, ORIGIN)
 
 
 # --- initialization -----------------------------------------------------------
