@@ -301,8 +301,7 @@ def write_spreads(path: str, rows: Sequence[tuple[int, float, tuple[float, float
 
 
 def read_spreads(path: str) -> list[dict[str, float]]:
-    rows = _read(path, "spreads", SPREADS_HEADER)
-    return [{key: float(r[key]) for key in SPREADS_HEADER} for r in rows]
+    return _read(path, "spreads", SPREADS_HEADER, SPREADS_HEADER)
 
 
 def write_cdf(path: str, values: Sequence[float], fractions: Sequence[float]) -> None:

@@ -452,3 +452,20 @@ def test_track_bytes_pinned(tmp_path, name):
         with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
 
+
+@pytest.mark.parametrize("lineno, value", [(5, "nan"), (6, "inf")])
+def test_non_finite_spread_exits_2(tmp_path, cfg_path, capsys, lineno, value):
+    # compare once took both values as given and printed KS distances
+    run_dir = simulate(tmp_path, cfg_path)
+    sts = str(tmp_path / "sts")
+    assert run("stats", "--run", run_dir, "--source", "scene", "--out", sts) == 0
+    assert run("stats", "--run", run_dir, "--source", "observations", "--out", sts) == 0
+    path = os.path.join(sts, "spreads_observations.csv")
+    set_field(path, lineno, "delay_spread_s", value)
+    capsys.readouterr()
+    out = tmp_path / "ks.csv"
+    code = run("compare", "--a", os.path.join(sts, "spreads_scene.csv"), "--b", path, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}:{lineno}: delay_spread_s must be a finite number, got {value!r}\n"
+    assert not out.exists()
