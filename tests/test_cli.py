@@ -434,6 +434,10 @@ TRACK_SHA256 = {
         "trk/summary.csv": "aa0087316985b3c89d96d8aeaf944440fe2272776e308b7e7625a5795d2b16e2",
         "sts/spreads_tracked.csv": "0937ec7a5f1e686d2c2e4bace75bb480a8f26e7558bcd500419c001483a6fad9",
         "sts/spreads_observations.csv": "2fd845557436f63918b0b5dafc87916c48c135687fed0f702388a076963cd001",
+        # paths 0-2 die and 3-5 are born at k = 12, so the per-frame noise draws shift there
+        "run/observations.csv": "4930573660be9f1307324288dadc3907663371d8b2c6e9f63ecec210c628da86",
+        "run/sensing_observations.csv": "03ec07b82c4197073209161192dc0e0625af4f02dcddb1b6b9e0098f459650e9",
+        "run/sensing_taps.csv": "526ababc1f49997bc71401d1818da1dabe78faa69cf8a9231f8d288f186d94ca",
     },
 }
 
