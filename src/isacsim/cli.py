@@ -12,6 +12,7 @@ All outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -22,12 +23,13 @@ import numpy as np
 from . import comm, csvio, sensing, stats, tracker
 from .config import RunConfig, load_run_config, resolved_config_text
 from .constants import SPEED_OF_LIGHT
-from .geometry import AngleSet, Vec3, norms, path_terms
+from .geometry import norms, path_term_columns
 from .scene import (
     LOS_PATH_ID,
     ConfigError,
     ObservationFrame,
     SceneTruth,
+    echoes,
     generate_scene,
     ground_truth_paths,
     load_scene,
@@ -80,15 +82,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scene = generate_scene(rc.scene)
 
     times = _frame_times(rc)
+    # each frame's paths and echoes, resolved once for the observations and both channels
+    truths = [(ground_truth_paths(scene, t), echoes(scene, t)) for t in times]
     obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = (rc.scene.sigma_delay, rc.scene.sigma_angle)
-    frames = [observe(scene, t, noise, obs_rng) for t in times]
+    frames = [observe(scene, t, noise, obs_rng, *truth) for t, truth in zip(times, truths)]
 
     tx = rc.tx_array()
     rx_template = rc.rx_template()
     pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     draws = comm.draw_polarization_set(scene, rc.comm, pol_rng)
-    sensing_taps = [(t, sensing.monostatic_cir(scene, t)) for t in times]
+    sensing_taps = [(t, sensing.monostatic_cir(scene, t, dets)) for t, (_, dets) in zip(times, truths)]
 
     os.makedirs(args.out, exist_ok=True)
     save_scene(scene, os.path.join(args.out, "scene.txt"))
@@ -103,7 +107,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
     csvio.write_comm_taps(
         os.path.join(args.out, "comm_taps.csv"),
-        ((t, comm.frame_taps(scene, t, tx, rx_template, rc.comm, draws, q, p)) for t in times),
+        ((t, comm.frame_taps(scene, t, tx, rx_template, rc.comm, draws, q, p, paths))
+         for t, (paths, _) in zip(times, truths)),
     )
 
     print(f"scene: {len(scene.scatterers)} scatterers, {len(scene.paths)} paths")
@@ -227,41 +232,74 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each snapshot source yields (k, t, rows) per frame: the snapshot table
-# that stats.all_spreads takes, one _row per path
-Snapshots = Iterator[tuple[int, float, list[tuple[float, ...]]]]
-
-
-def _row(power: float, delay: float, aod: AngleSet, aoa: AngleSet) -> tuple[float, ...]:
-    return (power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
+# Each snapshot source yields (k, t, table) per frame: the (n, 6)
+# snapshot table that stats.all_spreads takes, one row per path
+Snapshots = Iterator[tuple[int, float, np.ndarray]]
 
 
 def _oracle_snapshots(scene: SceneTruth, rc: RunConfig) -> Snapshots:
     for k, t in enumerate(_frame_times(rc)):
-        yield k, t, [_row(p.power, p.delay, p.aod, p.aoa) for p in ground_truth_paths(scene, t)]
+        paths = ground_truth_paths(scene, t)
+        table = [(p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation) for p in paths]
+        yield k, t, np.array(table, dtype=float).reshape(-1, 6)
 
 
 def _observation_snapshots(run_dir: str) -> Snapshots:
     for k, frame in enumerate(_read_frames(run_dir)):
-        yield k, frame.time, [_row(p.power, p.delay, p.aod, p.aoa) for p in frame.comm_paths]
+        yield k, frame.time, frame.comm_paths.table
 
 
-def _trajectory_snapshots(run_dir: str, track_dir: str, bs: Vec3) -> Snapshots:
+def _check_track_of_run(traj_path: str, traj: dict, frames: list[ObservationFrame], scene: SceneTruth) -> None:
+    """Reject a trajectory whose (k, t) steps are not the run's frames, or
+    whose FB or LB rows track other scatterers than the run's paths have."""
+    steps = sorted(set(zip(traj["k"].tolist(), traj["t"].tolist())))
+    for k, (step, frame) in enumerate(itertools.zip_longest(steps, frames)):
+        if frame is None:
+            raise tracker.TrackerError(f"{traj_path}: step k={step[0]} at t={step[1]!r} is past the run's last frame")
+        if step != (k, frame.time):
+            got = "no step" if step is None else f"step k={step[0]} at t={step[1]!r}"
+            raise tracker.TrackerError(f"{traj_path}: {got} where the run has frame k={k} at t={frame.time!r}")
+    want = {}
+    for p in scene.paths:
+        want[(tracker.KIND_FB, p.path_id)], want[(tracker.KIND_LB, p.path_id)] = p.fb_id, p.lb_id
+    rows = list(zip(traj["kind"], traj["path_id"].tolist(), traj["entity_id"].tolist()))
+    wrong = {r for r in set(rows) if r[0] != tracker.KIND_USER and want.get(r[:2]) != r[2]}
+    if wrong:
+        i = next(i for i, r in enumerate(rows) if r in wrong)
+        (kind, path_id, entity_id), k = rows[i], traj["k"][i]
+        has = want.get((kind, path_id))
+        run = f"the run has no path {path_id}" if has is None else f"the run's path {path_id} has {kind}_id {has}"
+        raise tracker.TrackerError(
+            f"{traj_path}: the {kind} row of path {path_id} at k={k} tracks scatterer {entity_id}, but {run}"
+        )
+
+
+def _trajectory_snapshots(run_dir: str, track_dir: str, scene: SceneTruth) -> Snapshots:
     """Each frame's observed paths whose FB and LB clouds both have estimates, at their observed powers."""
     frames = _read_frames(run_dir)
-    est = csvio.read_trajectory(os.path.join(track_dir, "trajectory.csv"))
+    traj_path = os.path.join(track_dir, "trajectory.csv")
+    traj = csvio.read_trajectory(traj_path)
+    _check_track_of_run(traj_path, traj, frames, scene)
+    if not frames:
+        return
+    row = {key: i for i, key in enumerate(zip(traj["kind"], traj["k"].tolist(), traj["path_id"].tolist()))}
+    est = np.column_stack([traj["est_x"], traj["est_y"], traj["est_z"]])
+
+    # the paths of every frame at once, with the trajectory rows of their user, FB and LB estimates
+    ks = np.repeat(np.arange(len(frames)), [len(frame.comm_paths) for frame in frames])
+    paths = np.concatenate([frame.comm_paths.table for frame in frames])
+    keys = list(zip(ks.tolist(), np.concatenate([frame.comm_paths.path_id for frame in frames]).tolist()))
+    user = np.array([row.get((tracker.KIND_USER, k, LOS_PATH_ID), -1) for k in range(len(frames))], dtype=int)
+    fb, lb = (np.array([row.get((kind, *key), -1) for key in keys], dtype=int)
+              for kind in (tracker.KIND_FB, tracker.KIND_LB))
+    tracked = (user[ks] >= 0) & (fb >= 0) & (lb >= 0)
+    bs = np.array(scene.bs_position.as_tuple())
+    leg, angles, _ = path_term_columns(bs, est[user[ks[tracked]]], est[fb[tracked]], est[lb[tracked]])
+    table = np.column_stack([paths[tracked, 0], leg / SPEED_OF_LIGHT, angles])
+    tables = np.split(table, np.cumsum(np.bincount(ks[tracked], minlength=len(frames)))[:-1])
     for k, frame in enumerate(frames):
-        user = est.get((k, tracker.KIND_USER, LOS_PATH_ID))
-        if user is None:
-            continue
-        user, rows = Vec3(*user), []
-        for obs in frame.comm_paths:
-            fb = est.get((k, tracker.KIND_FB, obs.path_id))
-            lb = est.get((k, tracker.KIND_LB, obs.path_id))
-            if fb is not None and lb is not None:
-                leg, aod, aoa = path_terms(bs, user, Vec3(*fb), Vec3(*lb))
-                rows.append(_row(obs.power, leg / SPEED_OF_LIGHT, aod, aoa))
-        yield k, frame.time, rows
+        if user[k] >= 0:
+            yield k, frame.time, tables[k]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -273,8 +311,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         if args.track is None:
             raise stats.StatsError("--track is required when --source trajectory")
-        snapshots = _trajectory_snapshots(args.run, args.track, rc.scene.bs_position)
-    spread_rows = [(k, t, stats.all_spreads(rows)) for k, t, rows in snapshots if rows]
+        snapshots = _trajectory_snapshots(args.run, args.track, load_scene(os.path.join(args.run, "scene.txt")))
+    spread_rows = [(k, t, stats.all_spreads(table)) for k, t, table in snapshots if len(table)]
     if not spread_rows:
         raise stats.StatsError("no frames with paths to analyze")
 
@@ -293,15 +331,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    rows_a = csvio.read_spreads(args.a)
-    rows_b = csvio.read_spreads(args.b)
-    if not rows_a or not rows_b:
+    spreads_a = csvio.read_spreads(args.a)
+    spreads_b = csvio.read_spreads(args.b)
+    if not len(spreads_a["k"]) or not len(spreads_b["k"]):
         raise stats.StatsError("both spread files must hold at least one row")
 
     ks_rows = []
     for quantity in SPREAD_QUANTITIES:
-        cdf_a = stats.empirical_cdf([r[quantity] for r in rows_a])
-        cdf_b = stats.empirical_cdf([r[quantity] for r in rows_b])
+        cdf_a = stats.empirical_cdf(spreads_a[quantity])
+        cdf_b = stats.empirical_cdf(spreads_b[quantity])
         d = stats.ks_distance(cdf_a, cdf_b)
         ks_rows.append((quantity, d))
         print(f"{quantity}: ks = {d:.4f}")

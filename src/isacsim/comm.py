@@ -20,7 +20,7 @@ import numpy as np
 from .antenna import PlanarArray
 from .constants import SPEED_OF_LIGHT
 from .geometry import Vec3, check_finite, norms
-from .scene import LOS_PATH_ID, SceneTruth, ground_truth_paths
+from .scene import LOS_PATH_ID, PathTruth, SceneTruth, ground_truth_paths
 
 KIND_LOS = "los"
 KIND_NLOS = "nlos"
@@ -163,18 +163,20 @@ def frame_taps(
     phases: dict[int, float],
     q: np.ndarray,
     p: np.ndarray,
+    truths: list[PathTruth] | None = None,
 ) -> TapBlock:
     """Rician-combined taps at time ``t`` for rx elements ``q`` and tx elements ``p``.
 
     ``rx_template`` supplies the user array geometry and is translated to
     the user position at ``t``. Each pair gets the direct tap plus one tap
     per path alive at ``t``, with the path's phase from ``phases``; see
-    ``pair_taps`` for the index shapes.
+    ``pair_taps`` for the index shapes. ``truths``, when given, are the
+    frame's ``ground_truth_paths``, already resolved by the caller.
     """
     scene.check_time(t)
     params.validate()
     rx = rx_template.moved_to(scene.user_position(t))
-    truths = ground_truth_paths(scene, t)
+    truths = ground_truth_paths(scene, t) if truths is None else truths
     try:
         los_phase = phases[LOS_PATH_ID]
         scattered = [(pt.path_id, pt.fb, pt.lb, pt.power, pt.virtual_delay, phases[pt.path_id]) for pt in truths]

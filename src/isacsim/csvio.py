@@ -15,8 +15,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .comm import KIND_LOS, KIND_NLOS, TapBlock
-from .geometry import AngleSet
-from .scene import LOS_PATH_ID, ObservationFrame, PathObservation, SensingDetection
+from .geometry import HALF_PI, wrap_angles
+from .scene import (
+    LOS_PATH_ID,
+    EchoColumns,
+    ObservationFrame,
+    PathColumns,
+    SensingDetection,
+    check_round_trip_delays,
+)
 
 
 class CsvFormatError(ValueError):
@@ -43,12 +50,35 @@ def _write(path: str, name: str, header: Sequence[str], rows: Iterable[Sequence[
         writer.writerows(rows)
 
 
-def _read(
-    path: str, name: str, header: Sequence[str], floats: Sequence[str] = (), keep: Sequence[str] | None = None
-) -> list[dict]:
-    """Rows as dicts of the ``keep`` fields (all by default), as strings
-    except the ``floats`` fields, which are parsed and checked finite."""
-    columns = [(key, list(header).index(key)) for key in (header if keep is None else keep)]
+def _column(raw: tuple[str, ...], kind: type) -> tuple[np.ndarray | None, int | None]:
+    """``raw`` parsed as finite floats or as 64-bit ints; else None and the index of its first bad entry."""
+    try:
+        values = np.array(list(map(kind, raw)), dtype=kind)
+    except (ValueError, OverflowError):
+        values = None
+    if values is not None and (kind is int or np.isfinite(values).all()):
+        return values, None
+    return None, next(i for i, s in enumerate(raw) if not _valid(s, kind))
+
+
+def _valid(s: str, kind: type) -> bool:
+    try:
+        value = kind(s)
+    except ValueError:
+        return False
+    return math.isfinite(value) if kind is float else -(2**63) <= value < 2**63
+
+
+def read_columns(
+    path: str, name: str, header: Sequence[str], floats: Sequence[str] = (), ints: Sequence[str] = ()
+) -> dict:
+    """The file's columns by header name: ``floats`` as finite float
+    arrays, ``ints`` as int arrays, the rest as tuples of strings.
+
+    Blank lines are skipped. The first bad row is reported with its file
+    and line: its field count if wrong, else its first bad field in
+    ``floats`` then ``ints`` order.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != _schema_line(name):
@@ -60,23 +90,26 @@ def _read(
             raise CsvFormatError(f"{path}: missing header row") from None
         if got_header != list(header):
             raise CsvFormatError(f"{path}: header mismatch: {got_header}")
-        out = []
-        for lineno, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rec = {key: row[i] for key, i in columns}
-            for key in floats:
-                try:
-                    value = float(rec[key])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise CsvFormatError(f"{path}:{lineno}: {key} must be a finite number, got {rec[key]!r}")
-                rec[key] = value
-            out.append(rec)
-    return out
+        rows = list(reader)
+    lines = range(3, 3 + len(rows))
+    if not all(rows):
+        lines = [n for n, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    short = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+    columns = dict(zip(header, zip(*rows[:short]))) if short else dict.fromkeys(header, ())
+    bad = []
+    for rank, (key, kind) in enumerate([(key, float) for key in floats] + [(key, int) for key in ints]):
+        values, i = _column(columns[key], kind)
+        if i is None:
+            columns[key] = values
+        else:
+            what = "a finite number" if kind is float else "an integer"
+            bad.append((i, rank, f"{path}:{lines[i]}: {key} must be {what}, got {columns[key][i]!r}"))
+    if bad:
+        raise CsvFormatError(min(bad)[2])
+    if short < len(rows):
+        raise CsvFormatError(f"{path}:{lines[short]}: expected {len(header)} fields, got {len(rows[short])}")
+    return columns
 
 
 # --- observation frames ------------------------------------------------------
@@ -96,85 +129,88 @@ OBS_SENSING_HEADER = (
 # fields read as floats: a NaN or infinity there is rejected with its line
 _OBS_COMM_FLOATS = ("t", "delay_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "power")
 _OBS_SENSING_FLOATS = ("t", "round_trip_delay_s", "az_rad", "el_rad", "doppler_hz", "gain")
+_OBS_COMM_INTS = ("k", "path_id", "fb_id", "lb_id", "cluster_id")
+_OBS_SENSING_INTS = ("k", "scatterer_id")
 
 
 def write_comm_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
-    rows = []
-    for k, frame in enumerate(frames):
-        paths = list(frame.comm_paths) + ([frame.los] if frame.los is not None else [])
-        for obs in paths:
-            rows.append(
-                [
-                    str(k), _fmt(frame.time), obs.kind, str(obs.path_id), str(obs.fb_id),
-                    str(obs.lb_id), str(obs.cluster_id), _fmt(obs.delay),
-                    _fmt(obs.aod.azimuth), _fmt(obs.aod.elevation), str(int(obs.aod.degenerate)),
-                    _fmt(obs.aoa.azimuth), _fmt(obs.aoa.elevation), str(int(obs.aoa.degenerate)),
-                    _fmt(obs.power),
-                ]
-            )
-    _write(path, "comm_observations", OBS_COMM_HEADER, rows)
+    """Each frame's path rows, then its LoS row."""
+
+    def rows():
+        for k, frame in enumerate(frames):
+            head = [str(k), _fmt(frame.time)]
+            for kind, part in ((KIND_NLOS, frame.comm_paths), (KIND_LOS, frame.los)):
+                for ids, (power, delay, aod_az, aod_el, aoa_az, aoa_el), (aod_deg, aoa_deg) in zip(
+                    part.ids.tolist(), part.table.tolist(), part.degenerate.tolist()
+                ):
+                    yield head + [
+                        kind, *map(str, ids), repr(delay), repr(aod_az), repr(aod_el), str(int(aod_deg)),
+                        repr(aoa_az), repr(aoa_el), str(int(aoa_deg)), repr(power),
+                    ]
+
+    _write(path, "comm_observations", OBS_COMM_HEADER, rows())
 
 
 def write_sensing_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
-    rows = []
-    for k, frame in enumerate(frames):
-        for det in frame.sensing_detections:
-            rows.append(
-                [
-                    str(k), _fmt(frame.time), str(det.scatterer_id), _fmt(det.round_trip_delay),
-                    _fmt(det.angle.azimuth), _fmt(det.angle.elevation),
-                    str(int(det.angle.degenerate)), _fmt(det.doppler), _fmt(det.gain),
-                ]
-            )
-    _write(path, "sensing_observations", OBS_SENSING_HEADER, rows)
+    def rows():
+        for k, frame in enumerate(frames):
+            head = [str(k), _fmt(frame.time)]
+            echoes = frame.sensing_detections
+            for sid, (delay, az, el, doppler, gain), deg in zip(
+                echoes.scatterer_id.tolist(), echoes.table.tolist(), echoes.degenerate.tolist()
+            ):
+                yield head + [str(sid), repr(delay), repr(az), repr(el), str(int(deg)), repr(doppler), repr(gain)]
+
+    _write(path, "sensing_observations", OBS_SENSING_HEADER, rows())
+
+
+def _angles(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """Azimuth and elevation columns, wrapped and clamped as ``AngleSet`` does."""
+    return np.column_stack([wrap_angles(azimuth), np.clip(elevation, -HALF_PI, HALF_PI)])
+
+
+def _flags(column: tuple[str, ...]) -> np.ndarray:
+    return np.array(column, dtype=str) == "1"
 
 
 def read_observation_frames(comm_path: str, sensing_path: str) -> list[ObservationFrame]:
-    """Rebuild per-frame observations from the two observation files."""
-    comm_rows = _read(comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS)
-    sens_rows = _read(sensing_path, "sensing_observations", OBS_SENSING_HEADER, _OBS_SENSING_FLOATS)
+    """Rebuild per-frame observations from the two observation files.
 
-    times: dict[int, float] = {}
-    comm_by_k: dict[int, list[PathObservation]] = {}
-    los_by_k: dict[int, PathObservation] = {}
-    for r in comm_rows:
-        k = int(r["k"])
-        times.setdefault(k, r["t"])
-        obs = PathObservation(
-            int(r["path_id"]), int(r["fb_id"]), int(r["lb_id"]), int(r["cluster_id"]),
-            r["delay_s"],
-            AngleSet(r["aod_az_rad"], r["aod_el_rad"], degenerate=r["aod_degenerate"] == "1"),
-            AngleSet(r["aoa_az_rad"], r["aoa_el_rad"], degenerate=r["aoa_degenerate"] == "1"),
-            r["power"],
-            kind=r["kind"],
-        )
-        if obs.kind == "los":
-            los_by_k[k] = obs
-        else:
-            comm_by_k.setdefault(k, []).append(obs)
-    sens_by_k: dict[int, list[SensingDetection]] = {}
-    for r in sens_rows:
-        k = int(r["k"])
-        times.setdefault(k, r["t"])
-        sens_by_k.setdefault(k, []).append(
-            SensingDetection(
-                int(r["scatterer_id"]), r["round_trip_delay_s"],
-                AngleSet(r["az_rad"], r["el_rad"], degenerate=r["degenerate"] == "1"),
-                r["doppler_hz"], r["gain"],
-            )
-        )
+    Frames come in order of k, each at the time of its first row (comm
+    rows before sensing rows). Within a frame rows keep their file order,
+    and of several LoS rows the last one counts. A frame's columns are
+    views of the files' columns.
+    """
+    c = read_columns(comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS, _OBS_COMM_INTS)
+    s = read_columns(sensing_path, "sensing_observations", OBS_SENSING_HEADER, _OBS_SENSING_FLOATS, _OBS_SENSING_INTS)
+    check_round_trip_delays(s["round_trip_delay_s"])
+    comm = PathColumns(
+        np.column_stack([c[key] for key in ("path_id", "fb_id", "lb_id", "cluster_id")]),
+        np.column_stack([
+            c["power"], c["delay_s"],
+            _angles(c["aod_az_rad"], c["aod_el_rad"]), _angles(c["aoa_az_rad"], c["aoa_el_rad"]),
+        ]),
+        np.column_stack([_flags(c["aod_degenerate"]), _flags(c["aoa_degenerate"])]),
+    )
+    echoes = EchoColumns(
+        s["scatterer_id"],
+        np.column_stack([s["round_trip_delay_s"], _angles(s["az_rad"], s["el_rad"]), s["doppler_hz"], s["gain"]]),
+        _flags(s["degenerate"]),
+    )
 
-    frames = []
-    for k in sorted(times):
-        frames.append(
-            ObservationFrame(
-                times[k],
-                tuple(comm_by_k.get(k, [])),
-                tuple(sens_by_k.get(k, [])),
-                los_by_k.get(k),
-            )
-        )
-    return frames
+    keys, first = np.unique(np.concatenate([c["k"], s["k"]]), return_index=True)
+    times = np.concatenate([c["t"], s["t"]])[first].tolist()
+    los = np.array(c["kind"], dtype=str) == KIND_LOS
+    groups = []
+    for part, k in ((comm[~los], c["k"][~los]), (comm[los], c["k"][los]), (echoes, s["k"])):
+        order = np.argsort(k, kind="stable")
+        ranked = k[order]
+        groups.append((part[order], np.searchsorted(ranked, keys, "left"), np.searchsorted(ranked, keys, "right")))
+    (paths, p0, p1), (los_rows, l0, l1), (detections, d0, d1) = groups
+    return [
+        ObservationFrame(times[i], paths[p0[i]:p1[i]], detections[d0[i]:d1[i]], los_rows[max(l0[i], l1[i] - 1):l1[i]])
+        for i in range(len(keys))
+    ]
 
 
 # --- channel taps -------------------------------------------------------------
@@ -194,18 +230,6 @@ def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, Sequence[S
     _write(path, "sensing_taps", SENSING_TAPS_HEADER, rows)
 
 
-def read_sensing_taps(path: str) -> list[dict[str, float]]:
-    rows = _read(path, "sensing_taps", SENSING_TAPS_HEADER)
-    return [
-        {
-            "time": float(r["time"]), "scatterer_id": float(int(r["scatterer_id"])),
-            "delay_s": float(r["delay_s"]), "doppler_hz": float(r["doppler_hz"]),
-            "gain": float(r["gain"]),
-        }
-        for r in rows
-    ]
-
-
 def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
     """Write the taps of one frame at a time, the block's pairs in C order.
 
@@ -223,13 +247,6 @@ def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -
             ts = _fmt(t)
             fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
                              for q, p, kind, pid, d, re, im in rows))
-
-
-def read_comm_taps(path: str) -> dict[str, np.ndarray]:
-    """The file's columns: ``q``, ``p`` and ``path_id`` as ints, ``kind`` as strings, the rest floats."""
-    rows = _read(path, "comm_taps", COMM_TAPS_HEADER)
-    types = {"q": int, "p": int, "kind": str, "path_id": int}
-    return {key: np.array([types.get(key, float)(r[key]) for r in rows]) for key in COMM_TAPS_HEADER}
 
 
 # --- tracker outputs ----------------------------------------------------------
@@ -253,11 +270,11 @@ def write_trajectory(path: str, rows: Iterable[Sequence[str]]) -> None:
     _write(path, "trajectory", TRAJECTORY_HEADER, rows)
 
 
-def read_trajectory(path: str) -> dict[tuple[int, str, int], tuple[float, float, float]]:
-    """Estimated position by (k, kind, path_id); the other columns are not kept."""
-    est = ("est_x", "est_y", "est_z")
-    rows = _read(path, "trajectory", TRAJECTORY_HEADER, est, keep=("k", "kind", "path_id") + est)
-    return {(int(r["k"]), r["kind"], int(r["path_id"])): (r["est_x"], r["est_y"], r["est_z"]) for r in rows}
+def read_trajectory(path: str) -> dict:
+    """The trajectory's columns, with the step, ids, time and estimated position parsed."""
+    return read_columns(
+        path, "trajectory", TRAJECTORY_HEADER, ("t", "est_x", "est_y", "est_z"), ("k", "path_id", "entity_id")
+    )
 
 
 def write_summary(path: str, rows: Sequence[Sequence[str]]) -> None:
@@ -266,18 +283,6 @@ def write_summary(path: str, rows: Sequence[Sequence[str]]) -> None:
 
 def write_rmse(path: str, rows: Sequence[Sequence[str]]) -> None:
     _write(path, "track_rmse", RMSE_HEADER, rows)
-
-
-def read_rmse(path: str) -> dict[str, dict[str, float]]:
-    rows = _read(path, "track_rmse", RMSE_HEADER)
-    return {
-        r["kind"]: {
-            "n_clouds": float(int(r["n_clouds"])),
-            "final_rmse_m": float(r["final_rmse_m"]),
-            "mean_rmse_m": float(r["mean_rmse_m"]),
-        }
-        for r in rows
-    }
 
 
 # --- statistics outputs ---------------------------------------------------------
@@ -300,8 +305,8 @@ def write_spreads(path: str, rows: Sequence[tuple[int, float, tuple[float, float
     _write(path, "spreads", SPREADS_HEADER, out)
 
 
-def read_spreads(path: str) -> list[dict[str, float]]:
-    return _read(path, "spreads", SPREADS_HEADER, SPREADS_HEADER)
+def read_spreads(path: str) -> dict:
+    return read_columns(path, "spreads", SPREADS_HEADER, SPREADS_HEADER)
 
 
 def write_cdf(path: str, values: Sequence[float], fractions: Sequence[float]) -> None:
@@ -309,15 +314,5 @@ def write_cdf(path: str, values: Sequence[float], fractions: Sequence[float]) ->
     _write(path, "cdf", CDF_HEADER, rows)
 
 
-def read_cdf(path: str) -> list[tuple[float, float]]:
-    rows = _read(path, "cdf", CDF_HEADER)
-    return [(float(r["value"]), float(r["fraction"])) for r in rows]
-
-
 def write_ks(path: str, rows: Sequence[tuple[str, float]]) -> None:
     _write(path, "ks", KS_HEADER, [[name, _fmt(v)] for name, v in rows])
-
-
-def read_ks(path: str) -> dict[str, float]:
-    rows = _read(path, "ks", KS_HEADER)
-    return {r["quantity"]: float(r["ks_distance"]) for r in rows}

@@ -38,6 +38,18 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` of each element of a finite array, bit for bit.
+
+    fmod is exact, and so is shifting its result in (-2 pi, 2 pi) by
+    2 pi (the two lie within a factor of two), which gives the value of
+    IEEE remainder; where that is -pi, wrap_angle's pi.
+    """
+    r = np.fmod(theta, TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, r)
+    return np.where(r <= -math.pi, r + TWO_PI, r)
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Cartesian 3-vector, meters (or m/s when used as a velocity)."""
@@ -146,5 +158,43 @@ def path_terms(bs: Vec3, user: Vec3, fb: Vec3, lb: Vec3) -> tuple[float, AngleSe
     Raises:
         GeometryError: if either outer leg has zero length.
     """
+    leg, angles, degenerate = path_term_columns(
+        np.array(bs.as_tuple()), np.array(user.as_tuple()), np.array([fb.as_tuple()]), np.array([lb.as_tuple()])
+    )
+    (aod_az, aod_el, aoa_az, aoa_el), (aod_degenerate, aoa_degenerate) = angles[0].tolist(), degenerate[0].tolist()
+    return float(leg[0]), AngleSet(aod_az, aod_el, aod_degenerate), AngleSet(aoa_az, aoa_el, aoa_degenerate)
+
+
+def direction_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) azimuth and elevation of each row of the (n, 3) ``d``
+    and its (n,) degenerate flag, bit for bit as ``angles_from_displacement``
+    gives them.
+
+    atan2 and asin are math's, element by element: numpy's SIMD versions
+    round some results differently.
+
+    Raises:
+        GeometryError: if a row has zero length.
+    """
+    r = norms(d)
+    if np.any(r == 0.0):
+        raise GeometryError("zero-length displacement has no direction")
+    x, y, z = d[:, 0], d[:, 1], d[:, 2]
+    az = wrap_angles(np.array(list(map(math.atan2, y.tolist(), x.tolist())), dtype=float))
+    el = np.array(list(map(math.asin, np.clip(z / r, -1.0, 1.0).tolist())), dtype=float)
+    vertical = (x == 0.0) & (y == 0.0)
+    az[vertical] = 0.0
+    el[vertical] = np.copysign(HALF_PI, z[vertical])
+    return np.column_stack([az, el]), vertical
+
+
+def path_term_columns(bs: np.ndarray, user: np.ndarray, fb: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``path_terms`` of n paths at once: the (n,) outer-leg lengths, the
+    (n, 4) AoD azimuth and elevation and AoA azimuth and elevation, and
+    the (n, 2) AoD and AoA degenerate flags.
+
+    ``fb`` and ``lb`` are (n, 3); ``bs`` and ``user`` are (3,) or (n, 3).
+    """
     to_fb, to_lb = fb - bs, lb - user
-    return to_fb.norm() + to_lb.norm(), angles_from_displacement(to_fb), angles_from_displacement(to_lb)
+    (aod, aod_degenerate), (aoa, aoa_degenerate) = direction_columns(to_fb), direction_columns(to_lb)
+    return norms(to_fb) + norms(to_lb), np.hstack([aod, aoa]), np.column_stack([aod_degenerate, aoa_degenerate])

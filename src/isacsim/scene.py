@@ -12,13 +12,23 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import AngleSet, Vec3, angles_from_displacement, check_finite, path_terms, wrap_angle
+from .geometry import (
+    HALF_PI,
+    AngleSet,
+    GeometryError,
+    Vec3,
+    angles_from_displacement,
+    check_finite,
+    path_term_columns,
+    path_terms,
+    wrap_angles,
+)
 
 ROLE_FB = "fb"
 ROLE_LB = "lb"
@@ -107,29 +117,6 @@ class PathTruth:
 
 
 @dataclass(frozen=True)
-class PathObservation:
-    """One multipath component as seen by the communication receiver.
-
-    ``path_id``/``fb_id``/``lb_id`` carry the data association the
-    tracker is given; the LoS observation uses LOS_PATH_ID throughout.
-    """
-
-    path_id: int
-    fb_id: int
-    lb_id: int
-    cluster_id: int
-    delay: float
-    aod: AngleSet
-    aoa: AngleSet
-    power: float
-    kind: str = "nlos"
-
-    @property
-    def degenerate(self) -> bool:
-        return self.aod.degenerate or self.aoa.degenerate
-
-
-@dataclass(frozen=True)
 class SensingDetection:
     """Echo parameters of one first-bounce scatterer at the ISAC BS."""
 
@@ -144,20 +131,69 @@ class SensingDetection:
             raise ConfigError(f"round-trip delay must be positive, got {self.round_trip_delay}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class PathColumns:
+    """Observed multipath components, one row per path.
+
+    ``ids`` is (n, 4) int: path_id, fb_id, lb_id and cluster_id, the data
+    association the tracker is given (the LoS row has LOS_PATH_ID
+    throughout). ``table`` is (n, 6) float: power, delay, AoD azimuth and
+    elevation, AoA azimuth and elevation, the snapshot table that
+    ``stats.all_spreads`` takes. ``degenerate`` is (n, 2) bool, AoD and
+    AoA.
+    """
+
+    ids: np.ndarray
+    table: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, rows) -> "PathColumns":
+        return PathColumns(self.ids[rows], self.table[rows], self.degenerate[rows])
+
+    @property
+    def path_id(self) -> np.ndarray:
+        return self.ids[:, 0]
+
+    @property
+    def fb_id(self) -> np.ndarray:
+        return self.ids[:, 1]
+
+    @property
+    def delay(self) -> np.ndarray:
+        return self.table[:, 1]
+
+
+@dataclass(frozen=True, eq=False)
+class EchoColumns:
+    """Sensing detections, one row per first-bounce scatterer.
+
+    ``scatterer_id`` is (m,) int; ``table`` is (m, 5) float: round-trip
+    delay, azimuth, elevation, Doppler and gain; ``degenerate`` is (m,)
+    bool.
+    """
+
+    scatterer_id: np.ndarray
+    table: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scatterer_id.shape[0]
+
+    def __getitem__(self, rows) -> "EchoColumns":
+        return EchoColumns(self.scatterer_id[rows], self.table[rows], self.degenerate[rows])
+
+
+@dataclass(frozen=True, eq=False)
 class ObservationFrame:
-    """All measurements available at one sampling instant."""
+    """All measurements available at one sampling instant; ``los`` holds at most one row."""
 
     time: float
-    comm_paths: tuple[PathObservation, ...]
-    sensing_detections: tuple[SensingDetection, ...]
-    los: PathObservation | None = None
-
-    def comm_by_path(self) -> dict[int, PathObservation]:
-        return {obs.path_id: obs for obs in self.comm_paths}
-
-    def sensing_by_id(self) -> dict[int, SensingDetection]:
-        return {det.scatterer_id: det for det in self.sensing_detections}
+    comm_paths: PathColumns
+    sensing_detections: EchoColumns
+    los: PathColumns
 
 
 @dataclass(frozen=True)
@@ -244,6 +280,22 @@ class SceneTruth:
     @cached_property
     def _paths_by_id(self) -> dict[int, PathSkeleton]:
         return {p.path_id: p for p in self.paths}
+
+    @cached_property
+    def _path_ends(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per path, in stored order, of its FB and of its LB scatterer: the
+        (P, 3) anchor positions and velocities and the (P,) birth and death times."""
+
+        def ends(ids: list[int]) -> tuple[np.ndarray, ...]:
+            ss = [self.scatterer(i) for i in ids]
+            return (
+                np.array([s.position.as_tuple() for s in ss], dtype=float).reshape(-1, 3),
+                np.array([s.velocity.as_tuple() for s in ss], dtype=float).reshape(-1, 3),
+                np.array([s.birth_time for s in ss], dtype=float),
+                np.array([s.death_time for s in ss], dtype=float),
+            )
+
+        return ends([p.fb_id for p in self.paths]), ends([p.lb_id for p in self.paths])
 
     @property
     def bs_position(self) -> Vec3:
@@ -353,27 +405,37 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
 def ground_truth_paths(scene: SceneTruth, t: float) -> list[PathTruth]:
     """Alive paths at ``t`` with powers from the exponential delay profile.
 
-    Each path is resolved once: its bounce points at ``t``, its delay (the
-    outer legs over c plus the virtual delay) and its AoD and AoA. Powers
+    All alive paths are resolved in one array pass: their bounce points
+    at ``t``, delays (the outer legs over c plus the virtual delay) and
+    AoDs and AoAs, each bit for bit as the scalar formulas give it. Powers
     follow exp(-delay / pdp_decay) and are normalized to sum to 1 over the
     frame, which makes the Rician LoS/NLoS power split exact.
     """
     scene.check_time(t)
-    bs, user = scene.bs_position, scene.user_position(t)
-    alive = []
-    for p in scene.paths:
-        fb, lb = scene.scatterer(p.fb_id), scene.scatterer(p.lb_id)
-        if fb.alive(t) and lb.alive(t):
-            fb_pos, lb_pos = fb.position_at(t), lb.position_at(t)
-            leg, aod, aoa = path_terms(bs, user, fb_pos, lb_pos)
-            alive.append((p, fb_pos, lb_pos, leg / SPEED_OF_LIGHT + p.virtual_delay, aod, aoa))
-    if not alive:
+    alive = np.ones(len(scene.paths), dtype=bool)
+    points = []
+    for anchor, velocity, birth, death in scene._path_ends:
+        alive &= (birth <= t) & (t < death)
+        points.append((anchor, velocity, birth))
+    rows = np.flatnonzero(alive)
+    if not rows.size:
         return []
-    raw = np.exp(-np.array([a[3] for a in alive]) / scene.config.pdp_decay)
+    # ScattererTruth.position_at, element by element
+    fb, lb = (anchor[rows] + velocity[rows] * (t - birth[rows])[:, None] for anchor, velocity, birth in points)
+    bs, user = (np.array(v.as_tuple()) for v in (scene.bs_position, scene.user_position(t)))
+    leg, angles, degenerate = path_term_columns(bs, user, fb, lb)
+    paths = [scene.paths[i] for i in rows.tolist()]
+    delays = leg / SPEED_OF_LIGHT + np.array([p.virtual_delay for p in paths])
+    raw = np.exp(-delays / scene.config.pdp_decay)
     powers = raw / raw.sum()
     return [
-        PathTruth(p.path_id, p.fb_id, p.lb_id, p.cluster_id, p.virtual_delay, float(w), *terms)
-        for (p, *terms), w in zip(alive, powers)
+        PathTruth(
+            p.path_id, p.fb_id, p.lb_id, p.cluster_id, p.virtual_delay, w, Vec3(*f), Vec3(*l), d,
+            AngleSet(aod_az, aod_el, aod_degenerate), AngleSet(aoa_az, aoa_el, aoa_degenerate),
+        )
+        for p, w, f, l, d, (aod_az, aod_el, aoa_az, aoa_el), (aod_degenerate, aoa_degenerate) in zip(
+            paths, powers.tolist(), fb.tolist(), lb.tolist(), delays.tolist(), angles.tolist(), degenerate.tolist()
+        )
     ]
 
 
@@ -422,10 +484,29 @@ def echoes(scene: SceneTruth, t: float) -> list[SensingDetection]:
     return out
 
 
-def _noisy_angles(a: AngleSet, sigma: float, rng: np.random.Generator) -> AngleSet:
-    az = wrap_angle(a.azimuth + float(rng.normal(0.0, sigma)))
-    el = a.elevation + float(rng.normal(0.0, sigma))
-    return AngleSet(az, el, degenerate=a.degenerate)
+def check_round_trip_delays(delays: np.ndarray) -> None:
+    """Reject the first round-trip delay that is not positive, as ``SensingDetection`` does."""
+    bad = ~(delays > 0.0)
+    if bad.any():
+        raise ConfigError(f"round-trip delay must be positive, got {float(delays[np.argmax(bad)])}")
+
+
+def _noisy_angles(angles: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Azimuth and elevation column pairs plus noise, wrapped and clamped as ``AngleSet`` does.
+
+    The first non-finite angle, in row-major order, raises AngleSet's error.
+    """
+    out = angles + noise
+    finite = np.isfinite(out)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        value = float(out[row, col])
+        raise GeometryError(
+            f"cannot wrap non-finite angle {value!r}" if col % 2 == 0 else f"non-finite elevation {value!r}"
+        )
+    out[:, 0::2] = wrap_angles(out[:, 0::2])
+    out[:, 1::2] = np.clip(out[:, 1::2], -HALF_PI, HALF_PI)
+    return out
 
 
 def observe(
@@ -433,6 +514,8 @@ def observe(
     t: float,
     noise: tuple[float, float],
     rng: np.random.Generator,
+    paths: list[PathTruth] | None = None,
+    detections: list[SensingDetection] | None = None,
 ) -> ObservationFrame:
     """Noisy measurement frame at time ``t``.
 
@@ -443,46 +526,54 @@ def observe(
     echo round-trip delay (noisy), direction at the BS (noisy), Doppler
     and gain (exact). A LoS observation between BS and user is always
     present (the scene models no occlusion).
+
+    ``paths`` and ``detections`` are the frame's ``ground_truth_paths``
+    and ``echoes``, resolved here when not given. The noise is one
+    standard-normal block, one value per draw in this order: per path
+    the delay, AoD azimuth and elevation, AoA azimuth and elevation; the
+    LoS the same way; per echo the round-trip delay, azimuth and
+    elevation. Each is 0.0 + sigma * z, as ``rng.normal(0.0, sigma)``
+    draws it one at a time.
     """
     sigma_delay, sigma_angle = noise
     if sigma_delay < 0.0 or sigma_angle < 0.0:
         raise ConfigError("noise standard deviations must be nonnegative")
     scene.check_time(t)
-
-    comm = [
-        PathObservation(
-            p.path_id, p.fb_id, p.lb_id, p.cluster_id,
-            p.delay + float(rng.normal(0.0, sigma_delay)),
-            _noisy_angles(p.aod, sigma_angle, rng),
-            _noisy_angles(p.aoa, sigma_angle, rng),
-            p.power,
-        )
-        for p in ground_truth_paths(scene, t)
-    ]
+    paths = ground_truth_paths(scene, t) if paths is None else paths
+    detections = echoes(scene, t) if detections is None else detections
 
     bs, user = scene.bs_position, scene.user_position(t)
     leg, aod, aoa = path_terms(bs, user, user, bs)  # both legs are the direct path
-    los = PathObservation(
-        LOS_PATH_ID,
-        LOS_PATH_ID,
-        LOS_PATH_ID,
-        LOS_PATH_ID,
-        leg / 2.0 / SPEED_OF_LIGHT + float(rng.normal(0.0, sigma_delay)),
-        _noisy_angles(aod, sigma_angle, rng),
-        _noisy_angles(aoa, sigma_angle, rng),
-        1.0,
-        kind="los",
-    )
+    n, m = len(paths) + 1, len(detections)  # the LoS is the last comm row
+    z = rng.standard_normal(5 * n + 3 * m)
 
-    detections = [
-        replace(
-            e,
-            round_trip_delay=e.round_trip_delay + float(rng.normal(0.0, sigma_delay)),
-            angle=_noisy_angles(e.angle, sigma_angle, rng),
-        )
-        for e in echoes(scene, t)
-    ]
-    return ObservationFrame(t, tuple(comm), tuple(detections), los)
+    ids = np.array(
+        [(p.path_id, p.fb_id, p.lb_id, p.cluster_id) for p in paths] + [(LOS_PATH_ID,) * 4], dtype=int
+    )
+    table = np.array(
+        [(p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation) for p in paths]
+        + [(1.0, leg / 2.0 / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)]
+    )
+    degenerate = np.array([(p.aod.degenerate, p.aoa.degenerate) for p in paths] + [(aod.degenerate, aoa.degenerate)])
+    comm_noise = z[: 5 * n].reshape(n, 5) * np.array([sigma_delay] + [sigma_angle] * 4) + 0.0
+    table[:, 1] += comm_noise[:, 0]
+    table[:, 2:] = _noisy_angles(table[:, 2:], comm_noise[:, 1:])
+
+    echo = np.array(
+        [(e.round_trip_delay, e.angle.azimuth, e.angle.elevation, e.doppler, e.gain) for e in detections],
+        dtype=float,
+    ).reshape(m, 5)
+    echo_noise = z[5 * n :].reshape(m, 3) * np.array([sigma_delay, sigma_angle, sigma_angle]) + 0.0
+    echo[:, 0] += echo_noise[:, 0]
+    echo[:, 1:3] = _noisy_angles(echo[:, 1:3], echo_noise[:, 1:])
+    check_round_trip_delays(echo[:, 0])
+    sensing = EchoColumns(
+        np.array([e.scatterer_id for e in detections], dtype=int),
+        echo,
+        np.array([e.angle.degenerate for e in detections], dtype=bool),
+    )
+    comm = PathColumns(ids, table, degenerate)
+    return ObservationFrame(t, comm[: n - 1], sensing, comm[n - 1 :])
 
 
 # --- scene file format -------------------------------------------------------

@@ -12,10 +12,14 @@ from .scene import (  # noqa: F401
 )
 
 
-def monostatic_cir(scene: SceneTruth, t: float) -> list[SensingDetection]:
+def monostatic_cir(
+    scene: SceneTruth, t: float, detections: list[SensingDetection] | None = None
+) -> list[SensingDetection]:
     """Sensing impulse response at time ``t``, echoes sorted by delay.
 
     The echoes of ``scene.echoes``, ordered by (round-trip delay,
-    scatterer id).
+    scatterer id). ``detections``, when given, are those echoes,
+    already resolved by the caller.
     """
-    return sorted(echoes(scene, t), key=lambda e: (e.round_trip_delay, e.scatterer_id))
+    detections = echoes(scene, t) if detections is None else detections
+    return sorted(detections, key=lambda e: (e.round_trip_delay, e.scatterer_id))

@@ -29,15 +29,11 @@ from .geometry import (
     AngleSet,
     Vec3,
     check_finite,
+    norms,
     unit_vector_from_angles,
+    wrap_angles,
 )
-from .scene import (
-    LOS_PATH_ID,
-    ObservationFrame,
-    PathObservation,
-    SceneTruth,
-    ground_truth_paths,
-)
+from .scene import LOS_PATH_ID, ObservationFrame, SceneTruth, ground_truth_paths
 
 KIND_USER = "user"
 KIND_FB = "fb"
@@ -374,6 +370,10 @@ class TrackerState:
     history holds one entry per step k = 0..K: the frame time, the (E, 6)
     estimates, (E,) coasted and diverged flags, and the (E,) effective
     sample sizes, NaN for clouds not weighted that step.
+
+    The key columns that stepping indexes are kept as arrays: each
+    cloud's path id, the FB and the LB cloud rows, each LB cloud's FB
+    cloud row and each FB cloud's scatterer id.
     """
 
     config: TrackerConfig
@@ -388,9 +388,21 @@ class TrackerState:
     diverged: list[np.ndarray] = field(default_factory=list)
     ess: list[np.ndarray] = field(default_factory=list)
     row: dict[tuple[str, int], int] = field(init=False, repr=False)
+    bs: np.ndarray = field(init=False, repr=False)
+    path_ids: np.ndarray = field(init=False, repr=False)
+    fb_rows: np.ndarray = field(init=False, repr=False)
+    lb_rows: np.ndarray = field(init=False, repr=False)
+    fb_of_lb: np.ndarray = field(init=False, repr=False)
+    fb_entities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.row = {key: e for e, key in enumerate(self.keys)}
+        self.bs = np.array(self.bs_pos.as_tuple())
+        kinds = np.array([kind for kind, _ in self.keys])
+        self.path_ids = np.array([path_id for _, path_id in self.keys], dtype=int)
+        self.fb_rows, self.lb_rows = np.flatnonzero(kinds == KIND_FB), np.flatnonzero(kinds == KIND_LB)
+        self.fb_of_lb = np.array([self.row[(KIND_FB, i)] for i in self.path_ids[self.lb_rows].tolist()], dtype=np.intp)
+        self.fb_entities = np.array(self.entity_ids, dtype=int)[self.fb_rows]
 
     @property
     def k(self) -> int:
@@ -429,31 +441,32 @@ def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     return tracker
 
 
-def _gated_detection(
-    obs: PathObservation,
-    frame: ObservationFrame,
-    cfg: TrackerConfig,
-):
-    """Sensing detection for the path's first bounce, or None if out of gate.
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index in ``keys`` of each ``wanted`` value (the last one where it repeats), or -1 where absent."""
+    if keys.size == 0:
+        return np.full(wanted.shape, -1)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    at = np.maximum(np.searchsorted(ranked, wanted, side="right") - 1, 0)
+    return np.where(ranked[at] == wanted, order[at], -1)
 
-    The echo direction and the comm AoD each carry independent angle
-    noise of std s = ``meas_angle_std`` around the same true direction,
-    so their difference has variance s^2 + s^2 and std sqrt(2) s. Each
-    angle is gated at ``gate_sigma`` stds of that difference, which
-    rejects a true echo with probability P(|Z| > gate_sigma) per angle.
+
+def _in_gate(aod: np.ndarray, delay: np.ndarray, echo: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """Whether each sensing echo lies in the gate of its comm path.
+
+    ``aod`` holds the paths' (azimuth, elevation), ``delay`` their delays
+    and ``echo`` the echoes' (round-trip delay, azimuth, elevation). The
+    echo direction and the comm AoD each carry independent angle noise of
+    std s = ``meas_angle_std`` around the same true direction, so their
+    difference has variance s^2 + s^2 and std sqrt(2) s. Each angle is
+    gated at ``gate_sigma`` stds of that difference, which rejects a true
+    echo with probability P(|Z| > gate_sigma) per angle.
     """
-    det = frame.sensing_by_id().get(obs.fb_id)
-    if det is None:
-        return None
     angle_gate = math.sqrt(2.0) * cfg.gate_sigma * cfg.meas_angle_std
-    d_az = math.remainder(det.angle.azimuth - obs.aod.azimuth, 2.0 * math.pi)
-    if abs(d_az) > angle_gate:
-        return None
-    if abs(det.angle.elevation - obs.aod.elevation) > angle_gate:
-        return None
-    if obs.delay - det.round_trip_delay / 2.0 < -cfg.gate_sigma * cfg.meas_delay_std:
-        return None
-    return det
+    d_az = np.abs(wrap_angles(echo[:, 1] - aod[:, 0]))  # |math.remainder(., 2 pi)|, bit for bit
+    d_el = np.abs(echo[:, 2] - aod[:, 1])
+    in_range = delay - echo[:, 0] / 2.0 >= -cfg.gate_sigma * cfg.meas_delay_std
+    return (d_az <= angle_gate) & (d_el <= angle_gate) & in_range
 
 
 def initialize(
@@ -475,27 +488,33 @@ def initialize(
     """
     cfg.validate()
     slack = cfg.gate_sigma * SPEED_OF_LIGHT * cfg.meas_delay_std
+    paths, echoes = frame0.comm_paths, frame0.sensing_detections
+    echo = _lookup(echoes.scatterer_id, paths.fb_id)
+    gated = echo >= 0
+    gated[gated] = _in_gate(paths.table[gated, 2:4], paths.delay[gated], echoes.table[echo[gated], :3], cfg)
 
     fbs, lbs, failed = [], [], []
     still = Vec3(0.0, 0.0, 0.0)
-    for obs in sorted(frame0.comm_paths, key=lambda o: o.path_id):
-        det = _gated_detection(obs, frame0, cfg)
-        if det is not None:
-            d_fb = SPEED_OF_LIGHT * det.round_trip_delay / 2.0
-            fb_point = bs_pos + unit_vector_from_angles(det.angle) * d_fb
-            remaining = SPEED_OF_LIGHT * obs.delay - d_fb
+    for i in np.argsort(paths.path_id, kind="stable").tolist():
+        path_id, fb_id, lb_id = paths.ids[i, :3].tolist()
+        delay, aoa = float(paths.delay[i]), AngleSet(*paths.table[i, 4:6].tolist())
+        if gated[i]:
+            round_trip, *angle = echoes.table[echo[i], :3].tolist()
+            d_fb = SPEED_OF_LIGHT * round_trip / 2.0
+            fb_point = bs_pos + unit_vector_from_angles(AngleSet(*angle)) * d_fb
+            remaining = SPEED_OF_LIGHT * delay - d_fb
             if remaining < -slack:
-                failed.append(obs.path_id)
+                failed.append(path_id)
                 continue
-            lb_point = user0.position + unit_vector_from_angles(obs.aoa) * max(remaining, 0.0)
+            lb_point = user0.position + unit_vector_from_angles(aoa) * max(remaining, 0.0)
         else:
-            r = solve_lb_range(bs_pos, user0.position, obs.aoa, SPEED_OF_LIGHT * obs.delay, slack)
+            r = solve_lb_range(bs_pos, user0.position, aoa, SPEED_OF_LIGHT * delay, slack)
             if r is None:
-                failed.append(obs.path_id)
+                failed.append(path_id)
                 continue
-            fb_point = lb_point = user0.position + unit_vector_from_angles(obs.aoa) * r
-        fbs.append(((KIND_FB, obs.path_id), obs.fb_id, EntityState(fb_point, still)))
-        lbs.append(((KIND_LB, obs.path_id), obs.lb_id, EntityState(lb_point, still)))
+            fb_point = lb_point = user0.position + unit_vector_from_angles(aoa) * r
+        fbs.append(((KIND_FB, path_id), fb_id, EntityState(fb_point, still)))
+        lbs.append(((KIND_LB, path_id), lb_id, EntityState(lb_point, still)))
 
     entities = [(USER_KEY, LOS_PATH_ID, user0)] + fbs + lbs
     stds = (cfg.init_pos_std, cfg.init_vel_std)
@@ -529,17 +548,6 @@ def initialize_at_truth(
     return _start(cfg, scene.bs_position, t0, entities, seed, (0.0, 0.0), ())
 
 
-def _slices(rows: list[tuple[int, np.ndarray, tuple, tuple, bool]]) -> tuple[np.ndarray, Slices]:
-    """Cloud indices and slices from (cloud, reference, values, sigmas, has_delay) rows."""
-    cols = list(zip(*rows)) or [()] * 5
-    return np.array(cols[0], dtype=np.intp), Slices(
-        np.array(cols[1], dtype=float).reshape(-1, 3),
-        np.array(cols[2], dtype=float).reshape(-1, 3),
-        np.array(cols[3], dtype=float).reshape(-1, 3),
-        np.array(cols[4], dtype=bool),
-    )
-
-
 def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     """Advance every cloud by one frame: predict, weight, estimate, resample.
 
@@ -556,35 +564,41 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
             f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}"
         )
     tracker.clouds = clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std))
-    comm, sensing = frame.comm_by_path(), frame.sensing_by_id()
+    paths, echoes = frame.comm_paths, frame.sensing_detections
     s_d, s_a = cfg.meas_delay_std, cfg.meas_angle_std
-    bs = np.array(tracker.bs_pos.as_tuple())
+    seen = _lookup(paths.path_id, tracker.path_ids)  # each cloud's row in the frame's paths
 
-    user_fb, lb_obs = [], []
-    if frame.los is not None:
-        los = frame.los
-        user_fb.append((0, bs, (los.delay, los.aod.azimuth, los.aod.elevation), (s_d, s_a, s_a), True))
-    for e, (kind, path_id) in enumerate(tracker.keys[1:], start=1):
-        obs = comm.get(path_id)
-        if obs is not None and kind == KIND_LB:
-            lb_obs.append((e, obs))
-        elif obs is not None:
-            det = sensing.get(tracker.entity_ids[e])
-            delay = 0.0 if det is None else det.round_trip_delay / 2.0
-            values = (delay, obs.aod.azimuth, obs.aod.elevation)
-            user_fb.append((e, bs, values, (s_d / 2.0, s_a, s_a), det is not None))
-    rows, z = _slices(user_fb)
+    # user from the LoS; FB clouds from their path's AoD and, when sensed, half the echo's round trip
+    observed = seen[tracker.fb_rows] >= 0
+    fb_rows = tracker.fb_rows[observed]
+    echo = _lookup(echoes.scatterer_id, tracker.fb_entities[observed])
+    ranged = echo >= 0
+    delay = np.zeros(fb_rows.size)
+    delay[ranged] = echoes.table[echo[ranged], 0] / 2.0
+    n_los = len(frame.los)
+    rows = np.concatenate([np.zeros(n_los, dtype=np.intp), fb_rows])
+    sigmas = np.tile([s_d / 2.0, s_a, s_a], (rows.size, 1))
+    sigmas[:n_los, 0] = s_d
+    z = Slices(
+        np.broadcast_to(tracker.bs, (rows.size, 3)),
+        np.vstack([frame.los.table[:, 1:4], np.column_stack([delay, paths.table[seen[fb_rows], 2:4]])]),
+        sigmas,
+        np.concatenate([np.ones(n_los, dtype=bool), ranged]),
+    )
     clouds.put(rows, weight(clouds.take(rows), z), states=False)
     est = estimate(clouds)
 
     # last bounce: range is what the comm delay leaves after the sensed first leg
-    lb_slices = []
-    for e, obs in lb_obs:
-        fb_pos = Vec3(*est[tracker.row[(KIND_FB, obs.path_id)], :3].tolist())
-        residual_delay = obs.delay - fb_pos.distance_to(tracker.bs_pos) / SPEED_OF_LIGHT
-        values = (residual_delay, obs.aoa.azimuth, obs.aoa.elevation)
-        lb_slices.append((e, est[0, :3], values, (s_d, s_a, s_a), True))
-    lb_rows, z = _slices(lb_slices)
+    observed = seen[tracker.lb_rows] >= 0
+    lb_rows = tracker.lb_rows[observed]
+    lb_paths = paths.table[seen[lb_rows]]
+    residual_delay = lb_paths[:, 1] - norms(est[tracker.fb_of_lb[observed], :3] - tracker.bs) / SPEED_OF_LIGHT
+    z = Slices(
+        np.tile(est[0, :3], (lb_rows.size, 1)),
+        np.column_stack([residual_delay, lb_paths[:, 4:6]]),
+        np.tile([s_d, s_a, s_a], (lb_rows.size, 1)),
+        np.ones(lb_rows.size, dtype=bool),
+    )
     lb = weight(clouds.take(lb_rows), z)
     clouds.put(lb_rows, lb, states=False)
     est[lb_rows] = estimate(lb)

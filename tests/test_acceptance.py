@@ -153,18 +153,20 @@ def test_criterion_4_oracle_closure():
     rng = np.random.default_rng(0)
     for k in range(201):
         t = k * 0.1
-        frame = observe(scene, t, (0.0, 0.0), rng)
+        paths = observe(scene, t, (0.0, 0.0), rng).comm_paths
         user = scene.user_position(t)
-        for obs in frame.comm_paths:
-            fb = scene.scatterer(obs.fb_id).position_at(t)
-            lb = scene.scatterer(obs.lb_id).position_at(t)
+        for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, aod_el, aoa_az, aoa_el) in zip(
+            paths.ids.tolist(), paths.table.tolist()
+        ):
+            fb = scene.scatterer(fb_id).position_at(t)
+            lb = scene.scatterer(lb_id).position_at(t)
             leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
-            delay = leg / SPEED_OF_LIGHT + scene.path(obs.path_id).virtual_delay
-            assert abs(delay - obs.delay) <= 1e-12
-            assert abs(wrap_angle(aod.azimuth - obs.aod.azimuth)) <= 1e-12
-            assert abs(aod.elevation - obs.aod.elevation) <= 1e-12
-            assert abs(wrap_angle(aoa.azimuth - obs.aoa.azimuth)) <= 1e-12
-            assert abs(aoa.elevation - obs.aoa.elevation) <= 1e-12
+            delay = leg / SPEED_OF_LIGHT + scene.path(path_id).virtual_delay
+            assert abs(delay - obs_delay) <= 1e-12
+            assert abs(wrap_angle(aod.azimuth - aod_az)) <= 1e-12
+            assert abs(aod.elevation - aod_el) <= 1e-12
+            assert abs(wrap_angle(aoa.azimuth - aoa_az)) <= 1e-12
+            assert abs(aoa.elevation - aoa_el) <= 1e-12
 
 
 @criterion(5, "filter exactness at zero noise", 30.0)
@@ -193,22 +195,25 @@ def test_criterion_5_filter_exactness():
 
 @criterion(6, "tracking regression", 300.0)
 def test_criterion_6_tracking_regression(default_run):
-    rmse = csvio.read_rmse(os.path.join(default_run["trk"], "rmse.csv"))
-    fb = rmse["fb"]["final_rmse_m"]
-    lb = rmse["lb"]["final_rmse_m"]
+    rmse = csvio.read_columns(
+        os.path.join(default_run["trk"], "rmse.csv"), "track_rmse", csvio.RMSE_HEADER, ("final_rmse_m",)
+    )
+    final = dict(zip(rmse["kind"], rmse["final_rmse_m"].tolist()))
+    fb = final["fb"]
+    lb = final["lb"]
     assert abs(fb - REFERENCE_FB_RMSE) <= RMSE_BAND * REFERENCE_FB_RMSE, (fb, REFERENCE_FB_RMSE)
     assert abs(lb - REFERENCE_LB_RMSE) <= RMSE_BAND * REFERENCE_LB_RMSE, (lb, REFERENCE_LB_RMSE)
 
 
 @criterion(7, "reconstructed-vs-oracle CDF agreement", 300.0)
 def test_criterion_7_cdf_agreement(default_run):
-    ks = csvio.read_ks(default_run["ks"])
-    assert len(ks) == 5
-    for quantity, d in ks.items():
+    ks = csvio.read_columns(default_run["ks"], "ks", csvio.KS_HEADER, ("ks_distance",))
+    assert len(ks["quantity"]) == 5
+    for quantity, d in zip(ks["quantity"], ks["ks_distance"].tolist()):
         assert d <= KS_LIMIT, (quantity, d)
     # the comparison spans the full 200-snapshot run
     spreads = csvio.read_spreads(os.path.join(default_run["sts"], "spreads_tracked.csv"))
-    assert len(spreads) >= 200
+    assert len(spreads["k"]) >= 200
 
 
 @criterion(8, "particle filter invariants", 30.0)

@@ -80,10 +80,10 @@ def test_track_outputs(tmp_path, cfg_path):
     run_dir = simulate(tmp_path, cfg_path)
     trk = str(tmp_path / "trk")
     assert run("track", "--config", cfg_path, "--run", run_dir, "--out", trk) == 0
-    rmse = csvio.read_rmse(os.path.join(trk, "rmse.csv"))
-    assert {"user", "fb", "lb"} <= set(rmse)
-    assert rmse["fb"]["n_clouds"] == 4.0  # 2 clusters x 1 FB x (self + 1 LB)
-    ks = {k for k, _, _ in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))}
+    rmse = csvio.read_columns(os.path.join(trk, "rmse.csv"), "track_rmse", csvio.RMSE_HEADER, ints=("n_clouds",))
+    assert {"user", "fb", "lb"} <= set(rmse["kind"])
+    assert rmse["n_clouds"][rmse["kind"].index("fb")] == 4  # 2 clusters x 1 FB x (self + 1 LB)
+    ks = set(csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))["k"].tolist())
     assert ks == set(range(11))  # duration 1.0 at Ts 0.1
     with open(os.path.join(trk, "summary.csv"), newline="") as fh:
         assert fh.readline() == "# isacsim track_summary v2\n"
@@ -113,9 +113,9 @@ def test_stats_and_compare(tmp_path, cfg_path):
         "compare", "--a", os.path.join(sts, "spreads_oracle.csv"),
         "--b", os.path.join(sts, "spreads_tracked.csv"), "--out", ks_out,
     ) == 0
-    ks = csvio.read_ks(ks_out)
-    assert len(ks) == 5
-    assert all(0.0 <= v <= 1.0 for v in ks.values())
+    ks = csvio.read_columns(ks_out, "ks", csvio.KS_HEADER, ("ks_distance",))
+    assert len(ks["quantity"]) == 5
+    assert all(0.0 <= v <= 1.0 for v in ks["ks_distance"].tolist())
 
 
 def test_stats_observation_source(tmp_path, cfg_path):
@@ -230,7 +230,7 @@ def test_nonstationary_all_pairs_comm_taps_bytes_pinned(tmp_path):
     cfg.write_text(NONSTATIONARY_CFG)
     out = str(tmp_path / "run")
     assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
-    taps = csvio.read_comm_taps(os.path.join(out, "comm_taps.csv"))
+    taps = csvio.read_columns(os.path.join(out, "comm_taps.csv"), "comm_taps", csvio.COMM_TAPS_HEADER, ("t",), ("path_id",))
     first = set(taps["path_id"][taps["t"] == 0.0].tolist())
     assert set(taps["path_id"].tolist()) - first  # some taps belong to paths born later
     with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
@@ -253,7 +253,7 @@ def test_duration_off_the_float_grid_runs_every_stage(tmp_path):
         "stats", "--config", str(cfg), "--run", run_dir, "--track", trk,
         "--source", "trajectory", "--out", sts,
     ) == 0
-    assert len(csvio.read_spreads(os.path.join(sts, "spreads_trajectory.csv"))) == 4
+    assert len(csvio.read_spreads(os.path.join(sts, "spreads_trajectory.csv"))["k"]) == 4
 
 
 @pytest.mark.parametrize(
@@ -306,13 +306,13 @@ def ts_02_run(tmp_path):
 def test_stats_without_config_reads_the_run_config(tmp_path, ts_02_run):
     sts = str(tmp_path / "sts")
     assert run("stats", "--run", ts_02_run, "--source", "scene", "--out", sts) == 0
-    assert len(csvio.read_spreads(os.path.join(sts, "spreads_scene.csv"))) == 101  # 20 s at Ts 0.2
+    assert len(csvio.read_spreads(os.path.join(sts, "spreads_scene.csv"))["k"]) == 101  # 20 s at Ts 0.2
 
 
 def test_track_without_config_reads_the_run_config(tmp_path, ts_02_run):
     trk = str(tmp_path / "trk")
     assert run("track", "--run", ts_02_run, "--out", trk) == 0
-    assert {k for k, _, _ in csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))} == set(range(101))
+    assert set(csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))["k"].tolist()) == set(range(101))
 
 
 @pytest.mark.parametrize("argv", [["stats", "--source", "scene"], ["track"]], ids=["stats", "track"])
@@ -472,4 +472,53 @@ def test_non_finite_spread_exits_2(tmp_path, cfg_path, capsys, lineno, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {path}:{lineno}: delay_spread_s must be a finite number, got {value!r}\n"
+    assert not out.exists()
+
+
+def track_of(tmp_path, name, text):
+    """Simulate and track a run from INI ``text``; its run and track directories."""
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(text)
+    run_dir, trk = simulate(tmp_path, str(cfg), name), str(tmp_path / f"{name}_trk")
+    assert run("track", "--run", run_dir, "--out", trk) == 0
+    return run_dir, trk
+
+
+def test_stats_rejects_a_track_of_another_scene(tmp_path, capsys):
+    # stats once paired run B's estimates with run A's paths and powers and exited 0
+    run_a, _ = track_of(tmp_path, "a", "[run]\nduration = 1.0\n")
+    _, trk_b = track_of(tmp_path, "b", "[run]\nduration = 1.0\n\n[scene]\nlb_per_cluster = 0\n")
+    capsys.readouterr()
+    out = tmp_path / "sts"
+    code = run("stats", "--run", run_a, "--track", trk_b, "--source", "trajectory", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f"error: {trk_b}/trajectory.csv: the fb row of path 1 at k=0 tracks scatterer 1, "
+        "but the run's path 1 has fb_id 0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "track_run, stats_run, message",
+    [
+        ("short", "long", "no step where the run has frame k=2 at t=0.2"),
+        ("long", "short", "step k=2 at t=0.2 is past the run's last frame"),
+    ],
+    ids=["short-track", "long-track"],
+)
+def test_stats_rejects_a_track_of_other_frames(tmp_path, capsys, track_run, stats_run, message):
+    # a 0.1 s run's track against a 1 s run once gave 2 snapshots and exit 0
+    runs = {
+        "short": track_of(tmp_path, "short", "[run]\nduration = 0.1\n"),
+        "long": track_of(tmp_path, "long", "[run]\nduration = 1.0\n"),
+    }
+    capsys.readouterr()
+    out = tmp_path / "sts"
+    trk = runs[track_run][1]
+    code = run("stats", "--run", runs[stats_run][0], "--track", trk, "--source", "trajectory", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {trk}/trajectory.csv: {message}\n"
     assert not out.exists()

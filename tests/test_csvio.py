@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,13 @@ def test_observation_round_trip(tmp_path, frames):
     assert len(back) == len(frames)
     for orig, loaded in zip(frames, back):
         assert loaded.time == orig.time
-        assert loaded.comm_paths == orig.comm_paths  # repr floats: exact
-        assert loaded.sensing_detections == orig.sensing_detections
-        assert loaded.los == orig.los
+        assert same_columns(loaded.comm_paths, orig.comm_paths)  # repr floats: exact
+        assert same_columns(loaded.sensing_detections, orig.sensing_detections)
+        assert same_columns(loaded.los, orig.los)
+
+
+def same_columns(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
 def test_schema_line_enforced(tmp_path, frames):
@@ -73,9 +79,9 @@ def test_sensing_taps_round_trip(tmp_path, scene):
     data = [(t, monostatic_cir(scene, t)) for t in (0.0, 0.1)]
     path = tmp_path / "staps.csv"
     csvio.write_sensing_taps(str(path), data)
-    rows = csvio.read_sensing_taps(str(path))
-    assert len(rows) == sum(len(taps) for _, taps in data)
-    assert rows[0]["delay_s"] == data[0][1][0].round_trip_delay
+    rows = csvio.read_columns(str(path), "sensing_taps", csvio.SENSING_TAPS_HEADER, ("delay_s",))
+    assert len(rows["delay_s"]) == sum(len(taps) for _, taps in data)
+    assert rows["delay_s"][0] == data[0][1][0].round_trip_delay
 
 
 def test_comm_taps_round_trip(tmp_path, scene):
@@ -85,13 +91,15 @@ def test_comm_taps_round_trip(tmp_path, scene):
     block = frame_taps(scene, 0.0, tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]))
     path = tmp_path / "ctaps.csv"
     csvio.write_comm_taps(str(path), [(0.0, block)])
-    back = csvio.read_comm_taps(str(path))
+    back = csvio.read_columns(
+        str(path), "comm_taps", csvio.COMM_TAPS_HEADER, ("t", "delay_s", "re", "im"), ("q", "p", "path_id")
+    )
     n = block.delay.shape[-1]
     assert len(back["t"]) == block.delay.size
     assert np.all(back["t"] == 0.0)
     assert np.array_equal(back["q"], np.repeat(block.q, n))
     assert np.array_equal(back["p"], np.repeat(block.p, n))
-    assert back["kind"].tolist() == ["los" if i == LOS_PATH_ID else "nlos" for i in block.path_id.ravel()]
+    assert list(back["kind"]) == ["los" if i == LOS_PATH_ID else "nlos" for i in block.path_id.ravel()]
     # exact round trip including the complex amplitude
     for key, column in (("path_id", block.path_id), ("delay_s", block.delay), ("re", block.re), ("im", block.im)):
         assert np.array_equal(back[key], column.ravel())
@@ -102,28 +110,44 @@ def test_spreads_round_trip(tmp_path):
     path = tmp_path / "spreads.csv"
     csvio.write_spreads(str(path), rows)
     back = csvio.read_spreads(str(path))
-    assert len(back) == 2
-    assert back[0]["delay_spread_s"] == 1e-9
-    assert back[1]["aoa_el_spread_rad"] == 0.8
+    assert len(back["k"]) == 2
+    assert back["delay_spread_s"][0] == 1e-9
+    assert back["aoa_el_spread_rad"][1] == 0.8
 
 
 def test_cdf_and_ks_round_trip(tmp_path):
     cdfp = tmp_path / "cdf.csv"
     csvio.write_cdf(str(cdfp), [1.0, 2.0], [0.5, 1.0])
-    assert csvio.read_cdf(str(cdfp)) == [(1.0, 0.5), (2.0, 1.0)]
+    cdf = csvio.read_columns(str(cdfp), "cdf", csvio.CDF_HEADER, csvio.CDF_HEADER)
+    assert list(zip(cdf["value"].tolist(), cdf["fraction"].tolist())) == [(1.0, 0.5), (2.0, 1.0)]
     ksp = tmp_path / "ks.csv"
     csvio.write_ks(str(ksp), [("delay_spread_s", 0.05)])
-    assert csvio.read_ks(str(ksp)) == {"delay_spread_s": 0.05}
+    ks = csvio.read_columns(str(ksp), "ks", csvio.KS_HEADER, ("ks_distance",))
+    assert dict(zip(ks["quantity"], ks["ks_distance"].tolist())) == {"delay_spread_s": 0.05}
 
 
 def test_rmse_round_trip(tmp_path):
     path = tmp_path / "rmse.csv"
     csvio.write_rmse(str(path), [["fb", "18", "1.5", "1.4"], ["lb", "18", "2.0", "1.8"]])
-    back = csvio.read_rmse(str(path))
-    assert back["fb"]["final_rmse_m"] == 1.5
-    assert back["lb"]["n_clouds"] == 18.0
+    back = csvio.read_columns(str(path), "track_rmse", csvio.RMSE_HEADER, ("final_rmse_m", "mean_rmse_m"), ("n_clouds",))
+    assert back["final_rmse_m"][back["kind"].index("fb")] == 1.5
+    assert back["n_clouds"][back["kind"].index("lb")] == 18
 
 
 def test_missing_file_oserror(tmp_path):
     with pytest.raises(OSError):
         csvio.read_spreads(str(tmp_path / "nope.csv"))
+
+
+def test_bad_integer_reports_line(tmp_path, frames):
+    cp = tmp_path / "obs.csv"
+    sp = tmp_path / "sens.csv"
+    csvio.write_comm_observations(str(cp), frames)
+    csvio.write_sensing_observations(str(sp), frames)
+    lines = cp.read_text().splitlines()
+    row = lines[4].split(",")
+    row[3] = "1.5"  # path_id
+    lines[4] = ",".join(row)
+    cp.write_text("\n".join(lines) + "\n")
+    with pytest.raises(csvio.CsvFormatError, match=r"obs\.csv:5: path_id must be an integer, got '1\.5'$"):
+        csvio.read_observation_frames(str(cp), str(sp))

@@ -10,9 +10,11 @@ from isacsim.geometry import (
     GeometryError,
     Vec3,
     angles_from_displacement,
+    path_term_columns,
     path_terms,
     unit_vector_from_angles,
     wrap_angle,
+    wrap_angles,
 )
 from isacsim.scene import SceneConfig, generate_scene, observe
 
@@ -147,19 +149,51 @@ def test_path_distance_single_bounce():
 def test_path_terms_matches_noiseless_observation():
     scene = generate_scene(SceneConfig())
     t = 2.0
-    frame = observe(scene, t, (0.0, 0.0), np.random.default_rng(0))
+    paths = observe(scene, t, (0.0, 0.0), np.random.default_rng(0)).comm_paths
     user = scene.user_position(t)
-    for obs in frame.comm_paths:
-        fb = scene.scatterer(obs.fb_id).position_at(t)
-        lb = scene.scatterer(obs.lb_id).position_at(t)
+    for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, _, _, aoa_el) in zip(
+        paths.ids.tolist(), paths.table.tolist()
+    ):
+        fb = scene.scatterer(fb_id).position_at(t)
+        lb = scene.scatterer(lb_id).position_at(t)
         leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
-        delay = leg / SPEED_OF_LIGHT + scene.path(obs.path_id).virtual_delay
-        assert delay == pytest.approx(obs.delay, abs=1e-15)
-        assert aod.azimuth == pytest.approx(obs.aod.azimuth, abs=1e-12)
-        assert aoa.elevation == pytest.approx(obs.aoa.elevation, abs=1e-12)
+        delay = leg / SPEED_OF_LIGHT + scene.path(path_id).virtual_delay
+        assert delay == pytest.approx(obs_delay, abs=1e-15)
+        assert aod.azimuth == pytest.approx(aod_az, abs=1e-12)
+        assert aoa.elevation == pytest.approx(aoa_el, abs=1e-12)
 
 
 def test_path_terms_rejects_zero_leg():
     at_bs = ORIGIN
     with pytest.raises(GeometryError):
         path_terms(ORIGIN, Vec3(10.0, 0.0, 0.0), at_bs, at_bs)
+
+
+def test_wrap_angles_equals_wrap_angle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    edges = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi, -2 * math.pi,
+             np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0), 1e300, -1e300, 5e-324]
+    theta = np.concatenate([edges, rng.uniform(-4.0, 4.0, 5000), rng.normal(0.0, 1e3, 5000)])
+    want = [wrap_angle(x) for x in theta.tolist()]
+    got = wrap_angles(theta).tolist()
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+    assert got == want
+
+
+def test_path_term_columns_equal_the_scalar_formulas_bit_for_bit():
+    # scalar reference: Vec3 norms and angles_from_displacement, path by path
+    rng = np.random.default_rng(22)
+    n = 2000
+    bs, user = np.array([0.0, 0.0, 10.0]), rng.uniform(-50.0, 50.0, (n, 3))
+    fb, lb = rng.uniform(-80.0, 80.0, (n, 3)), rng.uniform(-80.0, 80.0, (n, 3))
+    fb[:3, :2] = bs[:2]  # straight above or below the BS: degenerate AoD
+    fb[3] = (-5.0, -0.0, 10.0)  # atan2 gives -pi, wrapped to pi
+    lb[4, :2] = user[4, :2]
+    leg, angles, degenerate = path_term_columns(bs, user, fb, lb)
+    for i in range(n):
+        to_fb, to_lb = Vec3(*(fb[i] - bs)), Vec3(*(lb[i] - user[i]))
+        aod, aoa = angles_from_displacement(to_fb), angles_from_displacement(to_lb)
+        assert leg[i] == to_fb.norm() + to_lb.norm()
+        assert angles[i].tolist() == [aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation]
+        assert degenerate[i].tolist() == [aod.degenerate, aoa.degenerate]
+    assert degenerate[:3, 0].all() and degenerate[4, 1] and angles[3, 0] == math.pi

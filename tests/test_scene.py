@@ -140,43 +140,45 @@ def test_observe_noiseless_matches_geometry():
     frame = observe(scene, t, (0.0, 0.0), rng)
     user = scene.user_position(t)
     bs = scene.bs_position
-    for obs in frame.comm_paths:
-        fb = scene.scatterer(obs.fb_id).position_at(t)
-        lb = scene.scatterer(obs.lb_id).position_at(t)
+    paths = frame.comm_paths
+    for (_, fb_id, lb_id, _), (_, delay, aod_az, _, _, aoa_el) in zip(paths.ids.tolist(), paths.table.tolist()):
+        fb = scene.scatterer(fb_id).position_at(t)
+        lb = scene.scatterer(lb_id).position_at(t)
         want = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT
-        assert obs.delay == pytest.approx(want, abs=1e-18)
+        assert delay == pytest.approx(want, abs=1e-18)
         aod = angles_from_displacement(fb - bs)
-        assert obs.aod.azimuth == pytest.approx(aod.azimuth, abs=1e-15)
+        assert aod_az == pytest.approx(aod.azimuth, abs=1e-15)
         aoa = angles_from_displacement(lb - user)
-        assert obs.aoa.elevation == pytest.approx(aoa.elevation, abs=1e-15)
-    assert frame.los.delay == pytest.approx(bs.distance_to(user) / SPEED_OF_LIGHT, abs=1e-18)
-    assert frame.los.kind == "los"
-    assert frame.los.path_id == LOS_PATH_ID
+        assert aoa_el == pytest.approx(aoa.elevation, abs=1e-15)
+    assert frame.los.delay.tolist() == [pytest.approx(bs.distance_to(user) / SPEED_OF_LIGHT, abs=1e-18)]
+    assert len(frame.los) == 1
+    assert frame.los.ids.tolist() == [[LOS_PATH_ID] * 4]
 
 
 def test_observe_sensing_covers_alive_fb():
     scene = generate_scene(SceneConfig())
     frame = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
     fb_ids = {s.id for s in scene.alive_scatterers(0.0, role=ROLE_FB)}
-    assert {d.scatterer_id for d in frame.sensing_detections} == fb_ids
-    for det in frame.sensing_detections:
-        s = scene.scatterer(det.scatterer_id)
+    echoes = frame.sensing_detections
+    assert set(echoes.scatterer_id.tolist()) == fb_ids
+    for sid, (round_trip_delay, _, _, _, gain) in zip(echoes.scatterer_id.tolist(), echoes.table.tolist()):
+        s = scene.scatterer(sid)
         d = (s.position_at(0.0) - scene.bs_position).norm()
-        assert det.round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
+        assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
         lam = scene.config.wavelength
-        assert det.gain == pytest.approx(lam**2 * s.rcs / (64 * math.pi**3 * d**4), rel=1e-12)
+        assert gain == pytest.approx(lam**2 * s.rcs / (64 * math.pi**3 * d**4), rel=1e-12)
 
 
 def test_observe_doppler_sign():
     # scatterer moving straight toward the BS must give positive Doppler
     scene = generate_scene(SceneConfig())
-    frame = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
-    for det in frame.sensing_detections:
-        s = scene.scatterer(det.scatterer_id)
+    echoes = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0)).sensing_detections
+    for sid, doppler in zip(echoes.scatterer_id.tolist(), echoes.table[:, 3].tolist()):
+        s = scene.scatterer(sid)
         u = s.position_at(0.0) - scene.bs_position
         u = u * (1.0 / u.norm())
         closing = -s.velocity.dot(u)
-        assert det.doppler == pytest.approx(2.0 * closing / scene.config.wavelength, rel=1e-12)
+        assert doppler == pytest.approx(2.0 * closing / scene.config.wavelength, rel=1e-12)
 
 
 def test_observation_noise_statistics():
@@ -187,20 +189,22 @@ def test_observation_noise_statistics():
     diffs = []
     for _ in range(200):
         noisy = observe(scene, 1.0, (sigma, 0.0), rng)
-        for a, b in zip(noisy.comm_paths, clean.comm_paths):
-            diffs.append(a.delay - b.delay)
+        for a, b in zip(noisy.comm_paths.delay.tolist(), clean.comm_paths.delay.tolist()):
+            diffs.append(a - b)
     arr = np.array(diffs)
     assert abs(arr.mean()) < 4 * sigma / math.sqrt(len(arr))
     assert arr.std() == pytest.approx(sigma, rel=0.15)
 
 
 def test_frame_lookup_helpers():
+    # a frame's rows are keyed by id: one comm row per alive path, one echo row per alive FB scatterer
     scene = generate_scene(SceneConfig())
     frame = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
-    by_path = frame.comm_by_path()
-    assert set(by_path) == {p.path_id for p in frame.comm_paths}
-    by_id = frame.sensing_by_id()
-    assert set(by_id) == {d.scatterer_id for d in frame.sensing_detections}
+    path_ids = frame.comm_paths.path_id.tolist()
+    assert sorted(set(path_ids)) == path_ids == [p.path_id for p in ground_truth_paths(scene, 0.0)]
+    assert frame.comm_paths[1:3].path_id.tolist() == path_ids[1:3]
+    echo_ids = frame.sensing_detections.scatterer_id.tolist()
+    assert len(set(echo_ids)) == len(echo_ids) == len(scene.alive_scatterers(0.0, role=ROLE_FB))
 
 
 def test_text_round_trip():

@@ -1,19 +1,18 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement
+from isacsim.geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, wrap_angle
 from isacsim.scene import (
     LOS_PATH_ID,
+    EchoColumns,
     ObservationFrame,
-    PathObservation,
+    PathColumns,
     SceneConfig,
-    SensingDetection,
     generate_scene,
     ground_truth_paths,
     observe,
@@ -29,7 +28,7 @@ from isacsim.tracker import (
     Slices,
     TrackerConfig,
     TrackerError,
-    _gated_detection,
+    _in_gate,
     _wrap_residual,
     effective_sample_size,
     estimate,
@@ -346,11 +345,11 @@ def test_initialize_exact_at_zero_noise():
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
     assert not state.failed_paths
-    for obs in frame0.comm_paths:
-        fb_truth = scene.scatterer(obs.fb_id).position_at(0.0)
-        lb_truth = scene.scatterer(obs.lb_id).position_at(0.0)
-        assert est_pos(state, (KIND_FB, obs.path_id), 0).distance_to(fb_truth) < 1e-6
-        assert est_pos(state, (KIND_LB, obs.path_id), 0).distance_to(lb_truth) < 1e-6
+    for path_id, fb_id, lb_id, _ in frame0.comm_paths.ids.tolist():
+        fb_truth = scene.scatterer(fb_id).position_at(0.0)
+        lb_truth = scene.scatterer(lb_id).position_at(0.0)
+        assert est_pos(state, (KIND_FB, path_id), 0).distance_to(fb_truth) < 1e-6
+        assert est_pos(state, (KIND_LB, path_id), 0).distance_to(lb_truth) < 1e-6
     assert est_pos(state, USER_KEY, 0).distance_to(scene.user_position(0.0)) < 1e-12
 
 
@@ -364,38 +363,47 @@ def test_initialize_cloud_bookkeeping():
     n_paths = len(frame0.comm_paths)
     assert len(keys) == 1 + 2 * n_paths
     assert [k for k in keys if k[0] == KIND_FB] == sorted(
-        (KIND_FB, o.path_id) for o in frame0.comm_paths
+        (KIND_FB, i) for i in frame0.comm_paths.path_id.tolist()
     )
-    for obs in frame0.comm_paths:
-        assert state.entity_ids[state.row[(KIND_FB, obs.path_id)]] == obs.fb_id
-        assert state.entity_ids[state.row[(KIND_LB, obs.path_id)]] == obs.lb_id
+    for path_id, fb_id, lb_id, _ in frame0.comm_paths.ids.tolist():
+        assert state.entity_ids[state.row[(KIND_FB, path_id)]] == fb_id
+        assert state.entity_ids[state.row[(KIND_LB, path_id)]] == lb_id
+
+
+def path_columns(rows):
+    """PathColumns from (ids, table row) pairs."""
+    ids, table = zip(*rows) if rows else ((), ())
+    return PathColumns(
+        np.array(ids, dtype=int).reshape(-1, 4), np.array(table, dtype=float).reshape(-1, 6),
+        np.zeros((len(rows), 2), dtype=bool),
+    )
 
 
 def hand_frame(t, obs_list, detections, los=None):
-    return ObservationFrame(t, tuple(obs_list), tuple(detections), los)
+    ids, table = zip(*detections) if detections else ((), ())
+    echoes = EchoColumns(
+        np.array(ids, dtype=int), np.array(table, dtype=float).reshape(-1, 5), np.zeros(len(ids), dtype=bool)
+    )
+    return ObservationFrame(t, path_columns(obs_list), echoes, path_columns([] if los is None else [los]))
 
 
 def hand_obs(path_id, fb, lb, bs, user, fb_id=0, lb_id=1, power=0.5):
+    """(ids, table row) of one comm path."""
     delay = (bs.distance_to(fb) + user.distance_to(lb)) / C
-    return PathObservation(
-        path_id, fb_id, lb_id, 0, delay,
-        angles_from_displacement(fb - bs),
-        angles_from_displacement(lb - user), power,
-    )
+    aod, aoa = angles_from_displacement(fb - bs), angles_from_displacement(lb - user)
+    return (path_id, fb_id, lb_id, 0), (power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
 
 
 def hand_det(sid, pos, bs):
+    """(scatterer id, table row) of one echo."""
     d = bs.distance_to(pos)
-    return SensingDetection(sid, 2.0 * d / C, angles_from_displacement(pos - bs), 0.0, 1e-12)
+    angle = angles_from_displacement(pos - bs)
+    return sid, (2.0 * d / C, angle.azimuth, angle.elevation, 0.0, 1e-12)
 
 
 def los_obs(bs, user):
-    return PathObservation(
-        LOS_PATH_ID, LOS_PATH_ID, LOS_PATH_ID, LOS_PATH_ID,
-        bs.distance_to(user) / C,
-        angles_from_displacement(user - bs),
-        angles_from_displacement(bs - user), 1.0, kind="los",
-    )
+    aod, aoa = angles_from_displacement(user - bs), angles_from_displacement(bs - user)
+    return (LOS_PATH_ID,) * 4, (1.0, bs.distance_to(user) / C, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
 
 
 def test_initialize_fb_free_fallback():
@@ -405,11 +413,9 @@ def test_initialize_fb_free_fallback():
     fb = Vec3(-30.0, 60.0, 8.0)
     lb = Vec3(20.0, 30.0, 5.0)
     obs = hand_obs(0, fb, lb, bs, user)
+    _, _, aod_az, aod_el, aoa_az, aoa_el = obs[1]
     # detection angle twisted far out of the gate
-    bogus = SensingDetection(
-        0, 2.0 * bs.distance_to(fb) / C,
-        AngleSet(obs.aod.azimuth + 0.5, obs.aod.elevation), 0.0, 1e-12,
-    )
+    bogus = (0, (2.0 * bs.distance_to(fb) / C, wrap_angle(aod_az + 0.5), aod_el, 0.0, 1e-12))
     frame = hand_frame(0.0, [obs], [bogus], los_obs(bs, user))
     state = initialize(frame, bs, EntityState(user, ORIGIN), exact_cfg(), seed=2)
     assert not state.failed_paths
@@ -418,7 +424,7 @@ def test_initialize_fb_free_fallback():
     assert fb_est.distance_to(lb_est) < 1e-9  # single-bounce hypothesis
     # the hypothesized scatterer lies on the arrival ray
     along = (lb_est - user).norm()
-    ray_point = user + unit(obs.aoa) * along
+    ray_point = user + unit(AngleSet(aoa_az, aoa_el)) * along
     assert lb_est.distance_to(ray_point) < 1e-9
 
 
@@ -431,17 +437,17 @@ def test_angle_gate_rejects_true_echoes_at_the_nominal_rate():
     bs = Vec3(0.0, 0.0, 10.0)
     user = Vec3(0.0, 120.0, 1.2)
     fb = Vec3(-30.0, 60.0, 8.0)
-    obs = hand_obs(0, fb, Vec3(20.0, 30.0, 5.0), bs, user)
-    det = hand_det(0, fb, bs)
+    _, obs = hand_obs(0, fb, Vec3(20.0, 30.0, 5.0), bs, user)
+    _, det = hand_det(0, fb, bs)
     rng = np.random.default_rng(8)
     n = 20000
-    for angle in ("azimuth", "elevation"):
-        rejected = 0
-        for e_obs, e_det in rng.normal(0.0, s, size=(n, 2)):
-            noisy_obs = replace(obs, aod=replace(obs.aod, **{angle: getattr(obs.aod, angle) + e_obs}))
-            noisy_det = replace(det, angle=replace(det.angle, **{angle: getattr(det.angle, angle) + e_det}))
-            frame = hand_frame(0.0, [noisy_obs], [noisy_det])
-            rejected += _gated_detection(noisy_obs, frame, cfg) is None
+    for col, angle in enumerate(("azimuth", "elevation")):
+        noise = rng.normal(0.0, s, size=(n, 2))
+        aod = np.tile(obs[2:4], (n, 1))
+        aod[:, col] += noise[:, 0]
+        echo = np.tile(det[:3], (n, 1))
+        echo[:, 1 + col] += noise[:, 1]
+        rejected = int(np.count_nonzero(~_in_gate(aod, np.full(n, obs[1]), echo, cfg)))
         # 0.27 % of 20000 is 54 (binomial std 7); 3.4 % would be 680
         assert 20 <= rejected <= 100, (angle, rejected)
 
@@ -453,7 +459,7 @@ def test_initialize_failure_on_infeasible_budget():
     lb = Vec3(20.0, 100.0, 5.0)
     good = hand_obs(0, fb, lb, bs, user)
     # delay far below the sensed first leg: nothing left for the second
-    bad = replace(good, path_id=1, delay=bs.distance_to(fb) / C / 4.0)
+    bad = ((1, *good[0][1:]), (good[1][0], bs.distance_to(fb) / C / 4.0, *good[1][2:]))
     det = hand_det(0, fb, bs)
     frame = hand_frame(0.0, [good, bad], [det], los_obs(bs, user))
     state = initialize(frame, bs, EntityState(user, ORIGIN), exact_cfg(), seed=2)
@@ -513,10 +519,10 @@ def test_coasting_extrapolates_straight_line():
     cfg = zero_noise_cfg()
     state = initialize_at_truth(scene, cfg, seed=1)
     full = observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0))
-    pid = full.comm_paths[0].path_id
+    pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time,
-        tuple(o for o in full.comm_paths if o.path_id != pid),
+        full.comm_paths[full.comm_paths.path_id != pid],
         full.sensing_detections,
         full.los,
     )
@@ -596,9 +602,9 @@ def test_step_records_ess_of_weighted_clouds_only():
     cfg = TrackerConfig(n_particles=40)
     state = initialize_at_truth(scene, cfg, seed=1)
     full = observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0))
-    pid = full.comm_paths[0].path_id
+    pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
-        full.time, tuple(o for o in full.comm_paths if o.path_id != pid), full.sensing_detections, full.los
+        full.time, full.comm_paths[full.comm_paths.path_id != pid], full.sensing_detections, full.los
     )
     step(state, pruned)
     assert np.isnan(state.ess[0]).all()  # nothing is weighted at k = 0
