@@ -9,6 +9,7 @@ emitted, so equal inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -69,16 +70,28 @@ def _valid(s: str, kind: type) -> bool:
     return math.isfinite(value) if kind is float else -(2**63) <= value < 2**63
 
 
-def read_columns(
-    path: str, name: str, header: Sequence[str], floats: Sequence[str] = (), ints: Sequence[str] = ()
-) -> dict:
-    """The file's columns by header name: ``floats`` as finite float
-    arrays, ``ints`` as int arrays, the rest as tuples of strings.
+_BLOCK = 1024  # rows held as strings at once while parsing
 
-    Blank lines are skipped. The first bad row is reported with its file
-    and line: its field count if wrong, else its first bad field in
-    ``floats`` then ``ints`` order.
+
+def read_columns(
+    path: str,
+    name: str,
+    header: Sequence[str],
+    floats: Sequence[str] = (),
+    ints: Sequence[str] = (),
+    strings: Sequence[str] = (),
+) -> dict:
+    """The named columns of a file: ``floats`` as finite float arrays,
+    ``ints`` as int arrays and ``strings`` as tuples of strings.
+
+    Every row must have one field per header column. Rows are parsed a
+    block at a time, which bounds the strings held at once. Blank lines
+    are skipped. The first bad row is reported with its file and line:
+    its field count if wrong, else its first bad field in ``floats`` then
+    ``ints`` order.
     """
+    parsed = [(key, float) for key in floats] + [(key, int) for key in ints]
+    parts = {key: [] for key in [*floats, *ints, *strings]}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != _schema_line(name):
@@ -90,26 +103,31 @@ def read_columns(
             raise CsvFormatError(f"{path}: missing header row") from None
         if got_header != list(header):
             raise CsvFormatError(f"{path}: header mismatch: {got_header}")
-        rows = list(reader)
-    lines = range(3, 3 + len(rows))
-    if not all(rows):
-        lines = [n for n, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
-    short = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
-    columns = dict(zip(header, zip(*rows[:short]))) if short else dict.fromkeys(header, ())
-    bad = []
-    for rank, (key, kind) in enumerate([(key, float) for key in floats] + [(key, int) for key in ints]):
-        values, i = _column(columns[key], kind)
-        if i is None:
-            columns[key] = values
-        else:
-            what = "a finite number" if kind is float else "an integer"
-            bad.append((i, rank, f"{path}:{lines[i]}: {key} must be {what}, got {columns[key][i]!r}"))
-    if bad:
-        raise CsvFormatError(min(bad)[2])
-    if short < len(rows):
-        raise CsvFormatError(f"{path}:{lines[short]}: expected {len(header)} fields, got {len(rows[short])}")
-    return columns
+        end = 2
+        for rows in iter(lambda: list(itertools.islice(reader, _BLOCK)), []):
+            lines, end = range(end + 1, end + 1 + len(rows)), end + len(rows)
+            if not all(rows):
+                lines = [n for n, row in zip(lines, rows) if row]
+                rows = [row for row in rows if row]
+            short = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+            columns = dict(zip(header, zip(*rows[:short]))) if short else dict.fromkeys(header, ())
+            bad = []
+            for rank, (key, kind) in enumerate(parsed):
+                values, i = _column(columns[key], kind)
+                if i is None:
+                    parts[key].append(values)
+                else:
+                    what = "a finite number" if kind is float else "an integer"
+                    bad.append((i, rank, f"{path}:{lines[i]}: {key} must be {what}, got {columns[key][i]!r}"))
+            if bad:
+                raise CsvFormatError(min(bad)[2])
+            if short < len(rows):
+                raise CsvFormatError(f"{path}:{lines[short]}: expected {len(header)} fields, got {len(rows[short])}")
+            for key in strings:
+                parts[key].append(columns[key])
+    out = {key: np.concatenate(parts[key] or [np.array([], dtype=kind)]) for key, kind in parsed}
+    out.update((key, tuple(itertools.chain.from_iterable(parts[key]))) for key in strings)
+    return out
 
 
 # --- observation frames ------------------------------------------------------
@@ -181,8 +199,14 @@ def read_observation_frames(comm_path: str, sensing_path: str) -> list[Observati
     and of several LoS rows the last one counts. A frame's columns are
     views of the files' columns.
     """
-    c = read_columns(comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS, _OBS_COMM_INTS)
-    s = read_columns(sensing_path, "sensing_observations", OBS_SENSING_HEADER, _OBS_SENSING_FLOATS, _OBS_SENSING_INTS)
+    c = read_columns(
+        comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS, _OBS_COMM_INTS,
+        ("kind", "aod_degenerate", "aoa_degenerate"),
+    )
+    s = read_columns(
+        sensing_path, "sensing_observations", OBS_SENSING_HEADER, _OBS_SENSING_FLOATS, _OBS_SENSING_INTS,
+        ("degenerate",),
+    )
     check_round_trip_delays(s["round_trip_delay_s"])
     comm = PathColumns(
         np.column_stack([c[key] for key in ("path_id", "fb_id", "lb_id", "cluster_id")]),
@@ -271,9 +295,10 @@ def write_trajectory(path: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def read_trajectory(path: str) -> dict:
-    """The trajectory's columns, with the step, ids, time and estimated position parsed."""
+    """The trajectory's step, time, kind, ids and estimated position columns."""
     return read_columns(
-        path, "trajectory", TRAJECTORY_HEADER, ("t", "est_x", "est_y", "est_z"), ("k", "path_id", "entity_id")
+        path, "trajectory", TRAJECTORY_HEADER, ("t", "est_x", "est_y", "est_z"), ("k", "path_id", "entity_id"),
+        ("kind",),
     )
 
 

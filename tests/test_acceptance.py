@@ -196,7 +196,8 @@ def test_criterion_5_filter_exactness():
 @criterion(6, "tracking regression", 300.0)
 def test_criterion_6_tracking_regression(default_run):
     rmse = csvio.read_columns(
-        os.path.join(default_run["trk"], "rmse.csv"), "track_rmse", csvio.RMSE_HEADER, ("final_rmse_m",)
+        os.path.join(default_run["trk"], "rmse.csv"), "track_rmse", csvio.RMSE_HEADER, ("final_rmse_m",),
+        strings=("kind",),
     )
     final = dict(zip(rmse["kind"], rmse["final_rmse_m"].tolist()))
     fb = final["fb"]
@@ -207,7 +208,7 @@ def test_criterion_6_tracking_regression(default_run):
 
 @criterion(7, "reconstructed-vs-oracle CDF agreement", 300.0)
 def test_criterion_7_cdf_agreement(default_run):
-    ks = csvio.read_columns(default_run["ks"], "ks", csvio.KS_HEADER, ("ks_distance",))
+    ks = csvio.read_columns(default_run["ks"], "ks", csvio.KS_HEADER, ("ks_distance",), strings=("quantity",))
     assert len(ks["quantity"]) == 5
     for quantity, d in zip(ks["quantity"], ks["ks_distance"].tolist()):
         assert d <= KS_LIMIT, (quantity, d)

@@ -80,7 +80,9 @@ def test_track_outputs(tmp_path, cfg_path):
     run_dir = simulate(tmp_path, cfg_path)
     trk = str(tmp_path / "trk")
     assert run("track", "--config", cfg_path, "--run", run_dir, "--out", trk) == 0
-    rmse = csvio.read_columns(os.path.join(trk, "rmse.csv"), "track_rmse", csvio.RMSE_HEADER, ints=("n_clouds",))
+    rmse = csvio.read_columns(
+        os.path.join(trk, "rmse.csv"), "track_rmse", csvio.RMSE_HEADER, ints=("n_clouds",), strings=("kind",)
+    )
     assert {"user", "fb", "lb"} <= set(rmse["kind"])
     assert rmse["n_clouds"][rmse["kind"].index("fb")] == 4  # 2 clusters x 1 FB x (self + 1 LB)
     ks = set(csvio.read_trajectory(os.path.join(trk, "trajectory.csv"))["k"].tolist())
@@ -113,7 +115,7 @@ def test_stats_and_compare(tmp_path, cfg_path):
         "compare", "--a", os.path.join(sts, "spreads_oracle.csv"),
         "--b", os.path.join(sts, "spreads_tracked.csv"), "--out", ks_out,
     ) == 0
-    ks = csvio.read_columns(ks_out, "ks", csvio.KS_HEADER, ("ks_distance",))
+    ks = csvio.read_columns(ks_out, "ks", csvio.KS_HEADER, ("ks_distance",), strings=("quantity",))
     assert len(ks["quantity"]) == 5
     assert all(0.0 <= v <= 1.0 for v in ks["ks_distance"].tolist())
 
@@ -230,7 +232,9 @@ def test_nonstationary_all_pairs_comm_taps_bytes_pinned(tmp_path):
     cfg.write_text(NONSTATIONARY_CFG)
     out = str(tmp_path / "run")
     assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
-    taps = csvio.read_columns(os.path.join(out, "comm_taps.csv"), "comm_taps", csvio.COMM_TAPS_HEADER, ("t",), ("path_id",))
+    taps = csvio.read_columns(
+        os.path.join(out, "comm_taps.csv"), "comm_taps", csvio.COMM_TAPS_HEADER, ("t",), ("path_id",)
+    )
     first = set(taps["path_id"][taps["t"] == 0.0].tolist())
     assert set(taps["path_id"].tolist()) - first  # some taps belong to paths born later
     with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:

@@ -92,7 +92,7 @@ def test_comm_taps_round_trip(tmp_path, scene):
     path = tmp_path / "ctaps.csv"
     csvio.write_comm_taps(str(path), [(0.0, block)])
     back = csvio.read_columns(
-        str(path), "comm_taps", csvio.COMM_TAPS_HEADER, ("t", "delay_s", "re", "im"), ("q", "p", "path_id")
+        str(path), "comm_taps", csvio.COMM_TAPS_HEADER, ("t", "delay_s", "re", "im"), ("q", "p", "path_id"), ("kind",)
     )
     n = block.delay.shape[-1]
     assert len(back["t"]) == block.delay.size
@@ -122,14 +122,16 @@ def test_cdf_and_ks_round_trip(tmp_path):
     assert list(zip(cdf["value"].tolist(), cdf["fraction"].tolist())) == [(1.0, 0.5), (2.0, 1.0)]
     ksp = tmp_path / "ks.csv"
     csvio.write_ks(str(ksp), [("delay_spread_s", 0.05)])
-    ks = csvio.read_columns(str(ksp), "ks", csvio.KS_HEADER, ("ks_distance",))
+    ks = csvio.read_columns(str(ksp), "ks", csvio.KS_HEADER, ("ks_distance",), strings=("quantity",))
     assert dict(zip(ks["quantity"], ks["ks_distance"].tolist())) == {"delay_spread_s": 0.05}
 
 
 def test_rmse_round_trip(tmp_path):
     path = tmp_path / "rmse.csv"
     csvio.write_rmse(str(path), [["fb", "18", "1.5", "1.4"], ["lb", "18", "2.0", "1.8"]])
-    back = csvio.read_columns(str(path), "track_rmse", csvio.RMSE_HEADER, ("final_rmse_m", "mean_rmse_m"), ("n_clouds",))
+    back = csvio.read_columns(
+        str(path), "track_rmse", csvio.RMSE_HEADER, ("final_rmse_m", "mean_rmse_m"), ("n_clouds",), ("kind",)
+    )
     assert back["final_rmse_m"][back["kind"].index("fb")] == 1.5
     assert back["n_clouds"][back["kind"].index("lb")] == 18
 
