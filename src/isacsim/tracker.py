@@ -371,9 +371,9 @@ class TrackerState:
     estimates, (E,) coasted and diverged flags, and the (E,) effective
     sample sizes, NaN for clouds not weighted that step.
 
-    The key columns that stepping indexes are kept as arrays: each
-    cloud's path id, the FB and the LB cloud rows, each LB cloud's FB
-    cloud row and each FB cloud's scatterer id.
+    Stepping indexes per-cloud arrays kept beside the keys: each cloud's
+    path id and scatterer id, the row of its path's FB cloud, the FB and
+    LB cloud rows, and the noise stds of its measurement slice.
     """
 
     config: TrackerConfig
@@ -390,19 +390,23 @@ class TrackerState:
     row: dict[tuple[str, int], int] = field(init=False, repr=False)
     bs: np.ndarray = field(init=False, repr=False)
     path_ids: np.ndarray = field(init=False, repr=False)
+    entities: np.ndarray = field(init=False, repr=False)
+    fb_of: np.ndarray = field(init=False, repr=False)
     fb_rows: np.ndarray = field(init=False, repr=False)
     lb_rows: np.ndarray = field(init=False, repr=False)
-    fb_of_lb: np.ndarray = field(init=False, repr=False)
-    fb_entities: np.ndarray = field(init=False, repr=False)
+    sigmas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.row = {key: e for e, key in enumerate(self.keys)}
         self.bs = np.array(self.bs_pos.as_tuple())
-        kinds = np.array([kind for kind, _ in self.keys])
         self.path_ids = np.array([path_id for _, path_id in self.keys], dtype=int)
+        self.entities = np.array(self.entity_ids, dtype=int)
+        self.fb_of = np.array([self.row.get((KIND_FB, path_id), -1) for _, path_id in self.keys], dtype=np.intp)
+        kinds = np.array([kind for kind, _ in self.keys])
         self.fb_rows, self.lb_rows = np.flatnonzero(kinds == KIND_FB), np.flatnonzero(kinds == KIND_LB)
-        self.fb_of_lb = np.array([self.row[(KIND_FB, i)] for i in self.path_ids[self.lb_rows].tolist()], dtype=np.intp)
-        self.fb_entities = np.array(self.entity_ids, dtype=int)[self.fb_rows]
+        s_d, s_a = self.config.meas_delay_std, self.config.meas_angle_std
+        # an FB slice ranges by half the echo's round trip
+        self.sigmas = np.where((kinds == KIND_FB)[:, None], [s_d / 2.0, s_a, s_a], [s_d, s_a, s_a])
 
     @property
     def k(self) -> int:
@@ -565,40 +569,29 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
         )
     tracker.clouds = clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std))
     paths, echoes = frame.comm_paths, frame.sensing_detections
-    s_d, s_a = cfg.meas_delay_std, cfg.meas_angle_std
     seen = _lookup(paths.path_id, tracker.path_ids)  # each cloud's row in the frame's paths
 
     # user from the LoS; FB clouds from their path's AoD and, when sensed, half the echo's round trip
-    observed = seen[tracker.fb_rows] >= 0
-    fb_rows = tracker.fb_rows[observed]
-    echo = _lookup(echoes.scatterer_id, tracker.fb_entities[observed])
+    fb_rows = tracker.fb_rows[seen[tracker.fb_rows] >= 0]
+    echo = _lookup(echoes.scatterer_id, tracker.entities[fb_rows])
     ranged = echo >= 0
-    delay = np.zeros(fb_rows.size)
-    delay[ranged] = echoes.table[echo[ranged], 0] / 2.0
     n_los = len(frame.los)
     rows = np.concatenate([np.zeros(n_los, dtype=np.intp), fb_rows])
-    sigmas = np.tile([s_d / 2.0, s_a, s_a], (rows.size, 1))
-    sigmas[:n_los, 0] = s_d
-    z = Slices(
-        np.broadcast_to(tracker.bs, (rows.size, 3)),
-        np.vstack([frame.los.table[:, 1:4], np.column_stack([delay, paths.table[seen[fb_rows], 2:4]])]),
-        sigmas,
-        np.concatenate([np.ones(n_los, dtype=bool), ranged]),
-    )
+    values = np.zeros((rows.size, 3))
+    values[:n_los] = frame.los.table[:, 1:4]
+    values[n_los:][ranged, 0] = echoes.table[echo[ranged], 0] / 2.0
+    values[n_los:, 1:] = paths.table[seen[fb_rows], 2:4]
+    reference = np.repeat(tracker.bs[None], rows.size, axis=0)
+    z = Slices(reference, values, tracker.sigmas[rows], np.concatenate([np.ones(n_los, dtype=bool), ranged]))
     clouds.put(rows, weight(clouds.take(rows), z), states=False)
     est = estimate(clouds)
 
     # last bounce: range is what the comm delay leaves after the sensed first leg
-    observed = seen[tracker.lb_rows] >= 0
-    lb_rows = tracker.lb_rows[observed]
-    lb_paths = paths.table[seen[lb_rows]]
-    residual_delay = lb_paths[:, 1] - norms(est[tracker.fb_of_lb[observed], :3] - tracker.bs) / SPEED_OF_LIGHT
-    z = Slices(
-        np.tile(est[0, :3], (lb_rows.size, 1)),
-        np.column_stack([residual_delay, lb_paths[:, 4:6]]),
-        np.tile([s_d, s_a, s_a], (lb_rows.size, 1)),
-        np.ones(lb_rows.size, dtype=bool),
-    )
+    lb_rows = tracker.lb_rows[seen[tracker.lb_rows] >= 0]
+    values = paths.table[seen[lb_rows]][:, [1, 4, 5]]
+    values[:, 0] -= norms(est[tracker.fb_of[lb_rows], :3] - tracker.bs) / SPEED_OF_LIGHT
+    reference = np.repeat(est[None, 0, :3], lb_rows.size, axis=0)
+    z = Slices(reference, values, tracker.sigmas[lb_rows], np.ones(lb_rows.size, dtype=bool))
     lb = weight(clouds.take(lb_rows), z)
     clouds.put(lb_rows, lb, states=False)
     est[lb_rows] = estimate(lb)
