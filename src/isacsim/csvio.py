@@ -197,7 +197,7 @@ def read_observation_frames(comm_path: str, sensing_path: str) -> list[Observati
     Frames come in order of k, each at the time of its first row (comm
     rows before sensing rows). Within a frame rows keep their file order,
     and of several LoS rows the last one counts. A frame's columns are
-    views of the files' columns.
+    slices of arrays that hold the whole file.
     """
     c = read_columns(
         comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS, _OBS_COMM_INTS,
