@@ -92,7 +92,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rx_template = rc.rx_template()
     pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     draws = comm.draw_polarization_set(scene, rc.comm, pol_rng)
-    sensing_taps = [(t, sensing.monostatic_cir(scene, t, dets)) for t, (_, dets) in zip(times, truths)]
+    sensing_taps = [(t, sensing.monostatic_cir(dets)) for t, (_, dets) in zip(times, truths)]
 
     os.makedirs(args.out, exist_ok=True)
     save_scene(scene, os.path.join(args.out, "scene.txt"))

@@ -514,8 +514,8 @@ def observe(
     t: float,
     noise: tuple[float, float],
     rng: np.random.Generator,
-    paths: list[PathTruth] | None = None,
-    detections: list[SensingDetection] | None = None,
+    paths: list[PathTruth],
+    detections: list[SensingDetection],
 ) -> ObservationFrame:
     """Noisy measurement frame at time ``t``.
 
@@ -528,7 +528,7 @@ def observe(
     present (the scene models no occlusion).
 
     ``paths`` and ``detections`` are the frame's ``ground_truth_paths``
-    and ``echoes``, resolved here when not given. The noise is one
+    and ``echoes``, resolved once by the caller. The noise is one
     standard-normal block, one value per draw in this order: per path
     the delay, AoD azimuth and elevation, AoA azimuth and elevation; the
     LoS the same way; per echo the round-trip delay, azimuth and
@@ -539,8 +539,6 @@ def observe(
     if sigma_delay < 0.0 or sigma_angle < 0.0:
         raise ConfigError("noise standard deviations must be nonnegative")
     scene.check_time(t)
-    paths = ground_truth_paths(scene, t) if paths is None else paths
-    detections = echoes(scene, t) if detections is None else detections
 
     bs, user = scene.bs_position, scene.user_position(t)
     leg, aod, aoa = path_terms(bs, user, user, bs)  # both legs are the direct path

@@ -8,18 +8,14 @@ from __future__ import annotations
 
 # the echo laws live beside the scene's echo query; they are exported here too
 from .scene import (  # noqa: F401
-    SceneTruth, SensingDetection, SensingError, doppler_shift, echo_delay, echoes, sensing_gain,
+    SensingDetection, SensingError, doppler_shift, echo_delay, echoes, sensing_gain,
 )
 
 
-def monostatic_cir(
-    scene: SceneTruth, t: float, detections: list[SensingDetection] | None = None
-) -> list[SensingDetection]:
-    """Sensing impulse response at time ``t``, echoes sorted by delay.
+def monostatic_cir(detections: list[SensingDetection]) -> list[SensingDetection]:
+    """Sensing impulse response of one frame's echoes, sorted by delay.
 
-    The echoes of ``scene.echoes``, ordered by (round-trip delay,
-    scatterer id). ``detections``, when given, are those echoes,
-    already resolved by the caller.
+    ``detections`` are the frame's ``scene.echoes``; the response orders
+    them by (round-trip delay, scatterer id).
     """
-    detections = echoes(scene, t) if detections is None else detections
     return sorted(detections, key=lambda e: (e.round_trip_delay, e.scatterer_id))

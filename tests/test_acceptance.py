@@ -19,7 +19,7 @@ from isacsim.cli import main as cli_main
 from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_terms, wrap_angle
-from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, ground_truth_paths, observe
+from isacsim.scene import LOS_PATH_ID, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
 from isacsim.sensing import doppler_shift, echo_delay, sensing_gain
 from isacsim.stats import all_spreads
 from isacsim.tracker import (
@@ -153,7 +153,7 @@ def test_criterion_4_oracle_closure():
     rng = np.random.default_rng(0)
     for k in range(201):
         t = k * 0.1
-        paths = observe(scene, t, (0.0, 0.0), rng).comm_paths
+        paths = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t)).comm_paths
         user = scene.user_position(t)
         for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, aod_el, aoa_az, aoa_el) in zip(
             paths.ids.tolist(), paths.table.tolist()
@@ -184,7 +184,7 @@ def test_criterion_5_filter_exactness():
     rng = np.random.default_rng(0)
     for k in range(1, 201):
         t = k * cfg.ts
-        step(state, observe(scene, t, (0.0, 0.0), rng))
+        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t)))
         for key, sid, est in zip(state.keys, state.entity_ids, state.estimates[-1].tolist()):
             if key == USER_KEY:
                 truth = scene.user_position(t)

@@ -7,7 +7,7 @@ from isacsim import csvio
 from isacsim.antenna import half_wavelength_array
 from isacsim.comm import CommParams, draw_polarization_set, frame_taps
 from isacsim.geometry import ORIGIN
-from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, observe
+from isacsim.scene import LOS_PATH_ID, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
 from isacsim.sensing import monostatic_cir
 
 
@@ -19,7 +19,8 @@ def scene():
 @pytest.fixture(scope="module")
 def frames(scene):
     rng = np.random.default_rng(1)
-    return [observe(scene, k * 0.1, (5e-9, 0.01), rng) for k in range(4)]
+    times = [k * 0.1 for k in range(4)]
+    return [observe(scene, t, (5e-9, 0.01), rng, ground_truth_paths(scene, t), echoes(scene, t)) for t in times]
 
 
 def test_observation_round_trip(tmp_path, frames):
@@ -76,7 +77,7 @@ def test_header_mismatch(tmp_path, frames):
 
 
 def test_sensing_taps_round_trip(tmp_path, scene):
-    data = [(t, monostatic_cir(scene, t)) for t in (0.0, 0.1)]
+    data = [(t, monostatic_cir(echoes(scene, t))) for t in (0.0, 0.1)]
     path = tmp_path / "staps.csv"
     csvio.write_sensing_taps(str(path), data)
     rows = csvio.read_columns(str(path), "sensing_taps", csvio.SENSING_TAPS_HEADER, ("delay_s",))

@@ -16,7 +16,7 @@ from isacsim.geometry import (
     wrap_angle,
     wrap_angles,
 )
-from isacsim.scene import SceneConfig, generate_scene, observe
+from isacsim.scene import SceneConfig, echoes, generate_scene, ground_truth_paths, observe
 
 
 def test_wrap_angle_basic():
@@ -149,7 +149,9 @@ def test_path_distance_single_bounce():
 def test_path_terms_matches_noiseless_observation():
     scene = generate_scene(SceneConfig())
     t = 2.0
-    paths = observe(scene, t, (0.0, 0.0), np.random.default_rng(0)).comm_paths
+    paths = observe(
+        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t)
+    ).comm_paths
     user = scene.user_position(t)
     for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, _, _, aoa_el) in zip(
         paths.ids.tolist(), paths.table.tolist()

@@ -13,6 +13,7 @@ from isacsim.scene import (
     ConfigError,
     SceneConfig,
     SceneRangeError,
+    echoes,
     generate_scene,
     ground_truth_paths,
     load_scene,
@@ -137,7 +138,7 @@ def test_observe_noiseless_matches_geometry():
     scene = generate_scene(SceneConfig())
     rng = np.random.default_rng(0)
     t = 4.0
-    frame = observe(scene, t, (0.0, 0.0), rng)
+    frame = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t))
     user = scene.user_position(t)
     bs = scene.bs_position
     paths = frame.comm_paths
@@ -157,11 +158,13 @@ def test_observe_noiseless_matches_geometry():
 
 def test_observe_sensing_covers_alive_fb():
     scene = generate_scene(SceneConfig())
-    frame = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    frame = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    )
     fb_ids = {s.id for s in scene.alive_scatterers(0.0, role=ROLE_FB)}
-    echoes = frame.sensing_detections
-    assert set(echoes.scatterer_id.tolist()) == fb_ids
-    for sid, (round_trip_delay, _, _, _, gain) in zip(echoes.scatterer_id.tolist(), echoes.table.tolist()):
+    dets = frame.sensing_detections
+    assert set(dets.scatterer_id.tolist()) == fb_ids
+    for sid, (round_trip_delay, _, _, _, gain) in zip(dets.scatterer_id.tolist(), dets.table.tolist()):
         s = scene.scatterer(sid)
         d = (s.position_at(0.0) - scene.bs_position).norm()
         assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
@@ -172,8 +175,10 @@ def test_observe_sensing_covers_alive_fb():
 def test_observe_doppler_sign():
     # scatterer moving straight toward the BS must give positive Doppler
     scene = generate_scene(SceneConfig())
-    echoes = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0)).sensing_detections
-    for sid, doppler in zip(echoes.scatterer_id.tolist(), echoes.table[:, 3].tolist()):
+    dets = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    ).sensing_detections
+    for sid, doppler in zip(dets.scatterer_id.tolist(), dets.table[:, 3].tolist()):
         s = scene.scatterer(sid)
         u = s.position_at(0.0) - scene.bs_position
         u = u * (1.0 / u.norm())
@@ -185,10 +190,12 @@ def test_observation_noise_statistics():
     scene = generate_scene(SceneConfig())
     rng = np.random.default_rng(12)
     sigma = 5e-9
-    clean = observe(scene, 1.0, (0.0, 0.0), np.random.default_rng(0))
+    clean = observe(
+        scene, 1.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 1.0), echoes(scene, 1.0)
+    )
     diffs = []
     for _ in range(200):
-        noisy = observe(scene, 1.0, (sigma, 0.0), rng)
+        noisy = observe(scene, 1.0, (sigma, 0.0), rng, ground_truth_paths(scene, 1.0), echoes(scene, 1.0))
         for a, b in zip(noisy.comm_paths.delay.tolist(), clean.comm_paths.delay.tolist()):
             diffs.append(a - b)
     arr = np.array(diffs)
@@ -199,7 +206,9 @@ def test_observation_noise_statistics():
 def test_frame_lookup_helpers():
     # a frame's rows are keyed by id: one comm row per alive path, one echo row per alive FB scatterer
     scene = generate_scene(SceneConfig())
-    frame = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    frame = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    )
     path_ids = frame.comm_paths.path_id.tolist()
     assert sorted(set(path_ids)) == path_ids == [p.path_id for p in ground_truth_paths(scene, 0.0)]
     assert frame.comm_paths[1:3].path_id.tolist() == path_ids[1:3]
@@ -263,7 +272,9 @@ def test_time_range_enforced():
     with pytest.raises(SceneRangeError):
         ground_truth_paths(scene, 10.5)
     with pytest.raises(SceneRangeError):
-        observe(scene, -0.1, (0.0, 0.0), np.random.default_rng(0))
+        observe(
+            scene, -0.1, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, -0.1), echoes(scene, -0.1)
+        )
 
 
 def test_virtual_delays():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.scene import SceneConfig, generate_scene
+from isacsim.scene import SceneConfig, echoes, generate_scene
 from isacsim.sensing import (
     SensingError,
     doppler_shift,
@@ -57,7 +57,7 @@ def _scene():
 
 def test_cir_covers_alive_fb_sorted_by_delay():
     scene = _scene()
-    taps = monostatic_cir(scene, 2.0)
+    taps = monostatic_cir(echoes(scene, 2.0))
     ids = {s.id for s in scene.alive_scatterers(2.0, role="fb")}
     assert {tap.scatterer_id for tap in taps} == ids
     delays = [tap.round_trip_delay for tap in taps]
@@ -67,7 +67,7 @@ def test_cir_covers_alive_fb_sorted_by_delay():
 def test_cir_geometry_consistency():
     scene = _scene()
     t = 1.5
-    taps = monostatic_cir(scene, t)
+    taps = monostatic_cir(echoes(scene, t))
     for tap in taps:
         s = scene.scatterer(tap.scatterer_id)
         d = (s.position_at(t) - scene.bs_position).norm()
@@ -79,7 +79,7 @@ def test_cir_geometry_consistency():
 
 def test_doppler_matches_closing_speed():
     scene = _scene()
-    taps = monostatic_cir(scene, 0.0)
+    taps = monostatic_cir(echoes(scene, 0.0))
     lam = scene.config.wavelength
     for tap in taps:
         s = scene.scatterer(tap.scatterer_id)

@@ -13,6 +13,7 @@ from isacsim.scene import (
     ObservationFrame,
     PathColumns,
     SceneConfig,
+    echoes,
     generate_scene,
     ground_truth_paths,
     observe,
@@ -341,7 +342,9 @@ def exact_cfg(n=50):
 
 def test_initialize_exact_at_zero_noise():
     scene = static_scene()
-    frame0 = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    frame0 = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
     assert not state.failed_paths
@@ -355,7 +358,9 @@ def test_initialize_exact_at_zero_noise():
 
 def test_initialize_cloud_bookkeeping():
     scene = static_scene()
-    frame0 = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    frame0 = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
     keys = state.keys
@@ -470,7 +475,9 @@ def test_initialize_failure_on_infeasible_budget():
 
 def test_initialize_deterministic_given_seed():
     scene = static_scene()
-    frame0 = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    frame0 = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     cfg = TrackerConfig(n_particles=20)
     a = initialize(frame0, scene.bs_position, user0, cfg, seed=5)
@@ -494,7 +501,9 @@ def zero_noise_cfg(n=20):
 def test_step_requires_matching_time():
     scene = static_scene()
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=1)
-    frame = observe(scene, 0.3, (0.0, 0.0), np.random.default_rng(0))
+    frame = observe(
+        scene, 0.3, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.3), echoes(scene, 0.3)
+    )
     with pytest.raises(TrackerError, match="Ts"):
         step(state, frame)
 
@@ -506,7 +515,7 @@ def test_zero_noise_tracking_is_exact():
     rng = np.random.default_rng(0)
     for k in range(1, 21):
         t = k * cfg.ts
-        step(state, observe(scene, t, (0.0, 0.0), rng))
+        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t)))
         assert est_pos(state, USER_KEY).distance_to(scene.user_position(t)) < 1e-6
         for key, sid in zip(state.keys[1:], state.entity_ids[1:]):
             truth = scene.scatterer(sid).position_at(t)
@@ -518,7 +527,8 @@ def test_coasting_extrapolates_straight_line():
     scene = static_scene()
     cfg = zero_noise_cfg()
     state = initialize_at_truth(scene, cfg, seed=1)
-    full = observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0))
+    t = cfg.ts
+    full = observe(scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t))
     pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time,
@@ -540,7 +550,8 @@ def test_step_updates_counters_and_history():
     cfg = zero_noise_cfg()
     state = initialize_at_truth(scene, cfg, seed=1)
     assert state.k == 0 and len(state.estimates) == 1
-    step(state, observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0)))
+    t = cfg.ts
+    step(state, observe(scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t)))
     assert state.k == 1 and state.time == pytest.approx(cfg.ts)
     assert len(state.estimates) == 2
     assert len(state.times) == len(state.coasted) == len(state.diverged) == len(state.ess) == 2
@@ -601,7 +612,8 @@ def test_step_records_ess_of_weighted_clouds_only():
     scene = static_scene()
     cfg = TrackerConfig(n_particles=40)
     state = initialize_at_truth(scene, cfg, seed=1)
-    full = observe(scene, cfg.ts, (0.0, 0.0), np.random.default_rng(0))
+    t = cfg.ts
+    full = observe(scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t))
     pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time, full.comm_paths[full.comm_paths.path_id != pid], full.sensing_detections, full.los
@@ -617,7 +629,9 @@ def test_particle_count_capped_before_allocation():
     with pytest.raises(TrackerError, match=f"more than {MAX_PARTICLES}"):
         TrackerConfig(n_particles=MAX_PARTICLES + 1).validate()
     scene = static_scene()
-    frame0 = observe(scene, 0.0, (0.0, 0.0), np.random.default_rng(0))
+    frame0 = observe(
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+    )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     cfg = TrackerConfig(n_particles=MAX_PARTICLES // 4)  # one cloud fits, 1 + 2 * 18 do not
     tracemalloc.start()
