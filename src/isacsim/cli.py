@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 from typing import Iterator
@@ -127,25 +126,11 @@ def _read_frames(run_dir: str) -> list[ObservationFrame]:
 def _truth_tracks(scene: SceneTruth, state: tracker.TrackerState) -> tuple[np.ndarray, ...]:
     """Each cloud's true entity at each step: the (K, E) alive mask, the
     (K, E, 3) positions, NaN where not alive, and the (E, 3) velocities.
-
-    A position is anchor + velocity * (t - birth), element by element as
-    ``ScattererTruth.position_at`` computes it; the user's anchor is its
-    start position at time 0.
     """
-    cfg = scene.config
-    anchors = []
-    for (kind, _), entity_id in zip(state.keys, state.entity_ids):
-        if kind == tracker.KIND_USER:
-            anchors.append((*cfg.user_start.as_tuple(), *cfg.user_velocity.as_tuple(), 0.0, math.inf))
-        else:
-            s = scene.scatterer(entity_id)
-            anchors.append((*s.position.as_tuple(), *s.velocity.as_tuple(), s.birth_time, s.death_time))
-    a = np.array(anchors)
-    anchor, velocity, birth, death = a[:, :3], a[:, 3:6], a[:, 6], a[:, 7]
+    tracks = scene.trajectories(state.entity_ids)
     t = np.array(state.times)[:, None]
-    alive = (birth <= t) & (t < death)
-    positions = anchor + velocity * (t - birth)[..., None]
-    return alive, np.where(alive[..., None], positions, np.nan), velocity
+    alive = tracks.alive(t)
+    return alive, np.where(alive[..., None], tracks.positions(t), np.nan), tracks.velocity
 
 
 def cmd_track(args: argparse.Namespace) -> int:

@@ -12,6 +12,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -78,6 +79,32 @@ class ScattererTruth:
 
     def position_at(self, t: float) -> Vec3:
         return self.position + self.velocity * (t - self.birth_time)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectories:
+    """Constant-velocity trajectory segments, one row per entity.
+
+    ``anchor`` and ``velocity`` are (E, 3); ``anchor`` is the position at
+    ``birth``, and the entity is alive from ``birth`` until before
+    ``death`` (may be inf), both (E,).
+    """
+
+    anchor: np.ndarray
+    velocity: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+
+    def alive(self, t: float | np.ndarray) -> np.ndarray:
+        """Alive mask at ``t``: (E,) for one time, (K, E) for a (K, 1) column of times."""
+        return (self.birth <= t) & (t < self.death)
+
+    def positions(self, t: float | np.ndarray) -> np.ndarray:
+        """Positions at ``t``, (E, 3) or (K, E, 3), alive or not.
+
+        Element by element as ``ScattererTruth.position_at`` computes them.
+        """
+        return self.anchor + self.velocity * (t - self.birth)[..., None]
 
 
 @dataclass(frozen=True)
@@ -282,20 +309,26 @@ class SceneTruth:
         return {p.path_id: p for p in self.paths}
 
     @cached_property
-    def _path_ends(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per path, in stored order, of its FB and of its LB scatterer: the
-        (P, 3) anchor positions and velocities and the (P,) birth and death times."""
+    def _path_ends(self) -> tuple[Trajectories, Trajectories]:
+        """The trajectories of each path's FB and of its LB scatterer, in stored path order."""
+        return self.trajectories([p.fb_id for p in self.paths]), self.trajectories([p.lb_id for p in self.paths])
 
-        def ends(ids: list[int]) -> tuple[np.ndarray, ...]:
-            ss = [self.scatterer(i) for i in ids]
-            return (
-                np.array([s.position.as_tuple() for s in ss], dtype=float).reshape(-1, 3),
-                np.array([s.velocity.as_tuple() for s in ss], dtype=float).reshape(-1, 3),
-                np.array([s.birth_time for s in ss], dtype=float),
-                np.array([s.death_time for s in ss], dtype=float),
-            )
+    def trajectories(self, ids: Iterable[int]) -> Trajectories:
+        """Trajectory rows of the scatterers ``ids``, in order.
 
-        return ends([p.fb_id for p in self.paths]), ends([p.lb_id for p in self.paths])
+        ``LOS_PATH_ID`` stands for the user, anchored at its start
+        position at time 0 and never dying.
+        """
+        cfg = self.config
+        rows = []
+        for sid in ids:
+            if sid == LOS_PATH_ID:
+                rows.append((*cfg.user_start.as_tuple(), *cfg.user_velocity.as_tuple(), 0.0, math.inf))
+            else:
+                s = self.scatterer(sid)
+                rows.append((*s.position.as_tuple(), *s.velocity.as_tuple(), s.birth_time, s.death_time))
+        a = np.array(rows, dtype=float).reshape(-1, 8)
+        return Trajectories(a[:, :3], a[:, 3:6], a[:, 6], a[:, 7])
 
     @property
     def bs_position(self) -> Vec3:
@@ -412,16 +445,11 @@ def ground_truth_paths(scene: SceneTruth, t: float) -> list[PathTruth]:
     frame, which makes the Rician LoS/NLoS power split exact.
     """
     scene.check_time(t)
-    alive = np.ones(len(scene.paths), dtype=bool)
-    points = []
-    for anchor, velocity, birth, death in scene._path_ends:
-        alive &= (birth <= t) & (t < death)
-        points.append((anchor, velocity, birth))
-    rows = np.flatnonzero(alive)
+    fb_ends, lb_ends = scene._path_ends
+    rows = np.flatnonzero(fb_ends.alive(t) & lb_ends.alive(t))
     if not rows.size:
         return []
-    # ScattererTruth.position_at, element by element
-    fb, lb = (anchor[rows] + velocity[rows] * (t - birth[rows])[:, None] for anchor, velocity, birth in points)
+    fb, lb = fb_ends.positions(t)[rows], lb_ends.positions(t)[rows]
     bs, user = (np.array(v.as_tuple()) for v in (scene.bs_position, scene.user_position(t)))
     leg, angles, degenerate = path_term_columns(bs, user, fb, lb)
     paths = [scene.paths[i] for i in rows.tolist()]
