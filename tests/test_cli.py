@@ -412,10 +412,11 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
     assert not os.path.exists(tmp_path / "x")
 
 
-# sha256 of the track outputs and of the tracked and observed spreads of two
-# short runs. trajectory.csv and rmse.csv were taken from the per-cloud
-# tracker before it was batched, the rest from the per-row scoring and the
-# per-snapshot ensemble objects before they became arrays; every byte must stay
+# sha256 of the track outputs and of the tracked, observed and true spreads of
+# two short runs. trajectory.csv and rmse.csv were taken from the per-cloud
+# tracker before it was batched, spreads_oracle.csv from the per-path truth
+# objects, the rest from the per-row scoring and the per-snapshot ensemble
+# objects before they became arrays; every byte must stay
 TRACK_CFGS = {
     "default": "[run]\nduration = 1.0\n",
     "birth-death-virtual-delay": (
@@ -431,6 +432,7 @@ TRACK_SHA256 = {
         "trk/summary.csv": "5be0362e35682faff4a4eb4f718ab528350eff886c1a4e9ac88cddd40ad08696",
         "sts/spreads_tracked.csv": "7cb4e51f5bd6395511de5560e95efe4826e1dc127b09bba2ab5f65b64f31f89e",
         "sts/spreads_observations.csv": "a7a5429d2ffc12757a5161d1564cca336d2a0eff2001a88e83be437e850285de",
+        "sts/spreads_oracle.csv": "897bc0c12638fc79c666e08be082afb93e80dd6d58301c730f8e8a63607f334f",
     },
     "birth-death-virtual-delay": {
         "trk/trajectory.csv": "42730b6b2d4e120da8b037342b75fde49b3d260c2044343f7ef6cb0af878d487",
@@ -438,6 +440,7 @@ TRACK_SHA256 = {
         "trk/summary.csv": "aa0087316985b3c89d96d8aeaf944440fe2272776e308b7e7625a5795d2b16e2",
         "sts/spreads_tracked.csv": "0937ec7a5f1e686d2c2e4bace75bb480a8f26e7558bcd500419c001483a6fad9",
         "sts/spreads_observations.csv": "2fd845557436f63918b0b5dafc87916c48c135687fed0f702388a076963cd001",
+        "sts/spreads_oracle.csv": "a0a7dd38f7dee20fba48f4111462018351290c859f9ef064eb088681457f4657",
         # paths 0-2 die and 3-5 are born at k = 12, so the per-frame noise draws shift there
         "run/observations.csv": "4930573660be9f1307324288dadc3907663371d8b2c6e9f63ecec210c628da86",
         "run/sensing_observations.csv": "03ec07b82c4197073209161192dc0e0625af4f02dcddb1b6b9e0098f459650e9",
@@ -456,6 +459,7 @@ def test_track_bytes_pinned(tmp_path, name):
     assert run("stats", "--run", run_dir, "--track", trk, "--source", "trajectory", "--out", sts,
                "--label", "tracked") == 0
     assert run("stats", "--run", run_dir, "--source", "observations", "--out", sts) == 0
+    assert run("stats", "--run", run_dir, "--source", "scene", "--out", sts, "--label", "oracle") == 0
     for fname, digest in TRACK_SHA256[name].items():
         with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
