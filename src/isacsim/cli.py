@@ -81,17 +81,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scene = generate_scene(rc.scene)
 
     times = _frame_times(rc)
-    # each frame's paths and echoes, resolved once for the observations and both channels
-    truths = [(ground_truth_paths(scene, t), echoes(scene, t)) for t in times]
+    # every frame's paths and echoes, resolved once for the observations and both channels
+    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
     obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = (rc.scene.sigma_delay, rc.scene.sigma_angle)
-    frames = [observe(scene, t, noise, obs_rng, *truth) for t, truth in zip(times, truths)]
+    frames = [observe(scene, t, noise, obs_rng, *truth) for t, *truth in zip(times, paths, detections)]
 
     tx = rc.tx_array()
     rx_template = rc.rx_template()
     pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     draws = comm.draw_polarization_set(scene, rc.comm, pol_rng)
-    sensing_taps = [(t, sensing.monostatic_cir(dets)) for t, (_, dets) in zip(times, truths)]
+    sensing_taps = [(t, sensing.monostatic_cir(echo)) for t, echo in zip(times, detections)]
 
     os.makedirs(args.out, exist_ok=True)
     save_scene(scene, os.path.join(args.out, "scene.txt"))
@@ -106,8 +106,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
     csvio.write_comm_taps(
         os.path.join(args.out, "comm_taps.csv"),
-        ((t, comm.frame_taps(scene, t, tx, rx_template, rc.comm, draws, q, p, paths))
-         for t, (paths, _) in zip(times, truths)),
+        ((t, comm.frame_taps(scene, t, tx, rx_template, rc.comm, draws, q, p, truth))
+         for t, truth in zip(times, paths)),
     )
 
     print(f"scene: {len(scene.scatterers)} scatterers, {len(scene.paths)} paths")
@@ -223,10 +223,9 @@ Snapshots = Iterator[tuple[int, float, np.ndarray]]
 
 
 def _oracle_snapshots(scene: SceneTruth, rc: RunConfig) -> Snapshots:
-    for k, t in enumerate(_frame_times(rc)):
-        paths = ground_truth_paths(scene, t)
-        table = [(p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation) for p in paths]
-        yield k, t, np.array(table, dtype=float).reshape(-1, 6)
+    times = _frame_times(rc)
+    for k, (t, paths) in enumerate(zip(times, ground_truth_paths(scene, times))):
+        yield k, t, paths.columns.table
 
 
 def _observation_snapshots(run_dir: str) -> Snapshots:

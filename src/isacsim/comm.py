@@ -19,8 +19,8 @@ import numpy as np
 
 from .antenna import PlanarArray
 from .constants import SPEED_OF_LIGHT
-from .geometry import Vec3, check_finite, norms
-from .scene import LOS_PATH_ID, PathTruth, SceneTruth, ground_truth_paths
+from .geometry import check_finite, norms
+from .scene import LOS_PATH_ID, SceneTruth, TruePaths, ground_truth_paths
 
 KIND_LOS = "los"
 KIND_NLOS = "nlos"
@@ -98,20 +98,22 @@ def pair_taps(
     p: np.ndarray,
     carrier_hz: float,
     direct_phase: float,
-    scattered: list[tuple[int, Vec3, Vec3, float, float, float]],
+    scattered: TruePaths,
+    phases: np.ndarray,
     weights: tuple[float, float],
 ) -> TapBlock:
     """Taps for rx elements ``q`` and tx elements ``p``, the one tap kernel.
 
     ``q`` and ``p`` broadcast to the pair shape; (Q, 1) and (1, P) index
     columns give a grid whose legs are computed once per element. The
-    direct path has delay |tx_p - rx_q| / c and unit power; each
-    scattered path (path_id, fb, lb, power, virtual_delay, phase) has
+    direct path has delay |tx_p - rx_q| / c and unit power; each path of
+    ``scattered``, with bounce points fb and lb, has
     (|fb - tx_p| + |lb - rx_q|) / c plus its virtual delay, the
     bounce-to-bounce leg carrying no geometric delay. The amplitude is
     w * exp(j phase) * sqrt(power) * exp(j 2 pi f_c delay), where phase is
-    the path's drawn co-polar phase (``direct_phase`` for the direct path)
-    and w is the direct or scattered Rician weight of ``weights``.
+    the path's drawn co-polar phase (its row of ``phases``,
+    ``direct_phase`` for the direct path) and w is the direct or
+    scattered Rician weight of ``weights``.
 
     Complex products are written out in real arithmetic: numpy's
     vectorized complex multiply uses fused multiply-adds (FMA) and rounds
@@ -128,24 +130,17 @@ def pair_taps(
     tx_pos = tx.element_positions()[p][..., None, :]
     rx_pos = rx.element_positions()[q][..., None, :]
 
-    direct, to_fb, to_lb = (
-        norms(tx_pos - rx_pos),
-        norms(tx_pos - np.array([s[1].as_tuple() for s in scattered]).reshape(-1, 3)),
-        norms(rx_pos - np.array([s[2].as_tuple() for s in scattered]).reshape(-1, 3)),
-    )
+    direct, to_fb, to_lb = norms(tx_pos - rx_pos), norms(tx_pos - scattered.fb), norms(rx_pos - scattered.lb)
     if any(np.any(leg <= 0.0) for leg in (direct, to_fb, to_lb)):
         raise CommError("zero-length leg between an antenna and a path end")
     dist = np.concatenate([direct, to_fb + to_lb], axis=-1)
 
-    path_id = np.array([LOS_PATH_ID] + [s[0] for s in scattered], dtype=int)
-    delay = dist / SPEED_OF_LIGHT + np.array([0.0] + [s[4] for s in scattered])
-    gain = np.array(
-        [complex(np.exp(1j * direct_phase))]
-        + [complex(np.exp(1j * phase)) * math.sqrt(power) for _, _, _, power, _, phase in scattered],
-        dtype=complex,
-    )
+    path_id = np.concatenate([[LOS_PATH_ID], scattered.columns.path_id])
+    delay = dist / SPEED_OF_LIGHT + np.concatenate([[0.0], scattered.virtual_delay])
+    gain = np.exp(1j * np.concatenate([[direct_phase], phases]))
+    amplitude = np.sqrt(np.concatenate([[1.0], scattered.columns.table[:, 0]]))
     phasor = np.exp(1j * (TWO_PI * carrier_hz * delay))
-    re, im = _cmul(gain.real, gain.imag, phasor.real, phasor.imag)
+    re, im = _cmul(*_cmul(gain.real, gain.imag, amplitude, 0.0), phasor.real, phasor.imag)
     re, im = _cmul(np.where(path_id == LOS_PATH_ID, *weights), 0.0, re, im)
 
     path_id = np.broadcast_to(path_id, delay.shape)
@@ -163,27 +158,27 @@ def frame_taps(
     phases: dict[int, float],
     q: np.ndarray,
     p: np.ndarray,
-    truths: list[PathTruth] | None = None,
+    paths: TruePaths | None = None,
 ) -> TapBlock:
     """Rician-combined taps at time ``t`` for rx elements ``q`` and tx elements ``p``.
 
     ``rx_template`` supplies the user array geometry and is translated to
     the user position at ``t``. Each pair gets the direct tap plus one tap
     per path alive at ``t``, with the path's phase from ``phases``; see
-    ``pair_taps`` for the index shapes. ``truths``, when given, are the
+    ``pair_taps`` for the index shapes. ``paths``, when given, are the
     frame's ``ground_truth_paths``, already resolved by the caller.
     """
     scene.check_time(t)
     params.validate()
     rx = rx_template.moved_to(scene.user_position(t))
-    truths = ground_truth_paths(scene, t) if truths is None else truths
+    paths = ground_truth_paths(scene, [t])[0] if paths is None else paths
     try:
         los_phase = phases[LOS_PATH_ID]
-        scattered = [(pt.path_id, pt.fb, pt.lb, pt.power, pt.virtual_delay, phases[pt.path_id]) for pt in truths]
+        path_phases = np.array([phases[pid] for pid in paths.columns.path_id.tolist()], dtype=float)
     except KeyError as exc:
         raise CommError(f"missing polarization draw for path {exc.args[0]!r}") from exc
     return pair_taps(
-        tx, rx, q, p, scene.config.carrier_hz, los_phase, scattered, rician_weights(params.k_factor)
+        tx, rx, q, p, scene.config.carrier_hz, los_phase, paths, path_phases, rician_weights(params.k_factor)
     )
 
 

@@ -22,7 +22,6 @@ from .scene import (
     EchoColumns,
     ObservationFrame,
     PathColumns,
-    SensingDetection,
     check_round_trip_delays,
 )
 
@@ -244,13 +243,12 @@ SENSING_TAPS_HEADER = ("time", "scatterer_id", "delay_s", "doppler_hz", "gain")
 COMM_TAPS_HEADER = ("t", "q", "p", "kind", "path_id", "delay_s", "re", "im")
 
 
-def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, Sequence[SensingDetection]]]) -> None:
-    rows = []
-    for t, taps in taps_by_time:
-        for e in taps:
-            rows.append(
-                [_fmt(t), str(e.scatterer_id), _fmt(e.round_trip_delay), _fmt(e.doppler), _fmt(e.gain)]
-            )
+def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, EchoColumns]]) -> None:
+    rows = (
+        [_fmt(t), str(sid), repr(delay), repr(doppler), repr(gain)]
+        for t, taps in taps_by_time
+        for sid, (delay, _, _, doppler, gain) in zip(taps.scatterer_id.tolist(), taps.table.tolist())
+    )
     _write(path, "sensing_taps", SENSING_TAPS_HEADER, rows)
 
 

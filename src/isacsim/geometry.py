@@ -89,9 +89,14 @@ class Vec3:
 ORIGIN = Vec3(0.0, 0.0, 0.0)
 
 
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, summed in Vec3.dot's order, so each equals its Vec3's bit for bit."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def norms(v: np.ndarray) -> np.ndarray:
-    """Length over the last axis, summed in Vec3.norm's order, so each equals its Vec3's bit for bit."""
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+    """Length over the last axis, so each equals its Vec3's norm bit for bit."""
+    return np.sqrt(dots(v, v))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -21,11 +22,12 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     HALF_PI,
-    AngleSet,
     GeometryError,
     Vec3,
-    angles_from_displacement,
     check_finite,
+    direction_columns,
+    dots,
+    norms,
     path_term_columns,
     path_terms,
     wrap_angles,
@@ -95,12 +97,15 @@ class Trajectories:
     birth: np.ndarray
     death: np.ndarray
 
+    def __getitem__(self, rows) -> "Trajectories":
+        return Trajectories(self.anchor[rows], self.velocity[rows], self.birth[rows], self.death[rows])
+
     def alive(self, t: float | np.ndarray) -> np.ndarray:
         """Alive mask at ``t``: (E,) for one time, (K, E) for a (K, 1) column of times."""
         return (self.birth <= t) & (t < self.death)
 
     def positions(self, t: float | np.ndarray) -> np.ndarray:
-        """Positions at ``t``, (E, 3) or (K, E, 3), alive or not.
+        """Positions at ``t``, (E, 3) or (K, E, 3), alive or not; an (E,) ``t`` holds each row's time.
 
         Element by element as ``ScattererTruth.position_at`` computes them.
         """
@@ -120,42 +125,6 @@ class PathSkeleton:
     @property
     def single_bounce(self) -> bool:
         return self.fb_id == self.lb_id
-
-
-@dataclass(frozen=True)
-class PathTruth:
-    """Path identity plus its bounce points, delay, angles and power at one time."""
-
-    path_id: int
-    fb_id: int
-    lb_id: int
-    cluster_id: int
-    virtual_delay: float
-    power: float
-    fb: Vec3
-    lb: Vec3
-    delay: float
-    aod: AngleSet
-    aoa: AngleSet
-
-    def __post_init__(self) -> None:
-        if self.power < 0.0 or self.virtual_delay < 0.0:
-            raise ConfigError("path power and virtual delay must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SensingDetection:
-    """Echo parameters of one first-bounce scatterer at the ISAC BS."""
-
-    scatterer_id: int
-    round_trip_delay: float
-    angle: AngleSet
-    doppler: float
-    gain: float
-
-    def __post_init__(self) -> None:
-        if not self.round_trip_delay > 0.0:
-            raise ConfigError(f"round-trip delay must be positive, got {self.round_trip_delay}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +180,23 @@ class EchoColumns:
 
     def __getitem__(self, rows) -> "EchoColumns":
         return EchoColumns(self.scatterer_id[rows], self.table[rows], self.degenerate[rows])
+
+
+@dataclass(frozen=True, eq=False)
+class TruePaths:
+    """One frame's noise-free paths: ``columns`` as ``observe`` reports them, and per
+    row the (n, 3) first- and last-bounce points ``fb`` and ``lb`` and the (n,) virtual delay."""
+
+    columns: PathColumns
+    fb: np.ndarray
+    lb: np.ndarray
+    virtual_delay: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, rows) -> "TruePaths":
+        return TruePaths(self.columns[rows], self.fb[rows], self.lb[rows], self.virtual_delay[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,13 +291,18 @@ class SceneTruth:
         return {s.id: s for s in self.scatterers}
 
     @cached_property
-    def _paths_by_id(self) -> dict[int, PathSkeleton]:
-        return {p.path_id: p for p in self.paths}
+    def _path_rows(self) -> tuple[np.ndarray, np.ndarray, Trajectories, Trajectories]:
+        """The paths' (P, 4) ids, (P,) virtual delays and FB and LB trajectories, in stored path order."""
+        ids = np.array([(p.path_id, p.fb_id, p.lb_id, p.cluster_id) for p in self.paths], dtype=int).reshape(-1, 4)
+        virtual_delay = np.array([p.virtual_delay for p in self.paths], dtype=float)
+        return ids, virtual_delay, self.trajectories(ids[:, 1].tolist()), self.trajectories(ids[:, 2].tolist())
 
     @cached_property
-    def _path_ends(self) -> tuple[Trajectories, Trajectories]:
-        """The trajectories of each path's FB and of its LB scatterer, in stored path order."""
-        return self.trajectories([p.fb_id for p in self.paths]), self.trajectories([p.lb_id for p in self.paths])
+    def _first_bounces(self) -> tuple[np.ndarray, np.ndarray, Trajectories]:
+        """The ids, radar cross sections and trajectories of the first-bounce scatterers, in scene order."""
+        fbs = [s for s in self.scatterers if s.role == ROLE_FB]
+        ids = [s.id for s in fbs]
+        return np.array(ids, dtype=int), np.array([s.rcs for s in fbs]), self.trajectories(ids)
 
     def trajectories(self, ids: Iterable[int]) -> Trajectories:
         """Trajectory rows of the scatterers ``ids``, in order.
@@ -341,14 +332,8 @@ class SceneTruth:
     def scatterer(self, sid: int) -> ScattererTruth:
         return self._by_id[sid]
 
-    def path(self, pid: int) -> PathSkeleton:
-        return self._paths_by_id[pid]
-
     def user_position(self, t: float) -> Vec3:
         return self.config.user_start + self.config.user_velocity * t
-
-    def alive_scatterers(self, t: float, role: str | None = None) -> list[ScattererTruth]:
-        return [s for s in self.scatterers if s.alive(t) and (role is None or s.role == role)]
 
     def check_time(self, t: float) -> None:
         if not 0.0 <= t <= self.duration:
@@ -435,36 +420,50 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
     return SceneTruth(cfg, tuple(scatterers), tuple(paths))
 
 
-def ground_truth_paths(scene: SceneTruth, t: float) -> list[PathTruth]:
-    """Alive paths at ``t`` with powers from the exponential delay profile.
+def _alive_rows(scene: SceneTruth, times: Sequence[float], *tracks: Trajectories) -> tuple:
+    """The (N,) row and (N,) time of each (time, row) pair where all of ``tracks`` are alive,
+    time by time and in row order within a time, and for each of ``times`` the slice of its pairs."""
+    for t in times:
+        scene.check_time(t)
+    t = np.array(times, dtype=float)[:, None]
+    alive = np.logical_and.reduce([track.alive(t) for track in tracks])
+    k, rows = np.nonzero(alive)
+    ends = np.cumsum(np.count_nonzero(alive, axis=1)).tolist()
+    return rows, t[k, 0], [slice(a, b) for a, b in zip([0] + ends, ends)]
 
-    All alive paths are resolved in one array pass: their bounce points
-    at ``t``, delays (the outer legs over c plus the virtual delay) and
-    AoDs and AoAs, each bit for bit as the scalar formulas give it. Powers
-    follow exp(-delay / pdp_decay) and are normalized to sum to 1 over the
-    frame, which makes the Rician LoS/NLoS power split exact.
+
+def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> list[TruePaths]:
+    """Alive paths at each of ``times``, with powers from the exponential delay profile.
+
+    Every time is resolved in one array pass, and each time's
+    ``TruePaths`` is a view of it: the bounce points, delays (the outer
+    legs over c plus the virtual delay) and AoDs and AoAs, each bit for
+    bit as the scalar formulas give it. Powers follow
+    exp(-delay / pdp_decay) and are normalized to sum to 1 over the frame,
+    each frame by its own ``ndarray.sum``; this makes the Rician
+    LoS/NLoS power split exact.
+
+    Raises:
+        ConfigError: where every power of a frame underflows to 0.
     """
-    scene.check_time(t)
-    fb_ends, lb_ends = scene._path_ends
-    rows = np.flatnonzero(fb_ends.alive(t) & lb_ends.alive(t))
-    if not rows.size:
-        return []
-    fb, lb = fb_ends.positions(t)[rows], lb_ends.positions(t)[rows]
-    bs, user = (np.array(v.as_tuple()) for v in (scene.bs_position, scene.user_position(t)))
-    leg, angles, degenerate = path_term_columns(bs, user, fb, lb)
-    paths = [scene.paths[i] for i in rows.tolist()]
-    delays = leg / SPEED_OF_LIGHT + np.array([p.virtual_delay for p in paths])
+    ids, virtual_delay, fb_ends, lb_ends = scene._path_rows
+    rows, t, frames = _alive_rows(scene, times, fb_ends, lb_ends)
+    fb, lb = fb_ends[rows].positions(t), lb_ends[rows].positions(t)
+    user = scene.trajectories([LOS_PATH_ID]).positions(t[:, None])[:, 0]
+    leg, angles, degenerate = path_term_columns(np.array(scene.bs_position.as_tuple()), user, fb, lb)
+    delays = leg / SPEED_OF_LIGHT + virtual_delay[rows]
     raw = np.exp(-delays / scene.config.pdp_decay)
-    powers = raw / raw.sum()
-    return [
-        PathTruth(
-            p.path_id, p.fb_id, p.lb_id, p.cluster_id, p.virtual_delay, w, Vec3(*f), Vec3(*l), d,
-            AngleSet(aod_az, aod_el, aod_degenerate), AngleSet(aoa_az, aoa_el, aoa_degenerate),
-        )
-        for p, w, f, l, d, (aod_az, aod_el, aoa_az, aoa_el), (aod_degenerate, aoa_degenerate) in zip(
-            paths, powers.tolist(), fb.tolist(), lb.tolist(), delays.tolist(), angles.tolist(), degenerate.tolist()
-        )
-    ]
+    sums = np.array([raw[f].sum() for f in frames])
+    for f, total in zip(frames, sums.tolist()):
+        if total == 0.0 and f.stop > f.start:
+            raise ConfigError(
+                f"pdp_decay = {scene.config.pdp_decay!r} s underflows every path power to 0 at "
+                f"t = {float(t[f.start])!r} s, where the shortest delay is {float(delays[f].min())!r} s"
+            )
+    powers = raw / np.repeat(sums, [f.stop - f.start for f in frames])
+    whole = TruePaths(PathColumns(ids[rows], np.column_stack([powers, delays, angles]), degenerate), fb, lb,
+                      virtual_delay[rows])
+    return [whole[f] for f in frames]
 
 
 def sensing_gain(wavelength: float, rcs: float, distance: float) -> float:
@@ -492,28 +491,33 @@ def doppler_shift(wavelength: float, closing_speed: float) -> float:
     return 2.0 * closing_speed / wavelength
 
 
-def echoes(scene: SceneTruth, t: float) -> list[SensingDetection]:
-    """Noise-free echo of every first-bounce scatterer alive at ``t``, in scene order.
+def echoes(scene: SceneTruth, times: Sequence[float]) -> list[EchoColumns]:
+    """Noise-free echo of every first-bounce scatterer alive at each of ``times``, in scene order.
 
     Round-trip delay, direction seen from the BS, two-way Doppler of the
-    closing speed (receding gives negative Doppler) and radar gain.
+    closing speed (receding gives negative Doppler) and radar gain. Every
+    time is resolved in one array pass, and each time's ``EchoColumns``
+    is a view of it. ``echo_delay``, ``doppler_shift`` and
+    ``sensing_gain`` are applied element by element: numpy's ``d**4``
+    rounds about one distance in twenty differently from Python's.
     """
-    scene.check_time(t)
-    bs, lam = scene.bs_position, scene.config.wavelength
-    out = []
-    for s in scene.alive_scatterers(t, role=ROLE_FB):
-        disp = s.position_at(t) - bs
-        d = disp.norm()
-        closing_speed = -s.velocity.dot(disp * (1.0 / d))
-        out.append(SensingDetection(
-            s.id, echo_delay(d), angles_from_displacement(disp), doppler_shift(lam, closing_speed),
-            sensing_gain(lam, s.rcs, d),
-        ))
-    return out
+    ids, rcs, tracks = scene._first_bounces
+    rows, t, frames = _alive_rows(scene, times, tracks)
+    moving = tracks[rows]
+    disp = moving.positions(t) - np.array(scene.bs_position.as_tuple())
+    d, lam = norms(disp), scene.config.wavelength
+    distance = d.tolist()
+    delay = list(map(echo_delay, distance))  # rejects a zero distance before it is divided by
+    closing_speed = -dots(moving.velocity, disp * (1.0 / d)[:, None])
+    doppler = list(map(doppler_shift, itertools.repeat(lam), closing_speed.tolist()))
+    gain = list(map(sensing_gain, itertools.repeat(lam), rcs[rows].tolist(), distance))
+    angles, degenerate = direction_columns(disp)
+    whole = EchoColumns(ids[rows], np.column_stack([delay, angles, doppler, gain]), degenerate)
+    return [whole[f] for f in frames]
 
 
 def check_round_trip_delays(delays: np.ndarray) -> None:
-    """Reject the first round-trip delay that is not positive, as ``SensingDetection`` does."""
+    """Reject the first round-trip delay that is not positive."""
     bad = ~(delays > 0.0)
     if bad.any():
         raise ConfigError(f"round-trip delay must be positive, got {float(delays[np.argmax(bad)])}")
@@ -542,8 +546,8 @@ def observe(
     t: float,
     noise: tuple[float, float],
     rng: np.random.Generator,
-    paths: list[PathTruth],
-    detections: list[SensingDetection],
+    paths: TruePaths,
+    detections: EchoColumns,
 ) -> ObservationFrame:
     """Noisy measurement frame at time ``t``.
 
@@ -556,10 +560,10 @@ def observe(
     present (the scene models no occlusion).
 
     ``paths`` and ``detections`` are the frame's ``ground_truth_paths``
-    and ``echoes``, resolved once by the caller. The noise is one
-    standard-normal block, one value per draw in this order: per path
-    the delay, AoD azimuth and elevation, AoA azimuth and elevation; the
-    LoS the same way; per echo the round-trip delay, azimuth and
+    and ``echoes``, resolved by the caller and left unchanged. The noise
+    is one standard-normal block, one value per draw in this order: per
+    path the delay, AoD azimuth and elevation, AoA azimuth and elevation;
+    the LoS the same way; per echo the round-trip delay, azimuth and
     elevation. Each is 0.0 + sigma * z, as ``rng.normal(0.0, sigma)``
     draws it one at a time.
     """
@@ -573,32 +577,21 @@ def observe(
     n, m = len(paths) + 1, len(detections)  # the LoS is the last comm row
     z = rng.standard_normal(5 * n + 3 * m)
 
-    ids = np.array(
-        [(p.path_id, p.fb_id, p.lb_id, p.cluster_id) for p in paths] + [(LOS_PATH_ID,) * 4], dtype=int
-    )
-    table = np.array(
-        [(p.power, p.delay, p.aod.azimuth, p.aod.elevation, p.aoa.azimuth, p.aoa.elevation) for p in paths]
-        + [(1.0, leg / 2.0 / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)]
-    )
-    degenerate = np.array([(p.aod.degenerate, p.aoa.degenerate) for p in paths] + [(aod.degenerate, aoa.degenerate)])
+    los = (1.0, leg / 2.0 / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
+    truth = paths.columns
+    ids, table = np.vstack([truth.ids, (LOS_PATH_ID,) * 4]), np.vstack([truth.table, los])
+    degenerate = np.vstack([truth.degenerate, (aod.degenerate, aoa.degenerate)])
     comm_noise = z[: 5 * n].reshape(n, 5) * np.array([sigma_delay] + [sigma_angle] * 4) + 0.0
     table[:, 1] += comm_noise[:, 0]
     table[:, 2:] = _noisy_angles(table[:, 2:], comm_noise[:, 1:])
 
-    echo = np.array(
-        [(e.round_trip_delay, e.angle.azimuth, e.angle.elevation, e.doppler, e.gain) for e in detections],
-        dtype=float,
-    ).reshape(m, 5)
+    echo = detections.table.copy()
     echo_noise = z[5 * n :].reshape(m, 3) * np.array([sigma_delay, sigma_angle, sigma_angle]) + 0.0
     echo[:, 0] += echo_noise[:, 0]
     echo[:, 1:3] = _noisy_angles(echo[:, 1:3], echo_noise[:, 1:])
     check_round_trip_delays(echo[:, 0])
-    sensing = EchoColumns(
-        np.array([e.scatterer_id for e in detections], dtype=int),
-        echo,
-        np.array([e.angle.degenerate for e in detections], dtype=bool),
-    )
     comm = PathColumns(ids, table, degenerate)
+    sensing = EchoColumns(detections.scatterer_id, echo, detections.degenerate)
     return ObservationFrame(t, comm[: n - 1], sensing, comm[n - 1 :])
 
 
@@ -700,6 +693,8 @@ def scene_from_text(text: str) -> SceneTruth:
                 paths[lineno] = PathSkeleton(
                     int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
                 )
+                if not 0.0 <= paths[lineno].virtual_delay < math.inf:
+                    raise ConfigError(f"virtual delay must be finite and nonnegative, got {parts[4]}")
             else:
                 raise ConfigError(f"unknown record tag {tag!r}")
         except (ValueError, IndexError) as exc:

@@ -538,7 +538,8 @@ def initialize_at_truth(
     of the stepping recursion. Meant for exactness checks.
     """
     cfg.validate()
-    truths = sorted(ground_truth_paths(scene, t0), key=lambda p: p.path_id)
+    ids = ground_truth_paths(scene, [t0])[0].columns.ids
+    ids = ids[np.argsort(ids[:, 0], kind="stable")].tolist()
 
     def truth(kind: str, path_id: int, sid: int):
         s = scene.scatterer(sid)
@@ -546,8 +547,8 @@ def initialize_at_truth(
 
     entities = (
         [(USER_KEY, LOS_PATH_ID, EntityState(scene.user_position(t0), scene.config.user_velocity))]
-        + [truth(KIND_FB, p.path_id, p.fb_id) for p in truths]
-        + [truth(KIND_LB, p.path_id, p.lb_id) for p in truths]
+        + [truth(KIND_FB, path_id, fb_id) for path_id, fb_id, _, _ in ids]
+        + [truth(KIND_LB, path_id, lb_id) for path_id, _, lb_id, _ in ids]
     )
     return _start(cfg, scene.bs_position, t0, entities, seed, (0.0, 0.0), ())
 

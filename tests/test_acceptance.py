@@ -153,7 +153,7 @@ def test_criterion_4_oracle_closure():
     rng = np.random.default_rng(0)
     for k in range(201):
         t = k * 0.1
-        paths = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t)).comm_paths
+        paths = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]).comm_paths
         user = scene.user_position(t)
         for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, aod_el, aoa_az, aoa_el) in zip(
             paths.ids.tolist(), paths.table.tolist()
@@ -161,7 +161,7 @@ def test_criterion_4_oracle_closure():
             fb = scene.scatterer(fb_id).position_at(t)
             lb = scene.scatterer(lb_id).position_at(t)
             leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
-            delay = leg / SPEED_OF_LIGHT + scene.path(path_id).virtual_delay
+            delay = leg / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
             assert abs(delay - obs_delay) <= 1e-12
             assert abs(wrap_angle(aod.azimuth - aod_az)) <= 1e-12
             assert abs(aod.elevation - aod_el) <= 1e-12
@@ -184,7 +184,7 @@ def test_criterion_5_filter_exactness():
     rng = np.random.default_rng(0)
     for k in range(1, 201):
         t = k * cfg.ts
-        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t)))
+        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]))
         for key, sid, est in zip(state.keys, state.entity_ids, state.estimates[-1].tolist()):
             if key == USER_KEY:
                 truth = scene.user_position(t)

@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
 
@@ -59,9 +61,23 @@ def _data_rows(path):
         return list(csv.DictReader(fh.readlines()[1:]))
 
 
-def test_traced_round_counts_match_the_outputs(tmp_path):
+# config, tracker steps, spread snapshots; in the birth-death run paths 0-2
+# die and 3-5 are born at k = 12, so the frames' path ids change mid-run
+TRACED_CFGS = {
+    "default": ("[run]\nduration = 0.5\n", 5, 12),
+    "birth-death": (
+        "[run]\nseed = 5\nduration = 2.0\n\n[scene]\nbirth_death_rate = 0.05\nvirtual_delay_max = 5e-8\n\n"
+        "[tracker]\nn_particles = 250\n",
+        20, 42,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CFGS))
+def test_traced_round_counts_match_the_outputs(tmp_path, name):
+    text, n_steps, n_snapshots = TRACED_CFGS[name]
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nduration = 0.5\n")
+    cfg.write_text(text)
     run_dir, trk, sts = (str(tmp_path / d) for d in ("run", "trk", "sts"))
     stages = [
         ["simulate", "--config", str(cfg), "--out", run_dir],
@@ -85,6 +101,6 @@ def test_traced_round_counts_match_the_outputs(tmp_path):
     assert counters["scene.path_frames"] == sum(r["kind"] != "los" for r in observations)
     assert counters["sensing.echoes"] == len(_data_rows(os.path.join(run_dir, "sensing_taps.csv")))
     steps = {r["k"] for r in _data_rows(os.path.join(trk, "trajectory.csv"))}
-    assert counters["tracker.cloud_steps"] == len(steps) - 1 == 5
+    assert counters["tracker.cloud_steps"] == len(steps) - 1 == n_steps
     snapshots = [_data_rows(os.path.join(sts, f"spreads_{label}.csv")) for label in ("oracle", "tracked")]
-    assert counters["stats.snapshots"] == sum(map(len, snapshots)) == 12
+    assert counters["stats.snapshots"] == sum(map(len, snapshots)) == n_snapshots

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -530,3 +531,41 @@ def test_stats_rejects_a_track_of_other_frames(tmp_path, capsys, track_run, stat
     assert code == 2
     assert err == f"error: {trk}/trajectory.csv: {message}\n"
     assert not out.exists()
+
+
+def test_underflowing_powers_exit_2(tmp_path, capsys):
+    # pdp_decay = 1e-12 once wrote nan powers and taps, and all-nan true spreads, with exit 0
+    message = (r"error: pdp_decay = 1e-12 s underflows every path power to 0 at t = 0\.0 s, "
+               r"where the shortest delay is \S+ s\n")
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nduration = 0.2\n\n[scene]\npdp_decay = 1e-12\n")
+    code = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert re.fullmatch(message, capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "x")
+
+    cfg.write_text("[run]\nduration = 0.2\n")
+    run_dir = simulate(tmp_path, str(cfg))
+    scene = tmp_path / "run" / "scene.txt"
+    scene.write_text(re.sub(r"^C pdp_decay .*$", "C pdp_decay 1e-12", scene.read_text(), flags=re.M))
+    capsys.readouterr()
+    assert run("stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts")) == 2
+    assert re.fullmatch(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["-1e-09", "nan", "inf"])
+def test_bad_virtual_delay_in_the_scene_file_exits_2(tmp_path, capsys, value):
+    # a nan virtual delay once passed the scene load and gave all-nan true spreads with exit 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nduration = 0.2\n\n[scene]\nvirtual_delay_max = 5e-8\n")
+    run_dir = simulate(tmp_path, str(cfg))
+    scene = tmp_path / "run" / "scene.txt"
+    lines = scene.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("P "))
+    lines[i] = " ".join(lines[i].split()[:-1] + [value])
+    scene.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts")) == 2
+    assert capsys.readouterr().err == (
+        f"error: scene file line {i + 1}: virtual delay must be finite and nonnegative, got {value}\n"
+    )

@@ -16,7 +16,7 @@ from isacsim.comm import (
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3
-from isacsim.scene import LOS_PATH_ID, SceneConfig, generate_scene, ground_truth_paths
+from isacsim.scene import LOS_PATH_ID, PathColumns, SceneConfig, TruePaths, generate_scene, ground_truth_paths
 
 F_C = 28e9
 LAM = SPEED_OF_LIGHT / F_C
@@ -52,6 +52,20 @@ def test_draw_set_deterministic():
 UNIT = (1.0, 1.0)
 
 
+def scattered(*paths):
+    """The ``pair_taps`` paths and phases of (path_id, fb, lb, power, virtual_delay, phase) tuples.
+
+    The angle columns are zeros: taps do not read them.
+    """
+    n = len(paths)
+    path_id, fb, lb, power, virtual_delay, phase = (list(c) for c in zip(*paths)) if n else ([],) * 6
+    ids = np.array([(pid, 0, 0, 0) for pid in path_id], dtype=int).reshape(n, 4)
+    table = np.column_stack([power, np.zeros((n, 5))]) if n else np.zeros((0, 6))
+    columns = PathColumns(ids, table, np.zeros((n, 2), dtype=bool))
+    points = [np.array([v.as_tuple() for v in vs]).reshape(n, 3) for vs in (fb, lb)]
+    return TruePaths(columns, *points, np.array(virtual_delay, dtype=float)), np.array(phase, dtype=float)
+
+
 def amplitude(block):
     return block.re + 1j * block.im
 
@@ -64,7 +78,7 @@ def test_los_tap_delay_and_phase():
     tx, rx = tx_pair()
     dist = tx.element_position(1).distance_to(rx.element_position(0))
     for xi in (0.0, 1.1, 5.9):  # the drawn co-polar phase
-        block = pair_taps(tx, rx, [0], [1], F_C, xi, [], UNIT)
+        block = pair_taps(tx, rx, [0], [1], F_C, xi, *scattered(), UNIT)
         delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
         assert delay == pytest.approx(dist / SPEED_OF_LIGHT, rel=1e-15)
         assert abs(amp) == pytest.approx(1.0, abs=1e-12)  # isotropic v-pol, unit coupling
@@ -77,14 +91,14 @@ def test_los_tap_delay_and_phase():
 
 def test_los_tap_per_pair_delays_differ():
     tx, rx = tx_pair()
-    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, 0.0, [], UNIT)
+    block = pair_taps(tx, rx, [0, 0], [0, 1], F_C, 0.0, *scattered(), UNIT)
     assert block.delay[0, 0] != block.delay[1, 0]
 
 
 def test_los_tap_coincident_rejected():
     tx = half_wavelength_array(1, 2, LAM, ORIGIN)
     with pytest.raises(CommError):
-        pair_taps(tx, tx, [0], [0], F_C, 0.0, [], UNIT)
+        pair_taps(tx, tx, [0], [0], F_C, 0.0, *scattered(), UNIT)
 
 
 def test_nlos_tap_two_leg_delay_and_power():
@@ -95,7 +109,7 @@ def test_nlos_tap_two_leg_delay_and_power():
         tx.element_position(0).distance_to(fb) + rx.element_position(1).distance_to(lb)
     ) / SPEED_OF_LIGHT
     for xi in (0.0, 2.4, 4.0):  # the drawn co-polar phase
-        block = pair_taps(tx, rx, [1], [0], F_C, 0.0, [(7, fb, lb, 0.25, 0.0, xi)], UNIT)
+        block = pair_taps(tx, rx, [1], [0], F_C, 0.0, *scattered((7, fb, lb, 0.25, 0.0, xi)), UNIT)
         j = 1  # after the direct tap, which is shorter
         delay, amp = block.delay[0, j], amplitude(block)[0, j]
         assert delay == pytest.approx(want, rel=1e-15)
@@ -110,8 +124,8 @@ def test_nlos_tap_virtual_delay_added():
     tx, rx = tx_pair()
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
-    paths = [(1, fb, lb, 1.0, 0.0, 0.0), (2, fb, lb, 1.0, 30e-9, 0.0)]
-    direct, base, shifted = pair_taps(tx, rx, [0], [0], F_C, 0.0, paths, UNIT).delay[0]
+    paths = scattered((1, fb, lb, 1.0, 0.0, 0.0), (2, fb, lb, 1.0, 30e-9, 0.0))
+    direct, base, shifted = pair_taps(tx, rx, [0], [0], F_C, 0.0, *paths, UNIT).delay[0]
     assert direct < base
     assert shifted == pytest.approx(base + 30e-9, rel=1e-12)
 
@@ -121,8 +135,7 @@ def test_combine_rician_weights():
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
     k = 3.0
-    scattered = [(0, fb, lb, 1.0, 0.0, 0.0)]
-    block = pair_taps(tx, rx, [0], [0], F_C, 0.0, scattered, rician_weights(k))
+    block = pair_taps(tx, rx, [0], [0], F_C, 0.0, *scattered((0, fb, lb, 1.0, 0.0, 0.0)), rician_weights(k))
     los_power = power(block)[block.path_id == LOS_PATH_ID].sum()
     total = power(block).sum()
     assert los_power / total == pytest.approx(k / (k + 1.0), abs=1e-12)
@@ -130,7 +143,7 @@ def test_combine_rician_weights():
 
 def test_combine_rician_k_zero_removes_los_power():
     tx, rx = tx_pair()
-    block = pair_taps(tx, rx, [0], [0], F_C, 0.0, [], rician_weights(0.0))
+    block = pair_taps(tx, rx, [0], [0], F_C, 0.0, *scattered(), rician_weights(0.0))
     assert power(block)[0, 0] == 0.0
 
 
@@ -198,8 +211,8 @@ def test_frame_taps_every_pair_of_a_nonstationary_scene():
     alive_sets = set()
     for t in (0.0, 6.5, 13.2, 20.0):
         block = frame_taps(scene, t, tx, rx_template, params, draws, q, p)
-        truths = ground_truth_paths(scene, t)
-        alive_sets.add(frozenset(pt.path_id for pt in truths))
+        truths = ground_truth_paths(scene, [t])[0]
+        alive_sets.add(frozenset(truths.columns.path_id.tolist()))
         assert block.delay.shape == (4, 128, 1 + len(truths))
         assert np.array_equal(block.q, np.broadcast_to(q, (4, 128)))
         assert np.array_equal(block.p, np.broadcast_to(p, (4, 128)))
@@ -208,12 +221,12 @@ def test_frame_taps_every_pair_of_a_nonstationary_scene():
         tx_el = tx.origin.as_tuple() + tx.element_offsets()  # (128, 3)
         rx_el = np.array(scene.user_position(t).as_tuple()) + rx_template.element_offsets()  # (4, 3)
         want = {LOS_PATH_ID: np.linalg.norm(rx_el[:, None, :] - tx_el[None, :, :], axis=-1) / SPEED_OF_LIGHT}
-        for pt in truths:
-            fb = np.array(scene.scatterer(pt.fb_id).position_at(t).as_tuple())
-            lb = np.array(scene.scatterer(pt.lb_id).position_at(t).as_tuple())
+        for path_id, fb_id, lb_id, _ in truths.columns.ids.tolist():
+            fb = np.array(scene.scatterer(fb_id).position_at(t).as_tuple())
+            lb = np.array(scene.scatterer(lb_id).position_at(t).as_tuple())
             d_tx = np.linalg.norm(fb - tx_el, axis=-1)
             d_rx = np.linalg.norm(lb - rx_el, axis=-1)
-            want[pt.path_id] = (d_tx[None, :] + d_rx[:, None]) / SPEED_OF_LIGHT + pt.virtual_delay
+            want[path_id] = (d_tx[None, :] + d_rx[:, None]) / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
         for pid, delays in want.items():
             col = block.path_id == pid
             assert np.all(col.sum(axis=-1) == 1)

@@ -20,7 +20,8 @@ def scene():
 def frames(scene):
     rng = np.random.default_rng(1)
     times = [k * 0.1 for k in range(4)]
-    return [observe(scene, t, (5e-9, 0.01), rng, ground_truth_paths(scene, t), echoes(scene, t)) for t in times]
+    truths = zip(times, ground_truth_paths(scene, times), echoes(scene, times))
+    return [observe(scene, t, (5e-9, 0.01), rng, *truth) for t, *truth in truths]
 
 
 def test_observation_round_trip(tmp_path, frames):
@@ -77,12 +78,12 @@ def test_header_mismatch(tmp_path, frames):
 
 
 def test_sensing_taps_round_trip(tmp_path, scene):
-    data = [(t, monostatic_cir(echoes(scene, t))) for t in (0.0, 0.1)]
+    data = [(t, monostatic_cir(e)) for t, e in zip((0.0, 0.1), echoes(scene, (0.0, 0.1)))]
     path = tmp_path / "staps.csv"
     csvio.write_sensing_taps(str(path), data)
     rows = csvio.read_columns(str(path), "sensing_taps", csvio.SENSING_TAPS_HEADER, ("delay_s",))
     assert len(rows["delay_s"]) == sum(len(taps) for _, taps in data)
-    assert rows["delay_s"][0] == data[0][1][0].round_trip_delay
+    assert rows["delay_s"][0] == data[0][1].table[0, 0]
 
 
 def test_comm_taps_round_trip(tmp_path, scene):

@@ -150,7 +150,7 @@ def test_path_terms_matches_noiseless_observation():
     scene = generate_scene(SceneConfig())
     t = 2.0
     paths = observe(
-        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t)
+        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]
     ).comm_paths
     user = scene.user_position(t)
     for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, _, _, aoa_el) in zip(
@@ -159,7 +159,7 @@ def test_path_terms_matches_noiseless_observation():
         fb = scene.scatterer(fb_id).position_at(t)
         lb = scene.scatterer(lb_id).position_at(t)
         leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
-        delay = leg / SPEED_OF_LIGHT + scene.path(path_id).virtual_delay
+        delay = leg / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
         assert delay == pytest.approx(obs_delay, abs=1e-15)
         assert aod.azimuth == pytest.approx(aod_az, abs=1e-12)
         assert aoa.elevation == pytest.approx(aoa_el, abs=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import Vec3, angles_from_displacement
+from isacsim.geometry import Vec3, angles_from_displacement, path_terms
 from isacsim.scene import (
     LOS_PATH_ID,
     ROLE_FB,
@@ -13,6 +13,9 @@ from isacsim.scene import (
     ConfigError,
     SceneConfig,
     SceneRangeError,
+    SceneTruth,
+    doppler_shift,
+    echo_delay,
     echoes,
     generate_scene,
     ground_truth_paths,
@@ -21,6 +24,7 @@ from isacsim.scene import (
     save_scene,
     scene_from_text,
     scene_to_text,
+    sensing_gain,
 )
 
 
@@ -93,7 +97,7 @@ def test_birth_death_replaces_scatterers():
     assert died, "a rate-0.5 20 s scene should see deaths"
     # slot coverage: at any time each cluster still has its FB scatterer
     for t in (0.0, 5.0, 10.0, 19.9):
-        alive_fb = scene.alive_scatterers(t, role=ROLE_FB)
+        alive_fb = [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(t)]
         clusters = {s.cluster_id for s in alive_fb}
         assert clusters == set(range(scene.config.n_clusters))
 
@@ -115,30 +119,73 @@ def test_user_trajectory():
 
 def test_ground_truth_powers_sum_to_one_and_order():
     scene = generate_scene(SceneConfig())
-    paths = ground_truth_paths(scene, 3.0)
-    total = sum(p.power for p in paths)
-    assert total == pytest.approx(1.0, abs=1e-12)
+    powers, delays = ground_truth_paths(scene, [3.0])[0].columns.table[:, :2].T.tolist()
+    assert sum(powers) == pytest.approx(1.0, abs=1e-12)
     # longer delay -> smaller power under the exponential profile
-    pairs = [(p.delay, p.power) for p in paths]
-    pairs.sort()
+    pairs = sorted(zip(delays, powers))
     for (d1, w1), (d2, w2) in zip(pairs, pairs[1:]):
         assert w1 >= w2 or math.isclose(w1, w2)
 
 
+def test_run_columns_equal_the_scalar_formulas():
+    # births, deaths and virtual delays, and one first bounce rising straight above the BS
+    scene = generate_scene(SceneConfig(birth_death_rate=0.3, virtual_delay_max=50e-9, seed=5, duration=5.0))
+    bs, lam = scene.bs_position, scene.config.wavelength
+    up = next(s for s in scene.scatterers if s.role == ROLE_FB)
+    up = replace(up, position=Vec3(bs.x, bs.y, 40.0), velocity=Vec3(0.0, 0.0, 0.5))
+    scene = SceneTruth(scene.config, tuple(up if s.id == up.id else s for s in scene.scatterers), scene.paths)
+    times = [k * 0.1 for k in range(51)]
+    alive_sets, vertical = set(), 0
+    for t, paths, echo in zip(times, ground_truth_paths(scene, times), echoes(scene, times)):
+        user = scene.user_position(t)
+        alive = [p for p in scene.paths if scene.scatterer(p.fb_id).alive(t) and scene.scatterer(p.lb_id).alive(t)]
+        points = [(scene.scatterer(p.fb_id).position_at(t), scene.scatterer(p.lb_id).position_at(t)) for p in alive]
+        terms = [path_terms(bs, user, fb, lb) for fb, lb in points]
+        delays = np.array([leg / SPEED_OF_LIGHT + p.virtual_delay for p, (leg, _, _) in zip(alive, terms)])
+        raw = np.exp(-delays / scene.config.pdp_decay)
+        powers = raw / raw.sum()  # the frame's own ndarray.sum, in its pairwise order
+        assert paths.columns.ids.tolist() == [[p.path_id, p.fb_id, p.lb_id, p.cluster_id] for p in alive]
+        assert paths.columns.table.tolist() == [
+            [w, d, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation]
+            for w, d, (_, aod, aoa) in zip(powers.tolist(), delays.tolist(), terms)
+        ]
+        assert paths.columns.degenerate.tolist() == [[aod.degenerate, aoa.degenerate] for _, aod, aoa in terms]
+        assert paths.fb.tolist() == [list(fb.as_tuple()) for fb, _ in points]
+        assert paths.lb.tolist() == [list(lb.as_tuple()) for _, lb in points]
+        assert paths.virtual_delay.tolist() == [p.virtual_delay for p in alive]
+        alive_sets.add(tuple(p.path_id for p in alive))
+
+        fbs = [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(t)]
+        want = []
+        for s in fbs:
+            disp = s.position_at(t) - bs
+            d, direction = disp.norm(), angles_from_displacement(disp)
+            closing_speed = -s.velocity.dot(disp * (1.0 / d))
+            want.append((echo_delay(d), direction.azimuth, direction.elevation, doppler_shift(lam, closing_speed),
+                         sensing_gain(lam, s.rcs, d), direction.degenerate))
+        assert echo.scatterer_id.tolist() == [s.id for s in fbs]
+        assert echo.table.tolist() == [list(w[:5]) for w in want]
+        assert echo.degenerate.tolist() == [w[5] for w in want]
+        vertical += sum(w[5] for w in want)
+    assert vertical and len(alive_sets) > 1 and min(map(len, alive_sets)) > 8  # ndarray.sum sums pairwise past 8
+
+
 def test_path_delay_excludes_middle_leg():
     scene = generate_scene(SceneConfig())
-    p = next(p for p in ground_truth_paths(scene, 0.0) if p.fb_id != p.lb_id)
-    fb = scene.scatterer(p.fb_id).position_at(0.0)
-    lb = scene.scatterer(p.lb_id).position_at(0.0)
+    paths = ground_truth_paths(scene, [0.0])[0].columns
+    (_, fb_id, lb_id, _), delay = next((ids, d) for ids, d in zip(paths.ids.tolist(), paths.delay.tolist())
+                                       if ids[1] != ids[2])
+    fb = scene.scatterer(fb_id).position_at(0.0)
+    lb = scene.scatterer(lb_id).position_at(0.0)
     d = scene.bs_position.distance_to(fb) + scene.user_position(0.0).distance_to(lb)
-    assert p.delay == pytest.approx(d / SPEED_OF_LIGHT, rel=1e-15)
+    assert delay == pytest.approx(d / SPEED_OF_LIGHT, rel=1e-15)
 
 
 def test_observe_noiseless_matches_geometry():
     scene = generate_scene(SceneConfig())
     rng = np.random.default_rng(0)
     t = 4.0
-    frame = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t))
+    frame = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0])
     user = scene.user_position(t)
     bs = scene.bs_position
     paths = frame.comm_paths
@@ -159,9 +206,9 @@ def test_observe_noiseless_matches_geometry():
 def test_observe_sensing_covers_alive_fb():
     scene = generate_scene(SceneConfig())
     frame = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
-    fb_ids = {s.id for s in scene.alive_scatterers(0.0, role=ROLE_FB)}
+    fb_ids = {s.id for s in [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(0.0)]}
     dets = frame.sensing_detections
     assert set(dets.scatterer_id.tolist()) == fb_ids
     for sid, (round_trip_delay, _, _, _, gain) in zip(dets.scatterer_id.tolist(), dets.table.tolist()):
@@ -176,7 +223,7 @@ def test_observe_doppler_sign():
     # scatterer moving straight toward the BS must give positive Doppler
     scene = generate_scene(SceneConfig())
     dets = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     ).sensing_detections
     for sid, doppler in zip(dets.scatterer_id.tolist(), dets.table[:, 3].tolist()):
         s = scene.scatterer(sid)
@@ -191,11 +238,11 @@ def test_observation_noise_statistics():
     rng = np.random.default_rng(12)
     sigma = 5e-9
     clean = observe(
-        scene, 1.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 1.0), echoes(scene, 1.0)
+        scene, 1.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [1.0])[0], echoes(scene, [1.0])[0]
     )
     diffs = []
     for _ in range(200):
-        noisy = observe(scene, 1.0, (sigma, 0.0), rng, ground_truth_paths(scene, 1.0), echoes(scene, 1.0))
+        noisy = observe(scene, 1.0, (sigma, 0.0), rng, ground_truth_paths(scene, [1.0])[0], echoes(scene, [1.0])[0])
         for a, b in zip(noisy.comm_paths.delay.tolist(), clean.comm_paths.delay.tolist()):
             diffs.append(a - b)
     arr = np.array(diffs)
@@ -207,13 +254,14 @@ def test_frame_lookup_helpers():
     # a frame's rows are keyed by id: one comm row per alive path, one echo row per alive FB scatterer
     scene = generate_scene(SceneConfig())
     frame = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
     path_ids = frame.comm_paths.path_id.tolist()
-    assert sorted(set(path_ids)) == path_ids == [p.path_id for p in ground_truth_paths(scene, 0.0)]
+    assert sorted(set(path_ids)) == path_ids == ground_truth_paths(scene, [0.0])[0].columns.path_id.tolist()
     assert frame.comm_paths[1:3].path_id.tolist() == path_ids[1:3]
     echo_ids = frame.sensing_detections.scatterer_id.tolist()
-    assert len(set(echo_ids)) == len(echo_ids) == len(scene.alive_scatterers(0.0, role=ROLE_FB))
+    alive_fb = [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(0.0)]
+    assert len(set(echo_ids)) == len(echo_ids) == len(alive_fb)
 
 
 def test_text_round_trip():
@@ -267,13 +315,28 @@ def test_config_validation():
         generate_scene(small_config(region_min=Vec3(10.0, 0.0, 0.0), region_max=Vec3(0.0, 1.0, 1.0)))
 
 
+def test_powers_underflowing_everywhere_in_a_frame_are_rejected():
+    scene = generate_scene(SceneConfig())
+    delays = ground_truth_paths(scene, [0.0])[0].columns.delay
+    with pytest.raises(ConfigError, match=rf"pdp_decay = 1e-12 s .* t = 0\.0 s, .* {float(delays.min())!r} s"):
+        ground_truth_paths(generate_scene(SceneConfig(pdp_decay=1e-12)), [0.0])
+    # exp(-d / pdp_decay) is 0 beyond d / pdp_decay ~ 745: the far paths drop out, the frame stays valid
+    paths = ground_truth_paths(generate_scene(SceneConfig(pdp_decay=delays.min() / 700.0)), [0.0])[0].columns
+    powers = paths.table[:, 0]
+    assert 0 < np.count_nonzero(powers == 0.0) < len(paths)
+    assert powers.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_time_range_enforced():
     scene = generate_scene(small_config(duration=10.0))
     with pytest.raises(SceneRangeError):
-        ground_truth_paths(scene, 10.5)
+        ground_truth_paths(scene, [0.0, 10.5])
+    with pytest.raises(SceneRangeError):
+        echoes(scene, [-0.1])
     with pytest.raises(SceneRangeError):
         observe(
-            scene, -0.1, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, -0.1), echoes(scene, -0.1)
+            scene, -0.1, (0.0, 0.0), np.random.default_rng(0),
+            ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0],
         )
 
 

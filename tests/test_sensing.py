@@ -57,32 +57,32 @@ def _scene():
 
 def test_cir_covers_alive_fb_sorted_by_delay():
     scene = _scene()
-    taps = monostatic_cir(echoes(scene, 2.0))
-    ids = {s.id for s in scene.alive_scatterers(2.0, role="fb")}
-    assert {tap.scatterer_id for tap in taps} == ids
-    delays = [tap.round_trip_delay for tap in taps]
+    taps = monostatic_cir(echoes(scene, [2.0])[0])
+    ids = {s.id for s in [s for s in scene.scatterers if s.role == "fb" and s.alive(2.0)]}
+    assert set(taps.scatterer_id.tolist()) == ids
+    delays = taps.table[:, 0].tolist()
     assert delays == sorted(delays)
 
 
 def test_cir_geometry_consistency():
     scene = _scene()
     t = 1.5
-    taps = monostatic_cir(echoes(scene, t))
-    for tap in taps:
-        s = scene.scatterer(tap.scatterer_id)
+    taps = monostatic_cir(echoes(scene, [t])[0])
+    for sid, (round_trip_delay, _, _, _, gain) in zip(taps.scatterer_id.tolist(), taps.table.tolist()):
+        s = scene.scatterer(sid)
         d = (s.position_at(t) - scene.bs_position).norm()
-        assert tap.round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
-        assert tap.gain == pytest.approx(
+        assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
+        assert gain == pytest.approx(
             sensing_gain(scene.config.wavelength, s.rcs, d), rel=1e-12
         )
 
 
 def test_doppler_matches_closing_speed():
     scene = _scene()
-    taps = monostatic_cir(echoes(scene, 0.0))
+    taps = monostatic_cir(echoes(scene, [0.0])[0])
     lam = scene.config.wavelength
-    for tap in taps:
-        s = scene.scatterer(tap.scatterer_id)
+    for sid, doppler in zip(taps.scatterer_id.tolist(), taps.table[:, 3].tolist()):
+        s = scene.scatterer(sid)
         disp = s.position_at(0.0) - scene.bs_position
         u = disp * (1.0 / disp.norm())
-        assert tap.doppler == pytest.approx(2.0 * (-s.velocity.dot(u)) / lam, rel=1e-12)
+        assert doppler == pytest.approx(2.0 * (-s.velocity.dot(u)) / lam, rel=1e-12)

@@ -343,7 +343,7 @@ def exact_cfg(n=50):
 def test_initialize_exact_at_zero_noise():
     scene = static_scene()
     frame0 = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
@@ -359,7 +359,7 @@ def test_initialize_exact_at_zero_noise():
 def test_initialize_cloud_bookkeeping():
     scene = static_scene()
     frame0 = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
@@ -476,7 +476,7 @@ def test_initialize_failure_on_infeasible_budget():
 def test_initialize_deterministic_given_seed():
     scene = static_scene()
     frame0 = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     cfg = TrackerConfig(n_particles=20)
@@ -502,7 +502,7 @@ def test_step_requires_matching_time():
     scene = static_scene()
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=1)
     frame = observe(
-        scene, 0.3, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.3), echoes(scene, 0.3)
+        scene, 0.3, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.3])[0], echoes(scene, [0.3])[0]
     )
     with pytest.raises(TrackerError, match="Ts"):
         step(state, frame)
@@ -515,7 +515,7 @@ def test_zero_noise_tracking_is_exact():
     rng = np.random.default_rng(0)
     for k in range(1, 21):
         t = k * cfg.ts
-        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, t), echoes(scene, t)))
+        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]))
         assert est_pos(state, USER_KEY).distance_to(scene.user_position(t)) < 1e-6
         for key, sid in zip(state.keys[1:], state.entity_ids[1:]):
             truth = scene.scatterer(sid).position_at(t)
@@ -528,7 +528,9 @@ def test_coasting_extrapolates_straight_line():
     cfg = zero_noise_cfg()
     state = initialize_at_truth(scene, cfg, seed=1)
     t = cfg.ts
-    full = observe(scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t))
+    full = observe(
+        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]
+    )
     pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time,
@@ -551,7 +553,9 @@ def test_step_updates_counters_and_history():
     state = initialize_at_truth(scene, cfg, seed=1)
     assert state.k == 0 and len(state.estimates) == 1
     t = cfg.ts
-    step(state, observe(scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t)))
+    step(state, observe(
+        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]
+    ))
     assert state.k == 1 and state.time == pytest.approx(cfg.ts)
     assert len(state.estimates) == 2
     assert len(state.times) == len(state.coasted) == len(state.diverged) == len(state.ess) == 2
@@ -560,9 +564,9 @@ def test_step_updates_counters_and_history():
 def test_initialize_at_truth_exact_at_k0():
     scene = generate_scene(SceneConfig())
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=3)
-    for p in ground_truth_paths(scene, 0.0):
-        fb_t = scene.scatterer(p.fb_id).position_at(0.0)
-        assert est_pos(state, (KIND_FB, p.path_id), 0).distance_to(fb_t) == 0.0
+    for path_id, fb_id, _, _ in ground_truth_paths(scene, [0.0])[0].columns.ids.tolist():
+        fb_t = scene.scatterer(fb_id).position_at(0.0)
+        assert est_pos(state, (KIND_FB, path_id), 0).distance_to(fb_t) == 0.0
 
 
 # --- batching, effective sample size, size cap ---------------------------------
@@ -613,7 +617,9 @@ def test_step_records_ess_of_weighted_clouds_only():
     cfg = TrackerConfig(n_particles=40)
     state = initialize_at_truth(scene, cfg, seed=1)
     t = cfg.ts
-    full = observe(scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, t), echoes(scene, t))
+    full = observe(
+        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]
+    )
     pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time, full.comm_paths[full.comm_paths.path_id != pid], full.sensing_detections, full.los
@@ -630,7 +636,7 @@ def test_particle_count_capped_before_allocation():
         TrackerConfig(n_particles=MAX_PARTICLES + 1).validate()
     scene = static_scene()
     frame0 = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, 0.0), echoes(scene, 0.0)
+        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
     user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
     cfg = TrackerConfig(n_particles=MAX_PARTICLES // 4)  # one cloud fits, 1 + 2 * 18 do not
