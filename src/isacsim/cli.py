@@ -15,6 +15,7 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -44,12 +45,11 @@ def _frame_times(rc: RunConfig) -> list[float]:
     return [min(k * rc.tracker.ts, rc.scene.duration) for k in range(rc.n_frames)]
 
 
-def _with_seed(rc: RunConfig, seed: int | None) -> RunConfig:
-    if seed is None:
-        return rc
-    from dataclasses import replace
-
-    return replace(rc, scene=replace(rc.scene, seed=seed))
+def _seed(args: argparse.Namespace, default: int) -> int:
+    """``--seed`` if given, else ``default``; numpy seeds only from nonnegative integers."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    return default if args.seed is None else args.seed
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -76,7 +76,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    rc = _with_seed(load_run_config(args.config), args.seed)
+    rc = load_run_config(args.config)
+    rc = replace(rc, scene=replace(rc.scene, seed=_seed(args, rc.scene.seed)))
     seed = rc.scene.seed
     scene = generate_scene(rc.scene)
 
@@ -135,7 +136,7 @@ def _truth_tracks(scene: SceneTruth, state: tracker.TrackerState) -> tuple[np.nd
 
 def cmd_track(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    seed = rc.scene.seed if args.seed is None else args.seed
+    seed = _seed(args, rc.scene.seed)
     scene = load_scene(os.path.join(args.run, "scene.txt"))
     frames = _read_frames(args.run)
     if len(frames) < 2:
@@ -156,16 +157,17 @@ def cmd_track(args: argparse.Namespace) -> int:
     coasted, diverged = np.stack(state.coasted).astype(int), np.stack(state.diverged).astype(int)
 
     def trajectory_rows():
-        velocities = truth_vel.tolist()
+        # the fields fixed per entity or per step are formatted once
+        entities = [[kind, str(pid), str(eid)] for (kind, pid), eid in zip(keys, ids)]
+        velocities = [[repr(v) for v in vel] for vel in truth_vel.tolist()]
+        unknown = [""] * 7
         for k, t in enumerate(state.times):
-            rows = zip(keys, ids, estimates[k].tolist(), truth_pos[k].tolist(), velocities,
+            head = [str(k), repr(t)]
+            rows = zip(entities, estimates[k].tolist(), truth_pos[k].tolist(), velocities,
                        errors[k].tolist(), alive[k].tolist(), coasted[k].tolist(), diverged[k].tolist())
-            for (kind, pid), eid, est, pos, vel, err, known, coast, div in rows:
-                yield [
-                    str(k), repr(t), kind, str(pid), str(eid), *map(repr, est),
-                    *(map(repr, pos + vel) if known else [""] * 6),
-                    repr(err) if known else "", str(coast), str(div),
-                ]
+            for entity, est, pos, vel, err, known, coast, div in rows:
+                truth = [*map(repr, pos), *vel, repr(err)] if known else unknown
+                yield [*head, *entity, *map(repr, est), *truth, str(coast), str(div)]
 
     # per-cloud means over the steps its entity is alive, in step order
     seen = alive.any(axis=0)

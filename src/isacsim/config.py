@@ -36,6 +36,8 @@ class RunConfig:
 
     def validate(self) -> None:
         check_finite(self, ConfigError)
+        if self.scene.seed < 0:
+            raise ConfigError(f"[run] seed must be nonnegative, got {self.scene.seed}")
         self.scene.validate()
         self.comm.validate()
         self.tracker.validate()

@@ -43,11 +43,11 @@ def _schema_line(name: str) -> str:
 
 
 def _write(path: str, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write the schema line, the header and ``rows`` as comma-joined lines: no field of
+    any schema ever needs CSV quoting, so the bytes equal those of ``csv.writer``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_schema_line(name) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_schema_line(name) + "\n" + ",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _column(raw: tuple[str, ...], kind: type) -> tuple[np.ndarray | None, int | None]:
@@ -253,11 +253,7 @@ def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, EchoColumn
 
 
 def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
-    """Write the taps of one frame at a time, the block's pairs in C order.
-
-    Lines are formatted directly: no field of this schema ever needs CSV
-    quoting, so the bytes equal those of ``csv.writer``.
-    """
+    """Write the taps of one frame at a time, the block's pairs in C order, formatted as by ``_write``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
         for t, taps in taps_by_time:

@@ -140,15 +140,9 @@ class Clouds:
         states = self.states.transpose(2, 0, 1)[:, i].transpose(1, 2, 0)
         return Clouds(states, self.weights[i], tuple(self.rngs[r] for r in rows), self.diverged[i])
 
-    def put(self, rows: np.ndarray, part: "Clouds", states: bool = True) -> None:
-        """Write ``part``, stepped from ``take(rows)``, back in place.
-
-        ``states=False`` skips the states, for a ``part`` that only
-        reweighted them.
-        """
+    def put(self, rows: np.ndarray, part: "Clouds") -> None:
+        """Write the weights and divergence flags of ``part``, reweighted from ``take(rows)``, back in place."""
         i = _index(rows)
-        if states:
-            self.states[i] = part.states
         self.weights[i] = part.weights
         self.diverged[i] = part.diverged
 
@@ -207,14 +201,15 @@ def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> tuple[n
     return np.divide(d, SPEED_OF_LIGHT, out=d), az, el
 
 
-def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, float]) -> np.ndarray:
-    """Coordinate-major (E, C, 6) draws, N(0, stds[0]) for x, y, z and N(0, stds[1]) for vx, vy, vz.
+def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, float], out: np.ndarray) -> np.ndarray:
+    """Draws N(0, stds[0]) for x, y, z and N(0, stds[1]) for vx, vy, vz
+    into ``out``, a C-contiguous (6, E, C) buffer, viewed as (E, C, 6).
 
     Cloud e's draws equal, bit for bit, ``rngs[e].normal(0.0, std, (C, 3))``
     for each std in turn, which computes 0.0 + std * z (the + 0.0 turns
     -0.0 into 0.0).
     """
-    buffer = np.empty((2, 3, len(rngs), c))
+    buffer = out.reshape(2, 3, len(rngs), c)
     block = np.empty((2, c, 3))
     for e, rng in enumerate(rngs):
         rng.standard_normal(out=block)
@@ -224,20 +219,26 @@ def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, flo
     return buffer.reshape(6, len(rngs), c).transpose(1, 2, 0)
 
 
-def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float]) -> Clouds:
+def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float], out: np.ndarray | None = None) -> Clouds:
     """Constant-velocity transition with additive Gaussian process noise.
 
     Positions advance by velocity times ``ts`` plus noise; velocities by
-    noise alone. Zero noise gives the exact linear advance.
+    noise alone. Zero noise gives the exact linear advance. The states
+    are written into ``out`` when given: a C-contiguous (6, E, C) buffer
+    apart from ``clouds.states``.
     """
     if ts <= 0.0:
         raise TrackerError(f"sampling interval must be positive, got {ts}")
     if min(process_noise) < 0.0:
         raise TrackerError("process noise stds must be nonnegative")
     x = clouds.states
-    states = _noise(clouds.rngs, clouds.weights.shape[1], process_noise)
+    out = np.empty((6, *clouds.weights.shape)) if out is None else out
+    states = _noise(clouds.rngs, clouds.weights.shape[1], process_noise, out)
+    advance = np.empty(clouds.weights.shape)  # x + (v * ts + noise), one coordinate at a time
     for j in range(3):
-        np.add(x[..., j], x[..., 3 + j] * ts + states[..., j], out=states[..., j])
+        np.multiply(x[..., 3 + j], ts, out=advance)
+        advance += states[..., j]
+        np.add(x[..., j], advance, out=states[..., j])
         states[..., 3 + j] += x[..., 3 + j]
     return replace(clouds, states=states)
 
@@ -301,25 +302,32 @@ def effective_sample_size(weights: np.ndarray) -> np.ndarray:
     return 1.0 / np.sum(np.square(weights), axis=-1)
 
 
-def resample(clouds: Clouds) -> Clouds:
-    """Systematic resampling of every cloud; C preserved, weights reset to 1/C.
+def resample(clouds: Clouds, rows: np.ndarray | None = None, out: np.ndarray | None = None) -> Clouds:
+    """Systematic resampling of the clouds at ``rows`` (default: all); C preserved, their weights reset to 1/C.
 
-    Each cloud's output particles are a multiset subset of its input; a
-    particle with weight w is copied about C*w times.
+    Each resampled cloud's output particles are a multiset subset of its
+    input; a particle with weight w is copied about C*w times. The other
+    clouds keep their particles and weights and draw nothing. All states
+    are gathered in one pass, into ``out`` when given: a (6, E, C) buffer
+    apart from ``clouds.states``.
     """
     e, c = clouds.weights.shape
-    u = np.array([rng.random() for rng in clouds.rngs])
-    positions = (u[:, None] + np.arange(c)) / c
-    cumulative = np.cumsum(clouds.weights, axis=1)
-    cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)  # guard rounding at the top end
+    rows = np.arange(e) if rows is None else rows
+    ranks = np.arange(c)
     idx = np.empty((e, c), dtype=np.intp)
-    for i in range(e):
-        idx[i] = np.searchsorted(cumulative[i], positions[i], side="right")
+    idx[:] = ranks
+    for r in rows.tolist():
+        positions = (clouds.rngs[r].random() + ranks) / c
+        cumulative = np.cumsum(clouds.weights[r])
+        cumulative[-1] = max(cumulative[-1], 1.0)  # guard rounding at the top end
+        idx[r] = np.searchsorted(cumulative, positions, side="right")
     np.minimum(idx, c - 1, out=idx)
     idx += np.arange(e)[:, None] * c
     buffer = clouds.states.transpose(2, 0, 1).reshape(6, e * c)
-    states = np.take(buffer, idx, axis=1).transpose(1, 2, 0)
-    return replace(clouds, states=states, weights=np.full((e, c), 1.0 / c))
+    states = np.take(buffer, idx, axis=1, out=out, mode="clip").transpose(1, 2, 0)
+    weights = clouds.weights.copy()
+    weights[rows] = 1.0 / c
+    return replace(clouds, states=states, weights=weights)
 
 
 def estimate(clouds: Clouds) -> np.ndarray:
@@ -374,6 +382,10 @@ class TrackerState:
     Stepping indexes per-cloud arrays kept beside the keys: each cloud's
     path id and scatterer id, the row of its path's FB cloud, the FB and
     LB cloud rows, and the noise stds of its measurement slice.
+
+    The states live in two (6, E, C) buffers: ``clouds`` views one, and
+    each predict and resample writes into the other, ``idle``, before
+    they swap. So ``clouds`` is valid only until the next step.
     """
 
     config: TrackerConfig
@@ -395,6 +407,7 @@ class TrackerState:
     fb_rows: np.ndarray = field(init=False, repr=False)
     lb_rows: np.ndarray = field(init=False, repr=False)
     sigmas: np.ndarray = field(init=False, repr=False)
+    idle: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.row = {key: e for e, key in enumerate(self.keys)}
@@ -407,6 +420,7 @@ class TrackerState:
         s_d, s_a = self.config.meas_delay_std, self.config.meas_angle_std
         # an FB slice ranges by half the echo's round trip
         self.sigmas = np.where((kinds == KIND_FB)[:, None], [s_d / 2.0, s_a, s_a], [s_d, s_a, s_a])
+        self.idle = np.empty((6, *self.clouds.weights.shape))
 
     @property
     def k(self) -> int:
@@ -415,6 +429,10 @@ class TrackerState:
     @property
     def time(self) -> float:
         return self.times[-1]
+
+    def swap(self, clouds: Clouds) -> None:
+        """Make ``clouds``, written into the idle buffer, current; the buffer it replaces becomes idle."""
+        self.idle, self.clouds = self.clouds.states.transpose(2, 0, 1), clouds
 
     def record(self, time: float, estimates: np.ndarray, coasted: np.ndarray, ess: np.ndarray) -> None:
         self.times.append(time)
@@ -436,7 +454,7 @@ def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
     streams = [np.random.default_rng(s) for s in root.spawn(e)]
     rngs = tuple(streams[:1] + streams[1::2] + streams[2::2])
-    states = _noise(rngs, c, stds)
+    states = _noise(rngs, c, stds, np.empty((6, e, c)))
     states += np.array([s.as_array() for _, _, s in entities])[:, None, :]
     clouds = Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
     keys = tuple(key for key, _, _ in entities)
@@ -568,7 +586,8 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
         raise TrackerError(
             f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}"
         )
-    tracker.clouds = clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std))
+    clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std), tracker.idle)
+    tracker.swap(clouds)
     paths, echoes = frame.comm_paths, frame.sensing_detections
     seen = _lookup(paths.path_id, tracker.path_ids)  # each cloud's row in the frame's paths
 
@@ -584,7 +603,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     values[n_los:, 1:] = paths.table[seen[fb_rows], 2:4]
     reference = np.repeat(tracker.bs[None], rows.size, axis=0)
     z = Slices(reference, values, tracker.sigmas[rows], np.concatenate([np.ones(n_los, dtype=bool), ranged]))
-    clouds.put(rows, weight(clouds.take(rows), z), states=False)
+    clouds.put(rows, weight(clouds.take(rows), z))
     est = estimate(clouds)
 
     # last bounce: range is what the comm delay leaves after the sensed first leg
@@ -594,7 +613,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     reference = np.repeat(est[None, 0, :3], lb_rows.size, axis=0)
     z = Slices(reference, values, tracker.sigmas[lb_rows], np.ones(lb_rows.size, dtype=bool))
     lb = weight(clouds.take(lb_rows), z)
-    clouds.put(lb_rows, lb, states=False)
+    clouds.put(lb_rows, lb)
     est[lb_rows] = estimate(lb)
 
     weighted = np.concatenate([rows, lb_rows])
@@ -602,5 +621,5 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     ess[weighted] = effective_sample_size(clouds.weights[weighted])
     coasted = np.ones(len(tracker.keys), dtype=bool)
     coasted[weighted] = False
-    clouds.put(weighted, resample(clouds.take(weighted)))
+    tracker.swap(resample(clouds, weighted, tracker.idle))
     tracker.record(frame.time, est, coasted, ess)

@@ -278,6 +278,30 @@ def test_non_finite_value_exits_2(tmp_path, capsys, section, line, message):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize(
+    "seed_line, argv, message",
+    [
+        ("seed = -3\n", ("simulate",), "[run] seed must be nonnegative, got -3"),
+        ("", ("simulate", "--seed", "-1"), "--seed must be nonnegative, got -1"),
+        ("", ("track", "--seed", "-2"), "--seed must be nonnegative, got -2"),
+    ],
+    ids=["config-seed", "simulate-option", "track-option"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, seed_line, argv, message):
+    # numpy once rejected these with a bare "expected non-negative integer"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{seed_line}duration = 0.2\n")
+    if argv[0] == "track":
+        argv += ("--run", simulate(tmp_path, str(cfg)))
+    else:
+        argv += ("--config", str(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # sha256 of the observation, sensing-tap and oracle-spread files of a 3-frame
 # default run; the path geometry and echo laws behind them must keep every byte
 DEFAULT_RUN_SHA256 = {

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -155,3 +157,40 @@ def test_bad_integer_reports_line(tmp_path, frames):
     cp.write_text("\n".join(lines) + "\n")
     with pytest.raises(csvio.CsvFormatError, match=r"obs\.csv:5: path_id must be an integer, got '1\.5'$"):
         csvio.read_observation_frames(str(cp), str(sp))
+
+
+def csv_writer_bytes(name, header, rows):
+    buf = io.StringIO(newline="")
+    buf.write(csvio._schema_line(name) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+HEADERS = [name for name in vars(csvio) if name.endswith("_HEADER")]
+
+
+@pytest.mark.parametrize("header", HEADERS)
+def test_written_header_bytes_equal_csv_writer(tmp_path, header):
+    path = tmp_path / "out.csv"
+    csvio._write(str(path), "some_schema", getattr(csvio, header), [])
+    assert path.read_bytes() == csv_writer_bytes("some_schema", getattr(csvio, header), [])
+
+
+def test_written_rows_with_empty_fields_equal_csv_writer(tmp_path):
+    est = [repr(x) for x in (1.5, -2.25, 0.1, 1e-17, -0.0, 3.0)]
+    trajectory = [
+        ["4", "0.4", "fb", "3", "12", *est, *[""] * 7, "1", "0"],  # the entity is not alive: no truth
+        ["4", "0.4", "user", "0", "0", *est, *est, "0.5", "0", "0"],
+    ]
+    summary = [
+        ["lb", "2", "7", "0", "0", "", "1.25", "990.5", "999.0"],
+        ["failed", "5", *[""] * 7],
+    ]
+    for name, header, rows in (
+        ("trajectory", csvio.TRAJECTORY_HEADER, trajectory), ("track_summary", csvio.SUMMARY_HEADER, summary),
+    ):
+        path = tmp_path / f"{name}.csv"
+        csvio._write(str(path), name, header, rows)
+        assert path.read_bytes() == csv_writer_bytes(name, header, rows)

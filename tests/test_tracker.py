@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import isacsim.tracker as tracker_module
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, wrap_angle
 from isacsim.scene import (
@@ -596,6 +597,114 @@ def test_batched_step_equals_each_cloud_stepped_alone():
         z_i = Slices(z.reference[i:i + 1], z.values[i:i + 1], z.sigmas[i:i + 1], z.has_delay[i:i + 1])
         alone = resample(weight(predict(alone, 0.1, (0.3, 0.1)), z_i))
         assert np.array_equal(alone.states[0], together.states[i])
+
+
+def test_resample_of_some_rows_leaves_the_others_in_place():
+    rng = np.random.default_rng(8)
+    e, c = 4, 30
+    states = rng.normal(0.0, 10.0, size=(e, c, 6))
+    weights = rng.dirichlet(np.ones(c), size=e)
+
+    def batch():
+        rngs = tuple(np.random.default_rng(seed) for seed in range(e))
+        return Clouds(states, weights.copy(), rngs, np.zeros(e, dtype=bool))
+
+    clouds = batch()
+    untouched = clouds.rngs[1].bit_generator.state
+    out = resample(clouds, np.array([0, 2, 3]), np.empty((6, e, c)))
+    assert np.array_equal(out.states[1], states[1]) and np.array_equal(out.weights[1], weights[1])
+    assert clouds.rngs[1].bit_generator.state == untouched  # a cloud kept in place draws nothing
+    alone = resample(batch().take(np.array([0, 2, 3])))
+    assert np.array_equal(out.states[[0, 2, 3]], alone.states)
+    assert np.array_equal(out.weights[[0, 2, 3]], alone.weights)
+
+
+def shipped_batch():
+    """A 37 x 1000 batch at the truth of the shipped scene, and its next 22 frames."""
+    scene = generate_scene(SceneConfig())
+    cfg = TrackerConfig()
+    state = initialize_at_truth(scene, cfg, seed=1)
+    times = [k * cfg.ts for k in range(1, 23)]
+    rng = np.random.default_rng(0)
+    noise = (scene.config.sigma_delay, scene.config.sigma_angle)
+    frames = [observe(scene, t, noise, rng, *truth)
+              for t, *truth in zip(times, ground_truth_paths(scene, times), echoes(scene, times))]
+    return state, frames
+
+
+def test_steps_allocate_no_state_buffer():
+    # each step once allocated two fresh (6, E, C) buffers, whose churn cost ~420 page faults a step
+    state, frames = shipped_batch()
+    buffer = 6 * state.clouds.size * 8
+    assert state.clouds.size == 37 * 1000
+    tracemalloc.start()
+    try:
+        for frame in frames[:2]:
+            step(state, frame)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for frame in frames[2:]:
+            step(state, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < buffer
+
+
+def test_step_alternates_between_two_state_buffers(monkeypatch):
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=40)
+    state = initialize_at_truth(scene, cfg, seed=1)
+    buffers = (state.clouds.states, state.idle)
+    outputs = []
+    for name in ("predict", "resample"):
+        def spy(*args, fn=getattr(tracker_module, name)):
+            clouds = fn(*args)
+            outputs.append(clouds.states)
+            return clouds
+
+        monkeypatch.setattr(tracker_module, name, spy)
+    rng = np.random.default_rng(0)
+    for k in range(1, 4):
+        t = k * cfg.ts
+        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]))
+    assert len(outputs) == 6
+    # predict writes into the idle buffer, resample back into the other one
+    for i, states in enumerate(outputs):
+        assert np.shares_memory(states, buffers[(i + 1) % 2])
+        assert not np.shares_memory(states, buffers[i % 2])
+    assert np.shares_memory(state.clouds.states, buffers[0]) and np.shares_memory(state.idle, buffers[1])
+
+
+def test_coasting_clouds_keep_the_predicted_states_and_their_weights(monkeypatch):
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=40)
+    state = initialize_at_truth(scene, cfg, seed=1)
+    e, c = state.clouds.weights.shape
+    state.clouds.weights[:] = np.random.default_rng(2).dirichlet(np.ones(c), size=e)
+    weights = state.clouds.weights.copy()
+    predicted = []
+
+    def spy(*args, fn=tracker_module.predict):
+        clouds = fn(*args)
+        predicted.append(clouds.states.copy())
+        return clouds
+
+    monkeypatch.setattr(tracker_module, "predict", spy)
+    t = cfg.ts
+    full = observe(
+        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]
+    )
+    pid = int(full.comm_paths.path_id[0])
+    before = state.clouds.states.copy()
+    step(state, ObservationFrame(
+        full.time, full.comm_paths[full.comm_paths.path_id != pid], full.sensing_detections, full.los
+    ))
+    coasted = state.coasted[-1]
+    assert coasted.sum() == 2 and not np.array_equal(predicted[0][coasted], before[coasted])
+    assert np.array_equal(state.clouds.states[coasted], predicted[0][coasted])
+    assert np.array_equal(state.clouds.weights[coasted], weights[coasted])
+    assert np.all(state.clouds.weights[~coasted] == 1.0 / c)
 
 
 def test_effective_sample_size_bounds():
