@@ -70,15 +70,3 @@ class PlanarArray:
         """Same array geometry translated so element 0 sits at ``origin``."""
         return replace(self, origin=origin)
 
-
-def half_wavelength_array(
-    rows: int,
-    cols: int,
-    wavelength: float,
-    origin: Vec3,
-    axis_row: Vec3 = Vec3(0.0, 0.0, 1.0),
-    axis_col: Vec3 = Vec3(0.0, 1.0, 0.0),
-) -> PlanarArray:
-    """Half-wavelength-spaced planar array, rows along z by default."""
-    return PlanarArray(rows, cols, wavelength / 2.0, origin, axis_row, axis_col)
-

@@ -52,27 +52,31 @@ def _seed(args: argparse.Namespace, default: int) -> int:
     return default if args.seed is None else args.seed
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The configuration the run was simulated with.
+def _check_match(given: RunConfig, recorded: RunConfig, mismatch: str, holder: str) -> None:
+    """Reject ``given`` unless it resolves to the values of ``recorded``, held by ``holder``;
+    the error names the first key that differs."""
+    section = ""
+    for g, r in zip(resolved_config_text(given).splitlines(), resolved_config_text(recorded).splitlines()):
+        section = g if g.startswith("[") else section
+        if g != r:
+            raise ConfigError(f"{mismatch}: {section} {g}, the {holder} has {r.split(' = ', 1)[1]}")
 
-    An explicit ``--config`` must resolve to the same values; the first
-    key that differs is reported.
+
+def _load_run(args: argparse.Namespace) -> tuple[RunConfig, SceneTruth]:
+    """The configuration and scene the run was simulated with.
+
+    The run's config_resolved.ini must hold the scene config of its
+    scene.txt, and an explicit ``--config`` must resolve to the same
+    values as the ini; the first key that differs is reported.
     """
-    run_ini = os.path.join(args.run, "config_resolved.ini")
+    run_ini, scene_txt = os.path.join(args.run, "config_resolved.ini"), os.path.join(args.run, "scene.txt")
     rc = load_run_config(run_ini)
     if args.config:
-        section = ""
-        for given, recorded in zip(
-            resolved_config_text(load_run_config(args.config)).splitlines(),
-            resolved_config_text(rc).splitlines(),
-        ):
-            section = given if given.startswith("[") else section
-            if given != recorded:
-                raise ConfigError(
-                    f"--config {args.config} does not match the run's {run_ini}: "
-                    f"{section} {given}, the run has {recorded.split(' = ', 1)[1]}"
-                )
-    return rc
+        mismatch = f"--config {args.config} does not match the run's {run_ini}"
+        _check_match(load_run_config(args.config), rc, mismatch, "run")
+    scene = load_scene(scene_txt)
+    _check_match(rc, replace(rc, scene=scene.config), f"the run's {run_ini} does not match its {scene_txt}", "scene")
+    return rc, scene
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -135,16 +139,15 @@ def _truth_tracks(scene: SceneTruth, state: tracker.TrackerState) -> tuple[np.nd
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    rc, scene = _load_run(args)
     seed = _seed(args, rc.scene.seed)
-    scene = load_scene(os.path.join(args.run, "scene.txt"))
     frames = _read_frames(args.run)
     if len(frames) < 2:
         raise tracker.TrackerError("need at least two observation frames")
 
-    user0 = tracker.EntityState(scene.user_position(frames[0].time), scene.config.user_velocity)
     state = tracker.initialize(
-        frames[0], scene.bs_position, user0, rc.tracker, np.random.SeedSequence([seed, 2])
+        frames[0], scene.bs_position, scene.user_position(frames[0].time), scene.config.user_velocity,
+        rc.tracker, np.random.SeedSequence([seed, 2]),
     )
     for frame in frames[1:]:
         tracker.step(state, frame)
@@ -289,15 +292,15 @@ def _trajectory_snapshots(run_dir: str, track_dir: str, scene: SceneTruth) -> Sn
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    rc, scene = _load_run(args)
     if args.source == "scene":
-        snapshots = _oracle_snapshots(load_scene(os.path.join(args.run, "scene.txt")), rc)
+        snapshots = _oracle_snapshots(scene, rc)
     elif args.source == "observations":
         snapshots = _observation_snapshots(args.run)
     else:
         if args.track is None:
             raise stats.StatsError("--track is required when --source trajectory")
-        snapshots = _trajectory_snapshots(args.run, args.track, load_scene(os.path.join(args.run, "scene.txt")))
+        snapshots = _trajectory_snapshots(args.run, args.track, scene)
     spread_rows = [(k, t, stats.all_spreads(table)) for k, t, table in snapshots if len(table)]
     if not spread_rows:
         raise stats.StatsError("no frames with paths to analyze")

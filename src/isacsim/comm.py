@@ -158,20 +158,19 @@ def frame_taps(
     phases: dict[int, float],
     q: np.ndarray,
     p: np.ndarray,
-    paths: TruePaths | None = None,
+    paths: TruePaths,
 ) -> TapBlock:
     """Rician-combined taps at time ``t`` for rx elements ``q`` and tx elements ``p``.
 
     ``rx_template`` supplies the user array geometry and is translated to
-    the user position at ``t``. Each pair gets the direct tap plus one tap
-    per path alive at ``t``, with the path's phase from ``phases``; see
-    ``pair_taps`` for the index shapes. ``paths``, when given, are the
-    frame's ``ground_truth_paths``, already resolved by the caller.
+    the user position at ``t``. ``paths`` are the frame's
+    ``ground_truth_paths``, resolved by the caller. Each pair gets the
+    direct tap plus one tap per path, with the path's phase from
+    ``phases``; see ``pair_taps`` for the index shapes.
     """
     scene.check_time(t)
     params.validate()
     rx = rx_template.moved_to(scene.user_position(t))
-    paths = ground_truth_paths(scene, [t])[0] if paths is None else paths
     try:
         los_phase = phases[LOS_PATH_ID]
         path_phases = np.array([phases[pid] for pid in paths.columns.path_id.tolist()], dtype=float)
@@ -193,11 +192,12 @@ def comm_cir(
 ) -> TapBlock:
     """``frame_taps`` for a list of (q, p) pairs, as an (N,) block.
 
-    ``pairs`` defaults to every antenna pair, q-major. The CLI calls
-    ``frame_taps``; this entry point is kept for the benchmark's
-    ``comm.comm_cir`` span.
+    ``pairs`` defaults to every antenna pair, q-major; the paths alive at
+    ``t`` are resolved here. The CLI calls ``frame_taps``; this entry
+    point is kept for the benchmark's ``comm.comm_cir`` span.
     """
     if pairs is None:
         pairs = [(q, p) for q in range(rx_template.num_elements) for p in range(tx.num_elements)]
     qp = np.array(list(pairs), dtype=int).reshape(-1, 2)
-    return frame_taps(scene, t, tx, rx_template, params, phases, qp[:, 0], qp[:, 1])
+    paths = ground_truth_paths(scene, [t])[0]
+    return frame_taps(scene, t, tx, rx_template, params, phases, qp[:, 0], qp[:, 1], paths)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .antenna import PlanarArray, half_wavelength_array
+from .antenna import PlanarArray
 from .comm import CommParams
-from .geometry import ORIGIN, check_finite
+from .geometry import ORIGIN, Vec3, check_finite
 from .scene import ConfigError, SceneConfig, parse_value, render_value
 from .tracker import TrackerConfig
 
@@ -51,13 +51,15 @@ class RunConfig:
             raise ConfigError(f"duration / ts gives {frames} frames, more than {MAX_FRAMES}")
 
     def tx_array(self) -> PlanarArray:
-        arr = half_wavelength_array(self.tx_rows, self.tx_cols, self.scene.wavelength,
-                                    self.scene.bs_position)
-        return replace(arr, spacing=self.spacing_wavelengths * self.scene.wavelength)
+        return self._array(self.tx_rows, self.tx_cols, self.scene.bs_position)
 
     def rx_template(self) -> PlanarArray:
-        arr = half_wavelength_array(self.rx_rows, self.rx_cols, self.scene.wavelength, ORIGIN)
-        return replace(arr, spacing=self.spacing_wavelengths * self.scene.wavelength)
+        return self._array(self.rx_rows, self.rx_cols, ORIGIN)
+
+    def _array(self, rows: int, cols: int, origin: Vec3) -> PlanarArray:
+        """Elements ``spacing_wavelengths`` wavelengths apart, rows along z and columns along y."""
+        spacing = self.spacing_wavelengths * self.scene.wavelength
+        return PlanarArray(rows, cols, spacing, origin, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0))
 
     @property
     def n_frames(self) -> int:
@@ -91,18 +93,33 @@ _DEGREE_FIELDS = {"sigma_angle_deg": "sigma_angle", "meas_angle_deg": "meas_angl
 _KEYS = [(section, holder, key) for section, holder, keys in _SCHEMA for key in keys]
 
 
-def _find_line(text: str, token: str) -> int:
+def _line_numbers(text: str) -> dict[tuple[str, str], int]:
+    """The line of each ``[section]`` header, at (section, ""), and of each key within
+    it, at (section, key), the key lowercased as configparser reads it."""
+    lines, section = {}, ""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith(token):
-            return lineno
-    return 0
+        header = configparser.ConfigParser.SECTCRE.match(line.strip())
+        option = configparser.ConfigParser.OPTCRE.match(line.strip())
+        if header:
+            section = header.group("header")
+            lines.setdefault((section, ""), lineno)
+        elif option:
+            lines.setdefault((section, option.group("option").rstrip().lower()), lineno)
+    return lines
+
+
+def _degrees(radians: float) -> float:
+    """Degrees whose ``math.radians`` is ``radians`` exactly: of math.degrees(radians) and
+    its two neighbouring floats, the shortest written one that is; else math.degrees(radians)."""
+    d = math.degrees(radians)
+    exact = [c for c in (d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)) if math.radians(c) == radians]
+    return min(exact, key=lambda c: len(repr(c)), default=d)
 
 
 def _file_value(rc: RunConfig, holder: str, key: str):
     """The value of ``key`` in ``rc``, in the file's units."""
     value = getattr(getattr(rc, holder) if holder else rc, _DEGREE_FIELDS.get(key, key))
-    return math.degrees(value) if key in _DEGREE_FIELDS else value
+    return _degrees(value) if key in _DEGREE_FIELDS else value
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -112,15 +129,16 @@ def parse_run_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    lines = _line_numbers(text)
 
     known = {section: {key for s, _, key in _KEYS if s == section} for section, _, _ in _SCHEMA}
     for section in cp.sections():
         if section not in known:
-            raise ConfigError(f"unknown section [{section}] at line {_find_line(text, '[' + section + ']')}")
+            raise ConfigError(f"unknown section [{section}] at line {lines.get((section, ''), 0)}")
         for key in cp.options(section):
             if key not in known[section]:
                 raise ConfigError(
-                    f"unknown key {key!r} in [{section}] at line {_find_line(text, key)}"
+                    f"unknown key {key!r} in [{section}] at line {lines.get((section, key), 0)}"
                 )
 
     defaults = RunConfig()
@@ -132,7 +150,7 @@ def parse_run_config(text: str) -> RunConfig:
             value = parse_value(cp.get(section, key), _file_value(defaults, holder, key), key)
         except ValueError as exc:
             raise ConfigError(
-                f"bad value for {key!r} in [{section}] at line {_find_line(text, key)}: {exc}"
+                f"bad value for {key!r} in [{section}] at line {lines.get((section, key), 0)}: {exc}"
             ) from exc
         if key in _DEGREE_FIELDS:
             values[holder][_DEGREE_FIELDS[key]] = math.radians(value)

@@ -16,22 +16,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .comm import KIND_LOS, KIND_NLOS, TapBlock
-from .geometry import HALF_PI, wrap_angles
+from .geometry import normalize_angle_columns
 from .scene import (
     LOS_PATH_ID,
     EchoColumns,
     ObservationFrame,
     PathColumns,
+    _fmt,
     check_round_trip_delays,
 )
 
 
 class CsvFormatError(ValueError):
     """Missing or wrong schema line, header, or field layout."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # schemas past v1; track_summary v2 added the ess_min and ess_median columns
@@ -181,11 +178,6 @@ def write_sensing_observations(path: str, frames: Sequence[ObservationFrame]) ->
     _write(path, "sensing_observations", OBS_SENSING_HEADER, rows())
 
 
-def _angles(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """Azimuth and elevation columns, wrapped and clamped as ``AngleSet`` does."""
-    return np.column_stack([wrap_angles(azimuth), np.clip(elevation, -HALF_PI, HALF_PI)])
-
-
 def _flags(column: tuple[str, ...]) -> np.ndarray:
     return np.array(column, dtype=str) == "1"
 
@@ -207,19 +199,18 @@ def read_observation_frames(comm_path: str, sensing_path: str) -> list[Observati
         ("degenerate",),
     )
     check_round_trip_delays(s["round_trip_delay_s"])
+    table = np.column_stack(
+        [c[key] for key in ("power", "delay_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad")]
+    )
+    normalize_angle_columns(table[:, 2:])
     comm = PathColumns(
         np.column_stack([c[key] for key in ("path_id", "fb_id", "lb_id", "cluster_id")]),
-        np.column_stack([
-            c["power"], c["delay_s"],
-            _angles(c["aod_az_rad"], c["aod_el_rad"]), _angles(c["aoa_az_rad"], c["aoa_el_rad"]),
-        ]),
+        table,
         np.column_stack([_flags(c["aod_degenerate"]), _flags(c["aoa_degenerate"])]),
     )
-    echoes = EchoColumns(
-        s["scatterer_id"],
-        np.column_stack([s["round_trip_delay_s"], _angles(s["az_rad"], s["el_rad"]), s["doppler_hz"], s["gain"]]),
-        _flags(s["degenerate"]),
-    )
+    echo = np.column_stack([s[key] for key in ("round_trip_delay_s", "az_rad", "el_rad", "doppler_hz", "gain")])
+    normalize_angle_columns(echo[:, 1:3])
+    echoes = EchoColumns(s["scatterer_id"], echo, _flags(s["degenerate"]))
 
     keys, first = np.unique(np.concatenate([c["k"], s["k"]]), return_index=True)
     times = np.concatenate([c["t"], s["t"]])[first].tolist()

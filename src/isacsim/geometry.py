@@ -50,6 +50,14 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     return np.where(r <= -math.pi, r + TWO_PI, r)
 
 
+def normalize_angle_columns(angles: np.ndarray) -> np.ndarray:
+    """The finite (n, 2k) azimuth and elevation column pairs normalized in place as ``AngleSet``
+    does one pair: azimuths wrapped into (-pi, pi], elevations clamped into [-pi/2, pi/2]."""
+    angles[:, 0::2] = wrap_angles(angles[:, 0::2])
+    np.clip(angles[:, 1::2], -HALF_PI, HALF_PI, out=angles[:, 1::2])
+    return angles
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Cartesian 3-vector, meters (or m/s when used as a velocity)."""

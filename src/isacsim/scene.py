@@ -21,16 +21,15 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
-    HALF_PI,
     GeometryError,
     Vec3,
     check_finite,
     direction_columns,
     dots,
     norms,
+    normalize_angle_columns,
     path_term_columns,
     path_terms,
-    wrap_angles,
 )
 
 ROLE_FB = "fb"
@@ -524,7 +523,7 @@ def check_round_trip_delays(delays: np.ndarray) -> None:
 
 
 def _noisy_angles(angles: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Azimuth and elevation column pairs plus noise, wrapped and clamped as ``AngleSet`` does.
+    """Azimuth and elevation column pairs plus noise, normalized by ``normalize_angle_columns``.
 
     The first non-finite angle, in row-major order, raises AngleSet's error.
     """
@@ -536,9 +535,7 @@ def _noisy_angles(angles: np.ndarray, noise: np.ndarray) -> np.ndarray:
         raise GeometryError(
             f"cannot wrap non-finite angle {value!r}" if col % 2 == 0 else f"non-finite elevation {value!r}"
         )
-    out[:, 0::2] = wrap_angles(out[:, 0::2])
-    out[:, 1::2] = np.clip(out[:, 1::2], -HALF_PI, HALF_PI)
-    return out
+    return normalize_angle_columns(out)
 
 
 def observe(

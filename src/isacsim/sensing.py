@@ -1,15 +1,15 @@
 """Mono-static sensing channel at the ISAC base station.
 
-Each alive first-bounce scatterer returns one echo. Per-echo gain,
-round-trip delay and Doppler follow the point-scatterer radar laws.
+Each alive first-bounce scatterer returns one echo. Its gain,
+round-trip delay and Doppler follow the point-scatterer radar laws,
+which ``scene`` holds beside its echo query (``scene.echoes``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# the echo laws live beside the scene's echo query; they are exported here too
-from .scene import EchoColumns, SensingError, doppler_shift, echo_delay, echoes, sensing_gain  # noqa: F401
+from .scene import EchoColumns
 
 
 def monostatic_cir(detections: EchoColumns) -> EchoColumns:

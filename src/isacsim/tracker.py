@@ -52,17 +52,6 @@ class TrackerError(ValueError):
 
 
 @dataclass(frozen=True)
-class EntityState:
-    """Position and velocity of one tracked entity."""
-
-    position: Vec3
-    velocity: Vec3
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.position.as_tuple() + self.velocity.as_tuple())
-
-
-@dataclass(frozen=True)
 class TrackerConfig:
     """Filter knobs; defaults match the shipped run configuration."""
 
@@ -219,20 +208,19 @@ def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, flo
     return buffer.reshape(6, len(rngs), c).transpose(1, 2, 0)
 
 
-def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float], out: np.ndarray | None = None) -> Clouds:
+def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float], out: np.ndarray) -> Clouds:
     """Constant-velocity transition with additive Gaussian process noise.
 
     Positions advance by velocity times ``ts`` plus noise; velocities by
     noise alone. Zero noise gives the exact linear advance. The states
-    are written into ``out`` when given: a C-contiguous (6, E, C) buffer
-    apart from ``clouds.states``.
+    are written into ``out``, a C-contiguous (6, E, C) buffer apart from
+    ``clouds.states``.
     """
     if ts <= 0.0:
         raise TrackerError(f"sampling interval must be positive, got {ts}")
     if min(process_noise) < 0.0:
         raise TrackerError("process noise stds must be nonnegative")
     x = clouds.states
-    out = np.empty((6, *clouds.weights.shape)) if out is None else out
     states = _noise(clouds.rngs, clouds.weights.shape[1], process_noise, out)
     advance = np.empty(clouds.weights.shape)  # x + (v * ts + noise), one coordinate at a time
     for j in range(3):
@@ -302,17 +290,16 @@ def effective_sample_size(weights: np.ndarray) -> np.ndarray:
     return 1.0 / np.sum(np.square(weights), axis=-1)
 
 
-def resample(clouds: Clouds, rows: np.ndarray | None = None, out: np.ndarray | None = None) -> Clouds:
-    """Systematic resampling of the clouds at ``rows`` (default: all); C preserved, their weights reset to 1/C.
+def resample(clouds: Clouds, rows: np.ndarray, out: np.ndarray) -> Clouds:
+    """Systematic resampling of the clouds at ``rows``; C preserved, their weights reset to 1/C.
 
     Each resampled cloud's output particles are a multiset subset of its
     input; a particle with weight w is copied about C*w times. The other
     clouds keep their particles and weights and draw nothing. All states
-    are gathered in one pass, into ``out`` when given: a (6, E, C) buffer
-    apart from ``clouds.states``.
+    are gathered in one pass into ``out``, a (6, E, C) buffer apart from
+    ``clouds.states``.
     """
     e, c = clouds.weights.shape
-    rows = np.arange(e) if rows is None else rows
     ranks = np.arange(c)
     idx = np.empty((e, c), dtype=np.intp)
     idx[:] = ranks
@@ -443,8 +430,8 @@ class TrackerState:
 
 
 def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
-    """Clouds around ``entities``: (key, entity id, EntityState) of the
-    user, then of each path's FB, then of each path's LB.
+    """Clouds around ``entities``: (key, entity id, position, velocity) of
+    the user, then of each path's FB, then of each path's LB.
 
     The user cloud draws from the root seed's first spawned stream, and
     path i's FB and LB clouds from streams 1 + 2i and 2 + 2i.
@@ -455,10 +442,10 @@ def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     streams = [np.random.default_rng(s) for s in root.spawn(e)]
     rngs = tuple(streams[:1] + streams[1::2] + streams[2::2])
     states = _noise(rngs, c, stds, np.empty((6, e, c)))
-    states += np.array([s.as_array() for _, _, s in entities])[:, None, :]
+    states += np.array([pos.as_tuple() + vel.as_tuple() for _, _, pos, vel in entities])[:, None, :]
     clouds = Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
-    keys = tuple(key for key, _, _ in entities)
-    tracker = TrackerState(cfg, bs_pos, keys, tuple(i for _, i, _ in entities), clouds, failed)
+    keys = tuple(key for key, _, _, _ in entities)
+    tracker = TrackerState(cfg, bs_pos, keys, tuple(i for _, i, _, _ in entities), clouds, failed)
     tracker.record(t0, estimate(clouds), np.zeros(e, dtype=bool), np.full(e, np.nan))
     return tracker
 
@@ -494,11 +481,13 @@ def _in_gate(aod: np.ndarray, delay: np.ndarray, echo: np.ndarray, cfg: TrackerC
 def initialize(
     frame0: ObservationFrame,
     bs_pos: Vec3,
-    user0: EntityState,
+    user_pos: Vec3,
+    user_vel: Vec3,
     cfg: TrackerConfig,
     seed: int | np.random.SeedSequence,
 ) -> TrackerState:
-    """Build clouds from the first observation frame.
+    """Build clouds from the first observation frame and the user's
+    position and velocity at its time.
 
     First-bounce points come from the sensing echo matched to the comm
     path by departure-angle and delay gates; the last bounce sits on the
@@ -528,17 +517,17 @@ def initialize(
             if remaining < -slack:
                 failed.append(path_id)
                 continue
-            lb_point = user0.position + unit_vector_from_angles(aoa) * max(remaining, 0.0)
+            lb_point = user_pos + unit_vector_from_angles(aoa) * max(remaining, 0.0)
         else:
-            r = solve_lb_range(bs_pos, user0.position, aoa, SPEED_OF_LIGHT * delay, slack)
+            r = solve_lb_range(bs_pos, user_pos, aoa, SPEED_OF_LIGHT * delay, slack)
             if r is None:
                 failed.append(path_id)
                 continue
-            fb_point = lb_point = user0.position + unit_vector_from_angles(aoa) * r
-        fbs.append(((KIND_FB, path_id), fb_id, EntityState(fb_point, still)))
-        lbs.append(((KIND_LB, path_id), lb_id, EntityState(lb_point, still)))
+            fb_point = lb_point = user_pos + unit_vector_from_angles(aoa) * r
+        fbs.append(((KIND_FB, path_id), fb_id, fb_point, still))
+        lbs.append(((KIND_LB, path_id), lb_id, lb_point, still))
 
-    entities = [(USER_KEY, LOS_PATH_ID, user0)] + fbs + lbs
+    entities = [(USER_KEY, LOS_PATH_ID, user_pos, user_vel)] + fbs + lbs
     stds = (cfg.init_pos_std, cfg.init_vel_std)
     return _start(cfg, bs_pos, frame0.time, entities, seed, stds, tuple(failed))
 
@@ -561,10 +550,10 @@ def initialize_at_truth(
 
     def truth(kind: str, path_id: int, sid: int):
         s = scene.scatterer(sid)
-        return (kind, path_id), sid, EntityState(s.position_at(t0), s.velocity)
+        return (kind, path_id), sid, s.position_at(t0), s.velocity
 
     entities = (
-        [(USER_KEY, LOS_PATH_ID, EntityState(scene.user_position(t0), scene.config.user_velocity))]
+        [(USER_KEY, LOS_PATH_ID, scene.user_position(t0), scene.config.user_velocity)]
         + [truth(KIND_FB, path_id, fb_id) for path_id, fb_id, _, _ in ids]
         + [truth(KIND_LB, path_id, lb_id) for path_id, _, lb_id, _ in ids]
     )

@@ -14,13 +14,22 @@ import numpy as np
 import pytest
 
 from isacsim import csvio
-from isacsim.antenna import half_wavelength_array
+from isacsim.antenna import PlanarArray
 from isacsim.cli import main as cli_main
 from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_terms, wrap_angle
-from isacsim.scene import LOS_PATH_ID, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
-from isacsim.sensing import doppler_shift, echo_delay, sensing_gain
+from isacsim.scene import (
+    LOS_PATH_ID,
+    SceneConfig,
+    doppler_shift,
+    echo_delay,
+    echoes,
+    generate_scene,
+    ground_truth_paths,
+    observe,
+    sensing_gain,
+)
 from isacsim.stats import all_spreads
 from isacsim.tracker import (
     USER_KEY,
@@ -111,8 +120,8 @@ def test_criterion_1_analytic_spreads():
 @criterion(2, "Rician power split", 1.0)
 def test_criterion_2_rician_split():
     scene = generate_scene(SceneConfig(n_clusters=2, fb_per_cluster=1, lb_per_cluster=2))
-    tx = half_wavelength_array(4, 2, scene.config.wavelength, scene.bs_position)
-    rx = half_wavelength_array(2, 1, scene.config.wavelength, ORIGIN)
+    half, z, y = scene.config.wavelength / 2.0, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0)
+    tx, rx = PlanarArray(4, 2, half, scene.bs_position, z, y), PlanarArray(2, 1, half, ORIGIN, z, y)
     for k in (0.0, 1.0, 3.0, 10.0):
         params = CommParams(k_factor=k)
         draws = draw_polarization_set(scene, params, np.random.default_rng(6))
@@ -235,7 +244,7 @@ def test_criterion_8_pf_invariants():
         assert cloud.size == n
         assert abs(cloud.weights.sum() - 1.0) <= 1e-12
         assert np.all(cloud.weights >= 0.0)
-        cloud = resample(cloud)
+        cloud = resample(cloud, np.zeros(1, dtype=np.intp), np.empty((6, 1, n)))
         assert cloud.size == n
         assert abs(cloud.weights.sum() - 1.0) <= 1e-12
     assert all(tuple(r) in base_rows for r in cloud.states[0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isacsim.antenna import PlanarArray, half_wavelength_array
+from isacsim.antenna import PlanarArray
 from isacsim.geometry import ORIGIN, Vec3
 
 WAVELENGTH = 0.0107  # ~28 GHz
@@ -9,7 +9,7 @@ WAVELENGTH = 0.0107  # ~28 GHz
 
 def _ula(n, wavelength=WAVELENGTH):
     # n-element line along y, half-wavelength spacing
-    return half_wavelength_array(1, n, wavelength, ORIGIN)
+    return PlanarArray(1, n, wavelength / 2.0, ORIGIN, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0))
 
 
 def test_element_layout():

@@ -360,6 +360,38 @@ def test_mismatched_config_exits_2(tmp_path, ts_02_run, capsys, argv):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("argv", [["stats", "--source", "scene"], ["track"]], ids=["stats", "track"])
+def test_run_whose_config_records_disagree_exits_2(tmp_path, capsys, argv):
+    # an 11-frame run whose ini was cut to duration 0.5 once gave 6 oracle snapshots, and a track, with exit 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nduration = 1.0\n\n[tracker]\nn_particles = 100\n")
+    run_dir = simulate(tmp_path, str(cfg))
+    ini = tmp_path / "run" / "config_resolved.ini"
+    ini.write_text(ini.read_text().replace("duration = 1.0\n", "duration = 0.5\n"))
+    capsys.readouterr()
+    code = run(*argv, "--run", run_dir, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: the run's {run_dir}/config_resolved.ini does not match its {run_dir}/scene.txt: "
+        "[run] duration = 0.5, the scene has 1.0\n"
+    )
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_angles_off_the_degree_grid_run_every_stage(tmp_path):
+    # math.degrees(math.radians(0.84)) is 0.8400000000000001, whose radians are one ulp off the scene's
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[run]\nduration = 0.3\n\n[scene]\nsigma_angle_deg = 0.84\n\n"
+        "[tracker]\nn_particles = 50\nmeas_angle_deg = 4.5525\n"
+    )
+    run_dir = simulate(tmp_path, str(cfg))
+    ini = (tmp_path / "run" / "config_resolved.ini").read_text()
+    assert "sigma_angle_deg = 0.84\n" in ini and "meas_angle_deg = 4.5525\n" in ini
+    assert run("track", "--run", run_dir, "--out", str(tmp_path / "trk")) == 0
+    assert run("stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts")) == 0
+
+
 def test_track_frame_gap_exits_2(tmp_path, cfg_path, capsys):
     run_dir = simulate(tmp_path, cfg_path)
     for name in ("observations.csv", "sensing_observations.csv"):
@@ -570,8 +602,9 @@ def test_underflowing_powers_exit_2(tmp_path, capsys):
 
     cfg.write_text("[run]\nduration = 0.2\n")
     run_dir = simulate(tmp_path, str(cfg))
-    scene = tmp_path / "run" / "scene.txt"
+    scene, ini = tmp_path / "run" / "scene.txt", tmp_path / "run" / "config_resolved.ini"
     scene.write_text(re.sub(r"^C pdp_decay .*$", "C pdp_decay 1e-12", scene.read_text(), flags=re.M))
+    ini.write_text(re.sub(r"^pdp_decay = .*$", "pdp_decay = 1e-12", ini.read_text(), flags=re.M))
     capsys.readouterr()
     assert run("stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts")) == 2
     assert re.fullmatch(message, capsys.readouterr().err)

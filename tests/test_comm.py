@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from isacsim.antenna import half_wavelength_array
+from isacsim.antenna import PlanarArray
 from isacsim.comm import (
     CommError,
     CommParams,
@@ -20,6 +20,11 @@ from isacsim.scene import LOS_PATH_ID, PathColumns, SceneConfig, TruePaths, gene
 
 F_C = 28e9
 LAM = SPEED_OF_LIGHT / F_C
+
+
+def half_wavelength_array(rows, cols, wavelength, origin):
+    """A planar array spaced at half the wavelength, rows along z and columns along y."""
+    return PlanarArray(rows, cols, wavelength / 2.0, origin, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0))
 
 
 def tx_pair():
@@ -210,8 +215,8 @@ def test_frame_taps_every_pair_of_a_nonstationary_scene():
     q, p = np.arange(4)[:, None], np.arange(128)[None, :]
     alive_sets = set()
     for t in (0.0, 6.5, 13.2, 20.0):
-        block = frame_taps(scene, t, tx, rx_template, params, draws, q, p)
         truths = ground_truth_paths(scene, [t])[0]
+        block = frame_taps(scene, t, tx, rx_template, params, draws, q, p, truths)
         alive_sets.add(frozenset(truths.columns.path_id.tolist()))
         assert block.delay.shape == (4, 128, 1 + len(truths))
         assert np.array_equal(block.q, np.broadcast_to(q, (4, 128)))
@@ -250,7 +255,8 @@ def test_frame_taps_reference_pair_matches_comm_cir():
     tx = half_wavelength_array(32, 4, lam, scene.bs_position)
     rx = half_wavelength_array(2, 2, lam, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
-    block = frame_taps(scene, 1.0, tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]))
+    paths = ground_truth_paths(scene, [1.0])[0]
+    block = frame_taps(scene, 1.0, tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]), paths)
     assert block.delay.shape == (1, 1, 1 + len(scene.paths))
     cir = comm_cir(scene, 1.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])
     assert (cir.q.tolist(), cir.p.tolist()) == ([0], [0])

@@ -4,11 +4,13 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isacsim import config
+from isacsim.antenna import PlanarArray
 from isacsim.cli import main
 from isacsim.config import (
     RunConfig,
@@ -16,7 +18,7 @@ from isacsim.config import (
     parse_run_config,
     resolved_config_text,
 )
-from isacsim.geometry import Vec3
+from isacsim.geometry import ORIGIN, Vec3
 from isacsim.scene import ConfigError, SceneConfig
 
 
@@ -77,11 +79,19 @@ def test_unknown_key_rejected():
         parse_run_config("[scene]\nn_cluster = 3\n")
     with pytest.raises(ConfigError, match="'xpr_db' in \\[channel\\] at line 2"):
         parse_run_config("[channel]\nxpr_db = 8.0\n")
+    # the line is looked up within the key's own section
+    with pytest.raises(ConfigError, match="'seed' in \\[tracker\\] at line 5"):
+        parse_run_config("[run]\nseed = 1\n\n[tracker]\nseed = 2\n")
+    with pytest.raises(ConfigError, match="'duration' in \\[scene\\] at line 4"):
+        parse_run_config("[run]\nduration = 5\n[scene]\nduration = 3\n")
 
 
 def test_bad_value_rejected_with_line():
     with pytest.raises(ConfigError, match="seed"):
         parse_run_config("[run]\nseed = banana\n")
+    # configparser reads keys in any case
+    with pytest.raises(ConfigError, match="'seed' in \\[run\\] at line 2"):
+        parse_run_config("[run]\nSeed = x\n")
 
 
 def test_invalid_combination_rejected():
@@ -117,13 +127,31 @@ def test_arrays_built_from_config():
     rx = rc.rx_template()
     assert rx.num_elements == 4
 
+    # rows along z and columns along y, spacing_wavelengths wavelengths apart
+    rc = parse_run_config("[arrays]\ntx_rows = 3\ntx_cols = 5\nrx_rows = 2\nrx_cols = 3\nspacing_wavelengths = 0.7\n")
+    z, y = Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0)
+    for built, (rows, cols, origin) in (
+        (rc.tx_array(), (3, 5, rc.scene.bs_position)),
+        (rc.rx_template(), (2, 3, ORIGIN)),
+    ):
+        want = PlanarArray(rows, cols, 0.7 * rc.scene.wavelength, origin, z, y)
+        assert np.array_equal(built.element_positions(), want.element_positions())
+
 
 def test_resolved_text_round_trips():
-    rc = parse_run_config("[run]\nseed = 99\n\n[tracker]\nn_particles = 123\n")
-    text = resolved_config_text(rc)
-    again = parse_run_config(text)
-    assert again == rc
-    assert resolved_config_text(again) == text
+    given = {"[run]\nseed = 99\n\n[tracker]\nn_particles = 123\n": None}
+    # math.degrees of these values' radians is one ulp away from the value,
+    # whose radians are the stored ones
+    for deg in ("0.84", "4.5525"):
+        given[f"[scene]\nsigma_angle_deg = {deg}\n"] = f"sigma_angle_deg = {deg}\n"
+        given[f"[tracker]\nmeas_angle_deg = {deg}\n"] = f"meas_angle_deg = {deg}\n"
+    for ini, line in given.items():
+        rc = parse_run_config(ini)
+        text = resolved_config_text(rc)
+        again = parse_run_config(text)
+        assert again == rc
+        assert resolved_config_text(again) == text
+        assert line is None or line in text
 
 
 def test_resolved_text_shows_every_section():

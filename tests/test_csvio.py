@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from isacsim import csvio
-from isacsim.antenna import half_wavelength_array
+from isacsim.antenna import PlanarArray
 from isacsim.comm import CommParams, draw_polarization_set, frame_taps
-from isacsim.geometry import ORIGIN
+from isacsim.geometry import ORIGIN, Vec3
 from isacsim.scene import LOS_PATH_ID, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
 from isacsim.sensing import monostatic_cir
 
@@ -89,10 +89,11 @@ def test_sensing_taps_round_trip(tmp_path, scene):
 
 
 def test_comm_taps_round_trip(tmp_path, scene):
-    tx = half_wavelength_array(2, 2, scene.config.wavelength, scene.bs_position)
-    rx = half_wavelength_array(1, 2, scene.config.wavelength, ORIGIN)
+    half, z, y = scene.config.wavelength / 2.0, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0)
+    tx, rx = PlanarArray(2, 2, half, scene.bs_position, z, y), PlanarArray(1, 2, half, ORIGIN, z, y)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(2))
-    block = frame_taps(scene, 0.0, tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]))
+    paths = ground_truth_paths(scene, [0.0])[0]
+    block = frame_taps(scene, 0.0, tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]), paths)
     path = tmp_path / "ctaps.csv"
     csvio.write_comm_taps(str(path), [(0.0, block)])
     back = csvio.read_columns(

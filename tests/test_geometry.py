@@ -10,6 +10,7 @@ from isacsim.geometry import (
     GeometryError,
     Vec3,
     angles_from_displacement,
+    normalize_angle_columns,
     path_term_columns,
     path_terms,
     unit_vector_from_angles,
@@ -180,6 +181,19 @@ def test_wrap_angles_equals_wrap_angle_bit_for_bit():
     got = wrap_angles(theta).tolist()
     assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
     assert got == want
+
+
+def test_normalize_angle_columns_equals_angleset_bit_for_bit():
+    # two (azimuth, elevation) pairs per row, each normalized as AngleSet normalizes it
+    rng = np.random.default_rng(23)
+    angles = rng.uniform(-10.0, 10.0, (500, 4))
+    angles[:, 1::2] = rng.uniform(-3.0, 3.0, (500, 2))
+    angles[0] = [math.pi, math.pi / 2, -math.pi, -math.pi / 2]
+    want = [[a.azimuth, a.elevation, b.azimuth, b.elevation]
+            for a, b in ((AngleSet(*row[:2]), AngleSet(*row[2:])) for row in angles.tolist())]
+    got = normalize_angle_columns(angles)
+    assert got is angles  # normalized in place
+    assert got.tolist() == want
 
 
 def test_path_term_columns_equal_the_scalar_formulas_bit_for_bit():

@@ -118,7 +118,7 @@ def test_weight_resample_invariants(n, seed):
     assert weighted.size == n
     assert np.all(weighted.weights >= 0.0)
     assert abs(weighted.weights.sum() - 1.0) <= 1e-12
-    out = resample(weighted)
+    out = resample(weighted, np.zeros(1, dtype=np.intp), np.empty((6, 1, n)))
     assert out.size == n
     assert abs(out.weights.sum() - 1.0) <= 1e-12
     in_rows = {tuple(r) for r in states}

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.scene import SceneConfig, echoes, generate_scene
-from isacsim.sensing import (
+from isacsim.scene import (
+    SceneConfig,
     SensingError,
     doppler_shift,
     echo_delay,
-    monostatic_cir,
+    echoes,
+    generate_scene,
     sensing_gain,
 )
+from isacsim.sensing import monostatic_cir
 
 
 def test_echo_delay_law():

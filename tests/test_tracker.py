@@ -26,7 +26,6 @@ from isacsim.tracker import (
     MAX_PARTICLES,
     USER_KEY,
     Clouds,
-    EntityState,
     Slices,
     TrackerConfig,
     TrackerError,
@@ -53,6 +52,16 @@ def make_cloud(states, weights=None, seed=0):
     n = states.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
     return Clouds(states[None], w[None], (np.random.default_rng(seed),), np.zeros(1, dtype=bool))
+
+
+def buffer(clouds):
+    """A fresh (6, E, C) state buffer for ``clouds``."""
+    return np.empty((6, *clouds.weights.shape))
+
+
+def resample_all(clouds):
+    """Every cloud resampled into a fresh buffer."""
+    return resample(clouds, np.arange(clouds.weights.shape[0]), buffer(clouds))
 
 
 def one_slice(reference, values, sigmas, has_delay=True):
@@ -134,7 +143,7 @@ def unit(a: AngleSet) -> Vec3:
 
 def test_predict_zero_noise_is_linear():
     cloud = make_cloud([[0.0, 0.0, 0.0, 1.0, 2.0, -1.0], [5.0, 5.0, 5.0, 0.0, 0.0, 0.0]])
-    out = predict(cloud, 0.5, (0.0, 0.0))
+    out = predict(cloud, 0.5, (0.0, 0.0), buffer(cloud))
     assert np.allclose(out.states[0, 0], [0.5, 1.0, -0.5, 1.0, 2.0, -1.0], atol=1e-15)
     assert np.allclose(out.states[0, 1], cloud.states[0, 1], atol=1e-15)
 
@@ -142,14 +151,14 @@ def test_predict_zero_noise_is_linear():
 def test_predict_validation():
     cloud = make_cloud([[0.0] * 6])
     with pytest.raises(TrackerError):
-        predict(cloud, 0.0, (0.1, 0.1))
+        predict(cloud, 0.0, (0.1, 0.1), buffer(cloud))
     with pytest.raises(TrackerError):
-        predict(cloud, 0.1, (-0.1, 0.1))
+        predict(cloud, 0.1, (-0.1, 0.1), buffer(cloud))
 
 
 def test_predict_noise_statistics():
     cloud = make_cloud(np.zeros((20000, 6)))
-    out = predict(cloud, 1.0, (0.5, 0.1))
+    out = predict(cloud, 1.0, (0.5, 0.1), buffer(cloud))
     assert out.states[0, :, 0].std() == pytest.approx(0.5, rel=0.05)
     assert out.states[0, :, 3].std() == pytest.approx(0.1, rel=0.05)
 
@@ -212,7 +221,7 @@ def test_weight_divergence_latches():
 def test_resample_invariants():
     states = np.arange(30.0).reshape(5, 6)
     cloud = make_cloud(states, weights=[0.05, 0.05, 0.8, 0.05, 0.05])
-    out = resample(cloud)
+    out = resample_all(cloud)
     assert out.size == cloud.size
     assert np.allclose(out.weights, 1.0 / 5)
     in_rows = {tuple(r) for r in cloud.states[0]}
@@ -346,8 +355,8 @@ def test_initialize_exact_at_zero_noise():
     frame0 = observe(
         scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
-    user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
-    state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
+    user0 = scene.user_position(0.0), scene.config.user_velocity
+    state = initialize(frame0, scene.bs_position, *user0, exact_cfg(), seed=1)
     assert not state.failed_paths
     for path_id, fb_id, lb_id, _ in frame0.comm_paths.ids.tolist():
         fb_truth = scene.scatterer(fb_id).position_at(0.0)
@@ -362,8 +371,8 @@ def test_initialize_cloud_bookkeeping():
     frame0 = observe(
         scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
-    user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
-    state = initialize(frame0, scene.bs_position, user0, exact_cfg(), seed=1)
+    user0 = scene.user_position(0.0), scene.config.user_velocity
+    state = initialize(frame0, scene.bs_position, *user0, exact_cfg(), seed=1)
     keys = state.keys
     assert keys[0] == USER_KEY
     n_paths = len(frame0.comm_paths)
@@ -423,7 +432,7 @@ def test_initialize_fb_free_fallback():
     # detection angle twisted far out of the gate
     bogus = (0, (2.0 * bs.distance_to(fb) / C, wrap_angle(aod_az + 0.5), aod_el, 0.0, 1e-12))
     frame = hand_frame(0.0, [obs], [bogus], los_obs(bs, user))
-    state = initialize(frame, bs, EntityState(user, ORIGIN), exact_cfg(), seed=2)
+    state = initialize(frame, bs, user, ORIGIN, exact_cfg(), seed=2)
     assert not state.failed_paths
     fb_est = est_pos(state, (KIND_FB, 0), 0)
     lb_est = est_pos(state, (KIND_LB, 0), 0)
@@ -468,7 +477,7 @@ def test_initialize_failure_on_infeasible_budget():
     bad = ((1, *good[0][1:]), (good[1][0], bs.distance_to(fb) / C / 4.0, *good[1][2:]))
     det = hand_det(0, fb, bs)
     frame = hand_frame(0.0, [good, bad], [det], los_obs(bs, user))
-    state = initialize(frame, bs, EntityState(user, ORIGIN), exact_cfg(), seed=2)
+    state = initialize(frame, bs, user, ORIGIN, exact_cfg(), seed=2)
     assert state.failed_paths == (1,)
     assert (KIND_FB, 0) in state.keys
     assert (KIND_FB, 1) not in state.keys
@@ -479,10 +488,10 @@ def test_initialize_deterministic_given_seed():
     frame0 = observe(
         scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
-    user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
+    user0 = scene.user_position(0.0), scene.config.user_velocity
     cfg = TrackerConfig(n_particles=20)
-    a = initialize(frame0, scene.bs_position, user0, cfg, seed=5)
-    b = initialize(frame0, scene.bs_position, user0, cfg, seed=5)
+    a = initialize(frame0, scene.bs_position, *user0, cfg, seed=5)
+    b = initialize(frame0, scene.bs_position, *user0, cfg, seed=5)
     assert np.array_equal(a.clouds.states, b.clouds.states)
 
 
@@ -590,12 +599,13 @@ def test_batched_step_equals_each_cloud_stepped_alone():
         np.tile([5e-9, 0.05, 0.05], (e, 1)),
         np.array([True, False, True, True]),
     )
-    together = resample(weight(predict(batch(), 0.1, (0.3, 0.1)), z))
+    start = batch()
+    together = resample_all(weight(predict(start, 0.1, (0.3, 0.1), buffer(start)), z))
     clouds = batch()
     for i in range(e):
         alone = clouds.take(np.array([i]))
         z_i = Slices(z.reference[i:i + 1], z.values[i:i + 1], z.sigmas[i:i + 1], z.has_delay[i:i + 1])
-        alone = resample(weight(predict(alone, 0.1, (0.3, 0.1)), z_i))
+        alone = resample_all(weight(predict(alone, 0.1, (0.3, 0.1), buffer(alone)), z_i))
         assert np.array_equal(alone.states[0], together.states[i])
 
 
@@ -614,7 +624,7 @@ def test_resample_of_some_rows_leaves_the_others_in_place():
     out = resample(clouds, np.array([0, 2, 3]), np.empty((6, e, c)))
     assert np.array_equal(out.states[1], states[1]) and np.array_equal(out.weights[1], weights[1])
     assert clouds.rngs[1].bit_generator.state == untouched  # a cloud kept in place draws nothing
-    alone = resample(batch().take(np.array([0, 2, 3])))
+    alone = resample_all(batch().take(np.array([0, 2, 3])))
     assert np.array_equal(out.states[[0, 2, 3]], alone.states)
     assert np.array_equal(out.weights[[0, 2, 3]], alone.weights)
 
@@ -747,12 +757,12 @@ def test_particle_count_capped_before_allocation():
     frame0 = observe(
         scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
     )
-    user0 = EntityState(scene.user_position(0.0), scene.config.user_velocity)
+    user0 = scene.user_position(0.0), scene.config.user_velocity
     cfg = TrackerConfig(n_particles=MAX_PARTICLES // 4)  # one cloud fits, 1 + 2 * 18 do not
     tracemalloc.start()
     try:
         with pytest.raises(TrackerError, match=f"37 clouds x {MAX_PARTICLES // 4} particles"):
-            initialize(frame0, scene.bs_position, user0, cfg, seed=1)
+            initialize(frame0, scene.bs_position, *user0, cfg, seed=1)
         with pytest.raises(TrackerError, match="more than"):
             initialize_at_truth(scene, cfg, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
