@@ -132,6 +132,8 @@ def parse_run_config(text: str) -> RunConfig:
     lines = _line_numbers(text)
 
     known = {section: {key for s, _, key in _KEYS if s == section} for section, _, _ in _SCHEMA}
+    for key in cp.defaults():  # configparser would copy it into every section
+        raise ConfigError(f"unknown key {key!r} in [DEFAULT] at line {lines.get(('DEFAULT', key), 0)}")
     for section in cp.sections():
         if section not in known:
             raise ConfigError(f"unknown section [{section}] at line {lines.get((section, ''), 0)}")

@@ -297,18 +297,40 @@ def resample(clouds: Clouds, rows: np.ndarray, out: np.ndarray) -> Clouds:
     input; a particle with weight w is copied about C*w times. The other
     clouds keep their particles and weights and draw nothing. All states
     are gathered in one pass into ``out``, a (6, E, C) buffer apart from
-    ``clouds.states``.
+    ``clouds.states``. One batched search counts the positions (u + j) / C
+    below each cumulative weight, ceil(C cum - u) give or take one; its
+    scratch arrays are views of ``out``.
     """
     e, c = clouds.weights.shape
-    ranks = np.arange(c)
-    idx = np.empty((e, c), dtype=np.intp)
-    idx[:] = ranks
-    for r in rows.tolist():
-        positions = (clouds.rngs[r].random() + ranks) / c
-        cumulative = np.cumsum(clouds.weights[r])
-        cumulative[-1] = max(cumulative[-1], 1.0)  # guard rounding at the top end
-        idx[r] = np.searchsorted(cumulative, positions, side="right")
-    np.minimum(idx, c - 1, out=idx)
+    m = rows.size
+    idx = np.tile(np.arange(c), (e, 1))
+    planes = out.reshape(6, e * c)  # dead until the gather
+    cum, pos, guess = (planes[j, :m * c].reshape(m, c) for j in range(3))
+    high, low, inside = planes[3].view(bool)[:3 * m * c].reshape(3, m, c)
+    np.take(clouds.weights, rows, axis=0, out=cum, mode="wrap")  # unbuffered; rows index as in Python
+    if not (cum.min(initial=0.0) >= 0.0 and cum.max(initial=0.0) < np.inf):
+        raise TrackerError("weights to resample must be finite and nonnegative")
+    np.cumsum(cum, axis=1, out=cum)
+    u = np.array([clouds.rngs[r].random() for r in rows.tolist()])[:, None]
+    np.clip(np.ceil(np.subtract(np.multiply(cum, c, out=guess), u, out=guess), out=guess), 0, c, out=guess)
+    # a count n is too high if position n - 1 is not below cum, and too low if n < C and position n is
+    for checked in (False, True):
+        np.greater_equal(np.divide(np.add(u, np.subtract(guess, 1.0, out=pos), out=pos), c, out=pos), cum, out=high)
+        np.less(np.divide(np.add(u, guess, out=pos), c, out=pos), cum, out=low)
+        low &= np.less(guess, c, out=inside)
+        if not (high.any() or low.any()):
+            break
+        if checked:
+            raise TrackerError("systematic resampling search left a count uncorrected")
+        guess -= high
+        guess += low
+    guess += np.arange(m)[:, None] * (c + 1)  # row r's count n goes to bin n of an (m, C + 1) table
+    counts, flat = planes[4:].reshape(-1)[:m * (c + 1)].view(np.intp), pos.view(np.intp)
+    flat[...] = guess
+    counts[:] = 0
+    np.add.at(counts, flat, 1)
+    idx[rows] = np.cumsum(counts.reshape(m, c + 1)[:, :c], axis=1, out=guess.view(np.intp))
+    np.minimum(idx, c - 1, out=idx)  # makes the last running sum irrelevant, so it needs no guard at 1
     idx += np.arange(e)[:, None] * c
     buffer = clouds.states.transpose(2, 0, 1).reshape(6, e * c)
     states = np.take(buffer, idx, axis=1, out=out, mode="clip").transpose(1, 2, 0)
@@ -607,7 +629,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
 
     weighted = np.concatenate([rows, lb_rows])
     ess = np.full(len(tracker.keys), np.nan)
-    ess[weighted] = effective_sample_size(clouds.weights[weighted])
+    ess[weighted] = effective_sample_size(clouds.weights[_index(weighted)])
     coasted = np.ones(len(tracker.keys), dtype=bool)
     coasted[weighted] = False
     tracker.swap(resample(clouds, weighted, tracker.idle))

@@ -139,6 +139,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_default_section_in_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "default.ini"
+    bad.write_text("[run]\nduration = 1.0\n\n[DEFAULT]\nseed = 3\n")
+    code = run("simulate", "--config", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "unknown key 'seed' in [DEFAULT] at line 5" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_run_dir_exits_2(tmp_path, cfg_path, capsys):
     code = run("track", "--config", cfg_path, "--run", str(tmp_path / "none"), "--out", str(tmp_path / "t"))
     assert code == 2

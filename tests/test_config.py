@@ -84,6 +84,11 @@ def test_unknown_key_rejected():
         parse_run_config("[run]\nseed = 1\n\n[tracker]\nseed = 2\n")
     with pytest.raises(ConfigError, match="'duration' in \\[scene\\] at line 4"):
         parse_run_config("[run]\nduration = 5\n[scene]\nduration = 3\n")
+    # configparser copies [DEFAULT] into every section; its keys are not silently taken or misreported
+    with pytest.raises(ConfigError, match="'seed' in \\[DEFAULT\\] at line 2"):
+        parse_run_config("[DEFAULT]\nseed = 3\n")
+    with pytest.raises(ConfigError, match="'seed' in \\[DEFAULT\\] at line 3"):
+        parse_run_config("\n[DEFAULT]\nseed = 3\n[scene]\nn_clusters = 2\n")
 
 
 def test_bad_value_rejected_with_line():

@@ -129,6 +129,41 @@ def test_weight_resample_invariants(n, seed):
 
 
 @given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_multi_cloud_resample_invariants(e, n, seed, sharpness):
+    rng = np.random.default_rng(seed)
+    states = np.zeros((e, n, 6))
+    states[..., 0] = np.arange(e * n).reshape(e, n)  # particle ids
+    weights = rng.exponential(size=(e, n)) ** sharpness
+    weights[rng.random((e, n)) < 0.3] = 0.0
+    weights[:, -1] += 1e-3
+    weights /= weights.sum(axis=1, keepdims=True)
+    rows = np.flatnonzero(rng.random(e) < 0.6)
+    seeds = rng.integers(0, 2**31, size=e)
+    batch = Clouds(states, weights.copy(), tuple(map(np.random.default_rng, seeds)), np.zeros(e, dtype=bool))
+    out = resample(batch, rows, np.empty((6, e, n)))
+    for r in range(e):
+        ids = out.states[r, :, 0].astype(int) - r * n
+        if r not in rows:
+            assert np.array_equal(out.states[r], states[r]) and np.array_equal(out.weights[r], weights[r])
+            continue
+        assert np.all(out.weights[r] == 1.0 / n)
+        # systematic resampling copies particle k about n w_k times, in order
+        copies = np.bincount(ids, minlength=n)
+        assert np.all(np.abs(copies - n * weights[r]) < 1.0 + 1e-9) and np.all(np.diff(ids) >= 0)
+        # and equals the cloud resampled on its own
+        alone = Clouds(states[r:r + 1], weights[r:r + 1].copy(), (np.random.default_rng(seeds[r]),),
+                       np.zeros(1, dtype=bool))
+        single = resample(alone, np.zeros(1, dtype=np.intp), np.empty((6, 1, n)))
+        assert np.array_equal(out.states[r], single.states[0])
+
+
+@given(
     st.tuples(finite, finite, finite),
     st.tuples(finite, finite, finite),
     st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),

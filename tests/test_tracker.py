@@ -629,6 +629,96 @@ def test_resample_of_some_rows_leaves_the_others_in_place():
     assert np.array_equal(out.weights[[0, 2, 3]], alone.weights)
 
 
+class Draws:
+    """Stands in for a cloud's rng in ``resample``: its uniform draw is always ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def searched_rows(states, weights, rows, draws):
+    """The per-row reference: each row at ``rows`` resampled with its own searchsorted."""
+    out = states.copy()
+    c = weights.shape[1]
+    for r, u in zip(rows, draws):
+        cumulative = np.cumsum(weights[r])
+        cumulative[-1] = max(cumulative[-1], 1.0)
+        positions = (u + np.arange(c)) / c
+        out[r] = states[r][np.minimum(np.searchsorted(cumulative, positions, side="right"), c - 1)]
+    return out
+
+
+def running_sums(c, u):
+    """Running sums a batched search can miscount: on the positions (u + j) / C, one
+    float either side of them, and ending just below and just above 1."""
+    positions = (u + np.arange(c)) / c
+    even = np.arange(1, c) / c
+    return [np.abs(positions), np.abs(np.nextafter(positions, -1.0)), np.nextafter(positions, 2.0),
+            np.append(even, np.nextafter(1.0, 0.0)), np.append(even, np.nextafter(1.0, 2.0))]
+
+
+def awkward_weights(c, u, rng):
+    """Rows of weights for one cloud size and draw: one-hot, uniform, leading zeros,
+    summing to 2, random, and with the running sums above."""
+    one_hot = np.eye(c)[[0, c // 2, c - 1]]
+    leading_zeros = np.where(np.arange(c) < c // 2, 0.0, 1.0 / (c - c // 2))
+    peaked = rng.exponential(size=c) ** 8
+    rows = [*one_hot, np.full(c, 1.0 / c), leading_zeros, np.full(c, 2.0 / c), rng.dirichlet(np.ones(c)),
+            peaked / peaked.sum()]
+    return np.array(rows + [np.diff(t, prepend=0.0) for t in running_sums(c, u)])
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 1000])
+@pytest.mark.parametrize("pick", ["all", "some"])
+def test_resample_equals_the_per_row_search_bit_for_bit(c, pick):
+    rng = np.random.default_rng(c)
+    u_values = [rng.random(), 0.0, 0.5, np.nextafter(1.0, 0.0)]
+    weights = np.vstack([awkward_weights(c, u, rng) for u in u_values])
+    per_u = len(weights) // len(u_values)
+    draws = np.repeat(u_values, per_u)
+    e = len(weights)
+    # particle ids in x, so equal states mean equal indices
+    states = np.zeros((e, c, 6))
+    states[..., 0] = np.arange(e * c).reshape(e, c)
+    states[..., 1:] = rng.normal(size=(e, c, 5))
+    rows = np.arange(e) if pick == "all" else np.flatnonzero(rng.random(e) < 0.5)
+    clouds = Clouds(states, weights.copy(), tuple(map(Draws, draws)), np.zeros(e, dtype=bool))
+    out = resample(clouds, rows, buffer(clouds))
+    assert np.array_equal(out.states, searched_rows(states, weights, rows, draws[rows]))
+    kept = np.ones(e, dtype=bool)
+    kept[rows] = False
+    assert np.array_equal(out.weights[kept], weights[kept]) and np.all(out.weights[rows] == 1.0 / c)
+
+
+def test_awkward_weights_put_running_sums_where_intended():
+    # the exactness cases above really place running sums on positions and around 1
+    for c in (1, 2, 3, 1000):
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0), 0.3183098861837907):
+            on, _, _, below, above = (np.cumsum(np.diff(t, prepend=0.0)) for t in running_sums(c, u))
+            assert np.mean(on == (u + np.arange(c)) / c) >= 0.5
+            assert below[-1] < 1.0 < above[-1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_resample_rejects_non_finite_or_negative_weights_before_drawing(bad):
+    rng = np.random.default_rng(4)
+    e, c = 3, 20
+    weights = rng.dirichlet(np.ones(c), size=e)
+    weights[1, 7] = bad
+    clouds = Clouds(rng.normal(size=(e, c, 6)), weights, tuple(np.random.default_rng(i) for i in range(e)),
+                    np.zeros(e, dtype=bool))
+    before = [r.bit_generator.state for r in clouds.rngs]
+    with pytest.raises(TrackerError, match="finite and nonnegative"):
+        resample(clouds, np.arange(e), buffer(clouds))
+    assert [r.bit_generator.state for r in clouds.rngs] == before  # nothing was drawn
+    # a cloud that is not resampled keeps whatever weights it has
+    out = resample(clouds, np.array([0, 2]), buffer(clouds))
+    assert np.array_equal(out.weights[1], weights[1], equal_nan=True)
+
+
 def shipped_batch():
     """A 37 x 1000 batch at the truth of the shipped scene, and its next 22 frames."""
     scene = generate_scene(SceneConfig())
@@ -659,6 +749,26 @@ def test_steps_allocate_no_state_buffer():
     finally:
         tracemalloc.stop()
     assert peak - start < buffer
+
+
+def test_resample_keeps_its_search_in_the_state_buffer():
+    # the batched search's (rows, C) scratch lives in the idle buffer; each one allocated
+    # instead would add one (E, C) array to the peak
+    state, _ = shipped_batch()
+    clouds = state.clouds
+    e, c = clouds.weights.shape
+    assert (e, c) == (37, 1000)
+    clouds.weights[:] = np.random.default_rng(5).dirichlet(np.ones(c), size=e)
+    rows = np.arange(e)
+    resample(clouds, rows, state.idle)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        resample(clouds, rows, state.idle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2.5 * e * c * 8
 
 
 def test_step_alternates_between_two_state_buffers(monkeypatch):
