@@ -532,6 +532,36 @@ def test_track_bytes_pinned(tmp_path, name):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
 
 
+def live_cloud_lines(trajectory, observations):
+    """The lines of ``trajectory`` without the rows of an FB or LB cloud after the
+    second consecutive frame (from k = 1) that its path is missing from."""
+    with open(observations, newline="") as fh:
+        seen = {(int(r["k"]), int(r["path_id"])) for r in csv.DictReader(fh.readlines()[1:]) if r["kind"] == "nlos"}
+
+    def retired(k, path_id):
+        return any((j - 1, path_id) not in seen and (j, path_id) not in seen for j in range(2, k))
+
+    with open(trajectory, "rb") as fh:
+        lines = fh.readlines()
+    rows = (line.decode().split(",", 4) for line in lines[2:])
+    return lines[:2] + [line for line, (k, _, kind, pid, _) in zip(lines[2:], rows)
+                        if kind == "user" or not retired(int(k), int(pid))]
+
+
+def test_track_keeps_the_bytes_of_live_clouds(tmp_path):
+    # paths 0-2 die at k = 12, so their clouds' rows from k = 14 on are dropped; the
+    # digest is the full trajectory's with those rows taken out, so no kept row moved
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["birth-death-virtual-delay"])
+    run_dir = simulate(tmp_path, str(cfg))
+    trk = str(tmp_path / "trk")
+    assert run("track", "--run", run_dir, "--out", trk) == 0
+    lines = live_cloud_lines(os.path.join(trk, "trajectory.csv"), os.path.join(run_dir, "observations.csv"))
+    assert len(lines) == 2 + 21 * 37 - 7 * 6
+    digest = hashlib.sha256(b"".join(lines)).hexdigest()
+    assert digest == "560fdd8717ed13e9d52a21f5a3b8cb0dd32252641753fe369f1b8b4b20ddafe4"
+
+
 @pytest.mark.parametrize("lineno, value", [(5, "nan"), (6, "inf")])
 def test_non_finite_spread_exits_2(tmp_path, cfg_path, capsys, lineno, value):
     # compare once took both values as given and printed KS distances
