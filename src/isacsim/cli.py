@@ -152,42 +152,45 @@ def cmd_track(args: argparse.Namespace) -> int:
     for frame in frames[1:]:
         tracker.step(state, frame)
 
-    # (K, E) scores: K steps, E clouds, NaN where the cloud's entity is not alive
+    # (K, E) scores: K steps, E clouds; a cloud scores while it is in the batch and its entity is alive
     keys, ids = state.keys, state.entity_ids
+    in_batch = state.spread([np.ones(m.size, dtype=bool) for m in state.members], False)
     alive, truth_pos, truth_vel = _truth_tracks(scene, state)
-    estimates = np.stack(state.estimates)
+    scored = alive & in_batch
+    estimates = state.spread(state.estimates, np.nan)
     errors = norms(estimates[..., :3] - truth_pos)
-    coasted, diverged = np.stack(state.coasted).astype(int), np.stack(state.diverged).astype(int)
+    coasted, diverged = (state.spread(flags, False).astype(int) for flags in (state.coasted, state.diverged))
 
     def trajectory_rows():
-        # the fields fixed per entity or per step are formatted once
+        # the fields fixed per entity or per step are formatted once; each step writes its batch's rows
         entities = [[kind, str(pid), str(eid)] for (kind, pid), eid in zip(keys, ids)]
         velocities = [[repr(v) for v in vel] for vel in truth_vel.tolist()]
         unknown = [""] * 7
-        for k, t in enumerate(state.times):
+        for k, (t, m) in enumerate(zip(state.times, state.members)):
             head = [str(k), repr(t)]
-            rows = zip(entities, estimates[k].tolist(), truth_pos[k].tolist(), velocities,
-                       errors[k].tolist(), alive[k].tolist(), coasted[k].tolist(), diverged[k].tolist())
-            for entity, est, pos, vel, err, known, coast, div in rows:
-                truth = [*map(repr, pos), *vel, repr(err)] if known else unknown
-                yield [*head, *entity, *map(repr, est), *truth, str(coast), str(div)]
+            rows = zip(m.tolist(), estimates[k, m].tolist(), truth_pos[k, m].tolist(), errors[k, m].tolist(),
+                       alive[k, m].tolist(), coasted[k, m].tolist(), diverged[k, m].tolist())
+            for e, est, pos, err, known, coast, div in rows:
+                truth = [*map(repr, pos), *velocities[e], repr(err)] if known else unknown
+                yield [*head, *entities[e], *map(repr, est), *truth, str(coast), str(div)]
 
-    # per-cloud means over the steps its entity is alive, in step order
-    seen = alive.any(axis=0)
+    # per-cloud means over the steps it scores, in step order
+    seen = scored.any(axis=0)
     cloud_means = np.array(
-        [float(np.mean(errors[alive[:, e], e])) if seen[e] else np.nan for e in range(len(keys))]
+        [float(np.mean(errors[scored[:, e], e])) if seen[e] else np.nan for e in range(len(keys))]
     )
-    finals = np.where(alive[-1], errors[-1], np.nan)
+    finals = np.where(scored[-1], errors[-1], np.nan)
     summary_rows = []
     coast_counts = np.sum(coasted, axis=0)
-    ess = np.stack(state.ess)
+    # each cloud's flag at its last step in the batch
+    last_diverged = diverged[np.where(state.retired_at < 0, state.k, state.retired_at - 1), np.arange(len(keys))]
+    ess = state.spread(state.ess, np.nan)
     for e, key in enumerate(keys):
         weighted = ess[:, e][~np.isnan(ess[:, e])]
         summary_rows.append(
             [
-                key[0], str(key[1]), str(ids[e]), str(coast_counts[e]),
-                str(int(state.clouds.diverged[e])),
-                repr(float(finals[e])) if alive[-1, e] else "",
+                key[0], str(key[1]), str(ids[e]), str(coast_counts[e]), str(last_diverged[e]),
+                repr(float(finals[e])) if scored[-1, e] else "",
                 repr(float(cloud_means[e])) if seen[e] else "",
                 repr(float(weighted.min())) if weighted.size else "",
                 repr(float(np.median(weighted))) if weighted.size else "",
@@ -200,7 +203,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     kinds = np.array([key[0] for key in keys])
     for kind in (tracker.KIND_USER, tracker.KIND_FB, tracker.KIND_LB):
         of_kind = kinds == kind
-        kind_finals = finals[of_kind & alive[-1]]
+        kind_finals = finals[of_kind & scored[-1]]
         if kind_finals.size:
             final_rmse = float(np.sqrt(np.mean(np.square(kind_finals))))
             mean_rmse = float(np.mean(cloud_means[of_kind & seen]))
@@ -211,6 +214,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     total_coasts = int(coast_counts.sum())
     if total_coasts:
         print(f"coasted cloud-steps: {total_coasts}")
+    n_retired = int(np.count_nonzero(state.retired_at >= 0))
+    if n_retired:
+        print(f"retired clouds: {n_retired}")
     if state.failed_paths:
         print(f"failed path inits: {list(state.failed_paths)}")
 

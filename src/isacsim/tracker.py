@@ -13,6 +13,13 @@ effective sample size 1/sum(w^2) is recorded before resampling.
 Every cloud owns its rng stream (spawned from one seed) and draws from
 it in the same order as when stepped alone, so batching never changes
 the draws a cloud sees.
+
+A path ends for good when either of its bounces dies, so the FB and LB
+clouds of a path missing from ``RETIRE_AFTER`` consecutive frames retire:
+they coast and are recorded through those frames, then leave the batch,
+and draw, weigh and record nothing more. The user cloud never retires.
+The history is ragged: each step records the rows of the clouds then in
+the batch, and ``TrackerState.spread`` lays it out over every cloud.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ KIND_LB = "lb"
 USER_KEY = (KIND_USER, LOS_PATH_ID)
 
 MAX_PARTICLES = 10**6  # over all clouds of a tracker (the shipped config steps 37 x 1000)
+RETIRE_AFTER = 2  # consecutive frames a path may be missing from before its clouds retire
 
 _EPS = 1e-9
 _SUBNORMAL = np.nextafter(0.0, 1.0)
@@ -382,15 +390,23 @@ def solve_lb_range(
 class TrackerState:
     """Filter state after k steps plus the per-step history.
 
-    Cloud e tracks ``keys[e]`` (user first, then FB clouds, then LB
-    clouds, each by path id), whose scatterer is ``entity_ids[e]``. The
-    history holds one entry per step k = 0..K: the frame time, the (E, 6)
-    estimates, (E,) coasted and diverged flags, and the (E,) effective
-    sample sizes, NaN for clouds not weighted that step.
+    The tracker's clouds are numbered in the order they were built: cloud
+    i tracks ``keys[i]`` (user first, then FB clouds, then LB clouds, each
+    by path id), whose scatterer is ``entity_ids[i]``, and ``row`` maps a
+    key to its number. Batch row e holds cloud ``live[e]``, rows in
+    cloud order. ``retired_at[i]`` is the first step without cloud i, -1
+    while it is in the batch.
 
-    Stepping indexes per-cloud arrays kept beside the keys: each cloud's
-    path id and scatterer id, the row of its path's FB cloud, the FB and
-    LB cloud rows, and the noise stds of its measurement slice.
+    The history holds one entry per step k = 0..K: the frame time, the
+    batch's cloud numbers ``members[k]`` (the same array until a cloud
+    retires), and one row per member: the (E_k, 6) estimates, the coasted
+    and diverged flags, and the effective sample sizes, NaN for clouds not
+    weighted that step. ``spread`` lays an entry list out over every cloud.
+
+    Stepping indexes per-row arrays that ``_batch`` derives beside the
+    batch: each row's path id and scatterer id, the row of its path's FB
+    cloud, the FB and LB rows, the noise stds of its measurement slice,
+    and the frames its path has been missing from in a row.
 
     The states live in two (6, E, C) buffers: ``clouds`` views one, and
     each predict and resample writes into the other, ``idle``, before
@@ -404,32 +420,47 @@ class TrackerState:
     clouds: Clouds
     failed_paths: tuple[int, ...]
     times: list[float] = field(default_factory=list)
+    members: list[np.ndarray] = field(default_factory=list)
     estimates: list[np.ndarray] = field(default_factory=list)
     coasted: list[np.ndarray] = field(default_factory=list)
     diverged: list[np.ndarray] = field(default_factory=list)
     ess: list[np.ndarray] = field(default_factory=list)
     row: dict[tuple[str, int], int] = field(init=False, repr=False)
+    retired_at: np.ndarray = field(init=False, repr=False)
     bs: np.ndarray = field(init=False, repr=False)
+    live: np.ndarray = field(init=False, repr=False)
     path_ids: np.ndarray = field(init=False, repr=False)
     entities: np.ndarray = field(init=False, repr=False)
     fb_of: np.ndarray = field(init=False, repr=False)
     fb_rows: np.ndarray = field(init=False, repr=False)
     lb_rows: np.ndarray = field(init=False, repr=False)
     sigmas: np.ndarray = field(init=False, repr=False)
+    missed: np.ndarray = field(init=False, repr=False)
     idle: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.row = {key: e for e, key in enumerate(self.keys)}
+        n = len(self.keys)
+        self.row = {key: i for i, key in enumerate(self.keys)}
+        self.retired_at = np.full(n, -1)
         self.bs = np.array(self.bs_pos.as_tuple())
-        self.path_ids = np.array([path_id for _, path_id in self.keys], dtype=int)
-        self.entities = np.array(self.entity_ids, dtype=int)
-        self.fb_of = np.array([self.row.get((KIND_FB, path_id), -1) for _, path_id in self.keys], dtype=np.intp)
-        kinds = np.array([kind for kind, _ in self.keys])
+        self._batch(np.arange(n), self.clouds, np.zeros(n, dtype=int))
+
+    def _batch(self, live: np.ndarray, clouds: Clouds, missed: np.ndarray) -> None:
+        """Make ``clouds`` the batch, row e holding cloud ``live[e]``, whose path
+        has been missing from ``missed[e]`` frames in a row; its states must
+        view a (6, E, C) buffer of their own, and a fresh idle buffer is made."""
+        keys = [self.keys[i] for i in live.tolist()]
+        row = {key: e for e, key in enumerate(keys)}
+        kinds = np.array([kind for kind, _ in keys])
+        self.live, self.clouds, self.missed = live, clouds, missed
+        self.path_ids = np.array([path_id for _, path_id in keys], dtype=int)
+        self.entities = np.array(self.entity_ids, dtype=int)[live]
+        self.fb_of = np.array([row.get((KIND_FB, path_id), -1) for _, path_id in keys], dtype=np.intp)
         self.fb_rows, self.lb_rows = np.flatnonzero(kinds == KIND_FB), np.flatnonzero(kinds == KIND_LB)
         s_d, s_a = self.config.meas_delay_std, self.config.meas_angle_std
         # an FB slice ranges by half the echo's round trip
         self.sigmas = np.where((kinds == KIND_FB)[:, None], [s_d / 2.0, s_a, s_a], [s_d, s_a, s_a])
-        self.idle = np.empty((6, *self.clouds.weights.shape))
+        self.idle = np.empty((6, *clouds.weights.shape))
 
     @property
     def k(self) -> int:
@@ -445,10 +476,31 @@ class TrackerState:
 
     def record(self, time: float, estimates: np.ndarray, coasted: np.ndarray, ess: np.ndarray) -> None:
         self.times.append(time)
+        self.members.append(self.live)
         self.estimates.append(estimates)
         self.coasted.append(coasted)
         self.diverged.append(self.clouds.diverged.copy())
         self.ess.append(ess)
+
+    def retire(self, gone: np.ndarray) -> None:
+        """Take the batch rows where ``gone`` out from the next step on; the other
+        rows keep their order, states, weights, flags and rng streams."""
+        kept = np.flatnonzero(~gone)
+        self.retired_at[self.live[gone]] = self.k + 1
+        c = self.clouds
+        states = np.take(c.states.transpose(2, 0, 1), kept, axis=1).transpose(1, 2, 0)
+        rngs = tuple(c.rngs[e] for e in kept.tolist())
+        self._batch(self.live[kept], Clouds(states, c.weights[kept], rngs, c.diverged[kept]), self.missed[kept])
+
+    def spread(self, entries: list[np.ndarray], fill) -> np.ndarray:
+        """A (K + 1, every cloud, ...) array of one history list: step k's rows
+        at their clouds, ``fill`` where a cloud was not in the batch."""
+        n = len(entries)
+        out = np.full((n, len(self.keys), *entries[0].shape[1:]), fill, dtype=entries[0].dtype)
+        starts = [k for k in range(n) if k == 0 or self.members[k] is not self.members[k - 1]]
+        for start, end in zip(starts, starts[1:] + [n]):
+            out[start:end, self.members[start]] = np.stack(entries[start:end])
+        return out
 
 
 def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
@@ -583,14 +635,15 @@ def initialize_at_truth(
 
 
 def step(tracker: TrackerState, frame: ObservationFrame) -> None:
-    """Advance every cloud by one frame: predict, weight, estimate, resample.
+    """Advance every cloud in the batch by one frame: predict, weight, estimate, resample.
 
     All clouds predict at once. The user and FB clouds are weighted in
     one pass, then the LB clouds, because the LB slice is built from
     this step's user and FB estimates. Estimates are taken from the
     weighted clouds before resampling. Clouds with no usable observation
     this frame coast on prediction alone. ``tracker`` is advanced in
-    place and the step appended to its history.
+    place and the step appended to its history. Then the clouds of a path
+    missing from this frame and the ``RETIRE_AFTER - 1`` before it retire.
     """
     cfg = tracker.config
     if not math.isclose(frame.time, tracker.time + cfg.ts, rel_tol=0.0, abs_tol=1e-9):
@@ -628,9 +681,17 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     est[lb_rows] = estimate(lb)
 
     weighted = np.concatenate([rows, lb_rows])
-    ess = np.full(len(tracker.keys), np.nan)
+    ess = np.full(tracker.live.size, np.nan)
     ess[weighted] = effective_sample_size(clouds.weights[_index(weighted)])
-    coasted = np.ones(len(tracker.keys), dtype=bool)
+    coasted = np.ones(tracker.live.size, dtype=bool)
     coasted[weighted] = False
     tracker.swap(resample(clouds, weighted, tracker.idle))
     tracker.record(frame.time, est, coasted, ess)
+
+    # the FB and LB clouds of a path missing from RETIRE_AFTER frames in a row leave the batch;
+    # the user's LoS is not among the paths, and the user cloud never retires
+    tracker.missed += 1
+    tracker.missed[(seen >= 0) | (tracker.path_ids == LOS_PATH_ID)] = 0
+    gone = tracker.missed >= RETIRE_AFTER
+    if gone.any():
+        tracker.retire(gone)

@@ -3,9 +3,11 @@
 ``perfbench/checks.py`` recomputes each stage's outputs with its own
 numpy code, and a benchmark round counts a stage whose check fails as a
 failed operation. This test loads that module, unedited, and runs its
-checks of track, both stats sources and compare on a short default run
-and on a short birth-death run with virtual delay, whose dead scatterers
-leave empty truth cells. The simulate check is left out: its noise
+checks of track, both stats sources and compare on a short default run,
+on a short birth-death run with virtual delay, whose dead scatterers
+leave empty truth cells, and on the benchmark's non-stationary config
+cut to 5 s, whose track is ragged: the clouds of dead paths retire and
+write no rows from then on. The simulate check is left out: its noise
 statistics need more frames than a short run has.
 """
 
@@ -25,7 +27,12 @@ CFGS = {
         "[scene]\nbirth_death_rate = 0.05\nvirtual_delay_max = 5e-8\n\n"
         "[tracker]\nn_particles = 250\n"
     ),
+    "nonstationary": (
+        "[run]\nseed = 11\nduration = 5.0\n\n[scene]\nbirth_death_rate = 0.05\n\n"
+        "[tracker]\nn_particles = 250\n"
+    ),
 }
+RETIRING = {"birth-death-virtual-delay", "nonstationary"}
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +44,7 @@ def checks():
 
 
 @pytest.mark.parametrize("name", sorted(CFGS))
-def test_independent_checks_pass(tmp_path, checks, name):
+def test_independent_checks_pass(tmp_path, capsys, checks, name):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CFGS[name])
     run_dir, trk, sts = (str(tmp_path / d) for d in ("run", "trk", "sts"))
@@ -50,6 +57,7 @@ def test_independent_checks_pass(tmp_path, checks, name):
          "--out", os.path.join(sts, "ks.csv")],
     ):
         assert main(argv) == 0, argv
+    assert ("\nretired clouds: " in capsys.readouterr().out) == (name in RETIRING)
     assert checks.check_track(run_dir, trk) == []
     assert checks.check_stats_scene(run_dir, sts) == []
     assert checks.check_stats_trajectory(run_dir, trk, sts) == []

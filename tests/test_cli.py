@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from isacsim import csvio
+from isacsim import csvio, tracker
 from isacsim.cli import main
 
 SMALL_CFG = """
@@ -502,9 +502,11 @@ TRACK_SHA256 = {
         "sts/spreads_oracle.csv": "897bc0c12638fc79c666e08be082afb93e80dd6d58301c730f8e8a63607f334f",
     },
     "birth-death-virtual-delay": {
-        "trk/trajectory.csv": "42730b6b2d4e120da8b037342b75fde49b3d260c2044343f7ef6cb0af878d487",
-        "trk/rmse.csv": "260ba27a2a5706c2614edcd35885642405f8237fb1874c68412bbf87ebc6b244",
-        "trk/summary.csv": "aa0087316985b3c89d96d8aeaf944440fe2272776e308b7e7625a5795d2b16e2",
+        # the clouds of paths 0-2 retire after k = 13: no rows from k = 14 on, 2 coast steps each,
+        # and the LB clouds of live scatterers 3 and 4 leave the final RMSE
+        "trk/trajectory.csv": "560fdd8717ed13e9d52a21f5a3b8cb0dd32252641753fe369f1b8b4b20ddafe4",
+        "trk/rmse.csv": "b5e3e4f85225e6ac0852785e43c9567dbc7feca5e39387e6a3568db1b163f0c1",
+        "trk/summary.csv": "6f85ea8aee5d292cb90b9ef490b829fa602e2afc4964d5a1031cbd83cf50f969",
         "sts/spreads_tracked.csv": "0937ec7a5f1e686d2c2e4bace75bb480a8f26e7558bcd500419c001483a6fad9",
         "sts/spreads_observations.csv": "2fd845557436f63918b0b5dafc87916c48c135687fed0f702388a076963cd001",
         "sts/spreads_oracle.csv": "a0a7dd38f7dee20fba48f4111462018351290c859f9ef064eb088681457f4657",
@@ -560,6 +562,32 @@ def test_track_keeps_the_bytes_of_live_clouds(tmp_path):
     assert len(lines) == 2 + 21 * 37 - 7 * 6
     digest = hashlib.sha256(b"".join(lines)).hexdigest()
     assert digest == "560fdd8717ed13e9d52a21f5a3b8cb0dd32252641753fe369f1b8b4b20ddafe4"
+
+
+def test_summary_reports_a_retired_cloud_as_it_retired(tmp_path, monkeypatch, capsys):
+    # the summary once read each cloud's divergence flag from the final batch by
+    # full row, which after a retirement names another cloud or runs past the batch
+    step = tracker.step
+
+    def flagging_step(state, frame):
+        if state.k == 12:  # the last step of path 1's clouds, whose path is missing from k = 12 on
+            state.clouds.diverged[state.live == state.row[(tracker.KIND_FB, 1)]] = True
+        step(state, frame)
+
+    monkeypatch.setattr(tracker, "step", flagging_step)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["birth-death-virtual-delay"])
+    run_dir = simulate(tmp_path, str(cfg))
+    trk = str(tmp_path / "trk")
+    capsys.readouterr()
+    assert run("track", "--run", run_dir, "--out", trk) == 0
+    assert "retired clouds: 6\n" in capsys.readouterr().out
+    with open(os.path.join(trk, "summary.csv"), newline="") as fh:
+        summary = {(r["kind"], r["path_id"]): r for r in csv.DictReader(fh.readlines()[1:])}
+    flags = {key: (r["coast_steps"], r["diverged"]) for key, r in summary.items() if key[0] != "failed"}
+    dying = {(kind, str(pid)) for kind in ("fb", "lb") for pid in range(3)}
+    assert flags == {key: ("2" if key in dying else "0", "1" if key == ("fb", "1") else "0") for key in flags}
+    assert all(summary[key]["final_pos_error_m"] == "" for key in dying)
 
 
 @pytest.mark.parametrize("lineno, value", [(5, "nan"), (6, "inf")])

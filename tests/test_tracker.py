@@ -571,6 +571,62 @@ def test_step_updates_counters_and_history():
     assert len(state.times) == len(state.coasted) == len(state.diverged) == len(state.ess) == 2
 
 
+def noisy_frames(scene, ts, n):
+    """Observation frames k = 1..n of ``scene`` with its measurement noise."""
+    times = [k * ts for k in range(1, n + 1)]
+    noise = (scene.config.sigma_delay, scene.config.sigma_angle)
+    rng = np.random.default_rng(0)
+    return [observe(scene, t, noise, rng, *truth)
+            for t, *truth in zip(times, ground_truth_paths(scene, times), echoes(scene, times))]
+
+
+def test_retirement_keeps_the_survivors_bits(monkeypatch):
+    # the clouds of a path missing from k = 3 on retire after k = 4; every other cloud
+    # steps on as in a batch that keeps them, bit for bit
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=40)
+    frames = noisy_frames(scene, cfg.ts, 7)
+    pid = int(frames[0].comm_paths.path_id[0])
+    for i, f in enumerate(frames[2:], start=2):
+        frames[i] = ObservationFrame(f.time, f.comm_paths[f.comm_paths.path_id != pid], f.sensing_detections, f.los)
+    kept = initialize_at_truth(scene, cfg, seed=1)
+    with monkeypatch.context() as m:
+        m.setattr(tracker_module, "RETIRE_AFTER", len(frames) + 1)
+        for frame in frames:
+            step(kept, frame)
+    state = initialize_at_truth(scene, cfg, seed=1)
+    for frame in frames:
+        step(state, frame)
+
+    gone = [state.row[(KIND_FB, pid)], state.row[(KIND_LB, pid)]]
+    assert np.flatnonzero(state.retired_at >= 0).tolist() == gone and state.retired_at[gone].tolist() == [5, 5]
+    assert np.all(kept.retired_at == -1)
+    live = state.live
+    assert live.tolist() == [i for i in range(len(state.keys)) if i not in gone]
+    assert np.array_equal(state.clouds.states, kept.clouds.states[live])
+    assert np.array_equal(state.clouds.weights, kept.clouds.weights[live])
+    assert np.array_equal(state.clouds.diverged, kept.clouds.diverged[live])
+    assert [r.bit_generator.state for r in state.clouds.rngs] == [
+        kept.clouds.rngs[i].bit_generator.state for i in live.tolist()]
+    # the retired clouds are recorded through their second missed frame, k = 4, and no further
+    for k, members in enumerate(state.members):
+        assert set(gone) <= set(members.tolist()) if k <= 4 else not set(gone) & set(members.tolist())
+        for name in ("estimates", "coasted", "diverged", "ess"):
+            assert np.array_equal(getattr(state, name)[k], getattr(kept, name)[k][members], equal_nan=True), name
+    coasted = state.spread(state.coasted, False)
+    assert coasted[:, gone].sum(axis=0).tolist() == [2, 2]
+
+
+def test_user_cloud_never_retires():
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=20)
+    state = initialize_at_truth(scene, cfg, seed=1)
+    for f in noisy_frames(scene, cfg.ts, 4):
+        step(state, ObservationFrame(f.time, f.comm_paths, f.sensing_detections, f.los[:0]))
+    assert np.all(state.retired_at == -1) and state.live.size == len(state.keys)
+    assert all(coasted[state.row[USER_KEY]] for coasted in state.coasted[1:])
+
+
 def test_initialize_at_truth_exact_at_k0():
     scene = generate_scene(SceneConfig())
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=3)
