@@ -12,7 +12,10 @@ effective sample size 1/sum(w^2) is recorded before resampling.
 
 Every cloud owns its rng stream (spawned from one seed) and draws from
 it in the same order as when stepped alone, so batching never changes
-the draws a cloud sees.
+the draws a cloud sees. That also lets two threads share a step's
+process noise with the same bits: the caller draws the lower half of
+the clouds while one helper thread per process draws the upper half,
+each stream on one thread only (see ``_noise``).
 
 A path ends for good when either of its bounces dies, so the FB and LB
 clouds of a path missing from ``RETIRE_AFTER`` consecutive frames retire:
@@ -205,12 +208,20 @@ def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, flo
     Cloud e's draws equal, bit for bit, ``rngs[e].normal(0.0, std, (C, 3))``
     for each std in turn, which computes 0.0 + std * z (the + 0.0 turns
     -0.0 into 0.0).
+
+    The calling thread draws the first ceil(E / 2) clouds while the
+    process's helper thread, pinned to the caller's other CPUs, draws the
+    rest (``normals.fill``). Each stream is drawn by one thread, in its
+    usual order, into its own columns, and the scaling runs after both
+    halves, so the bits are the serial ones. Where the batch holds fewer
+    than ``normals.SHARE_FROM`` particles, this thread may run on one CPU
+    only, its CPU cannot be read or another thread is using the helper,
+    the caller draws alone.
     """
+    from . import normals  # imported by the first draw, so a process that never tracks does not load it
+
     buffer = out.reshape(2, 3, len(rngs), c)
-    block = np.empty((2, c, 3))
-    for e, rng in enumerate(rngs):
-        rng.standard_normal(out=block)
-        buffer[:, :, e] = block.transpose(0, 2, 1)
+    normals.fill(rngs, buffer)
     buffer *= np.array(stds, dtype=float)[:, None, None, None]
     buffer += 0.0
     return buffer.reshape(6, len(rngs), c).transpose(1, 2, 0)

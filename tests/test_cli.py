@@ -2,9 +2,12 @@ import csv
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import isacsim
 from isacsim import csvio, tracker
 from isacsim.cli import main
 
@@ -532,6 +535,29 @@ def test_track_bytes_pinned(tmp_path, name):
     for fname, digest in TRACK_SHA256[name].items():
         with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
+
+
+def test_track_on_one_cpu_keeps_the_bytes(tmp_path):
+    # on one CPU the process noise is drawn serially, without the helper thread
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["default"])
+    run_dir = simulate(tmp_path, str(cfg))
+    script = (
+        "import sys\nfrom isacsim import cli, normals\ncode = cli.main(sys.argv[1:])\n"
+        "sys.exit(code if normals._helper is None else 'the helper thread started')"
+    )
+    src = os.path.dirname(os.path.dirname(isacsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpu = min(os.sched_getaffinity(0))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "track", "--run", run_dir, "--out", str(tmp_path / "trk")],
+        env=env, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for fname, digest in TRACK_SHA256["default"].items():
+        if fname.startswith("trk/"):
+            with open(tmp_path / fname, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
 
 
 def live_cloud_lines(trajectory, observations):

@@ -1,11 +1,16 @@
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import isacsim.tracker as tracker_module
+from isacsim import normals
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, wrap_angle
 from isacsim.scene import (
@@ -161,6 +166,100 @@ def test_predict_noise_statistics():
     out = predict(cloud, 1.0, (0.5, 0.1), buffer(cloud))
     assert out.states[0, :, 0].std() == pytest.approx(0.5, rel=0.05)
     assert out.states[0, :, 3].std() == pytest.approx(0.1, rel=0.05)
+
+
+def streams(n, seed=7):
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n))
+
+
+def serial_noise(n, c, stds, seed=7):
+    """Cloud e's (C, 6) draws, as ``rngs[e].normal(0.0, std, (C, 3))`` for each std in turn."""
+    return np.stack([np.concatenate([rng.normal(0.0, s, (c, 3)) for s in stds], axis=1) for rng in streams(n, seed)])
+
+
+@pytest.fixture()
+def shared(monkeypatch):
+    """Makes ``_noise`` share every batch of two or more clouds with the helper thread, on any machine."""
+    monkeypatch.setattr(normals, "_other_cpus", lambda: os.sched_getaffinity(0))
+    monkeypatch.setattr(normals, "SHARE_FROM", 2)
+
+
+def test_other_cpus_leave_out_the_callers_cpu():
+    cpus = os.sched_getaffinity(0)
+    others = normals._other_cpus()
+    assert others <= cpus and len(others) == (len(cpus) - 1 if len(cpus) > 1 else 0)
+
+
+@pytest.mark.parametrize("n, c, one_cpu", [(37, 200, False), (1, 200, False), (37, 200, True), (19, 250, False)])
+def test_noise_draws_each_clouds_stream_bits(monkeypatch, n, c, one_cpu):
+    # 37 x 200 particles split 19 / 18 clouds between the caller and the helper; one cloud,
+    # one CPU or fewer than SHARE_FROM particles (19 x 250) leave the caller drawing alone
+    shares = n > 1 and n * c >= normals.SHARE_FROM and not one_cpu and len(os.sched_getaffinity(0)) > 1
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if not shares:
+        monkeypatch.setattr(normals, "_helper", None)
+    got = tracker_module._noise(streams(n), c, (2.0, 0.5), np.empty((6, n, c)))
+    assert got.view(np.int64).tolist() == serial_noise(n, c, (2.0, 0.5)).view(np.int64).tolist()
+    assert (normals._helper is not None) == shares
+    if shares:  # pinned away from the caller's CPU
+        assert len(os.sched_getaffinity(normals._helper.thread.native_id)) == len(os.sched_getaffinity(0)) - 1
+
+
+def test_noise_drops_the_buffer(shared):
+    out = np.empty((6, 37, 50))
+    ref = weakref.ref(out)
+    tracker_module._noise(streams(37), 50, (2.0, 0.5), out)
+    del out
+    assert ref() is None
+
+
+class BrokenStream:
+    def standard_normal(self, out):
+        raise RuntimeError("broken stream")
+
+
+def within(seconds, fn):
+    """What ``fn()`` returns or raises, run on a daemon thread that must end within ``seconds``."""
+    result = []
+
+    def run():
+        try:
+            result.append(fn())
+        except Exception as exc:
+            result.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "deadlocked"
+    return result[0]
+
+
+def test_noise_raises_the_helpers_error_and_goes_on(shared):
+    # with two clouds the helper draws the second one
+    error = within(30, lambda: tracker_module._noise(
+        (np.random.default_rng(1), BrokenStream()), 50, (2.0, 0.5), np.empty((6, 2, 50))))
+    assert isinstance(error, RuntimeError) and str(error) == "broken stream"
+    got = within(30, lambda: tracker_module._noise(streams(2), 50, (2.0, 0.5), np.empty((6, 2, 50))))
+    assert np.array_equal(got, serial_noise(2, 50, (2.0, 0.5)))
+
+
+def draw_in_child(parent_helper):
+    got = tracker_module._noise(streams(37), 50, (2.0, 0.5), np.empty((6, 37, 50)))
+    assert np.array_equal(got, serial_noise(37, 50, (2.0, 0.5)))
+    assert normals._helper is not parent_helper
+
+
+def test_forked_child_draws_with_its_own_helper(shared):
+    tracker_module._noise(streams(2), 50, (2.0, 0.5), np.empty((6, 2, 50)))
+    child = multiprocessing.get_context("fork").Process(target=draw_in_child, args=(normals._helper,))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_weight_prefers_consistent_particle():
