@@ -1,26 +1,22 @@
-"""Standard normal draws of many rng streams, shared by the calling thread
-and one helper thread per process.
+"""Standard normal draws of many rng streams, made by one helper thread per
+process while the caller goes on with other work.
 
-Numpy fills a block of normals without the interpreter lock, so two
-threads that draw from disjoint streams run at once on two CPUs. Each
-stream is drawn by one thread only, in its usual order, so the draws are
-bit for bit those of one thread.
+``fill`` hands a block of streams to the helper, which draws them from the
+first one up, and returns at once. ``Fill.wait`` then claims, from the last
+one down, every stream the helper has not reached, draws those on the
+calling thread and waits for the helper. Numpy fills a block of normals
+without the interpreter lock, so the helper's draws overlap whatever the
+caller does in between. Each stream is drawn once, by the one thread that
+claimed it, so the draws are bit for bit those of one thread.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 
 import numpy as np
-
-
-def _draw(rngs: tuple[np.random.Generator, ...], buffer: np.ndarray, block: np.ndarray) -> None:
-    """Fills ``buffer[:, :, e]``, a (2, 3, C) slice, with ``rngs[e]``'s N(0, 1) draws,
-    stream by stream, through ``block``, a (2, C, 3) scratch array."""
-    for e, rng in enumerate(rngs):
-        rng.standard_normal(out=block)
-        buffer[:, :, e] = block.transpose(0, 2, 1)
 
 
 def _other_cpus() -> set[int]:
@@ -37,45 +33,43 @@ def _other_cpus() -> set[int]:
 
 
 class _Helper:
-    """A daemon thread that draws the upper half of the streams while the caller draws the lower half."""
+    """A daemon thread that draws the streams of one ``Fill`` at a time from the first one up."""
 
     def __init__(self) -> None:
         self.todo, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        self.job: tuple | None = None
+        self.job: Fill | None = None
         self.error: Exception | None = None
         self.thread = threading.Thread(target=self._serve, name="isacsim-noise", daemon=True)
         self.thread.start()
 
     def _serve(self) -> None:
+        # the job is drawn in a call of its own, so no local of this frame holds its buffer
         while True:
             self.todo.acquire()
             try:
-                _draw(*self.job)
+                self.job.draw(self.job.streams.popleft, self.job.blocks[1])
             except Exception as exc:  # raised again in the caller
                 self.error = exc
-            self.job = None  # it holds the caller's buffer
+            self.job = None
             self.done.release()
 
-    def share(self, rngs: tuple[np.random.Generator, ...], buffer: np.ndarray, split: int, cpus: set[int]) -> None:
-        """Draws streams ``split:`` here, pinned to ``cpus``, and the others on the calling thread."""
-        # left unpinned, the woken helper stays on its waker's CPU and the halves run in turn
+    def start(self, job: Fill, cpus: set[int]) -> None:
+        # left unpinned, the woken helper stays on its waker's CPU and the two threads run in turn
         os.sched_setaffinity(self.thread.native_id, cpus)
-        # the caller allocates both blocks, so the helper's heap stays small
-        blocks = np.empty((2, 2, buffer.shape[-1], 3))
-        self.job = (rngs[split:], buffer[:, :, split:], blocks[1])
+        self.job = job
         self.todo.release()
-        try:
-            _draw(rngs[:split], buffer[:, :, :split], blocks[0])
-        finally:
-            self.done.acquire()
-            error, self.error = self.error, None
+
+    def finish(self) -> None:
+        """Waits for the helper to drop its job and raises its error, if any."""
+        self.done.acquire()
+        error, self.error = self.error, None
         if error is not None:
             raise error
 
 
-SHARE_FROM = 5000  # particles (E x C) per draw; below it, waking the helper costs about what it saves
-_helper: _Helper | None = None  # one per process, started by the first shared draw
-_helper_lock = threading.Lock()
+SHARE_FROM = 6000  # particles (E x C) per fill; below it, waking the helper costs about what it saves
+_helper: _Helper | None = None  # one per process, started by the first shared fill
+_helper_lock = threading.Lock()  # held from a shared fill to its wait
 
 
 def _forget_helper() -> None:
@@ -87,26 +81,69 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper thread
 
 
-def fill(rngs: tuple[np.random.Generator, ...], buffer: np.ndarray) -> None:
-    """Fills ``buffer[:, :, e]``, a (2, 3, C) slice of a (2, 3, E, C) array, with
-    ``rngs[e].standard_normal((2, C, 3)).transpose(0, 2, 1)``, bit for bit.
+class Fill:
+    """A fill in flight. Its streams wait in a deque, which the helper pops
+    from the left and ``wait`` from the right; each pop is atomic, so each
+    stream is claimed once. Use it as a context manager, or call ``wait``,
+    before reading the buffer."""
 
-    The calling thread draws streams ``:ceil(E / 2)`` while the helper,
-    pinned to this thread's other CPUs, draws the rest. Where E < 2, E x C
-    < ``SHARE_FROM``, this thread may run on one CPU only, its CPU cannot
-    be read or another thread is using the helper, the caller draws every
-    stream.
+    def __init__(self, rngs: tuple[np.random.Generator, ...], buffer: np.ndarray) -> None:
+        self.buffer = buffer.reshape(2, 3, len(rngs), -1, copy=False)
+        self.streams = deque(enumerate(rngs))
+        # the caller's and the helper's (2, C, 3) blocks, both allocated here, so the helper's heap stays small
+        self.blocks = np.empty((2, 2, self.buffer.shape[-1], 3))
+        self.helper: _Helper | None = None
+
+    def draw(self, claim, block: np.ndarray) -> None:
+        """Draws the streams ``claim`` pops until none is left, each through ``block``."""
+        while True:
+            try:
+                e, rng = claim()
+            except IndexError:
+                return
+            rng.standard_normal(out=block)
+            self.buffer[:, :, e] = block.transpose(0, 2, 1)
+
+    def wait(self) -> None:
+        """Draws every stream the helper has not claimed, from the last one down, then waits for the helper."""
+        try:
+            self.draw(self.streams.pop, self.blocks[0])
+        finally:
+            if self.helper is not None:
+                self.helper, helper = None, self.helper
+                try:
+                    helper.finish()
+                finally:
+                    _helper_lock.release()
+
+    def __enter__(self) -> Fill:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.wait()
+
+
+def fill(rngs: tuple[np.random.Generator, ...], buffer: np.ndarray) -> Fill:
+    """Starts filling ``buffer[:, e]``, a (6, C) slice of a C-contiguous
+    (6, E, C) array, with ``rngs[e].standard_normal((2, C, 3))`` laid out
+    as (2, 3, C), bit for bit; the fill is complete once ``wait`` returns.
+
+    The helper, pinned to this thread's other CPUs, starts on the streams
+    at once. Where E x C < ``SHARE_FROM``, this thread may run on one CPU
+    only, its CPU cannot be read or another thread's fill holds the
+    helper, nothing is drawn before ``wait``, which then draws every
+    stream on the calling thread.
     """
     global _helper
-    split = (len(rngs) + 1) // 2
-    big = split < len(rngs) and len(rngs) * buffer.shape[-1] >= SHARE_FROM
-    cpus = _other_cpus() if big else set()
+    job = Fill(rngs, buffer)
+    cpus = _other_cpus() if buffer.size >= 6 * SHARE_FROM else set()
     if cpus and _helper_lock.acquire(blocking=False):
         try:
             if _helper is None:
                 _helper = _Helper()
-            _helper.share(rngs, buffer, split, cpus)
-        finally:
+            _helper.start(job, cpus)
+        except BaseException:
             _helper_lock.release()
-    else:
-        _draw(rngs, buffer, np.empty((2, buffer.shape[-1], 3)))
+            raise
+        job.helper = _helper
+    return job

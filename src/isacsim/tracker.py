@@ -11,11 +11,14 @@ systematic, the point estimate is the highest-weight particle, and the
 effective sample size 1/sum(w^2) is recorded before resampling.
 
 Every cloud owns its rng stream (spawned from one seed) and draws from
-it in the same order as when stepped alone, so batching never changes
-the draws a cloud sees. That also lets two threads share a step's
-process noise with the same bits: the caller draws the lower half of
-the clouds while one helper thread per process draws the upper half,
-each stream on one thread only (see ``_noise``).
+it in the same order as when stepped alone: its initial normals, then per
+step its process-noise normals and, if weighted, its resampling offset.
+So batching never changes the draws a cloud sees, and any one thread may
+draw a stream. Which clouds a frame weighs, and which retire after it,
+depend on the frame alone, so ``step`` draws the offsets right after
+predicting and then has the next step's normals drawn on a helper thread
+while it weighs and resamples in place (``normals.fill``). Small batches,
+or a process on one CPU, draw them on the calling thread instead.
 
 A path ends for good when either of its bounces dies, so the FB and LB
 clouds of a path missing from ``RETIRE_AFTER`` consecutive frames retire:
@@ -201,46 +204,43 @@ def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> tuple[n
     return np.divide(d, SPEED_OF_LIGHT, out=d), az, el
 
 
-def _noise(rngs: tuple[np.random.Generator, ...], c: int, stds: tuple[float, float], out: np.ndarray) -> np.ndarray:
-    """Draws N(0, stds[0]) for x, y, z and N(0, stds[1]) for vx, vy, vz
-    into ``out``, a C-contiguous (6, E, C) buffer, viewed as (E, C, 6).
-
-    Cloud e's draws equal, bit for bit, ``rngs[e].normal(0.0, std, (C, 3))``
-    for each std in turn, which computes 0.0 + std * z (the + 0.0 turns
-    -0.0 into 0.0).
-
-    The calling thread draws the first ceil(E / 2) clouds while the
-    process's helper thread, pinned to the caller's other CPUs, draws the
-    rest (``normals.fill``). Each stream is drawn by one thread, in its
-    usual order, into its own columns, and the scaling runs after both
-    halves, so the bits are the serial ones. Where the batch holds fewer
-    than ``normals.SHARE_FROM`` particles, this thread may run on one CPU
-    only, its CPU cannot be read or another thread is using the helper,
-    the caller draws alone.
-    """
+def _fill(rngs: tuple[np.random.Generator, ...], out: np.ndarray):
+    """``normals.fill(rngs, out)``: starts drawing N(0, 1) process noise into a (6, E, C) buffer."""
     from . import normals  # imported by the first draw, so a process that never tracks does not load it
 
-    buffer = out.reshape(2, 3, len(rngs), c)
-    normals.fill(rngs, buffer)
+    return normals.fill(rngs, out)
+
+
+def _scale(out: np.ndarray, stds: tuple[float, float]) -> np.ndarray:
+    """Turns the N(0, 1) draws in ``out``, a (6, E, C) buffer, into
+    N(0, stds[0]) for x, y, z and N(0, stds[1]) for vx, vy, vz, in place,
+    and returns them viewed as (E, C, 6).
+
+    Cloud e's draws then equal, bit for bit, ``rng.normal(0.0, std, (C, 3))``
+    for each std in turn, which computes 0.0 + std * z (the + 0.0 turns
+    -0.0 into 0.0).
+    """
+    buffer = out.reshape(2, 3, *out.shape[1:])
     buffer *= np.array(stds, dtype=float)[:, None, None, None]
     buffer += 0.0
-    return buffer.reshape(6, len(rngs), c).transpose(1, 2, 0)
+    return out.transpose(1, 2, 0)
 
 
 def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float], out: np.ndarray) -> Clouds:
     """Constant-velocity transition with additive Gaussian process noise.
 
     Positions advance by velocity times ``ts`` plus noise; velocities by
-    noise alone. Zero noise gives the exact linear advance. The states
-    are written into ``out``, a C-contiguous (6, E, C) buffer apart from
-    ``clouds.states``.
+    noise alone. Zero noise gives the exact linear advance. ``out`` is a
+    C-contiguous (6, E, C) buffer apart from ``clouds.states`` that holds
+    the step's N(0, 1) draws (see ``_fill``); they are scaled and advanced
+    into the new states there.
     """
     if ts <= 0.0:
         raise TrackerError(f"sampling interval must be positive, got {ts}")
     if min(process_noise) < 0.0:
         raise TrackerError("process noise stds must be nonnegative")
     x = clouds.states
-    states = _noise(clouds.rngs, clouds.weights.shape[1], process_noise, out)
+    states = _scale(out, process_noise)
     advance = np.empty(clouds.weights.shape)  # x + (v * ts + noise), one coordinate at a time
     for j in range(3):
         np.multiply(x[..., 3 + j], ts, out=advance)
@@ -309,53 +309,65 @@ def effective_sample_size(weights: np.ndarray) -> np.ndarray:
     return 1.0 / np.sum(np.square(weights), axis=-1)
 
 
-def resample(clouds: Clouds, rows: np.ndarray, out: np.ndarray) -> Clouds:
-    """Systematic resampling of the clouds at ``rows``; C preserved, their weights reset to 1/C.
+def offsets(clouds: Clouds, rows: np.ndarray) -> np.ndarray:
+    """The systematic-resampling offset u in [0, 1) of each cloud at ``rows``, drawn from its stream in row order."""
+    return np.array([clouds.rngs[r].random() for r in rows.tolist()])
+
+
+def resample(clouds: Clouds, rows: np.ndarray, u: np.ndarray) -> None:
+    """Systematic resampling of the clouds at sorted ``rows`` with offsets ``u``, in place;
+    C preserved, their weights reset to 1/C.
 
     Each resampled cloud's output particles are a multiset subset of its
     input; a particle with weight w is copied about C*w times. The other
-    clouds keep their particles and weights and draw nothing. All states
-    are gathered in one pass into ``out``, a (6, E, C) buffer apart from
-    ``clouds.states``. One batched search counts the positions (u + j) / C
-    below each cumulative weight, ceil(C cum - u) give or take one; its
-    scratch arrays are views of ``out``.
+    clouds keep their particles and weights, and nothing is drawn. One
+    batched search counts the positions (u + j) / C below each cumulative
+    weight, ceil(C cum - u) give or take one. The states are gathered in
+    place, one coordinate plane at a time, through one (rows, C) scratch
+    array that first holds the search's guesses and then its bin counts;
+    the running sums are taken in the weights being reset where the rows
+    are consecutive.
     """
-    e, c = clouds.weights.shape
-    m = rows.size
-    idx = np.tile(np.arange(c), (e, 1))
-    planes = out.reshape(6, e * c)  # dead until the gather
-    cum, pos, guess = (planes[j, :m * c].reshape(m, c) for j in range(3))
-    high, low, inside = planes[3].view(bool)[:3 * m * c].reshape(3, m, c)
-    np.take(clouds.weights, rows, axis=0, out=cum, mode="wrap")  # unbuffered; rows index as in Python
+    c = clouds.weights.shape[1]
+    m, i = rows.size, _index(rows)
+    cum = clouds.weights[i]  # a view where the rows are consecutive, else a copy
     if not (cum.min(initial=0.0) >= 0.0 and cum.max(initial=0.0) < np.inf):
         raise TrackerError("weights to resample must be finite and nonnegative")
     np.cumsum(cum, axis=1, out=cum)
-    u = np.array([clouds.rngs[r].random() for r in rows.tolist()])[:, None]
+    scratch = np.empty(m * c + 1)  # one more than (rows, C), for the bin of the last row's count of C
+    guess, pos = scratch[:m * c].reshape(m, c), np.empty((m, c))
+    high, low = np.empty((2, m, c), dtype=bool)
+    u = u[:, None]
     np.clip(np.ceil(np.subtract(np.multiply(cum, c, out=guess), u, out=guess), out=guess), 0, c, out=guess)
     # a count n is too high if position n - 1 is not below cum, and too low if n < C and position n is
     for checked in (False, True):
-        np.greater_equal(np.divide(np.add(u, np.subtract(guess, 1.0, out=pos), out=pos), c, out=pos), cum, out=high)
+        np.less(guess, c, out=high)
         np.less(np.divide(np.add(u, guess, out=pos), c, out=pos), cum, out=low)
-        low &= np.less(guess, c, out=inside)
+        low &= high
+        np.greater_equal(np.divide(np.add(u, np.subtract(guess, 1.0, out=pos), out=pos), c, out=pos), cum, out=high)
         if not (high.any() or low.any()):
             break
         if checked:
             raise TrackerError("systematic resampling search left a count uncorrected")
         guess -= high
         guess += low
-    guess += np.arange(m)[:, None] * (c + 1)  # row r's count n goes to bin n of an (m, C + 1) table
-    counts, flat = planes[4:].reshape(-1)[:m * (c + 1)].view(np.intp), pos.view(np.intp)
-    flat[...] = guess
+    # row r's count n goes to bin r C + n, so a count of C lands in the next row's first bin; one
+    # running sum over every bin then counts all r C particles of the rows before, which are taken off
+    guess += np.arange(0, m * c, c)[:, None]
+    idx = pos.view(np.intp)
+    idx[...] = guess
+    counts = scratch.view(np.intp)[:m * c + 1]
     counts[:] = 0
-    np.add.at(counts, flat, 1)
-    idx[rows] = np.cumsum(counts.reshape(m, c + 1)[:, :c], axis=1, out=guess.view(np.intp))
+    np.add.at(counts, idx.reshape(-1), 1)
+    np.cumsum(counts[:m * c], out=idx.reshape(-1))
+    idx -= np.arange(0, m * c, c)[:, None]
     np.minimum(idx, c - 1, out=idx)  # makes the last running sum irrelevant, so it needs no guard at 1
-    idx += np.arange(e)[:, None] * c
-    buffer = clouds.states.transpose(2, 0, 1).reshape(6, e * c)
-    states = np.take(buffer, idx, axis=1, out=out, mode="clip").transpose(1, 2, 0)
-    weights = clouds.weights.copy()
-    weights[rows] = 1.0 / c
-    return replace(clouds, states=states, weights=weights)
+    idx += rows[:, None] * c
+    into = scratch[:m * c].reshape(m, c)
+    for plane in clouds.states.transpose(2, 0, 1):
+        np.take(plane.reshape(-1), idx, out=into, mode="clip")  # unbuffered, unlike mode="raise"
+        plane[i] = into
+    clouds.weights[i] = 1.0 / c
 
 
 def estimate(clouds: Clouds) -> np.ndarray:
@@ -419,9 +431,12 @@ class TrackerState:
     cloud, the FB and LB rows, the noise stds of its measurement slice,
     and the frames its path has been missing from in a row.
 
-    The states live in two (6, E, C) buffers: ``clouds`` views one, and
-    each predict and resample writes into the other, ``idle``, before
-    they swap. So ``clouds`` is valid only until the next step.
+    The batch keeps two (6, E, C) buffers: ``clouds`` views the states in
+    one, and ``pending`` holds the next step's N(0, 1) draws, in the
+    batch's row order. A step predicts into ``pending``, resamples there
+    in place, and draws the step after's noise into the buffer it freed,
+    which becomes ``pending``. So ``clouds`` is valid only until the next
+    step.
     """
 
     config: TrackerConfig
@@ -447,7 +462,7 @@ class TrackerState:
     lb_rows: np.ndarray = field(init=False, repr=False)
     sigmas: np.ndarray = field(init=False, repr=False)
     missed: np.ndarray = field(init=False, repr=False)
-    idle: np.ndarray = field(init=False, repr=False)
+    pending: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.keys)
@@ -455,11 +470,12 @@ class TrackerState:
         self.retired_at = np.full(n, -1)
         self.bs = np.array(self.bs_pos.as_tuple())
         self._batch(np.arange(n), self.clouds, np.zeros(n, dtype=int))
+        self.pending = np.empty((6, *self.clouds.weights.shape))
 
     def _batch(self, live: np.ndarray, clouds: Clouds, missed: np.ndarray) -> None:
         """Make ``clouds`` the batch, row e holding cloud ``live[e]``, whose path
         has been missing from ``missed[e]`` frames in a row; its states must
-        view a (6, E, C) buffer of their own, and a fresh idle buffer is made."""
+        view a (6, E, C) buffer of their own."""
         keys = [self.keys[i] for i in live.tolist()]
         row = {key: e for e, key in enumerate(keys)}
         kinds = np.array([kind for kind, _ in keys])
@@ -471,7 +487,6 @@ class TrackerState:
         s_d, s_a = self.config.meas_delay_std, self.config.meas_angle_std
         # an FB slice ranges by half the echo's round trip
         self.sigmas = np.where((kinds == KIND_FB)[:, None], [s_d / 2.0, s_a, s_a], [s_d, s_a, s_a])
-        self.idle = np.empty((6, *clouds.weights.shape))
 
     @property
     def k(self) -> int:
@@ -482,8 +497,8 @@ class TrackerState:
         return self.times[-1]
 
     def swap(self, clouds: Clouds) -> None:
-        """Make ``clouds``, written into the idle buffer, current; the buffer it replaces becomes idle."""
-        self.idle, self.clouds = self.clouds.states.transpose(2, 0, 1), clouds
+        """Make ``clouds``, predicted into the pending buffer, current; the buffer it replaces becomes pending."""
+        self.pending, self.clouds = self.clouds.states.transpose(2, 0, 1), clouds
 
     def record(self, time: float, estimates: np.ndarray, coasted: np.ndarray, ess: np.ndarray) -> None:
         self.times.append(time)
@@ -495,7 +510,8 @@ class TrackerState:
 
     def retire(self, gone: np.ndarray) -> None:
         """Take the batch rows where ``gone`` out from the next step on; the other
-        rows keep their order, states, weights, flags and rng streams."""
+        rows keep their order, states, weights, flags and rng streams, and
+        ``pending`` must already hold their draws."""
         kept = np.flatnonzero(~gone)
         self.retired_at[self.live[gone]] = self.k + 1
         c = self.clouds
@@ -516,7 +532,8 @@ class TrackerState:
 
 def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     """Clouds around ``entities``: (key, entity id, position, velocity) of
-    the user, then of each path's FB, then of each path's LB.
+    the user, then of each path's FB, then of each path's LB, with step 1's
+    noise drawn.
 
     The user cloud draws from the root seed's first spawned stream, and
     path i's FB and LB clouds from streams 1 + 2i and 2 + 2i.
@@ -526,11 +543,14 @@ def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
     streams = [np.random.default_rng(s) for s in root.spawn(e)]
     rngs = tuple(streams[:1] + streams[1::2] + streams[2::2])
-    states = _noise(rngs, c, stds, np.empty((6, e, c)))
+    buffer = np.empty((6, e, c))
+    _fill(rngs, buffer).wait()
+    states = _scale(buffer, stds)
     states += np.array([pos.as_tuple() + vel.as_tuple() for _, _, pos, vel in entities])[:, None, :]
     clouds = Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
     keys = tuple(key for key, _, _, _ in entities)
     tracker = TrackerState(cfg, bs_pos, keys, tuple(i for _, i, _, _ in entities), clouds, failed)
+    _fill(rngs, tracker.pending).wait()
     tracker.record(t0, estimate(clouds), np.zeros(e, dtype=bool), np.full(e, np.nan))
     return tracker
 
@@ -655,54 +675,65 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     this frame coast on prediction alone. ``tracker`` is advanced in
     place and the step appended to its history. Then the clouds of a path
     missing from this frame and the ``RETIRE_AFTER - 1`` before it retire.
+
+    The weighted rows' offsets are drawn right after predicting, and the
+    next step's noise of the rows that stay is drawn while they are
+    weighed and resampled; it is all drawn when ``step`` returns or raises.
     """
     cfg = tracker.config
     if not math.isclose(frame.time, tracker.time + cfg.ts, rel_tol=0.0, abs_tol=1e-9):
         raise TrackerError(
             f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}"
         )
-    clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std), tracker.idle)
+    clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std), tracker.pending)
     tracker.swap(clouds)
     paths, echoes = frame.comm_paths, frame.sensing_detections
     seen = _lookup(paths.path_id, tracker.path_ids)  # each cloud's row in the frame's paths
-
-    # user from the LoS; FB clouds from their path's AoD and, when sensed, half the echo's round trip
+    # the user is weighted by the LoS, and FB and LB clouds while their path is seen
     fb_rows = tracker.fb_rows[seen[tracker.fb_rows] >= 0]
-    echo = _lookup(echoes.scatterer_id, tracker.entities[fb_rows])
-    ranged = echo >= 0
+    lb_rows = tracker.lb_rows[seen[tracker.lb_rows] >= 0]
     n_los = len(frame.los)
     rows = np.concatenate([np.zeros(n_los, dtype=np.intp), fb_rows])
-    values = np.zeros((rows.size, 3))
-    values[:n_los] = frame.los.table[:, 1:4]
-    values[n_los:][ranged, 0] = echoes.table[echo[ranged], 0] / 2.0
-    values[n_los:, 1:] = paths.table[seen[fb_rows], 2:4]
-    reference = np.repeat(tracker.bs[None], rows.size, axis=0)
-    z = Slices(reference, values, tracker.sigmas[rows], np.concatenate([np.ones(n_los, dtype=bool), ranged]))
-    clouds.put(rows, weight(clouds.take(rows), z))
-    est = estimate(clouds)
-
-    # last bounce: range is what the comm delay leaves after the sensed first leg
-    lb_rows = tracker.lb_rows[seen[tracker.lb_rows] >= 0]
-    values = paths.table[seen[lb_rows]][:, [1, 4, 5]]
-    values[:, 0] -= norms(est[tracker.fb_of[lb_rows], :3] - tracker.bs) / SPEED_OF_LIGHT
-    reference = np.repeat(est[None, 0, :3], lb_rows.size, axis=0)
-    z = Slices(reference, values, tracker.sigmas[lb_rows], np.ones(lb_rows.size, dtype=bool))
-    lb = weight(clouds.take(lb_rows), z)
-    clouds.put(lb_rows, lb)
-    est[lb_rows] = estimate(lb)
-
     weighted = np.concatenate([rows, lb_rows])
-    ess = np.full(tracker.live.size, np.nan)
-    ess[weighted] = effective_sample_size(clouds.weights[_index(weighted)])
-    coasted = np.ones(tracker.live.size, dtype=bool)
-    coasted[weighted] = False
-    tracker.swap(resample(clouds, weighted, tracker.idle))
-    tracker.record(frame.time, est, coasted, ess)
+    u = offsets(clouds, weighted)
 
-    # the FB and LB clouds of a path missing from RETIRE_AFTER frames in a row leave the batch;
-    # the user's LoS is not among the paths, and the user cloud never retires
+    # the FB and LB clouds of a path missing from RETIRE_AFTER frames in a row leave the batch after
+    # this step, so they draw no noise for the next; the user's LoS is not among the paths, and the
+    # user cloud never retires
     tracker.missed += 1
     tracker.missed[(seen >= 0) | (tracker.path_ids == LOS_PATH_ID)] = 0
     gone = tracker.missed >= RETIRE_AFTER
+    kept = np.flatnonzero(~gone)
+    if gone.any():
+        tracker.pending = np.empty((6, kept.size, cfg.n_particles))
+
+    with _fill(tuple(clouds.rngs[e] for e in kept.tolist()), tracker.pending):
+        # user from the LoS; FB clouds from their path's AoD and, when sensed, half the echo's round trip
+        echo = _lookup(echoes.scatterer_id, tracker.entities[fb_rows])
+        ranged = echo >= 0
+        values = np.zeros((rows.size, 3))
+        values[:n_los] = frame.los.table[:, 1:4]
+        values[n_los:][ranged, 0] = echoes.table[echo[ranged], 0] / 2.0
+        values[n_los:, 1:] = paths.table[seen[fb_rows], 2:4]
+        reference = np.repeat(tracker.bs[None], rows.size, axis=0)
+        z = Slices(reference, values, tracker.sigmas[rows], np.concatenate([np.ones(n_los, dtype=bool), ranged]))
+        clouds.put(rows, weight(clouds.take(rows), z))
+        est = estimate(clouds)
+
+        # last bounce: range is what the comm delay leaves after the sensed first leg
+        values = paths.table[seen[lb_rows]][:, [1, 4, 5]]
+        values[:, 0] -= norms(est[tracker.fb_of[lb_rows], :3] - tracker.bs) / SPEED_OF_LIGHT
+        reference = np.repeat(est[None, 0, :3], lb_rows.size, axis=0)
+        z = Slices(reference, values, tracker.sigmas[lb_rows], np.ones(lb_rows.size, dtype=bool))
+        lb = weight(clouds.take(lb_rows), z)
+        clouds.put(lb_rows, lb)
+        est[lb_rows] = estimate(lb)
+
+        ess = np.full(tracker.live.size, np.nan)
+        ess[weighted] = effective_sample_size(clouds.weights[_index(weighted)])
+        coasted = np.ones(tracker.live.size, dtype=bool)
+        coasted[weighted] = False
+        resample(clouds, weighted, u)
+    tracker.record(frame.time, est, coasted, ess)
     if gone.any():
         tracker.retire(gone)

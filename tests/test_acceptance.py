@@ -37,6 +37,7 @@ from isacsim.tracker import (
     Slices,
     TrackerConfig,
     initialize_at_truth,
+    offsets,
     resample,
     step,
     weight,
@@ -244,7 +245,8 @@ def test_criterion_8_pf_invariants():
         assert cloud.size == n
         assert abs(cloud.weights.sum() - 1.0) <= 1e-12
         assert np.all(cloud.weights >= 0.0)
-        cloud = resample(cloud, np.zeros(1, dtype=np.intp), np.empty((6, 1, n)))
+        rows = np.zeros(1, dtype=np.intp)
+        resample(cloud, rows, offsets(cloud, rows))
         assert cloud.size == n
         assert abs(cloud.weights.sum() - 1.0) <= 1e-12
     assert all(tuple(r) in base_rows for r in cloud.states[0])

@@ -5,10 +5,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import isacsim
-from isacsim import csvio, tracker
+from isacsim import cli, csvio, normals, tracker
 from isacsim.cli import main
 
 SMALL_CFG = """
@@ -535,6 +536,73 @@ def test_track_bytes_pinned(tmp_path, name):
     for fname, digest in TRACK_SHA256[name].items():
         with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
+
+
+@pytest.mark.parametrize("eager", [False, True])
+def test_each_stream_draws_in_its_serial_order(tmp_path, monkeypatch, eager):
+    # after k steps each cloud's stream has drawn its initial normals, then per step its normals and,
+    # if weighted, its resampling offset, plus the next step's normals while it is in the batch;
+    # eager fills finish before the step goes on, as if the helper won every race with the caller
+    if eager:
+        def fill(rngs, buffer, start=normals.fill):
+            job = start(rngs, buffer)
+            job.wait()
+            return job
+
+        monkeypatch.setattr(normals, "fill", fill)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["birth-death-virtual-delay"])
+    run_dir = simulate(tmp_path, str(cfg))
+    rc, scene = cli._load_run(cli.build_parser().parse_args(["track", "--run", run_dir, "--out", "-"]))
+    frames = cli._read_frames(run_dir)
+    state = tracker.initialize(frames[0], scene.bs_position, scene.user_position(frames[0].time),
+                               scene.config.user_velocity, rc.tracker, np.random.SeedSequence([rc.scene.seed, 2]))
+    rngs = state.clouds.rngs
+    n, c = len(rngs), rc.tracker.n_particles
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence([rc.scene.seed, 2]).spawn(n)]
+    replay = streams[:1] + streams[1::2] + streams[2::2]  # the user's, then the FB and the LB streams
+    for r in replay:
+        r.standard_normal((2, c, 3))  # the initial cloud
+        r.standard_normal((2, c, 3))  # step 1's noise
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in replay]
+    for k, frame in enumerate(frames[1:], start=1):
+        tracker.step(state, frame)
+        for e, i in enumerate(state.members[k].tolist()):
+            if not state.coasted[k][e]:
+                replay[i].random()
+            if state.retired_at[i] < 0:
+                replay[i].standard_normal((2, c, 3))
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in replay], k
+    retired = state.retired_at >= 0
+    assert retired.any() and (state.retired_at[retired] < state.k).all()  # some clouds stopped drawing
+    assert any(flags.any() for flags in state.coasted[1:])  # and some coasted without an offset
+
+
+def test_simulate_all_pairs_and_stats_start_no_helper_thread(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["default"])
+    run_dir = simulate(tmp_path, str(cfg))
+    trk = str(tmp_path / "trk")
+    assert run("track", "--run", run_dir, "--out", trk) == 0
+    allpairs = tmp_path / "allpairs.ini"
+    allpairs.write_text(ALLPAIRS_CFG)
+    script = (
+        "import sys, threading\nfrom isacsim import cli\ncode = cli.main(sys.argv[1:])\n"
+        "sys.exit(code if 'isacsim.normals' not in sys.modules and threading.active_count() == 1 else"
+        " f'threads {threading.enumerate()}')"
+    )
+    src = os.path.dirname(os.path.dirname(isacsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (
+        ["simulate", "--config", str(allpairs), "--all-pairs", "--out", str(tmp_path / "allpairs")],
+        ["stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts"), "--label", "oracle"],
+        ["stats", "--run", run_dir, "--source", "observations", "--out", str(tmp_path / "sts")],
+        ["stats", "--run", run_dir, "--track", trk, "--source", "trajectory", "--out", str(tmp_path / "sts"),
+         "--label", "tracked"],
+    ):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, (argv[0], done.stderr)
 
 
 def test_track_on_one_cpu_keeps_the_bytes(tmp_path):

@@ -19,6 +19,7 @@ from isacsim.tracker import (
     Clouds,
     Slices,
     estimate,
+    offsets,
     resample,
     solve_lb_range,
     weight,
@@ -118,13 +119,15 @@ def test_weight_resample_invariants(n, seed):
     assert weighted.size == n
     assert np.all(weighted.weights >= 0.0)
     assert abs(weighted.weights.sum() - 1.0) <= 1e-12
-    out = resample(weighted, np.zeros(1, dtype=np.intp), np.empty((6, 1, n)))
+    est = estimate(weighted)[0]
+    rows = np.zeros(1, dtype=np.intp)
+    resample(weighted, rows, offsets(weighted, rows))  # in place
+    out = weighted
     assert out.size == n
     assert abs(out.weights.sum() - 1.0) <= 1e-12
     in_rows = {tuple(r) for r in states}
     assert all(tuple(r) in in_rows for r in out.states[0])
-    # the point estimate is one of the particles
-    est = estimate(weighted)[0]
+    # the point estimate, taken before resampling, is one of the particles
     assert any(np.allclose(est, s) for s in states)
 
 
@@ -146,7 +149,8 @@ def test_multi_cloud_resample_invariants(e, n, seed, sharpness):
     rows = np.flatnonzero(rng.random(e) < 0.6)
     seeds = rng.integers(0, 2**31, size=e)
     batch = Clouds(states, weights.copy(), tuple(map(np.random.default_rng, seeds)), np.zeros(e, dtype=bool))
-    out = resample(batch, rows, np.empty((6, e, n)))
+    resample(batch, rows, offsets(batch, rows))  # in place
+    out = batch
     for r in range(e):
         ids = out.states[r, :, 0].astype(int) - r * n
         if r not in rows:
@@ -159,8 +163,8 @@ def test_multi_cloud_resample_invariants(e, n, seed, sharpness):
         # and equals the cloud resampled on its own
         alone = Clouds(states[r:r + 1], weights[r:r + 1].copy(), (np.random.default_rng(seeds[r]),),
                        np.zeros(1, dtype=bool))
-        single = resample(alone, np.zeros(1, dtype=np.intp), np.empty((6, 1, n)))
-        assert np.array_equal(out.states[r], single.states[0])
+        resample(alone, np.zeros(1, dtype=np.intp), offsets(alone, np.zeros(1, dtype=np.intp)))
+        assert np.array_equal(out.states[r], alone.states[0])
 
 
 @given(

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -40,6 +41,7 @@ from isacsim.tracker import (
     estimate,
     initialize,
     initialize_at_truth,
+    offsets,
     predict,
     predicted_slice_values,
     resample,
@@ -64,9 +66,18 @@ def buffer(clouds):
     return np.empty((6, *clouds.weights.shape))
 
 
+def drawn(clouds):
+    """A fresh (6, E, C) buffer of ``clouds``' next N(0, 1) process noise."""
+    out = buffer(clouds)
+    tracker_module._fill(clouds.rngs, out).wait()
+    return out
+
+
 def resample_all(clouds):
-    """Every cloud resampled into a fresh buffer."""
-    return resample(clouds, np.arange(clouds.weights.shape[0]), buffer(clouds))
+    """Every cloud resampled in place, each with an offset from its own stream; returns ``clouds``."""
+    rows = np.arange(clouds.weights.shape[0])
+    resample(clouds, rows, offsets(clouds, rows))
+    return clouds
 
 
 def one_slice(reference, values, sigmas, has_delay=True):
@@ -148,7 +159,7 @@ def unit(a: AngleSet) -> Vec3:
 
 def test_predict_zero_noise_is_linear():
     cloud = make_cloud([[0.0, 0.0, 0.0, 1.0, 2.0, -1.0], [5.0, 5.0, 5.0, 0.0, 0.0, 0.0]])
-    out = predict(cloud, 0.5, (0.0, 0.0), buffer(cloud))
+    out = predict(cloud, 0.5, (0.0, 0.0), drawn(cloud))
     assert np.allclose(out.states[0, 0], [0.5, 1.0, -0.5, 1.0, 2.0, -1.0], atol=1e-15)
     assert np.allclose(out.states[0, 1], cloud.states[0, 1], atol=1e-15)
 
@@ -163,7 +174,7 @@ def test_predict_validation():
 
 def test_predict_noise_statistics():
     cloud = make_cloud(np.zeros((20000, 6)))
-    out = predict(cloud, 1.0, (0.5, 0.1), buffer(cloud))
+    out = predict(cloud, 1.0, (0.5, 0.1), drawn(cloud))
     assert out.states[0, :, 0].std() == pytest.approx(0.5, rel=0.05)
     assert out.states[0, :, 3].std() == pytest.approx(0.1, rel=0.05)
 
@@ -177,9 +188,22 @@ def serial_noise(n, c, stds, seed=7):
     return np.stack([np.concatenate([rng.normal(0.0, s, (c, 3)) for s in stds], axis=1) for rng in streams(n, seed)])
 
 
+def serial_normals(n, c, seed=7):
+    """The (6, n, C) buffer of each cloud's ``rng.standard_normal((2, C, 3))``, laid out as (2, 3, C)."""
+    return np.stack([rng.standard_normal((2, c, 3)).transpose(0, 2, 1).reshape(6, c) for rng in streams(n, seed)],
+                    axis=1)
+
+
+def filled(rngs, c):
+    """A (6, E, C) buffer filled from ``rngs`` through ``_fill``."""
+    out = np.empty((6, len(rngs), c))
+    tracker_module._fill(rngs, out).wait()
+    return out
+
+
 @pytest.fixture()
 def shared(monkeypatch):
-    """Makes ``_noise`` share every batch of two or more clouds with the helper thread, on any machine."""
+    """Makes every fill start the helper thread, on any machine."""
     monkeypatch.setattr(normals, "_other_cpus", lambda: os.sched_getaffinity(0))
     monkeypatch.setattr(normals, "SHARE_FROM", 2)
 
@@ -192,30 +216,49 @@ def test_other_cpus_leave_out_the_callers_cpu():
 
 @pytest.mark.parametrize("n, c, one_cpu", [(37, 200, False), (1, 200, False), (37, 200, True), (19, 250, False)])
 def test_noise_draws_each_clouds_stream_bits(monkeypatch, n, c, one_cpu):
-    # 37 x 200 particles split 19 / 18 clouds between the caller and the helper; one cloud,
-    # one CPU or fewer than SHARE_FROM particles (19 x 250) leave the caller drawing alone
-    shares = n > 1 and n * c >= normals.SHARE_FROM and not one_cpu and len(os.sched_getaffinity(0)) > 1
+    # 37 x 200 particles are shared: the helper draws from the first stream up and the caller from the
+    # last down; one CPU or fewer than SHARE_FROM particles (1 x 200, 19 x 250) leave the caller drawing alone
+    shares = n * c >= normals.SHARE_FROM and not one_cpu and len(os.sched_getaffinity(0)) > 1
     if one_cpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     if not shares:
         monkeypatch.setattr(normals, "_helper", None)
-    got = tracker_module._noise(streams(n), c, (2.0, 0.5), np.empty((6, n, c)))
+    got = tracker_module._scale(filled(streams(n), c), (2.0, 0.5))
     assert got.view(np.int64).tolist() == serial_noise(n, c, (2.0, 0.5)).view(np.int64).tolist()
     assert (normals._helper is not None) == shares
     if shares:  # pinned away from the caller's CPU
         assert len(os.sched_getaffinity(normals._helper.thread.native_id)) == len(os.sched_getaffinity(0)) - 1
 
 
+def test_fill_claims_each_stream_once_under_a_short_switch_interval(shared):
+    # the helper and the caller pop one deque from its two ends; a stream claimed twice or never
+    # would leave its columns redrawn or unfilled
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in (1, 7, 50):
+            assert within(30, lambda: np.array_equal(filled(streams(37), c), serial_normals(37, c)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_noise_drops_the_buffer(shared):
     out = np.empty((6, 37, 50))
     ref = weakref.ref(out)
-    tracker_module._noise(streams(37), 50, (2.0, 0.5), out)
+    tracker_module._fill(streams(37), out).wait()
     del out
     assert ref() is None
 
 
 class BrokenStream:
+    """A stream that raises, noting the thread that drew from it."""
+
+    def __init__(self):
+        self.drawn = threading.Event()
+
     def standard_normal(self, out):
+        self.thread = threading.current_thread().name
+        self.drawn.set()
         raise RuntimeError("broken stream")
 
 
@@ -237,22 +280,23 @@ def within(seconds, fn):
 
 
 def test_noise_raises_the_helpers_error_and_goes_on(shared):
-    # with two clouds the helper draws the second one
-    error = within(30, lambda: tracker_module._noise(
-        (np.random.default_rng(1), BrokenStream()), 50, (2.0, 0.5), np.empty((6, 2, 50))))
+    # the helper claims the one stream before the caller waits, and its error is raised in the caller
+    broken = BrokenStream()
+    job = tracker_module._fill((broken,), np.empty((6, 1, 50)))
+    assert broken.drawn.wait(30) and broken.thread == "isacsim-noise"
+    error = within(30, job.wait)
     assert isinstance(error, RuntimeError) and str(error) == "broken stream"
-    got = within(30, lambda: tracker_module._noise(streams(2), 50, (2.0, 0.5), np.empty((6, 2, 50))))
-    assert np.array_equal(got, serial_noise(2, 50, (2.0, 0.5)))
+    assert np.array_equal(within(30, lambda: filled(streams(2), 50)), serial_normals(2, 50))
+    assert not normals._helper_lock.locked()
 
 
 def draw_in_child(parent_helper):
-    got = tracker_module._noise(streams(37), 50, (2.0, 0.5), np.empty((6, 37, 50)))
-    assert np.array_equal(got, serial_noise(37, 50, (2.0, 0.5)))
-    assert normals._helper is not parent_helper
+    assert np.array_equal(filled(streams(37), 50), serial_normals(37, 50))
+    assert normals._helper is not None and normals._helper is not parent_helper
 
 
 def test_forked_child_draws_with_its_own_helper(shared):
-    tracker_module._noise(streams(2), 50, (2.0, 0.5), np.empty((6, 2, 50)))
+    filled(streams(2), 50)
     child = multiprocessing.get_context("fork").Process(target=draw_in_child, args=(normals._helper,))
     child.start()
     child.join(timeout=30)
@@ -320,10 +364,10 @@ def test_weight_divergence_latches():
 def test_resample_invariants():
     states = np.arange(30.0).reshape(5, 6)
     cloud = make_cloud(states, weights=[0.05, 0.05, 0.8, 0.05, 0.05])
-    out = resample_all(cloud)
-    assert out.size == cloud.size
-    assert np.allclose(out.weights, 1.0 / 5)
     in_rows = {tuple(r) for r in cloud.states[0]}
+    out = resample_all(cloud)
+    assert out.size == 5
+    assert np.allclose(out.weights, 1.0 / 5)
     assert all(tuple(r) in in_rows for r in out.states[0])
     # the dominant particle is copied several times
     copies = sum(1 for r in out.states[0] if tuple(r) == tuple(states[2]))
@@ -755,12 +799,12 @@ def test_batched_step_equals_each_cloud_stepped_alone():
         np.array([True, False, True, True]),
     )
     start = batch()
-    together = resample_all(weight(predict(start, 0.1, (0.3, 0.1), buffer(start)), z))
+    together = resample_all(weight(predict(start, 0.1, (0.3, 0.1), drawn(start)), z))
     clouds = batch()
     for i in range(e):
         alone = clouds.take(np.array([i]))
         z_i = Slices(z.reference[i:i + 1], z.values[i:i + 1], z.sigmas[i:i + 1], z.has_delay[i:i + 1])
-        alone = resample_all(weight(predict(alone, 0.1, (0.3, 0.1), buffer(alone)), z_i))
+        alone = resample_all(weight(predict(alone, 0.1, (0.3, 0.1), drawn(alone)), z_i))
         assert np.array_equal(alone.states[0], together.states[i])
 
 
@@ -776,22 +820,14 @@ def test_resample_of_some_rows_leaves_the_others_in_place():
 
     clouds = batch()
     untouched = clouds.rngs[1].bit_generator.state
-    out = resample(clouds, np.array([0, 2, 3]), np.empty((6, e, c)))
+    rows = np.array([0, 2, 3])
+    resample(clouds, rows, offsets(clouds, rows))
+    out = clouds
     assert np.array_equal(out.states[1], states[1]) and np.array_equal(out.weights[1], weights[1])
     assert clouds.rngs[1].bit_generator.state == untouched  # a cloud kept in place draws nothing
     alone = resample_all(batch().take(np.array([0, 2, 3])))
     assert np.array_equal(out.states[[0, 2, 3]], alone.states)
     assert np.array_equal(out.weights[[0, 2, 3]], alone.weights)
-
-
-class Draws:
-    """Stands in for a cloud's rng in ``resample``: its uniform draw is always ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 def searched_rows(states, weights, rows, draws):
@@ -840,12 +876,43 @@ def test_resample_equals_the_per_row_search_bit_for_bit(c, pick):
     states[..., 0] = np.arange(e * c).reshape(e, c)
     states[..., 1:] = rng.normal(size=(e, c, 5))
     rows = np.arange(e) if pick == "all" else np.flatnonzero(rng.random(e) < 0.5)
-    clouds = Clouds(states, weights.copy(), tuple(map(Draws, draws)), np.zeros(e, dtype=bool))
-    out = resample(clouds, rows, buffer(clouds))
+    out = Clouds(states, weights.copy(), streams(e), np.zeros(e, dtype=bool))
+    resample(out, rows, draws[rows])
     assert np.array_equal(out.states, searched_rows(states, weights, rows, draws[rows]))
     kept = np.ones(e, dtype=bool)
     kept[rows] = False
     assert np.array_equal(out.weights[kept], weights[kept]) and np.all(out.weights[rows] == 1.0 / c)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_resample_in_place_equals_the_per_row_search_on_random_batches(seed):
+    # 1-7 clouds of 1-1000 particles, any subset of rows, and one-hot, all-zero, near-1 and random weights
+    rng = np.random.default_rng(seed)
+    e, c = int(rng.integers(1, 8)), int(rng.integers(1, 1001))
+    weights = rng.dirichlet(np.ones(c), size=e) ** rng.uniform(0.0, 6.0, size=(e, 1))
+    for r in range(e):
+        kind = rng.integers(4)
+        if kind == 0:
+            weights[r] = np.eye(c)[rng.integers(c)]
+        elif kind == 1:
+            weights[r] = 0.0
+        elif kind == 2:
+            weights[r] = rng.uniform(0.0, 1e-12, c)
+            weights[r, rng.integers(c)] = np.nextafter(1.0, 0.0)
+    states = np.zeros((e, c, 6))
+    states[..., 0] = np.arange(e * c).reshape(e, c)  # particle ids in x, so equal states mean equal indices
+    states[..., 1:] = rng.normal(size=(e, c, 5))
+    rows = np.flatnonzero(rng.random(e) < rng.uniform(0.2, 1.0))
+    u = rng.random(rows.size)
+    u[rng.random(rows.size) < 0.2] = 0.0
+    clouds = Clouds(states, weights.copy(), streams(e), np.zeros(e, dtype=bool))
+    before = [r.bit_generator.state for r in clouds.rngs]
+    resample(clouds, rows, u)
+    assert np.array_equal(clouds.states, searched_rows(states, weights, rows, u))
+    kept = np.ones(e, dtype=bool)
+    kept[rows] = False
+    assert np.array_equal(clouds.weights[kept], weights[kept]) and np.all(clouds.weights[rows] == 1.0 / c)
+    assert [r.bit_generator.state for r in clouds.rngs] == before  # resampling draws nothing
 
 
 def test_awkward_weights_put_running_sums_where_intended():
@@ -863,15 +930,18 @@ def test_resample_rejects_non_finite_or_negative_weights_before_drawing(bad):
     e, c = 3, 20
     weights = rng.dirichlet(np.ones(c), size=e)
     weights[1, 7] = bad
-    clouds = Clouds(rng.normal(size=(e, c, 6)), weights, tuple(np.random.default_rng(i) for i in range(e)),
+    clouds = Clouds(rng.normal(size=(e, c, 6)), weights.copy(), tuple(np.random.default_rng(i) for i in range(e)),
                     np.zeros(e, dtype=bool))
+    states = clouds.states.copy()
     before = [r.bit_generator.state for r in clouds.rngs]
     with pytest.raises(TrackerError, match="finite and nonnegative"):
-        resample(clouds, np.arange(e), buffer(clouds))
+        resample(clouds, np.arange(e), rng.random(e))
     assert [r.bit_generator.state for r in clouds.rngs] == before  # nothing was drawn
+    # and nothing was changed in place
+    assert np.array_equal(clouds.states, states) and np.array_equal(clouds.weights, weights, equal_nan=True)
     # a cloud that is not resampled keeps whatever weights it has
-    out = resample(clouds, np.array([0, 2]), buffer(clouds))
-    assert np.array_equal(out.weights[1], weights[1], equal_nan=True)
+    resample(clouds, np.array([0, 2]), rng.random(2))
+    assert np.array_equal(clouds.weights[1], weights[1], equal_nan=True)
 
 
 def shipped_batch():
@@ -907,19 +977,23 @@ def test_steps_allocate_no_state_buffer():
 
 
 def test_resample_keeps_its_search_in_the_state_buffer():
-    # the batched search's (rows, C) scratch lives in the idle buffer; each one allocated
-    # instead would add one (E, C) array to the peak
+    # resampling every cloud in place takes its running sums in the weights being reset, and its
+    # guesses, bin counts and gathered planes in one (E, C) scratch array beside the index array;
+    # a third (E, C) array, or a buffered np.take, would add one more to the peak
     state, _ = shipped_batch()
     clouds = state.clouds
     e, c = clouds.weights.shape
     assert (e, c) == (37, 1000)
-    clouds.weights[:] = np.random.default_rng(5).dirichlet(np.ones(c), size=e)
+    rng = np.random.default_rng(5)
     rows = np.arange(e)
-    resample(clouds, rows, state.idle)
+    clouds.weights[:] = rng.dirichlet(np.ones(c), size=e)
+    resample(clouds, rows, rng.random(e))
+    clouds.weights[:] = rng.dirichlet(np.ones(c), size=e)
+    u = rng.random(e)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        resample(clouds, rows, state.idle)
+        resample(clouds, rows, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -930,25 +1004,94 @@ def test_step_alternates_between_two_state_buffers(monkeypatch):
     scene = static_scene()
     cfg = TrackerConfig(n_particles=40)
     state = initialize_at_truth(scene, cfg, seed=1)
-    buffers = (state.clouds.states, state.idle)
-    outputs = []
+    buffers = (state.clouds.states, state.pending)
+    assert not np.shares_memory(*buffers)
+    seen = []
     for name in ("predict", "resample"):
-        def spy(*args, fn=getattr(tracker_module, name)):
-            clouds = fn(*args)
-            outputs.append(clouds.states)
-            return clouds
+        def spy(*args, name=name, fn=getattr(tracker_module, name)):
+            result = fn(*args)
+            seen.append((name, (result if name == "predict" else args[0]).states, state.pending))
+            return result
 
         monkeypatch.setattr(tracker_module, name, spy)
     rng = np.random.default_rng(0)
     for k in range(1, 4):
         t = k * cfg.ts
         step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]))
-    assert len(outputs) == 6
-    # predict writes into the idle buffer, resample back into the other one
-    for i, states in enumerate(outputs):
-        assert np.shares_memory(states, buffers[(i + 1) % 2])
-        assert not np.shares_memory(states, buffers[i % 2])
-    assert np.shares_memory(state.clouds.states, buffers[0]) and np.shares_memory(state.idle, buffers[1])
+    assert [name for name, _, _ in seen] == ["predict", "resample"] * 3
+    # predict advances the pending draws in place and resample gathers there, while the next
+    # step's draws go into the buffer the states left; no third buffer is ever made
+    for i in range(3):
+        here, there = buffers[(i + 1) % 2], buffers[i % 2]
+        (_, predicted, _), (_, resampled, pending) = seen[2 * i: 2 * i + 2]
+        assert np.shares_memory(predicted, here) and not np.shares_memory(predicted, there)
+        assert np.shares_memory(resampled, here) and not np.shares_memory(resampled, there)
+        assert np.shares_memory(pending, there) and not np.shares_memory(pending, here)
+    assert np.shares_memory(state.clouds.states, buffers[1]) and np.shares_memory(state.pending, buffers[0])
+
+
+def owner(a):
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_stepped_tracker_drops_both_state_buffers(shared):
+    # the helper drops its job, and every local that held the pending buffer, before it signals
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=40)
+    state = initialize_at_truth(scene, cfg, seed=1)
+    for frame in noisy_frames(scene, cfg.ts, 3):
+        step(state, frame)
+    refs = [weakref.ref(owner(state.clouds.states)), weakref.ref(owner(state.pending))]
+    assert refs[0]() is not refs[1]()
+    del state
+    assert [ref() for ref in refs] == [None, None]
+
+
+def stepped_digest(scene, cfg, frames, seed=1):
+    """sha256 of the states, pending draws and rng states of a tracker stepped through ``frames``."""
+    import hashlib
+
+    state = initialize_at_truth(scene, cfg, seed=seed)
+    for frame in frames:
+        step(state, frame)
+    digest = hashlib.sha256(state.clouds.states.tobytes() + state.pending.tobytes())
+    digest.update(repr([r.bit_generator.state for r in state.clouds.rngs]).encode())
+    return digest.hexdigest()
+
+
+def digest_in_child(scene, cfg, frames, want):
+    assert stepped_digest(scene, cfg, frames) == want
+
+
+def test_step_that_raises_leaves_no_draw_in_flight(shared, monkeypatch):
+    scene = static_scene()
+    cfg = TrackerConfig(n_particles=40)
+    frames = noisy_frames(scene, cfg.ts, 3)
+    solo = within(30, lambda: stepped_digest(scene, cfg, frames))
+    in_flight = []
+
+    def broken(*args):
+        in_flight.append(normals._helper_lock.locked() and normals._helper.job is not None)
+        raise RuntimeError("broken weight")
+
+    state = initialize_at_truth(scene, cfg, seed=2)
+    with monkeypatch.context() as m:
+        m.setattr(tracker_module, "weight", broken)
+        error = within(30, lambda: step(state, frames[0]))
+    assert isinstance(error, RuntimeError) and str(error) == "broken weight"
+    assert in_flight == [True]  # the helper had the next step's draws when weight raised
+    assert not normals._helper_lock.locked() and normals._helper.job is None
+    assert within(30, lambda: stepped_digest(scene, cfg, frames)) == solo
+    child = multiprocessing.get_context("fork").Process(target=digest_in_child, args=(scene, cfg, frames, solo))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_coasting_clouds_keep_the_predicted_states_and_their_weights(monkeypatch):
