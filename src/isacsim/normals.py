@@ -84,8 +84,7 @@ if hasattr(os, "register_at_fork"):
 class Fill:
     """A fill in flight. Its streams wait in a deque, which the helper pops
     from the left and ``wait`` from the right; each pop is atomic, so each
-    stream is claimed once. Use it as a context manager, or call ``wait``,
-    before reading the buffer."""
+    stream is claimed once. Call ``wait`` before reading the buffer."""
 
     def __init__(self, rngs: tuple[np.random.Generator, ...], buffer: np.ndarray) -> None:
         self.buffer = buffer.reshape(2, 3, len(rngs), -1, copy=False)
@@ -115,12 +114,6 @@ class Fill:
                     helper.finish()
                 finally:
                     _helper_lock.release()
-
-    def __enter__(self) -> Fill:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.wait()
 
 
 def fill(rngs: tuple[np.random.Generator, ...], buffer: np.ndarray) -> Fill:

@@ -12,13 +12,9 @@ effective sample size 1/sum(w^2) is recorded before resampling.
 
 Every cloud owns its rng stream (spawned from one seed) and draws from
 it in the same order as when stepped alone: its initial normals, then per
-step its process-noise normals and, if weighted, its resampling offset.
-So batching never changes the draws a cloud sees, and any one thread may
-draw a stream. Which clouds a frame weighs, and which retire after it,
-depend on the frame alone, so ``step`` draws the offsets right after
-predicting and then has the next step's normals drawn on a helper thread
-while it weighs and resamples in place (``normals.fill``). Small batches,
-or a process on one CPU, draw them on the calling thread instead.
+step its noise and, if weighted, its resampling offset. So batching never
+changes the draws a cloud sees, and a helper thread can draw the next
+step's noise while ``step`` weighs and resamples in place (see ``step``).
 
 A path ends for good when either of its bounces dies, so the FB and LB
 clouds of a path missing from ``RETIRE_AFTER`` consecutive frames retire:
@@ -230,10 +226,8 @@ def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float], out: 
     """Constant-velocity transition with additive Gaussian process noise.
 
     Positions advance by velocity times ``ts`` plus noise; velocities by
-    noise alone. Zero noise gives the exact linear advance. ``out`` is a
-    C-contiguous (6, E, C) buffer apart from ``clouds.states`` that holds
-    the step's N(0, 1) draws (see ``_fill``); they are scaled and advanced
-    into the new states there.
+    noise alone. Zero noise gives the exact linear advance. The N(0, 1)
+    draws in ``out``, a (6, E, C) buffer, are scaled and advanced in place.
     """
     if ts <= 0.0:
         raise TrackerError(f"sampling interval must be positive, got {ts}")
@@ -315,18 +309,15 @@ def offsets(clouds: Clouds, rows: np.ndarray) -> np.ndarray:
 
 
 def resample(clouds: Clouds, rows: np.ndarray, u: np.ndarray) -> None:
-    """Systematic resampling of the clouds at sorted ``rows`` with offsets ``u``, in place;
-    C preserved, their weights reset to 1/C.
+    """Systematic resampling of the clouds at sorted ``rows`` with offsets ``u``, in
+    place; C preserved, their weights reset to 1/C.
 
     Each resampled cloud's output particles are a multiset subset of its
     input; a particle with weight w is copied about C*w times. The other
-    clouds keep their particles and weights, and nothing is drawn. One
-    batched search counts the positions (u + j) / C below each cumulative
-    weight, ceil(C cum - u) give or take one. The states are gathered in
-    place, one coordinate plane at a time, through one (rows, C) scratch
-    array that first holds the search's guesses and then its bin counts;
-    the running sums are taken in the weights being reset where the rows
-    are consecutive.
+    clouds keep their particles and weights. One batched search counts the
+    positions (u + j) / C below each cumulative weight, ceil(C cum - u)
+    give or take one. The states are gathered one coordinate plane at a
+    time through one (rows, C) scratch array.
     """
     c = clouds.weights.shape[1]
     m, i = rows.size, _index(rows)
@@ -431,12 +422,10 @@ class TrackerState:
     cloud, the FB and LB rows, the noise stds of its measurement slice,
     and the frames its path has been missing from in a row.
 
-    The batch keeps two (6, E, C) buffers: ``clouds`` views the states in
-    one, and ``pending`` holds the next step's N(0, 1) draws, in the
-    batch's row order. A step predicts into ``pending``, resamples there
-    in place, and draws the step after's noise into the buffer it freed,
-    which becomes ``pending``. So ``clouds`` is valid only until the next
-    step.
+    The states live in two (6, E, C) buffers: ``clouds`` views one, and
+    ``pending`` holds the next step's N(0, 1) draws. Each step predicts
+    and resamples in ``pending`` and draws into the other. So ``clouds``
+    is valid only until the next step.
     """
 
     config: TrackerConfig
@@ -497,7 +486,7 @@ class TrackerState:
         return self.times[-1]
 
     def swap(self, clouds: Clouds) -> None:
-        """Make ``clouds``, predicted into the pending buffer, current; the buffer it replaces becomes pending."""
+        """Make ``clouds``, predicted in the pending buffer, current; the buffer it replaces becomes pending."""
         self.pending, self.clouds = self.clouds.states.transpose(2, 0, 1), clouds
 
     def record(self, time: float, estimates: np.ndarray, coasted: np.ndarray, ess: np.ndarray) -> None:
@@ -510,8 +499,7 @@ class TrackerState:
 
     def retire(self, gone: np.ndarray) -> None:
         """Take the batch rows where ``gone`` out from the next step on; the other
-        rows keep their order, states, weights, flags and rng streams, and
-        ``pending`` must already hold their draws."""
+        rows keep their order, states, weights, flags, rng streams and draws."""
         kept = np.flatnonzero(~gone)
         self.retired_at[self.live[gone]] = self.k + 1
         c = self.clouds
@@ -676,9 +664,9 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     place and the step appended to its history. Then the clouds of a path
     missing from this frame and the ``RETIRE_AFTER - 1`` before it retire.
 
-    The weighted rows' offsets are drawn right after predicting, and the
-    next step's noise of the rows that stay is drawn while they are
-    weighed and resampled; it is all drawn when ``step`` returns or raises.
+    The offsets are drawn right after predicting; then the helper draws the
+    next step's noise of the clouds that stay while this thread weighs and
+    resamples (``normals.fill``), and all is drawn when ``step`` returns.
     """
     cfg = tracker.config
     if not math.isclose(frame.time, tracker.time + cfg.ts, rel_tol=0.0, abs_tol=1e-9):
@@ -707,7 +695,8 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     if gone.any():
         tracker.pending = np.empty((6, kept.size, cfg.n_particles))
 
-    with _fill(tuple(clouds.rngs[e] for e in kept.tolist()), tracker.pending):
+    job = _fill(tuple(clouds.rngs[e] for e in kept.tolist()), tracker.pending)
+    try:
         # user from the LoS; FB clouds from their path's AoD and, when sensed, half the echo's round trip
         echo = _lookup(echoes.scatterer_id, tracker.entities[fb_rows])
         ranged = echo >= 0
@@ -734,6 +723,8 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
         coasted = np.ones(tracker.live.size, dtype=bool)
         coasted[weighted] = False
         resample(clouds, weighted, u)
+    finally:
+        job.wait()
     tracker.record(frame.time, est, coasted, ess)
     if gone.any():
         tracker.retire(gone)
