@@ -68,9 +68,7 @@ def buffer(clouds):
 
 def drawn(clouds):
     """A fresh (6, E, C) buffer of ``clouds``' next N(0, 1) process noise."""
-    out = buffer(clouds)
-    tracker_module._fill(clouds.rngs, out).wait()
-    return out
+    return filled(clouds.rngs, clouds.weights.shape[1])
 
 
 def resample_all(clouds):
