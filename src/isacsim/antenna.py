@@ -47,15 +47,16 @@ class PlanarArray:
             raise IndexError(f"element index {p} out of range for {self.rows}x{self.cols} array")
         return Vec3(*self.element_positions()[p].tolist())
 
-    def element_positions(self) -> np.ndarray:
-        """(num_elements, 3) absolute positions, element order p = row*cols + col.
+    def element_positions(self, at: np.ndarray | None = None) -> np.ndarray:
+        """(num_elements, 3) absolute positions, element order p = row*cols + col;
+        (..., num_elements, 3) with the origin moved to each of the (..., 1, 3) ``at``.
 
         Each is origin + axis_row * (row * spacing) + axis_col * (col * spacing),
         evaluated in that order.
         """
         row, col = np.divmod(np.arange(self.num_elements), self.cols)
         o, r, c = (np.array(v.as_tuple()) for v in (self.origin, self.axis_row, self.axis_col))
-        return o + r * (row * self.spacing)[:, None] + c * (col * self.spacing)[:, None]
+        return (o if at is None else at) + r * (row * self.spacing)[:, None] + c * (col * self.spacing)[:, None]
 
     def element_offsets(self) -> np.ndarray:
         """(num_elements, 3) offsets from the origin, element order p = row*cols + col."""

@@ -106,14 +106,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csvio.write_sensing_observations(os.path.join(args.out, "sensing_observations.csv"), frames)
     csvio.write_sensing_taps(os.path.join(args.out, "sensing_taps.csv"), sensing_taps)
 
-    # comm taps for the (q, p) grid of pairs, written frame by frame
+    # comm taps for the (q, p) grid of pairs, built many frames to a kernel pass and written frame by frame
     n_rx, n_tx = (rx_template.num_elements, tx.num_elements) if args.all_pairs else (1, 1)
     q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
-    csvio.write_comm_taps(
-        os.path.join(args.out, "comm_taps.csv"),
-        ((t, comm.frame_taps(scene, t, tx, rx_template, rc.comm, draws, q, p, truth))
-         for t, truth in zip(times, paths)),
-    )
+    taps = comm.run_taps(scene, times, tx, rx_template, rc.comm, draws, q, p, paths)
+    csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), taps)
 
     print(f"scene: {len(scene.scatterers)} scatterers, {len(scene.paths)} paths")
     print(f"frames: {len(frames)} at Ts={rc.tracker.ts} s")

@@ -7,13 +7,15 @@ components are combined with the Rician amplitude weights sqrt(K/(K+1))
 and sqrt(1/(K+1)). Elements are isotropic and vertically polarized, so
 each path's polarization coupling is one co-polar phase, drawn once per
 path and held (the theta-theta term of 3GPP TR 38.901 eq. 7.5-28).
+One kernel pass builds the taps of many frames at once, each frame's
+paths padded to the widest's; a run of frames takes a few passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,31 +93,24 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def pair_taps(
-    tx: PlanarArray,
-    rx: PlanarArray,
-    q: np.ndarray,
-    p: np.ndarray,
-    carrier_hz: float,
-    direct_phase: float,
-    scattered: TruePaths,
-    phases: np.ndarray,
-    weights: tuple[float, float],
-) -> TapBlock:
-    """Taps for rx elements ``q`` and tx elements ``p``, the one tap kernel.
+def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases) -> list[TapBlock]:
+    """Taps of F frames for rx elements ``q`` and tx elements ``p``, the one tap kernel.
 
-    ``q`` and ``p`` broadcast to the pair shape; (Q, 1) and (1, P) index
-    columns give a grid whose legs are computed once per element. The
-    direct path has delay |tx_p - rx_q| / c and unit power; each path of
-    ``scattered``, with bounce points fb and lb, has
-    (|fb - tx_p| + |lb - rx_q|) / c plus its virtual delay, the
-    bounce-to-bounce leg carrying no geometric delay. The amplitude is
+    ``rx_pos`` is (F, n_rx, 3), the rx element positions in each frame;
+    ``scattered`` holds each frame's paths and ``phases`` their drawn
+    co-polar phases, concatenated in frame order. ``q`` and ``p``
+    broadcast to the pair shape; (Q, 1) and (1, P) index columns give a
+    grid whose legs are computed once per element. The direct path has
+    delay |tx_p - rx_q| / c and unit power; each path, with bounce points
+    fb and lb, has (|fb - tx_p| + |lb - rx_q|) / c plus its virtual delay,
+    the bounce-to-bounce leg carrying no geometric delay. The amplitude is
     w * exp(j phase) * sqrt(power) * exp(j 2 pi f_c delay), where phase is
-    the path's drawn co-polar phase (its row of ``phases``,
-    ``direct_phase`` for the direct path) and w is the direct or
-    scattered Rician weight of ``weights``.
+    the path's phase (``direct_phase`` for the direct path) and w is the
+    direct or scattered Rician weight of ``weights``.
 
-    Complex products are written out in real arithmetic: numpy's
+    Frames with fewer paths are padded to the widest frame's with copies
+    of the direct tap, whose NaN bounce points sort their taps last to be
+    cut off. Complex products are written out in real arithmetic: numpy's
     vectorized complex multiply uses fused multiply-adds (FMA) and rounds
     the last bit of about 4 in 10 products differently from Python's
     complex type. With element positions and norms in the operation order
@@ -125,20 +120,29 @@ def pair_taps(
     if carrier_hz <= 0.0:
         raise CommError(f"carrier frequency must be positive, got {carrier_hz}")
     q, p = np.asarray(q), np.asarray(p)
-    if np.any((q < 0) | (q >= rx.num_elements)) or np.any((p < 0) | (p >= tx.num_elements)):
+    if np.any((q < 0) | (q >= rx_pos.shape[1])) or np.any((p < 0) | (p >= tx.num_elements)):
         raise IndexError("antenna element index out of range")
-    tx_pos = tx.element_positions()[p][..., None, :]
-    rx_pos = rx.element_positions()[q][..., None, :]
+    nd = max(q.ndim, p.ndim)  # the pair axes, between the frame axis and the tap axis
+    tx_pos = tx.element_positions()[p.reshape((1,) * (nd - p.ndim) + p.shape)][..., None, :]
+    rx_pos = rx_pos[:, q.reshape((1,) * (nd - q.ndim) + q.shape)][..., None, :]
+    # per tap fb (3), lb (3), virtual delay, power, path id and phase: the direct tap, the paths, then pads
+    counts = [len(s) for s in scattered]
+    alive = np.arange(max(counts)) < np.array(counts)[:, None]
+    table = np.full((len(counts), 1 + alive.shape[1], 10), [np.nan] * 6 + [0.0, 1.0, LOS_PATH_ID, direct_phase])
+    columns = zip(*((s.fb, s.lb, s.virtual_delay, s.columns.table[:, 0], s.columns.path_id) for s in scattered))
+    table[:, 1:][alive] = np.column_stack([*map(np.concatenate, columns), phases])
+    table = table.reshape(table.shape[:1] + (1,) * nd + table.shape[1:])
 
-    direct, to_fb, to_lb = norms(tx_pos - rx_pos), norms(tx_pos - scattered.fb), norms(rx_pos - scattered.lb)
+    fb, lb = table[..., 1:, 0:3], table[..., 1:, 3:6]
+    direct, to_fb, to_lb = norms(tx_pos - rx_pos), norms(tx_pos - fb), norms(rx_pos - lb)
     if any(np.any(leg <= 0.0) for leg in (direct, to_fb, to_lb)):
         raise CommError("zero-length leg between an antenna and a path end")
     dist = np.concatenate([direct, to_fb + to_lb], axis=-1)
 
-    path_id = np.concatenate([[LOS_PATH_ID], scattered.columns.path_id])
-    delay = dist / SPEED_OF_LIGHT + np.concatenate([[0.0], scattered.virtual_delay])
-    gain = np.exp(1j * np.concatenate([[direct_phase], phases]))
-    amplitude = np.sqrt(np.concatenate([[1.0], scattered.columns.table[:, 0]]))
+    path_id = table[..., 8].astype(int)
+    delay = dist / SPEED_OF_LIGHT + table[..., 6]
+    gain = np.exp(1j * table[..., 9])
+    amplitude = np.sqrt(table[..., 7])
     phasor = np.exp(1j * (TWO_PI * carrier_hz * delay))
     re, im = _cmul(*_cmul(gain.real, gain.imag, amplitude, 0.0), phasor.real, phasor.imag)
     re, im = _cmul(np.where(path_id == LOS_PATH_ID, *weights), 0.0, re, im)
@@ -146,39 +150,54 @@ def pair_taps(
     path_id = np.broadcast_to(path_id, delay.shape)
     order = np.lexsort((path_id, delay), axis=-1)
     q, p = np.broadcast_arrays(q, p)
-    return TapBlock(q, p, *(np.take_along_axis(a, order, axis=-1) for a in (path_id, delay, re, im)))
+    taps = [np.take_along_axis(a, order, axis=-1) for a in (path_id, delay, re, im)]
+    return [TapBlock(q, p, *(a[f, ..., :1 + n] for a in taps)) for f, n in enumerate(counts)]
 
 
-def frame_taps(
-    scene: SceneTruth,
-    t: float,
-    tx: PlanarArray,
-    rx_template: PlanarArray,
-    params: CommParams,
-    phases: dict[int, float],
-    q: np.ndarray,
-    p: np.ndarray,
-    paths: TruePaths,
-) -> TapBlock:
-    """Rician-combined taps at time ``t`` for rx elements ``q`` and tx elements ``p``.
+def pair_taps(tx: PlanarArray, rx: PlanarArray, q: np.ndarray, p: np.ndarray, carrier_hz: float, direct_phase: float,
+              scattered: TruePaths, phases: np.ndarray, weights: tuple[float, float]) -> TapBlock:
+    """``_taps`` of one frame, between the elements of ``tx`` and ``rx``."""
+    return _taps(tx, rx.element_positions()[None], q, p, carrier_hz, weights, direct_phase, [scattered], phases)[0]
 
-    ``rx_template`` supplies the user array geometry and is translated to
-    the user position at ``t``. ``paths`` are the frame's
-    ``ground_truth_paths``, resolved by the caller. Each pair gets the
-    direct tap plus one tap per path, with the path's phase from
-    ``phases``; see ``pair_taps`` for the index shapes.
+
+_PASS_TAPS = 8192  # tap rows of a kernel pass past its first frame: frames x pairs x its widest frame's taps
+
+
+def run_taps(scene: SceneTruth, times: Sequence[float], tx: PlanarArray, rx_template: PlanarArray, params: CommParams,
+             phases: dict[int, float], q: np.ndarray, p: np.ndarray,
+             paths: Sequence[TruePaths]) -> Iterator[tuple[float, TapBlock]]:
+    """(t, taps) at each of ``times``: the Rician-combined taps for rx elements ``q`` and tx elements ``p``.
+
+    ``rx_template``, the user array, is moved to the user at each time.
+    ``paths`` are the frames' ``ground_truth_paths``. Each pair gets the
+    direct tap plus one per path, with the path's phase from ``phases``;
+    see ``_taps`` for the index shapes. A kernel pass takes consecutive
+    frames while they fit in ``_PASS_TAPS``, and at least one.
     """
-    scene.check_time(t)
+    for t in times:
+        scene.check_time(t)
     params.validate()
-    rx = rx_template.moved_to(scene.user_position(t))
     try:
         los_phase = phases[LOS_PATH_ID]
-        path_phases = np.array([phases[pid] for pid in paths.columns.path_id.tolist()], dtype=float)
+        path_phases = np.array([phases[pid] for truth in paths for pid in truth.columns.path_id.tolist()], dtype=float)
     except KeyError as exc:
         raise CommError(f"missing polarization draw for path {exc.args[0]!r}") from exc
-    return pair_taps(
-        tx, rx, q, p, scene.config.carrier_hz, los_phase, paths, path_phases, rician_weights(params.k_factor)
-    )
+    rx_pos = rx_template.element_positions(scene.trajectories([LOS_PATH_ID]).positions(np.array(times)[:, None]))
+    weights, n_pairs, widths = rician_weights(params.k_factor), np.broadcast(q, p).size, [1 + len(s) for s in paths]
+    ends = np.cumsum([0, *map(len, paths)])  # each frame's first row of path_phases
+    start = width = 0
+    for stop in range(1, len(times) + 1):
+        width = max(width, widths[stop - 1])
+        if stop == len(times) or (stop + 1 - start) * n_pairs * max(width, widths[stop]) > _PASS_TAPS:
+            yield from zip(times[start:stop], _taps(tx, rx_pos[start:stop], q, p, scene.config.carrier_hz, weights,
+                                                    los_phase, paths[start:stop], path_phases[ends[start]:ends[stop]]))
+            start, width = stop, 0
+
+
+def frame_taps(scene: SceneTruth, t: float, tx: PlanarArray, rx_template: PlanarArray, params: CommParams,
+               phases: dict[int, float], q: np.ndarray, p: np.ndarray, paths: TruePaths) -> TapBlock:
+    """``run_taps`` of the one frame at time ``t``, whose ``ground_truth_paths`` are ``paths``."""
+    return next(run_taps(scene, [t], tx, rx_template, params, phases, q, p, [paths]))[1]
 
 
 def comm_cir(

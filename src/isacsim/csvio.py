@@ -3,7 +3,9 @@
 Every file starts with a version line ``# isacsim <schema> v<n>`` (v1
 except where ``_VERSIONS`` says otherwise) followed by a header row. Floats are written with repr() so a write/read cycle
 reproduces the values bit for bit; nothing time- or host-dependent is
-emitted, so equal inputs give byte-identical files.
+emitted, so equal inputs give byte-identical files. Rows are parsed by
+numpy's C reader, or by the exact Python parser where the C reader
+could differ from it (``read_columns``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,7 +69,8 @@ def _valid(s: str, kind: type) -> bool:
     return math.isfinite(value) if kind is float else -(2**63) <= value < 2**63
 
 
-_BLOCK = 1024  # rows held as strings at once while parsing
+_BLOCK = 1024  # rows held as strings at once while parsing or writing
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"  # white space around a number to np.loadtxt, but not to float() and int()
 
 
 def read_columns(
@@ -80,14 +84,22 @@ def read_columns(
     """The named columns of a file: ``floats`` as finite float arrays,
     ``ints`` as int arrays and ``strings`` as tuples of strings.
 
-    Every row must have one field per header column. Rows are parsed a
-    block at a time, which bounds the strings held at once. Blank lines
-    are skipped. The first bad row is reported with its file and line:
+    Every row must have one field per header column. Blank lines are
+    skipped. numpy's C reader (``np.loadtxt``) parses the rows, with a
+    dtype for every header column, so it checks the field count too.
+    Where it raises or reads a non-finite float, or the file holds one of
+    ``_SEPARATORS``, the exact parser reads the rows again by Python's
+    ``float`` and ``int``, a block at a time, which bounds the strings
+    held at once. It reports the first bad row with its file and line:
     its field count if wrong, else its first bad field in ``floats`` then
     ``ints`` order.
     """
     parsed = [(key, float) for key in floats] + [(key, int) for key in ints]
     parts = {key: [] for key in [*floats, *ints, *strings]}
+    dtype = [(key, float if key in floats else int if key in ints else object if key in strings else "U1")
+             for key in header]  # unread columns as one character
+    with open(path, "rb") as raw:
+        separated = any(c in chunk for chunk in iter(lambda: raw.read(1 << 16), b"") for c in _SEPARATORS)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != _schema_line(name):
@@ -99,6 +111,17 @@ def read_columns(
             raise CsvFormatError(f"{path}: missing header row") from None
         if got_header != list(header):
             raise CsvFormatError(f"{path}: header mismatch: {got_header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', ndmin=1)
+        except ValueError:
+            table = None
+        if table is not None and not separated and all(np.isfinite(table[key]).all() for key in floats):
+            return {key: table[key].copy() for key, _ in parsed} | {key: tuple(table[key].tolist()) for key in strings}
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader), next(reader)  # the schema line and the header, both checked
         end = 2
         for rows in iter(lambda: list(itertools.islice(reader, _BLOCK)), []):
             lines, end = range(end + 1, end + 1 + len(rows)), end + len(rows)
@@ -244,18 +267,18 @@ def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, EchoColumn
 
 
 def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
-    """Write the taps of one frame at a time, the block's pairs in C order, formatted as by ``_write``."""
+    """Write each frame's taps, the block's pairs in C order, formatted as by ``_write``, ``_BLOCK`` rows at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
         for t, taps in taps_by_time:
-            n = taps.delay.shape[-1]
-            q, p = np.repeat(taps.q, n).tolist(), np.repeat(taps.p, n).tolist()
-            pid, delay, re, im = (a.ravel().tolist() for a in (taps.path_id, taps.delay, taps.re, taps.im))
-            kind = [KIND_LOS if i == LOS_PATH_ID else KIND_NLOS for i in pid]
-            rows = zip(q, p, kind, pid, delay, re, im)
-            ts = _fmt(t)
-            fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
-                             for q, p, kind, pid, d, re, im in rows))
+            n, ts = taps.delay.shape[-1], _fmt(t)
+            columns = [np.repeat(taps.q, n), np.repeat(taps.p, n)] + [
+                a.ravel() for a in (taps.path_id, taps.delay, taps.re, taps.im)]
+            for i in range(0, columns[0].size, _BLOCK):
+                q, p, pid, *values = (c[i:i + _BLOCK].tolist() for c in columns)
+                kind = [KIND_LOS if j == LOS_PATH_ID else KIND_NLOS for j in pid]
+                fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
+                                 for q, p, kind, pid, d, re, im in zip(q, p, kind, pid, *values)))
 
 
 # --- tracker outputs ----------------------------------------------------------

@@ -3,7 +3,8 @@
 Spreads are the square roots of power-weighted second central moments of
 path delay and of the four bearing angles. Azimuths are recentered
 around their circular mean before the linear moments are taken, so a
-cluster straddling the +-pi seam measures tight, not wide. Empirical
+cluster straddling the +-pi seam measures tight, not wide. A snapshot's
+five spreads are taken in one pass over its (5, n) table. Empirical
 CDFs and the two-sample Kolmogorov-Smirnov distance support comparing
 spread distributions between runs.
 """
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-_AZIMUTH_COLUMNS = (2, 4)  # aod_az and aoa_az of a snapshot table
+_AZIMUTH_ROWS = [1, 3]  # aod_az and aoa_az among the five spread quantities
 
 
 class StatsError(ValueError):
@@ -44,15 +45,13 @@ def all_spreads(table: np.ndarray) -> tuple[float, float, float, float, float]:
     if total <= 0.0:
         raise StatsError("snapshot has zero total power")
     w = powers / total
-    spreads = []
-    for j in range(1, 6):
-        values = table[:, j]
-        if j in _AZIMUTH_COLUMNS:
-            center = float(np.arctan2(np.sum(w * np.sin(values)), np.sum(w * np.cos(values))))
-            values = np.mod(values - center + np.pi, 2.0 * np.pi) - np.pi
-        mean = float(np.sum(w * values))
-        spreads.append(float(np.sqrt(np.sum(w * (values - mean) ** 2))))
-    return tuple(spreads)
+    # one row per quantity, so every sum runs over a contiguous row, as numpy sums one column
+    values = np.ascontiguousarray(table[:, 1:].T)
+    az = values[_AZIMUTH_ROWS]
+    center = np.arctan2(np.sum(w * np.sin(az), axis=-1), np.sum(w * np.cos(az), axis=-1))
+    values[_AZIMUTH_ROWS] = np.mod(az - center[:, None] + np.pi, 2.0 * np.pi) - np.pi
+    mean = np.sum(w * values, axis=-1)
+    return tuple(np.sqrt(np.sum(w * (values - mean[:, None]) ** 2, axis=-1)).tolist())
 
 
 @dataclass(frozen=True, eq=False)

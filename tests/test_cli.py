@@ -504,6 +504,8 @@ TRACK_SHA256 = {
         "sts/spreads_tracked.csv": "7cb4e51f5bd6395511de5560e95efe4826e1dc127b09bba2ab5f65b64f31f89e",
         "sts/spreads_observations.csv": "a7a5429d2ffc12757a5161d1564cca336d2a0eff2001a88e83be437e850285de",
         "sts/spreads_oracle.csv": "897bc0c12638fc79c666e08be082afb93e80dd6d58301c730f8e8a63607f334f",
+        # the reference pair's taps of every frame, built many frames to a kernel pass
+        "run/comm_taps.csv": "24db6d7bd2b2c397190fc57fa79cff145b33ea25d84bbfe8f229d530f4477ddb",
     },
     "birth-death-virtual-delay": {
         # the clouds of paths 0-2 retire after k = 13: no rows from k = 14 on, 2 coast steps each,
@@ -518,6 +520,8 @@ TRACK_SHA256 = {
         "run/observations.csv": "4930573660be9f1307324288dadc3907663371d8b2c6e9f63ecec210c628da86",
         "run/sensing_observations.csv": "03ec07b82c4197073209161192dc0e0625af4f02dcddb1b6b9e0098f459650e9",
         "run/sensing_taps.csv": "526ababc1f49997bc71401d1818da1dabe78faa69cf8a9231f8d288f186d94ca",
+        # a pass spans frames with different path sets, so its taps are padded to the widest frame
+        "run/comm_taps.csv": "f89ed557c684695d21ddfa9192112eb84f10dcada3ec1302a5772a76bdab43da",
     },
 }
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from isacsim import comm
 from isacsim.antenna import PlanarArray
 from isacsim.comm import (
     CommError,
@@ -13,6 +14,7 @@ from isacsim.comm import (
     frame_taps,
     pair_taps,
     rician_weights,
+    run_taps,
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3
@@ -262,3 +264,46 @@ def test_frame_taps_reference_pair_matches_comm_cir():
     assert (cir.q.tolist(), cir.p.tolist()) == ([0], [0])
     for name in ("path_id", "delay", "re", "im"):
         assert np.array_equal(getattr(block, name)[0, 0], getattr(cir, name)[0])
+
+
+@pytest.mark.parametrize("budget", [1, 30, 100, 10**6])
+@pytest.mark.parametrize("grid", [(1, 1), (4, 128)])
+def test_run_taps_pass_equals_the_frames_one_by_one(monkeypatch, budget, grid):
+    # births and deaths change the path set between frames; frames that keep only some of their
+    # paths are narrower than others, so a pass pads them
+    scene = generate_scene(SceneConfig(birth_death_rate=0.05, virtual_delay_max=5e-8))
+    params = CommParams(k_factor=2.0)
+    lam = scene.config.wavelength
+    tx = half_wavelength_array(32, 4, lam, scene.bs_position)
+    rx = half_wavelength_array(2, 2, lam, ORIGIN)
+    draws = draw_polarization_set(scene, params, np.random.default_rng(5))
+    times = [0.5 * k for k in range(9)] + [12.0, 12.5, 20.0]
+    truths = [truth[: len(truth) - (5 * k) % 7] for k, truth in enumerate(ground_truth_paths(scene, times))]
+    assert len({len(truth) for truth in truths}) > 1 and len({frozenset(t.columns.path_id) for t in truths}) > 1
+    q, p = np.arange(grid[0])[:, None], np.arange(grid[1])[None, :]
+    passes = []
+    kernel = comm._taps
+
+    def counted(*args):
+        passes.append(args[1].shape[0])  # frames in the pass
+        return kernel(*args)
+
+    monkeypatch.setattr(comm, "_PASS_TAPS", budget)
+    monkeypatch.setattr(comm, "_taps", counted)
+    got = list(run_taps(scene, times, tx, rx, params, draws, q, p, truths))
+    assert sum(passes) == len(times) and min(passes) >= 1
+    # each pass fits in the budget, or holds one frame, and could not take the next frame too
+    widths, start = [1 + len(truth) for truth in truths], 0
+    for n in passes:
+        stop = start + n
+        assert n == 1 or n * grid[0] * grid[1] * max(widths[start:stop]) <= budget
+        assert stop == len(times) or (n + 1) * grid[0] * grid[1] * max(widths[start:stop + 1]) > budget
+        start = stop
+    assert (len(passes) == 1) == (len(times) * grid[0] * grid[1] * max(widths) <= budget)
+    monkeypatch.setattr(comm, "_taps", kernel)
+    for (t, block), want_t, truth in zip(got, times, truths):
+        want = frame_taps(scene, want_t, tx, rx, params, draws, q, p, truth)
+        assert t == want_t and block.delay.shape == grid + (1 + len(truth),)
+        for name in ("q", "p", "path_id", "delay", "re", "im"):
+            assert np.array_equal(getattr(block, name), getattr(want, name)), name
+            assert getattr(block, name).tobytes() == np.ascontiguousarray(getattr(want, name)).tobytes(), name

@@ -1,9 +1,14 @@
 import csv
 import dataclasses
 import io
+import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import csvio
 from isacsim.antenna import PlanarArray
@@ -195,3 +200,124 @@ def test_written_rows_with_empty_fields_equal_csv_writer(tmp_path):
         path = tmp_path / f"{name}.csv"
         csvio._write(str(path), name, header, rows)
         assert path.read_bytes() == csv_writer_bytes(name, header, rows)
+
+
+# --- the C reader against the exact parser -------------------------------------
+
+PROBE_HEADER = ("k", "t", "kind", "x", "note")
+PROBE = ("probe", PROBE_HEADER, ("t", "x"), ("k",), ("kind",))  # note is not read
+
+
+def outcome(path):
+    """What ``read_columns`` gives for the probe schema: its columns, or its error message."""
+    try:
+        return csvio.read_columns(path, *PROBE)
+    except csvio.CsvFormatError as exc:
+        return str(exc)
+
+
+def exact_outcome(path):
+    """``outcome`` with the C reader failing, so the exact parser reads every row."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("no C reader")):
+        return outcome(path)
+
+
+def same(a, b):
+    """Equal messages, or equal columns: arrays of one dtype and the same bits, and equal string tuples."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.keys() == b.keys() and all(
+        type(a[key]) is type(b[key]) and (
+            a[key] == b[key] if isinstance(a[key], tuple)
+            else a[key].dtype == b[key].dtype and a[key].tobytes() == b[key].tobytes()
+        ) for key in a
+    )
+
+
+def spaced(field):
+    return st.tuples(st.sampled_from(["", " ", "\t"]), field, st.sampled_from(["", " ", "\t"])).map("".join)
+
+
+def quoted(field):
+    return st.one_of(field, field.map(lambda f: '"' + f.replace('"', '""') + '"'))
+
+
+INTS = spaced(st.integers(-(2**63), 2**63 - 1).flatmap(lambda k: st.sampled_from([str(k), f"{k:+d}", f"{k:05d}"])))
+FLOATS = spaced(st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.3e}", f"{v:.4f}", f"{v:G}"])).filter(lambda f: math.isfinite(float(f))))
+# no quote, comma, line break or ASCII separator unquoted; quoted, anything but a separator
+WORDS = st.one_of(
+    st.text(st.characters(blacklist_characters='",\r\n\x1c\x1d\x1e\x1f', blacklist_categories=("Cs",)), max_size=6),
+    st.text(st.characters(blacklist_characters="\x1c\x1d\x1e\x1f", blacklist_categories=("Cs",)), max_size=6).map(
+        lambda w: '"' + w.replace('"', '""') + '"'),
+)
+ROWS = st.lists(st.one_of(st.tuples(quoted(INTS), quoted(FLOATS), WORDS, quoted(FLOATS), WORDS).map(",".join),
+                          st.just("")), max_size=12)  # "" is a blank line
+
+# one malformed field, as (column, text): non-finite floats, what int() or float() rejects or reads
+# differently from the C reader, and numbers that an ASCII separator pads
+BAD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from([1, 3]), st.sampled_from(
+        ["nan", "inf", "-inf", "1e400", "-1e999", " NaN ", "infinity", "1_0", "1.5_0", "١.٥", "0x10", "", "abc",
+         "\x1c1.5", "2.5\x1f", "1.5\x00"])),
+    st.tuples(st.just(0), st.sampled_from(
+        ["1.0", "1_0", "1e3", "99999999999999999999", "-9223372036854775809", "9223372036854775808", "١٢", "",
+         "0x10", "\x1d7", "7\x1e", " +7 ", "7."])),
+)
+
+
+@pytest.fixture(scope="module")
+def probe_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("probe") / "probe.csv")
+
+
+def write_probe(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csvio._schema_line("probe") + "\n" + ",".join(PROBE_HEADER) + "\n" + "".join(f"{line}\n" for line in lines))
+
+
+@given(ROWS)
+@settings(max_examples=150, deadline=None)
+def test_c_reader_gives_the_exact_parsers_columns(probe_path, lines):
+    write_probe(probe_path, lines)
+    with mock.patch.object(csvio, "_column", side_effect=AssertionError("the exact parser ran")):
+        fast = outcome(probe_path)
+    assert same(fast, exact_outcome(probe_path))
+
+
+@given(ROWS.filter(lambda lines: any(lines)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_malformed_rows_give_the_exact_parsers_message(probe_path, lines, data):
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+    row = next(csv.reader([lines[i]]))
+    defect = data.draw(st.sampled_from(["field count", "field", "blank line of spaces", "open quote"]))
+    if defect == "field count":
+        lines[i] = ",".join(data.draw(st.sampled_from([row[:-1], row + ["1"], row[:1]])))
+    elif defect == "field":
+        column, text = data.draw(BAD_FIELDS)
+        row[column] = text
+        lines[i] = ",".join(f'"{f}"' if '"' in f or "," in f else f for f in row)
+    elif defect == "blank line of spaces":
+        lines.insert(i, data.draw(st.sampled_from([" ", "\t", "  "])))
+    else:
+        lines[i] = '"' + lines[i]
+    write_probe(probe_path, lines)
+    assert same(outcome(probe_path), exact_outcome(probe_path))
+
+
+def test_file_with_only_a_header_gives_empty_columns_and_no_warning(probe_path):
+    for lines in ([], [""], ["", ""]):
+        write_probe(probe_path, lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(probe_path)
+        assert same(got, exact_outcome(probe_path))
+        assert [len(v) for v in got.values()] == [0, 0, 0, 0]
+        assert (got["t"].dtype, got["k"].dtype, got["kind"]) == (np.float64, np.int64, ())
+
+
+def test_c_reader_columns_own_their_memory(tmp_path, frames):
+    cp, sp = str(tmp_path / "obs.csv"), str(tmp_path / "sens.csv")
+    csvio.write_comm_observations(cp, frames)
+    got = csvio.read_columns(cp, "comm_observations", csvio.OBS_COMM_HEADER, ("t",), ("k",))
+    assert all(a.flags.c_contiguous and a.base is None for a in got.values())

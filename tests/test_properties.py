@@ -103,6 +103,33 @@ def test_delay_spread_power_scale_invariance(paths, scale):
     assert math.isclose(s1, s2, rel_tol=1e-9, abs_tol=1e-15)
 
 
+def column_spreads(table):
+    """The five spreads, one column at a time, as the per-column loop of ``all_spreads`` took them."""
+    w = table[:, 0] / float(np.sum(table[:, 0]))
+    spreads = []
+    for j in range(1, 6):
+        values = table[:, j]
+        if j in (2, 4):
+            center = float(np.arctan2(np.sum(w * np.sin(values)), np.sum(w * np.cos(values))))
+            values = np.mod(values - center + np.pi, 2.0 * np.pi) - np.pi
+        mean = float(np.sum(w * values))
+        spreads.append(float(np.sqrt(np.sum(w * (values - mean) ** 2))))
+    return tuple(spreads)
+
+
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_spreads_of_one_pass_equal_the_per_column_sums_bit_for_bit(n, seed, seam):
+    # numpy sums each contiguous row pairwise, as it sums one column; from n = 8 the pairwise
+    # blocks show, so a sum over a strided axis would differ in the last bits
+    rng = np.random.default_rng(seed)
+    table = np.column_stack([rng.exponential(size=n), rng.uniform(0.0, 1e-6, n), rng.uniform(-np.pi, np.pi, (n, 4))])
+    if seam:  # azimuths straddling +-pi
+        table[:, [2, 4]] = np.pi - rng.uniform(-0.1, 0.1, (n, 2))
+    got, want = all_spreads(table), column_spreads(table)
+    assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
 def test_weight_resample_invariants(n, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -1064,18 +1065,37 @@ def digest_in_child(scene, cfg, frames, want):
     assert stepped_digest(scene, cfg, frames) == want
 
 
+class GatedStream:
+    """A stream whose normals are drawn once ``gate`` is set, so a thread that claims it stays in its job."""
+
+    def __init__(self, rng, gate):
+        self.rng, self.gate = rng, gate
+
+    def standard_normal(self, out):
+        assert self.gate.wait(30), "the gate was never opened"
+        return self.rng.standard_normal(out=out)
+
+    def random(self):
+        return self.rng.random()
+
+
 def test_step_that_raises_leaves_no_draw_in_flight(shared, monkeypatch):
+    # the helper claims the batch's first stream, whose draw waits until weight raises, so a
+    # helper done with its 40-particle job before weight is called cannot hide the job in flight
     scene = static_scene()
     cfg = TrackerConfig(n_particles=40)
     frames = noisy_frames(scene, cfg.ts, 3)
     solo = within(30, lambda: stepped_digest(scene, cfg, frames))
-    in_flight = []
+    in_flight, gate = [], threading.Event()
 
     def broken(*args):
         in_flight.append(normals._helper_lock.locked() and normals._helper.job is not None)
+        gate.set()
         raise RuntimeError("broken weight")
 
     state = initialize_at_truth(scene, cfg, seed=2)
+    rngs = state.clouds.rngs
+    state.clouds = dataclasses.replace(state.clouds, rngs=(GatedStream(rngs[0], gate),) + rngs[1:])
     with monkeypatch.context() as m:
         m.setattr(tracker_module, "weight", broken)
         error = within(30, lambda: step(state, frames[0]))
