@@ -28,6 +28,7 @@ KIND_LOS = "los"
 KIND_NLOS = "nlos"
 
 TWO_PI = 2.0 * math.pi
+_PASS_TAPS = 8192  # tap rows of a kernel pass past its first frame: frames x pairs x its widest frame's taps
 
 
 class CommError(ValueError):
@@ -126,11 +127,10 @@ def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases
     tx_pos = tx.element_positions()[p.reshape((1,) * (nd - p.ndim) + p.shape)][..., None, :]
     rx_pos = rx_pos[:, q.reshape((1,) * (nd - q.ndim) + q.shape)][..., None, :]
     # per tap fb (3), lb (3), virtual delay, power, path id and phase: the direct tap, the paths, then pads
-    counts = [len(s) for s in scattered]
-    alive = np.arange(max(counts)) < np.array(counts)[:, None]
-    table = np.full((len(counts), 1 + alive.shape[1], 10), [np.nan] * 6 + [0.0, 1.0, LOS_PATH_ID, direct_phase])
+    counts = np.array([len(s) for s in scattered])
+    table = np.full((len(counts), 1 + counts.max(), 10), [np.nan] * 6 + [0.0, 1.0, LOS_PATH_ID, direct_phase])
     columns = zip(*((s.fb, s.lb, s.virtual_delay, s.columns.table[:, 0], s.columns.path_id) for s in scattered))
-    table[:, 1:][alive] = np.column_stack([*map(np.concatenate, columns), phases])
+    table[:, 1:][np.arange(counts.max()) < counts[:, None]] = np.column_stack([*map(np.concatenate, columns), phases])
     table = table.reshape(table.shape[:1] + (1,) * nd + table.shape[1:])
 
     fb, lb = table[..., 1:, 0:3], table[..., 1:, 3:6]
@@ -149,18 +149,18 @@ def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases
 
     path_id = np.broadcast_to(path_id, delay.shape)
     order = np.lexsort((path_id, delay), axis=-1)
+    path_id = np.take_along_axis(path_id, order, axis=-1)
+    # the other columns through each sorted tap's flat index: cheaper than a take_along_axis, which indexes every axis
+    order += np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
+    taps = [path_id] + [a.ravel()[order] for a in (delay, re, im)]
     q, p = np.broadcast_arrays(q, p)
-    taps = [np.take_along_axis(a, order, axis=-1) for a in (path_id, delay, re, im)]
-    return [TapBlock(q, p, *(a[f, ..., :1 + n] for a in taps)) for f, n in enumerate(counts)]
+    return [TapBlock(q, p, *(a[f, ..., :1 + n] for a in taps)) for f, n in enumerate(counts.tolist())]
 
 
 def pair_taps(tx: PlanarArray, rx: PlanarArray, q: np.ndarray, p: np.ndarray, carrier_hz: float, direct_phase: float,
               scattered: TruePaths, phases: np.ndarray, weights: tuple[float, float]) -> TapBlock:
     """``_taps`` of one frame, between the elements of ``tx`` and ``rx``."""
     return _taps(tx, rx.element_positions()[None], q, p, carrier_hz, weights, direct_phase, [scattered], phases)[0]
-
-
-_PASS_TAPS = 8192  # tap rows of a kernel pass past its first frame: frames x pairs x its widest frame's taps
 
 
 def run_taps(scene: SceneTruth, times: Sequence[float], tx: PlanarArray, rx_template: PlanarArray, params: CommParams,
