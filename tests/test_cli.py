@@ -520,7 +520,7 @@ TRACK_SHA256 = {
         "run/observations.csv": "4930573660be9f1307324288dadc3907663371d8b2c6e9f63ecec210c628da86",
         "run/sensing_observations.csv": "03ec07b82c4197073209161192dc0e0625af4f02dcddb1b6b9e0098f459650e9",
         "run/sensing_taps.csv": "526ababc1f49997bc71401d1818da1dabe78faa69cf8a9231f8d288f186d94ca",
-        # a pass spans frames with different path sets, so its taps are padded to the widest frame
+        # one kernel pass spans every frame, across the deaths and births at k = 12
         "run/comm_taps.csv": "f89ed557c684695d21ddfa9192112eb84f10dcada3ec1302a5772a76bdab43da",
     },
 }
