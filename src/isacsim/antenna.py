@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,3 @@ class PlanarArray:
         col_axis = np.array(self.axis_col.as_tuple())
         offsets = rows * self.spacing * row_axis + cols * self.spacing * col_axis
         return offsets.reshape(self.num_elements, 3)
-
-    def moved_to(self, origin: Vec3) -> "PlanarArray":
-        """Same array geometry translated so element 0 sits at ``origin``."""
-        return replace(self, origin=origin)
-

@@ -52,31 +52,28 @@ def _seed(args: argparse.Namespace, default: int) -> int:
     return default if args.seed is None else args.seed
 
 
-def _check_match(given: RunConfig, recorded: RunConfig, mismatch: str, holder: str) -> None:
-    """Reject ``given`` unless it resolves to the values of ``recorded``, held by ``holder``;
+def _check_match(given: RunConfig, recorded: RunConfig, mismatch: str) -> None:
+    """Reject ``given`` unless it resolves to the values of the run's ``recorded``;
     the error names the first key that differs."""
     section = ""
     for g, r in zip(resolved_config_text(given).splitlines(), resolved_config_text(recorded).splitlines()):
         section = g if g.startswith("[") else section
         if g != r:
-            raise ConfigError(f"{mismatch}: {section} {g}, the {holder} has {r.split(' = ', 1)[1]}")
+            raise ConfigError(f"{mismatch}: {section} {g}, the run has {r.split(' = ', 1)[1]}")
 
 
 def _load_run(args: argparse.Namespace) -> tuple[RunConfig, SceneTruth]:
     """The configuration and scene the run was simulated with.
 
-    The run's config_resolved.ini must hold the scene config of its
-    scene.txt, and an explicit ``--config`` must resolve to the same
-    values as the ini; the first key that differs is reported.
+    An explicit ``--config`` must resolve to the same values as the run's
+    config_resolved.ini; the first key that differs is reported. The scene
+    is rebuilt from the ini and must be the one the run's scene.txt holds.
     """
-    run_ini, scene_txt = os.path.join(args.run, "config_resolved.ini"), os.path.join(args.run, "scene.txt")
+    run_ini = os.path.join(args.run, "config_resolved.ini")
     rc = load_run_config(run_ini)
     if args.config:
-        mismatch = f"--config {args.config} does not match the run's {run_ini}"
-        _check_match(load_run_config(args.config), rc, mismatch, "run")
-    scene = load_scene(scene_txt)
-    _check_match(rc, replace(rc, scene=scene.config), f"the run's {run_ini} does not match its {scene_txt}", "scene")
-    return rc, scene
+        _check_match(load_run_config(args.config), rc, f"--config {args.config} does not match the run's {run_ini}")
+    return rc, load_scene(os.path.join(args.run, "scene.txt"), rc.scene)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .antenna import PlanarArray
 from .comm import CommParams
 from .geometry import ORIGIN, Vec3, check_finite
-from .scene import ConfigError, SceneConfig, parse_value, render_value
+from .scene import ConfigError, SceneConfig, render_value
 from .tracker import TrackerConfig
 
 MAX_FRAMES = 10**6  # a run holds at most this many frames (the shipped config has 201)
@@ -120,6 +120,16 @@ def _file_value(rc: RunConfig, holder: str, key: str):
     """The value of ``key`` in ``rc``, in the file's units."""
     value = getattr(getattr(rc, holder) if holder else rc, _DEGREE_FIELDS.get(key, key))
     return _degrees(value) if key in _DEGREE_FIELDS else value
+
+
+def parse_value(raw: str, like, key: str):
+    """``raw`` read as the type of ``like``; a Vec3 is three numbers split by spaces or commas."""
+    if not isinstance(like, Vec3):
+        return type(like)(raw)
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 3:
+        raise ConfigError(f"{key}: expected three numbers, got {raw!r}")
+    return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
 def parse_run_config(text: str) -> RunConfig:

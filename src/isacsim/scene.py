@@ -121,10 +121,6 @@ class PathSkeleton:
     cluster_id: int
     virtual_delay: float
 
-    @property
-    def single_bounce(self) -> bool:
-        return self.fb_id == self.lb_id
-
 
 @dataclass(frozen=True, eq=False)
 class PathColumns:
@@ -599,7 +595,9 @@ def observe(
 #   "C <field> <values>"  one line per SceneConfig field
 #   "S <id> <cluster> <role> <birth> <death> <px> <py> <pz> <vx> <vy> <vz> <rcs>"
 #   "P <path_id> <fb_id> <lb_id> <cluster> <virtual_delay>"
-# Floats are written with repr() and round-trip exactly.
+# Floats are written with repr(). The file is written for readers and is
+# never parsed: a later stage rebuilds the scene from the run's config
+# and checks the file against that scene's text byte for byte.
 
 SCENE_HEADER = "# isacsim scene v1"
 
@@ -613,16 +611,6 @@ def render_value(value) -> str:
     if isinstance(value, Vec3):
         return " ".join(_fmt(c) for c in value.as_tuple())
     return str(value) if isinstance(value, int) else _fmt(value)
-
-
-def parse_value(raw: str, like, key: str):
-    """``raw`` read as the type of ``like``; a Vec3 is three numbers split by spaces or commas."""
-    if not isinstance(like, Vec3):
-        return type(like)(raw)
-    parts = raw.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three numbers, got {raw!r}")
-    return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
 def scene_to_text(scene: SceneTruth) -> str:
@@ -654,64 +642,24 @@ def scene_to_text(scene: SceneTruth) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scene_from_text(text: str) -> SceneTruth:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SCENE_HEADER:
-        raise ConfigError(f"not a scene file (expected header {SCENE_HEADER!r})")
-    cfg_kwargs: dict[str, object] = {}
-    defaults = {f.name: getattr(SceneConfig(), f.name) for f in fields(SceneConfig)}
-    scatterers: list[ScattererTruth] = []
-    paths: dict[int, PathSkeleton] = {}  # keyed by line number
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, *parts = line.split()
-        try:
-            if tag == "C":
-                name = parts[0]
-                if name not in defaults:
-                    raise ConfigError(f"unknown config field {name!r}")
-                cfg_kwargs[name] = parse_value(" ".join(parts[1:]), defaults[name], name)
-            elif tag == "S":
-                scatterers.append(
-                    ScattererTruth(
-                        int(parts[0]),
-                        int(parts[1]),
-                        parts[2],
-                        Vec3(float(parts[5]), float(parts[6]), float(parts[7])),
-                        Vec3(float(parts[8]), float(parts[9]), float(parts[10])),
-                        float(parts[11]),
-                        float(parts[3]),
-                        float(parts[4]),
-                    )
-                )
-            elif tag == "P":
-                paths[lineno] = PathSkeleton(
-                    int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
-                )
-                if not 0.0 <= paths[lineno].virtual_delay < math.inf:
-                    raise ConfigError(f"virtual delay must be finite and nonnegative, got {parts[4]}")
-            else:
-                raise ConfigError(f"unknown record tag {tag!r}")
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"scene file line {lineno}: {exc}") from exc
-    known = {s.id for s in scatterers}
-    for lineno, path in paths.items():
-        for sid in (path.fb_id, path.lb_id):
-            if sid not in known:
-                raise ConfigError(f"scene file line {lineno}: path {path.path_id} names scatterer {sid}, "
-                                  "which has no S record")
-    cfg = SceneConfig(**cfg_kwargs)  # type: ignore[arg-type]
-    cfg.validate()
-    return SceneTruth(cfg, tuple(scatterers), tuple(paths.values()))
-
-
 def save_scene(scene: SceneTruth, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(scene_to_text(scene))
 
 
-def load_scene(path: str) -> SceneTruth:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_text(fh.read())
+def load_scene(path: str, cfg: SceneConfig) -> SceneTruth:
+    """The scene ``cfg`` generates, once the file at ``path`` holds exactly its ``scene_to_text``.
+
+    Raises:
+        ConfigError: naming the file's first line that differs, end of file counted as a line.
+    """
+    scene = generate_scene(cfg)
+    want = scene_to_text(scene)
+    with open(path, "r", encoding="utf-8", errors="backslashreplace", newline="") as fh:
+        found = fh.read()
+    if found != want:
+        pairs = itertools.zip_longest(found.splitlines(keepends=True), want.splitlines(keepends=True))
+        n, got, line = next((n, *pair) for n, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
+        got, line = ("end of file" if text is None else repr(text) for text in (got, line))
+        raise ConfigError(f"{path} does not match the scene its config generates: line {n} is {got}, expected {line}")
+    return scene

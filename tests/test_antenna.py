@@ -4,13 +4,6 @@ import pytest
 from isacsim.antenna import PlanarArray
 from isacsim.geometry import ORIGIN, Vec3
 
-WAVELENGTH = 0.0107  # ~28 GHz
-
-
-def _ula(n, wavelength=WAVELENGTH):
-    # n-element line along y, half-wavelength spacing
-    return PlanarArray(1, n, wavelength / 2.0, ORIGIN, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0))
-
 
 def test_element_layout():
     arr = PlanarArray(2, 3, 0.5, ORIGIN, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0))
@@ -29,13 +22,6 @@ def test_offsets_match_positions():
     for p in range(arr.num_elements):
         expected = arr.element_position(p) - arr.origin
         assert np.allclose(offs[p], expected.as_tuple(), atol=1e-15)
-
-
-def test_moved_to_preserves_geometry():
-    arr = _ula(4)
-    moved = arr.moved_to(Vec3(5.0, 6.0, 7.0))
-    assert moved.origin == Vec3(5.0, 6.0, 7.0)
-    assert np.array_equal(moved.element_offsets(), arr.element_offsets())
 
 
 def test_validation():

@@ -79,6 +79,12 @@ def test_simulate_seed_override_changes_output(tmp_path, cfg_path):
         os.path.join(out_b, "scene.txt"), "rb"
     ) as fb:
         assert fa.read() != fb.read()
+    # the override goes into the run's ini, and the scene rebuilt from it is the one simulated
+    out_c = str(tmp_path / "c")
+    assert run("simulate", "--config", cfg_path, "--seed", "5", "--out", out_c) == 0
+    with open(os.path.join(out_c, "config_resolved.ini"), encoding="utf-8") as fh:
+        assert "[run]\nseed = 5\n" in fh.read()
+    assert run("stats", "--run", out_c, "--source", "scene", "--out", str(tmp_path / "sts")) == 0
 
 
 def test_track_outputs(tmp_path, cfg_path):
@@ -382,12 +388,13 @@ def test_run_whose_config_records_disagree_exits_2(tmp_path, capsys, argv):
     run_dir = simulate(tmp_path, str(cfg))
     ini = tmp_path / "run" / "config_resolved.ini"
     ini.write_text(ini.read_text().replace("duration = 1.0\n", "duration = 0.5\n"))
+    lineno = (tmp_path / "run" / "scene.txt").read_text().splitlines().index("C duration 1.0") + 1
     capsys.readouterr()
     code = run(*argv, "--run", run_dir, "--out", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: the run's {run_dir}/config_resolved.ini does not match its {run_dir}/scene.txt: "
-        "[run] duration = 0.5, the scene has 1.0\n"
+        f"error: {run_dir}/scene.txt does not match the scene its config generates: "
+        f"line {lineno} is 'C duration 1.0\\n', expected 'C duration 0.5\\n'\n"
     )
     assert not os.path.exists(tmp_path / "out")
 
@@ -785,10 +792,14 @@ def test_bad_virtual_delay_in_the_scene_file_exits_2(tmp_path, capsys, value):
     scene = tmp_path / "run" / "scene.txt"
     lines = scene.read_text().splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith("P "))
+    written = lines[i] + "\n"
     lines[i] = " ".join(lines[i].split()[:-1] + [value])
+    edited = lines[i] + "\n"
     scene.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run("stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts")) == 2
     assert capsys.readouterr().err == (
-        f"error: scene file line {i + 1}: virtual delay must be finite and nonnegative, got {value}\n"
+        f"error: {scene} does not match the scene its config generates: "
+        f"line {i + 1} is {edited!r}, expected {written!r}\n"
     )
+    assert not (tmp_path / "sts").exists()

@@ -233,13 +233,21 @@ def _config_texts():
 @settings(max_examples=40, deadline=None)
 @given(_config_texts())
 def test_any_drawn_config_runs_or_prints_one_error(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "run.ini")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    def exits_0_or_prints_one_error(argv):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "run")])
-    lines = err.getvalue().splitlines()
-    if code != 0:
-        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        if code != 0:
+            assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+        return code, lines
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, run_dir = os.path.join(tmp, "run.ini"), os.path.join(tmp, "run")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, _ = exits_0_or_prints_one_error(["simulate", "--config", path, "--out", run_dir])
+        if code == 0:
+            # the scene rebuilt from the run's ini is the one simulate wrote
+            _, lines = exits_0_or_prints_one_error(["stats", "--run", run_dir, "--out", os.path.join(tmp, "sts")])
+            assert not any("does not match the scene its config generates" in line for line in lines), lines

@@ -22,7 +22,6 @@ from isacsim.scene import (
     load_scene,
     observe,
     save_scene,
-    scene_from_text,
     scene_to_text,
     sensing_gain,
 )
@@ -58,7 +57,7 @@ def test_scatterer_and_path_counts():
 
 def test_single_bounce_paths_have_fb_equal_lb():
     scene = generate_scene(SceneConfig())
-    singles = [p for p in scene.paths if p.single_bounce]
+    singles = [p for p in scene.paths if p.fb_id == p.lb_id]
     assert len(singles) == scene.config.n_clusters * scene.config.fb_per_cluster
     for p in singles:
         assert p.fb_id == p.lb_id
@@ -264,42 +263,69 @@ def test_frame_lookup_helpers():
     assert len(set(echo_ids)) == len(echo_ids) == len(alive_fb)
 
 
-def test_text_round_trip():
-    scene = generate_scene(small_config(birth_death_rate=0.3, virtual_delay_max=50e-9, seed=5))
-    text = scene_to_text(scene)
-    again = scene_from_text(text)
-    assert scene_to_text(again) == text
+def _saved_and_loaded(tmp_path):
+    """A scene with births, deaths and virtual delays, saved and loaded back from its config: the
+    scene, the loaded scene and the file's path."""
+    cfg = small_config(birth_death_rate=0.3, virtual_delay_max=50e-9, seed=5)
+    scene = generate_scene(cfg)
+    path = tmp_path / "scene.txt"
+    save_scene(scene, str(path))
+    return scene, load_scene(str(path), cfg), path
+
+
+def test_text_round_trip(tmp_path):
+    scene, again, path = _saved_and_loaded(tmp_path)
+    assert scene_to_text(again) == path.read_text() == scene_to_text(scene)
+    assert again.config == scene.config
+
+
+def test_file_round_trip(tmp_path):
+    scene, again, _ = _saved_and_loaded(tmp_path)
     assert again.config == scene.config
     assert again.scatterers == scene.scatterers
     assert again.paths == scene.paths
 
 
-def test_file_round_trip(tmp_path):
-    scene = generate_scene(small_config())
+def _edited_scene_error(tmp_path, lineno, line):
+    """Loading ``small_config``'s scene file with its line ``lineno`` replaced by ``line`` names that line."""
+    cfg = small_config()
+    lines = scene_to_text(generate_scene(cfg)).splitlines(keepends=True)
+    expected = lines[lineno - 1]
+    lines[lineno - 1] = line
     path = tmp_path / "scene.txt"
-    save_scene(scene, str(path))
-    assert load_scene(str(path)).scatterers == scene.scatterers
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError) as info:
+        load_scene(str(path), cfg)
+    assert str(info.value) == (
+        f"{path} does not match the scene its config generates: line {lineno} is {line!r}, expected {expected!r}"
+    )
 
 
-def test_malformed_text_reports_line():
-    scene = generate_scene(small_config())
-    lines = scene_to_text(scene).splitlines()
-    lines[3] = "Q bogus record"
-    with pytest.raises(ConfigError, match="line 4"):
-        scene_from_text("\n".join(lines))
-    lines = scene_to_text(scene).splitlines()
-    lines[1] = "C n_clusters 1 2 3"  # an int field takes one value
-    with pytest.raises(ConfigError, match="line 2"):
-        scene_from_text("\n".join(lines))
-    lines = scene_to_text(scene).splitlines()
-    lines[-1] = "P 0 999 0 0 0.0"  # no scatterer 999
-    with pytest.raises(ConfigError, match=f"line {len(lines)}: .*scatterer 999"):
-        scene_from_text("\n".join(lines))
+def test_malformed_text_reports_line(tmp_path):
+    n_lines = len(scene_to_text(generate_scene(small_config())).splitlines())
+    _edited_scene_error(tmp_path, 4, "Q bogus record\n")
+    _edited_scene_error(tmp_path, 2, "C n_clusters 1 2 3\n")  # an int field takes one value
+    _edited_scene_error(tmp_path, n_lines, "P 0 999 0 0 0.0\n")  # no scatterer 999
 
 
-def test_bad_header_rejected():
-    with pytest.raises(ConfigError):
-        scene_from_text("# not a scene\n")
+def test_bad_header_rejected(tmp_path):
+    _edited_scene_error(tmp_path, 1, "# not a scene\n")
+
+
+def test_scene_file_cut_short_or_run_on_reports_end_of_file(tmp_path):
+    cfg = small_config()
+    text = scene_to_text(generate_scene(cfg))
+    last, n = text.splitlines(keepends=True)[-1], text.count("\n")
+    path = tmp_path / "scene.txt"
+    for found, lineno, got, want in (
+        (text[: -len(last)], n, "end of file", repr(last)),
+        (text + "extra\n", n + 1, repr("extra\n"), "end of file"),
+        (text[:-1], n, repr(last[:-1]), repr(last)),  # no final newline
+    ):
+        path.write_text(found)
+        with pytest.raises(ConfigError) as info:
+            load_scene(str(path), cfg)
+        assert str(info.value).endswith(f": line {lineno} is {got}, expected {want}")
 
 
 def test_config_validation():
@@ -342,11 +368,11 @@ def test_time_range_enforced():
 
 def test_virtual_delays():
     scene = generate_scene(small_config(virtual_delay_max=50e-9))
-    doubles = [p for p in scene.paths if not p.single_bounce]
+    doubles = [p for p in scene.paths if p.fb_id != p.lb_id]
     assert any(p.virtual_delay > 0.0 for p in doubles)
     for p in scene.paths:
         assert 0.0 <= p.virtual_delay <= 50e-9
-        if p.single_bounce:
+        if p.fb_id == p.lb_id:
             assert p.virtual_delay == 0.0
 
 
