@@ -194,12 +194,6 @@ def run_taps(scene: SceneTruth, times: Sequence[float], tx: PlanarArray, rx_temp
             start, width = stop, 0
 
 
-def frame_taps(scene: SceneTruth, t: float, tx: PlanarArray, rx_template: PlanarArray, params: CommParams,
-               phases: dict[int, float], q: np.ndarray, p: np.ndarray, paths: TruePaths) -> TapBlock:
-    """``run_taps`` of the one frame at time ``t``, whose ``ground_truth_paths`` are ``paths``."""
-    return next(run_taps(scene, [t], tx, rx_template, params, phases, q, p, [paths]))[1]
-
-
 def comm_cir(
     scene: SceneTruth,
     t: float,
@@ -209,14 +203,14 @@ def comm_cir(
     phases: dict[int, float],
     pairs: Iterable[tuple[int, int]] | None = None,
 ) -> TapBlock:
-    """``frame_taps`` for a list of (q, p) pairs, as an (N,) block.
+    """``run_taps`` of the one frame at time ``t`` for a list of (q, p) pairs, as an (N,) block.
 
     ``pairs`` defaults to every antenna pair, q-major; the paths alive at
-    ``t`` are resolved here. The CLI calls ``frame_taps``; this entry
+    ``t`` are resolved here. ``simulate`` calls ``run_taps``; this entry
     point is kept for the benchmark's ``comm.comm_cir`` span.
     """
     if pairs is None:
         pairs = [(q, p) for q in range(rx_template.num_elements) for p in range(tx.num_elements)]
     qp = np.array(list(pairs), dtype=int).reshape(-1, 2)
-    paths = ground_truth_paths(scene, [t])[0]
-    return frame_taps(scene, t, tx, rx_template, params, phases, qp[:, 0], qp[:, 1], paths)
+    paths = ground_truth_paths(scene, [t])
+    return next(run_taps(scene, [t], tx, rx_template, params, phases, qp[:, 0], qp[:, 1], paths))[1]

@@ -66,6 +66,11 @@ class RunConfig:
         """Frames k * ts within the duration, k = 0 included (to 1e-9 of a frame)."""
         return math.floor(self.scene.duration / self.tracker.ts + 1e-9) + 1
 
+    def frame_times(self) -> list[float]:
+        """The frame times k * ts, k = 0 .. n_frames - 1."""
+        # clamped: k * Ts can overshoot the scene's end by rounding (3 * 0.1 > 0.3)
+        return [min(k * self.tracker.ts, self.scene.duration) for k in range(self.n_frames)]
+
 
 # Every INI key, in file order: (section, the RunConfig field whose
 # dataclass holds the keys ("" for RunConfig itself), keys). A key is its

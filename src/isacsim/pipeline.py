@@ -1,0 +1,238 @@
+"""One drop, a simulated scene realization, in memory: simulate, track,
+score, and the snapshot sources of the spreads. Nothing here reads or
+writes a file; the CLI does that around these functions.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
+
+from . import comm, sensing, stats, tracker
+from .config import RunConfig
+from .constants import SPEED_OF_LIGHT
+from .geometry import norms, path_term_columns
+from .scene import (
+    LOS_PATH_ID,
+    EchoColumns,
+    ObservationFrame,
+    SceneTruth,
+    TruePaths,
+    echoes,
+    generate_scene,
+    ground_truth_paths,
+    observe,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Drop:
+    """A simulated drop: the scene, the frame times, and per frame the true
+    paths, the observations and the sensing taps; with each path's co-polar phase."""
+
+    scene: SceneTruth
+    times: list[float]
+    paths: list[TruePaths]
+    frames: list[ObservationFrame]
+    sensing_taps: list[tuple[float, EchoColumns]]
+    phases: dict[int, float]
+
+
+def simulate(rc: RunConfig) -> Drop:
+    """The drop of ``rc``, its scene, noise and phases drawn from ``rc.scene.seed``."""
+    seed = rc.scene.seed
+    scene = generate_scene(rc.scene)
+    times = rc.frame_times()
+    # every frame's paths and echoes, resolved once for the observations and both channels
+    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
+    obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    noise = (rc.scene.sigma_delay, rc.scene.sigma_angle)
+    frames = [observe(scene, t, noise, obs_rng, *truth) for t, *truth in zip(times, paths, detections)]
+    pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    phases = comm.draw_polarization_set(scene, rc.comm, pol_rng)
+    sensing_taps = [(t, sensing.monostatic_cir(echo)) for t, echo in zip(times, detections)]
+    return Drop(scene, times, paths, frames, sensing_taps, phases)
+
+
+def comm_taps(drop: Drop, rc: RunConfig, all_pairs: bool = False) -> Iterator[tuple[float, comm.TapBlock]]:
+    """(t, taps) of each frame for the reference pair, or for the (q, p) grid of every
+    antenna pair; built many frames to a kernel pass and made as they are iterated."""
+    tx, rx_template = rc.tx_array(), rc.rx_template()
+    n_rx, n_tx = (rx_template.num_elements, tx.num_elements) if all_pairs else (1, 1)
+    q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
+    return comm.run_taps(drop.scene, drop.times, tx, rx_template, rc.comm, drop.phases, q, p, drop.paths)
+
+
+def track(frames: list[ObservationFrame], scene: SceneTruth, cfg: tracker.TrackerConfig,
+          seed: int) -> tracker.TrackerState:
+    """The tracker stepped over ``frames``; the scene gives the BS and the user's start state."""
+    if len(frames) < 2:
+        raise tracker.TrackerError("need at least two observation frames")
+    state = tracker.initialize(
+        frames[0], scene.bs_position, scene.user_position(frames[0].time), scene.config.user_velocity,
+        cfg, np.random.SeedSequence([seed, 2]),
+    )
+    for frame in frames[1:]:
+        tracker.step(state, frame)
+    return state
+
+
+@dataclass(frozen=True, eq=False)
+class Score:
+    """A tracker's history scored against the truth of its scene, over K steps and E clouds.
+
+    Step k at ``times[k]`` has a row for each cloud of ``members[k]``. The
+    step-by-cloud arrays hold the (K, E, 6) estimates, NaN outside the
+    batch; whether each entity is alive and its (K, E, 3) position, NaN
+    where not; the (K, E) errors between the two; and the (K, E) coasted
+    and diverged flags, 0 outside the batch. ``truth_vel`` holds each
+    entity's velocity and ``retired`` whether each cloud left the batch.
+    A cloud scores at a step while it is in the batch and its entity is alive.
+
+    ``clouds`` holds each cloud's (kind, path id, entity id, coasted steps,
+    diverged, error at the last step, mean error over the steps it scores,
+    least and median ESS over the steps it was weighted), NaN where it has
+    no such number; ``rmse`` holds (kind, clouds, final RMSE, mean RMSE) of
+    each kind with a final error, user, FB then LB.
+    """
+
+    times: list[float]
+    members: list[np.ndarray]
+    estimates: np.ndarray
+    alive: np.ndarray
+    truth_pos: np.ndarray
+    truth_vel: np.ndarray
+    errors: np.ndarray
+    coasted: np.ndarray
+    diverged: np.ndarray
+    retired: np.ndarray
+    clouds: list[tuple]
+    rmse: list[tuple[str, int, float, float]]
+
+
+def score(state: tracker.TrackerState, scene: SceneTruth) -> Score:
+    """``state``'s estimates against the true entities of ``scene``."""
+    tracks = scene.trajectories(state.entity_ids)
+    t = np.array(state.times)[:, None]
+    alive = tracks.alive(t)
+    truth_pos = np.where(alive[..., None], tracks.positions(t), np.nan)
+    scored = alive & state.spread([np.ones(m.size, dtype=bool) for m in state.members], False)
+    estimates = state.spread(state.estimates, np.nan)
+    errors = norms(estimates[..., :3] - truth_pos)
+    coasted, diverged = (state.spread(flags, False).astype(int) for flags in (state.coasted, state.diverged))
+
+    # per-cloud numbers over the steps it scores or is weighted, in step order
+    seen = scored.any(axis=0)
+    mean = np.array([float(np.mean(errors[scored[:, e], e])) if seen[e] else np.nan for e in range(len(seen))])
+    final = np.where(scored[-1], errors[-1], np.nan)
+    weighted = [ess[~np.isnan(ess)] for ess in state.spread(state.ess, np.nan).T]
+    kinds, path_ids = zip(*state.keys)
+    clouds = list(zip(kinds, path_ids, state.entity_ids, coasted.sum(axis=0).tolist(),
+                      diverged.any(axis=0).astype(int).tolist(), final.tolist(), mean.tolist(),
+                      [float(ess.min()) if ess.size else np.nan for ess in weighted],
+                      [float(np.median(ess)) if ess.size else np.nan for ess in weighted]))
+    rmse = []
+    kinds = np.array(kinds)
+    for kind in (tracker.KIND_USER, tracker.KIND_FB, tracker.KIND_LB):
+        of_kind = kinds == kind
+        kind_finals = final[of_kind & scored[-1]]
+        if kind_finals.size:
+            final_rmse = float(np.sqrt(np.mean(np.square(kind_finals))))
+            rmse.append((kind, int(np.count_nonzero(of_kind)), final_rmse, float(np.mean(mean[of_kind & seen]))))
+    return Score(state.times, state.members, estimates, alive, truth_pos, tracks.velocity, errors, coasted,
+                 diverged, state.retired_at >= 0, clouds, rmse)
+
+
+def trajectory_columns(s: Score) -> dict:
+    """The columns of ``s``'s trajectory that ``trajectory_snapshots`` reads, equal to
+    those ``csvio.read_trajectory`` reads back from the file the CLI writes of it."""
+    k = np.repeat(np.arange(len(s.members)), [m.size for m in s.members])
+    e = np.concatenate(s.members)
+    kinds, path_ids, entity_ids = (np.array(column)[e] for column in list(zip(*s.clouds))[:3])
+    est = s.estimates[k, e]
+    return {"k": k, "t": np.array(s.times)[k], "kind": tuple(kinds.tolist()), "path_id": path_ids,
+            "entity_id": entity_ids, "est_x": est[:, 0], "est_y": est[:, 1], "est_z": est[:, 2]}
+
+
+# Each snapshot source yields (k, t, table) per frame: the (n, 6)
+# snapshot table that stats.all_spreads takes, one row per path
+Snapshots = Iterator[tuple[int, float, np.ndarray]]
+
+
+def oracle_snapshots(scene: SceneTruth, rc: RunConfig) -> Snapshots:
+    """The true paths of each frame of ``rc``."""
+    times = rc.frame_times()
+    for k, (t, paths) in enumerate(zip(times, ground_truth_paths(scene, times))):
+        yield k, t, paths.columns.table
+
+
+def observation_snapshots(frames: list[ObservationFrame]) -> Snapshots:
+    """The observed paths of each frame."""
+    for k, frame in enumerate(frames):
+        yield k, frame.time, frame.comm_paths.table
+
+
+def _check_track_of_run(traj_path: str, traj: dict, frames: list[ObservationFrame], scene: SceneTruth) -> None:
+    """Reject a trajectory whose (k, t) steps are not the run's frames, or
+    whose FB or LB rows track other scatterers than the run's paths have."""
+    steps = sorted(set(zip(traj["k"].tolist(), traj["t"].tolist())))
+    for k, (step, frame) in enumerate(itertools.zip_longest(steps, frames)):
+        if frame is None:
+            raise tracker.TrackerError(f"{traj_path}: step k={step[0]} at t={step[1]!r} is past the run's last frame")
+        if step != (k, frame.time):
+            got = "no step" if step is None else f"step k={step[0]} at t={step[1]!r}"
+            raise tracker.TrackerError(f"{traj_path}: {got} where the run has frame k={k} at t={frame.time!r}")
+    want = {}
+    for p in scene.paths:
+        want[(tracker.KIND_FB, p.path_id)], want[(tracker.KIND_LB, p.path_id)] = p.fb_id, p.lb_id
+    rows = list(zip(traj["kind"], traj["path_id"].tolist(), traj["entity_id"].tolist()))
+    wrong = {r for r in set(rows) if r[0] != tracker.KIND_USER and want.get(r[:2]) != r[2]}
+    if wrong:
+        i = next(i for i, r in enumerate(rows) if r in wrong)
+        (kind, path_id, entity_id), k = rows[i], traj["k"][i]
+        has = want.get((kind, path_id))
+        run = f"the run has no path {path_id}" if has is None else f"the run's path {path_id} has {kind}_id {has}"
+        raise tracker.TrackerError(
+            f"{traj_path}: the {kind} row of path {path_id} at k={k} tracks scatterer {entity_id}, but {run}"
+        )
+
+
+def trajectory_snapshots(frames: list[ObservationFrame], traj: dict, scene: SceneTruth,
+                         traj_path: str = "trajectory") -> Snapshots:
+    """Each frame's observed paths whose FB and LB clouds both have estimates, at their observed powers.
+
+    ``traj`` holds the columns of a trajectory of these frames, named
+    ``traj_path`` in the errors that reject it.
+    """
+    _check_track_of_run(traj_path, traj, frames, scene)
+    if not frames:
+        return
+    row = {key: i for i, key in enumerate(zip(traj["kind"], traj["k"].tolist(), traj["path_id"].tolist()))}
+    est = np.column_stack([traj["est_x"], traj["est_y"], traj["est_z"]])
+
+    # the paths of every frame at once, with the trajectory rows of their user, FB and LB estimates
+    ks = np.repeat(np.arange(len(frames)), [len(frame.comm_paths) for frame in frames])
+    paths = np.concatenate([frame.comm_paths.table for frame in frames])
+    keys = list(zip(ks.tolist(), np.concatenate([frame.comm_paths.path_id for frame in frames]).tolist()))
+    user = np.array([row.get((tracker.KIND_USER, k, LOS_PATH_ID), -1) for k in range(len(frames))], dtype=int)
+    fb, lb = (np.array([row.get((kind, *key), -1) for key in keys], dtype=int)
+              for kind in (tracker.KIND_FB, tracker.KIND_LB))
+    tracked = (user[ks] >= 0) & (fb >= 0) & (lb >= 0)
+    bs = np.array(scene.bs_position.as_tuple())
+    leg, angles, _ = path_term_columns(bs, est[user[ks[tracked]]], est[fb[tracked]], est[lb[tracked]])
+    table = np.column_stack([paths[tracked, 0], leg / SPEED_OF_LIGHT, angles])
+    tables = np.split(table, np.cumsum(np.bincount(ks[tracked], minlength=len(frames)))[:-1])
+    for k, frame in enumerate(frames):
+        if user[k] >= 0:
+            yield k, frame.time, tables[k]
+
+
+def spreads(snapshots: Snapshots) -> list[tuple[int, float, tuple[float, ...]]]:
+    """(k, t, the five spreads of ``stats.all_spreads``) of each snapshot that holds paths."""
+    rows = [(k, t, stats.all_spreads(table)) for k, t, table in snapshots if len(table)]
+    if not rows:
+        raise stats.StatsError("no frames with paths to analyze")
+    return rows

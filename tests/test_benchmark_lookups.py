@@ -36,10 +36,10 @@ def test_every_wrapped_name_resolves_to_a_function():
     assert callable(importlib.import_module("isacsim.csvio")._write)
 
 
-def test_comm_cir_is_not_an_alias_of_frame_taps():
-    # an alias would make the comm_cir span wrap the CLI's frame_taps calls too
+def test_comm_cir_is_not_an_alias_of_run_taps():
+    # an alias would make the comm_cir span wrap simulate's run_taps calls too
     comm = importlib.import_module("isacsim.comm")
-    assert comm.comm_cir is not comm.frame_taps
+    assert comm.comm_cir is not comm.run_taps
 
 
 # runs in a child process, so that the span wrappers stay out of this one

@@ -11,7 +11,6 @@ from isacsim.comm import (
     CommParams,
     comm_cir,
     draw_polarization_set,
-    frame_taps,
     pair_taps,
     rician_weights,
     run_taps,
@@ -206,7 +205,7 @@ def test_tap_validation():
         CommParams(k_factor=-1.0).validate()
 
 
-def test_frame_taps_every_pair_of_a_nonstationary_scene():
+def test_run_taps_every_pair_of_a_nonstationary_scene():
     scene = generate_scene(SceneConfig(birth_death_rate=0.05, virtual_delay_max=5e-8))
     k = 3.0
     params = CommParams(k_factor=k)
@@ -218,7 +217,7 @@ def test_frame_taps_every_pair_of_a_nonstationary_scene():
     alive_sets = set()
     for t in (0.0, 6.5, 13.2, 20.0):
         truths = ground_truth_paths(scene, [t])[0]
-        block = frame_taps(scene, t, tx, rx_template, params, draws, q, p, truths)
+        block = next(run_taps(scene, [t], tx, rx_template, params, draws, q, p, [truths]))[1]
         alive_sets.add(frozenset(truths.columns.path_id.tolist()))
         assert block.delay.shape == (4, 128, 1 + len(truths))
         assert np.array_equal(block.q, np.broadcast_to(q, (4, 128)))
@@ -251,14 +250,14 @@ def test_frame_taps_every_pair_of_a_nonstationary_scene():
     assert len(alive_sets) > 1  # births and deaths changed the alive paths
 
 
-def test_frame_taps_reference_pair_matches_comm_cir():
+def test_run_taps_reference_pair_matches_comm_cir():
     scene = generate_scene(SceneConfig(virtual_delay_max=5e-8))
     lam = scene.config.wavelength
     tx = half_wavelength_array(32, 4, lam, scene.bs_position)
     rx = half_wavelength_array(2, 2, lam, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
     paths = ground_truth_paths(scene, [1.0])[0]
-    block = frame_taps(scene, 1.0, tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]), paths)
+    block = next(run_taps(scene, [1.0], tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]), [paths]))[1]
     assert block.delay.shape == (1, 1, 1 + len(scene.paths))
     cir = comm_cir(scene, 1.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])
     assert (cir.q.tolist(), cir.p.tolist()) == ([0], [0])
@@ -302,7 +301,7 @@ def test_run_taps_pass_equals_the_frames_one_by_one(monkeypatch, budget, grid):
     assert (len(passes) == 1) == (len(times) * grid[0] * grid[1] * max(widths) <= budget)
     monkeypatch.setattr(comm, "_taps", kernel)
     for (t, block), want_t, truth in zip(got, times, truths):
-        want = frame_taps(scene, want_t, tx, rx, params, draws, q, p, truth)
+        want = next(run_taps(scene, [want_t], tx, rx, params, draws, q, p, [truth]))[1]
         assert t == want_t and block.delay.shape == grid + (1 + len(truth),)
         for name in ("q", "p", "path_id", "delay", "re", "im"):
             assert np.array_equal(getattr(block, name), getattr(want, name)), name

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from isacsim import csvio
 from isacsim.antenna import PlanarArray
-from isacsim.comm import CommParams, draw_polarization_set, frame_taps
+from isacsim.comm import CommParams, draw_polarization_set, run_taps
 from isacsim.geometry import ORIGIN, Vec3
 from isacsim.scene import LOS_PATH_ID, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
 from isacsim.sensing import monostatic_cir
@@ -98,7 +98,7 @@ def test_comm_taps_round_trip(tmp_path, scene):
     tx, rx = PlanarArray(2, 2, half, scene.bs_position, z, y), PlanarArray(1, 2, half, ORIGIN, z, y)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(2))
     paths = ground_truth_paths(scene, [0.0])[0]
-    block = frame_taps(scene, 0.0, tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]), paths)
+    block = next(run_taps(scene, [0.0], tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]), [paths]))[1]
     path = tmp_path / "ctaps.csv"
     csvio.write_comm_taps(str(path), [(0.0, block)])
     back = csvio.read_columns(

@@ -1,0 +1,152 @@
+"""A drop run in memory through ``isacsim.pipeline``, against the CLI's files."""
+
+import builtins
+import contextlib
+import csv
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isacsim import cli, csvio, pipeline, stats
+from isacsim.config import parse_run_config
+
+# the two short runs whose CLI outputs test_cli.py pins
+CFGS = {
+    "default": "[run]\nduration = 1.0\n",
+    "birth-death-virtual-delay": (
+        "[run]\nseed = 5\nduration = 2.0\n\n"
+        "[scene]\nbirth_death_rate = 0.05\nvirtual_delay_max = 5e-8\n\n"
+        "[tracker]\nn_particles = 250\n"
+    ),
+}
+SOURCES = ("oracle", "observations", "tracked")
+
+
+def drop_in_memory(rc):
+    """Every stage of ``rc``'s drop: the drop, its score, each source's (n, 5) spreads,
+    and the KS distances between the true and the tracked spreads."""
+    drop = pipeline.simulate(rc)
+    for _ in pipeline.comm_taps(drop, rc):
+        pass
+    score = pipeline.score(pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed), drop.scene)
+    sources = (
+        pipeline.oracle_snapshots(drop.scene, rc),
+        pipeline.observation_snapshots(drop.frames),
+        pipeline.trajectory_snapshots(drop.frames, pipeline.trajectory_columns(score), drop.scene),
+    )
+    spreads = [np.array([row[2] for row in pipeline.spreads(source)]) for source in sources]
+    cdfs = [[stats.empirical_cdf(column) for column in s.T] for s in spreads]
+    ks = [stats.ks_distance(a, b) for a, b in zip(cdfs[0], cdfs[2])]
+    return drop, score, spreads, ks
+
+
+def run_cli(root, text):
+    """Every CLI stage on ``text`` under ``root``, up to the first that fails: its exit code and standard error."""
+    cfg, run_dir, trk, sts = (os.path.join(root, name) for name in ("run.ini", "run", "trk", "sts"))
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    stages = [
+        ["simulate", "--config", cfg, "--out", run_dir],
+        ["track", "--run", run_dir, "--out", trk],
+        ["stats", "--run", run_dir, "--source", "scene", "--out", sts, "--label", "oracle"],
+        ["stats", "--run", run_dir, "--source", "observations", "--out", sts],
+        ["stats", "--run", run_dir, "--track", trk, "--source", "trajectory", "--out", sts, "--label", "tracked"],
+        ["compare", "--a", os.path.join(sts, "spreads_oracle.csv"), "--b", os.path.join(sts, "spreads_tracked.csv")],
+    ]
+    for argv in stages:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code:
+            break
+    return code, err.getvalue()
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CFGS))
+def test_in_memory_drop_reads_back_from_the_cli_files(tmp_path, name):
+    assert run_cli(str(tmp_path), CFGS[name]) == (0, "")
+    drop, score, spreads, _ = drop_in_memory(parse_run_config(CFGS[name]))
+
+    frames = cli._read_frames(str(tmp_path / "run"))
+    assert [f.time for f in frames] == [f.time for f in drop.frames] == drop.times
+    for got, want in zip(frames, drop.frames):
+        for columns in ("comm_paths", "los"):
+            for field in ("ids", "table", "degenerate"):
+                assert same_bits(getattr(getattr(got, columns), field), getattr(getattr(want, columns), field))
+        for field in ("scatterer_id", "table", "degenerate"):
+            assert same_bits(getattr(got.sensing_detections, field), getattr(want.sensing_detections, field))
+
+    # the trajectory source reads the same columns from memory as from the file
+    path = str(tmp_path / "trk" / "trajectory.csv")
+    traj, columns = csvio.read_trajectory(path), pipeline.trajectory_columns(score)
+    assert traj.keys() == columns.keys()
+    assert all(traj[key] == columns[key] if key == "kind" else same_bits(traj[key], columns[key]) for key in traj)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    k, e = traj["k"], np.concatenate(score.members)
+    est = [[float(r[f"est_{c}"]) for c in ("x", "y", "z", "vx", "vy", "vz")] for r in rows]
+    assert same_bits(est, score.estimates[k, e])
+    errors = [float(r["pos_error_m"]) if r["pos_error_m"] else np.nan for r in rows]
+    assert same_bits(errors, np.where(score.alive[k, e], score.errors[k, e], np.nan))
+
+    for label, got in zip(SOURCES, spreads):
+        back = csvio.read_spreads(str(tmp_path / "sts" / f"spreads_{label}.csv"))
+        assert same_bits(np.column_stack([back[q] for q in cli.SPREAD_QUANTITIES]), got), label
+
+
+def test_a_drop_in_memory_opens_no_file(monkeypatch):
+    opened = []
+
+    def refuse(path, *args, **kwargs):
+        opened.append(str(path))
+        raise PermissionError(f"no file may be opened, got {path}")
+
+    def no_directory(*args, **kwargs):
+        raise AssertionError(f"no directory may be made, got {args}")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(os, "makedirs", no_directory)
+    _, _, spreads, ks = drop_in_memory(parse_run_config(""))
+    # only the noise helper's CPU probe, which draws on the calling thread where it cannot read its file
+    assert set(opened) <= {"/proc/thread-self/stat"}
+    assert all(len(s) == 201 for s in spreads) and all(0.0 <= d <= 1.0 for d in ks)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """Valid configs of at most 2 s, up to 5 births a second, 1 us of virtual delay, 5 clusters and 200 particles."""
+    return (
+        f"[run]\nseed = {draw(st.integers(0, 1000))}\nduration = {draw(floats(0.1, 2.0))!r}\n\n"
+        f"[scene]\nn_clusters = {draw(st.integers(1, 5))}\nfb_per_cluster = {draw(st.integers(1, 3))}\n"
+        f"lb_per_cluster = {draw(st.integers(0, 3))}\nbirth_death_rate = {draw(floats(0.0, 5.0))!r}\n"
+        f"virtual_delay_max = {draw(floats(0.0, 1e-6))!r}\n\n"
+        f"[tracker]\nn_particles = {draw(st.integers(1, 200))}\n"
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs())
+@example("[run]\nduration = 0.05\n")  # one frame: track has nothing to step to
+def test_any_valid_drop_finishes_every_stage_or_raises_one_error(text):
+    try:
+        _, _, spreads, ks = drop_in_memory(parse_run_config(text))
+    except ValueError as exc:
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_cli(tmp, text) == (2, f"error: {exc}\n")
+        return
+    assert all(np.isfinite(s).all() for s in spreads)
+    assert all(0.0 <= d <= 1.0 for d in ks)
