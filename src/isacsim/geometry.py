@@ -158,26 +158,6 @@ def angles_from_displacement(d: Vec3) -> AngleSet:
     return AngleSet(math.atan2(d.y, d.x), elevation)
 
 
-def path_terms(bs: Vec3, user: Vec3, fb: Vec3, lb: Vec3) -> tuple[float, AngleSet, AngleSet]:
-    """Outer-leg length, AoD and AoA of the path via first bounce ``fb`` and last bounce ``lb``.
-
-    The length is |fb - bs| + |lb - user|: the first-to-last-bounce leg is
-    deliberately excluded, in-between propagation being carried by a
-    path's virtual delay. The AoD points from the BS at the first bounce,
-    the AoA from the user at the last bounce. With ``fb == lb`` this is a
-    single-bounce path; with ``fb == user`` and ``lb == bs`` both legs are
-    the direct path.
-
-    Raises:
-        GeometryError: if either outer leg has zero length.
-    """
-    leg, angles, degenerate = path_term_columns(
-        np.array(bs.as_tuple()), np.array(user.as_tuple()), np.array([fb.as_tuple()]), np.array([lb.as_tuple()])
-    )
-    (aod_az, aod_el, aoa_az, aoa_el), (aod_degenerate, aoa_degenerate) = angles[0].tolist(), degenerate[0].tolist()
-    return float(leg[0]), AngleSet(aod_az, aod_el, aod_degenerate), AngleSet(aoa_az, aoa_el, aoa_degenerate)
-
-
 def direction_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (n, 2) azimuth and elevation of each row of the (n, 3) ``d``
     and its (n,) degenerate flag, bit for bit as ``angles_from_displacement``
@@ -202,11 +182,14 @@ def direction_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def path_term_columns(bs: np.ndarray, user: np.ndarray, fb: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``path_terms`` of n paths at once: the (n,) outer-leg lengths, the
-    (n, 4) AoD azimuth and elevation and AoA azimuth and elevation, and
-    the (n, 2) AoD and AoA degenerate flags.
+    """The outer-leg lengths |fb - bs| + |lb - user| of n paths via first bounces ``fb`` and last
+    bounces ``lb`` (a path's virtual delay carries the leg between them), their AoDs from the BS
+    at ``fb`` and their AoAs from the user at ``lb``: the (n,) lengths, the (n, 4) AoD azimuth and
+    elevation and AoA azimuth and elevation, and the (n, 2) AoD and AoA degenerate flags. ``fb``
+    and ``lb`` are (n, 3); ``bs`` and ``user`` are (3,) or (n, 3).
 
-    ``fb`` and ``lb`` are (n, 3); ``bs`` and ``user`` are (3,) or (n, 3).
+    Raises:
+        GeometryError: if an outer leg has zero length.
     """
     to_fb, to_lb = fb - bs, lb - user
     (aod, aod_degenerate), (aoa, aoa_degenerate) = direction_columns(to_fb), direction_columns(to_lb)

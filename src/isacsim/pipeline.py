@@ -50,7 +50,7 @@ def simulate(rc: RunConfig) -> Drop:
     paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
     obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = (rc.scene.sigma_delay, rc.scene.sigma_angle)
-    frames = [observe(scene, t, noise, obs_rng, *truth) for t, *truth in zip(times, paths, detections)]
+    frames = observe(scene, times, noise, obs_rng, paths, detections).frames
     pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     phases = comm.draw_polarization_set(scene, rc.comm, pol_rng)
     sensing_taps = [(t, sensing.monostatic_cir(echo)) for t, echo in zip(times, detections)]

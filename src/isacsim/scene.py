@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
-    GeometryError,
+    AngleSet,
     Vec3,
     check_finite,
     direction_columns,
@@ -29,7 +29,6 @@ from .geometry import (
     norms,
     normalize_angle_columns,
     path_term_columns,
-    path_terms,
 )
 
 ROLE_FB = "fb"
@@ -202,6 +201,16 @@ class ObservationFrame:
     comm_paths: PathColumns
     sensing_detections: EchoColumns
     los: PathColumns
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """A run's measurements, every frame's rows in frame order; each of ``frames`` is a view of them."""
+
+    comm_paths: PathColumns
+    sensing_detections: EchoColumns
+    los: PathColumns
+    frames: list[ObservationFrame]
 
 
 @dataclass(frozen=True)
@@ -423,8 +432,13 @@ def _alive_rows(scene: SceneTruth, times: Sequence[float], *tracks: Trajectories
     t = np.array(times, dtype=float)[:, None]
     alive = np.logical_and.reduce([track.alive(t) for track in tracks])
     k, rows = np.nonzero(alive)
-    ends = np.cumsum(np.count_nonzero(alive, axis=1)).tolist()
-    return rows, t[k, 0], [slice(a, b) for a, b in zip([0] + ends, ends)]
+    return rows, t[k, 0], _slices(np.count_nonzero(alive, axis=1))
+
+
+def _slices(counts: np.ndarray) -> list[slice]:
+    """Consecutive slices of ``counts`` rows each, from row 0."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends, ends)]
 
 
 def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> list[TruePaths]:
@@ -518,31 +532,20 @@ def check_round_trip_delays(delays: np.ndarray) -> None:
         raise ConfigError(f"round-trip delay must be positive, got {float(delays[np.argmax(bad)])}")
 
 
-def _noisy_angles(angles: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Azimuth and elevation column pairs plus noise, normalized by ``normalize_angle_columns``.
-
-    The first non-finite angle, in row-major order, raises AngleSet's error.
-    """
-    out = angles + noise
-    finite = np.isfinite(out)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        value = float(out[row, col])
-        raise GeometryError(
-            f"cannot wrap non-finite angle {value!r}" if col % 2 == 0 else f"non-finite elevation {value!r}"
-        )
-    return normalize_angle_columns(out)
+def _stacked(parts: Sequence, cls: type):
+    """The rows of the column objects ``parts``, of dataclass ``cls``, in order as one."""
+    return cls(*(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(cls)))
 
 
 def observe(
     scene: SceneTruth,
-    t: float,
+    times: Sequence[float],
     noise: tuple[float, float],
     rng: np.random.Generator,
-    paths: TruePaths,
-    detections: EchoColumns,
-) -> ObservationFrame:
-    """Noisy measurement frame at time ``t``.
+    paths: Sequence[TruePaths],
+    detections: Sequence[EchoColumns],
+) -> Observations:
+    """Noisy measurement frames of a run at ``times``, one or more.
 
     Communication observations carry the true per-path delay, departure
     and arrival angles, and power, with zero-mean Gaussian noise of std
@@ -552,40 +555,54 @@ def observe(
     and gain (exact). A LoS observation between BS and user is always
     present (the scene models no occlusion).
 
-    ``paths`` and ``detections`` are the frame's ``ground_truth_paths``
-    and ``echoes``, resolved by the caller and left unchanged. The noise
-    is one standard-normal block, one value per draw in this order: per
-    path the delay, AoD azimuth and elevation, AoA azimuth and elevation;
-    the LoS the same way; per echo the round-trip delay, azimuth and
-    elevation. Each is 0.0 + sigma * z, as ``rng.normal(0.0, sigma)``
-    draws it one at a time.
+    ``paths`` and ``detections`` are the run's ``ground_truth_paths`` and
+    ``echoes``, resolved by the caller and left unchanged. The noise is
+    one standard-normal draw for the run, one value per measurement in
+    this order, frame by frame: per path the delay, AoD azimuth and
+    elevation, AoA azimuth and elevation; the LoS the same way; per echo
+    the round-trip delay, azimuth and elevation. Each is 0.0 + sigma * z,
+    as ``rng.normal(0.0, sigma)`` draws it one at a time; the stream does
+    not depend on how it is split into calls. Of several faults, the
+    first in frame order raises.
     """
-    sigma_delay, sigma_angle = noise
-    if sigma_delay < 0.0 or sigma_angle < 0.0:
+    scale = np.repeat(np.array(noise, dtype=float), [1, 4])  # sigma_delay, then sigma_angle four times
+    if (scale < 0.0).any():
         raise ConfigError("noise standard deviations must be nonnegative")
-    scene.check_time(t)
+    t = np.array(times, dtype=float)
+    bs = np.array(scene.bs_position.as_tuple())
+    user = scene.trajectories([LOS_PATH_ID]).positions(t[:, None])[:, 0]
+    comm, sensing = _stacked([p.columns for p in paths], PathColumns), _stacked(detections, EchoColumns)
+    n, m = (np.array([len(part) for part in parts], dtype=int) for parts in (paths, detections))
+    # each frame draws 5 values per path, then 5 for the LoS, then 3 per echo
+    part = np.repeat(np.tile(np.int8([0, 1, 2]), len(t)), np.column_stack([5 * n, np.full(len(t), 5), 3 * m]).ravel())
+    z = rng.standard_normal(part.size)
+    path_noise, los_noise, echo_noise = (z[part == i].reshape(-1, w) * scale[:w] + 0.0 for i, w in enumerate((5, 5, 3)))
+    comm.table[:, 1:] += path_noise  # the concatenation's own arrays, noised in place
+    sensing.table[:, :3] += echo_noise
 
-    bs, user = scene.bs_position, scene.user_position(t)
-    leg, aod, aoa = path_terms(bs, user, user, bs)  # both legs are the direct path
-    n, m = len(paths) + 1, len(detections)  # the LoS is the last comm row
-    z = rng.standard_normal(5 * n + 3 * m)
+    # the first faulty frame raises its first fault; a noisy LoS angle is non-finite where its noise is
+    faulty = ~((0.0 <= t) & (t <= scene.duration)) | (norms(user - bs) == 0.0) | ~np.isfinite(los_noise[:, 1:]).all(1)
+    path_frame, echo_frame = (np.repeat(np.arange(len(t)), counts) for counts in (n, m))
+    faulty[path_frame[~np.isfinite(comm.table[:, 2:]).all(axis=1)]] = True
+    faulty[echo_frame[~(np.isfinite(sensing.table[:, 1:3]).all(axis=1) & (sensing.table[:, 0] > 0.0))]] = True
+    if faulty.any():
+        f = int(np.argmax(faulty))
+        scene.check_time(times[f])  # as one frame checks: its time, its LoS leg, its noisy angles, its delays
+        direction_columns(user[f:f + 1] - bs)
+        for angles in (comm.table[path_frame == f, 2:], los_noise[f:f + 1, 1:], sensing.table[echo_frame == f, 1:3]):
+            for azimuth, elevation in angles.reshape(-1, 2).tolist():
+                AngleSet(azimuth, elevation)  # raises for a non-finite angle
+        check_round_trip_delays(sensing.table[echo_frame == f, 0])
 
-    los = (1.0, leg / 2.0 / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
-    truth = paths.columns
-    ids, table = np.vstack([truth.ids, (LOS_PATH_ID,) * 4]), np.vstack([truth.table, los])
-    degenerate = np.vstack([truth.degenerate, (aod.degenerate, aoa.degenerate)])
-    comm_noise = z[: 5 * n].reshape(n, 5) * np.array([sigma_delay] + [sigma_angle] * 4) + 0.0
-    table[:, 1] += comm_noise[:, 0]
-    table[:, 2:] = _noisy_angles(table[:, 2:], comm_noise[:, 1:])
-
-    echo = detections.table.copy()
-    echo_noise = z[5 * n :].reshape(m, 3) * np.array([sigma_delay, sigma_angle, sigma_angle]) + 0.0
-    echo[:, 0] += echo_noise[:, 0]
-    echo[:, 1:3] = _noisy_angles(echo[:, 1:3], echo_noise[:, 1:])
-    check_round_trip_delays(echo[:, 0])
-    comm = PathColumns(ids, table, degenerate)
-    sensing = EchoColumns(detections.scatterer_id, echo, detections.degenerate)
-    return ObservationFrame(t, comm[: n - 1], sensing, comm[n - 1 :])
+    leg, los_angles, los_degenerate = path_term_columns(bs, user, user, bs)  # both legs are the direct path
+    los_table = np.column_stack([np.ones(len(t)), leg / 2.0 / SPEED_OF_LIGHT, los_angles])
+    los_table[:, 1:] += los_noise
+    for angles in (comm.table[:, 2:], los_table[:, 2:], sensing.table[:, 1:3]):
+        normalize_angle_columns(angles)
+    los = PathColumns(np.full((len(t), 4), LOS_PATH_ID), los_table, los_degenerate)
+    frames = [ObservationFrame(time, comm[p], sensing[e], los[f:f + 1])
+              for f, (time, p, e) in enumerate(zip(times, _slices(n), _slices(m)))]
+    return Observations(comm, sensing, los, frames)
 
 
 # --- scene file format -------------------------------------------------------

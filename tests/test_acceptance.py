@@ -18,7 +18,7 @@ from isacsim.antenna import PlanarArray
 from isacsim.cli import main as cli_main
 from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_terms, wrap_angle
+from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_term_columns, wrap_angle
 from isacsim.scene import (
     LOS_PATH_ID,
     SceneConfig,
@@ -161,22 +161,25 @@ def test_criterion_4_oracle_closure():
     scene = generate_scene(SceneConfig(n_clusters=5, fb_per_cluster=1, lb_per_cluster=1))
     assert len(scene.scatterers) == 10
     rng = np.random.default_rng(0)
-    for k in range(201):
-        t = k * 0.1
-        paths = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]).comm_paths
-        user = scene.user_position(t)
+    times = [k * 0.1 for k in range(201)]
+    frames = observe(scene, times, (0.0, 0.0), rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
+    bs = np.array(scene.bs_position.as_tuple())
+    for t, frame in zip(times, frames):
+        paths = frame.comm_paths
+        user = np.array(scene.user_position(t).as_tuple())
         for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, aod_el, aoa_az, aoa_el) in zip(
             paths.ids.tolist(), paths.table.tolist()
         ):
             fb = scene.scatterer(fb_id).position_at(t)
             lb = scene.scatterer(lb_id).position_at(t)
-            leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
-            delay = leg / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
+            leg, angles, _ = path_term_columns(bs, user, np.array([fb.as_tuple()]), np.array([lb.as_tuple()]))
+            want_aod_az, want_aod_el, want_aoa_az, want_aoa_el = angles[0].tolist()
+            delay = float(leg[0]) / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
             assert abs(delay - obs_delay) <= 1e-12
-            assert abs(wrap_angle(aod.azimuth - aod_az)) <= 1e-12
-            assert abs(aod.elevation - aod_el) <= 1e-12
-            assert abs(wrap_angle(aoa.azimuth - aoa_az)) <= 1e-12
-            assert abs(aoa.elevation - aoa_el) <= 1e-12
+            assert abs(wrap_angle(want_aod_az - aod_az)) <= 1e-12
+            assert abs(want_aod_el - aod_el) <= 1e-12
+            assert abs(wrap_angle(want_aoa_az - aoa_az)) <= 1e-12
+            assert abs(want_aoa_el - aoa_el) <= 1e-12
 
 
 @criterion(5, "filter exactness at zero noise", 30.0)
@@ -194,7 +197,7 @@ def test_criterion_5_filter_exactness():
     rng = np.random.default_rng(0)
     for k in range(1, 201):
         t = k * cfg.ts
-        step(state, observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]))
+        step(state, observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0])
         for key, sid, est in zip(state.keys, state.entity_ids, state.estimates[-1].tolist()):
             if key == USER_KEY:
                 truth = scene.user_position(t)

@@ -345,6 +345,34 @@ def test_default_run_bytes_pinned(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
+# sha256 of the observation files of the benchmark's pipeline-nonstationary
+# config (seed 11, 20 s, birth-death): 201 frames whose paths die and are born,
+# observed with the shipped noise in one draw per run
+NONSTATIONARY_OBSERVATIONS_SHA256 = {
+    "observations.csv": "187bf9ed0d76fc731e78a3346ce728a4d5469a26549897230c1fd1de762d9dd2",
+    "sensing_observations.csv": "17ef3794fd94c4dd0e74e1bf211839ffb1a4e0d637dd29c9480afe12e41d1bd6",
+}
+
+
+def test_nonstationary_observation_bytes_pinned(tmp_path):
+    cfg = tmp_path / "nonstationary.ini"
+    cfg.write_text("[run]\nseed = 11\n\n[scene]\nbirth_death_rate = 0.05\n\n[tracker]\nn_particles = 250\n")
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+    for name, digest in NONSTATIONARY_OBSERVATIONS_SHA256.items():
+        with open(tmp_path / "run" / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_first_negative_round_trip_delay_in_frame_order_exits_2(tmp_path, capsys):
+    # the noise makes the round-trip delays of frames 2 and 7 negative; frame 2's is reported
+    cfg = tmp_path / "noisy.ini"
+    cfg.write_text("[run]\nduration = 1.0\n\n[scene]\nsigma_delay = 3e-07\n")
+    out = tmp_path / "run"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: round-trip delay must be positive, got -2.3582301640804657e-08\n"
+    assert not out.exists()
+
+
 @pytest.fixture()
 def ts_02_run(tmp_path):
     cfg = tmp_path / "ts02.ini"

@@ -27,8 +27,7 @@ def scene():
 def frames(scene):
     rng = np.random.default_rng(1)
     times = [k * 0.1 for k in range(4)]
-    truths = zip(times, ground_truth_paths(scene, times), echoes(scene, times))
-    return [observe(scene, t, (5e-9, 0.01), rng, *truth) for t, *truth in truths]
+    return observe(scene, times, (5e-9, 0.01), rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
 
 
 def test_observation_round_trip(tmp_path, frames):

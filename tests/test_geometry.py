@@ -12,7 +12,6 @@ from isacsim.geometry import (
     angles_from_displacement,
     normalize_angle_columns,
     path_term_columns,
-    path_terms,
     unit_vector_from_angles,
     wrap_angle,
     wrap_angles,
@@ -132,17 +131,26 @@ def test_round_trip_many_random():
         assert (u * v.norm()).distance_to(v) < 1e-9 * max(1.0, v.norm())
 
 
+def _one_path(bs, user, fb, lb):
+    """The outer-leg length, the AoD and the AoA of one path, as a one-row ``path_term_columns``."""
+    leg, angles, degenerate = path_term_columns(
+        np.array(bs.as_tuple()), np.array(user.as_tuple()), np.array([fb.as_tuple()]), np.array([lb.as_tuple()])
+    )
+    (aod_az, aod_el, aoa_az, aoa_el), (aod_degenerate, aoa_degenerate) = angles[0].tolist(), degenerate[0].tolist()
+    return float(leg[0]), AngleSet(aod_az, aod_el, aod_degenerate), AngleSet(aoa_az, aoa_el, aoa_degenerate)
+
+
 def test_path_distance_excludes_middle_leg():
     tx = ORIGIN
     fb = Vec3(0.0, 3.0, 4.0)  # 5 m from tx
     lb = Vec3(100.0, 0.0, 0.0)
     rx = Vec3(100.0, 6.0, 8.0)  # 10 m from lb
-    assert path_terms(tx, rx, fb, lb)[0] == pytest.approx(15.0, abs=1e-12)
+    assert _one_path(tx, rx, fb, lb)[0] == pytest.approx(15.0, abs=1e-12)
 
 
 def test_path_distance_single_bounce():
     s = Vec3(0.0, 5.0, 0.0)
-    assert path_terms(ORIGIN, Vec3(10.0, 0.0, 0.0), s, s)[0] == pytest.approx(
+    assert _one_path(ORIGIN, Vec3(10.0, 0.0, 0.0), s, s)[0] == pytest.approx(
         5.0 + math.sqrt(125.0)
     )
 
@@ -151,15 +159,15 @@ def test_path_terms_matches_noiseless_observation():
     scene = generate_scene(SceneConfig())
     t = 2.0
     paths = observe(
-        scene, t, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0]
-    ).comm_paths
+        scene, [t], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t]), echoes(scene, [t])
+    ).frames[0].comm_paths
     user = scene.user_position(t)
     for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, _, _, aoa_el) in zip(
         paths.ids.tolist(), paths.table.tolist()
     ):
         fb = scene.scatterer(fb_id).position_at(t)
         lb = scene.scatterer(lb_id).position_at(t)
-        leg, aod, aoa = path_terms(scene.bs_position, user, fb, lb)
+        leg, aod, aoa = _one_path(scene.bs_position, user, fb, lb)
         delay = leg / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
         assert delay == pytest.approx(obs_delay, abs=1e-15)
         assert aod.azimuth == pytest.approx(aod_az, abs=1e-12)
@@ -169,7 +177,7 @@ def test_path_terms_matches_noiseless_observation():
 def test_path_terms_rejects_zero_leg():
     at_bs = ORIGIN
     with pytest.raises(GeometryError):
-        path_terms(ORIGIN, Vec3(10.0, 0.0, 0.0), at_bs, at_bs)
+        _one_path(ORIGIN, Vec3(10.0, 0.0, 0.0), at_bs, at_bs)
 
 
 def test_wrap_angles_equals_wrap_angle_bit_for_bit():

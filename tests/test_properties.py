@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import (
     AngleSet,
     Vec3,
@@ -14,6 +15,7 @@ from isacsim.geometry import (
     unit_vector_from_angles,
     wrap_angle,
 )
+from isacsim.scene import LOS_PATH_ID, ConfigError, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
 from isacsim.stats import all_spreads, empirical_cdf, ks_distance
 from isacsim.tracker import (
     Clouds,
@@ -216,3 +218,101 @@ def test_solve_lb_range_solution_satisfies_equation(anchor_t, user_t, az, el, bu
     lhs = anchor.distance_to(lb)
     rhs = budget - r
     assert math.isclose(lhs, rhs, rel_tol=1e-6, abs_tol=1e-5)
+
+
+def observe_frame(scene, t, noise, rng, paths, detections):
+    """One frame observed by the per-frame formula: its own standard-normal draw, the LoS from
+    the scalar geometry, and each noisy angle pair normalized, or rejected, by ``AngleSet``.
+    Returns the comm ids, table and degenerate flags (the LoS last) and the echo ids, table and flags."""
+    sigma_delay, sigma_angle = noise
+    scene.check_time(t)
+    bs, user = scene.bs_position, scene.user_position(t)
+    aod, aoa = angles_from_displacement(user - bs), angles_from_displacement(bs - user)
+    leg = (user - bs).norm() + (bs - user).norm()
+    n, m = len(paths) + 1, len(detections)
+    z = rng.standard_normal(5 * n + 3 * m).tolist()
+    scales = [sigma_delay] + [sigma_angle] * 4
+    los = [1.0, leg / 2.0 / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation]
+    table = []
+    for k, (power, delay, *angles) in enumerate(paths.columns.table.tolist() + [los]):
+        dz = [0.0 + s * v for s, v in zip(scales, z[5 * k:5 * k + 5])]
+        noisy = [AngleSet(angles[0] + dz[1], angles[1] + dz[2]), AngleSet(angles[2] + dz[3], angles[3] + dz[4])]
+        table.append([power, delay + dz[0], *(value for a in noisy for value in (a.azimuth, a.elevation))])
+    echo = []
+    for k, (delay, az, el, doppler, gain) in enumerate(detections.table.tolist()):
+        dz = [0.0 + s * v for s, v in zip(scales, z[5 * n + 3 * k:5 * n + 3 * k + 3])]
+        direction = AngleSet(az + dz[1], el + dz[2])
+        echo.append([delay + dz[0], direction.azimuth, direction.elevation, doppler, gain])
+    for row in echo:
+        if not row[0] > 0.0:
+            raise ConfigError(f"round-trip delay must be positive, got {row[0]}")
+    ids = paths.columns.ids.tolist() + [[LOS_PATH_ID] * 4]
+    degenerate = paths.columns.degenerate.tolist() + [[aod.degenerate, aoa.degenerate]]
+    return ids, table, degenerate, detections.scatterer_id.tolist(), echo, detections.degenerate.tolist()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=1e-6),
+    # zero noise, the shipped noise, and noise that makes negative delays or infinite angles
+    st.sampled_from([(0.0, 0.0), (5e-9, math.radians(1.0)), (5e-9, 0.01), (3e-7, 0.01), (0.0, 1e308), (3e-7, 1e308)]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=79)),  # frame whose user is at the BS
+    st.one_of(st.none(), st.integers(min_value=0, max_value=79)),  # frame at a time past the scene's end
+)
+# a LoS fault first; and a negative delay before a time past the end, before the user at the BS,
+# and before an infinite angle
+@example(7, 1, 1, 0, 10, 0.0, 0.0, (0.0, 1e308), None, None)
+@example(6, 2, 1, 1, 12, 0.0, 0.0, (3e-7, 0.01), None, 9)
+@example(6, 2, 1, 1, 12, 0.0, 0.0, (3e-7, 0.01), 9, None)
+@example(6, 2, 1, 1, 12, 0.0, 0.0, (3e-7, 1e308), None, None)
+@settings(max_examples=100, deadline=None)
+def test_run_observe_equals_the_per_frame_formula_bit_for_bit(seed, clusters, fbs, lbs, n_frames, rate, vd_max,
+                                                              noise, at_bs, late):
+    times = [k * 0.1 for k in range(n_frames)]
+    # the user moves along +y at 1 m/s, so it passes the BS at times[at_bs] exactly
+    start = Vec3(0.0, -times[at_bs] if at_bs is not None and at_bs < n_frames else 1.0, 10.0)
+    scene = generate_scene(SceneConfig(
+        n_clusters=clusters, fb_per_cluster=fbs, lb_per_cluster=lbs, birth_death_rate=rate, virtual_delay_max=vd_max,
+        seed=seed, duration=n_frames * 0.1, user_start=start, bs_position=Vec3(0.0, 0.0, 10.0),
+        user_velocity=Vec3(0.0, 1.0, 0.0),
+    ))
+    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
+    if late is not None and late < n_frames:
+        times[late] = scene.duration + 1.0
+
+    rng_want = np.random.default_rng(seed)
+    want, error = [], None
+    try:
+        for t, frame_paths, frame_detections in zip(times, paths, detections):
+            want.append(observe_frame(scene, t, noise, rng_want, frame_paths, frame_detections))
+    except ValueError as e:
+        error = e
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):  # sigma_angle * z overflows to an infinite angle
+        if error is not None:
+            with pytest.raises(type(error)) as raised:
+                observe(scene, times, noise, rng, paths, detections)
+            assert str(raised.value) == str(error)
+            return
+        got = observe(scene, times, noise, rng, paths, detections)
+    assert len(got.frames) == n_frames
+    assert len(got.comm_paths) == sum(map(len, paths)) and len(got.los) == n_frames
+    assert len(got.sensing_detections) == sum(map(len, detections))
+    for t, frame, (ids, table, degenerate, echo_ids, echo, echo_degenerate) in zip(times, got.frames, want):
+        assert frame.time == t
+        assert np.vstack([frame.comm_paths.ids, frame.los.ids]).tolist() == ids
+        assert np.vstack([frame.comm_paths.table, frame.los.table]).tolist() == table
+        assert np.vstack([frame.comm_paths.degenerate, frame.los.degenerate]).tolist() == degenerate
+        assert frame.sensing_detections.scatterer_id.tolist() == echo_ids
+        assert frame.sensing_detections.table.tolist() == echo
+        assert frame.sensing_detections.degenerate.tolist() == echo_degenerate
+        for part, whole in ((frame.comm_paths, got.comm_paths), (frame.los, got.los)):
+            assert np.shares_memory(part.table, whole.table) or not len(part)
+        assert np.shares_memory(frame.sensing_detections.table, got.sensing_detections.table) or not echo
+    # both drew the same values from the stream
+    assert rng.standard_normal() == rng_want.standard_normal()

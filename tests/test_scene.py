@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import Vec3, angles_from_displacement, path_terms
+from isacsim.geometry import Vec3, angles_from_displacement
 from isacsim.scene import (
     LOS_PATH_ID,
     ROLE_FB,
@@ -139,7 +139,9 @@ def test_run_columns_equal_the_scalar_formulas():
         user = scene.user_position(t)
         alive = [p for p in scene.paths if scene.scatterer(p.fb_id).alive(t) and scene.scatterer(p.lb_id).alive(t)]
         points = [(scene.scatterer(p.fb_id).position_at(t), scene.scatterer(p.lb_id).position_at(t)) for p in alive]
-        terms = [path_terms(bs, user, fb, lb) for fb, lb in points]
+        # the outer legs' length, the AoD from the BS at the FB and the AoA from the user at the LB
+        terms = [((fb - bs).norm() + (lb - user).norm(), angles_from_displacement(fb - bs),
+                  angles_from_displacement(lb - user)) for fb, lb in points]
         delays = np.array([leg / SPEED_OF_LIGHT + p.virtual_delay for p, (leg, _, _) in zip(alive, terms)])
         raw = np.exp(-delays / scene.config.pdp_decay)
         powers = raw / raw.sum()  # the frame's own ndarray.sum, in its pairwise order
@@ -184,7 +186,7 @@ def test_observe_noiseless_matches_geometry():
     scene = generate_scene(SceneConfig())
     rng = np.random.default_rng(0)
     t = 4.0
-    frame = observe(scene, t, (0.0, 0.0), rng, ground_truth_paths(scene, [t])[0], echoes(scene, [t])[0])
+    frame = observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0]
     user = scene.user_position(t)
     bs = scene.bs_position
     paths = frame.comm_paths
@@ -205,8 +207,8 @@ def test_observe_noiseless_matches_geometry():
 def test_observe_sensing_covers_alive_fb():
     scene = generate_scene(SceneConfig())
     frame = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
-    )
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
+    ).frames[0]
     fb_ids = {s.id for s in [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(0.0)]}
     dets = frame.sensing_detections
     assert set(dets.scatterer_id.tolist()) == fb_ids
@@ -222,8 +224,8 @@ def test_observe_doppler_sign():
     # scatterer moving straight toward the BS must give positive Doppler
     scene = generate_scene(SceneConfig())
     dets = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
-    ).sensing_detections
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
+    ).frames[0].sensing_detections
     for sid, doppler in zip(dets.scatterer_id.tolist(), dets.table[:, 3].tolist()):
         s = scene.scatterer(sid)
         u = s.position_at(0.0) - scene.bs_position
@@ -237,11 +239,13 @@ def test_observation_noise_statistics():
     rng = np.random.default_rng(12)
     sigma = 5e-9
     clean = observe(
-        scene, 1.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [1.0])[0], echoes(scene, [1.0])[0]
-    )
+        scene, [1.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [1.0]), echoes(scene, [1.0])
+    ).frames[0]
     diffs = []
     for _ in range(200):
-        noisy = observe(scene, 1.0, (sigma, 0.0), rng, ground_truth_paths(scene, [1.0])[0], echoes(scene, [1.0])[0])
+        noisy = observe(
+            scene, [1.0], (sigma, 0.0), rng, ground_truth_paths(scene, [1.0]), echoes(scene, [1.0])
+        ).frames[0]
         for a, b in zip(noisy.comm_paths.delay.tolist(), clean.comm_paths.delay.tolist()):
             diffs.append(a - b)
     arr = np.array(diffs)
@@ -253,8 +257,8 @@ def test_frame_lookup_helpers():
     # a frame's rows are keyed by id: one comm row per alive path, one echo row per alive FB scatterer
     scene = generate_scene(SceneConfig())
     frame = observe(
-        scene, 0.0, (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0]
-    )
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
+    ).frames[0]
     path_ids = frame.comm_paths.path_id.tolist()
     assert sorted(set(path_ids)) == path_ids == ground_truth_paths(scene, [0.0])[0].columns.path_id.tolist()
     assert frame.comm_paths[1:3].path_id.tolist() == path_ids[1:3]
@@ -361,9 +365,9 @@ def test_time_range_enforced():
         echoes(scene, [-0.1])
     with pytest.raises(SceneRangeError):
         observe(
-            scene, -0.1, (0.0, 0.0), np.random.default_rng(0),
-            ground_truth_paths(scene, [0.0])[0], echoes(scene, [0.0])[0],
-        )
+            scene, [-0.1], (0.0, 0.0), np.random.default_rng(0),
+            ground_truth_paths(scene, [0.0]), echoes(scene, [0.0]),
+        ).frames[0]
 
 
 def test_virtual_delays():
