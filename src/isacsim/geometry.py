@@ -128,16 +128,6 @@ class AngleSet:
         object.__setattr__(self, "elevation", min(max(self.elevation, -HALF_PI), HALF_PI))
 
 
-def unit_vector_from_angles(a: AngleSet) -> Vec3:
-    """Unit direction vector for an azimuth/elevation pair."""
-    cos_el = math.cos(a.elevation)
-    return Vec3(
-        cos_el * math.cos(a.azimuth),
-        cos_el * math.sin(a.azimuth),
-        math.sin(a.elevation),
-    )
-
-
 def angles_from_displacement(d: Vec3) -> AngleSet:
     """Quadrant-resolved azimuth and horizontal-reference elevation of ``d``.
 
@@ -179,6 +169,15 @@ def direction_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     az[vertical] = 0.0
     el[vertical] = np.copysign(HALF_PI, z[vertical])
     return np.column_stack([az, el]), vertical
+
+
+def unit_vectors(angles: np.ndarray) -> np.ndarray:
+    """The (n, 3) unit directions (cos el cos az, cos el sin az, sin el) of the (n, 2) azimuth and
+    elevation rows ``angles``, the inverse of ``direction_columns``. cos and sin are math's, element
+    by element: numpy's SIMD versions round some results differently."""
+    flat = angles.ravel().tolist()
+    cos, sin = (np.array(list(map(f, flat)), dtype=float).reshape(-1, 2) for f in (math.cos, math.sin))
+    return np.column_stack([cos[:, 1] * cos[:, 0], cos[:, 1] * sin[:, 0], sin[:, 1]])
 
 
 def path_term_columns(bs: np.ndarray, user: np.ndarray, fb: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, ...]:

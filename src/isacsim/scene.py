@@ -565,6 +565,8 @@ def observe(
     not depend on how it is split into calls. Of several faults, the
     first in frame order raises.
     """
+    if len(times) == 0:
+        raise ConfigError("a run needs at least one frame time to observe")
     scale = np.repeat(np.array(noise, dtype=float), [1, 4])  # sigma_delay, then sigma_angle four times
     if (scale < 0.0).any():
         raise ConfigError("noise standard deviations must be nonnegative")

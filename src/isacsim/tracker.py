@@ -32,16 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import (
-    HALF_PI,
-    TWO_PI,
-    AngleSet,
-    Vec3,
-    check_finite,
-    norms,
-    unit_vector_from_angles,
-    wrap_angles,
-)
+from .geometry import HALF_PI, TWO_PI, Vec3, check_finite, dots, norms, unit_vectors, wrap_angles
 from .scene import LOS_PATH_ID, ObservationFrame, SceneTruth, ground_truth_paths
 
 KIND_USER = "user"
@@ -368,41 +359,37 @@ def estimate(clouds: Clouds) -> np.ndarray:
 
 
 def solve_lb_range(
-    anchor: Vec3,
-    user_pos: Vec3,
-    aoa: AngleSet,
-    total_range: float,
+    anchor: np.ndarray,
+    user: np.ndarray,
+    u: np.ndarray,
+    total_range: np.ndarray,
     slack: float = 0.0,
-) -> float | None:
-    """Range r to the last bounce along the arrival direction.
+) -> np.ndarray:
+    """Range r to the last bounce along each of the (n, 3) arrival directions ``u``.
 
-    Solves |anchor - (user + r u)| = total_range - r for the point on the
-    arrival ray whose distance to ``anchor`` exhausts the remaining range
-    budget. Returns None when no nonnegative solution exists; ``slack``
-    (meters) tolerates measurement noise around the feasibility boundary
-    total_range >= |anchor - user|.
+    Row i solves |anchor - (user + r u_i)| = total_range_i - r for the
+    point on the arrival ray whose distance to ``anchor`` exhausts the
+    remaining range budget; NaN where no nonnegative solution exists.
+    ``slack`` (meters) tolerates measurement noise around the feasibility
+    boundary total_range >= |anchor - user|.
     """
-    if total_range < -slack:
-        return None
-    a = max(total_range, 0.0)
-    u = unit_vector_from_angles(aoa)
-    w = anchor - user_pos
-    wn = w.norm()
-    if a < wn:
-        # infeasible as measured; within slack treat as a grazing ray
-        return a if wn - a <= slack else None
-    scale = max(a, wn, 1.0)
-    denom = a - w.dot(u)
-    if denom <= _EPS * scale:
-        # collinear limit: the ray passes through the anchor
-        return wn
-    r = (a * a - wn * wn) / (2.0 * denom)
-    return min(max(r, 0.0), a)
+    a = np.maximum(total_range, 0.0)
+    w = anchor - user
+    wn = norms(w)
+    scale = np.maximum(np.maximum(a, wn), 1.0)
+    denom = a - dots(w, u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.minimum(np.maximum((a * a - wn * wn) / (2.0 * denom), 0.0), a)
+    # collinear limit, and every row whose division above failed: the ray passes through the anchor
+    r = np.where(denom <= _EPS * scale, wn, r)
+    # infeasible as measured; within slack treat as a grazing ray
+    r = np.where(a < wn, np.where(wn - a <= slack, a, np.nan), r)
+    return np.where(total_range < -slack, np.nan, r)
 
 
 @dataclass(eq=False)
 class TrackerState:
-    """Filter state after k steps plus the per-step history.
+    """Filter state after k steps plus the per-step history; ``bs`` is the (3,) BS position.
 
     The tracker's clouds are numbered in the order they were built: cloud
     i tracks ``keys[i]`` (user first, then FB clouds, then LB clouds, each
@@ -429,7 +416,7 @@ class TrackerState:
     """
 
     config: TrackerConfig
-    bs_pos: Vec3
+    bs: np.ndarray
     keys: tuple[tuple[str, int], ...]
     entity_ids: tuple[int, ...]
     clouds: Clouds
@@ -442,7 +429,6 @@ class TrackerState:
     ess: list[np.ndarray] = field(default_factory=list)
     row: dict[tuple[str, int], int] = field(init=False, repr=False)
     retired_at: np.ndarray = field(init=False, repr=False)
-    bs: np.ndarray = field(init=False, repr=False)
     live: np.ndarray = field(init=False, repr=False)
     path_ids: np.ndarray = field(init=False, repr=False)
     entities: np.ndarray = field(init=False, repr=False)
@@ -457,7 +443,6 @@ class TrackerState:
         n = len(self.keys)
         self.row = {key: i for i, key in enumerate(self.keys)}
         self.retired_at = np.full(n, -1)
-        self.bs = np.array(self.bs_pos.as_tuple())
         self._batch(np.arange(n), self.clouds, np.zeros(n, dtype=int))
         self.pending = np.empty((6, *self.clouds.weights.shape))
 
@@ -518,15 +503,17 @@ class TrackerState:
         return out
 
 
-def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
-    """Clouds around ``entities``: (key, entity id, position, velocity) of
-    the user, then of each path's FB, then of each path's LB, with step 1's
-    noise drawn.
+def _start(cfg, bs, t0, ids, start, root, stds, failed) -> TrackerState:
+    """Clouds around ``start``, the (E, 6) positions and velocities of the
+    user, then of each path's FB, then of each path's LB, with step 1's
+    noise drawn; ``ids`` holds each path's id and FB and LB scatterer ids.
 
     The user cloud draws from the root seed's first spawned stream, and
     path i's FB and LB clouds from streams 1 + 2i and 2 + 2i.
     """
-    e, c = len(entities), cfg.n_particles
+    path_ids, fb_ids, lb_ids = ids.T.tolist()
+    keys = (USER_KEY, *((KIND_FB, p) for p in path_ids), *((KIND_LB, p) for p in path_ids))
+    e, c = len(keys), cfg.n_particles
     _check_size(e, c)
     root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
     streams = [np.random.default_rng(s) for s in root.spawn(e)]
@@ -534,10 +521,9 @@ def _start(cfg, bs_pos, t0, entities, root, stds, failed) -> TrackerState:
     buffer = np.empty((6, e, c))
     _fill(rngs, buffer).wait()
     states = _scale(buffer, stds)
-    states += np.array([pos.as_tuple() + vel.as_tuple() for _, _, pos, vel in entities])[:, None, :]
+    states += start[:, None, :]
     clouds = Clouds(states, np.full((e, c), 1.0 / c), rngs, np.zeros(e, dtype=bool))
-    keys = tuple(key for key, _, _, _ in entities)
-    tracker = TrackerState(cfg, bs_pos, keys, tuple(i for _, i, _, _ in entities), clouds, failed)
+    tracker = TrackerState(cfg, bs, keys, (LOS_PATH_ID, *fb_ids, *lb_ids), clouds, failed)
     _fill(rngs, tracker.pending).wait()
     tracker.record(t0, estimate(clouds), np.zeros(e, dtype=bool), np.full(e, np.nan))
     return tracker
@@ -580,49 +566,44 @@ def initialize(
     seed: int | np.random.SeedSequence,
 ) -> TrackerState:
     """Build clouds from the first observation frame and the user's
-    position and velocity at its time.
+    position and velocity at its time, in one column pass over its paths.
 
-    First-bounce points come from the sensing echo matched to the comm
-    path by departure-angle and delay gates; the last bounce sits on the
-    arrival ray at the range left once the sensed first leg is paid for.
-    A path with no in-gate echo falls back to a single-bounce hypothesis
-    (one scatterer solved from the comm path alone, FB = LB). Paths whose
-    range budget is infeasible beyond the noise slack are dropped and
-    reported in ``failed_paths``.
+    First-bounce points lie half the round trip of the sensing echo matched
+    to the comm path (by departure-angle and delay gates) along its direction
+    from the BS; the last bounce sits on the arrival ray at the range left
+    once the sensed first leg is paid for. A path with no in-gate echo falls
+    back to a single-bounce hypothesis (``solve_lb_range``, FB = LB). Paths
+    whose range budget is infeasible beyond the noise slack are dropped and
+    reported in ``failed_paths``, in path-id order.
     """
     cfg.validate()
     slack = cfg.gate_sigma * SPEED_OF_LIGHT * cfg.meas_delay_std
     paths, echoes = frame0.comm_paths, frame0.sensing_detections
+    paths = paths[np.argsort(paths.path_id, kind="stable")]
     echo = _lookup(echoes.scatterer_id, paths.fb_id)
     gated = echo >= 0
     gated[gated] = _in_gate(paths.table[gated, 2:4], paths.delay[gated], echoes.table[echo[gated], :3], cfg)
 
-    fbs, lbs, failed = [], [], []
-    still = Vec3(0.0, 0.0, 0.0)
-    for i in np.argsort(paths.path_id, kind="stable").tolist():
-        path_id, fb_id, lb_id = paths.ids[i, :3].tolist()
-        delay, aoa = float(paths.delay[i]), AngleSet(*paths.table[i, 4:6].tolist())
-        if gated[i]:
-            round_trip, *angle = echoes.table[echo[i], :3].tolist()
-            d_fb = SPEED_OF_LIGHT * round_trip / 2.0
-            fb_point = bs_pos + unit_vector_from_angles(AngleSet(*angle)) * d_fb
-            remaining = SPEED_OF_LIGHT * delay - d_fb
-            if remaining < -slack:
-                failed.append(path_id)
-                continue
-            lb_point = user_pos + unit_vector_from_angles(aoa) * max(remaining, 0.0)
-        else:
-            r = solve_lb_range(bs_pos, user_pos, aoa, SPEED_OF_LIGHT * delay, slack)
-            if r is None:
-                failed.append(path_id)
-                continue
-            fb_point = lb_point = user_pos + unit_vector_from_angles(aoa) * r
-        fbs.append(((KIND_FB, path_id), fb_id, fb_point, still))
-        lbs.append(((KIND_LB, path_id), lb_id, lb_point, still))
+    bs, user = np.array(bs_pos.as_tuple()), np.array(user_pos.as_tuple())
+    total = SPEED_OF_LIGHT * paths.delay
+    aoa = unit_vectors(paths.table[:, 4:6])
+    sensed = echoes.table[echo[gated], :3]
+    d_fb = SPEED_OF_LIGHT * sensed[:, 0] / 2.0
+    # the LB's range along its AoA ray, NaN where the budget is infeasible
+    r = solve_lb_range(bs, user, aoa, total, slack)
+    remaining = total[gated] - d_fb
+    r[gated] = np.where(remaining < -slack, np.nan, np.maximum(remaining, 0.0))
+    lb = user + aoa * r[:, None]
+    fb = lb.copy()
+    fb[gated] = bs + unit_vectors(sensed[:, 1:3]) * d_fb[:, None]
 
-    entities = [(USER_KEY, LOS_PATH_ID, user_pos, user_vel)] + fbs + lbs
+    ok = ~np.isnan(r)
+    start = np.zeros((1 + 2 * np.count_nonzero(ok), 6))
+    start[0] = user_pos.as_tuple() + user_vel.as_tuple()
+    start[1:, :3] = np.concatenate([fb[ok], lb[ok]])
+    failed = tuple(paths.path_id[~ok].tolist())
     stds = (cfg.init_pos_std, cfg.init_vel_std)
-    return _start(cfg, bs_pos, frame0.time, entities, seed, stds, tuple(failed))
+    return _start(cfg, bs, frame0.time, paths.ids[ok, :3], start, seed, stds, failed)
 
 
 def initialize_at_truth(
@@ -639,18 +620,10 @@ def initialize_at_truth(
     """
     cfg.validate()
     ids = ground_truth_paths(scene, [t0])[0].columns.ids
-    ids = ids[np.argsort(ids[:, 0], kind="stable")].tolist()
-
-    def truth(kind: str, path_id: int, sid: int):
-        s = scene.scatterer(sid)
-        return (kind, path_id), sid, s.position_at(t0), s.velocity
-
-    entities = (
-        [(USER_KEY, LOS_PATH_ID, scene.user_position(t0), scene.config.user_velocity)]
-        + [truth(KIND_FB, path_id, fb_id) for path_id, fb_id, _, _ in ids]
-        + [truth(KIND_LB, path_id, lb_id) for path_id, _, lb_id, _ in ids]
-    )
-    return _start(cfg, scene.bs_position, t0, entities, seed, (0.0, 0.0), ())
+    ids = ids[np.argsort(ids[:, 0], kind="stable"), :3]
+    tracks = scene.trajectories([LOS_PATH_ID, *ids[:, 1].tolist(), *ids[:, 2].tolist()])
+    start = np.hstack([tracks.positions(t0), tracks.velocity])
+    return _start(cfg, np.array(scene.bs_position.as_tuple()), t0, ids, start, seed, (0.0, 0.0), ())
 
 
 def step(tracker: TrackerState, frame: ObservationFrame) -> None:

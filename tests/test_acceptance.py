@@ -18,7 +18,7 @@ from isacsim.antenna import PlanarArray
 from isacsim.cli import main as cli_main
 from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_term_columns, wrap_angle
+from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_term_columns, unit_vectors, wrap_angle
 from isacsim.scene import (
     LOS_PATH_ID,
     SceneConfig,
@@ -138,21 +138,19 @@ def test_criterion_2_rician_split():
 def test_criterion_3_geometry_round_trip():
     rng = np.random.default_rng(123)
     pts = rng.uniform(-500.0, 500.0, size=(100_000, 3))
-    worst = 0.0
+    kept = []
     for x, y, z in pts:
         d = Vec3(float(x), float(y), float(z))
         a = angles_from_displacement(d)
-        if a.degenerate:
-            continue
-        b = angles_from_displacement(unit_vector_from(a) * d.norm())
+        if not a.degenerate:
+            kept.append((d, a))
+    # every direction's unit vector in one column call
+    units = unit_vectors(np.array([(a.azimuth, a.elevation) for _, a in kept]).reshape(-1, 2)).tolist()
+    worst = 0.0
+    for (d, a), u in zip(kept, units):
+        b = angles_from_displacement(Vec3(*u) * d.norm())
         worst = max(worst, abs(wrap_angle(b.azimuth - a.azimuth)), abs(b.elevation - a.elevation))
     assert worst <= 1e-9
-
-
-def unit_vector_from(a):
-    from isacsim.geometry import unit_vector_from_angles
-
-    return unit_vector_from_angles(a)
 
 
 @criterion(4, "oracle closure at zero noise", 5.0)

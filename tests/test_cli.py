@@ -519,10 +519,11 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
 
 
 # sha256 of the track outputs and of the tracked, observed and true spreads of
-# two short runs. trajectory.csv and rmse.csv were taken from the per-cloud
+# three short runs. trajectory.csv and rmse.csv were taken from the per-cloud
 # tracker before it was batched, spreads_oracle.csv from the per-path truth
 # objects, the rest from the per-row scoring and the per-snapshot ensemble
-# objects before they became arrays; every byte must stay
+# objects before they became arrays; seed 6's from the per-path cloud
+# construction before it became a column pass; every byte must stay
 TRACK_CFGS = {
     "default": "[run]\nduration = 1.0\n",
     "birth-death-virtual-delay": (
@@ -530,6 +531,7 @@ TRACK_CFGS = {
         "[scene]\nbirth_death_rate = 0.05\nvirtual_delay_max = 5e-8\n\n"
         "[tracker]\nn_particles = 250\n"
     ),
+    "single-bounce-fallback": "[run]\nseed = 6\nduration = 0.5\n",
 }
 TRACK_SHA256 = {
     "default": {
@@ -557,6 +559,15 @@ TRACK_SHA256 = {
         "run/sensing_taps.csv": "526ababc1f49997bc71401d1818da1dabe78faa69cf8a9231f8d288f186d94ca",
         # one kernel pass spans every frame, across the deaths and births at k = 12
         "run/comm_taps.csv": "f89ed557c684695d21ddfa9192112eb84f10dcada3ec1302a5772a76bdab43da",
+    },
+    "single-bounce-fallback": {
+        # frame 0 gates out one path's echo, so its clouds start from solve_lb_range (r = 119.757 m)
+        "trk/trajectory.csv": "4575caee2a5555094524131263188eca0ec63690aa5603e8bc05d5b21b9dc671",
+        "trk/rmse.csv": "d14d8458521169eb2eda86aa96687600bf99ac7fcb673c8ec0b2680385c7551e",
+        "trk/summary.csv": "a34bd679c294f7f3b54689a931bb03536a48a58366c3a8dac57e945c49def4f4",
+        "sts/spreads_tracked.csv": "76944d9cbde7daa38003af630449c48340d91d7f28e1868af59599ba4ee87ee7",
+        "sts/spreads_observations.csv": "ada99dfc6222250b5bf08d42672834aae484ad4e1e09d07a6acbda8c687dc98b",
+        "sts/spreads_oracle.csv": "613b9d4ca9e2d6cb42757ee0c288d56e07612239c60e7a06e021cdf67baf80ec",
     },
 }
 

@@ -12,7 +12,7 @@ from isacsim.geometry import (
     angles_from_displacement,
     normalize_angle_columns,
     path_term_columns,
-    unit_vector_from_angles,
+    unit_vectors,
     wrap_angle,
     wrap_angles,
 )
@@ -109,7 +109,7 @@ def test_zero_displacement_raises():
 
 def test_round_trip_angles_to_vector():
     a = AngleSet(0.7, -0.3)
-    u = unit_vector_from_angles(a)
+    u = unit_vector(a)
     assert u.norm() == pytest.approx(1.0, abs=1e-15)
     b = angles_from_displacement(u * 42.0)
     assert b.azimuth == pytest.approx(a.azimuth, abs=1e-12)
@@ -127,8 +127,22 @@ def test_round_trip_many_random():
         a = angles_from_displacement(v)
         if a.degenerate:
             continue
-        u = unit_vector_from_angles(a)
+        u = unit_vector(a)
         assert (u * v.norm()).distance_to(v) < 1e-9 * max(1.0, v.norm())
+
+
+def unit_vector(a: AngleSet) -> Vec3:
+    """The unit direction of one angle pair, a one-row ``unit_vectors``."""
+    return Vec3(*unit_vectors(np.array([[a.azimuth, a.elevation]]))[0].tolist())
+
+
+def test_unit_vectors_equal_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(9)
+    angles = np.column_stack([rng.uniform(-math.pi, math.pi, 2000), rng.uniform(-math.pi / 2, math.pi / 2, 2000)])
+    angles[:4] = [[math.pi, 0.0], [0.0, math.pi / 2], [-1.0, -math.pi / 2], [0.0, 0.0]]
+    want = [(math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)) for az, el in angles.tolist()]
+    assert unit_vectors(angles).tobytes() == np.array(want).tobytes()
+    assert unit_vectors(np.empty((0, 2))).shape == (0, 3)
 
 
 def _one_path(bs, user, fb, lb):

@@ -12,15 +12,34 @@ from isacsim.geometry import (
     AngleSet,
     Vec3,
     angles_from_displacement,
-    unit_vector_from_angles,
+    norms,
+    unit_vectors,
     wrap_angle,
 )
-from isacsim.scene import LOS_PATH_ID, ConfigError, SceneConfig, echoes, generate_scene, ground_truth_paths, observe
+from isacsim.scene import (
+    LOS_PATH_ID,
+    ConfigError,
+    EchoColumns,
+    ObservationFrame,
+    PathColumns,
+    SceneConfig,
+    echoes,
+    generate_scene,
+    ground_truth_paths,
+    observe,
+)
 from isacsim.stats import all_spreads, empirical_cdf, ks_distance
 from isacsim.tracker import (
+    KIND_FB,
+    KIND_LB,
+    USER_KEY,
     Clouds,
     Slices,
+    TrackerConfig,
+    _in_gate,
+    _lookup,
     estimate,
+    initialize,
     offsets,
     resample,
     solve_lb_range,
@@ -53,7 +72,8 @@ def test_wrap_angle_preserves_rotation(theta, delta):
     st.floats(min_value=-math.pi / 2 + 1e-6, max_value=math.pi / 2 - 1e-6, allow_nan=False),
 )
 def test_angle_vector_round_trip(az, el):
-    u = unit_vector_from_angles(AngleSet(az, el))
+    a = AngleSet(az, el)
+    u = Vec3(*unit_vectors(np.array([[a.azimuth, a.elevation]]))[0].tolist())
     assert math.isclose(u.norm(), 1.0, abs_tol=1e-12)
     back = angles_from_displacement(u)
     assert math.isclose(back.elevation, el, abs_tol=1e-9)
@@ -205,19 +225,168 @@ def test_multi_cloud_resample_invariants(e, n, seed, sharpness):
 )
 @settings(max_examples=200)
 def test_solve_lb_range_solution_satisfies_equation(anchor_t, user_t, az, el, budget):
-    anchor = Vec3(*(x / 1e2 for x in anchor_t))
-    user = Vec3(*(x / 1e2 for x in user_t))
-    aoa = AngleSet(az, el)
-    r = solve_lb_range(anchor, user, aoa, budget)
-    if r is None:
+    anchor = np.array([x / 1e2 for x in anchor_t])
+    user = np.array([x / 1e2 for x in user_t])
+    u = unit_vectors(np.array([[az, el]]))  # one row of the column solve
+    r = float(solve_lb_range(anchor, user, u, np.array([budget]))[0])
+    if math.isnan(r):
         # only allowed when the budget cannot reach the anchor
-        assert budget < anchor.distance_to(user)
+        assert budget < float(norms(anchor - user))
         return
     assert 0.0 <= r <= budget + 1e-6
-    lb = user + unit_vector_from_angles(aoa) * r
-    lhs = anchor.distance_to(lb)
+    lb = user + u[0] * r
+    lhs = float(norms(anchor - lb))
     rhs = budget - r
     assert math.isclose(lhs, rhs, rel_tol=1e-6, abs_tol=1e-5)
+
+
+def scalar_lb_range(anchor, user_pos, aoa, total_range, slack):
+    """The scalar last-bounce range solve, None where it is infeasible."""
+    if total_range < -slack:
+        return None
+    a = max(total_range, 0.0)
+    u = scalar_unit_vector(aoa)
+    w = anchor - user_pos
+    wn = w.norm()
+    if a < wn:
+        return a if wn - a <= slack else None
+    scale = max(a, wn, 1.0)
+    denom = a - w.dot(u)
+    if denom <= 1e-9 * scale:
+        return wn
+    r = (a * a - wn * wn) / (2.0 * denom)
+    return min(max(r, 0.0), a)
+
+
+def scalar_unit_vector(a):
+    cos_el = math.cos(a.elevation)
+    return Vec3(cos_el * math.cos(a.azimuth), cos_el * math.sin(a.azimuth), math.sin(a.elevation))
+
+
+def initialize_per_path(frame0, bs_pos, user_pos, user_vel, cfg):
+    """The clouds' start by the per-path construction, one path at a time on ``Vec3`` and ``AngleSet``:
+    the keys, the entity ids, the (E, 6) start rows and the failed path ids."""
+    slack = cfg.gate_sigma * SPEED_OF_LIGHT * cfg.meas_delay_std
+    paths, echoes = frame0.comm_paths, frame0.sensing_detections
+    echo = _lookup(echoes.scatterer_id, paths.fb_id)
+    gated = echo >= 0
+    gated[gated] = _in_gate(paths.table[gated, 2:4], paths.delay[gated], echoes.table[echo[gated], :3], cfg)
+    fbs, lbs, failed = [], [], []
+    still = Vec3(0.0, 0.0, 0.0)
+    for i in np.argsort(paths.path_id, kind="stable").tolist():
+        path_id, fb_id, lb_id = paths.ids[i, :3].tolist()
+        delay, aoa = float(paths.delay[i]), AngleSet(*paths.table[i, 4:6].tolist())
+        if gated[i]:
+            round_trip, *angle = echoes.table[echo[i], :3].tolist()
+            d_fb = SPEED_OF_LIGHT * round_trip / 2.0
+            fb_point = bs_pos + scalar_unit_vector(AngleSet(*angle)) * d_fb
+            remaining = SPEED_OF_LIGHT * delay - d_fb
+            if remaining < -slack:
+                failed.append(path_id)
+                continue
+            lb_point = user_pos + scalar_unit_vector(aoa) * max(remaining, 0.0)
+        else:
+            r = scalar_lb_range(bs_pos, user_pos, aoa, SPEED_OF_LIGHT * delay, slack)
+            if r is None:
+                failed.append(path_id)
+                continue
+            fb_point = lb_point = user_pos + scalar_unit_vector(aoa) * r
+        fbs.append(((KIND_FB, path_id), fb_id, fb_point, still))
+        lbs.append(((KIND_LB, path_id), lb_id, lb_point, still))
+    entities = [(USER_KEY, LOS_PATH_ID, user_pos, user_vel)] + fbs + lbs
+    rows = [pos.as_tuple() + vel.as_tuple() for _, _, pos, vel in entities]
+    return tuple(key for key, *_ in entities), tuple(i for _, i, _, _ in entities), rows, tuple(failed)
+
+
+INIT_CFG = TrackerConfig(n_particles=2, init_pos_std=0.0, init_vel_std=0.0)
+INIT_SLACK = INIT_CFG.gate_sigma * SPEED_OF_LIGHT * INIT_CFG.meas_delay_std  # meters
+INIT_GATE = math.sqrt(2.0) * INIT_CFG.gate_sigma * INIT_CFG.meas_angle_std  # radians
+
+
+def frame_of(paths, echo_rows, time=0.0):
+    """A frame of (path id, FB id, LB id, delay, AoD, AoA) paths and (scatterer id, round trip, azimuth,
+    elevation) echoes."""
+    ids = np.array([(p, fb, lb, 0) for p, fb, lb, *_ in paths], dtype=int).reshape(-1, 4)
+    table = np.array([(0.5, delay, *aod, *aoa) for *_, delay, aod, aoa in paths], dtype=float).reshape(-1, 6)
+    echo_ids = np.array([sid for sid, *_ in echo_rows], dtype=int)
+    echo_table = np.array([(*row, 0.0, 1e-12) for _, *row in echo_rows], dtype=float).reshape(-1, 5)
+    los = PathColumns(np.empty((0, 4), dtype=int), np.empty((0, 6)), np.empty((0, 2), dtype=bool))
+    return ObservationFrame(time, PathColumns(ids, table, np.zeros((len(ids), 2), dtype=bool)),
+                            EchoColumns(echo_ids, echo_table, np.zeros(len(echo_ids), dtype=bool)), los)
+
+
+def normalized(az, el):
+    """An angle pair as the observations carry it: azimuth wrapped, elevation clamped."""
+    return wrap_angle(az), min(max(el, -math.pi / 2), math.pi / 2)
+
+
+coordinate = st.floats(min_value=-300.0, max_value=300.0)
+direction = st.tuples(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),
+                      st.floats(min_value=-math.pi / 2, max_value=math.pi / 2))
+
+
+@st.composite
+def first_frames(draw):
+    """A BS, a user and its velocity, and a frame of 0-6 paths. Each path's echo is near its AoD (in
+    or just out of the angle gate), twisted out of it, or missing, so its clouds take the fallback;
+    two paths may share an FB scatterer and so an echo. Each budget is feasible, infeasible, or at
+    the slack boundary: an echo's range gate and the infeasible range test compare the same margin
+    in seconds and in meters, so a delay a few ulps from it can pass the one and fail the other."""
+    bs, user, vel = (Vec3(*draw(st.tuples(coordinate, coordinate, coordinate))) for _ in range(3))
+    path_ids = draw(st.lists(st.integers(min_value=0, max_value=20), max_size=6, unique=True))
+    paths, echo_rows = [], []
+    for path_id in path_ids:
+        fb_id, lb_id = draw(st.integers(min_value=0, max_value=3)), draw(st.integers(min_value=0, max_value=9))
+        aod, aoa = draw(direction), draw(direction)
+        d_fb = draw(st.floats(min_value=1.0, max_value=500.0))
+        round_trip = 2.0 * d_fb / SPEED_OF_LIGHT
+        echo = draw(st.sampled_from(["near", "twisted", "missing"]))
+        if echo != "missing":
+            offset = draw(st.tuples(*[st.floats(min_value=-1.2 * INIT_GATE, max_value=1.2 * INIT_GATE)] * 2))
+            offset = (offset[0] + 0.5, offset[1]) if echo == "twisted" else offset
+            echo_rows.append((fb_id, round_trip, *normalized(aod[0] + offset[0], aod[1] + offset[1])))
+        budget = draw(st.sampled_from(["margin", "boundary"]))
+        if budget == "boundary":
+            # the range gate's own margin, then a few ulps either way
+            delay = round_trip / 2.0 - INIT_CFG.gate_sigma * INIT_CFG.meas_delay_std
+            for _ in range(draw(st.integers(min_value=0, max_value=4))):
+                delay = np.nextafter(delay, draw(st.sampled_from([-1.0, 1.0])))
+        else:
+            # the margin over the sensed first leg, or over the direct path for the fallback
+            reach = d_fb if echo == "near" else bs.distance_to(user)
+            excess = draw(st.one_of(st.floats(min_value=-3.0 * INIT_SLACK, max_value=3.0 * INIT_SLACK),
+                                    st.sampled_from([-INIT_SLACK, 0.0, INIT_SLACK]),
+                                    st.floats(min_value=-600.0, max_value=600.0)))
+            delay = (reach + excess) / SPEED_OF_LIGHT
+        paths.append((path_id, fb_id, lb_id, float(delay), aod, aoa))
+    return frame_of(paths, echo_rows, draw(st.floats(min_value=0.0, max_value=20.0))), bs, user, vel
+
+
+BS, USER = Vec3(0.0, 0.0, 10.0), Vec3(0.0, 120.0, 1.2)
+
+
+@given(first_frames(), st.integers(min_value=0, max_value=2**31))
+# the empty frame, and a frame whose every path fails: its budget falls short of the direct path
+@example((frame_of([], []), BS, USER, Vec3(1.0, 0.0, 0.0)), 3)
+@example((frame_of([(k, 0, 1, 50.0 / SPEED_OF_LIGHT, (0.1 * k, 0.0), (0.5, 0.1)) for k in range(3)], []),
+          BS, USER, Vec3(1.0, 0.0, 0.0)), 3)
+# both slack boundaries hit exactly: path 0's echo is in the gate and its delay leaves -slack after
+# the 10 m first leg; path 1 has no echo and its 2 m budget is slack short of the direct path
+@example((frame_of([(0, 0, 2, 1.8356409519815206e-08, (0.3, 0.1), (2.0, -0.2)),
+                    (1, 1, 1, 6.671281903963041e-09, (-1.0, 0.0), (0.5, 0.0))],
+                   [(0, 6.671281903963041e-08, 0.3, 0.1)]),
+          Vec3(0.0, 0.0, 0.0), Vec3(6.49688687, 0.0, 0.0), Vec3(0.0, 0.0, 0.0)), 3)
+@settings(max_examples=300, deadline=None)
+def test_initialize_equals_the_per_path_construction_bit_for_bit(case, seed):
+    frame, bs, user, vel = case
+    keys, entity_ids, rows, failed = initialize_per_path(frame, bs, user, vel, INIT_CFG)
+    state = initialize(frame, bs, user, vel, INIT_CFG, seed)
+    assert state.keys == keys
+    assert state.entity_ids == entity_ids
+    assert state.failed_paths == failed
+    # with zero initial spread each particle is its start row plus a zero draw, which turns -0.0 into 0.0
+    want = np.broadcast_to(0.0 + np.array(rows).reshape(-1, 1, 6), state.clouds.states.shape)
+    assert np.ascontiguousarray(state.clouds.states).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def observe_frame(scene, t, noise, rng, paths, detections):

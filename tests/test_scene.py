@@ -370,6 +370,15 @@ def test_time_range_enforced():
         ).frames[0]
 
 
+def test_observe_rejects_a_run_of_no_times():
+    scene = generate_scene(small_config(duration=10.0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="^a run needs at least one frame time to observe$"):
+        observe(scene, [], (1e-9, 0.01), rng, ground_truth_paths(scene, []), echoes(scene, []))
+    assert rng.bit_generator.state == state  # rejected before anything is drawn
+
+
 def test_virtual_delays():
     scene = generate_scene(small_config(virtual_delay_max=50e-9))
     doubles = [p for p in scene.paths if p.fb_id != p.lb_id]

@@ -14,7 +14,7 @@ import pytest
 import isacsim.tracker as tracker_module
 from isacsim import normals
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, AngleSet, Vec3, angles_from_displacement, wrap_angle
+from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, norms, unit_vectors, wrap_angle
 from isacsim.scene import (
     LOS_PATH_ID,
     EchoColumns,
@@ -95,12 +95,22 @@ def est_pos(state, key, k=-1):
 # --- last-bounce range solve -------------------------------------------------
 
 
+def along(az, el):
+    """The (1, 3) unit direction of one azimuth and elevation, a one-row ``unit_vectors``."""
+    return unit_vectors(np.array([[az, el]]))
+
+
+def point(v: Vec3) -> np.ndarray:
+    return np.array(v.as_tuple())
+
+
 def test_solve_lb_range_worked_example():
     # BS at origin, user at (10,0,0), first bounce at (0,5,0); a total
     # remaining budget of 15 m along the +y arrival ray puts the last
     # bounce 5 m from the user, at (10,5,0).
-    r = solve_lb_range(Vec3(0.0, 5.0, 0.0), Vec3(10.0, 0.0, 0.0), AngleSet(math.pi / 2, 0.0), 15.0)
-    assert r == pytest.approx(5.0, abs=1e-12)
+    bs, user = np.array([0.0, 5.0, 0.0]), np.array([10.0, 0.0, 0.0])
+    r = solve_lb_range(bs, user, along(math.pi / 2, 0.0), np.array([15.0]))
+    assert r[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_solve_lb_range_single_bounce_closure():
@@ -111,46 +121,40 @@ def test_solve_lb_range_single_bounce_closure():
     s = Vec3(-30.0, 80.0, 12.0)
     total = bs.distance_to(s) + user.distance_to(s)
     aoa = angles_from_displacement(s - user)
-    r = solve_lb_range(bs, user, aoa, total)
-    assert r == pytest.approx(user.distance_to(s), rel=1e-12)
+    r = solve_lb_range(point(bs), point(user), along(aoa.azimuth, aoa.elevation), np.array([total]))
+    assert r[0] == pytest.approx(user.distance_to(s), rel=1e-12)
 
 
 def test_solve_lb_range_collinear():
     # anchor sits on the arrival ray: the quadratic degenerates and the
     # last bounce lands on the anchor itself.
-    user = ORIGIN
-    anchor = Vec3(10.0, 0.0, 0.0)
-    r = solve_lb_range(anchor, user, AngleSet(0.0, 0.0), 10.0)
-    assert r == pytest.approx(10.0, rel=1e-12)
+    user = point(ORIGIN)
+    anchor = np.array([10.0, 0.0, 0.0])
+    r = solve_lb_range(anchor, user, along(0.0, 0.0), np.array([10.0]))
+    assert r[0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_solve_lb_range_infeasible():
-    anchor = Vec3(100.0, 0.0, 0.0)
-    assert solve_lb_range(anchor, ORIGIN, AngleSet(0.0, 0.0), 50.0) is None
-    assert solve_lb_range(anchor, ORIGIN, AngleSet(0.0, 0.0), -1.0, slack=0.5) is None
+    anchor, user, east = np.array([100.0, 0.0, 0.0]), point(ORIGIN), along(0.0, 0.0)
+    assert np.isnan(solve_lb_range(anchor, user, east, np.array([50.0]))[0])
+    assert np.isnan(solve_lb_range(anchor, user, east, np.array([-1.0]), slack=0.5)[0])
     # within slack of the boundary: grazing solution
-    assert solve_lb_range(anchor, ORIGIN, AngleSet(0.0, 0.0), 99.9, slack=0.2) == pytest.approx(99.9)
+    assert solve_lb_range(anchor, user, east, np.array([99.9]), slack=0.2)[0] == pytest.approx(99.9)
 
 
 def test_solve_lb_range_bounds():
+    # 300 rows in one call, each with its own anchor and user
     rng = np.random.default_rng(4)
-    for _ in range(300):
-        anchor = Vec3(*rng.uniform(-50, 50, 3))
-        user = Vec3(*rng.uniform(-50, 50, 3))
-        aoa = AngleSet(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
-        budget = float(rng.uniform(0.0, 200.0))
-        r = solve_lb_range(anchor, user, aoa, budget)
-        if r is not None:
-            assert -1e-9 <= r <= budget + 1e-9
-            # the solution satisfies the range equation
-            lb = user + unit(aoa) * r
-            assert anchor.distance_to(lb) == pytest.approx(budget - r, abs=1e-6)
-
-
-def unit(a: AngleSet) -> Vec3:
-    from isacsim.geometry import unit_vector_from_angles
-
-    return unit_vector_from_angles(a)
+    rows = [(rng.uniform(-50, 50, 3), rng.uniform(-50, 50, 3), rng.uniform(-math.pi, math.pi),
+             rng.uniform(-1.5, 1.5), float(rng.uniform(0.0, 200.0))) for _ in range(300)]
+    anchor, user, az, el, budget = (np.array(column) for column in zip(*rows))
+    u = unit_vectors(np.column_stack([az, el]))
+    r = solve_lb_range(anchor, user, u, budget)
+    ok = ~np.isnan(r)
+    assert np.all((-1e-9 <= r[ok]) & (r[ok] <= budget[ok] + 1e-9))
+    # the solution satisfies the range equation
+    lb = user + u * r[:, None]
+    assert norms(anchor - lb)[ok] == pytest.approx(budget[ok] - r[ok], abs=1e-6)
 
 
 # --- predict / weight / resample / estimate ----------------------------------
@@ -580,8 +584,8 @@ def test_initialize_fb_free_fallback():
     lb_est = est_pos(state, (KIND_LB, 0), 0)
     assert fb_est.distance_to(lb_est) < 1e-9  # single-bounce hypothesis
     # the hypothesized scatterer lies on the arrival ray
-    along = (lb_est - user).norm()
-    ray_point = user + unit(AngleSet(aoa_az, aoa_el)) * along
+    distance = (lb_est - user).norm()
+    ray_point = user + Vec3(*along(aoa_az, aoa_el)[0].tolist()) * distance
     assert lb_est.distance_to(ray_point) < 1e-9
 
 
