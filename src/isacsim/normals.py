@@ -24,12 +24,13 @@ def _other_cpus() -> set[int]:
     of its /proc stat line, as Python 3.11 has no os.sched_getcpu); none where it
     may run on one CPU only or that one cannot be read."""
     try:
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            return set()
         with open("/proc/thread-self/stat", "rb") as fh:
-            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
+            return cpus - {int(fh.read().rsplit(b")", 1)[1].split()[36])}
+    except (AttributeError, OSError, IndexError, ValueError):  # no sched_getaffinity outside Linux
         return set()
-    cpus = os.sched_getaffinity(0)
-    return cpus - {cpu} if len(cpus) > 1 else set()
 
 
 class _Helper:
@@ -38,6 +39,7 @@ class _Helper:
     def __init__(self) -> None:
         self.todo, self.done = threading.Semaphore(0), threading.Semaphore(0)
         self.job: Fill | None = None
+        self.serves: set[int] = set()  # the caller's CPUs when the helper was last pinned
         self.error: Exception | None = None
         self.thread = threading.Thread(target=self._serve, name="isacsim-noise", daemon=True)
         self.thread.start()
@@ -53,9 +55,10 @@ class _Helper:
             self.job = None
             self.done.release()
 
-    def start(self, job: Fill, cpus: set[int]) -> None:
-        # left unpinned, the woken helper stays on its waker's CPU and the two threads run in turn
-        os.sched_setaffinity(self.thread.native_id, cpus)
+    def start(self, job: Fill, serves: set[int], cpus: set[int]) -> None:
+        if cpus:  # left unpinned, the woken helper stays on its waker's CPU and the two threads run in turn
+            os.sched_setaffinity(self.thread.native_id, cpus)
+            self.serves = serves
         self.job = job
         self.todo.release()
 
@@ -121,22 +124,24 @@ def fill(rngs: tuple[np.random.Generator, ...], buffer: np.ndarray) -> Fill:
     (6, E, C) array, with ``rngs[e].standard_normal((2, C, 3))`` laid out
     as (2, 3, C), bit for bit; the fill is complete once ``wait`` returns.
 
-    The helper, pinned to this thread's other CPUs, starts on the streams
-    at once. Where E x C < ``SHARE_FROM``, this thread may run on one CPU
-    only, its CPU cannot be read or another thread's fill holds the
-    helper, nothing is drawn before ``wait``, which then draws every
-    stream on the calling thread.
+    The helper starts on the streams at once. It is pinned to this thread's
+    other CPUs when it starts, and again only when the CPUs this thread may
+    run on change. Where E x C < ``SHARE_FROM``, this thread may run on one
+    CPU only, its CPU cannot be read or another thread's fill holds the
+    helper, ``wait`` draws every stream on the calling thread.
     """
     global _helper
     job = Fill(rngs, buffer)
-    cpus = _other_cpus() if buffer.size >= 6 * SHARE_FROM else set()
-    if cpus and _helper_lock.acquire(blocking=False):
+    if buffer.size >= 6 * SHARE_FROM and _helper_lock.acquire(blocking=False):
         try:
-            if _helper is None:
-                _helper = _Helper()
-            _helper.start(job, cpus)
-        except BaseException:
-            _helper_lock.release()
-            raise
-        job.helper = _helper
+            serves = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+            pinned = _helper is not None and _helper.serves == serves
+            cpus = set() if pinned else _other_cpus()
+            if pinned or cpus:
+                _helper = _helper or _Helper()
+                _helper.start(job, serves, cpus)
+                job.helper = _helper
+        finally:
+            if job.helper is None:
+                _helper_lock.release()
     return job

@@ -27,7 +27,7 @@ the batch, and ``TrackerState.spread`` lays it out over every cloud.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,8 +97,8 @@ class Clouds:
     cloud's weight update underflows.
 
     ``states`` is a view of a (6, E, C) buffer, ``states.transpose(2, 0,
-    1)``, so that the per-coordinate arithmetic runs over contiguous
-    memory; other layouts are copied into this one on construction.
+    1)``, so that the arithmetic on coordinate planes and blocks of three
+    runs over contiguous memory; other layouts are copied on construction.
     """
 
     states: np.ndarray
@@ -128,7 +128,7 @@ class Clouds:
         """The clouds at sorted ``rows``, as views if consecutive, sharing their rng streams."""
         i = _index(rows)
         states = self.states.transpose(2, 0, 1)[:, i].transpose(1, 2, 0)
-        return Clouds(states, self.weights[i], tuple(self.rngs[r] for r in rows), self.diverged[i])
+        return Clouds(states, self.weights[i], tuple(self.rngs[r] for r in rows.tolist()), self.diverged[i])
 
     def put(self, rows: np.ndarray, part: "Clouds") -> None:
         """Write the weights and divergence flags of ``part``, reweighted from ``take(rows)``, back in place."""
@@ -162,33 +162,35 @@ class Slices:
     def __post_init__(self) -> None:
         if {a.shape for a in (self.reference, self.values, self.sigmas)} != {(len(self.has_delay), 3)}:
             raise TrackerError("slices need (n, 3) references, values and sigmas and n delay flags")
-        if np.any(self.sigmas <= 0.0):
+        if (self.sigmas <= 0.0).any():
             raise TrackerError("measurement noise stds must be positive")
         # keeps every angle residual + pi inside the domain of _wrap_residual
-        if not (np.all(np.abs(self.values[:, 1]) <= np.pi) and np.all(np.abs(self.values[:, 2]) <= HALF_PI)):
+        if not (np.abs(self.values[:, 1:]) <= [np.pi, HALF_PI]).all():
             raise TrackerError("slice azimuths must lie in [-pi, pi] and elevations in [-pi/2, pi/2]")
 
 
-def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, ...]:
+def predicted_slice_values(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-particle delay_s, azimuth and elevation seen from each cloud's reference.
 
-    ``states`` is (E, C, 6) and ``reference`` (E, 3); each result is (E, C).
+    ``states`` is (E, C, 6) and ``reference`` (E, 3); the result is one (3, E, C) block.
     A particle at distance 0 from its reference gets azimuth and elevation 0.
     """
-    dx, dy, dz = (states[..., j] - reference[:, j, None] for j in range(3))
-    az = np.arctan2(dy, dx)
-    # np.linalg.norm's summation order, (dx^2 + dy^2) + dz^2, in the dx buffer
+    block = np.subtract(states.transpose(2, 0, 1)[:3], reference.T[:, :, None])
+    dx, dy, dz = block
+    dy2 = np.square(dy)
+    np.arctan2(dy, dx, out=dy)
+    # np.linalg.norm's summation order, (dx^2 + dy^2) + dz^2, in the dx plane
     d = np.square(dx, out=dx)
-    d += np.square(dy, out=dy)
-    d += np.square(dz, out=dy)
+    d += dy2
+    d += np.square(dz, out=dy2)
     np.sqrt(d, out=d)
-    on = d == 0.0
-    # max(d, smallest subnormal) is d itself wherever d > 0
-    el = np.divide(dz, np.maximum(d, _SUBNORMAL, out=dy), out=dz)
-    np.arcsin(np.clip(el, -1.0, 1.0, out=el), out=el)
-    az[on] = 0.0
-    el[on] = 0.0
-    return np.divide(d, SPEED_OF_LIGHT, out=d), az, el
+    zero = not d.all()  # if so, dz / max(d, smallest subnormal) keeps 0 / 0 out and is dz / d elsewhere
+    np.divide(dz, np.maximum(d, _SUBNORMAL) if zero else d, out=dz)
+    np.arcsin(dz.clip(-1.0, 1.0, out=dz), out=dz)
+    if zero:
+        block[1:, d == 0.0] = 0.0
+    np.divide(d, SPEED_OF_LIGHT, out=d)
+    return block
 
 
 def _fill(rngs: tuple[np.random.Generator, ...], out: np.ndarray):
@@ -219,20 +221,20 @@ def predict(clouds: Clouds, ts: float, process_noise: tuple[float, float], out: 
     Positions advance by velocity times ``ts`` plus noise; velocities by
     noise alone. Zero noise gives the exact linear advance. The N(0, 1)
     draws in ``out``, a (6, E, C) buffer, are scaled and advanced in place.
+    The input buffer, then pending (``TrackerState.swap``), keeps its
+    positions; its velocity planes hold the advance v * ts + noise.
     """
     if ts <= 0.0:
         raise TrackerError(f"sampling interval must be positive, got {ts}")
     if min(process_noise) < 0.0:
         raise TrackerError("process noise stds must be nonnegative")
-    x = clouds.states
+    x = clouds.states.transpose(2, 0, 1)
     states = _scale(out, process_noise)
-    advance = np.empty(clouds.weights.shape)  # x + (v * ts + noise), one coordinate at a time
-    for j in range(3):
-        np.multiply(x[..., 3 + j], ts, out=advance)
-        advance += states[..., j]
-        np.add(x[..., j], advance, out=states[..., j])
-        states[..., 3 + j] += x[..., 3 + j]
-    return replace(clouds, states=states)
+    out[3:] += x[3:]
+    advance = np.multiply(x[3:], ts, out=x[3:])
+    advance += out[:3]
+    np.add(x[:3], advance, out=out[:3])
+    return Clouds(states, clouds.weights, clouds.rngs, clouds.diverged)
 
 
 def _wrap_residual(x: np.ndarray) -> np.ndarray:
@@ -254,7 +256,7 @@ def _wrap_residual(x: np.ndarray) -> np.ndarray:
 def weight(clouds: Clouds, z: Slices) -> Clouds:
     """Gaussian-likelihood reweighting of cloud e against slice row e.
 
-    Residuals are componentwise, angles wrapped into [-pi, pi) as by
+    Residuals are one (3, E, C) block, angles wrapped into [-pi, pi) as by
     np.mod (where x + 2 pi rounds up to 2 pi that gives pi itself); each
     cloud's log weights are shifted by their maximum before
     exponentiation. A cloud whose weights all still underflow to zero
@@ -262,36 +264,31 @@ def weight(clouds: Clouds, z: Slices) -> Clouds:
     """
     if z.values.shape[0] != clouds.weights.shape[0]:
         raise TrackerError("one slice per cloud required")
-    residuals = predicted_slice_values(clouds.states, z.reference)
-    v, s = z.values[:, :, None], z.sigmas[:, :, None]
-    for j, r in enumerate(residuals):
-        np.subtract(v[:, j], r, out=r)
-    residuals[0][~z.has_delay] = 0.0
-    for r in residuals[1:]:
-        # measured and predicted angles keep r + pi in [-pi, 3 pi]
-        r += np.pi
-        _wrap_residual(r)
+    r = predicted_slice_values(clouds.states, z.reference)
+    np.subtract(z.values.T[:, :, None], r, out=r)
+    r[0, ~z.has_delay] = 0.0
+    # measured and predicted angles keep r + pi in [-pi, 3 pi]
+    r[1:] += np.pi
+    _wrap_residual(r[1:])
     # far-off particles saturate to -inf; a cloud that underflows entirely gives nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, r in enumerate(residuals):
-            np.square(np.divide(r, s[:, j], out=r), out=r)
-        log_w = residuals[0]
-        log_w += residuals[1]
-        log_w += residuals[2]
+        np.square(np.divide(r, z.sigmas.T[:, :, None], out=r), out=r)
+        log_w = np.add(r[0], r[1], out=r[0])
+        log_w += r[2]
         log_w *= -0.5
-        peak = np.max(log_w, axis=1, keepdims=True)
+        peak = log_w.max(axis=1, keepdims=True)
         log_w -= peak
         w = np.exp(log_w, out=log_w)
-        total = np.sum(w, axis=1, keepdims=True)
+        total = w.sum(axis=1, keepdims=True)
         w /= total
     ok = np.isfinite(peak[:, 0]) & (total[:, 0] > 0.0) & np.isfinite(total[:, 0])
     w[~ok] = 1.0 / w.shape[1]
-    return replace(clouds, weights=w, diverged=clouds.diverged | ~ok)
+    return Clouds(clouds.states, w, clouds.rngs, clouds.diverged | ~ok)
 
 
 def effective_sample_size(weights: np.ndarray) -> np.ndarray:
     """1 / sum(w^2) over the last axis of normalized weights: C if uniform, 1 if one-hot."""
-    return 1.0 / np.sum(np.square(weights), axis=-1)
+    return 1.0 / np.square(weights).sum(axis=-1)
 
 
 def offsets(clouds: Clouds, rows: np.ndarray) -> np.ndarray:
@@ -320,7 +317,7 @@ def resample(clouds: Clouds, rows: np.ndarray, u: np.ndarray) -> None:
     guess, pos = scratch[:m * c].reshape(m, c), np.empty((m, c))
     high, low = np.empty((2, m, c), dtype=bool)
     u = u[:, None]
-    np.clip(np.ceil(np.subtract(np.multiply(cum, c, out=guess), u, out=guess), out=guess), 0, c, out=guess)
+    np.ceil(np.subtract(np.multiply(cum, c, out=guess), u, out=guess), out=guess).clip(0, c, out=guess)
     # a count n is too high if position n - 1 is not below cum, and too low if n < C and position n is
     for checked in (False, True):
         np.less(guess, c, out=high)
@@ -347,14 +344,14 @@ def resample(clouds: Clouds, rows: np.ndarray, u: np.ndarray) -> None:
     idx += rows[:, None] * c
     into = scratch[:m * c].reshape(m, c)
     for plane in clouds.states.transpose(2, 0, 1):
-        np.take(plane.reshape(-1), idx, out=into, mode="clip")  # unbuffered, unlike mode="raise"
+        plane.reshape(-1).take(idx, out=into, mode="clip")  # unbuffered, unlike mode="raise"
         plane[i] = into
     clouds.weights[i] = 1.0 / c
 
 
 def estimate(clouds: Clouds) -> np.ndarray:
     """(E, 6) state of each cloud's highest-weight particle (first one on ties)."""
-    best = np.argmax(clouds.weights, axis=1)
+    best = clouds.weights.argmax(axis=1)
     return clouds.states[np.arange(best.size), best]
 
 
@@ -533,9 +530,9 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Index in ``keys`` of each ``wanted`` value (the last one where it repeats), or -1 where absent."""
     if keys.size == 0:
         return np.full(wanted.shape, -1)
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     ranked = keys[order]
-    at = np.maximum(np.searchsorted(ranked, wanted, side="right") - 1, 0)
+    at = np.maximum(ranked.searchsorted(wanted, side="right") - 1, 0)
     return np.where(ranked[at] == wanted, order[at], -1)
 
 
@@ -643,9 +640,7 @@ def step(tracker: TrackerState, frame: ObservationFrame) -> None:
     """
     cfg = tracker.config
     if not math.isclose(frame.time, tracker.time + cfg.ts, rel_tol=0.0, abs_tol=1e-9):
-        raise TrackerError(
-            f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}"
-        )
+        raise TrackerError(f"frame at t={frame.time} does not follow t={tracker.time} by Ts={cfg.ts}")
     clouds = predict(tracker.clouds, cfg.ts, (cfg.process_pos_std, cfg.process_vel_std), tracker.pending)
     tracker.swap(clouds)
     paths, echoes = frame.comm_paths, frame.sensing_detections

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isacsim import cli, csvio, pipeline, stats
+from isacsim import cli, csvio, normals, pipeline, stats
 from isacsim.config import parse_run_config
 
 # the two short runs whose CLI outputs test_cli.py pins
@@ -120,6 +120,24 @@ def test_a_drop_in_memory_opens_no_file(monkeypatch):
     # only the noise helper's CPU probe, which draws on the calling thread where it cannot read its file
     assert set(opened) <= {"/proc/thread-self/stat"}
     assert all(len(s) == 201 for s in spreads) and all(0.0 <= d <= 1.0 for d in ks)
+
+
+def test_a_default_track_reads_the_callers_cpu_at_most_once(monkeypatch):
+    # the noise helper is pinned when it starts, not before each fill: of the 201 fills of a default
+    # track, at most the first reads its CPU, and none where the process may run on one CPU only
+    real_open, opened = builtins.open, []
+
+    def counted(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    rc = parse_run_config("")
+    drop = pipeline.simulate(rc)
+    monkeypatch.setattr(normals, "_helper", None)
+    monkeypatch.setattr(builtins, "open", counted)
+    pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed)
+    assert opened.count("/proc/thread-self/stat") <= 1
+    assert (normals._helper is not None) == (len(os.sched_getaffinity(0)) > 1)
 
 
 def floats(lo, hi):

@@ -10,6 +10,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import isacsim.tracker as tracker_module
 from isacsim import normals
@@ -180,6 +182,55 @@ def test_predict_noise_statistics():
     out = predict(cloud, 1.0, (0.5, 0.1), drawn(cloud))
     assert out.states[0, :, 0].std() == pytest.approx(0.5, rel=0.05)
     assert out.states[0, :, 3].std() == pytest.approx(0.1, rel=0.05)
+
+
+def parent_predict(states, draws, ts, stds):
+    """``predict`` as a per-coordinate loop over (E, C, 6) states and (E, C, 6) N(0, 1) draws,
+    the form it had before it worked in three-plane blocks."""
+    out = np.concatenate([draws[..., :3] * stds[0], draws[..., 3:] * stds[1]], axis=-1)
+    out += 0.0
+    advance = np.empty(states.shape[:2])
+    for j in range(3):
+        np.multiply(states[..., 3 + j], ts, out=advance)
+        advance += out[..., j]
+        np.add(states[..., j], advance, out=out[..., j])
+        out[..., 3 + j] += states[..., 3 + j]
+    return out
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def predictions(draw):
+    """(E, C, 6) states, (E, C, 6) N(0, 1) draws, ts and the two process noise stds, with signed zeros."""
+    e, c = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    states, draws = (np.array(draw(st.lists(SIGNED, min_size=6 * e * c, max_size=6 * e * c))).reshape(e, c, 6)
+                       for _ in range(2))
+    stds = tuple(draw(st.sampled_from([0.0, 0.1, 2.0])) for _ in range(2))
+    return states, draws, draw(st.sampled_from([0.1, 0.5, 1.0])), stds
+
+
+@settings(max_examples=200, deadline=None)
+@given(predictions())
+@example((np.full((1, 2, 6), -0.0), np.full((1, 2, 6), -0.0), 0.1, (0.0, 0.0)))
+def test_block_predict_matches_the_per_coordinate_loop(case):
+    states, draws, ts, stds = case
+    e, c, _ = states.shape
+    # the input buffer, planes 1-6, and the result buffer, planes 7-12, between two guard planes
+    arena = np.full((14, e, c), 7.25)
+    arena[1:7], arena[7:13] = states.transpose(2, 0, 1), draws.transpose(2, 0, 1)
+    before = arena.copy()
+    clouds = Clouds(arena[1:7].transpose(1, 2, 0), np.full((e, c), 1.0 / c), streams(e), np.zeros(e, dtype=bool))
+    out = predict(clouds, ts, stds, arena[7:13])
+    expected = parent_predict(states, draws, ts, stds)
+    assert np.array_equal(out.states.view(np.int64), expected.view(np.int64))
+    assert np.shares_memory(out.states, arena[7:13]) and out.weights is clouds.weights
+    # the input buffer keeps its positions, and its velocity planes hold the advance v * ts + noise
+    advance = states[..., 3:] * ts + (draws[..., :3] * stds[0] + 0.0)
+    assert np.array_equal(arena[4:7].view(np.int64), advance.transpose(2, 0, 1).view(np.int64))
+    kept = np.r_[0:4, 13]
+    assert np.array_equal(arena[kept].view(np.int64), before[kept].view(np.int64))
 
 
 def streams(n, seed=7):
@@ -471,6 +522,127 @@ def test_particle_on_its_reference_gets_zero_angles():
     assert az[:, 0].tolist() == [0.0, 0.0] and el[:, 0].tolist() == [0.0, 0.0]
     assert np.all(np.isfinite(out.weights)) and not out.diverged.any()
     assert np.argmax(out.weights, axis=1).tolist() == [0, 0]
+
+
+def parent_slice_values(states, reference):
+    """``predicted_slice_values`` as it was before it returned one block: (E, C) delay, azimuth and elevation."""
+    dx, dy, dz = (states[..., j] - reference[:, j, None] for j in range(3))
+    az = np.arctan2(dy, dx)
+    d = np.square(dx, out=dx)
+    d += np.square(dy, out=dy)
+    d += np.square(dz, out=dy)
+    np.sqrt(d, out=d)
+    on = d == 0.0
+    el = np.divide(dz, np.maximum(d, np.nextafter(0.0, 1.0), out=dy), out=dz)
+    np.arcsin(np.clip(el, -1.0, 1.0, out=el), out=el)
+    az[on] = 0.0
+    el[on] = 0.0
+    return np.divide(d, C, out=d), az, el
+
+
+def parent_weight(clouds, z):
+    """``weight``'s per-plane formula, as it was before it took one residual block: (weights, diverged)."""
+    residuals = parent_slice_values(clouds.states, z.reference)
+    v, s = z.values[:, :, None], z.sigmas[:, :, None]
+    for j, r in enumerate(residuals):
+        np.subtract(v[:, j], r, out=r)
+    residuals[0][~z.has_delay] = 0.0
+    for r in residuals[1:]:
+        r[...] = np.mod(r + np.pi, 2.0 * np.pi) - np.pi  # what _wrap_residual computes bit for bit
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, r in enumerate(residuals):
+            np.square(np.divide(r, s[:, j], out=r), out=r)
+        log_w = residuals[0]
+        log_w += residuals[1]
+        log_w += residuals[2]
+        log_w *= -0.5
+        peak = np.max(log_w, axis=1, keepdims=True)
+        log_w -= peak
+        w = np.exp(log_w, out=log_w)
+        total = np.sum(w, axis=1, keepdims=True)
+        w /= total
+    ok = np.isfinite(peak[:, 0]) & (total[:, 0] > 0.0) & np.isfinite(total[:, 0])
+    w[~ok] = 1.0 / w.shape[1]
+    return w, clouds.diverged | ~ok
+
+
+# a particle's offset from its cloud's reference: on it, along an axis with signed zeros beside it
+# (azimuths of +-pi and +-0, elevations of +-pi/2), too close for its square to stay normal, or anywhere
+OFFSETS = st.sampled_from([(0.0, 0.0, 0.0), (-3.0, 0.0, 0.0), (-3.0, -0.0, 0.0), (4.0, 0.0, -0.0),
+                           (4.0, -0.0, 0.0), (0.0, -0.0, 5.0), (-0.0, 0.0, -5.0), (1e-170, 0.0, -1e-170)]) \
+    | st.tuples(*[st.floats(-100.0, 100.0)] * 3)
+AZIMUTHS = st.sampled_from([math.pi, -math.pi, 0.0, -0.0]) | st.floats(-math.pi, math.pi)
+ELEVATIONS = st.sampled_from([math.pi / 2.0, -math.pi / 2.0, 0.0, -0.0]) | st.floats(-math.pi / 2.0, math.pi / 2.0)
+
+
+@st.composite
+def weighings(draw):
+    """(E, C, 6) states, (E, 3) references, values and sigmas, and E delay and divergence flags."""
+    e, c = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    # a reference of signed zeros keeps each offset exact; another puts "on it" at x - x
+    reference = np.array([draw(st.sampled_from([(0.0, 0.0, 0.0), (0.0, -0.0, 0.0)])
+                               | st.tuples(*[st.floats(-50.0, 50.0)] * 3)) for _ in range(e)])
+    states = np.zeros((e, c, 6))
+    for i in range(e):
+        exact = not reference[i].any()
+        for j in range(c):
+            offset = np.array(draw(OFFSETS))
+            states[i, j, :3] = offset if exact else (reference[i] if not offset.any() else reference[i] + offset)
+    states[..., 3:] = draw(st.floats(-1.0, 1.0))
+    values = np.array([(draw(st.sampled_from([0.0, 1e-8]) | st.floats(0.0, 1e-6)), draw(AZIMUTHS), draw(ELEVATIONS))
+                       for _ in range(e)])
+    # sigmas of 1e-300 square every nonzero residual to inf, so whole clouds underflow
+    sigmas = np.array([(draw(st.sampled_from([1e-300, 5e-9, 1.0])), *[draw(st.sampled_from([1e-300, 0.02, 10.0]))] * 2)
+                       for _ in range(e)])
+    has_delay = np.array(draw(st.lists(st.booleans(), min_size=e, max_size=e)))
+    diverged = np.array(draw(st.lists(st.booleans(), min_size=e, max_size=e)))
+    return states, reference, values, sigmas, has_delay, diverged
+
+
+EDGES = (
+    # cloud 0: a particle on its reference, azimuth residuals of pi, 2 pi and 0 (wrapped from 2 pi,
+    # 3 pi and pi) and elevation residuals of -0.0; cloud 1: no delay, and every particle off by far
+    # more than 1e-300 sigmas, so it underflows
+    np.array([[[0.0, 0.0, 0.0, 0, 0, 0], [-3.0, -0.0, 0.0, 0, 0, 0], [4.0, 0.0, 0.0, 0, 0, 0], [-3.0, 0.0, 0.0, 0, 0, 0]],
+              [[1.0, 2.0, 3.0, 0, 0, 0], [-1.0, 2.0, 3.0, 0, 0, 0], [1.0, -2.0, 3.0, 0, 0, 0], [9.0, 9.0, 9.0, 0, 0, 0]]]),
+    np.zeros((2, 3)),
+    np.array([[1e-8, math.pi, -0.0], [1e-8, 0.5, 0.5]]),
+    np.array([[5e-9, 0.02, 0.02], [5e-9, 1e-300, 1e-300]]),
+    np.array([True, False]),
+    np.array([False, False]),
+)
+
+
+def assert_weighs_as_parent(case):
+    states, reference, values, sigmas, has_delay, diverged = case
+    clouds = Clouds(states, np.full(states.shape[:2], 1.0 / states.shape[1]), streams(len(states)), diverged)
+    z = Slices(reference, values, sigmas, has_delay)
+    block = predicted_slice_values(clouds.states, reference)
+    assert np.array_equal(block.view(np.int64), np.stack(parent_slice_values(clouds.states, reference)).view(np.int64))
+    out = weight(clouds, z)
+    w, flags = parent_weight(clouds, z)
+    assert np.array_equal(out.weights.view(np.int64), w.view(np.int64))
+    assert out.diverged.tolist() == flags.tolist()
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighings())
+@example(EDGES)
+def test_block_weight_matches_the_per_plane_formula(case):
+    assert_weighs_as_parent(case)
+
+
+def test_the_edge_batch_reaches_every_edge():
+    # the property test's explicit example: a particle on its reference, azimuth residuals wrapped
+    # from 2 pi, 3 pi and pi, elevation residuals of -0.0, a row without delay and a cloud that underflows
+    states, reference, values = EDGES[:3]
+    _, az, el = parent_slice_values(states, reference)
+    assert az[0].tolist() == [0.0, -math.pi, 0.0, math.pi]
+    assert (values[0, 1] - az[0] + math.pi).tolist() == [2.0 * math.pi, 3.0 * math.pi, 2.0 * math.pi, math.pi]
+    assert np.signbit(values[0, 2] - el[0]).all()
+    out = assert_weighs_as_parent(EDGES)
+    assert out.diverged.tolist() == [False, True] and out.weights[1].tolist() == [0.25] * 4
 
 
 def test_config_validation():
