@@ -68,8 +68,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csvio.write_comm_observations(os.path.join(args.out, "observations.csv"), drop.frames)
     csvio.write_sensing_observations(os.path.join(args.out, "sensing_observations.csv"), drop.frames)
     csvio.write_sensing_taps(os.path.join(args.out, "sensing_taps.csv"), drop.sensing_taps)
-    # written frame by frame as the kernel passes make them
-    csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), pipeline.comm_taps(drop, rc, args.all_pairs))
+    # written frame by frame as the kernel passes make them, a part per CPU where the dump is large
+    parts = pipeline.comm_tap_parts(drop, rc, args.all_pairs)
+    csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), parts)
 
     print(f"scene: {len(drop.scene.scatterers)} scatterers, {len(drop.scene.paths)} paths")
     print(f"frames: {len(drop.frames)} at Ts={rc.tracker.ts} s")

@@ -5,7 +5,10 @@ except where ``_VERSIONS`` says otherwise) followed by a header row. Floats are 
 reproduces the values bit for bit; nothing time- or host-dependent is
 emitted, so equal inputs give byte-identical files. Rows are parsed by
 numpy's C reader, or by the exact Python parser where the C reader
-could differ from it (``read_columns``).
+could differ from it (``read_columns``). The comm tap dump, the largest
+file, is formatted in parts, each but the first in a forked child
+(``write_comm_taps``); the parts are appended in order, so the bytes are
+those of one process.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+import signal
 import warnings
 from typing import Iterable, Sequence
 
@@ -69,7 +74,7 @@ def _valid(s: str, kind: type) -> bool:
     return math.isfinite(value) if kind is float else -(2**63) <= value < 2**63
 
 
-_BLOCK = 1024  # rows held as strings at once while parsing or writing
+_BLOCK = 256  # rows held as strings at once while parsing or writing
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"  # white space around a number to np.loadtxt, but not to float() and int()
 
 
@@ -266,19 +271,89 @@ def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, EchoColumn
     _write(path, "sensing_taps", SENSING_TAPS_HEADER, rows)
 
 
-def write_comm_taps(path: str, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
+def _write_tap_rows(fh, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
     """Write each frame's taps, the block's pairs in C order, formatted as by ``_write``, ``_BLOCK`` rows at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
-        for t, taps in taps_by_time:
-            n, ts = taps.delay.shape[-1], _fmt(t)
-            columns = [np.repeat(taps.q, n), np.repeat(taps.p, n)] + [
-                a.ravel() for a in (taps.path_id, taps.delay, taps.re, taps.im)]
-            for i in range(0, columns[0].size, _BLOCK):
-                q, p, pid, *values = (c[i:i + _BLOCK].tolist() for c in columns)
-                kind = [KIND_LOS if j == LOS_PATH_ID else KIND_NLOS for j in pid]
-                fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
-                                 for q, p, kind, pid, d, re, im in zip(q, p, kind, pid, *values)))
+    for t, taps in taps_by_time:
+        n, ts = taps.delay.shape[-1], _fmt(t)
+        columns = [np.repeat(taps.q, n), np.repeat(taps.p, n)] + [
+            a.ravel() for a in (taps.path_id, taps.delay, taps.re, taps.im)]
+        for i in range(0, columns[0].size, _BLOCK):
+            q, p, pid, *values = (c[i:i + _BLOCK].tolist() for c in columns)
+            kind = [KIND_LOS if j == LOS_PATH_ID else KIND_NLOS for j in pid]
+            fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
+                             for q, p, kind, pid, d, re, im in zip(q, p, kind, pid, *values)))
+
+
+def _fork_part(directory: str, part: Iterable[tuple[float, TapBlock]]) -> tuple[int, int] | None:
+    """(pid, fd) of a forked child that writes ``part``'s rows into the anonymous file ``fd`` in
+    ``directory`` and exits 0; None where there is no fork or anonymous file, or it cannot be made."""
+    if not hasattr(os, "fork") or not hasattr(os, "O_TMPFILE"):
+        return None
+    try:
+        fd = os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600)
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
+                _write_tap_rows(out, part)
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's code, and no buffer of the parent's flushed twice
+    return pid, fd
+
+
+def _append(out: int, fd: int) -> None:
+    """Append the whole file ``fd`` to the file ``out`` in the kernel, with no user-space buffer."""
+    offset, size = 0, os.fstat(fd).st_size
+    while offset < size:
+        offset += os.sendfile(out, fd, offset, size - offset)
+
+
+def write_comm_taps(path: str, parts: Sequence[Iterable[tuple[float, TapBlock]]]) -> None:
+    """Write the taps of each of ``parts``, consecutive runs of frames, in order.
+
+    The first part is formatted here and each other in a forked child,
+    into an anonymous file in the output directory that is appended once
+    the child exits 0. A part whose child cannot be started, or fails, is
+    formatted here in its turn, so an error in it raises as it would in
+    one process. No child outlives the call: on an error every child not
+    yet reaped is killed and reaped.
+    """
+    children = {}  # part index: (pid, fd) of the child formatting it
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
+            directory = os.path.dirname(path) or os.curdir
+            for i in range(1, len(parts)):
+                child = _fork_part(directory, parts[i])
+                if child is not None:
+                    children[i] = child
+            for i, part in enumerate(parts):
+                done = False
+                if i in children:
+                    pid, fd = children[i]
+                    done = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                    del children[i]
+                    try:
+                        if done:
+                            fh.flush()
+                            _append(fh.fileno(), fd)
+                    finally:
+                        os.close(fd)
+                if not done:
+                    _write_tap_rows(fh, part)
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
 # --- tracker outputs ----------------------------------------------------------

@@ -1,11 +1,14 @@
 """One drop, a simulated scene realization, in memory: simulate, track,
 score, and the snapshot sources of the spreads. Nothing here reads or
-writes a file; the CLI does that around these functions.
+writes a file; the CLI does that around these functions. The comm taps
+come in frame ranges: ``comm_tap_parts`` splits a run into one part per
+CPU, which ``csvio.write_comm_taps`` formats side by side.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,13 +60,37 @@ def simulate(rc: RunConfig) -> Drop:
     return Drop(scene, times, paths, frames, sensing_taps, phases)
 
 
-def comm_taps(drop: Drop, rc: RunConfig, all_pairs: bool = False) -> Iterator[tuple[float, comm.TapBlock]]:
-    """(t, taps) of each frame for the reference pair, or for the (q, p) grid of every
-    antenna pair; built many frames to a kernel pass and made as they are iterated."""
+def comm_taps(drop: Drop, rc: RunConfig, all_pairs: bool = False,
+              frames: slice = slice(None)) -> Iterator[tuple[float, comm.TapBlock]]:
+    """(t, taps) of each of the ``frames`` for the reference pair, or for the (q, p) grid of
+    every antenna pair; built many frames to a kernel pass and made as they are iterated."""
     tx, rx_template = rc.tx_array(), rc.rx_template()
     n_rx, n_tx = (rx_template.num_elements, tx.num_elements) if all_pairs else (1, 1)
     q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
-    return comm.run_taps(drop.scene, drop.times, tx, rx_template, rc.comm, drop.phases, q, p, drop.paths)
+    return comm.run_taps(drop.scene, drop.times[frames], tx, rx_template, rc.comm, drop.phases, q, p,
+                         drop.paths[frames])
+
+
+# least tap rows a part takes: forking and reaping a child costs about as much as formatting 700
+_PART_ROWS = comm._PASS_TAPS
+
+
+def comm_tap_parts(drop: Drop, rc: RunConfig,
+                   all_pairs: bool = False) -> list[Iterator[tuple[float, comm.TapBlock]]]:
+    """``comm_taps`` in contiguous frame ranges, in frame order, for ``csvio.write_comm_taps``.
+
+    There is one range per CPU this process may run on, but no more than
+    leave each about ``_PART_ROWS`` tap rows, and always one. Each range
+    ends at the last frame boundary at or before its equal share of the
+    rows, so a range is never empty. A reference-pair run of the default
+    config (201 frames of 19 taps) is one range.
+    """
+    n_pairs = rc.rx_template().num_elements * rc.tx_array().num_elements if all_pairs else 1
+    ends = np.cumsum([0] + [n_pairs * (1 + len(paths)) for paths in drop.paths])  # tap rows before each frame
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, int(ends[-1]) // _PART_ROWS))
+    bounds = (np.searchsorted(ends, ends[-1] * np.arange(n + 1) / n, side="right") - 1).tolist()
+    return [comm_taps(drop, rc, all_pairs, slice(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def track(frames: list[ObservationFrame], scene: SceneTruth, cfg: tracker.TrackerConfig,
@@ -200,6 +227,28 @@ def _check_track_of_run(traj_path: str, traj: dict, frames: list[ObservationFram
         )
 
 
+def _last_rows(traj: dict, n_frames: int, kind: str, k: np.ndarray, path_id: np.ndarray) -> np.ndarray:
+    """Per step ``k`` and path id, the index of the last row of ``traj`` of ``kind`` with
+    them, else -1; every row's step is below ``n_frames``, as ``_check_track_of_run`` checks.
+
+    Rows are matched by sorted codes, not through a dict of (kind, k,
+    path_id) tuples: a non-stationary run's trajectory has thousands of
+    rows, and such a dict raised the ``stats`` stage's peak RSS by about
+    0.5 MB.
+    """
+    mine = np.flatnonzero(np.array(traj["kind"]) == kind)
+    if not mine.size:
+        return np.full(len(k), -1)
+    ids, id_code = np.unique(traj["path_id"][mine], return_inverse=True)
+    codes = id_code.reshape(-1) * n_frames + traj["k"][mine]
+    order = np.argsort(codes, kind="stable")  # equal codes in file order, so the last one is the last row
+    codes = codes[order]
+    j = np.searchsorted(ids, path_id).clip(0, len(ids) - 1)
+    wanted = j * n_frames + k
+    pos = np.searchsorted(codes, wanted, side="right") - 1
+    return np.where((pos >= 0) & (ids[j] == path_id) & (codes[pos] == wanted), mine[order[pos]], -1)
+
+
 def trajectory_snapshots(frames: list[ObservationFrame], traj: dict, scene: SceneTruth,
                          traj_path: str = "trajectory") -> Snapshots:
     """Each frame's observed paths whose FB and LB clouds both have estimates, at their observed powers.
@@ -210,16 +259,15 @@ def trajectory_snapshots(frames: list[ObservationFrame], traj: dict, scene: Scen
     _check_track_of_run(traj_path, traj, frames, scene)
     if not frames:
         return
-    row = {key: i for i, key in enumerate(zip(traj["kind"], traj["k"].tolist(), traj["path_id"].tolist()))}
     est = np.column_stack([traj["est_x"], traj["est_y"], traj["est_z"]])
 
     # the paths of every frame at once, with the trajectory rows of their user, FB and LB estimates
     ks = np.repeat(np.arange(len(frames)), [len(frame.comm_paths) for frame in frames])
     paths = np.concatenate([frame.comm_paths.table for frame in frames])
-    keys = list(zip(ks.tolist(), np.concatenate([frame.comm_paths.path_id for frame in frames]).tolist()))
-    user = np.array([row.get((tracker.KIND_USER, k, LOS_PATH_ID), -1) for k in range(len(frames))], dtype=int)
-    fb, lb = (np.array([row.get((kind, *key), -1) for key in keys], dtype=int)
-              for kind in (tracker.KIND_FB, tracker.KIND_LB))
+    path_ids = np.concatenate([frame.comm_paths.path_id for frame in frames])
+    steps = np.arange(len(frames))
+    user = _last_rows(traj, len(frames), tracker.KIND_USER, steps, np.full(len(frames), LOS_PATH_ID))
+    fb, lb = (_last_rows(traj, len(frames), kind, ks, path_ids) for kind in (tracker.KIND_FB, tracker.KIND_LB))
     tracked = (user[ks] >= 0) & (fb >= 0) & (lb >= 0)
     bs = np.array(scene.bs_position.as_tuple())
     leg, angles, _ = path_term_columns(bs, est[user[ks[tracked]]], est[fb[tracked]], est[lb[tracked]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import isacsim
-from isacsim import cli, csvio, normals, tracker
+from isacsim import cli, comm, csvio, normals, pipeline, tracker
 from isacsim.cli import main
 
 SMALL_CFG = """
@@ -260,6 +260,133 @@ def test_nonstationary_all_pairs_comm_taps_bytes_pinned(tmp_path):
     assert set(taps["path_id"].tolist()) - first  # some taps belong to paths born later
     with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == NONSTATIONARY_COMM_TAPS_SHA256
+
+
+ALL_PAIRS_PINS = [(ALLPAIRS_CFG, ALLPAIRS_COMM_TAPS_SHA256), (NONSTATIONARY_CFG, NONSTATIONARY_COMM_TAPS_SHA256)]
+SIMULATE_FILES = {"scene.txt", "config_resolved.ini", "observations.csv", "sensing_observations.csv",
+                  "sensing_taps.csv", "comm_taps.csv"}
+
+
+def set_parts(monkeypatch, cpus, part_rows=1):
+    """Split the comm taps for ``cpus`` CPUs into parts of ``part_rows`` tap rows or more."""
+    monkeypatch.setattr(pipeline, "_PART_ROWS", part_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def record_forks_and_kills(monkeypatch):
+    """The lists of the pids of the children forked and of the processes killed from now on."""
+    forked, killed, fork, kill = [], [], os.fork, os.kill
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def counted_kill(pid, sig):
+        killed.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "kill", counted_kill)
+    return forked, killed
+
+
+def assert_no_child_left(out):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir(out)) == SIMULATE_FILES  # the parts' anonymous files leave no name behind
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("text, digest", ALL_PAIRS_PINS, ids=["allpairs", "nonstationary"])
+def test_all_pairs_in_forked_parts_keep_the_pinned_bytes(tmp_path, monkeypatch, cpus, text, digest):
+    # the non-stationary run has births, so its frames, and its parts, differ in width
+    set_parts(monkeypatch, cpus)
+    forked, _ = record_forks_and_kills(monkeypatch)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = str(tmp_path / "run")
+    assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
+    assert len(forked) == cpus - 1
+    with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+    assert_no_child_left(out)
+
+
+def refuse(*args, **kwargs):
+    raise OSError("refused")
+
+
+@pytest.mark.parametrize("missing", ["fork", "O_TMPFILE", "open", "forking"])
+def test_parts_without_a_child_are_formatted_here(tmp_path, monkeypatch, missing):
+    # no fork or no anonymous file on the platform, an anonymous file that cannot be opened,
+    # or a fork that fails: each part is written by the caller in its turn
+    set_parts(monkeypatch, 3)
+    forked, _ = record_forks_and_kills(monkeypatch)
+    if missing in ("fork", "O_TMPFILE"):
+        monkeypatch.delattr(os, missing)
+    else:
+        monkeypatch.setattr(os, "open" if missing == "open" else "fork", refuse)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ALLPAIRS_CFG)
+    out = str(tmp_path / "run")
+    fds = len(os.listdir("/proc/self/fd"))
+    assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
+    assert forked == [] and len(os.listdir("/proc/self/fd")) == fds  # no anonymous file left open
+    with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == ALLPAIRS_COMM_TAPS_SHA256
+    assert_no_child_left(out)
+
+
+def fail_frames(monkeypatch, failing):
+    """Make the tap kernel raise a CommError naming the first of its frames whose index is in ``failing``."""
+    drops, simulate_drop, kernel = [], pipeline.simulate, comm._taps
+    monkeypatch.setattr(pipeline, "simulate", lambda rc: drops.append(simulate_drop(rc)) or drops[-1])
+
+    def taps(*args):
+        frames = [drops[-1].paths.index(paths) for paths in args[7]]
+        bad = [k for k in frames if k in failing]
+        if bad:
+            raise comm.CommError(f"frame {bad[0]} fails")
+        return kernel(*args)
+
+    monkeypatch.setattr(comm, "_taps", taps)
+
+
+@pytest.mark.parametrize("failing", [{1, 2}, {2}, {0}], ids=["children", "last-child", "parent"])
+def test_a_failing_part_exits_as_one_part_does(tmp_path, monkeypatch, capsys, failing):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ALLPAIRS_CFG)  # 3 frames: with 3 CPUs a part each, the first in this process
+    fail_frames(monkeypatch, failing)
+    forked, killed = record_forks_and_kills(monkeypatch)
+    got = []
+    for cpus in (1, 3):
+        set_parts(monkeypatch, cpus)
+        forked.clear(), killed.clear()
+        out = str(tmp_path / f"run{cpus}")
+        got.append((run("simulate", "--config", str(cfg), "--all-pairs", "--out", out), capsys.readouterr().err))
+        assert len(forked) == cpus - 1
+        assert_no_child_left(out)
+        # the children not yet reaped when the error raised are killed: all of them if it is the parent's part
+        assert set(killed) <= set(forked) and (failing != {0} or killed == forked)
+    assert got[0] == got[1] == (2, f"error: frame {min(failing)} fails\n")
+
+
+def test_the_pipeline_path_never_forks(tmp_path, monkeypatch):
+    forked, _ = record_forks_and_kills(monkeypatch)
+    set_parts(monkeypatch, 2, pipeline._PART_ROWS)
+    assert run("simulate", "--out", str(tmp_path / "default")) == 0  # the reference pair: 201 x 19 rows
+    # one CPU: one part, however small the parts may be
+    set_parts(monkeypatch, 1)
+    for text, digest in ALL_PAIRS_PINS:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = str(tmp_path / "run")
+        assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
+        with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+    assert forked == []
 
 
 def test_duration_off_the_float_grid_runs_every_stage(tmp_path):

@@ -99,7 +99,7 @@ def test_comm_taps_round_trip(tmp_path, scene):
     paths = ground_truth_paths(scene, [0.0])[0]
     block = next(run_taps(scene, [0.0], tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]), [paths]))[1]
     path = tmp_path / "ctaps.csv"
-    csvio.write_comm_taps(str(path), [(0.0, block)])
+    csvio.write_comm_taps(str(path), [[(0.0, block)]])
     back = csvio.read_columns(
         str(path), "comm_taps", csvio.COMM_TAPS_HEADER, ("t", "delay_s", "re", "im"), ("q", "p", "path_id"), ("kind",)
     )

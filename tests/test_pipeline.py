@@ -140,6 +140,47 @@ def test_a_default_track_reads_the_callers_cpu_at_most_once(monkeypatch):
     assert (normals._helper is not None) == (len(os.sched_getaffinity(0)) > 1)
 
 
+@pytest.mark.parametrize("cpus, all_pairs, n_parts", [(2, True, 2), (1, True, 1), (64, True, 11), (2, False, 1)])
+def test_comm_tap_parts_split_the_frames_by_tap_rows(monkeypatch, cpus, all_pairs, n_parts):
+    # channel-allpairs' config: 11 frames of 512 pairs x 19 taps, 107008 rows in all; its reference
+    # pair has 209 rows. A part holds the frames of about an equal share of the rows, and at
+    # least _PART_ROWS = 8192 in all, so 64 CPUs give 11 parts of a frame each, not 13
+    rc = parse_run_config("[run]\nseed = 1\nduration = 1.0\n")
+    drop = pipeline.simulate(rc)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    parts = [list(part) for part in pipeline.comm_tap_parts(drop, rc, all_pairs)]
+    assert len(parts) == n_parts
+    whole = list(pipeline.comm_taps(drop, rc, all_pairs))
+    assert [t for part in parts for t, _ in part] == [t for t, _ in whole] == drop.times
+    for (_, got), (_, want) in zip([taps for part in parts for taps in part], whole):
+        assert same_bits(got.delay, want.delay) and same_bits(got.re, want.re) and same_bits(got.im, want.im)
+    rows = [sum(taps.delay.size for _, taps in part) for part in parts]
+    widest = max(taps.delay.size for _, taps in whole)
+    assert all(abs(r - sum(rows) / len(rows)) <= widest for r in rows) and rows[0] <= rows[-1]
+
+
+KINDS = ("user", "fb", "lb")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_frames=st.integers(1, 5),
+       rows=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 4),
+                               st.sampled_from([-1, 0, 1, 7, 2**62, -(2**63)])), max_size=40),
+       queries=st.lists(st.tuples(st.integers(0, 4), st.sampled_from([-1, 0, 1, 2, 7, 2**62, -(2**63)])),
+                        max_size=20))
+def test_last_rows_equal_the_last_row_of_each_key(n_frames, rows, queries):
+    # the parent looked rows up in a dict of (kind, k, path id) keys, where a later row replaces an earlier one
+    rows = [(kind, k % n_frames, pid) for kind, k, pid in rows]
+    k = np.array([q % n_frames for q, _ in queries], dtype=int)
+    path_id = np.array([pid for _, pid in queries], dtype=np.int64)
+    traj = {"kind": tuple(r[0] for r in rows), "k": np.array([r[1] for r in rows], dtype=int),
+            "path_id": np.array([r[2] for r in rows], dtype=np.int64)}
+    row = {key: i for i, key in enumerate(zip(traj["kind"], traj["k"].tolist(), traj["path_id"].tolist()))}
+    for kind in KINDS:
+        want = [row.get((kind, q, pid), -1) for q, pid in zip(k.tolist(), path_id.tolist())]
+        assert pipeline._last_rows(traj, n_frames, kind, k, path_id).tolist() == want
+
+
 def floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
