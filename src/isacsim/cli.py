@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Iterator
 
 from . import csvio, pipeline, stats
 from .config import RunConfig, load_run_config, resolved_config_text
@@ -68,8 +67,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csvio.write_comm_observations(os.path.join(args.out, "observations.csv"), drop.frames)
     csvio.write_sensing_observations(os.path.join(args.out, "sensing_observations.csv"), drop.frames)
     csvio.write_sensing_taps(os.path.join(args.out, "sensing_taps.csv"), drop.sensing_taps)
-    # written frame by frame as the kernel passes make them, a part per CPU where the dump is large
-    parts = pipeline.comm_tap_parts(drop, rc, args.all_pairs)
+    # in runs of rx rows, a run per CPU where the dump is large, each made as its kernel passes go
+    units = pipeline.split(pipeline.comm_tap_rows(drop, rc, args.all_pairs), len(csvio.COMM_TAPS_HEADER))
+    parts = [pipeline.comm_taps(drop, rc, args.all_pairs, run) for run in units]
     csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), parts)
 
     print(f"scene: {len(drop.scene.scatterers)} scatterers, {len(drop.scene.paths)} paths")
@@ -83,21 +83,6 @@ def _read_frames(run_dir: str) -> list[ObservationFrame]:
         os.path.join(run_dir, "observations.csv"),
         os.path.join(run_dir, "sensing_observations.csv"),
     )
-
-
-def _trajectory_rows(score: pipeline.Score) -> Iterator[list[str]]:
-    # the fields fixed per entity or per step are formatted once; each step writes its batch's rows
-    entities = [[kind, str(pid), str(eid)] for kind, pid, eid, *_ in score.clouds]
-    velocities = [[repr(v) for v in vel] for vel in score.truth_vel.tolist()]
-    unknown = [""] * 7
-    for k, (t, m) in enumerate(zip(score.times, score.members)):
-        head = [str(k), repr(t)]
-        rows = zip(m.tolist(), score.estimates[k, m].tolist(), score.truth_pos[k, m].tolist(),
-                   score.errors[k, m].tolist(), score.alive[k, m].tolist(), score.coasted[k, m].tolist(),
-                   score.diverged[k, m].tolist())
-        for e, est, pos, err, known, coast, div in rows:
-            truth = [*map(repr, pos), *velocities[e], repr(err)] if known else unknown
-            yield [*head, *entities[e], *map(repr, est), *truth, str(coast), str(div)]
 
 
 def cmd_track(args: argparse.Namespace) -> int:
@@ -128,7 +113,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         print(f"failed path inits: {list(state.failed_paths)}")
 
     os.makedirs(args.out, exist_ok=True)
-    csvio.write_trajectory(os.path.join(args.out, "trajectory.csv"), _trajectory_rows(score))
+    csvio.write_trajectory(os.path.join(args.out, "trajectory.csv"), score)
     csvio.write_summary(os.path.join(args.out, "summary.csv"), summary_rows)
     csvio.write_rmse(os.path.join(args.out, "rmse.csv"), rmse_rows)
     print(f"outputs in {args.out}")

@@ -5,10 +5,12 @@ except where ``_VERSIONS`` says otherwise) followed by a header row. Floats are 
 reproduces the values bit for bit; nothing time- or host-dependent is
 emitted, so equal inputs give byte-identical files. Rows are parsed by
 numpy's C reader, or by the exact Python parser where the C reader
-could differ from it (``read_columns``). The comm tap dump, the largest
-file, is formatted in parts, each but the first in a forked child
-(``write_comm_taps``); the parts are appended in order, so the bytes are
-those of one process.
+could differ from it (``read_columns``). Every file is written by
+``_write`` from a list of parts that yield whole lines. ``pipeline.split``
+cuts each large file (the observations, comm taps and trajectory) into
+ranges of its frames, rx rows or steps, one per CPU; each part but the
+first is formatted in a forked child and appended in order, so the bytes
+are those of one process.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import math
 import os
 import signal
 import warnings
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .comm import KIND_LOS, KIND_NLOS, TapBlock
 from .geometry import normalize_angle_columns
+from .pipeline import Score, split
 from .scene import (
     LOS_PATH_ID,
     EchoColumns,
@@ -47,12 +50,79 @@ def _schema_line(name: str) -> str:
     return f"# isacsim {name} v{_VERSIONS.get(name, 1)}"
 
 
-def _write(path: str, name: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write the schema line, the header and ``rows`` as comma-joined lines: no field of
-    any schema ever needs CSV quoting, so the bytes equal those of ``csv.writer``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_schema_line(name) + "\n" + ",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+def _write(path: str, name: str, header: Sequence[str], parts: Sequence[Iterable[str]]) -> None:
+    """Write the schema line, the header, then the whole lines each of ``parts`` yields, in order.
+
+    The first part is formatted here and each other in a forked child, into an anonymous file in
+    the output directory appended once the child exits 0. A part whose child cannot be started, or
+    fails, is formatted here in its turn, so an error in it raises as in one process. No child
+    outlives the call: on an error every child not yet reaped is killed and reaped."""
+    children = {}  # part index: (pid, fd) of the child formatting it
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_schema_line(name) + "\n" + ",".join(header) + "\n")
+            directory = os.path.dirname(path) or os.curdir
+            for i in range(1, len(parts)):
+                child = _fork_part(directory, parts[i])
+                if child is not None:
+                    children[i] = child
+            for i, part in enumerate(parts):
+                done = False
+                if i in children:
+                    pid, fd = children[i]
+                    done = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                    del children[i]
+                    try:
+                        if done:
+                            fh.flush()
+                            _append(fh.fileno(), fd)
+                    finally:
+                        os.close(fd)
+                if not done:
+                    fh.writelines(part)
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _fork_part(directory: str, part: Iterable[str]) -> tuple[int, int] | None:
+    """(pid, fd) of a forked child that writes ``part`` into the anonymous file ``fd`` in ``directory``
+    and exits 0; None where there is no fork or anonymous file, or it cannot be made."""
+    if not hasattr(os, "fork") or not hasattr(os, "O_TMPFILE"):
+        return None
+    try:
+        fd = os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600)
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
+                out.writelines(part)
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's code, and no buffer of the parent's flushed twice
+    return pid, fd
+
+
+def _append(out: int, fd: int) -> None:
+    """Append the whole file ``fd`` to the file ``out`` in the kernel, with no user-space buffer."""
+    offset, size = 0, os.fstat(fd).st_size
+    while offset < size:
+        offset += os.sendfile(out, fd, offset, size - offset)
+
+
+def _joined(rows: Iterable[Sequence[str]]) -> list[Iterable[str]]:
+    """``rows`` as one part, each row's fields joined by commas: no field of any
+    schema ever needs CSV quoting, so the bytes equal those of ``csv.writer``."""
+    return [(",".join(row) + "\n" for row in rows)]
 
 
 def _column(raw: tuple[str, ...], kind: type) -> tuple[np.ndarray | None, int | None]:
@@ -176,34 +246,36 @@ _OBS_SENSING_INTS = ("k", "scatterer_id")
 
 
 def write_comm_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
-    """Each frame's path rows, then its LoS row."""
+    """Each frame's path rows, then its LoS row; a part per range of frames of ``pipeline.split``."""
 
-    def rows():
-        for k, frame in enumerate(frames):
-            head = [str(k), _fmt(frame.time)]
+    def lines(ks: range) -> Iterator[str]:
+        for k in ks:
+            frame = frames[k]
+            head = f"{k},{_fmt(frame.time)}"
             for kind, part in ((KIND_NLOS, frame.comm_paths), (KIND_LOS, frame.los)):
-                for ids, (power, delay, aod_az, aod_el, aoa_az, aoa_el), (aod_deg, aoa_deg) in zip(
+                for (pid, fb, lb, cluster), (power, delay, aod_az, aod_el, aoa_az, aoa_el), (aod_deg, aoa_deg) in zip(
                     part.ids.tolist(), part.table.tolist(), part.degenerate.tolist()
                 ):
-                    yield head + [
-                        kind, *map(str, ids), repr(delay), repr(aod_az), repr(aod_el), str(int(aod_deg)),
-                        repr(aoa_az), repr(aoa_el), str(int(aoa_deg)), repr(power),
-                    ]
+                    yield (f"{head},{kind},{pid},{fb},{lb},{cluster},{delay!r},{aod_az!r},{aod_el!r},{aod_deg:d},"
+                           f"{aoa_az!r},{aoa_el!r},{aoa_deg:d},{power!r}\n")
 
-    _write(path, "comm_observations", OBS_COMM_HEADER, rows())
+    rows = [len(frame.comm_paths) + len(frame.los) for frame in frames]
+    _write(path, "comm_observations", OBS_COMM_HEADER, [lines(r) for r in split(rows, len(OBS_COMM_HEADER))])
 
 
 def write_sensing_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
-    def rows():
-        for k, frame in enumerate(frames):
-            head = [str(k), _fmt(frame.time)]
-            echoes = frame.sensing_detections
+    """Each frame's echo rows; a part per range of frames of ``pipeline.split``."""
+
+    def lines(ks: range) -> Iterator[str]:
+        for k in ks:
+            echoes, head = frames[k].sensing_detections, f"{k},{_fmt(frames[k].time)}"
             for sid, (delay, az, el, doppler, gain), deg in zip(
                 echoes.scatterer_id.tolist(), echoes.table.tolist(), echoes.degenerate.tolist()
             ):
-                yield head + [str(sid), repr(delay), repr(az), repr(el), str(int(deg)), repr(doppler), repr(gain)]
+                yield f"{head},{sid},{delay!r},{az!r},{el!r},{deg:d},{doppler!r},{gain!r}\n"
 
-    _write(path, "sensing_observations", OBS_SENSING_HEADER, rows())
+    rows = [len(frame.sensing_detections) for frame in frames]
+    _write(path, "sensing_observations", OBS_SENSING_HEADER, [lines(r) for r in split(rows, len(OBS_SENSING_HEADER))])
 
 
 def _flags(column: tuple[str, ...]) -> np.ndarray:
@@ -268,92 +340,27 @@ def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, EchoColumn
         for t, taps in taps_by_time
         for sid, (delay, _, _, doppler, gain) in zip(taps.scatterer_id.tolist(), taps.table.tolist())
     )
-    _write(path, "sensing_taps", SENSING_TAPS_HEADER, rows)
+    _write(path, "sensing_taps", SENSING_TAPS_HEADER, _joined(rows))
 
 
-def _write_tap_rows(fh, taps_by_time: Iterable[tuple[float, TapBlock]]) -> None:
-    """Write each frame's taps, the block's pairs in C order, formatted as by ``_write``, ``_BLOCK`` rows at a time."""
+def _tap_lines(taps_by_time: Iterable[tuple[float, TapBlock]]) -> Iterator[str]:
+    """Each frame's taps, the block's pairs in C order, ``_BLOCK`` lines at a time; the columns are
+    flattened a row of pairs (an rx row of a grid) at a time, so the next kernel pass runs beside no
+    more than a row's copies."""
     for t, taps in taps_by_time:
         n, ts = taps.delay.shape[-1], _fmt(t)
-        columns = [np.repeat(taps.q, n), np.repeat(taps.p, n)] + [
-            a.ravel() for a in (taps.path_id, taps.delay, taps.re, taps.im)]
-        for i in range(0, columns[0].size, _BLOCK):
-            q, p, pid, *values = (c[i:i + _BLOCK].tolist() for c in columns)
-            kind = [KIND_LOS if j == LOS_PATH_ID else KIND_NLOS for j in pid]
-            fh.write("".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
-                             for q, p, kind, pid, d, re, im in zip(q, p, kind, pid, *values)))
-
-
-def _fork_part(directory: str, part: Iterable[tuple[float, TapBlock]]) -> tuple[int, int] | None:
-    """(pid, fd) of a forked child that writes ``part``'s rows into the anonymous file ``fd`` in
-    ``directory`` and exits 0; None where there is no fork or anonymous file, or it cannot be made."""
-    if not hasattr(os, "fork") or not hasattr(os, "O_TMPFILE"):
-        return None
-    try:
-        fd = os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600)
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
-                _write_tap_rows(out, part)
-            code = 0
-        finally:
-            os._exit(code)  # never back into the caller's code, and no buffer of the parent's flushed twice
-    return pid, fd
-
-
-def _append(out: int, fd: int) -> None:
-    """Append the whole file ``fd`` to the file ``out`` in the kernel, with no user-space buffer."""
-    offset, size = 0, os.fstat(fd).st_size
-    while offset < size:
-        offset += os.sendfile(out, fd, offset, size - offset)
+        for row in zip(taps.q, taps.p, taps.path_id, taps.delay, taps.re, taps.im):
+            columns = [np.repeat(row[0], n), np.repeat(row[1], n)] + [a.ravel() for a in row[2:]]
+            for i in range(0, columns[0].size, _BLOCK):
+                q, p, pid, *values = (c[i:i + _BLOCK].tolist() for c in columns)
+                kind = [KIND_LOS if j == LOS_PATH_ID else KIND_NLOS for j in pid]
+                yield "".join(f"{ts},{q},{p},{kind},{pid},{d!r},{re!r},{im!r}\n"
+                              for q, p, kind, pid, d, re, im in zip(q, p, kind, pid, *values))
 
 
 def write_comm_taps(path: str, parts: Sequence[Iterable[tuple[float, TapBlock]]]) -> None:
-    """Write the taps of each of ``parts``, consecutive runs of frames, in order.
-
-    The first part is formatted here and each other in a forked child,
-    into an anonymous file in the output directory that is appended once
-    the child exits 0. A part whose child cannot be started, or fails, is
-    formatted here in its turn, so an error in it raises as it would in
-    one process. No child outlives the call: on an error every child not
-    yet reaped is killed and reaped.
-    """
-    children = {}  # part index: (pid, fd) of the child formatting it
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_schema_line("comm_taps") + "\n" + ",".join(COMM_TAPS_HEADER) + "\n")
-            directory = os.path.dirname(path) or os.curdir
-            for i in range(1, len(parts)):
-                child = _fork_part(directory, parts[i])
-                if child is not None:
-                    children[i] = child
-            for i, part in enumerate(parts):
-                done = False
-                if i in children:
-                    pid, fd = children[i]
-                    done = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-                    del children[i]
-                    try:
-                        if done:
-                            fh.flush()
-                            _append(fh.fileno(), fd)
-                    finally:
-                        os.close(fd)
-                if not done:
-                    _write_tap_rows(fh, part)
-    finally:
-        for pid, fd in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+    """Write the taps of each of ``parts``, consecutive runs of the dump, in order."""
+    _write(path, "comm_taps", COMM_TAPS_HEADER, [_tap_lines(part) for part in parts])
 
 
 # --- tracker outputs ----------------------------------------------------------
@@ -373,8 +380,25 @@ SUMMARY_HEADER = (
 RMSE_HEADER = ("kind", "n_clouds", "final_rmse_m", "mean_rmse_m")
 
 
-def write_trajectory(path: str, rows: Iterable[Sequence[str]]) -> None:
-    _write(path, "trajectory", TRAJECTORY_HEADER, rows)
+def write_trajectory(path: str, score: Score) -> None:
+    """A row per step and cloud in the batch of ``score``; a part per range of steps of ``pipeline.split``."""
+    # the fields fixed per entity are formatted once; an entity not alive has no truth
+    entities = [f"{kind},{pid},{eid}" for kind, pid, eid, *_ in score.clouds]
+    velocities = [f"{vx!r},{vy!r},{vz!r}" for vx, vy, vz in score.truth_vel.tolist()]
+
+    def lines(ks: range) -> Iterator[str]:
+        for k in ks:
+            m, head = score.members[k], f"{k},{score.times[k]!r}"
+            for e, (x, y, z, vx, vy, vz), (px, py, pz), err, known, coast, div in zip(
+                m.tolist(), score.estimates[k, m].tolist(), score.truth_pos[k, m].tolist(),
+                score.errors[k, m].tolist(), score.alive[k, m].tolist(), score.coasted[k, m].tolist(),
+                score.diverged[k, m].tolist(),
+            ):
+                truth = f"{px!r},{py!r},{pz!r},{velocities[e]},{err!r}" if known else ",,,,,,"
+                yield f"{head},{entities[e]},{x!r},{y!r},{z!r},{vx!r},{vy!r},{vz!r},{truth},{coast},{div}\n"
+
+    rows = [m.size for m in score.members]
+    _write(path, "trajectory", TRAJECTORY_HEADER, [lines(r) for r in split(rows, len(TRAJECTORY_HEADER))])
 
 
 def read_trajectory(path: str) -> dict:
@@ -386,11 +410,11 @@ def read_trajectory(path: str) -> dict:
 
 
 def write_summary(path: str, rows: Sequence[Sequence[str]]) -> None:
-    _write(path, "track_summary", SUMMARY_HEADER, rows)
+    _write(path, "track_summary", SUMMARY_HEADER, _joined(rows))
 
 
 def write_rmse(path: str, rows: Sequence[Sequence[str]]) -> None:
-    _write(path, "track_rmse", RMSE_HEADER, rows)
+    _write(path, "track_rmse", RMSE_HEADER, _joined(rows))
 
 
 # --- statistics outputs ---------------------------------------------------------
@@ -407,10 +431,8 @@ KS_HEADER = ("quantity", "ks_distance")
 
 
 def write_spreads(path: str, rows: Sequence[tuple[int, float, tuple[float, float, float, float, float]]]) -> None:
-    out = []
-    for k, t, spreads in rows:
-        out.append([str(k), _fmt(t)] + [_fmt(s) for s in spreads])
-    _write(path, "spreads", SPREADS_HEADER, out)
+    out = ([str(k), _fmt(t)] + [_fmt(s) for s in spreads] for k, t, spreads in rows)
+    _write(path, "spreads", SPREADS_HEADER, _joined(out))
 
 
 def read_spreads(path: str) -> dict:
@@ -418,9 +440,8 @@ def read_spreads(path: str) -> dict:
 
 
 def write_cdf(path: str, values: Sequence[float], fractions: Sequence[float]) -> None:
-    rows = [[_fmt(v), _fmt(f)] for v, f in zip(values, fractions)]
-    _write(path, "cdf", CDF_HEADER, rows)
+    _write(path, "cdf", CDF_HEADER, _joined([_fmt(v), _fmt(f)] for v, f in zip(values, fractions)))
 
 
 def write_ks(path: str, rows: Sequence[tuple[str, float]]) -> None:
-    _write(path, "ks", KS_HEADER, [[name, _fmt(v)] for name, v in rows])
+    _write(path, "ks", KS_HEADER, _joined([name, _fmt(v)] for name, v in rows))

@@ -1,8 +1,9 @@
 """One drop, a simulated scene realization, in memory: simulate, track,
 score, and the snapshot sources of the spreads. Nothing here reads or
-writes a file; the CLI does that around these functions. The comm taps
-come in frame ranges: ``comm_tap_parts`` splits a run into one part per
-CPU, which ``csvio.write_comm_taps`` formats side by side.
+writes a file; the CLI does that around these functions. ``split`` cuts
+any row source, such as the frames of a file or the rx rows of the comm
+taps, into one contiguous range per CPU, which ``csvio`` formats side by
+side, none under a floor of output fields.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,37 +61,52 @@ def simulate(rc: RunConfig) -> Drop:
     return Drop(scene, times, paths, frames, sensing_taps, phases)
 
 
+def _pairs(rc: RunConfig, all_pairs: bool) -> tuple[int, int]:
+    return (rc.rx_template().num_elements, rc.tx_array().num_elements) if all_pairs else (1, 1)  # rx, tx
+
+
+def comm_tap_rows(drop: Drop, rc: RunConfig, all_pairs: bool = False) -> np.ndarray:
+    """The tap rows of each rx row (the pairs of one rx element) of each frame: the units of ``comm_taps``."""
+    n_rx, n_tx = _pairs(rc, all_pairs)
+    return np.repeat([n_tx * (1 + len(paths)) for paths in drop.paths], n_rx)
+
+
 def comm_taps(drop: Drop, rc: RunConfig, all_pairs: bool = False,
-              frames: slice = slice(None)) -> Iterator[tuple[float, comm.TapBlock]]:
-    """(t, taps) of each of the ``frames`` for the reference pair, or for the (q, p) grid of
-    every antenna pair; built many frames to a kernel pass and made as they are iterated."""
-    tx, rx_template = rc.tx_array(), rc.rx_template()
-    n_rx, n_tx = (rx_template.num_elements, tx.num_elements) if all_pairs else (1, 1)
-    q, p = np.arange(n_rx)[:, None], np.arange(n_tx)[None, :]
-    return comm.run_taps(drop.scene, drop.times[frames], tx, rx_template, rc.comm, drop.phases, q, p,
-                         drop.paths[frames])
+              units: range | None = None) -> Iterator[tuple[float, comm.TapBlock]]:
+    """(t, taps) of each frame for the reference pair, or for the (q, p) grid of every antenna pair, of
+    the run of rx rows ``units`` (all by default); built many frames to a kernel pass as they are iterated.
+    A frame the run cuts gives the block of its rows in the run, from a kernel pass made whole."""
+    n_rx, n_tx = _pairs(rc, all_pairs)
+    units = range(len(drop.times) * n_rx) if units is None else units
+    if not units:
+        return
+    (first, a), (last, b) = divmod(units.start, n_rx), divmod(units.stop - 1, n_rx)
+    frames = slice(first, last + 1)
+    taps = comm.run_taps(drop.scene, drop.times[frames], rc.tx_array(), rc.rx_template(), rc.comm, drop.phases,
+                         np.arange(n_rx)[:, None], np.arange(n_tx)[None, :], drop.paths[frames])
+    for f, (t, block) in enumerate(taps, first):
+        rows = slice(a if f == first else 0, b + 1 if f == last else n_rx)
+        yield t, comm.TapBlock(*(x[rows] for x in (block.q, block.p, block.path_id, block.delay, block.re, block.im)))
 
 
-# least tap rows a part takes: forking and reaping a child costs about as much as formatting 700
-_PART_ROWS = comm._PASS_TAPS
+# least output fields a part takes: forking and reaping a child took 2.8-3.6 ms, what formatting
+# 5000-8000 fields takes (0.44-0.64 us each), so a part formats for at least twice what its child costs
+_PART_FIELDS = 16384
 
 
-def comm_tap_parts(drop: Drop, rc: RunConfig,
-                   all_pairs: bool = False) -> list[Iterator[tuple[float, comm.TapBlock]]]:
-    """``comm_taps`` in contiguous frame ranges, in frame order, for ``csvio.write_comm_taps``.
-
-    There is one range per CPU this process may run on, but no more than
-    leave each about ``_PART_ROWS`` tap rows, and always one. Each range
-    ends at the last frame boundary at or before its equal share of the
-    rows, so a range is never empty. A reference-pair run of the default
-    config (201 frames of 19 taps) is one range.
-    """
-    n_pairs = rc.rx_template().num_elements * rc.tx_array().num_elements if all_pairs else 1
-    ends = np.cumsum([0] + [n_pairs * (1 + len(paths)) for paths in drop.paths])  # tap rows before each frame
+def split(rows: Sequence[int], fields: int) -> list[range]:
+    """Contiguous ranges of the units of a row source, in order, whose unit i holds ``rows[i]`` rows
+    of ``fields`` fields: one per CPU this process may run on, but none under about ``_PART_FIELDS``
+    fields, and one where there are units. Each but the last ends at the last unit boundary at or
+    before its equal share of the rows; ranges left empty are dropped. On two CPUs the default
+    config's reference-pair taps (201 frames of 19 rows of 8 fields) are one range, its observations
+    (15 fields) two."""
+    ends = np.cumsum([0, *rows])  # rows before each unit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(cpus, int(ends[-1]) // _PART_ROWS))
-    bounds = (np.searchsorted(ends, ends[-1] * np.arange(n + 1) / n, side="right") - 1).tolist()
-    return [comm_taps(drop, rc, all_pairs, slice(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b]
+    n = max(1, min(cpus, int(ends[-1]) * fields // _PART_FIELDS))
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, n) / n, side="right") - 1
+    bounds = [0, *cuts.tolist(), len(rows)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def track(frames: list[ObservationFrame], scene: SceneTruth, cfg: tracker.TrackerConfig,
@@ -155,12 +171,14 @@ def score(state: tracker.TrackerState, scene: SceneTruth) -> Score:
     seen = scored.any(axis=0)
     mean = np.array([float(np.mean(errors[scored[:, e], e])) if seen[e] else np.nan for e in range(len(seen))])
     final = np.where(scored[-1], errors[-1], np.nan)
-    weighted = [ess[~np.isnan(ess)] for ess in state.spread(state.ess, np.nan).T]
+    # sorted, so the middle pair gives np.median's float without the 0.6 MB of numpy.ma it loads
+    weighted = [np.sort(ess[~np.isnan(ess)]) for ess in state.spread(state.ess, np.nan).T]
     kinds, path_ids = zip(*state.keys)
     clouds = list(zip(kinds, path_ids, state.entity_ids, coasted.sum(axis=0).tolist(),
                       diverged.any(axis=0).astype(int).tolist(), final.tolist(), mean.tolist(),
-                      [float(ess.min()) if ess.size else np.nan for ess in weighted],
-                      [float(np.median(ess)) if ess.size else np.nan for ess in weighted]))
+                      [float(ess[0]) if ess.size else np.nan for ess in weighted],
+                      [float((ess[(ess.size - 1) // 2] + ess[ess.size // 2]) / 2) if ess.size else np.nan
+                       for ess in weighted]))
     rmse = []
     kinds = np.array(kinds)
     for kind in (tracker.KIND_USER, tracker.KIND_FB, tracker.KIND_LB):

@@ -267,29 +267,37 @@ SIMULATE_FILES = {"scene.txt", "config_resolved.ini", "observations.csv", "sensi
                   "sensing_taps.csv", "comm_taps.csv"}
 
 
-def set_parts(monkeypatch, cpus, part_rows=1):
-    """Split the comm taps for ``cpus`` CPUs into parts of ``part_rows`` tap rows or more."""
-    monkeypatch.setattr(pipeline, "_PART_ROWS", part_rows)
+def set_parts(monkeypatch, cpus, part_fields=1):
+    """Split each large file for ``cpus`` CPUs into parts of ``part_fields`` output fields or more."""
+    monkeypatch.setattr(pipeline, "_PART_FIELDS", part_fields)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def record_forks_and_kills(monkeypatch):
-    """The lists of the pids of the children forked and of the processes killed from now on."""
-    forked, killed, fork, kill = [], [], os.fork, os.kill
+    """The lists of the pids of the children forked, of the names of the files they were forked
+    to write, in the same order, and of the processes killed from now on."""
+    forked, files, killed, fork, kill, write = [], [], [], os.fork, os.kill, csvio._write
+    writing = [None]
+
+    def counted_write(path, *args):
+        writing[0] = os.path.basename(path)
+        return write(path, *args)
 
     def counted_fork():
         pid = fork()
         if pid:
             forked.append(pid)
+            files.append(writing[0])
         return pid
 
     def counted_kill(pid, sig):
         killed.append(pid)
         kill(pid, sig)
 
+    monkeypatch.setattr(csvio, "_write", counted_write)
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "kill", counted_kill)
-    return forked, killed
+    return forked, files, killed
 
 
 def assert_no_child_left(out):
@@ -303,12 +311,12 @@ def assert_no_child_left(out):
 def test_all_pairs_in_forked_parts_keep_the_pinned_bytes(tmp_path, monkeypatch, cpus, text, digest):
     # the non-stationary run has births, so its frames, and its parts, differ in width
     set_parts(monkeypatch, cpus)
-    forked, _ = record_forks_and_kills(monkeypatch)
+    _, files, _ = record_forks_and_kills(monkeypatch)
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     out = str(tmp_path / "run")
     assert run("simulate", "--config", str(cfg), "--all-pairs", "--out", out) == 0
-    assert len(forked) == cpus - 1
+    assert files.count("comm_taps.csv") == cpus - 1
     with open(os.path.join(out, "comm_taps.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
     assert_no_child_left(out)
@@ -323,7 +331,7 @@ def test_parts_without_a_child_are_formatted_here(tmp_path, monkeypatch, missing
     # no fork or no anonymous file on the platform, an anonymous file that cannot be opened,
     # or a fork that fails: each part is written by the caller in its turn
     set_parts(monkeypatch, 3)
-    forked, _ = record_forks_and_kills(monkeypatch)
+    forked, _, _ = record_forks_and_kills(monkeypatch)
     if missing in ("fork", "O_TMPFILE"):
         monkeypatch.delattr(os, missing)
     else:
@@ -359,24 +367,28 @@ def test_a_failing_part_exits_as_one_part_does(tmp_path, monkeypatch, capsys, fa
     cfg = tmp_path / "run.ini"
     cfg.write_text(ALLPAIRS_CFG)  # 3 frames: with 3 CPUs a part each, the first in this process
     fail_frames(monkeypatch, failing)
-    forked, killed = record_forks_and_kills(monkeypatch)
+    forked, files, killed = record_forks_and_kills(monkeypatch)
     got = []
     for cpus in (1, 3):
         set_parts(monkeypatch, cpus)
-        forked.clear(), killed.clear()
+        forked.clear(), files.clear(), killed.clear()
         out = str(tmp_path / f"run{cpus}")
         got.append((run("simulate", "--config", str(cfg), "--all-pairs", "--out", out), capsys.readouterr().err))
-        assert len(forked) == cpus - 1
+        taps = [pid for pid, name in zip(forked, files) if name == "comm_taps.csv"]
+        assert len(taps) == cpus - 1
         assert_no_child_left(out)
         # the children not yet reaped when the error raised are killed: all of them if it is the parent's part
-        assert set(killed) <= set(forked) and (failing != {0} or killed == forked)
+        assert set(killed) <= set(taps) and (failing != {0} or killed == taps)
     assert got[0] == got[1] == (2, f"error: frame {min(failing)} fails\n")
 
 
 def test_the_pipeline_path_never_forks(tmp_path, monkeypatch):
-    forked, _ = record_forks_and_kills(monkeypatch)
-    set_parts(monkeypatch, 2, pipeline._PART_ROWS)
+    forked, files, _ = record_forks_and_kills(monkeypatch)
+    set_parts(monkeypatch, 2, pipeline._PART_FIELDS)
     assert run("simulate", "--out", str(tmp_path / "default")) == 0  # the reference pair: 201 x 19 rows
+    # of the default run's files only the observations, 201 x 19 rows of 15 fields, split; the taps' 8 do not
+    assert files == ["observations.csv"]
+    forked.clear()
     # one CPU: one part, however small the parts may be
     set_parts(monkeypatch, 1)
     for text, digest in ALL_PAIRS_PINS:
@@ -713,6 +725,113 @@ def test_track_bytes_pinned(tmp_path, name):
     for fname, digest in TRACK_SHA256[name].items():
         with open(tmp_path / fname, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
+
+
+def fds_and_children_left(fds, out):
+    """Assert no file descriptor beyond the first ``fds`` is open, no child is left and ``out``
+    holds only track's files: the anonymous files of the parts leave no name behind."""
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir(out)) == {"trajectory.csv", "summary.csv", "rmse.csv"}
+
+
+def pin_the_helper(monkeypatch):
+    # a forced CPU count must not pin the noise helper to a CPU this box lacks
+    monkeypatch.setattr(normals, "_other_cpus", lambda others=normals._other_cpus(): others)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("name", sorted(TRACK_CFGS))
+def test_track_bytes_pinned_in_forked_parts(tmp_path, monkeypatch, name, cpus):
+    # parts as small as one field: the observations, the comm taps and the trajectory each split in cpus
+    pin_the_helper(monkeypatch)
+    set_parts(monkeypatch, cpus)
+    _, files, _ = record_forks_and_kills(monkeypatch)
+    fds = len(os.listdir("/proc/self/fd"))
+    test_track_bytes_pinned(tmp_path, name)
+    for fname in ("observations.csv", "comm_taps.csv", "trajectory.csv"):
+        assert files.count(fname) == cpus - 1, fname
+    fds_and_children_left(fds, str(tmp_path / "trk"))
+
+
+def test_a_failing_child_leaves_its_part_to_the_parent(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["default"])
+    run_dir = simulate(tmp_path, str(cfg))
+    pin_the_helper(monkeypatch)
+    set_parts(monkeypatch, 3)
+    forked, files, killed = record_forks_and_kills(monkeypatch)
+    fork = os.fork
+
+    def failing_fork():  # each child exits 1 before it writes a byte
+        pid = fork()
+        if pid == 0:
+            os._exit(1)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    trk = str(tmp_path / "trk")
+    assert run("track", "--run", run_dir, "--out", trk) == 0
+    assert files == ["trajectory.csv"] * 2 and killed == []
+    for fname, digest in TRACK_SHA256["default"].items():
+        if fname.startswith("trk/"):
+            with open(tmp_path / fname, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, fname
+    fds_and_children_left(fds, trk)
+
+
+def test_an_error_in_the_parents_part_kills_every_child(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["default"])
+    run_dir = simulate(tmp_path, str(cfg))
+    pin_the_helper(monkeypatch)
+    set_parts(monkeypatch, 3)
+    forked, files, killed = record_forks_and_kills(monkeypatch)
+    write = csvio._write
+
+    def failing_first_part(path, name, header, parts):
+        def fail():
+            raise OSError("no space left on the device")
+            yield
+
+        return write(path, name, header, [fail(), *parts[1:]])
+
+    monkeypatch.setattr(csvio, "_write", failing_first_part)
+    fds = len(os.listdir("/proc/self/fd"))
+    trk = str(tmp_path / "trk")
+    capsys.readouterr()
+    assert run("track", "--run", run_dir, "--out", trk) == 2
+    assert capsys.readouterr().err == "error: no space left on the device\n"
+    # both children were forked before the parent's part raised, and neither was reaped
+    assert files == ["trajectory.csv"] * 2 and killed == forked
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(trk) == ["trajectory.csv"]
+
+
+def test_a_track_after_a_forked_write_shares_the_helper(tmp_path, monkeypatch):
+    # the children forget the noise helper; this process keeps it, and a second track draws through it
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TRACK_CFGS["default"])
+    run_dir = simulate(tmp_path, str(cfg))
+    pin_the_helper(monkeypatch)
+    set_parts(monkeypatch, 2)
+    _, files, _ = record_forks_and_kills(monkeypatch)
+    assert run("track", "--run", run_dir, "--out", str(tmp_path / "trk")) == 0
+    assert files == ["trajectory.csv"]
+    helper, starts, start = normals._helper, [], normals._Helper.start
+    assert (helper is not None and helper.thread.is_alive()) == bool(normals._other_cpus())
+    monkeypatch.setattr(normals._Helper, "start", lambda self, *args: starts.append(self) or start(self, *args))
+    rc, scene = cli._load_run(cli.build_parser().parse_args(["track", "--run", run_dir, "--out", "-"]))
+    state = pipeline.track(cli._read_frames(run_dir), scene, rc.tracker, rc.scene.seed)
+    again = tmp_path / "again.csv"
+    csvio.write_trajectory(str(again), pipeline.score(state, scene))
+    assert files == ["trajectory.csv", "again.csv"]
+    assert normals._helper is helper and set(starts) == ({helper} if helper else set())
+    assert hashlib.sha256(again.read_bytes()).hexdigest() == TRACK_SHA256["default"]["trk/trajectory.csv"]
 
 
 @pytest.mark.parametrize("eager", [False, True])

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -184,21 +185,28 @@ def test_written_header_bytes_equal_csv_writer(tmp_path, header):
 
 
 def test_written_rows_with_empty_fields_equal_csv_writer(tmp_path):
-    est = [repr(x) for x in (1.5, -2.25, 0.1, 1e-17, -0.0, 3.0)]
+    est = [1.5, -2.25, 0.1, 1e-17, -0.0, 3.0]
+    # the fifth step's batch: cloud 1, whose entity is not alive, so it has no truth, then cloud 0
+    score = SimpleNamespace(
+        times=[0.0, 0.1, 0.2, 0.3, 0.4], members=[np.array([], dtype=int)] * 4 + [np.array([1, 0])],
+        clouds=[("user", 0, 0), ("fb", 3, 12)], truth_vel=np.array([est[3:], est[:3]]),
+        estimates=np.tile(est, (5, 2, 1)), truth_pos=np.tile(est[:3], (5, 2, 1)), errors=np.full((5, 2), 0.5),
+        alive=np.tile([True, False], (5, 1)), coasted=np.tile([0, 1], (5, 1)), diverged=np.zeros((5, 2), dtype=int),
+    )
     trajectory = [
-        ["4", "0.4", "fb", "3", "12", *est, *[""] * 7, "1", "0"],  # the entity is not alive: no truth
-        ["4", "0.4", "user", "0", "0", *est, *est, "0.5", "0", "0"],
+        ["4", "0.4", "fb", "3", "12", *map(repr, est), *[""] * 7, "1", "0"],
+        ["4", "0.4", "user", "0", "0", *map(repr, est), *map(repr, est), "0.5", "0", "0"],
     ]
     summary = [
         ["lb", "2", "7", "0", "0", "", "1.25", "990.5", "999.0"],
         ["failed", "5", *[""] * 7],
     ]
-    for name, header, rows in (
-        ("trajectory", csvio.TRAJECTORY_HEADER, trajectory), ("track_summary", csvio.SUMMARY_HEADER, summary),
-    ):
-        path = tmp_path / f"{name}.csv"
-        csvio._write(str(path), name, header, rows)
-        assert path.read_bytes() == csv_writer_bytes(name, header, rows)
+    path = tmp_path / "trajectory.csv"
+    csvio.write_trajectory(str(path), score)
+    assert path.read_bytes() == csv_writer_bytes("trajectory", csvio.TRAJECTORY_HEADER, trajectory)
+    path = tmp_path / "track_summary.csv"
+    csvio.write_summary(str(path), summary)
+    assert path.read_bytes() == csv_writer_bytes("track_summary", csvio.SUMMARY_HEADER, summary)
 
 
 # --- the C reader against the exact parser -------------------------------------

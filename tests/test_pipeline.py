@@ -5,6 +5,8 @@ import contextlib
 import csv
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -140,23 +142,61 @@ def test_a_default_track_reads_the_callers_cpu_at_most_once(monkeypatch):
     assert (normals._helper is not None) == (len(os.sched_getaffinity(0)) > 1)
 
 
-@pytest.mark.parametrize("cpus, all_pairs, n_parts", [(2, True, 2), (1, True, 1), (64, True, 11), (2, False, 1)])
+def test_the_ess_median_is_np_medians_without_numpy_ma():
+    # np.median loads numpy.ma, about 0.6 MB of code, at its first call; a default track never calls it
+    script = (
+        "import sys\nfrom isacsim import config, pipeline\nrc = config.parse_run_config('[run]\\nduration = 0.5\\n')\n"
+        "drop = pipeline.simulate(rc)\nstate = pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed)\n"
+        "pipeline.score(state, drop.scene)\nsys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=120).returncode == 0
+    rc = parse_run_config(CFGS["birth-death-virtual-delay"])
+    drop = pipeline.simulate(rc)
+    state = pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed)
+    ess = [e[~np.isnan(e)] for e in state.spread(state.ess, np.nan).T]
+    medians = [cloud[8] for cloud in pipeline.score(state, drop.scene).clouds]
+    assert any(e.size % 2 for e in ess) and any(e.size and e.size % 2 == 0 for e in ess)
+    assert same_bits(np.array(medians), np.array([np.median(e) if e.size else np.nan for e in ess]))
+
+
+@pytest.mark.parametrize("cpus, all_pairs, n_parts", [(2, True, 2), (1, True, 1), (64, True, 44), (2, False, 1)])
 def test_comm_tap_parts_split_the_frames_by_tap_rows(monkeypatch, cpus, all_pairs, n_parts):
-    # channel-allpairs' config: 11 frames of 512 pairs x 19 taps, 107008 rows in all; its reference
-    # pair has 209 rows. A part holds the frames of about an equal share of the rows, and at
-    # least _PART_ROWS = 8192 in all, so 64 CPUs give 11 parts of a frame each, not 13
+    # channel-allpairs' config: 11 frames of 4 rx rows of 128 pairs x 19 taps, 107008 rows of 8 fields in
+    # all; its reference pair has 209 rows. A part holds the rx rows of about an equal share of the rows,
+    # and at least _PART_FIELDS = 16384 fields, so 2 CPUs cut frame 5 in half, 64 CPUs give 44 parts of
+    # an rx row each, not 52, and the reference pair is one part
     rc = parse_run_config("[run]\nseed = 1\nduration = 1.0\n")
     drop = pipeline.simulate(rc)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    parts = [list(part) for part in pipeline.comm_tap_parts(drop, rc, all_pairs)]
-    assert len(parts) == n_parts
-    whole = list(pipeline.comm_taps(drop, rc, all_pairs))
-    assert [t for part in parts for t, _ in part] == [t for t, _ in whole] == drop.times
-    for (_, got), (_, want) in zip([taps for part in parts for taps in part], whole):
-        assert same_bits(got.delay, want.delay) and same_bits(got.re, want.re) and same_bits(got.im, want.im)
-    rows = [sum(taps.delay.size for _, taps in part) for part in parts]
-    widest = max(taps.delay.size for _, taps in whole)
-    assert all(abs(r - sum(rows) / len(rows)) <= widest for r in rows) and rows[0] <= rows[-1]
+    rows = pipeline.comm_tap_rows(drop, rc, all_pairs)
+    units = pipeline.split(rows, len(csvio.COMM_TAPS_HEADER))
+    assert len(units) == n_parts and [u for run in units for u in run] == list(range(len(rows)))
+    parts = [list(pipeline.comm_taps(drop, rc, all_pairs, run)) for run in units]
+    pieces = {}  # each frame's blocks, in part order
+    for t, taps in (item for part in parts for item in part):
+        pieces.setdefault(t, []).append(taps)
+    assert list(pieces) == drop.times
+    for t, want in pipeline.comm_taps(drop, rc, all_pairs):
+        for name in ("q", "p", "path_id", "delay", "re", "im"):
+            assert same_bits(np.concatenate([getattr(taps, name) for taps in pieces[t]]), getattr(want, name))
+    counts = [sum(taps.delay.size for _, taps in part) for part in parts]
+    assert all(abs(c - sum(counts) / len(counts)) <= rows.max() for c in counts) and counts[0] <= counts[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.sampled_from([0, 0, 1, 2, 5, 40]), max_size=30), fields=st.integers(1, 20),
+       cpus=st.integers(1, 8), floor=st.sampled_from([1, 7, 100, 16384]))
+def test_split_covers_each_unit_once_in_order(rows, fields, cpus, floor):
+    # units without rows, as frames without echoes, may lead or end the source
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(pipeline, "_PART_FIELDS", floor)
+        units = pipeline.split(rows, fields)
+    assert [u for run in units for u in run] == list(range(len(rows))) and all(units)
+    total = sum(rows) * fields
+    assert len(units) <= max(1, min(cpus, total // floor)) and (len(units) == 1 or total >= 2 * floor or not rows)
 
 
 KINDS = ("user", "fb", "lb")
