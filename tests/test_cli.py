@@ -490,6 +490,7 @@ def test_default_run_bytes_pinned(tmp_path):
 NONSTATIONARY_OBSERVATIONS_SHA256 = {
     "observations.csv": "187bf9ed0d76fc731e78a3346ce728a4d5469a26549897230c1fd1de762d9dd2",
     "sensing_observations.csv": "17ef3794fd94c4dd0e74e1bf211839ffb1a4e0d637dd29c9480afe12e41d1bd6",
+    "scene.txt": "5b5cc91206da7d70cd42b0bc9db61b7d183dd3640e80519698428edb8a06793e",
 }
 
 
@@ -682,6 +683,7 @@ TRACK_SHA256 = {
         "sts/spreads_oracle.csv": "897bc0c12638fc79c666e08be082afb93e80dd6d58301c730f8e8a63607f334f",
         # the reference pair's taps of every frame, built many frames to a kernel pass
         "run/comm_taps.csv": "24db6d7bd2b2c397190fc57fa79cff145b33ea25d84bbfe8f229d530f4477ddb",
+        "run/scene.txt": "50505c87ce793c90f171c9cf0cd287bc6e6a22f03315eab75f2b7b1ed9202b6a",
     },
     "birth-death-virtual-delay": {
         # the clouds of paths 0-2 retire after k = 13: no rows from k = 14 on, 2 coast steps each,
@@ -698,6 +700,7 @@ TRACK_SHA256 = {
         "run/sensing_taps.csv": "526ababc1f49997bc71401d1818da1dabe78faa69cf8a9231f8d288f186d94ca",
         # one kernel pass spans every frame, across the deaths and births at k = 12
         "run/comm_taps.csv": "f89ed557c684695d21ddfa9192112eb84f10dcada3ec1302a5772a76bdab43da",
+        "run/scene.txt": "21045388fe2757efcc4953995f73fa58270d2574bf6918fd26a633f89e0f1b00",
     },
     "single-bounce-fallback": {
         # frame 0 gates out one path's echo, so its clouds start from solve_lb_range (r = 119.757 m)
@@ -707,6 +710,7 @@ TRACK_SHA256 = {
         "sts/spreads_tracked.csv": "76944d9cbde7daa38003af630449c48340d91d7f28e1868af59599ba4ee87ee7",
         "sts/spreads_observations.csv": "ada99dfc6222250b5bf08d42672834aae484ad4e1e09d07a6acbda8c687dc98b",
         "sts/spreads_oracle.csv": "613b9d4ca9e2d6cb42757ee0c288d56e07612239c60e7a06e021cdf67baf80ec",
+        "run/scene.txt": "6153a6a04656158c2f4c807c27527968d152be15a8170493525353d43a5c849f",
     },
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -281,6 +282,15 @@ def test_text_round_trip(tmp_path):
     scene, again, path = _saved_and_loaded(tmp_path)
     assert scene_to_text(again) == path.read_text() == scene_to_text(scene)
     assert again.config == scene.config
+
+
+def test_high_churn_scene_text_pinned():
+    # a scene whose scatterers die and are born many times over, with virtual delays: every byte must stay
+    text = scene_to_text(generate_scene(SceneConfig(seed=3, duration=2.0, birth_death_rate=5.0,
+                                                    virtual_delay_max=5e-8)))
+    records = [line[0] for line in text.splitlines()]
+    assert (records.count("S"), records.count("P")) == (136, 328)
+    assert hashlib.sha256(text.encode()).hexdigest() == "e48d47dbed263dcd385e86679dcd8dc967e8595b3e80a5f2a91b27430cee64ee"
 
 
 def test_file_round_trip(tmp_path):
