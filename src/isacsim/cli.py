@@ -72,7 +72,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     parts = [pipeline.comm_taps(drop, rc, args.all_pairs, run) for run in units]
     csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), parts)
 
-    print(f"scene: {len(drop.scene.scatterers)} scatterers, {len(drop.scene.paths)} paths")
+    print(f"scene: {len(drop.scene.rcs)} scatterers, {len(drop.scene.paths)} paths")
     print(f"frames: {len(drop.frames)} at Ts={rc.tracker.ts} s")
     print(f"outputs in {args.out}")
     return 0

@@ -60,7 +60,7 @@ def draw_polarization_set(
     gives the same taps as a full-coupling synthesis.
     """
     params.validate()
-    ids = [LOS_PATH_ID] + [p.path_id for p in scene.paths]
+    ids = [LOS_PATH_ID, *scene.paths[:, 0].tolist()]
     phases = rng.uniform(0.0, TWO_PI, size=(len(ids), 4))[:, 0]
     return dict(zip(ids, phases.tolist()))
 

@@ -231,8 +231,8 @@ def _check_track_of_run(traj_path: str, traj: dict, frames: list[ObservationFram
             got = "no step" if step is None else f"step k={step[0]} at t={step[1]!r}"
             raise tracker.TrackerError(f"{traj_path}: {got} where the run has frame k={k} at t={frame.time!r}")
     want = {}
-    for p in scene.paths:
-        want[(tracker.KIND_FB, p.path_id)], want[(tracker.KIND_LB, p.path_id)] = p.fb_id, p.lb_id
+    for path_id, fb_id, lb_id, _ in scene.paths.tolist():
+        want[(tracker.KIND_FB, path_id)], want[(tracker.KIND_LB, path_id)] = fb_id, lb_id
     rows = list(zip(traj["kind"], traj["path_id"].tolist(), traj["entity_id"].tolist()))
     wrong = {r for r in set(rows) if r[0] != tracker.KIND_USER and want.get(r[:2]) != r[2]}
     if wrong:

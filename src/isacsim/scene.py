@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +35,9 @@ ROLE_LB = "lb"
 
 LOS_PATH_ID = -1
 
+MAX_SCATTERERS = 10**4  # a scene holds at most this many scatterers (the shipped config has 12)
+MAX_PATHS = 10**5  # and at most this many paths (the shipped config has 18)
+
 
 class ConfigError(ValueError):
     """Invalid scene or run configuration."""
@@ -47,38 +49,6 @@ class SceneRangeError(ValueError):
 
 class SensingError(ValueError):
     """Invalid sensing-channel input."""
-
-
-@dataclass(frozen=True)
-class ScattererTruth:
-    """One scatterer's ground-truth trajectory segment.
-
-    ``position`` anchors the trajectory at ``birth_time``; the scatterer
-    moves with constant velocity until ``death_time`` (may be inf).
-    """
-
-    id: int
-    cluster_id: int
-    role: str
-    position: Vec3
-    velocity: Vec3
-    rcs: float
-    birth_time: float
-    death_time: float
-
-    def __post_init__(self) -> None:
-        if self.role not in (ROLE_FB, ROLE_LB):
-            raise ConfigError(f"unknown scatterer role {self.role!r}")
-        if not self.birth_time < self.death_time:
-            raise ConfigError(f"scatterer {self.id}: birth {self.birth_time} must precede death {self.death_time}")
-        if not self.rcs > 0.0:
-            raise ConfigError(f"scatterer {self.id}: rcs must be positive, got {self.rcs}")
-
-    def alive(self, t: float) -> bool:
-        return self.birth_time <= t < self.death_time
-
-    def position_at(self, t: float) -> Vec3:
-        return self.position + self.velocity * (t - self.birth_time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,20 +75,9 @@ class Trajectories:
     def positions(self, t: float | np.ndarray) -> np.ndarray:
         """Positions at ``t``, (E, 3) or (K, E, 3), alive or not; an (E,) ``t`` holds each row's time.
 
-        Element by element as ``ScattererTruth.position_at`` computes them.
+        Element by element: anchor plus velocity times the time since birth, each a float operation.
         """
         return self.anchor + self.velocity * (t - self.birth)[..., None]
-
-
-@dataclass(frozen=True)
-class PathSkeleton:
-    """Static identity of a propagation path; powers/delays are time queries."""
-
-    path_id: int
-    fb_id: int
-    lb_id: int
-    cluster_id: int
-    virtual_delay: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,48 +241,29 @@ class SceneConfig:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneTruth:
-    """Immutable generated environment: trajectories plus path structure."""
+    """Immutable generated environment, held as columns.
+
+    Scatterer ids are rows in draw order: scatterer i is row i of the
+    (S,) ``cluster_id``, ``role`` and ``rcs`` and of ``tracks``, whose
+    one extra, last row is the user, anchored at its start position at
+    time 0 and never dying, so ``LOS_PATH_ID`` indexes it. ``paths`` is
+    (P, 4) int, laid out as ``PathColumns.ids`` (path_id, fb_id, lb_id,
+    cluster_id), and ``virtual_delay`` is (P,).
+    """
 
     config: SceneConfig
-    scatterers: tuple[ScattererTruth, ...]
-    paths: tuple[PathSkeleton, ...]
+    cluster_id: np.ndarray
+    role: np.ndarray
+    rcs: np.ndarray
+    tracks: Trajectories
+    paths: np.ndarray
+    virtual_delay: np.ndarray
 
-    @cached_property
-    def _by_id(self) -> dict[int, ScattererTruth]:
-        return {s.id: s for s in self.scatterers}
-
-    @cached_property
-    def _path_rows(self) -> tuple[np.ndarray, np.ndarray, Trajectories, Trajectories]:
-        """The paths' (P, 4) ids, (P,) virtual delays and FB and LB trajectories, in stored path order."""
-        ids = np.array([(p.path_id, p.fb_id, p.lb_id, p.cluster_id) for p in self.paths], dtype=int).reshape(-1, 4)
-        virtual_delay = np.array([p.virtual_delay for p in self.paths], dtype=float)
-        return ids, virtual_delay, self.trajectories(ids[:, 1].tolist()), self.trajectories(ids[:, 2].tolist())
-
-    @cached_property
-    def _first_bounces(self) -> tuple[np.ndarray, np.ndarray, Trajectories]:
-        """The ids, radar cross sections and trajectories of the first-bounce scatterers, in scene order."""
-        fbs = [s for s in self.scatterers if s.role == ROLE_FB]
-        ids = [s.id for s in fbs]
-        return np.array(ids, dtype=int), np.array([s.rcs for s in fbs]), self.trajectories(ids)
-
-    def trajectories(self, ids: Iterable[int]) -> Trajectories:
-        """Trajectory rows of the scatterers ``ids``, in order.
-
-        ``LOS_PATH_ID`` stands for the user, anchored at its start
-        position at time 0 and never dying.
-        """
-        cfg = self.config
-        rows = []
-        for sid in ids:
-            if sid == LOS_PATH_ID:
-                rows.append((*cfg.user_start.as_tuple(), *cfg.user_velocity.as_tuple(), 0.0, math.inf))
-            else:
-                s = self.scatterer(sid)
-                rows.append((*s.position.as_tuple(), *s.velocity.as_tuple(), s.birth_time, s.death_time))
-        a = np.array(rows, dtype=float).reshape(-1, 8)
-        return Trajectories(a[:, :3], a[:, 3:6], a[:, 6], a[:, 7])
+    def trajectories(self, ids: Sequence[int] | np.ndarray) -> Trajectories:
+        """Trajectory rows of the scatterers ``ids``, in order; ``LOS_PATH_ID`` stands for the user."""
+        return self.tracks[np.asarray(ids, dtype=int)]
 
     @property
     def bs_position(self) -> Vec3:
@@ -333,9 +273,6 @@ class SceneTruth:
     def duration(self) -> float:
         return self.config.duration
 
-    def scatterer(self, sid: int) -> ScattererTruth:
-        return self._by_id[sid]
-
     def user_position(self, t: float) -> Vec3:
         return self.config.user_start + self.config.user_velocity * t
 
@@ -344,35 +281,12 @@ class SceneTruth:
             raise SceneRangeError(f"time {t} outside scene duration [0, {self.duration}]")
 
 
-def _random_unit_vector(rng: np.random.Generator) -> Vec3:
+def _random_unit_vector(rng: np.random.Generator) -> list[float]:
     v = rng.normal(size=3)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))  # np.linalg.norm(v), as it computes a vector's norm
     if n < 1e-12:
-        return Vec3(1.0, 0.0, 0.0)
-    return Vec3(float(v[0]) / n, float(v[1]) / n, float(v[2]) / n)
-
-
-def _draw_scatterer(
-    cfg: SceneConfig,
-    rng: np.random.Generator,
-    sid: int,
-    cluster_id: int,
-    role: str,
-    birth: float,
-) -> ScattererTruth:
-    pos = Vec3(
-        float(rng.uniform(cfg.region_min.x, cfg.region_max.x)),
-        float(rng.uniform(cfg.region_min.y, cfg.region_max.y)),
-        float(rng.uniform(cfg.region_min.z, cfg.region_max.z)),
-    )
-    speed = float(rng.uniform(cfg.speed_min, cfg.speed_max))
-    vel = _random_unit_vector(rng) * speed
-    rcs = float(rng.uniform(cfg.rcs_min, cfg.rcs_max))
-    if cfg.birth_death_rate > 0.0:
-        death = birth + float(rng.exponential(1.0 / cfg.birth_death_rate))
-    else:
-        death = math.inf
-    return ScattererTruth(sid, cluster_id, role, pos, vel, rcs, birth, death)
+        return [1.0, 0.0, 0.0]
+    return (v / n).tolist()
 
 
 def generate_scene(cfg: SceneConfig) -> SceneTruth:
@@ -381,47 +295,62 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
     Each cluster keeps ``fb_per_cluster + lb_per_cluster`` slots occupied:
     a slot's scatterer lives an exponential lifetime (infinite when the
     birth-death rate is 0) and is replaced on death by a new scatterer in
-    the same cluster and role.
+    the same cluster and role. Each scatterer draws its position, speed,
+    direction, radar cross section and lifetime, in that order. Every
+    first bounce (FB) then carries a single-bounce path and pairs with
+    each last bounce (LB) of its cluster whose lifetime overlaps its own,
+    in order of cluster, FB id and LB id; each double-bounce path then
+    draws its virtual delay.
+
+    Raises:
+        ConfigError: where the scene would hold more than
+            ``MAX_SCATTERERS`` scatterers or ``MAX_PATHS`` paths.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-
-    scatterers: list[ScattererTruth] = []
-    next_id = 0
+    bounds = [*zip(cfg.region_min.as_tuple(), cfg.region_max.as_tuple()), (cfg.speed_min, cfg.speed_max)]
+    drawn = []  # per scatterer: cluster, is LB, birth, death, x, y, z, speed, direction (3), rcs
     for cluster_id in range(cfg.n_clusters):
-        for role, count in ((ROLE_FB, cfg.fb_per_cluster), (ROLE_LB, cfg.lb_per_cluster)):
+        for is_lb, count in ((0, cfg.fb_per_cluster), (1, cfg.lb_per_cluster)):
             for _slot in range(count):
                 birth = 0.0
                 while birth < cfg.duration:
-                    s = _draw_scatterer(cfg, rng, next_id, cluster_id, role, birth)
-                    scatterers.append(s)
-                    next_id += 1
-                    birth = s.death_time
+                    if len(drawn) == MAX_SCATTERERS:
+                        raise ConfigError(f"the scene has more than {MAX_SCATTERERS} scatterers: lower "
+                                          "birth_death_rate, duration or the scatterers per cluster")
+                    place = [float(rng.uniform(lo, hi)) for lo, hi in bounds]
+                    unit = _random_unit_vector(rng)
+                    rcs = float(rng.uniform(cfg.rcs_min, cfg.rcs_max))
+                    if cfg.birth_death_rate > 0.0:
+                        death = birth + float(rng.exponential(1.0 / cfg.birth_death_rate))
+                    else:
+                        death = math.inf
+                    drawn.append((cluster_id, is_lb, birth, death, *place, *unit, rcs))
+                    birth = death
+    a = np.array(drawn)
+    cluster, is_lb = a[:, 0].astype(int), a[:, 1] == 1.0
+    tracks = Trajectories(np.vstack([a[:, 4:7], cfg.user_start.as_tuple()]),
+                          np.vstack([a[:, 8:11] * a[:, 7:8], cfg.user_velocity.as_tuple()]),
+                          np.append(a[:, 2], 0.0), np.append(a[:, 3], math.inf))
 
-    pairs: list[tuple[int, int, int]] = []
-    for cluster_id in range(cfg.n_clusters):
-        members = [s for s in scatterers if s.cluster_id == cluster_id]
-        fbs = sorted((s for s in members if s.role == ROLE_FB), key=lambda s: s.id)
-        lbs = sorted((s for s in members if s.role == ROLE_LB), key=lambda s: s.id)
-        for fb in fbs:
-            pairs.append((fb.id, fb.id, cluster_id))
-            for lb in lbs:
-                # skip pairs whose lifetimes never overlap
-                if fb.birth_time < lb.death_time and lb.birth_time < fb.death_time:
-                    pairs.append((fb.id, lb.id, cluster_id))
-    pairs.sort(key=lambda p: (p[2], p[0], p[1]))
-    # single-bounce paths have no in-between propagation to stand in for
-    paths = [
-        PathSkeleton(
-            pid, fb_id, lb_id, cluster_id,
-            float(rng.uniform(0.0, cfg.virtual_delay_max))
-            if cfg.virtual_delay_max > 0.0 and fb_id != lb_id
-            else 0.0,
-        )
-        for pid, (fb_id, lb_id, cluster_id) in enumerate(pairs)
-    ]
-
-    return SceneTruth(cfg, tuple(scatterers), tuple(paths))
+    # every FB carries its single-bounce path, then pairs with each LB of its cluster whose lifetime overlaps
+    fb, lb = np.flatnonzero(~is_lb), np.flatnonzero(is_lb)
+    birth, death = tracks.birth, tracks.death
+    overlap = (cluster[fb, None] == cluster[lb]) & (birth[fb, None] < death[lb]) & (birth[lb] < death[fb, None])
+    n_paths = len(fb) + int(np.count_nonzero(overlap))
+    if n_paths > MAX_PATHS:
+        raise ConfigError(f"the scene has {n_paths} paths, more than {MAX_PATHS}: lower the scatterers "
+                          "per cluster or birth_death_rate")
+    r, j = np.nonzero(overlap)
+    ends = np.column_stack([np.concatenate([fb, fb[r]]), np.concatenate([fb, lb[j]])])
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]  # by FB, its single-bounce path first, then by LB
+    paths = np.column_stack([np.arange(n_paths), ends, cluster[ends[:, 0]]])
+    virtual_delay = np.zeros(n_paths)
+    if cfg.virtual_delay_max > 0.0:  # single-bounce paths have no in-between propagation to stand in for
+        double = paths[:, 1] != paths[:, 2]
+        virtual_delay[double] = rng.uniform(0.0, cfg.virtual_delay_max, size=np.count_nonzero(double))
+    return SceneTruth(cfg, cluster, np.array([ROLE_FB, ROLE_LB])[is_lb.astype(int)], a[:, 11], tracks, paths,
+                      virtual_delay)
 
 
 def _alive_rows(scene: SceneTruth, times: Sequence[float], *tracks: Trajectories) -> tuple:
@@ -455,7 +384,8 @@ def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> list[TruePa
     Raises:
         ConfigError: where every power of a frame underflows to 0.
     """
-    ids, virtual_delay, fb_ends, lb_ends = scene._path_rows
+    ids, virtual_delay = scene.paths, scene.virtual_delay
+    fb_ends, lb_ends = scene.tracks[ids[:, 1]], scene.tracks[ids[:, 2]]
     rows, t, frames = _alive_rows(scene, times, fb_ends, lb_ends)
     fb, lb = fb_ends[rows].positions(t), lb_ends[rows].positions(t)
     user = scene.trajectories([LOS_PATH_ID]).positions(t[:, None])[:, 0]
@@ -510,7 +440,8 @@ def echoes(scene: SceneTruth, times: Sequence[float]) -> list[EchoColumns]:
     ``sensing_gain`` are applied element by element: numpy's ``d**4``
     rounds about one distance in twenty differently from Python's.
     """
-    ids, rcs, tracks = scene._first_bounces
+    ids = np.flatnonzero(scene.role == ROLE_FB)
+    tracks = scene.tracks[ids]
     rows, t, frames = _alive_rows(scene, times, tracks)
     moving = tracks[rows]
     disp = moving.positions(t) - np.array(scene.bs_position.as_tuple())
@@ -519,7 +450,7 @@ def echoes(scene: SceneTruth, times: Sequence[float]) -> list[EchoColumns]:
     delay = list(map(echo_delay, distance))  # rejects a zero distance before it is divided by
     closing_speed = -dots(moving.velocity, disp * (1.0 / d)[:, None])
     doppler = list(map(doppler_shift, itertools.repeat(lam), closing_speed.tolist()))
-    gain = list(map(sensing_gain, itertools.repeat(lam), rcs[rows].tolist(), distance))
+    gain = list(map(sensing_gain, itertools.repeat(lam), scene.rcs[ids[rows]].tolist(), distance))
     angles, degenerate = direction_columns(disp)
     whole = EchoColumns(ids[rows], np.column_stack([delay, angles, doppler, gain]), degenerate)
     return [whole[f] for f in frames]
@@ -633,32 +564,14 @@ def render_value(value) -> str:
 
 
 def scene_to_text(scene: SceneTruth) -> str:
-    lines = [SCENE_HEADER]
-    for f in fields(SceneConfig):
-        lines.append(f"C {f.name} {render_value(getattr(scene.config, f.name))}")
-    for s in scene.scatterers:
-        lines.append(
-            "S "
-            + " ".join(
-                [
-                    str(s.id),
-                    str(s.cluster_id),
-                    s.role,
-                    _fmt(s.birth_time),
-                    _fmt(s.death_time),
-                    _fmt(s.position.x),
-                    _fmt(s.position.y),
-                    _fmt(s.position.z),
-                    _fmt(s.velocity.x),
-                    _fmt(s.velocity.y),
-                    _fmt(s.velocity.z),
-                    _fmt(s.rcs),
-                ]
-            )
-        )
-    for p in scene.paths:
-        lines.append(f"P {p.path_id} {p.fb_id} {p.lb_id} {p.cluster_id} {_fmt(p.virtual_delay)}")
-    return "\n".join(lines) + "\n"
+    config = [f"C {f.name} {render_value(getattr(scene.config, f.name))}" for f in fields(SceneConfig)]
+    t = scene.tracks  # its last row, the user's, is left out by zip
+    columns = (scene.cluster_id, scene.role, t.birth, t.death, t.anchor, t.velocity, scene.rcs)
+    scatterers = [f"S {sid} {c} {role} {b!r} {d!r} {x!r} {y!r} {z!r} {vx!r} {vy!r} {vz!r} {rcs!r}"
+                  for sid, (c, role, b, d, (x, y, z), (vx, vy, vz), rcs) in enumerate(zip(*map(np.ndarray.tolist, columns)))]
+    paths = [f"P {p} {fb} {lb} {c} {vd!r}" for (p, fb, lb, c), vd in zip(scene.paths.tolist(),
+                                                                           scene.virtual_delay.tolist())]
+    return "\n".join([SCENE_HEADER, *config, *scatterers, *paths]) + "\n"
 
 
 def save_scene(scene: SceneTruth, path: str) -> None:

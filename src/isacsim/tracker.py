@@ -618,7 +618,7 @@ def initialize_at_truth(
     cfg.validate()
     ids = ground_truth_paths(scene, [t0])[0].columns.ids
     ids = ids[np.argsort(ids[:, 0], kind="stable"), :3]
-    tracks = scene.trajectories([LOS_PATH_ID, *ids[:, 1].tolist(), *ids[:, 2].tolist()])
+    tracks = scene.trajectories(np.concatenate([[LOS_PATH_ID], ids[:, 1], ids[:, 2]]))
     start = np.hstack([tracks.positions(t0), tracks.velocity])
     return _start(cfg, np.array(scene.bs_position.as_tuple()), t0, ids, start, seed, (0.0, 0.0), ())
 

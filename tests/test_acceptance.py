@@ -42,6 +42,7 @@ from isacsim.tracker import (
     step,
     weight,
 )
+from scalar_truth import position_at
 
 # final position RMSE (m) of the default run, frozen from the first
 # verified run; the regression band is +/-20%
@@ -157,7 +158,7 @@ def test_criterion_3_geometry_round_trip():
 def test_criterion_4_oracle_closure():
     # 5 clusters x (1 FB + 1 LB) = 10 scatterers, 20 s
     scene = generate_scene(SceneConfig(n_clusters=5, fb_per_cluster=1, lb_per_cluster=1))
-    assert len(scene.scatterers) == 10
+    assert len(scene.rcs) == 10
     rng = np.random.default_rng(0)
     times = [k * 0.1 for k in range(201)]
     frames = observe(scene, times, (0.0, 0.0), rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
@@ -168,11 +169,11 @@ def test_criterion_4_oracle_closure():
         for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, aod_el, aoa_az, aoa_el) in zip(
             paths.ids.tolist(), paths.table.tolist()
         ):
-            fb = scene.scatterer(fb_id).position_at(t)
-            lb = scene.scatterer(lb_id).position_at(t)
+            fb = position_at(scene, fb_id, t)
+            lb = position_at(scene, lb_id, t)
             leg, angles, _ = path_term_columns(bs, user, np.array([fb.as_tuple()]), np.array([lb.as_tuple()]))
             want_aod_az, want_aod_el, want_aoa_az, want_aoa_el = angles[0].tolist()
-            delay = float(leg[0]) / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
+            delay = float(leg[0]) / SPEED_OF_LIGHT + float(scene.virtual_delay[path_id])
             assert abs(delay - obs_delay) <= 1e-12
             assert abs(wrap_angle(want_aod_az - aod_az)) <= 1e-12
             assert abs(want_aod_el - aod_el) <= 1e-12
@@ -200,7 +201,7 @@ def test_criterion_5_filter_exactness():
             if key == USER_KEY:
                 truth = scene.user_position(t)
             else:
-                truth = scene.scatterer(sid).position_at(t)
+                truth = position_at(scene, sid, t)
             assert Vec3(*est[:3]).distance_to(truth) < 1e-6
 
 

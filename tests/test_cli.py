@@ -513,6 +513,24 @@ def test_first_negative_round_trip_delay_in_frame_order_exits_2(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scene, message", [
+    # 12 slots, each replaced about 1000 times a second over 20 s: stopped at the 10001st scatterer
+    ("birth_death_rate = 1000", "the scene has more than 10000 scatterers: lower birth_death_rate, duration or "
+                                "the scatterers per cluster"),
+    # 6000 scatterers that never die: 3000 single-bounce and 3000 x 3000 double-bounce paths
+    ("n_clusters = 1\nfb_per_cluster = 3000\nlb_per_cluster = 3000", "the scene has 9003000 paths, more than "
+                                                                       "100000: lower the scatterers per cluster or "
+                                                                       "birth_death_rate"),
+], ids=["scatterers", "paths"])
+def test_a_scene_too_large_to_build_exits_2(tmp_path, capsys, scene, message):
+    cfg = tmp_path / "large.ini"
+    cfg.write_text(f"[scene]\n{scene}\n")
+    out = tmp_path / "run"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.fixture()
 def ts_02_run(tmp_path):
     cfg = tmp_path / "ts02.ini"

@@ -18,6 +18,7 @@ from isacsim.comm import (
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3
 from isacsim.scene import LOS_PATH_ID, PathColumns, SceneConfig, TruePaths, generate_scene, ground_truth_paths
+from scalar_truth import position_at
 
 F_C = 28e9
 LAM = SPEED_OF_LIGHT / F_C
@@ -37,10 +38,10 @@ def tx_pair():
 def test_draw_set_covers_all_paths_with_phases_in_range():
     scene = generate_scene(SceneConfig(birth_death_rate=0.5))
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
-    assert set(draws) == {LOS_PATH_ID} | {p.path_id for p in scene.paths}
+    assert set(draws) == {LOS_PATH_ID} | set(scene.paths[:, 0].tolist())
     # the first of four coupling phases drawn per path, LoS first
     ref = np.random.default_rng(3)
-    for pid in [LOS_PATH_ID] + [p.path_id for p in scene.paths]:
+    for pid in [LOS_PATH_ID] + scene.paths[:, 0].tolist():
         xi = draws[pid]
         assert type(xi) is float
         assert 0.0 <= xi < 2.0 * math.pi
@@ -228,11 +229,11 @@ def test_run_taps_every_pair_of_a_nonstationary_scene():
         rx_el = np.array(scene.user_position(t).as_tuple()) + rx_template.element_offsets()  # (4, 3)
         want = {LOS_PATH_ID: np.linalg.norm(rx_el[:, None, :] - tx_el[None, :, :], axis=-1) / SPEED_OF_LIGHT}
         for path_id, fb_id, lb_id, _ in truths.columns.ids.tolist():
-            fb = np.array(scene.scatterer(fb_id).position_at(t).as_tuple())
-            lb = np.array(scene.scatterer(lb_id).position_at(t).as_tuple())
+            fb = np.array(position_at(scene, fb_id, t).as_tuple())
+            lb = np.array(position_at(scene, lb_id, t).as_tuple())
             d_tx = np.linalg.norm(fb - tx_el, axis=-1)
             d_rx = np.linalg.norm(lb - rx_el, axis=-1)
-            want[path_id] = (d_tx[None, :] + d_rx[:, None]) / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
+            want[path_id] = (d_tx[None, :] + d_rx[:, None]) / SPEED_OF_LIGHT + scene.virtual_delay[path_id]
         for pid, delays in want.items():
             col = block.path_id == pid
             assert np.all(col.sum(axis=-1) == 1)

@@ -17,6 +17,7 @@ from isacsim.geometry import (
     wrap_angles,
 )
 from isacsim.scene import SceneConfig, echoes, generate_scene, ground_truth_paths, observe
+from scalar_truth import position_at
 
 
 def test_wrap_angle_basic():
@@ -179,10 +180,10 @@ def test_path_terms_matches_noiseless_observation():
     for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, _, _, aoa_el) in zip(
         paths.ids.tolist(), paths.table.tolist()
     ):
-        fb = scene.scatterer(fb_id).position_at(t)
-        lb = scene.scatterer(lb_id).position_at(t)
+        fb = position_at(scene, fb_id, t)
+        lb = position_at(scene, lb_id, t)
         leg, aod, aoa = _one_path(scene.bs_position, user, fb, lb)
-        delay = leg / SPEED_OF_LIGHT + scene.paths[path_id].virtual_delay
+        delay = leg / SPEED_OF_LIGHT + float(scene.virtual_delay[path_id])
         assert delay == pytest.approx(obs_delay, abs=1e-15)
         assert aod.azimuth == pytest.approx(aod_az, abs=1e-12)
         assert aoa.elevation == pytest.approx(aoa_el, abs=1e-12)

@@ -14,7 +14,7 @@ from isacsim.scene import (
     ConfigError,
     SceneConfig,
     SceneRangeError,
-    SceneTruth,
+    Trajectories,
     doppler_shift,
     echo_delay,
     echoes,
@@ -26,6 +26,7 @@ from isacsim.scene import (
     scene_to_text,
     sensing_gain,
 )
+from scalar_truth import alive, alive_first_bounces, position_at, velocity
 
 
 def small_config(**kw):
@@ -50,63 +51,64 @@ def test_scatterer_and_path_counts():
     # every FB pairs with itself (single bounce) and with each LB in its cluster
     scene = generate_scene(SceneConfig())
     cfg = scene.config
-    assert len(scene.scatterers) == cfg.n_clusters * (cfg.fb_per_cluster + cfg.lb_per_cluster)
+    n = cfg.n_clusters * (cfg.fb_per_cluster + cfg.lb_per_cluster)
+    assert len(scene.cluster_id) == len(scene.role) == len(scene.rcs) == n
+    assert len(scene.tracks.birth) == n + 1  # and the user's row
     per_cluster = cfg.fb_per_cluster * (1 + cfg.lb_per_cluster)
-    assert len(scene.paths) == cfg.n_clusters * per_cluster
-    assert [p.path_id for p in scene.paths] == list(range(len(scene.paths)))
+    assert scene.paths.shape == (cfg.n_clusters * per_cluster, 4)
+    assert scene.paths[:, 0].tolist() == list(range(len(scene.paths)))
 
 
 def test_single_bounce_paths_have_fb_equal_lb():
     scene = generate_scene(SceneConfig())
-    singles = [p for p in scene.paths if p.fb_id == p.lb_id]
+    singles = [(fb_id, lb_id) for _, fb_id, lb_id, _ in scene.paths.tolist() if fb_id == lb_id]
     assert len(singles) == scene.config.n_clusters * scene.config.fb_per_cluster
-    for p in singles:
-        assert p.fb_id == p.lb_id
-        assert scene.scatterer(p.fb_id).role == ROLE_FB
+    for fb_id, lb_id in singles:
+        assert fb_id == lb_id
+        assert scene.role[fb_id] == ROLE_FB
 
 
 def test_positions_inside_region():
     scene = generate_scene(SceneConfig())
     lo, hi = scene.config.region_min, scene.config.region_max
-    for s in scene.scatterers:
-        p = s.position
+    for sid, rcs in enumerate(scene.rcs.tolist()):
+        p = Vec3(*scene.tracks.anchor[sid].tolist())
         assert lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y and lo.z <= p.z <= hi.z
-        assert scene.config.rcs_min <= s.rcs <= scene.config.rcs_max
-        v = s.velocity.norm()
+        assert scene.config.rcs_min <= rcs <= scene.config.rcs_max
+        v = velocity(scene, sid).norm()
         assert scene.config.speed_min - 1e-12 <= v <= scene.config.speed_max + 1e-12
 
 
 def test_constant_velocity_motion():
     scene = generate_scene(small_config())
-    s = scene.scatterers[0]
-    p0 = s.position_at(0.0)
-    p1 = s.position_at(2.5)
-    assert (p1 - p0).distance_to(s.velocity * 2.5) < 1e-12
+    p0 = position_at(scene, 0, 0.0)
+    p1 = position_at(scene, 0, 2.5)
+    assert (p1 - p0).distance_to(velocity(scene, 0) * 2.5) < 1e-12
 
 
 def test_no_birth_death_when_rate_zero():
     scene = generate_scene(small_config(birth_death_rate=0.0))
-    for s in scene.scatterers:
-        assert s.birth_time == 0.0
-        assert s.death_time == math.inf
+    for birth, death in zip(scene.tracks.birth.tolist(), scene.tracks.death.tolist()):  # the user's row too
+        assert birth == 0.0
+        assert death == math.inf
 
 
 def test_birth_death_replaces_scatterers():
     scene = generate_scene(small_config(birth_death_rate=0.5, duration=20.0, seed=3))
-    died = [s for s in scene.scatterers if s.death_time < 20.0]
-    assert died, "a rate-0.5 20 s scene should see deaths"
+    died = np.flatnonzero(scene.tracks.death < 20.0)
+    assert died.size, "a rate-0.5 20 s scene should see deaths"
     # slot coverage: at any time each cluster still has its FB scatterer
     for t in (0.0, 5.0, 10.0, 19.9):
-        alive_fb = [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(t)]
-        clusters = {s.cluster_id for s in alive_fb}
+        alive_fb = alive_first_bounces(scene, t)
+        clusters = set(scene.cluster_id[alive_fb].tolist())
         assert clusters == set(range(scene.config.n_clusters))
 
 
 def test_alive_half_open_interval():
     scene = generate_scene(small_config(birth_death_rate=0.5, seed=3))
-    s = next(s for s in scene.scatterers if s.death_time < 20.0)
-    assert s.alive(s.birth_time)
-    assert not s.alive(s.death_time)
+    s = scene.trajectories([int(np.flatnonzero(scene.tracks.death < 20.0)[0])])
+    assert s.alive(s.birth[0]).tolist() == [True]
+    assert s.alive(s.death[0]).tolist() == [False]
 
 
 def test_user_trajectory():
@@ -131,22 +133,24 @@ def test_run_columns_equal_the_scalar_formulas():
     # births, deaths and virtual delays, and one first bounce rising straight above the BS
     scene = generate_scene(SceneConfig(birth_death_rate=0.3, virtual_delay_max=50e-9, seed=5, duration=5.0))
     bs, lam = scene.bs_position, scene.config.wavelength
-    up = next(s for s in scene.scatterers if s.role == ROLE_FB)
-    up = replace(up, position=Vec3(bs.x, bs.y, 40.0), velocity=Vec3(0.0, 0.0, 0.5))
-    scene = SceneTruth(scene.config, tuple(up if s.id == up.id else s for s in scene.scatterers), scene.paths)
+    up = scene.role.tolist().index(ROLE_FB)
+    anchor, speed = scene.tracks.anchor.copy(), scene.tracks.velocity.copy()
+    anchor[up], speed[up] = (bs.x, bs.y, 40.0), (0.0, 0.0, 0.5)
+    scene = replace(scene, tracks=Trajectories(anchor, speed, scene.tracks.birth, scene.tracks.death))
     times = [k * 0.1 for k in range(51)]
     alive_sets, vertical = set(), 0
     for t, paths, echo in zip(times, ground_truth_paths(scene, times), echoes(scene, times)):
         user = scene.user_position(t)
-        alive = [p for p in scene.paths if scene.scatterer(p.fb_id).alive(t) and scene.scatterer(p.lb_id).alive(t)]
-        points = [(scene.scatterer(p.fb_id).position_at(t), scene.scatterer(p.lb_id).position_at(t)) for p in alive]
+        live = [p for p in scene.paths.tolist() if alive(scene, p[1], t) and alive(scene, p[2], t)]
+        points = [(position_at(scene, fb_id, t), position_at(scene, lb_id, t)) for _, fb_id, lb_id, _ in live]
+        virtual_delay = [float(scene.virtual_delay[path_id]) for path_id, _, _, _ in live]
         # the outer legs' length, the AoD from the BS at the FB and the AoA from the user at the LB
         terms = [((fb - bs).norm() + (lb - user).norm(), angles_from_displacement(fb - bs),
                   angles_from_displacement(lb - user)) for fb, lb in points]
-        delays = np.array([leg / SPEED_OF_LIGHT + p.virtual_delay for p, (leg, _, _) in zip(alive, terms)])
+        delays = np.array([leg / SPEED_OF_LIGHT + vd for vd, (leg, _, _) in zip(virtual_delay, terms)])
         raw = np.exp(-delays / scene.config.pdp_decay)
         powers = raw / raw.sum()  # the frame's own ndarray.sum, in its pairwise order
-        assert paths.columns.ids.tolist() == [[p.path_id, p.fb_id, p.lb_id, p.cluster_id] for p in alive]
+        assert paths.columns.ids.tolist() == live
         assert paths.columns.table.tolist() == [
             [w, d, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation]
             for w, d, (_, aod, aoa) in zip(powers.tolist(), delays.tolist(), terms)
@@ -154,18 +158,18 @@ def test_run_columns_equal_the_scalar_formulas():
         assert paths.columns.degenerate.tolist() == [[aod.degenerate, aoa.degenerate] for _, aod, aoa in terms]
         assert paths.fb.tolist() == [list(fb.as_tuple()) for fb, _ in points]
         assert paths.lb.tolist() == [list(lb.as_tuple()) for _, lb in points]
-        assert paths.virtual_delay.tolist() == [p.virtual_delay for p in alive]
-        alive_sets.add(tuple(p.path_id for p in alive))
+        assert paths.virtual_delay.tolist() == virtual_delay
+        alive_sets.add(tuple(p[0] for p in live))
 
-        fbs = [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(t)]
+        fbs = alive_first_bounces(scene, t)
         want = []
-        for s in fbs:
-            disp = s.position_at(t) - bs
+        for sid in fbs:
+            disp = position_at(scene, sid, t) - bs
             d, direction = disp.norm(), angles_from_displacement(disp)
-            closing_speed = -s.velocity.dot(disp * (1.0 / d))
+            closing_speed = -velocity(scene, sid).dot(disp * (1.0 / d))
             want.append((echo_delay(d), direction.azimuth, direction.elevation, doppler_shift(lam, closing_speed),
-                         sensing_gain(lam, s.rcs, d), direction.degenerate))
-        assert echo.scatterer_id.tolist() == [s.id for s in fbs]
+                         sensing_gain(lam, float(scene.rcs[sid]), d), direction.degenerate))
+        assert echo.scatterer_id.tolist() == fbs
         assert echo.table.tolist() == [list(w[:5]) for w in want]
         assert echo.degenerate.tolist() == [w[5] for w in want]
         vertical += sum(w[5] for w in want)
@@ -177,8 +181,8 @@ def test_path_delay_excludes_middle_leg():
     paths = ground_truth_paths(scene, [0.0])[0].columns
     (_, fb_id, lb_id, _), delay = next((ids, d) for ids, d in zip(paths.ids.tolist(), paths.delay.tolist())
                                        if ids[1] != ids[2])
-    fb = scene.scatterer(fb_id).position_at(0.0)
-    lb = scene.scatterer(lb_id).position_at(0.0)
+    fb = position_at(scene, fb_id, 0.0)
+    lb = position_at(scene, lb_id, 0.0)
     d = scene.bs_position.distance_to(fb) + scene.user_position(0.0).distance_to(lb)
     assert delay == pytest.approx(d / SPEED_OF_LIGHT, rel=1e-15)
 
@@ -192,8 +196,8 @@ def test_observe_noiseless_matches_geometry():
     bs = scene.bs_position
     paths = frame.comm_paths
     for (_, fb_id, lb_id, _), (_, delay, aod_az, _, _, aoa_el) in zip(paths.ids.tolist(), paths.table.tolist()):
-        fb = scene.scatterer(fb_id).position_at(t)
-        lb = scene.scatterer(lb_id).position_at(t)
+        fb = position_at(scene, fb_id, t)
+        lb = position_at(scene, lb_id, t)
         want = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT
         assert delay == pytest.approx(want, abs=1e-18)
         aod = angles_from_displacement(fb - bs)
@@ -210,15 +214,14 @@ def test_observe_sensing_covers_alive_fb():
     frame = observe(
         scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
     ).frames[0]
-    fb_ids = {s.id for s in [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(0.0)]}
+    fb_ids = set(alive_first_bounces(scene, 0.0))
     dets = frame.sensing_detections
     assert set(dets.scatterer_id.tolist()) == fb_ids
     for sid, (round_trip_delay, _, _, _, gain) in zip(dets.scatterer_id.tolist(), dets.table.tolist()):
-        s = scene.scatterer(sid)
-        d = (s.position_at(0.0) - scene.bs_position).norm()
+        d = (position_at(scene, sid, 0.0) - scene.bs_position).norm()
         assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
         lam = scene.config.wavelength
-        assert gain == pytest.approx(lam**2 * s.rcs / (64 * math.pi**3 * d**4), rel=1e-12)
+        assert gain == pytest.approx(lam**2 * float(scene.rcs[sid]) / (64 * math.pi**3 * d**4), rel=1e-12)
 
 
 def test_observe_doppler_sign():
@@ -228,10 +231,9 @@ def test_observe_doppler_sign():
         scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
     ).frames[0].sensing_detections
     for sid, doppler in zip(dets.scatterer_id.tolist(), dets.table[:, 3].tolist()):
-        s = scene.scatterer(sid)
-        u = s.position_at(0.0) - scene.bs_position
+        u = position_at(scene, sid, 0.0) - scene.bs_position
         u = u * (1.0 / u.norm())
-        closing = -s.velocity.dot(u)
+        closing = -velocity(scene, sid).dot(u)
         assert doppler == pytest.approx(2.0 * closing / scene.config.wavelength, rel=1e-12)
 
 
@@ -264,8 +266,7 @@ def test_frame_lookup_helpers():
     assert sorted(set(path_ids)) == path_ids == ground_truth_paths(scene, [0.0])[0].columns.path_id.tolist()
     assert frame.comm_paths[1:3].path_id.tolist() == path_ids[1:3]
     echo_ids = frame.sensing_detections.scatterer_id.tolist()
-    alive_fb = [s for s in scene.scatterers if s.role == ROLE_FB and s.alive(0.0)]
-    assert len(set(echo_ids)) == len(echo_ids) == len(alive_fb)
+    assert len(set(echo_ids)) == len(echo_ids) == len(alive_first_bounces(scene, 0.0))
 
 
 def _saved_and_loaded(tmp_path):
@@ -296,8 +297,10 @@ def test_high_churn_scene_text_pinned():
 def test_file_round_trip(tmp_path):
     scene, again, _ = _saved_and_loaded(tmp_path)
     assert again.config == scene.config
-    assert again.scatterers == scene.scatterers
-    assert again.paths == scene.paths
+    for name in ("cluster_id", "role", "rcs", "paths", "virtual_delay"):
+        assert np.array_equal(getattr(again, name), getattr(scene, name)), name
+    for name in ("anchor", "velocity", "birth", "death"):
+        assert np.array_equal(getattr(again.tracks, name), getattr(scene.tracks, name)), name
 
 
 def _edited_scene_error(tmp_path, lineno, line):
@@ -391,15 +394,15 @@ def test_observe_rejects_a_run_of_no_times():
 
 def test_virtual_delays():
     scene = generate_scene(small_config(virtual_delay_max=50e-9))
-    doubles = [p for p in scene.paths if p.fb_id != p.lb_id]
-    assert any(p.virtual_delay > 0.0 for p in doubles)
-    for p in scene.paths:
-        assert 0.0 <= p.virtual_delay <= 50e-9
-        if p.fb_id == p.lb_id:
-            assert p.virtual_delay == 0.0
+    doubles = scene.paths[:, 1] != scene.paths[:, 2]
+    assert (scene.virtual_delay[doubles] > 0.0).any()
+    for (_, fb_id, lb_id, _), virtual_delay in zip(scene.paths.tolist(), scene.virtual_delay.tolist()):
+        assert 0.0 <= virtual_delay <= 50e-9
+        if fb_id == lb_id:
+            assert virtual_delay == 0.0
 
 
 def test_role_split():
     scene = generate_scene(SceneConfig())
-    roles = {s.role for s in scene.scatterers}
+    roles = set(scene.role.tolist())
     assert roles == {ROLE_FB, ROLE_LB}

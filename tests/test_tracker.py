@@ -52,6 +52,7 @@ from isacsim.tracker import (
     step,
     weight,
 )
+from scalar_truth import position_at
 
 C = 299792458.0
 
@@ -677,8 +678,8 @@ def test_initialize_exact_at_zero_noise():
     state = initialize(frame0, scene.bs_position, *user0, exact_cfg(), seed=1)
     assert not state.failed_paths
     for path_id, fb_id, lb_id, _ in frame0.comm_paths.ids.tolist():
-        fb_truth = scene.scatterer(fb_id).position_at(0.0)
-        lb_truth = scene.scatterer(lb_id).position_at(0.0)
+        fb_truth = position_at(scene, fb_id, 0.0)
+        lb_truth = position_at(scene, lb_id, 0.0)
         assert est_pos(state, (KIND_FB, path_id), 0).distance_to(fb_truth) < 1e-6
         assert est_pos(state, (KIND_LB, path_id), 0).distance_to(lb_truth) < 1e-6
     assert est_pos(state, USER_KEY, 0).distance_to(scene.user_position(0.0)) < 1e-12
@@ -846,7 +847,7 @@ def test_zero_noise_tracking_is_exact():
         step(state, observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0])
         assert est_pos(state, USER_KEY).distance_to(scene.user_position(t)) < 1e-6
         for key, sid in zip(state.keys[1:], state.entity_ids[1:]):
-            truth = scene.scatterer(sid).position_at(t)
+            truth = position_at(scene, sid, t)
             assert est_pos(state, key).distance_to(truth) < 1e-6
         assert not state.coasted[-1].any() and not state.diverged[-1].any()
 
@@ -871,7 +872,7 @@ def test_coasting_extrapolates_straight_line():
     assert (KIND_FB, pid) in coasted and (KIND_LB, pid) in coasted
     # zero process noise: coasted estimate is the exact linear advance,
     # which here still matches the constant-velocity truth
-    truth = scene.scatterer(state.entity_ids[state.row[(KIND_FB, pid)]]).position_at(cfg.ts)
+    truth = position_at(scene, state.entity_ids[state.row[(KIND_FB, pid)]], cfg.ts)
     assert est_pos(state, (KIND_FB, pid)).distance_to(truth) < 1e-9
 
 
@@ -948,7 +949,7 @@ def test_initialize_at_truth_exact_at_k0():
     scene = generate_scene(SceneConfig())
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=3)
     for path_id, fb_id, _, _ in ground_truth_paths(scene, [0.0])[0].columns.ids.tolist():
-        fb_t = scene.scatterer(fb_id).position_at(0.0)
+        fb_t = position_at(scene, fb_id, 0.0)
         assert est_pos(state, (KIND_FB, path_id), 0).distance_to(fb_t) == 0.0
 
 
