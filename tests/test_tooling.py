@@ -1,7 +1,11 @@
 """Checks over the package's own source."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import isacsim
 
@@ -61,3 +65,110 @@ def test_only_the_part_writer_forks():
     package = pathlib.Path(isacsim.__file__).parent
     sites = {(path.name, site) for path in sorted(package.rglob("*.py")) for site in fork_sites(path.read_text())}
     assert sites == {("csvio.py", "_fork_part")}
+
+
+# the package's functions that no CLI stage calls, each with the reason it stays
+UNCALLED = {
+    # read by the benchmark
+    "comm.comm_cir": "perfbench/spans.py wraps it in a span",
+    "tracker.Clouds.size": "perfbench/spans.py's tracker.weight counter reads it",
+    # test entries and scalar references
+    "geometry.angles_from_displacement": "the scalar angle reference of the array kernels' tests",
+    "geometry.Vec3.__sub__": "the scalar geometry of the tests' references",
+    "geometry.Vec3.distance_to": "the scalar geometry of the tests' references",
+    "antenna.PlanarArray.element_position": "the scalar reference of element_positions' test",
+    "antenna.PlanarArray.element_offsets": "the per-pair delay reference of the tap tests",
+    "comm.pair_taps": "the per-pair tap reference of the tap kernel's tests",
+    "tracker.initialize_at_truth": "starts the filter on the truth for its exactness tests",
+    # error paths
+    "csvio._column": "the exact parser, for what the C reader could read differently",
+    "csvio._valid": "the exact parser, for what the C reader could read differently",
+    "geometry.AngleSet.__post_init__": "observe raises through it for a non-finite noisy angle",
+    "geometry.wrap_angle": "observe raises through AngleSet for a non-finite noisy angle",
+    "normals._forget_helper": "runs in a forked child, whose calls the profile does not see",
+    # library API
+    "pipeline.trajectory_columns": "the in-memory trajectory of a tracked run, for library callers",
+}
+
+PROFILED_STAGES = """
+import json, sys, threading
+from isacsim import cli
+
+called = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+threading.setprofile(record)
+sys.setprofile(record)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+threading.setprofile(None)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "called": sorted(called)}, fh)
+"""
+
+
+def functions(path: pathlib.Path, module: str) -> dict[tuple[str, int], str]:
+    """Each function and method of the module at ``path``, by its code object's (file, first line), named
+    ``module.Class.name``; a decorated function's code starts at its first decorator."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), line)] = f"{prefix}.{child.name}"
+                visit(child, f"{prefix}.{child.name}")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), module)
+    return found
+
+
+def test_the_function_list_keys_decorated_functions_by_their_first_decorator(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import functools\nclass A:\n    @property\n    def p(self):\n        def q():\n"
+                      "            pass\n\n@functools.cache\n@staticmethod\ndef f():\n    pass\n")
+    assert functions(source, "m") == {(str(source), 3): "m.A.p", (str(source), 5): "m.A.p.q",
+                                      (str(source), 8): "m.f"}
+
+
+def test_every_function_the_cli_does_not_call_is_named(tmp_path):
+    # every stage runs on two configs, under a profile that sees the main thread and the noise helper
+    argvs = []
+    for name, text in (("default", "[run]\nduration = 2.0\n"),
+                       ("birth-death-virtual-delay", "[run]\nseed = 5\nduration = 2.0\n\n[scene]\n"
+                        "birth_death_rate = 0.05\nvirtual_delay_max = 5e-8\n\n[tracker]\nn_particles = 250\n")):
+        cfg, out = tmp_path / f"{name}.ini", tmp_path / name
+        cfg.write_text(text)
+        run, trk, sts = (str(out / d) for d in ("run", "trk", "sts"))
+        argvs += [
+            ["simulate", "--config", str(cfg), "--out", run, "--all-pairs"],
+            ["track", "--config", str(cfg), "--run", run, "--out", trk],
+            ["stats", "--config", str(cfg), "--run", run, "--source", "observations", "--out", sts],
+            ["stats", "--config", str(cfg), "--run", run, "--source", "trajectory", "--track", trk, "--out", sts],
+            ["stats", "--config", str(cfg), "--run", run, "--source", "scene", "--out", sts],
+            ["compare", "--a", f"{sts}/spreads_trajectory.csv", "--b", f"{sts}/spreads_scene.csv",
+             "--out", f"{sts}/ks.csv"],
+        ]
+    src = os.path.dirname(os.path.dirname(isacsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    record = tmp_path / "called.json"
+    done = subprocess.run([sys.executable, "-c", PROFILED_STAGES, json.dumps(argvs), str(record)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(record.read_text())
+    assert result["codes"] == [0] * len(argvs)
+
+    package = pathlib.Path(isacsim.__file__).parent
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        defined.update(functions(path, path.stem))
+    called = {(path, line) for path, line in result["called"]}
+    uncalled = {name for key, name in defined.items() if key not in called}
+    assert uncalled == set(UNCALLED)
