@@ -559,18 +559,18 @@ def _fmt(value: float) -> str:
 def render_value(value) -> str:
     """Text of a config int, float (repr, exact round trip) or Vec3."""
     if isinstance(value, Vec3):
-        return " ".join(_fmt(c) for c in value.as_tuple())
+        return f"{_fmt(value.x)} {_fmt(value.y)} {_fmt(value.z)}"
     return str(value) if isinstance(value, int) else _fmt(value)
 
 
 def scene_to_text(scene: SceneTruth) -> str:
     config = [f"C {f.name} {render_value(getattr(scene.config, f.name))}" for f in fields(SceneConfig)]
-    t = scene.tracks  # its last row, the user's, is left out by zip
-    columns = (scene.cluster_id, scene.role, t.birth, t.death, t.anchor, t.velocity, scene.rcs)
+    t = scene.tracks  # zip leaves out its last row, the user's
+    columns = map(np.ndarray.tolist, (scene.cluster_id, scene.role, t.birth, t.death, t.anchor, t.velocity, scene.rcs))
     scatterers = [f"S {sid} {c} {role} {b!r} {d!r} {x!r} {y!r} {z!r} {vx!r} {vy!r} {vz!r} {rcs!r}"
-                  for sid, (c, role, b, d, (x, y, z), (vx, vy, vz), rcs) in enumerate(zip(*map(np.ndarray.tolist, columns)))]
-    paths = [f"P {p} {fb} {lb} {c} {vd!r}" for (p, fb, lb, c), vd in zip(scene.paths.tolist(),
-                                                                           scene.virtual_delay.tolist())]
+                  for sid, (c, role, b, d, (x, y, z), (vx, vy, vz), rcs) in enumerate(zip(*columns))]
+    paths = [f"P {p} {fb} {lb} {c} {vd!r}"
+             for (p, fb, lb, c), vd in zip(scene.paths.tolist(), scene.virtual_delay.tolist())]
     return "\n".join([SCENE_HEADER, *config, *scatterers, *paths]) + "\n"
 
 

@@ -291,7 +291,8 @@ def test_high_churn_scene_text_pinned():
                                                     virtual_delay_max=5e-8)))
     records = [line[0] for line in text.splitlines()]
     assert (records.count("S"), records.count("P")) == (136, 328)
-    assert hashlib.sha256(text.encode()).hexdigest() == "e48d47dbed263dcd385e86679dcd8dc967e8595b3e80a5f2a91b27430cee64ee"
+    digest = "e48d47dbed263dcd385e86679dcd8dc967e8595b3e80a5f2a91b27430cee64ee"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_file_round_trip(tmp_path):
