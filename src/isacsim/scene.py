@@ -283,7 +283,7 @@ class SceneTruth:
 
 def _random_unit_vector(rng: np.random.Generator) -> list[float]:
     v = rng.normal(size=3)
-    n = math.sqrt(v.dot(v))  # np.linalg.norm(v), as it computes a vector's norm
+    n = math.sqrt(v.dot(v))  # np.linalg.norm(v) bit for bit: it takes a vector's norm this way
     if n < 1e-12:
         return [1.0, 0.0, 0.0]
     return (v / n).tolist()
@@ -559,7 +559,7 @@ def _fmt(value: float) -> str:
 def render_value(value) -> str:
     """Text of a config int, float (repr, exact round trip) or Vec3."""
     if isinstance(value, Vec3):
-        return f"{_fmt(value.x)} {_fmt(value.y)} {_fmt(value.z)}"
+        return " ".join(_fmt(c) for c in value.as_tuple())
     return str(value) if isinstance(value, int) else _fmt(value)
 
 
