@@ -283,7 +283,7 @@ class SceneTruth:
 
 def _random_unit_vector(rng: np.random.Generator) -> list[float]:
     v = rng.normal(size=3)
-    n = math.sqrt(v.dot(v))  # np.linalg.norm(v) bit for bit: it takes a vector's norm this way
+    n = math.sqrt(v.dot(v))  # np.linalg.norm(v), as it computes a vector's norm
     if n < 1e-12:
         return [1.0, 0.0, 0.0]
     return (v / n).tolist()
@@ -565,12 +565,12 @@ def render_value(value) -> str:
 
 def scene_to_text(scene: SceneTruth) -> str:
     config = [f"C {f.name} {render_value(getattr(scene.config, f.name))}" for f in fields(SceneConfig)]
-    t = scene.tracks  # zip leaves out its last row, the user's
-    columns = map(np.ndarray.tolist, (scene.cluster_id, scene.role, t.birth, t.death, t.anchor, t.velocity, scene.rcs))
+    t = scene.tracks  # its last row, the user's, is left out by zip
+    columns = (scene.cluster_id, scene.role, t.birth, t.death, t.anchor, t.velocity, scene.rcs)
     scatterers = [f"S {sid} {c} {role} {b!r} {d!r} {x!r} {y!r} {z!r} {vx!r} {vy!r} {vz!r} {rcs!r}"
-                  for sid, (c, role, b, d, (x, y, z), (vx, vy, vz), rcs) in enumerate(zip(*columns))]
-    paths = [f"P {p} {fb} {lb} {c} {vd!r}"
-             for (p, fb, lb, c), vd in zip(scene.paths.tolist(), scene.virtual_delay.tolist())]
+                  for sid, (c, role, b, d, (x, y, z), (vx, vy, vz), rcs) in enumerate(zip(*map(np.ndarray.tolist, columns)))]
+    paths = [f"P {p} {fb} {lb} {c} {vd!r}" for (p, fb, lb, c), vd in zip(scene.paths.tolist(),
+                                                                           scene.virtual_delay.tolist())]
     return "\n".join([SCENE_HEADER, *config, *scatterers, *paths]) + "\n"
 
 
