@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import Vec3, angles_from_displacement
+from isacsim.geometry import GeometryError, Vec3, angles_from_displacement
 from isacsim.scene import (
     LOS_PATH_ID,
     ROLE_FB,
@@ -391,6 +391,21 @@ def test_observe_rejects_a_run_of_no_times():
     with pytest.raises(ConfigError, match="^a run needs at least one frame time to observe$"):
         observe(scene, [], (1e-9, 0.01), rng, ground_truth_paths(scene, []), echoes(scene, []))
     assert rng.bit_generator.state == state  # rejected before anything is drawn
+
+
+@pytest.mark.parametrize("seed, text", [
+    (9, "cannot wrap non-finite angle inf"),
+    (2, "cannot wrap non-finite angle -inf"),  # the AoA azimuth and elevation both overflow: the azimuth is named
+    (15, "non-finite elevation inf"),
+    (0, "non-finite elevation -inf"),
+])
+def test_observe_names_the_first_non_finite_noisy_angle(seed, text):
+    # an angle noise of 1e308 times a draw beyond 1.8 overflows to an infinite angle
+    scene = generate_scene(small_config(n_clusters=1, lb_per_cluster=1, duration=1.0))
+    paths, detections = ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
+    with np.errstate(over="ignore"), pytest.raises(GeometryError) as raised:
+        observe(scene, [0.0], (0.0, 1e308), np.random.default_rng(seed), paths, detections)
+    assert str(raised.value) == text
 
 
 def test_virtual_delays():
