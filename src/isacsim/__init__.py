@@ -8,4 +8,4 @@ reconstructed channel through delay/angular-spread statistics.
 
 __version__ = "0.1.0"
 
-from .geometry import AngleSet, Vec3  # noqa: F401
+from .geometry import Vec3  # noqa: F401

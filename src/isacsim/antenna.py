@@ -41,12 +41,6 @@ class PlanarArray:
     def num_elements(self) -> int:
         return self.rows * self.cols
 
-    def element_position(self, p: int) -> Vec3:
-        """Absolute position of element ``p``; element 0 is the origin."""
-        if not 0 <= p < self.num_elements:
-            raise IndexError(f"element index {p} out of range for {self.rows}x{self.cols} array")
-        return Vec3(*self.element_positions()[p].tolist())
-
     def element_positions(self, at: np.ndarray | None = None) -> np.ndarray:
         """(num_elements, 3) absolute positions, element order p = row*cols + col;
         (..., num_elements, 3) with the origin moved to each of the (..., 1, 3) ``at``.
@@ -57,12 +51,3 @@ class PlanarArray:
         row, col = np.divmod(np.arange(self.num_elements), self.cols)
         o, r, c = (np.array(v.as_tuple()) for v in (self.origin, self.axis_row, self.axis_col))
         return (o if at is None else at) + r * (row * self.spacing)[:, None] + c * (col * self.spacing)[:, None]
-
-    def element_offsets(self) -> np.ndarray:
-        """(num_elements, 3) offsets from the origin, element order p = row*cols + col."""
-        rows = np.arange(self.rows)[:, None, None]
-        cols = np.arange(self.cols)[None, :, None]
-        row_axis = np.array(self.axis_row.as_tuple())
-        col_axis = np.array(self.axis_col.as_tuple())
-        offsets = rows * self.spacing * row_axis + cols * self.spacing * col_axis
-        return offsets.reshape(self.num_elements, 3)

@@ -114,9 +114,9 @@ def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases
     cut off. Complex products are written out in real arithmetic: numpy's
     vectorized complex multiply uses fused multiply-adds (FMA) and rounds
     the last bit of about 4 in 10 products differently from Python's
-    complex type. With element positions and norms in the operation order
-    of PlanarArray.element_position and Vec3.norm, every tap is bit-equal
-    to a scalar evaluation of the same formulas.
+    complex type. With element positions in the operation order that
+    PlanarArray.element_positions states and norms in Vec3.norm's, every
+    tap is bit-equal to a scalar evaluation of the same formulas.
     """
     if carrier_hz <= 0.0:
         raise CommError(f"carrier frequency must be positive, got {carrier_hz}")
@@ -155,12 +155,6 @@ def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases
     taps = [path_id] + [a.ravel()[order] for a in (delay, re, im)]
     q, p = np.broadcast_arrays(q, p)
     return [TapBlock(q, p, *(a[f, ..., :1 + n] for a in taps)) for f, n in enumerate(counts.tolist())]
-
-
-def pair_taps(tx: PlanarArray, rx: PlanarArray, q: np.ndarray, p: np.ndarray, carrier_hz: float, direct_phase: float,
-              scattered: TruePaths, phases: np.ndarray, weights: tuple[float, float]) -> TapBlock:
-    """``_taps`` of one frame, between the elements of ``tx`` and ``rx``."""
-    return _taps(tx, rx.element_positions()[None], q, p, carrier_hz, weights, direct_phase, [scattered], phases)[0]
 
 
 def run_taps(scene: SceneTruth, times: Sequence[float], tx: PlanarArray, rx_template: PlanarArray, params: CommParams,

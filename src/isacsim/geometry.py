@@ -8,7 +8,7 @@ Conventions: azimuth in the xy-plane from +x toward +y, wrapped to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,22 +28,12 @@ def check_finite(obj, error: type[ValueError]) -> None:
             raise error(f"{f.name} must be finite, got {value}")
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap ``theta`` into (-pi, pi]; idempotent."""
-    if not math.isfinite(theta):
-        raise GeometryError(f"cannot wrap non-finite angle {theta!r}")
-    wrapped = math.remainder(theta, TWO_PI)
-    if wrapped <= -math.pi:
-        wrapped += TWO_PI
-    return wrapped
-
-
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """``wrap_angle`` of each element of a finite array, bit for bit.
+    """Each element of a finite array wrapped into (-pi, pi]: math.remainder(theta, 2 pi), bit for bit, and pi for -pi.
 
     fmod is exact, and so is shifting its result in (-2 pi, 2 pi) by
     2 pi (the two lie within a factor of two), which gives the value of
-    IEEE remainder; where that is -pi, wrap_angle's pi.
+    IEEE remainder.
     """
     r = np.fmod(theta, TWO_PI)
     r = np.where(r > math.pi, r - TWO_PI, r)
@@ -51,8 +41,8 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 
 def normalize_angle_columns(angles: np.ndarray) -> np.ndarray:
-    """The finite (n, 2k) azimuth and elevation column pairs normalized in place as ``AngleSet``
-    does one pair: azimuths wrapped into (-pi, pi], elevations clamped into [-pi/2, pi/2]."""
+    """The finite (n, 2k) azimuth and elevation column pairs normalized in place: azimuths
+    wrapped into (-pi, pi] by ``wrap_angles``, elevations clamped into [-pi/2, pi/2]."""
     angles[:, 0::2] = wrap_angles(angles[:, 0::2])
     np.clip(angles[:, 1::2], -HALF_PI, HALF_PI, out=angles[:, 1::2])
     return angles
@@ -73,9 +63,6 @@ class Vec3:
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
     def __mul__(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
 
@@ -86,9 +73,6 @@ class Vec3:
 
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
-
-    def distance_to(self, other: "Vec3") -> float:
-        return (self - other).norm()
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -107,51 +91,11 @@ def norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(dots(v, v))
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """Azimuth/elevation pair in radians.
-
-    Azimuth is wrapped into (-pi, pi] and elevation clamped into
-    [-pi/2, pi/2] once, at construction; downstream code never
-    re-normalizes. ``degenerate`` marks directions whose azimuth is
-    undefined (straight up/down) and does not take part in equality.
-    """
-
-    azimuth: float
-    elevation: float
-    degenerate: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "azimuth", wrap_angle(self.azimuth))
-        if not math.isfinite(self.elevation):
-            raise GeometryError(f"non-finite elevation {self.elevation!r}")
-        object.__setattr__(self, "elevation", min(max(self.elevation, -HALF_PI), HALF_PI))
-
-
-def angles_from_displacement(d: Vec3) -> AngleSet:
-    """Quadrant-resolved azimuth and horizontal-reference elevation of ``d``.
-
-    Straight up/down has no defined azimuth; such displacements come back
-    as azimuth 0 with the degenerate flag set rather than raising, since
-    they can occur mid-pipeline on hand-built geometries.
-
-    Raises:
-        GeometryError: if ``d`` has zero length.
-    """
-    r = d.norm()
-    if r == 0.0:
-        raise GeometryError("zero-length displacement has no direction")
-    if d.x == 0.0 and d.y == 0.0:
-        return AngleSet(0.0, math.copysign(HALF_PI, d.z), degenerate=True)
-    # clamp guards |z|/r rounding just above 1
-    elevation = math.asin(max(-1.0, min(1.0, d.z / r)))
-    return AngleSet(math.atan2(d.y, d.x), elevation)
-
-
 def direction_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (n, 2) azimuth and elevation of each row of the (n, 3) ``d``
-    and its (n,) degenerate flag, bit for bit as ``angles_from_displacement``
-    gives them.
+    and its (n,) degenerate flag: atan2(y, x) wrapped, and asin(z / |d|)
+    with the ratio clamped into [-1, 1]. A vertical row (x = y = 0) has
+    no defined azimuth and gets 0, elevation +-pi/2 and the flag.
 
     atan2 and asin are math's, element by element: numpy's SIMD versions
     round some results differently.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
-    AngleSet,
+    GeometryError,
     Vec3,
     check_finite,
     direction_columns,
@@ -524,7 +524,10 @@ def observe(
         direction_columns(user[f:f + 1] - bs)
         for angles in (comm.table[path_frame == f, 2:], los_noise[f:f + 1, 1:], sensing.table[echo_frame == f, 1:3]):
             for azimuth, elevation in angles.reshape(-1, 2).tolist():
-                AngleSet(azimuth, elevation)  # raises for a non-finite angle
+                if not math.isfinite(azimuth):
+                    raise GeometryError(f"cannot wrap non-finite angle {azimuth!r}")
+                if not math.isfinite(elevation):
+                    raise GeometryError(f"non-finite elevation {elevation!r}")
         check_round_trip_delays(sensing.table[echo_frame == f, 0])
 
     leg, los_angles, los_degenerate = path_term_columns(bs, user, user, bs)  # both legs are the direct path

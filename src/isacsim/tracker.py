@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .geometry import HALF_PI, TWO_PI, Vec3, check_finite, dots, norms, unit_vectors, wrap_angles
-from .scene import LOS_PATH_ID, ObservationFrame, SceneTruth, ground_truth_paths
+from .scene import LOS_PATH_ID, ObservationFrame
 
 KIND_USER = "user"
 KIND_FB = "fb"
@@ -601,26 +601,6 @@ def initialize(
     failed = tuple(paths.path_id[~ok].tolist())
     stds = (cfg.init_pos_std, cfg.init_vel_std)
     return _start(cfg, bs, frame0.time, paths.ids[ok, :3], start, seed, stds, failed)
-
-
-def initialize_at_truth(
-    scene: SceneTruth,
-    cfg: TrackerConfig,
-    seed: int | np.random.SeedSequence,
-    t0: float = 0.0,
-) -> TrackerState:
-    """Clouds seeded exactly at the true states (positions and velocities).
-
-    Bypasses the measurement-driven construction; every particle starts
-    on the truth, so with zero process noise the filter is a fixed point
-    of the stepping recursion. Meant for exactness checks.
-    """
-    cfg.validate()
-    ids = ground_truth_paths(scene, [t0])[0].columns.ids
-    ids = ids[np.argsort(ids[:, 0], kind="stable"), :3]
-    tracks = scene.trajectories(np.concatenate([[LOS_PATH_ID], ids[:, 1], ids[:, 2]]))
-    start = np.hstack([tracks.positions(t0), tracks.velocity])
-    return _start(cfg, np.array(scene.bs_position.as_tuple()), t0, ids, start, seed, (0.0, 0.0), ())
 
 
 def step(tracker: TrackerState, frame: ObservationFrame) -> None:

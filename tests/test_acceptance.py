@@ -18,7 +18,7 @@ from isacsim.antenna import PlanarArray
 from isacsim.cli import main as cli_main
 from isacsim.comm import CommParams, comm_cir, draw_polarization_set
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, path_term_columns, unit_vectors, wrap_angle
+from isacsim.geometry import ORIGIN, Vec3, path_term_columns, unit_vectors
 from isacsim.scene import (
     LOS_PATH_ID,
     SceneConfig,
@@ -36,13 +36,12 @@ from isacsim.tracker import (
     Clouds,
     Slices,
     TrackerConfig,
-    initialize_at_truth,
     offsets,
     resample,
     step,
     weight,
 )
-from scalar_truth import position_at
+from scalar_truth import angles_from_displacement, distance, initialize_at_truth, position_at, sub, wrap_angle
 
 # final position RMSE (m) of the default run, frozen from the first
 # verified run; the regression band is +/-20%
@@ -202,7 +201,7 @@ def test_criterion_5_filter_exactness():
                 truth = scene.user_position(t)
             else:
                 truth = position_at(scene, sid, t)
-            assert Vec3(*est[:3]).distance_to(truth) < 1e-6
+            assert distance(Vec3(*est[:3]), truth) < 1e-6
 
 
 @criterion(6, "tracking regression", 300.0)

@@ -11,14 +11,13 @@ from isacsim.comm import (
     CommParams,
     comm_cir,
     draw_polarization_set,
-    pair_taps,
     rician_weights,
     run_taps,
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import ORIGIN, Vec3
 from isacsim.scene import LOS_PATH_ID, PathColumns, SceneConfig, TruePaths, generate_scene, ground_truth_paths
-from scalar_truth import position_at
+from scalar_truth import distance, element_offsets, element_position, pair_taps, position_at
 
 F_C = 28e9
 LAM = SPEED_OF_LIGHT / F_C
@@ -83,7 +82,7 @@ def power(block):
 
 def test_los_tap_delay_and_phase():
     tx, rx = tx_pair()
-    dist = tx.element_position(1).distance_to(rx.element_position(0))
+    dist = distance(element_position(tx, 1), element_position(rx, 0))
     for xi in (0.0, 1.1, 5.9):  # the drawn co-polar phase
         block = pair_taps(tx, rx, [0], [1], F_C, xi, *scattered(), UNIT)
         delay, amp = block.delay[0, 0], amplitude(block)[0, 0]
@@ -113,7 +112,7 @@ def test_nlos_tap_two_leg_delay_and_power():
     fb = Vec3(0.0, 40.0, 0.0)
     lb = Vec3(30.0, 25.0, 0.0)
     want = (
-        tx.element_position(0).distance_to(fb) + rx.element_position(1).distance_to(lb)
+        distance(element_position(tx, 0), fb) + distance(element_position(rx, 1), lb)
     ) / SPEED_OF_LIGHT
     for xi in (0.0, 2.4, 4.0):  # the drawn co-polar phase
         block = pair_taps(tx, rx, [1], [0], F_C, 0.0, *scattered((7, fb, lb, 0.25, 0.0, xi)), UNIT)
@@ -225,8 +224,8 @@ def test_run_taps_every_pair_of_a_nonstationary_scene():
         assert np.array_equal(block.p, np.broadcast_to(p, (4, 128)))
 
         # independent per-pair delays: element positions from the array offsets
-        tx_el = tx.origin.as_tuple() + tx.element_offsets()  # (128, 3)
-        rx_el = np.array(scene.user_position(t).as_tuple()) + rx_template.element_offsets()  # (4, 3)
+        tx_el = tx.origin.as_tuple() + element_offsets(tx)  # (128, 3)
+        rx_el = np.array(scene.user_position(t).as_tuple()) + element_offsets(rx_template)  # (4, 3)
         want = {LOS_PATH_ID: np.linalg.norm(rx_el[:, None, :] - tx_el[None, :, :], axis=-1) / SPEED_OF_LIGHT}
         for path_id, fb_id, lb_id, _ in truths.columns.ids.tolist():
             fb = np.array(position_at(scene, fb_id, t).as_tuple())

@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import (
-    AngleSet,
-    Vec3,
-    angles_from_displacement,
-    norms,
-    unit_vectors,
-    wrap_angle,
-)
+from isacsim.geometry import Vec3, norms, unit_vectors
 from isacsim.scene import (
     LOS_PATH_ID,
     ConfigError,
@@ -45,6 +38,7 @@ from isacsim.tracker import (
     solve_lb_range,
     weight,
 )
+from scalar_truth import AngleSet, angles_from_displacement, distance, sub, wrap_angle
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 angle = st.floats(allow_nan=False, allow_infinity=False, min_value=-50.0, max_value=50.0)
@@ -246,7 +240,7 @@ def scalar_lb_range(anchor, user_pos, aoa, total_range, slack):
         return None
     a = max(total_range, 0.0)
     u = scalar_unit_vector(aoa)
-    w = anchor - user_pos
+    w = sub(anchor, user_pos)
     wn = w.norm()
     if a < wn:
         return a if wn - a <= slack else None
@@ -353,7 +347,7 @@ def first_frames(draw):
                 delay = np.nextafter(delay, draw(st.sampled_from([-1.0, 1.0])))
         else:
             # the margin over the sensed first leg, or over the direct path for the fallback
-            reach = d_fb if echo == "near" else bs.distance_to(user)
+            reach = d_fb if echo == "near" else distance(bs, user)
             excess = draw(st.one_of(st.floats(min_value=-3.0 * INIT_SLACK, max_value=3.0 * INIT_SLACK),
                                     st.sampled_from([-INIT_SLACK, 0.0, INIT_SLACK]),
                                     st.floats(min_value=-600.0, max_value=600.0)))
@@ -396,8 +390,8 @@ def observe_frame(scene, t, noise, rng, paths, detections):
     sigma_delay, sigma_angle = noise
     scene.check_time(t)
     bs, user = scene.bs_position, scene.user_position(t)
-    aod, aoa = angles_from_displacement(user - bs), angles_from_displacement(bs - user)
-    leg = (user - bs).norm() + (bs - user).norm()
+    aod, aoa = angles_from_displacement(sub(user, bs)), angles_from_displacement(sub(bs, user))
+    leg = sub(user, bs).norm() + sub(bs, user).norm()
     n, m = len(paths) + 1, len(detections)
     z = rng.standard_normal(5 * n + 3 * m).tolist()
     scales = [sigma_delay] + [sigma_angle] * 4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import GeometryError, Vec3, angles_from_displacement
+from isacsim.geometry import GeometryError, Vec3
 from isacsim.scene import (
     LOS_PATH_ID,
     ROLE_FB,
@@ -26,7 +26,7 @@ from isacsim.scene import (
     scene_to_text,
     sensing_gain,
 )
-from scalar_truth import alive, alive_first_bounces, position_at, velocity
+from scalar_truth import alive, alive_first_bounces, angles_from_displacement, distance, position_at, sub, velocity
 
 
 def small_config(**kw):
@@ -83,7 +83,7 @@ def test_constant_velocity_motion():
     scene = generate_scene(small_config())
     p0 = position_at(scene, 0, 0.0)
     p1 = position_at(scene, 0, 2.5)
-    assert (p1 - p0).distance_to(velocity(scene, 0) * 2.5) < 1e-12
+    assert distance(sub(p1, p0), velocity(scene, 0) * 2.5) < 1e-12
 
 
 def test_no_birth_death_when_rate_zero():
@@ -116,7 +116,7 @@ def test_user_trajectory():
     u0 = scene.user_position(0.0)
     u5 = scene.user_position(5.0)
     assert u0 == scene.config.user_start
-    assert (u5 - u0).distance_to(scene.config.user_velocity * 5.0) < 1e-12
+    assert distance(sub(u5, u0), scene.config.user_velocity * 5.0) < 1e-12
 
 
 def test_ground_truth_powers_sum_to_one_and_order():
@@ -145,8 +145,8 @@ def test_run_columns_equal_the_scalar_formulas():
         points = [(position_at(scene, fb_id, t), position_at(scene, lb_id, t)) for _, fb_id, lb_id, _ in live]
         virtual_delay = [float(scene.virtual_delay[path_id]) for path_id, _, _, _ in live]
         # the outer legs' length, the AoD from the BS at the FB and the AoA from the user at the LB
-        terms = [((fb - bs).norm() + (lb - user).norm(), angles_from_displacement(fb - bs),
-                  angles_from_displacement(lb - user)) for fb, lb in points]
+        terms = [(sub(fb, bs).norm() + sub(lb, user).norm(), angles_from_displacement(sub(fb, bs)),
+                  angles_from_displacement(sub(lb, user))) for fb, lb in points]
         delays = np.array([leg / SPEED_OF_LIGHT + vd for vd, (leg, _, _) in zip(virtual_delay, terms)])
         raw = np.exp(-delays / scene.config.pdp_decay)
         powers = raw / raw.sum()  # the frame's own ndarray.sum, in its pairwise order
@@ -164,7 +164,7 @@ def test_run_columns_equal_the_scalar_formulas():
         fbs = alive_first_bounces(scene, t)
         want = []
         for sid in fbs:
-            disp = position_at(scene, sid, t) - bs
+            disp = sub(position_at(scene, sid, t), bs)
             d, direction = disp.norm(), angles_from_displacement(disp)
             closing_speed = -velocity(scene, sid).dot(disp * (1.0 / d))
             want.append((echo_delay(d), direction.azimuth, direction.elevation, doppler_shift(lam, closing_speed),
@@ -183,7 +183,7 @@ def test_path_delay_excludes_middle_leg():
                                        if ids[1] != ids[2])
     fb = position_at(scene, fb_id, 0.0)
     lb = position_at(scene, lb_id, 0.0)
-    d = scene.bs_position.distance_to(fb) + scene.user_position(0.0).distance_to(lb)
+    d = distance(scene.bs_position, fb) + distance(scene.user_position(0.0), lb)
     assert delay == pytest.approx(d / SPEED_OF_LIGHT, rel=1e-15)
 
 
@@ -198,13 +198,13 @@ def test_observe_noiseless_matches_geometry():
     for (_, fb_id, lb_id, _), (_, delay, aod_az, _, _, aoa_el) in zip(paths.ids.tolist(), paths.table.tolist()):
         fb = position_at(scene, fb_id, t)
         lb = position_at(scene, lb_id, t)
-        want = (bs.distance_to(fb) + user.distance_to(lb)) / SPEED_OF_LIGHT
+        want = (distance(bs, fb) + distance(user, lb)) / SPEED_OF_LIGHT
         assert delay == pytest.approx(want, abs=1e-18)
-        aod = angles_from_displacement(fb - bs)
+        aod = angles_from_displacement(sub(fb, bs))
         assert aod_az == pytest.approx(aod.azimuth, abs=1e-15)
-        aoa = angles_from_displacement(lb - user)
+        aoa = angles_from_displacement(sub(lb, user))
         assert aoa_el == pytest.approx(aoa.elevation, abs=1e-15)
-    assert frame.los.delay.tolist() == [pytest.approx(bs.distance_to(user) / SPEED_OF_LIGHT, abs=1e-18)]
+    assert frame.los.delay.tolist() == [pytest.approx(distance(bs, user) / SPEED_OF_LIGHT, abs=1e-18)]
     assert len(frame.los) == 1
     assert frame.los.ids.tolist() == [[LOS_PATH_ID] * 4]
 
@@ -218,7 +218,7 @@ def test_observe_sensing_covers_alive_fb():
     dets = frame.sensing_detections
     assert set(dets.scatterer_id.tolist()) == fb_ids
     for sid, (round_trip_delay, _, _, _, gain) in zip(dets.scatterer_id.tolist(), dets.table.tolist()):
-        d = (position_at(scene, sid, 0.0) - scene.bs_position).norm()
+        d = sub(position_at(scene, sid, 0.0), scene.bs_position).norm()
         assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
         lam = scene.config.wavelength
         assert gain == pytest.approx(lam**2 * float(scene.rcs[sid]) / (64 * math.pi**3 * d**4), rel=1e-12)
@@ -231,7 +231,7 @@ def test_observe_doppler_sign():
         scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
     ).frames[0].sensing_detections
     for sid, doppler in zip(dets.scatterer_id.tolist(), dets.table[:, 3].tolist()):
-        u = position_at(scene, sid, 0.0) - scene.bs_position
+        u = sub(position_at(scene, sid, 0.0), scene.bs_position)
         u = u * (1.0 / u.norm())
         closing = -velocity(scene, sid).dot(u)
         assert doppler == pytest.approx(2.0 * closing / scene.config.wavelength, rel=1e-12)

@@ -14,7 +14,7 @@ from isacsim.scene import (
     sensing_gain,
 )
 from isacsim.sensing import monostatic_cir
-from scalar_truth import alive_first_bounces, position_at, velocity
+from scalar_truth import alive_first_bounces, position_at, sub, velocity
 
 
 def test_echo_delay_law():
@@ -72,7 +72,7 @@ def test_cir_geometry_consistency():
     t = 1.5
     taps = monostatic_cir(echoes(scene, [t])[0])
     for sid, (round_trip_delay, _, _, _, gain) in zip(taps.scatterer_id.tolist(), taps.table.tolist()):
-        d = (position_at(scene, sid, t) - scene.bs_position).norm()
+        d = sub(position_at(scene, sid, t), scene.bs_position).norm()
         assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
         assert gain == pytest.approx(
             sensing_gain(scene.config.wavelength, float(scene.rcs[sid]), d), rel=1e-12
@@ -84,6 +84,6 @@ def test_doppler_matches_closing_speed():
     taps = monostatic_cir(echoes(scene, [0.0])[0])
     lam = scene.config.wavelength
     for sid, doppler in zip(taps.scatterer_id.tolist(), taps.table[:, 3].tolist()):
-        disp = position_at(scene, sid, 0.0) - scene.bs_position
+        disp = sub(position_at(scene, sid, 0.0), scene.bs_position)
         u = disp * (1.0 / disp.norm())
         assert doppler == pytest.approx(2.0 * (-velocity(scene, sid).dot(u)) / lam, rel=1e-12)

@@ -72,19 +72,9 @@ UNCALLED = {
     # read by the benchmark
     "comm.comm_cir": "perfbench/spans.py wraps it in a span",
     "tracker.Clouds.size": "perfbench/spans.py's tracker.weight counter reads it",
-    # test entries and scalar references
-    "geometry.angles_from_displacement": "the scalar angle reference of the array kernels' tests",
-    "geometry.Vec3.__sub__": "the scalar geometry of the tests' references",
-    "geometry.Vec3.distance_to": "the scalar geometry of the tests' references",
-    "antenna.PlanarArray.element_position": "the scalar reference of element_positions' test",
-    "antenna.PlanarArray.element_offsets": "the per-pair delay reference of the tap tests",
-    "comm.pair_taps": "the per-pair tap reference of the tap kernel's tests",
-    "tracker.initialize_at_truth": "starts the filter on the truth for its exactness tests",
     # error paths
     "csvio._column": "the exact parser, for what the C reader could read differently",
     "csvio._valid": "the exact parser, for what the C reader could read differently",
-    "geometry.AngleSet.__post_init__": "observe raises through it for a non-finite noisy angle",
-    "geometry.wrap_angle": "observe raises through AngleSet for a non-finite noisy angle",
     "normals._forget_helper": "runs in a forked child, whose calls the profile does not see",
     # library API
     "pipeline.trajectory_columns": "the in-memory trajectory of a tracked run, for library callers",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import isacsim.tracker as tracker_module
 from isacsim import normals
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.geometry import ORIGIN, Vec3, angles_from_displacement, norms, unit_vectors, wrap_angle
+from isacsim.geometry import ORIGIN, Vec3, norms, unit_vectors
 from isacsim.scene import (
     LOS_PATH_ID,
     EchoColumns,
@@ -43,7 +43,6 @@ from isacsim.tracker import (
     effective_sample_size,
     estimate,
     initialize,
-    initialize_at_truth,
     offsets,
     predict,
     predicted_slice_values,
@@ -52,7 +51,7 @@ from isacsim.tracker import (
     step,
     weight,
 )
-from scalar_truth import position_at
+from scalar_truth import angles_from_displacement, distance, initialize_at_truth, position_at, sub, wrap_angle
 
 C = 299792458.0
 
@@ -122,10 +121,10 @@ def test_solve_lb_range_single_bounce_closure():
     bs = Vec3(0.0, 0.0, 10.0)
     user = Vec3(0.0, 120.0, 1.2)
     s = Vec3(-30.0, 80.0, 12.0)
-    total = bs.distance_to(s) + user.distance_to(s)
-    aoa = angles_from_displacement(s - user)
+    total = distance(bs, s) + distance(user, s)
+    aoa = angles_from_displacement(sub(s, user))
     r = solve_lb_range(point(bs), point(user), along(aoa.azimuth, aoa.elevation), np.array([total]))
-    assert r[0] == pytest.approx(user.distance_to(s), rel=1e-12)
+    assert r[0] == pytest.approx(distance(user, s), rel=1e-12)
 
 
 def test_solve_lb_range_collinear():
@@ -368,7 +367,7 @@ def test_weight_prefers_consistent_particle():
     states[1, :3] = (12.0, 18.0, 5.0)
     states[2, :3] = (40.0, -10.0, 0.0)
     cloud = make_cloud(states)
-    a = angles_from_displacement(truth - ORIGIN)
+    a = angles_from_displacement(sub(truth, ORIGIN))
     z = one_slice(
         ORIGIN,
         [truth.norm() / C, a.azimuth, a.elevation],
@@ -680,9 +679,9 @@ def test_initialize_exact_at_zero_noise():
     for path_id, fb_id, lb_id, _ in frame0.comm_paths.ids.tolist():
         fb_truth = position_at(scene, fb_id, 0.0)
         lb_truth = position_at(scene, lb_id, 0.0)
-        assert est_pos(state, (KIND_FB, path_id), 0).distance_to(fb_truth) < 1e-6
-        assert est_pos(state, (KIND_LB, path_id), 0).distance_to(lb_truth) < 1e-6
-    assert est_pos(state, USER_KEY, 0).distance_to(scene.user_position(0.0)) < 1e-12
+        assert distance(est_pos(state, (KIND_FB, path_id), 0), fb_truth) < 1e-6
+        assert distance(est_pos(state, (KIND_LB, path_id), 0), lb_truth) < 1e-6
+    assert distance(est_pos(state, USER_KEY, 0), scene.user_position(0.0)) < 1e-12
 
 
 def test_initialize_cloud_bookkeeping():
@@ -723,21 +722,21 @@ def hand_frame(t, obs_list, detections, los=None):
 
 def hand_obs(path_id, fb, lb, bs, user, fb_id=0, lb_id=1, power=0.5):
     """(ids, table row) of one comm path."""
-    delay = (bs.distance_to(fb) + user.distance_to(lb)) / C
-    aod, aoa = angles_from_displacement(fb - bs), angles_from_displacement(lb - user)
+    delay = (distance(bs, fb) + distance(user, lb)) / C
+    aod, aoa = angles_from_displacement(sub(fb, bs)), angles_from_displacement(sub(lb, user))
     return (path_id, fb_id, lb_id, 0), (power, delay, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
 
 
 def hand_det(sid, pos, bs):
     """(scatterer id, table row) of one echo."""
-    d = bs.distance_to(pos)
-    angle = angles_from_displacement(pos - bs)
+    d = distance(bs, pos)
+    angle = angles_from_displacement(sub(pos, bs))
     return sid, (2.0 * d / C, angle.azimuth, angle.elevation, 0.0, 1e-12)
 
 
 def los_obs(bs, user):
-    aod, aoa = angles_from_displacement(user - bs), angles_from_displacement(bs - user)
-    return (LOS_PATH_ID,) * 4, (1.0, bs.distance_to(user) / C, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
+    aod, aoa = angles_from_displacement(sub(user, bs)), angles_from_displacement(sub(bs, user))
+    return (LOS_PATH_ID,) * 4, (1.0, distance(bs, user) / C, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation)
 
 
 def test_initialize_fb_free_fallback():
@@ -749,17 +748,17 @@ def test_initialize_fb_free_fallback():
     obs = hand_obs(0, fb, lb, bs, user)
     _, _, aod_az, aod_el, aoa_az, aoa_el = obs[1]
     # detection angle twisted far out of the gate
-    bogus = (0, (2.0 * bs.distance_to(fb) / C, wrap_angle(aod_az + 0.5), aod_el, 0.0, 1e-12))
+    bogus = (0, (2.0 * distance(bs, fb) / C, wrap_angle(aod_az + 0.5), aod_el, 0.0, 1e-12))
     frame = hand_frame(0.0, [obs], [bogus], los_obs(bs, user))
     state = initialize(frame, bs, user, ORIGIN, exact_cfg(), seed=2)
     assert not state.failed_paths
     fb_est = est_pos(state, (KIND_FB, 0), 0)
     lb_est = est_pos(state, (KIND_LB, 0), 0)
-    assert fb_est.distance_to(lb_est) < 1e-9  # single-bounce hypothesis
+    assert distance(fb_est, lb_est) < 1e-9  # single-bounce hypothesis
     # the hypothesized scatterer lies on the arrival ray
-    distance = (lb_est - user).norm()
-    ray_point = user + Vec3(*along(aoa_az, aoa_el)[0].tolist()) * distance
-    assert lb_est.distance_to(ray_point) < 1e-9
+    reach = sub(lb_est, user).norm()
+    ray_point = user + Vec3(*along(aoa_az, aoa_el)[0].tolist()) * reach
+    assert distance(lb_est, ray_point) < 1e-9
 
 
 def test_angle_gate_rejects_true_echoes_at_the_nominal_rate():
@@ -793,7 +792,7 @@ def test_initialize_failure_on_infeasible_budget():
     lb = Vec3(20.0, 100.0, 5.0)
     good = hand_obs(0, fb, lb, bs, user)
     # delay far below the sensed first leg: nothing left for the second
-    bad = ((1, *good[0][1:]), (good[1][0], bs.distance_to(fb) / C / 4.0, *good[1][2:]))
+    bad = ((1, *good[0][1:]), (good[1][0], distance(bs, fb) / C / 4.0, *good[1][2:]))
     det = hand_det(0, fb, bs)
     frame = hand_frame(0.0, [good, bad], [det], los_obs(bs, user))
     state = initialize(frame, bs, user, ORIGIN, exact_cfg(), seed=2)
@@ -845,10 +844,10 @@ def test_zero_noise_tracking_is_exact():
     for k in range(1, 21):
         t = k * cfg.ts
         step(state, observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0])
-        assert est_pos(state, USER_KEY).distance_to(scene.user_position(t)) < 1e-6
+        assert distance(est_pos(state, USER_KEY), scene.user_position(t)) < 1e-6
         for key, sid in zip(state.keys[1:], state.entity_ids[1:]):
             truth = position_at(scene, sid, t)
-            assert est_pos(state, key).distance_to(truth) < 1e-6
+            assert distance(est_pos(state, key), truth) < 1e-6
         assert not state.coasted[-1].any() and not state.diverged[-1].any()
 
 
@@ -873,7 +872,7 @@ def test_coasting_extrapolates_straight_line():
     # zero process noise: coasted estimate is the exact linear advance,
     # which here still matches the constant-velocity truth
     truth = position_at(scene, state.entity_ids[state.row[(KIND_FB, pid)]], cfg.ts)
-    assert est_pos(state, (KIND_FB, pid)).distance_to(truth) < 1e-9
+    assert distance(est_pos(state, (KIND_FB, pid)), truth) < 1e-9
 
 
 def test_step_updates_counters_and_history():
@@ -950,7 +949,7 @@ def test_initialize_at_truth_exact_at_k0():
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=3)
     for path_id, fb_id, _, _ in ground_truth_paths(scene, [0.0])[0].columns.ids.tolist():
         fb_t = position_at(scene, fb_id, 0.0)
-        assert est_pos(state, (KIND_FB, path_id), 0).distance_to(fb_t) == 0.0
+        assert distance(est_pos(state, (KIND_FB, path_id), 0), fb_t) == 0.0
 
 
 # --- batching, effective sample size, size cap ---------------------------------
