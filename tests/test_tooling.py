@@ -73,8 +73,6 @@ UNCALLED = {
     "comm.comm_cir": "perfbench/spans.py wraps it in a span",
     "tracker.Clouds.size": "perfbench/spans.py's tracker.weight counter reads it",
     # error paths
-    "csvio._column": "the exact parser, for what the C reader could read differently",
-    "csvio._valid": "the exact parser, for what the C reader could read differently",
     "normals._forget_helper": "runs in a forked child, whose calls the profile does not see",
     # library API
     "pipeline.trajectory_columns": "the in-memory trajectory of a tracked run, for library callers",
@@ -129,7 +127,8 @@ def test_the_function_list_keys_decorated_functions_by_their_first_decorator(tmp
 
 
 def test_every_function_the_cli_does_not_call_is_named(tmp_path):
-    # every stage runs on two configs, under a profile that sees the main thread and the noise helper
+    # every stage runs on two configs, under a profile that sees the main thread and the noise helper;
+    # then one compare exits 2 on a spread file's nan, through the exact parser the C reader defers to
     argvs = []
     for name, text in (("default", "[run]\nduration = 2.0\n"),
                        ("birth-death-virtual-delay", "[run]\nseed = 5\nduration = 2.0\n\n[scene]\n"
@@ -146,6 +145,10 @@ def test_every_function_the_cli_does_not_call_is_named(tmp_path):
             ["compare", "--a", f"{sts}/spreads_trajectory.csv", "--b", f"{sts}/spreads_scene.csv",
              "--out", f"{sts}/ks.csv"],
         ]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# isacsim spreads v1\nk,t,delay_spread_s,aod_az_spread_rad,aod_el_spread_rad,"
+                   "aoa_az_spread_rad,aoa_el_spread_rad\n0,0.0,nan,0.1,0.1,0.1,0.1\n")
+    argvs.append(["compare", "--a", str(bad), "--b", f"{sts}/spreads_scene.csv"])
     src = os.path.dirname(os.path.dirname(isacsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     record = tmp_path / "called.json"
@@ -153,7 +156,8 @@ def test_every_function_the_cli_does_not_call_is_named(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(record.read_text())
-    assert result["codes"] == [0] * len(argvs)
+    assert result["codes"] == [0] * (len(argvs) - 1) + [2]
+    assert f"error: {bad}:3: delay_spread_s must be a finite number, got 'nan'\n" in done.stderr
 
     package = pathlib.Path(isacsim.__file__).parent
     defined = {}
