@@ -37,6 +37,7 @@ LOS_PATH_ID = -1
 
 MAX_SCATTERERS = 10**4  # a scene holds at most this many scatterers (the shipped config has 12)
 MAX_PATHS = 10**5  # and at most this many paths (the shipped config has 18)
+MAX_RUN_ROWS = 3 * 10**5  # a run resolves at most this many path and echo rows over its frames (the shipped 4824)
 
 
 class ConfigError(ValueError):
@@ -353,15 +354,26 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
                       virtual_delay)
 
 
-def _alive_rows(scene: SceneTruth, times: Sequence[float], *tracks: Trajectories) -> tuple:
-    """The (N,) row and (N,) time of each (time, row) pair where all of ``tracks`` are alive,
-    time by time and in row order within a time, and for each of ``times`` the slice of its pairs."""
+def _alive_spans(scene: SceneTruth, times: Sequence[float], *tracks: Trajectories) -> tuple:
+    """``times``, checked, as an array; their stable sort order; and for each row where all of ``tracks``
+    are alive, the position in that order of its first alive time and the number of its alive times."""
     for t in times:
         scene.check_time(t)
-    t = np.array(times, dtype=float)[:, None]
-    alive = np.logical_and.reduce([track.alive(t) for track in tracks])
-    k, rows = np.nonzero(alive)
-    return rows, t[k, 0], _slices(np.count_nonzero(alive, axis=1))
+    t = np.array(times, dtype=float)
+    order = np.argsort(t, kind="stable")
+    birth, death = np.max([track.birth for track in tracks], axis=0), np.min([track.death for track in tracks], axis=0)
+    first = t[order].searchsorted(birth)
+    return t, order, first, np.maximum(t[order].searchsorted(death) - first, 0)
+
+
+def _alive_rows(t: np.ndarray, order: np.ndarray, first: np.ndarray, count: np.ndarray) -> tuple:
+    """The (N,) row and (N,) time of each (time, row) pair of ``_alive_spans``, time by time and in row
+    order within a time, and for each time the slice of its pairs. Each row's pairs are its span of the
+    sorted times, so the work and memory follow the pairs, not times x rows."""
+    rows = np.repeat(np.arange(len(count)), count)
+    k = order[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)]
+    pick = np.argsort(k, kind="stable")  # rows ascend already
+    return rows[pick], t[k[pick]], _slices(np.bincount(k, minlength=len(t)))
 
 
 def _slices(counts: np.ndarray) -> list[slice]:
@@ -382,11 +394,19 @@ def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> list[TruePa
     LoS/NLoS power split exact.
 
     Raises:
-        ConfigError: where every power of a frame underflows to 0.
+        ConfigError: where the run's (frame, path) rows and the (frame, echo)
+            rows of ``echoes`` would be more than ``MAX_RUN_ROWS``, counted
+            before any is resolved; or where every power of a frame underflows to 0.
     """
     ids, virtual_delay = scene.paths, scene.virtual_delay
     fb_ends, lb_ends = scene.tracks[ids[:, 1]], scene.tracks[ids[:, 2]]
-    rows, t, frames = _alive_rows(scene, times, fb_ends, lb_ends)
+    spans = _alive_spans(scene, times, fb_ends, lb_ends)
+    echo_count = _alive_spans(scene, times, scene.tracks[np.flatnonzero(scene.role == ROLE_FB)])[3]
+    n_rows = int(spans[3].sum() + echo_count.sum())
+    if n_rows > MAX_RUN_ROWS:
+        raise ConfigError(f"the run has {n_rows} path and echo rows over its frames, more than {MAX_RUN_ROWS}: "
+                          "lower duration, the scatterers per cluster or birth_death_rate, or raise ts")
+    rows, t, frames = _alive_rows(*spans)
     fb, lb = fb_ends[rows].positions(t), lb_ends[rows].positions(t)
     user = scene.trajectories([LOS_PATH_ID]).positions(t[:, None])[:, 0]
     leg, angles, degenerate = path_term_columns(np.array(scene.bs_position.as_tuple()), user, fb, lb)
@@ -442,7 +462,7 @@ def echoes(scene: SceneTruth, times: Sequence[float]) -> list[EchoColumns]:
     """
     ids = np.flatnonzero(scene.role == ROLE_FB)
     tracks = scene.tracks[ids]
-    rows, t, frames = _alive_rows(scene, times, tracks)
+    rows, t, frames = _alive_rows(*_alive_spans(scene, times, tracks))
     moving = tracks[rows]
     disp = moving.positions(t) - np.array(scene.bs_position.as_tuple())
     d, lam = norms(disp), scene.config.wavelength

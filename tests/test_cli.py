@@ -10,7 +10,9 @@ import pytest
 
 import isacsim
 from isacsim import cli, comm, csvio, normals, pipeline, tracker
+from isacsim import scene as scene_module
 from isacsim.cli import main
+from isacsim.config import load_run_config
 
 SMALL_CFG = """
 [run]
@@ -674,6 +676,38 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "x")
+
+
+def test_a_run_with_too_many_rows_to_resolve_exits_2(tmp_path, capsys):
+    # the shipped scene has 18 paths and 6 echoes a frame: 12,501 frames are 300,024 rows
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[run]\nduration = 1250.0\n")
+    out = tmp_path / "run"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", "error: the run has 300024 path and echo rows over its frames, more than "
+                                       "300000: lower duration, the scatterers per cluster or birth_death_rate, "
+                                       "or raise ts\n")
+    assert not out.exists()
+
+
+def test_the_run_row_cap_counts_each_path_and_echo_row(tmp_path, monkeypatch, capsys):
+    # a churning run passes simulate and stats --source scene at its own row count, and neither one row under it
+    cfg = tmp_path / "churn.ini"
+    cfg.write_text("[run]\nseed = 3\nduration = 2.0\n\n[scene]\nbirth_death_rate = 5.0\n")
+    rc = load_run_config(str(cfg))
+    drop = pipeline.simulate(rc)
+    rows = sum(map(len, drop.paths)) + sum(len(f.sensing_detections) for f in drop.frames)
+    monkeypatch.setattr(scene_module, "MAX_RUN_ROWS", rows)
+    run_dir, sts = simulate(tmp_path, str(cfg)), str(tmp_path / "sts")
+    assert run("stats", "--run", run_dir, "--source", "scene", "--out", sts) == 0
+    monkeypatch.setattr(scene_module, "MAX_RUN_ROWS", rows - 1)
+    capsys.readouterr()
+    message = f"error: the run has {rows} path and echo rows over its frames, more than {rows - 1}: "
+    for argv in (["simulate", "--config", str(cfg), "--out", str(tmp_path / "run2")],
+                 ["stats", "--run", run_dir, "--source", "scene", "--out", str(tmp_path / "sts2")]):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not os.path.exists(argv[-1])
 
 
 # sha256 of the track outputs and of the tracked, observed and true spreads of

@@ -176,6 +176,21 @@ def test_run_columns_equal_the_scalar_formulas():
     assert vertical and len(alive_sets) > 1 and min(map(len, alive_sets)) > 8  # ndarray.sum sums pairwise past 8
 
 
+def test_a_run_resolves_each_time_as_that_time_alone():
+    # times out of order and repeated, in a churning scene: each frame holds its own time's alive rows
+    scene = generate_scene(SceneConfig(birth_death_rate=0.5, virtual_delay_max=5e-8, seed=4, duration=10.0))
+    times = np.random.default_rng(2).permutation([k * 0.25 for k in range(41)] * 2).tolist() + [10.0, 0.0]
+    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
+    assert len({frozenset(p.columns.path_id.tolist()) for p in paths}) > 5
+    for t, frame_paths, frame_echoes in zip(times, paths, detections):
+        live = [p for p in scene.paths.tolist() if alive(scene, p[1], t) and alive(scene, p[2], t)]
+        assert frame_paths.columns.ids.tolist() == live
+        assert frame_echoes.scatterer_id.tolist() == alive_first_bounces(scene, t)
+        (want,), (want_echoes,) = ground_truth_paths(scene, [t]), echoes(scene, [t])
+        assert frame_paths.columns.table.tobytes() == want.columns.table.tobytes()
+        assert frame_echoes.table.tobytes() == want_echoes.table.tobytes()
+
+
 def test_path_delay_excludes_middle_leg():
     scene = generate_scene(SceneConfig())
     paths = ground_truth_paths(scene, [0.0])[0].columns
