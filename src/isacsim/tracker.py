@@ -43,6 +43,7 @@ USER_KEY = (KIND_USER, LOS_PATH_ID)
 
 MAX_PARTICLES = 10**6  # over all clouds of a tracker (the shipped config steps 37 x 1000)
 RETIRE_AFTER = 2  # consecutive frames a path may be missing from before its clouds retire
+MAX_STATE_STD = 1e6  # m or m/s, for each initial and process std: far wider ones overflow the squared ranges
 
 _EPS = 1e-9
 _SUBNORMAL = np.nextafter(0.0, 1.0)
@@ -78,6 +79,8 @@ class TrackerConfig:
         for name in ("process_pos_std", "process_vel_std", "init_pos_std", "init_vel_std"):
             if getattr(self, name) < 0.0:
                 raise TrackerError(f"{name} must be nonnegative")
+            if getattr(self, name) > MAX_STATE_STD:
+                raise TrackerError(f"{name} must be at most {MAX_STATE_STD:g}, got {getattr(self, name)!r}")
         if self.gate_sigma <= 0.0:
             raise TrackerError("gate_sigma must be positive")
 

@@ -678,6 +678,27 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("key, value", [("init_pos_std", "1e300"), ("init_vel_std", "1e200"),
+                                        ("process_pos_std", "1e200"), ("process_vel_std", "1e200")])
+def test_a_tracker_std_wide_enough_to_overflow_exits_2(tmp_path, capsys, key, value):
+    # track once squared such particles' ranges to inf, warned, wrote inf errors and exited 0
+    message = f"error: {key} must be at most 1e+06, got {float(value)!r}\n"
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(f"[run]\nduration = 0.5\n\n[tracker]\n{key} = {value}\n")
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "wide")) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "wide").exists()
+    # a run recorded with the shipped stds, its config widened afterwards
+    cfg.write_text("[run]\nduration = 0.5\n")
+    run_dir = simulate(tmp_path, str(cfg))
+    ini = tmp_path / "run" / "config_resolved.ini"
+    ini.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", ini.read_text(), flags=re.M))
+    capsys.readouterr()
+    assert run("track", "--run", run_dir, "--out", str(tmp_path / "trk")) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "trk").exists()
+
+
 def test_a_run_with_too_many_rows_to_resolve_exits_2(tmp_path, capsys):
     # the shipped scene has 18 paths and 6 echoes a frame: 12,501 frames are 300,024 rows
     cfg = tmp_path / "long.ini"
