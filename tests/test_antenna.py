@@ -24,12 +24,12 @@ def test_element_positions_equal_the_scalar_formula_bit_for_bit():
     # tilted axes and a spacing that is no power of two, so every product and sum rounds
     c, s = math.cos(0.3), math.sin(0.3)
     arr = PlanarArray(3, 5, 0.0053, Vec3(1.25, -7.5, 10.1), Vec3(0.0, s, c), Vec3(0.0, c, -s))
-    want = [[element_position(arr, p).as_tuple() for p in range(arr.num_elements)]]
-    assert arr.element_positions().tobytes() == np.array(want[0]).tobytes()
+    want = [element_position(arr, p).as_tuple() for p in range(arr.num_elements)]
+    assert arr.element_positions().tobytes() == np.array(want).tobytes()
     at = np.array([[[3.5, 0.1, -2.0]], [[-1.0, 4.0, 0.7]]])  # the origin moved to each of two points
-    want = [[element_position(replace(arr, origin=Vec3(*o)), p).as_tuple() for p in range(arr.num_elements)]
-            for o in at[:, 0].tolist()]
-    assert arr.element_positions(at).tobytes() == np.array(want).tobytes()
+    moved = [[element_position(replace(arr, origin=Vec3(*o)), p).as_tuple() for p in range(arr.num_elements)]
+             for o in at[:, 0].tolist()]
+    assert arr.element_positions(at).tobytes() == np.array(moved).tobytes()
 
 
 def test_offsets_match_positions():
