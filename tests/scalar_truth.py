@@ -3,8 +3,9 @@
 The references are per-element formulas in Python floats: a scene's
 columns read back one scatterer's table row at a time (so they never call
 ``Trajectories.positions`` or ``Trajectories.alive``), angles and vector
-differences on ``Vec3``, and an array element's position. ``pair_taps``
-and ``initialize_at_truth`` call the package's private kernels directly.
+differences on ``Vec3``, and an array element's position; ``element_offsets``
+gives an array's offsets in one numpy pass of its own. ``pair_taps`` and
+``initialize_at_truth`` call the package's private kernels directly.
 """
 
 import math
