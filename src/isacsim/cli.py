@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import csvio, pipeline, stats
 from .config import RunConfig, load_run_config, resolved_config_text
-from .scene import ConfigError, ObservationFrame, SceneTruth, load_scene, save_scene
+from .scene import ConfigError, Observations, SceneTruth, load_scene, save_scene
 
 SPREAD_QUANTITIES = csvio.SPREADS_HEADER[2:]
 
@@ -64,22 +64,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     save_scene(drop.scene, os.path.join(args.out, "scene.txt"))
     with open(os.path.join(args.out, "config_resolved.ini"), "w", encoding="utf-8") as fh:
         fh.write(resolved_config_text(rc))
-    csvio.write_comm_observations(os.path.join(args.out, "observations.csv"), drop.frames)
-    csvio.write_sensing_observations(os.path.join(args.out, "sensing_observations.csv"), drop.frames)
-    csvio.write_sensing_taps(os.path.join(args.out, "sensing_taps.csv"), drop.sensing_taps)
+    csvio.write_comm_observations(os.path.join(args.out, "observations.csv"), drop.observations)
+    csvio.write_sensing_observations(os.path.join(args.out, "sensing_observations.csv"), drop.observations)
+    csvio.write_sensing_taps(os.path.join(args.out, "sensing_taps.csv"), drop.observations, drop.sensing_taps)
     # in runs of rx rows, a run per CPU where the dump is large, each made as its kernel passes go
     units = pipeline.split(pipeline.comm_tap_rows(drop, rc, args.all_pairs), len(csvio.COMM_TAPS_HEADER))
     parts = [pipeline.comm_taps(drop, rc, args.all_pairs, run) for run in units]
     csvio.write_comm_taps(os.path.join(args.out, "comm_taps.csv"), parts)
 
     print(f"scene: {len(drop.scene.rcs)} scatterers, {len(drop.scene.paths)} paths")
-    print(f"frames: {len(drop.frames)} at Ts={rc.tracker.ts} s")
+    print(f"frames: {len(drop.times)} at Ts={rc.tracker.ts} s")
     print(f"outputs in {args.out}")
     return 0
 
 
-def _read_frames(run_dir: str) -> list[ObservationFrame]:
-    return csvio.read_observation_frames(
+def _read_observations(run_dir: str) -> Observations:
+    return csvio.read_observations(
         os.path.join(run_dir, "observations.csv"),
         os.path.join(run_dir, "sensing_observations.csv"),
     )
@@ -88,7 +88,7 @@ def _read_frames(run_dir: str) -> list[ObservationFrame]:
 def cmd_track(args: argparse.Namespace) -> int:
     rc, scene = _load_run(args)
     seed = _seed(args, rc.scene.seed)
-    state = pipeline.track(_read_frames(args.run), scene, rc.tracker, seed)
+    state = pipeline.track(_read_observations(args.run), scene, rc.tracker, seed)
     score = pipeline.score(state, scene)
 
     summary_rows = []
@@ -125,12 +125,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.source == "scene":
         snapshots = pipeline.oracle_snapshots(scene, rc)
     elif args.source == "observations":
-        snapshots = pipeline.observation_snapshots(_read_frames(args.run))
+        snapshots = pipeline.observation_snapshots(_read_observations(args.run))
     else:
         if args.track is None:
             raise stats.StatsError("--track is required when --source trajectory")
-        frames, traj_path = _read_frames(args.run), os.path.join(args.track, "trajectory.csv")
-        snapshots = pipeline.trajectory_snapshots(frames, csvio.read_trajectory(traj_path), scene, traj_path)
+        observations, traj_path = _read_observations(args.run), os.path.join(args.track, "trajectory.csv")
+        snapshots = pipeline.trajectory_snapshots(observations, csvio.read_trajectory(traj_path), scene, traj_path)
     spread_rows = pipeline.spreads(snapshots)
 
     label = args.label or args.source

@@ -94,12 +94,13 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases) -> list[TapBlock]:
+def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, counts, phases) -> list[TapBlock]:
     """Taps of F frames for rx elements ``q`` and tx elements ``p``, the one tap kernel.
 
     ``rx_pos`` is (F, n_rx, 3), the rx element positions in each frame;
-    ``scattered`` holds each frame's paths and ``phases`` their drawn
-    co-polar phases, concatenated in frame order. ``q`` and ``p``
+    ``scattered`` holds the ``TruePaths`` rows of the frames in frame
+    order, ``counts[f]`` of them frame f's, and ``phases`` their drawn
+    co-polar phases. ``q`` and ``p``
     broadcast to the pair shape; (Q, 1) and (1, P) index columns give a
     grid whose legs are computed once per element. The direct path has
     delay |tx_p - rx_q| / c and unit power; each path, with bounce points
@@ -127,10 +128,10 @@ def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases
     tx_pos = tx.element_positions()[p.reshape((1,) * (nd - p.ndim) + p.shape)][..., None, :]
     rx_pos = rx_pos[:, q.reshape((1,) * (nd - q.ndim) + q.shape)][..., None, :]
     # per tap fb (3), lb (3), virtual delay, power, path id and phase: the direct tap, the paths, then pads
-    counts = np.array([len(s) for s in scattered])
     table = np.full((len(counts), 1 + counts.max(), 10), [np.nan] * 6 + [0.0, 1.0, LOS_PATH_ID, direct_phase])
-    columns = zip(*((s.fb, s.lb, s.virtual_delay, s.columns.table[:, 0], s.columns.path_id) for s in scattered))
-    table[:, 1:][np.arange(counts.max()) < counts[:, None]] = np.column_stack([*map(np.concatenate, columns), phases])
+    table[:, 1:][np.arange(counts.max()) < counts[:, None]] = np.column_stack(
+        [scattered.fb, scattered.lb, scattered.virtual_delay, scattered.columns.table[:, 0], scattered.columns.path_id,
+         phases])
     table = table.reshape(table.shape[:1] + (1,) * nd + table.shape[1:])
 
     fb, lb = table[..., 1:, 0:3], table[..., 1:, 3:6]
@@ -158,12 +159,13 @@ def _taps(tx, rx_pos, q, p, carrier_hz, weights, direct_phase, scattered, phases
 
 
 def run_taps(scene: SceneTruth, times: Sequence[float], tx: PlanarArray, rx_template: PlanarArray, params: CommParams,
-             phases: dict[int, float], q: np.ndarray, p: np.ndarray,
-             paths: Sequence[TruePaths]) -> Iterator[tuple[float, TapBlock]]:
+             phases: dict[int, float], q: np.ndarray, p: np.ndarray, paths: TruePaths,
+             offsets: np.ndarray) -> Iterator[tuple[float, TapBlock]]:
     """(t, taps) at each of ``times``: the Rician-combined taps for rx elements ``q`` and tx elements ``p``.
 
     ``rx_template``, the user array, is moved to the user at each time.
-    ``paths`` are the frames' ``ground_truth_paths``. Each pair gets the
+    The paths of frame i are rows ``offsets[i]`` up to ``offsets[i + 1]``
+    of ``paths``, the run's ``ground_truth_paths``. Each pair gets the
     direct tap plus one per path, with the path's phase from ``phases``;
     see ``_taps`` for the index shapes. A kernel pass takes consecutive
     frames while they fit in ``_PASS_TAPS``, and at least one.
@@ -171,20 +173,22 @@ def run_taps(scene: SceneTruth, times: Sequence[float], tx: PlanarArray, rx_temp
     for t in times:
         scene.check_time(t)
     params.validate()
+    paths, offsets = paths[offsets[0]:offsets[-1]], offsets - offsets[0]  # the rows of these frames
     try:
         los_phase = phases[LOS_PATH_ID]
-        path_phases = np.array([phases[pid] for truth in paths for pid in truth.columns.path_id.tolist()], dtype=float)
+        path_phases = np.array([phases[pid] for pid in paths.columns.path_id.tolist()], dtype=float)
     except KeyError as exc:
         raise CommError(f"missing polarization draw for path {exc.args[0]!r}") from exc
     rx_pos = rx_template.element_positions(scene.trajectories([LOS_PATH_ID]).positions(np.array(times)[:, None]))
-    weights, n_pairs, widths = rician_weights(params.k_factor), np.broadcast(q, p).size, [1 + len(s) for s in paths]
-    ends = np.cumsum([0, *map(len, paths)])  # each frame's first row of path_phases
+    counts = np.diff(offsets)
+    weights, n_pairs, widths = rician_weights(params.k_factor), np.broadcast(q, p).size, (1 + counts).tolist()
     start = width = 0
     for stop in range(1, len(times) + 1):
         width = max(width, widths[stop - 1])
         if stop == len(times) or (stop + 1 - start) * n_pairs * max(width, widths[stop]) > _PASS_TAPS:
+            a, b = offsets[start], offsets[stop]
             yield from zip(times[start:stop], _taps(tx, rx_pos[start:stop], q, p, scene.config.carrier_hz, weights,
-                                                    los_phase, paths[start:stop], path_phases[ends[start]:ends[stop]]))
+                                                    los_phase, paths[a:b], counts[start:stop], path_phases[a:b]))
             start, width = stop, 0
 
 
@@ -206,5 +210,5 @@ def comm_cir(
     if pairs is None:
         pairs = [(q, p) for q in range(rx_template.num_elements) for p in range(tx.num_elements)]
     qp = np.array(list(pairs), dtype=int).reshape(-1, 2)
-    paths = ground_truth_paths(scene, [t])
-    return next(run_taps(scene, [t], tx, rx_template, params, phases, qp[:, 0], qp[:, 1], paths))[1]
+    return next(run_taps(scene, [t], tx, rx_template, params, phases, qp[:, 0], qp[:, 1],
+                         *ground_truth_paths(scene, [t])))[1]

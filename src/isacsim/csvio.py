@@ -31,7 +31,7 @@ from .pipeline import Score, split
 from .scene import (
     LOS_PATH_ID,
     EchoColumns,
-    ObservationFrame,
+    Observations,
     PathColumns,
     _fmt,
     check_round_trip_delays,
@@ -245,36 +245,37 @@ _OBS_COMM_INTS = ("k", "path_id", "fb_id", "lb_id", "cluster_id")
 _OBS_SENSING_INTS = ("k", "scatterer_id")
 
 
-def write_comm_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
+def write_comm_observations(path: str, observations: Observations) -> None:
     """Each frame's path rows, then its LoS row; a part per range of frames of ``pipeline.split``."""
 
     def lines(ks: range) -> Iterator[str]:
         for k in ks:
-            frame = frames[k]
-            head = f"{k},{_fmt(frame.time)}"
-            for kind, part in ((KIND_NLOS, frame.comm_paths), (KIND_LOS, frame.los)):
+            paths, _, los = (slice(a, b) for a, b in zip(*observations.offsets[k:k + 2].tolist()))
+            head = f"{k},{_fmt(observations.times[k])}"
+            for kind, part in ((KIND_NLOS, observations.comm_paths[paths]), (KIND_LOS, observations.los[los])):
                 for (pid, fb, lb, cluster), (power, delay, aod_az, aod_el, aoa_az, aoa_el), (aod_deg, aoa_deg) in zip(
                     part.ids.tolist(), part.table.tolist(), part.degenerate.tolist()
                 ):
                     yield (f"{head},{kind},{pid},{fb},{lb},{cluster},{delay!r},{aod_az!r},{aod_el!r},{aod_deg:d},"
                            f"{aoa_az!r},{aoa_el!r},{aoa_deg:d},{power!r}\n")
 
-    rows = [len(frame.comm_paths) + len(frame.los) for frame in frames]
+    rows = np.diff(observations.offsets[:, 0] + observations.offsets[:, 2])
     _write(path, "comm_observations", OBS_COMM_HEADER, [lines(r) for r in split(rows, len(OBS_COMM_HEADER))])
 
 
-def write_sensing_observations(path: str, frames: Sequence[ObservationFrame]) -> None:
+def write_sensing_observations(path: str, observations: Observations) -> None:
     """Each frame's echo rows; a part per range of frames of ``pipeline.split``."""
 
     def lines(ks: range) -> Iterator[str]:
         for k in ks:
-            echoes, head = frames[k].sensing_detections, f"{k},{_fmt(frames[k].time)}"
+            echoes = observations.sensing_detections[slice(*observations.offsets[k:k + 2, 1].tolist())]
+            head = f"{k},{_fmt(observations.times[k])}"
             for sid, (delay, az, el, doppler, gain), deg in zip(
                 echoes.scatterer_id.tolist(), echoes.table.tolist(), echoes.degenerate.tolist()
             ):
                 yield f"{head},{sid},{delay!r},{az!r},{el!r},{deg:d},{doppler!r},{gain!r}\n"
 
-    rows = [len(frame.sensing_detections) for frame in frames]
+    rows = np.diff(observations.offsets[:, 1])
     _write(path, "sensing_observations", OBS_SENSING_HEADER, [lines(r) for r in split(rows, len(OBS_SENSING_HEADER))])
 
 
@@ -282,13 +283,12 @@ def _flags(column: tuple[str, ...]) -> np.ndarray:
     return np.array(column, dtype=str) == "1"
 
 
-def read_observation_frames(comm_path: str, sensing_path: str) -> list[ObservationFrame]:
-    """Rebuild per-frame observations from the two observation files.
+def read_observations(comm_path: str, sensing_path: str) -> Observations:
+    """Rebuild a run's observations from the two observation files.
 
     Frames come in order of k, each at the time of its first row (comm
     rows before sensing rows). Within a frame rows keep their file order,
-    and of several LoS rows the last one counts. A frame's columns are
-    slices of arrays that hold the whole file.
+    and of several LoS rows the last one counts.
     """
     c = read_columns(
         comm_path, "comm_observations", OBS_COMM_HEADER, _OBS_COMM_FLOATS, _OBS_COMM_INTS,
@@ -315,16 +315,15 @@ def read_observation_frames(comm_path: str, sensing_path: str) -> list[Observati
     keys, first = np.unique(np.concatenate([c["k"], s["k"]]), return_index=True)
     times = np.concatenate([c["t"], s["t"]])[first].tolist()
     los = np.array(c["kind"], dtype=str) == KIND_LOS
-    groups = []
-    for part, k in ((comm[~los], c["k"][~los]), (comm[los], c["k"][los]), (echoes, s["k"])):
+    parts, offsets = [], []
+    for part, k, is_los in ((comm[~los], c["k"][~los], False), (echoes, s["k"], False), (comm[los], c["k"][los], True)):
         order = np.argsort(k, kind="stable")
-        ranked = k[order]
-        groups.append((part[order], np.searchsorted(ranked, keys, "left"), np.searchsorted(ranked, keys, "right")))
-    (paths, p0, p1), (los_rows, l0, l1), (detections, d0, d1) = groups
-    return [
-        ObservationFrame(times[i], paths[p0[i]:p1[i]], detections[d0[i]:d1[i]], los_rows[max(l0[i], l1[i] - 1):l1[i]])
-        for i in range(len(keys))
-    ]
+        start, stop = (np.searchsorted(k[order], keys, side) for side in ("left", "right"))
+        if is_los:  # of several LoS rows in a frame, the last one counts
+            order, start = order[stop[stop > start] - 1], np.cumsum(stop > start) - (stop > start)
+        parts.append(part[order])
+        offsets.append(np.append(start, len(order)))
+    return Observations(times, *parts, np.column_stack(offsets))
 
 
 # --- channel taps -------------------------------------------------------------
@@ -334,11 +333,13 @@ SENSING_TAPS_HEADER = ("time", "scatterer_id", "delay_s", "doppler_hz", "gain")
 COMM_TAPS_HEADER = ("t", "q", "p", "kind", "path_id", "delay_s", "re", "im")
 
 
-def write_sensing_taps(path: str, taps_by_time: Sequence[tuple[float, EchoColumns]]) -> None:
+def write_sensing_taps(path: str, observations: Observations, taps: EchoColumns) -> None:
+    """Each frame's sensing taps, laid out as the echoes of ``observations``."""
+    bounds = observations.offsets[:, 1].tolist()
     rows = (
         [_fmt(t), str(sid), repr(delay), repr(doppler), repr(gain)]
-        for t, taps in taps_by_time
-        for sid, (delay, _, _, doppler, gain) in zip(taps.scatterer_id.tolist(), taps.table.tolist())
+        for t, a, b in zip(observations.times, bounds, bounds[1:])
+        for sid, (delay, _, _, doppler, gain) in zip(taps.scatterer_id[a:b].tolist(), taps.table[a:b].tolist())
     )
     _write(path, "sensing_taps", SENSING_TAPS_HEADER, _joined(rows))
 

@@ -22,7 +22,7 @@ from .geometry import norms, path_term_columns
 from .scene import (
     LOS_PATH_ID,
     EchoColumns,
-    ObservationFrame,
+    Observations,
     SceneTruth,
     TruePaths,
     echoes,
@@ -34,14 +34,14 @@ from .scene import (
 
 @dataclass(frozen=True, eq=False)
 class Drop:
-    """A simulated drop: the scene, the frame times, and per frame the true
-    paths, the observations and the sensing taps; with each path's co-polar phase."""
+    """A simulated drop: the scene, the frame times, the run's true paths, observations and sensing taps,
+    laid out as the observations' paths and echoes, and each path's co-polar phase."""
 
     scene: SceneTruth
     times: list[float]
-    paths: list[TruePaths]
-    frames: list[ObservationFrame]
-    sensing_taps: list[tuple[float, EchoColumns]]
+    paths: TruePaths
+    observations: Observations
+    sensing_taps: EchoColumns
     phases: dict[int, float]
 
 
@@ -51,14 +51,13 @@ def simulate(rc: RunConfig) -> Drop:
     scene = generate_scene(rc.scene)
     times = rc.frame_times()
     # every frame's paths and echoes, resolved once for the observations and both channels
-    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
+    (paths, path_offsets), (detections, echo_offsets) = ground_truth_paths(scene, times), echoes(scene, times)
     obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = (rc.scene.sigma_delay, rc.scene.sigma_angle)
-    frames = observe(scene, times, noise, obs_rng, paths, detections).frames
+    observations = observe(scene, times, noise, obs_rng, paths, path_offsets, detections, echo_offsets)
     pol_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     phases = comm.draw_polarization_set(scene, rc.comm, pol_rng)
-    sensing_taps = [(t, sensing.monostatic_cir(echo)) for t, echo in zip(times, detections)]
-    return Drop(scene, times, paths, frames, sensing_taps, phases)
+    return Drop(scene, times, paths, observations, sensing.monostatic_cir(detections, echo_offsets), phases)
 
 
 def _pairs(rc: RunConfig, all_pairs: bool) -> tuple[int, int]:
@@ -68,7 +67,7 @@ def _pairs(rc: RunConfig, all_pairs: bool) -> tuple[int, int]:
 def comm_tap_rows(drop: Drop, rc: RunConfig, all_pairs: bool = False) -> np.ndarray:
     """The tap rows of each rx row (the pairs of one rx element) of each frame: the units of ``comm_taps``."""
     n_rx, n_tx = _pairs(rc, all_pairs)
-    return np.repeat([n_tx * (1 + len(paths)) for paths in drop.paths], n_rx)
+    return np.repeat(n_tx * (1 + np.diff(drop.observations.offsets[:, 0])), n_rx)
 
 
 def comm_taps(drop: Drop, rc: RunConfig, all_pairs: bool = False,
@@ -81,9 +80,9 @@ def comm_taps(drop: Drop, rc: RunConfig, all_pairs: bool = False,
     if not units:
         return
     (first, a), (last, b) = divmod(units.start, n_rx), divmod(units.stop - 1, n_rx)
-    frames = slice(first, last + 1)
-    taps = comm.run_taps(drop.scene, drop.times[frames], rc.tx_array(), rc.rx_template(), rc.comm, drop.phases,
-                         np.arange(n_rx)[:, None], np.arange(n_tx)[None, :], drop.paths[frames])
+    taps = comm.run_taps(drop.scene, drop.times[first:last + 1], rc.tx_array(), rc.rx_template(), rc.comm,
+                         drop.phases, np.arange(n_rx)[:, None], np.arange(n_tx)[None, :], drop.paths,
+                         drop.observations.offsets[first:last + 2, 0])
     for f, (t, block) in enumerate(taps, first):
         rows = slice(a if f == first else 0, b + 1 if f == last else n_rx)
         yield t, comm.TapBlock(*(x[rows] for x in (block.q, block.p, block.path_id, block.delay, block.re, block.im)))
@@ -109,17 +108,17 @@ def split(rows: Sequence[int], fields: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def track(frames: list[ObservationFrame], scene: SceneTruth, cfg: tracker.TrackerConfig,
+def track(observations: Observations, scene: SceneTruth, cfg: tracker.TrackerConfig,
           seed: int) -> tracker.TrackerState:
-    """The tracker stepped over ``frames``; the scene gives the BS and the user's start state."""
-    if len(frames) < 2:
+    """The tracker stepped over the frames of ``observations``; the scene gives the BS and the user's start state."""
+    if len(observations.times) < 2:
         raise tracker.TrackerError("need at least two observation frames")
     state = tracker.initialize(
-        frames[0], scene.bs_position, scene.user_position(frames[0].time), scene.config.user_velocity,
-        cfg, np.random.SeedSequence([seed, 2]),
+        observations.frame(0), scene.bs_position, scene.user_position(observations.times[0]),
+        scene.config.user_velocity, cfg, np.random.SeedSequence([seed, 2]),
     )
-    for frame in frames[1:]:
-        tracker.step(state, frame)
+    for k in range(1, len(observations.times)):
+        tracker.step(state, observations.frame(k))
     return state
 
 
@@ -210,26 +209,28 @@ Snapshots = Iterator[tuple[int, float, np.ndarray]]
 def oracle_snapshots(scene: SceneTruth, rc: RunConfig) -> Snapshots:
     """The true paths of each frame of ``rc``."""
     times = rc.frame_times()
-    for k, (t, paths) in enumerate(zip(times, ground_truth_paths(scene, times))):
-        yield k, t, paths.columns.table
+    paths, offsets = ground_truth_paths(scene, times)
+    for k, t in enumerate(times):
+        yield k, t, paths.columns.table[offsets[k]:offsets[k + 1]]
 
 
-def observation_snapshots(frames: list[ObservationFrame]) -> Snapshots:
+def observation_snapshots(observations: Observations) -> Snapshots:
     """The observed paths of each frame."""
-    for k, frame in enumerate(frames):
-        yield k, frame.time, frame.comm_paths.table
+    offsets = observations.offsets[:, 0]
+    for k, t in enumerate(observations.times):
+        yield k, t, observations.comm_paths.table[offsets[k]:offsets[k + 1]]
 
 
-def _check_track_of_run(traj_path: str, traj: dict, frames: list[ObservationFrame], scene: SceneTruth) -> None:
-    """Reject a trajectory whose (k, t) steps are not the run's frames, or
+def _check_track_of_run(traj_path: str, traj: dict, times: Sequence[float], scene: SceneTruth) -> None:
+    """Reject a trajectory whose (k, t) steps are not the run's frames at ``times``, or
     whose FB or LB rows track other scatterers than the run's paths have."""
     steps = sorted(set(zip(traj["k"].tolist(), traj["t"].tolist())))
-    for k, (step, frame) in enumerate(itertools.zip_longest(steps, frames)):
-        if frame is None:
+    for k, (step, time) in enumerate(itertools.zip_longest(steps, times)):
+        if time is None:
             raise tracker.TrackerError(f"{traj_path}: step k={step[0]} at t={step[1]!r} is past the run's last frame")
-        if step != (k, frame.time):
+        if step != (k, time):
             got = "no step" if step is None else f"step k={step[0]} at t={step[1]!r}"
-            raise tracker.TrackerError(f"{traj_path}: {got} where the run has frame k={k} at t={frame.time!r}")
+            raise tracker.TrackerError(f"{traj_path}: {got} where the run has frame k={k} at t={time!r}")
     want = {}
     for path_id, fb_id, lb_id, _ in scene.paths.tolist():
         want[(tracker.KIND_FB, path_id)], want[(tracker.KIND_LB, path_id)] = fb_id, lb_id
@@ -267,33 +268,32 @@ def _last_rows(traj: dict, n_frames: int, kind: str, k: np.ndarray, path_id: np.
     return np.where((pos >= 0) & (ids[j] == path_id) & (codes[pos] == wanted), mine[order[pos]], -1)
 
 
-def trajectory_snapshots(frames: list[ObservationFrame], traj: dict, scene: SceneTruth,
+def trajectory_snapshots(observations: Observations, traj: dict, scene: SceneTruth,
                          traj_path: str = "trajectory") -> Snapshots:
     """Each frame's observed paths whose FB and LB clouds both have estimates, at their observed powers.
 
     ``traj`` holds the columns of a trajectory of these frames, named
     ``traj_path`` in the errors that reject it.
     """
-    _check_track_of_run(traj_path, traj, frames, scene)
-    if not frames:
+    _check_track_of_run(traj_path, traj, observations.times, scene)
+    n = len(observations.times)
+    if not n:
         return
     est = np.column_stack([traj["est_x"], traj["est_y"], traj["est_z"]])
 
     # the paths of every frame at once, with the trajectory rows of their user, FB and LB estimates
-    ks = np.repeat(np.arange(len(frames)), [len(frame.comm_paths) for frame in frames])
-    paths = np.concatenate([frame.comm_paths.table for frame in frames])
-    path_ids = np.concatenate([frame.comm_paths.path_id for frame in frames])
-    steps = np.arange(len(frames))
-    user = _last_rows(traj, len(frames), tracker.KIND_USER, steps, np.full(len(frames), LOS_PATH_ID))
-    fb, lb = (_last_rows(traj, len(frames), kind, ks, path_ids) for kind in (tracker.KIND_FB, tracker.KIND_LB))
+    paths = observations.comm_paths
+    ks = np.repeat(np.arange(n), np.diff(observations.offsets[:, 0]))
+    user = _last_rows(traj, n, tracker.KIND_USER, np.arange(n), np.full(n, LOS_PATH_ID))
+    fb, lb = (_last_rows(traj, n, kind, ks, paths.path_id) for kind in (tracker.KIND_FB, tracker.KIND_LB))
     tracked = (user[ks] >= 0) & (fb >= 0) & (lb >= 0)
     bs = np.array(scene.bs_position.as_tuple())
     leg, angles, _ = path_term_columns(bs, est[user[ks[tracked]]], est[fb[tracked]], est[lb[tracked]])
-    table = np.column_stack([paths[tracked, 0], leg / SPEED_OF_LIGHT, angles])
-    tables = np.split(table, np.cumsum(np.bincount(ks[tracked], minlength=len(frames)))[:-1])
-    for k, frame in enumerate(frames):
+    table = np.column_stack([paths.table[tracked, 0], leg / SPEED_OF_LIGHT, angles])
+    tables = np.split(table, np.cumsum(np.bincount(ks[tracked], minlength=n))[:-1])
+    for k, t in enumerate(observations.times):
         if user[k] >= 0:
-            yield k, frame.time, tables[k]
+            yield k, t, tables[k]
 
 
 def spreads(snapshots: Snapshots) -> list[tuple[int, float, tuple[float, ...]]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -138,16 +138,13 @@ class EchoColumns:
 
 @dataclass(frozen=True, eq=False)
 class TruePaths:
-    """One frame's noise-free paths: ``columns`` as ``observe`` reports them, and per
-    row the (n, 3) first- and last-bounce points ``fb`` and ``lb`` and the (n,) virtual delay."""
+    """Noise-free paths: ``columns`` as ``observe`` reports them, and per row the
+    (n, 3) first- and last-bounce points ``fb`` and ``lb`` and the (n,) virtual delay."""
 
     columns: PathColumns
     fb: np.ndarray
     lb: np.ndarray
     virtual_delay: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
     def __getitem__(self, rows) -> "TruePaths":
         return TruePaths(self.columns[rows], self.fb[rows], self.lb[rows], self.virtual_delay[rows])
@@ -165,12 +162,20 @@ class ObservationFrame:
 
 @dataclass(frozen=True, eq=False)
 class Observations:
-    """A run's measurements, every frame's rows in frame order; each of ``frames`` is a view of them."""
+    """A run's measurements at its K frame ``times``: frame k's rows of ``comm_paths``, ``sensing_detections``
+    and ``los`` (at most one) are ``offsets[k]`` up to ``offsets[k + 1]`` in the three columns of the
+    (K + 1, 3) int ``offsets``, whose last row holds their lengths."""
 
+    times: list[float]
     comm_paths: PathColumns
     sensing_detections: EchoColumns
     los: PathColumns
-    frames: list[ObservationFrame]
+    offsets: np.ndarray
+
+    def frame(self, k: int) -> ObservationFrame:
+        """Frame k, its columns views of the run's."""
+        paths, echoes, los = (slice(a, b) for a, b in zip(*self.offsets[k:k + 2].tolist()))
+        return ObservationFrame(self.times[k], self.comm_paths[paths], self.sensing_detections[echoes], self.los[los])
 
 
 @dataclass(frozen=True)
@@ -368,30 +373,23 @@ def _alive_spans(scene: SceneTruth, times: Sequence[float], *tracks: Trajectorie
 
 def _alive_rows(t: np.ndarray, order: np.ndarray, first: np.ndarray, count: np.ndarray) -> tuple:
     """The (N,) row and (N,) time of each (time, row) pair of ``_alive_spans``, time by time and in row
-    order within a time, and for each time the slice of its pairs. Each row's pairs are its span of the
-    sorted times, so the work and memory follow the pairs, not times x rows."""
+    order within a time, and the (K + 1,) offsets of each time's first pair, then N. Each row's pairs are
+    its span of the sorted times, so the work and memory follow the pairs, not times x rows."""
     rows = np.repeat(np.arange(len(count)), count)
     k = order[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)]
     pick = np.argsort(k, kind="stable")  # rows ascend already
-    return rows[pick], t[k[pick]], _slices(np.bincount(k, minlength=len(t)))
+    return rows[pick], t[k[pick]], np.append(0, np.cumsum(np.bincount(k, minlength=len(t))))
 
 
-def _slices(counts: np.ndarray) -> list[slice]:
-    """Consecutive slices of ``counts`` rows each, from row 0."""
-    ends = np.cumsum(counts).tolist()
-    return [slice(a, b) for a, b in zip([0] + ends, ends)]
+def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> tuple[TruePaths, np.ndarray]:
+    """The paths alive at each of ``times``, with their powers, and the (K + 1,) offsets of each time's rows.
 
-
-def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> list[TruePaths]:
-    """Alive paths at each of ``times``, with powers from the exponential delay profile.
-
-    Every time is resolved in one array pass, and each time's
-    ``TruePaths`` is a view of it: the bounce points, delays (the outer
-    legs over c plus the virtual delay) and AoDs and AoAs, each bit for
-    bit as the scalar formulas give it. Powers follow
-    exp(-delay / pdp_decay) and are normalized to sum to 1 over the frame,
-    each frame by its own ``ndarray.sum``; this makes the Rician
-    LoS/NLoS power split exact.
+    Every time is resolved in one array pass, into rows in time order:
+    the bounce points, delays (the outer legs over c plus the virtual
+    delay) and AoDs and AoAs, each bit for bit as the scalar formulas
+    give it. Powers follow exp(-delay / pdp_decay) and are normalized to
+    sum to 1 over the frame, each frame by its own ``ndarray.sum``; this
+    makes the Rician LoS/NLoS power split exact.
 
     Raises:
         ConfigError: where the run's (frame, path) rows and the (frame, echo)
@@ -406,23 +404,23 @@ def ground_truth_paths(scene: SceneTruth, times: Sequence[float]) -> list[TruePa
     if n_rows > MAX_RUN_ROWS:
         raise ConfigError(f"the run has {n_rows} path and echo rows over its frames, more than {MAX_RUN_ROWS}: "
                           "lower duration, the scatterers per cluster or birth_death_rate, or raise ts")
-    rows, t, frames = _alive_rows(*spans)
+    rows, t, offsets = _alive_rows(*spans)
     fb, lb = fb_ends[rows].positions(t), lb_ends[rows].positions(t)
     user = scene.trajectories([LOS_PATH_ID]).positions(t[:, None])[:, 0]
     leg, angles, degenerate = path_term_columns(np.array(scene.bs_position.as_tuple()), user, fb, lb)
     delays = leg / SPEED_OF_LIGHT + virtual_delay[rows]
     raw = np.exp(-delays / scene.config.pdp_decay)
-    sums = np.array([raw[f].sum() for f in frames])
-    for f, total in zip(frames, sums.tolist()):
-        if total == 0.0 and f.stop > f.start:
+    bounds = offsets.tolist()
+    sums = np.array([raw[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    for a, b, total in zip(bounds, bounds[1:], sums.tolist()):
+        if total == 0.0 and b > a:
             raise ConfigError(
                 f"pdp_decay = {scene.config.pdp_decay!r} s underflows every path power to 0 at "
-                f"t = {float(t[f.start])!r} s, where the shortest delay is {float(delays[f].min())!r} s"
+                f"t = {float(t[a])!r} s, where the shortest delay is {float(delays[a:b].min())!r} s"
             )
-    powers = raw / np.repeat(sums, [f.stop - f.start for f in frames])
-    whole = TruePaths(PathColumns(ids[rows], np.column_stack([powers, delays, angles]), degenerate), fb, lb,
-                      virtual_delay[rows])
-    return [whole[f] for f in frames]
+    powers = raw / np.repeat(sums, np.diff(offsets))
+    columns = PathColumns(ids[rows], np.column_stack([powers, delays, angles]), degenerate)
+    return TruePaths(columns, fb, lb, virtual_delay[rows]), offsets
 
 
 def sensing_gain(wavelength: float, rcs: float, distance: float) -> float:
@@ -450,19 +448,19 @@ def doppler_shift(wavelength: float, closing_speed: float) -> float:
     return 2.0 * closing_speed / wavelength
 
 
-def echoes(scene: SceneTruth, times: Sequence[float]) -> list[EchoColumns]:
-    """Noise-free echo of every first-bounce scatterer alive at each of ``times``, in scene order.
+def echoes(scene: SceneTruth, times: Sequence[float]) -> tuple[EchoColumns, np.ndarray]:
+    """Noise-free echo of every first-bounce scatterer alive at each of ``times``, and its offsets.
 
     Round-trip delay, direction seen from the BS, two-way Doppler of the
     closing speed (receding gives negative Doppler) and radar gain. Every
-    time is resolved in one array pass, and each time's ``EchoColumns``
-    is a view of it. ``echo_delay``, ``doppler_shift`` and
+    time is resolved in one array pass, into rows in time order and in
+    scene order within a time. ``echo_delay``, ``doppler_shift`` and
     ``sensing_gain`` are applied element by element: numpy's ``d**4``
     rounds about one distance in twenty differently from Python's.
     """
     ids = np.flatnonzero(scene.role == ROLE_FB)
     tracks = scene.tracks[ids]
-    rows, t, frames = _alive_rows(*_alive_spans(scene, times, tracks))
+    rows, t, offsets = _alive_rows(*_alive_spans(scene, times, tracks))
     moving = tracks[rows]
     disp = moving.positions(t) - np.array(scene.bs_position.as_tuple())
     d, lam = norms(disp), scene.config.wavelength
@@ -472,8 +470,7 @@ def echoes(scene: SceneTruth, times: Sequence[float]) -> list[EchoColumns]:
     doppler = list(map(doppler_shift, itertools.repeat(lam), closing_speed.tolist()))
     gain = list(map(sensing_gain, itertools.repeat(lam), scene.rcs[ids[rows]].tolist(), distance))
     angles, degenerate = direction_columns(disp)
-    whole = EchoColumns(ids[rows], np.column_stack([delay, angles, doppler, gain]), degenerate)
-    return [whole[f] for f in frames]
+    return EchoColumns(ids[rows], np.column_stack([delay, angles, doppler, gain]), degenerate), offsets
 
 
 def check_round_trip_delays(delays: np.ndarray) -> None:
@@ -483,19 +480,9 @@ def check_round_trip_delays(delays: np.ndarray) -> None:
         raise ConfigError(f"round-trip delay must be positive, got {float(delays[np.argmax(bad)])}")
 
 
-def _stacked(parts: Sequence, cls: type):
-    """The rows of the column objects ``parts``, of dataclass ``cls``, in order as one."""
-    return cls(*(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(cls)))
-
-
-def observe(
-    scene: SceneTruth,
-    times: Sequence[float],
-    noise: tuple[float, float],
-    rng: np.random.Generator,
-    paths: Sequence[TruePaths],
-    detections: Sequence[EchoColumns],
-) -> Observations:
+def observe(scene: SceneTruth, times: Sequence[float], noise: tuple[float, float], rng: np.random.Generator,
+            paths: TruePaths, path_offsets: np.ndarray, detections: EchoColumns,
+            echo_offsets: np.ndarray) -> Observations:
     """Noisy measurement frames of a run at ``times``, one or more.
 
     Communication observations carry the true per-path delay, departure
@@ -506,8 +493,9 @@ def observe(
     and gain (exact). A LoS observation between BS and user is always
     present (the scene models no occlusion).
 
-    ``paths`` and ``detections`` are the run's ``ground_truth_paths`` and
-    ``echoes``, resolved by the caller and left unchanged. The noise is
+    ``paths`` and ``detections``, with their offsets, are the run's
+    ``ground_truth_paths`` and ``echoes``, resolved by the caller and left
+    unchanged; the observations share their id and flag columns. The noise is
     one standard-normal draw for the run, one value per measurement in
     this order, frame by frame: per path the delay, AoD azimuth and
     elevation, AoA azimuth and elevation; the LoS the same way; per echo
@@ -524,13 +512,13 @@ def observe(
     t = np.array(times, dtype=float)
     bs = np.array(scene.bs_position.as_tuple())
     user = scene.trajectories([LOS_PATH_ID]).positions(t[:, None])[:, 0]
-    comm, sensing = _stacked([p.columns for p in paths], PathColumns), _stacked(detections, EchoColumns)
-    n, m = (np.array([len(part) for part in parts], dtype=int) for parts in (paths, detections))
+    comm, sensing = (replace(part, table=part.table.copy()) for part in (paths.columns, detections))
+    n, m = np.diff(path_offsets), np.diff(echo_offsets)
     # each frame draws 5 values per path, then 5 for the LoS, then 3 per echo
     part = np.repeat(np.tile(np.int8([0, 1, 2]), len(t)), np.column_stack([5 * n, np.full(len(t), 5), 3 * m]).ravel())
     z = rng.standard_normal(part.size)
     path_noise, los_noise, echo_noise = (z[part == i].reshape(-1, w) * scale[:w] + 0.0 for i, w in enumerate((5, 5, 3)))
-    comm.table[:, 1:] += path_noise  # the concatenation's own arrays, noised in place
+    comm.table[:, 1:] += path_noise  # the copies, noised in place
     sensing.table[:, :3] += echo_noise
 
     # the first faulty frame raises its first fault; a noisy LoS angle is non-finite where its noise is
@@ -556,9 +544,8 @@ def observe(
     for angles in (comm.table[:, 2:], los_table[:, 2:], sensing.table[:, 1:3]):
         normalize_angle_columns(angles)
     los = PathColumns(np.full((len(t), 4), LOS_PATH_ID), los_table, los_degenerate)
-    frames = [ObservationFrame(time, comm[p], sensing[e], los[f:f + 1])
-              for f, (time, p, e) in enumerate(zip(times, _slices(n), _slices(m)))]
-    return Observations(comm, sensing, los, frames)
+    offsets = np.column_stack([path_offsets, echo_offsets, np.arange(len(t) + 1)])
+    return Observations(list(times), comm, sensing, los, offsets)
 
 
 # --- scene file format -------------------------------------------------------

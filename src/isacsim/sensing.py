@@ -12,10 +12,8 @@ import numpy as np
 from .scene import EchoColumns
 
 
-def monostatic_cir(detections: EchoColumns) -> EchoColumns:
-    """Sensing impulse response of one frame's echoes, sorted by delay.
-
-    ``detections`` are the frame's ``scene.echoes``; the response orders
-    them by (round-trip delay, scatterer id).
-    """
-    return detections[np.lexsort((detections.scatterer_id, detections.table[:, 0]))]
+def monostatic_cir(detections: EchoColumns, offsets: np.ndarray) -> EchoColumns:
+    """Sensing impulse response of a run's ``scene.echoes``: each frame's rows, between its
+    ``offsets``, ordered by (round-trip delay, scatterer id)."""
+    frame = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return detections[np.lexsort((detections.scatterer_id, detections.table[:, 0], frame))]

@@ -115,7 +115,8 @@ def element_offsets(array) -> np.ndarray:
 
 def pair_taps(tx, rx, q, p, carrier_hz, direct_phase, scattered, phases, weights):
     """``comm._taps`` of one frame, between the elements of ``tx`` and ``rx``."""
-    return comm._taps(tx, rx.element_positions()[None], q, p, carrier_hz, weights, direct_phase, [scattered], phases)[0]
+    return comm._taps(tx, rx.element_positions()[None], q, p, carrier_hz, weights, direct_phase, scattered,
+                      np.array([len(scattered.columns)]), phases)[0]
 
 
 def initialize_at_truth(scene, cfg, seed, t0: float = 0.0):

@@ -160,10 +160,10 @@ def test_criterion_4_oracle_closure():
     assert len(scene.rcs) == 10
     rng = np.random.default_rng(0)
     times = [k * 0.1 for k in range(201)]
-    frames = observe(scene, times, (0.0, 0.0), rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
+    observations = observe(scene, times, (0.0, 0.0), rng, *ground_truth_paths(scene, times), *echoes(scene, times))
     bs = np.array(scene.bs_position.as_tuple())
-    for t, frame in zip(times, frames):
-        paths = frame.comm_paths
+    for k, t in enumerate(times):
+        paths = observations.frame(k).comm_paths
         user = np.array(scene.user_position(t).as_tuple())
         for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, aod_el, aoa_az, aoa_el) in zip(
             paths.ids.tolist(), paths.table.tolist()
@@ -195,7 +195,7 @@ def test_criterion_5_filter_exactness():
     rng = np.random.default_rng(0)
     for k in range(1, 201):
         t = k * cfg.ts
-        step(state, observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0])
+        step(state, observe(scene, [t], (0.0, 0.0), rng, *ground_truth_paths(scene, [t]), *echoes(scene, [t])).frame(0))
         for key, sid, est in zip(state.keys, state.entity_ids, state.estimates[-1].tolist()):
             if key == USER_KEY:
                 truth = scene.user_position(t)

@@ -355,7 +355,10 @@ def fail_frames(monkeypatch, failing):
     monkeypatch.setattr(pipeline, "simulate", lambda rc: drops.append(simulate_drop(rc)) or drops[-1])
 
     def taps(*args):
-        frames = [drops[-1].paths.index(paths) for paths in args[7]]
+        # the pass's first path row in the run's columns, which start a frame; every frame has paths
+        whole, rows = drops[-1].paths.virtual_delay, args[7].virtual_delay
+        first = drops[-1].observations.offsets[:, 0].tolist().index((rows.ctypes.data - whole.ctypes.data) // 8)
+        frames = range(first, first + len(args[8]))
         bad = [k for k in frames if k in failing]
         if bad:
             raise comm.CommError(f"frame {bad[0]} fails")
@@ -408,10 +411,10 @@ def test_duration_off_the_float_grid_runs_every_stage(tmp_path):
     cfg = tmp_path / "short.ini"
     cfg.write_text(SMALL_CFG.replace("duration = 1.0", "duration = 0.3"))
     run_dir = simulate(tmp_path, str(cfg))
-    frames = csvio.read_observation_frames(
+    observations = csvio.read_observations(
         os.path.join(run_dir, "observations.csv"), os.path.join(run_dir, "sensing_observations.csv")
     )
-    assert [f.time for f in frames] == [0.0, 0.1, 0.2, 0.3]
+    assert observations.times == [0.0, 0.1, 0.2, 0.3]
     trk = str(tmp_path / "trk")
     assert run("track", "--config", str(cfg), "--run", run_dir, "--out", trk) == 0
     sts = str(tmp_path / "sts")
@@ -717,7 +720,7 @@ def test_the_run_row_cap_counts_each_path_and_echo_row(tmp_path, monkeypatch, ca
     cfg.write_text("[run]\nseed = 3\nduration = 2.0\n\n[scene]\nbirth_death_rate = 5.0\n")
     rc = load_run_config(str(cfg))
     drop = pipeline.simulate(rc)
-    rows = sum(map(len, drop.paths)) + sum(len(f.sensing_detections) for f in drop.frames)
+    rows = len(drop.paths.columns) + len(drop.observations.sensing_detections)
     monkeypatch.setattr(scene_module, "MAX_RUN_ROWS", rows)
     run_dir, sts = simulate(tmp_path, str(cfg)), str(tmp_path / "sts")
     assert run("stats", "--run", run_dir, "--source", "scene", "--out", sts) == 0
@@ -903,7 +906,7 @@ def test_a_track_after_a_forked_write_shares_the_helper(tmp_path, monkeypatch):
     assert (helper is not None and helper.thread.is_alive()) == bool(normals._other_cpus())
     monkeypatch.setattr(normals._Helper, "start", lambda self, *args: starts.append(self) or start(self, *args))
     rc, scene = cli._load_run(cli.build_parser().parse_args(["track", "--run", run_dir, "--out", "-"]))
-    state = pipeline.track(cli._read_frames(run_dir), scene, rc.tracker, rc.scene.seed)
+    state = pipeline.track(cli._read_observations(run_dir), scene, rc.tracker, rc.scene.seed)
     again = tmp_path / "again.csv"
     csvio.write_trajectory(str(again), pipeline.score(state, scene))
     assert files == ["trajectory.csv", "again.csv"]
@@ -927,8 +930,9 @@ def test_each_stream_draws_in_its_serial_order(tmp_path, monkeypatch, eager):
     cfg.write_text(TRACK_CFGS["birth-death-virtual-delay"])
     run_dir = simulate(tmp_path, str(cfg))
     rc, scene = cli._load_run(cli.build_parser().parse_args(["track", "--run", run_dir, "--out", "-"]))
-    frames = cli._read_frames(run_dir)
-    state = tracker.initialize(frames[0], scene.bs_position, scene.user_position(frames[0].time),
+    observations = cli._read_observations(run_dir)
+    frame0 = observations.frame(0)
+    state = tracker.initialize(frame0, scene.bs_position, scene.user_position(frame0.time),
                                scene.config.user_velocity, rc.tracker, np.random.SeedSequence([rc.scene.seed, 2]))
     rngs = state.clouds.rngs
     n, c = len(rngs), rc.tracker.n_particles
@@ -938,8 +942,8 @@ def test_each_stream_draws_in_its_serial_order(tmp_path, monkeypatch, eager):
         r.standard_normal((2, c, 3))  # the initial cloud
         r.standard_normal((2, c, 3))  # step 1's noise
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in replay]
-    for k, frame in enumerate(frames[1:], start=1):
-        tracker.step(state, frame)
+    for k in range(1, len(observations.times)):
+        tracker.step(state, observations.frame(k))
         for e, i in enumerate(state.members[k].tolist()):
             if not state.coasted[k][e]:
                 replay[i].random()

@@ -216,10 +216,10 @@ def test_run_taps_every_pair_of_a_nonstationary_scene():
     q, p = np.arange(4)[:, None], np.arange(128)[None, :]
     alive_sets = set()
     for t in (0.0, 6.5, 13.2, 20.0):
-        truths = ground_truth_paths(scene, [t])[0]
-        block = next(run_taps(scene, [t], tx, rx_template, params, draws, q, p, [truths]))[1]
+        truths, offsets = ground_truth_paths(scene, [t])
+        block = next(run_taps(scene, [t], tx, rx_template, params, draws, q, p, truths, offsets))[1]
         alive_sets.add(frozenset(truths.columns.path_id.tolist()))
-        assert block.delay.shape == (4, 128, 1 + len(truths))
+        assert block.delay.shape == (4, 128, 1 + len(truths.columns))
         assert np.array_equal(block.q, np.broadcast_to(q, (4, 128)))
         assert np.array_equal(block.p, np.broadcast_to(p, (4, 128)))
 
@@ -256,8 +256,8 @@ def test_run_taps_reference_pair_matches_comm_cir():
     tx = half_wavelength_array(32, 4, lam, scene.bs_position)
     rx = half_wavelength_array(2, 2, lam, ORIGIN)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(3))
-    paths = ground_truth_paths(scene, [1.0])[0]
-    block = next(run_taps(scene, [1.0], tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]), [paths]))[1]
+    paths = ground_truth_paths(scene, [1.0])
+    block = next(run_taps(scene, [1.0], tx, rx, CommParams(), draws, np.array([[0]]), np.array([[0]]), *paths))[1]
     assert block.delay.shape == (1, 1, 1 + len(scene.paths))
     cir = comm_cir(scene, 1.0, tx, rx, CommParams(), draws, pairs=[(0, 0)])
     assert (cir.q.tolist(), cir.p.tolist()) == ([0], [0])
@@ -277,8 +277,13 @@ def test_run_taps_pass_equals_the_frames_one_by_one(monkeypatch, budget, grid):
     rx = half_wavelength_array(2, 2, lam, ORIGIN)
     draws = draw_polarization_set(scene, params, np.random.default_rng(5))
     times = [0.5 * k for k in range(9)] + [12.0, 12.5, 20.0]
-    truths = [truth[: len(truth) - (5 * k) % 7] for k, truth in enumerate(ground_truth_paths(scene, times))]
-    assert len({len(truth) for truth in truths}) > 1 and len({frozenset(t.columns.path_id) for t in truths}) > 1
+    paths, offsets = ground_truth_paths(scene, times)
+    bounds = offsets.tolist()
+    kept = [np.arange(a, b)[: b - a - (5 * k) % 7] for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    truths, offsets = paths[np.concatenate(kept)], np.append(0, np.cumsum([rows.size for rows in kept]))
+    counts = np.diff(offsets).tolist()
+    path_sets = {frozenset(truths.columns.path_id[a:b].tolist()) for a, b in zip(offsets, offsets[1:])}
+    assert len(set(counts)) > 1 and len(path_sets) > 1
     q, p = np.arange(grid[0])[:, None], np.arange(grid[1])[None, :]
     passes = []
     kernel = comm._taps
@@ -289,10 +294,10 @@ def test_run_taps_pass_equals_the_frames_one_by_one(monkeypatch, budget, grid):
 
     monkeypatch.setattr(comm, "_PASS_TAPS", budget)
     monkeypatch.setattr(comm, "_taps", counted)
-    got = list(run_taps(scene, times, tx, rx, params, draws, q, p, truths))
+    got = list(run_taps(scene, times, tx, rx, params, draws, q, p, truths, offsets))
     assert sum(passes) == len(times) and min(passes) >= 1
     # each pass fits in the budget, or holds one frame, and could not take the next frame too
-    widths, start = [1 + len(truth) for truth in truths], 0
+    widths, start = [1 + n for n in counts], 0
     for n in passes:
         stop = start + n
         assert n == 1 or n * grid[0] * grid[1] * max(widths[start:stop]) <= budget
@@ -300,9 +305,9 @@ def test_run_taps_pass_equals_the_frames_one_by_one(monkeypatch, budget, grid):
         start = stop
     assert (len(passes) == 1) == (len(times) * grid[0] * grid[1] * max(widths) <= budget)
     monkeypatch.setattr(comm, "_taps", kernel)
-    for (t, block), want_t, truth in zip(got, times, truths):
-        want = next(run_taps(scene, [want_t], tx, rx, params, draws, q, p, [truth]))[1]
-        assert t == want_t and block.delay.shape == grid + (1 + len(truth),)
+    for k, ((t, block), want_t) in enumerate(zip(got, times)):
+        want = next(run_taps(scene, [want_t], tx, rx, params, draws, q, p, truths, offsets[k:k + 2]))[1]
+        assert t == want_t and block.delay.shape == grid + (1 + counts[k],)
         for name in ("q", "p", "path_id", "delay", "re", "im"):
             assert np.array_equal(getattr(block, name), getattr(want, name)), name
             assert getattr(block, name).tobytes() == np.ascontiguousarray(getattr(want, name)).tobytes(), name

@@ -25,20 +25,22 @@ def scene():
 
 
 @pytest.fixture(scope="module")
-def frames(scene):
+def observations(scene):
     rng = np.random.default_rng(1)
     times = [k * 0.1 for k in range(4)]
-    return observe(scene, times, (5e-9, 0.01), rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
+    return observe(scene, times, (5e-9, 0.01), rng, *ground_truth_paths(scene, times), *echoes(scene, times))
 
 
-def test_observation_round_trip(tmp_path, frames):
+def test_observation_round_trip(tmp_path, observations):
     cp = tmp_path / "obs.csv"
     sp = tmp_path / "sens.csv"
-    csvio.write_comm_observations(str(cp), frames)
-    csvio.write_sensing_observations(str(sp), frames)
-    back = csvio.read_observation_frames(str(cp), str(sp))
-    assert len(back) == len(frames)
-    for orig, loaded in zip(frames, back):
+    csvio.write_comm_observations(str(cp), observations)
+    csvio.write_sensing_observations(str(sp), observations)
+    back = csvio.read_observations(str(cp), str(sp))
+    assert back.times == observations.times
+    assert np.array_equal(back.offsets, observations.offsets)
+    for k in range(len(observations.times)):
+        orig, loaded = observations.frame(k), back.frame(k)
         assert loaded.time == orig.time
         assert same_columns(loaded.comm_paths, orig.comm_paths)  # repr floats: exact
         assert same_columns(loaded.sensing_detections, orig.sensing_detections)
@@ -49,56 +51,57 @@ def same_columns(a, b):
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
-def test_schema_line_enforced(tmp_path, frames):
+def test_schema_line_enforced(tmp_path, observations):
     cp = tmp_path / "obs.csv"
     sp = tmp_path / "sens.csv"
-    csvio.write_comm_observations(str(cp), frames)
-    csvio.write_sensing_observations(str(sp), frames)
+    csvio.write_comm_observations(str(cp), observations)
+    csvio.write_sensing_observations(str(sp), observations)
     text = cp.read_text()
     cp.write_text(text.replace("comm_observations", "something_else", 1))
     with pytest.raises(csvio.CsvFormatError, match="schema"):
-        csvio.read_observation_frames(str(cp), str(sp))
+        csvio.read_observations(str(cp), str(sp))
 
 
-def test_field_count_error_reports_line(tmp_path, frames):
+def test_field_count_error_reports_line(tmp_path, observations):
     cp = tmp_path / "obs.csv"
     sp = tmp_path / "sens.csv"
-    csvio.write_comm_observations(str(cp), frames)
-    csvio.write_sensing_observations(str(sp), frames)
+    csvio.write_comm_observations(str(cp), observations)
+    csvio.write_sensing_observations(str(sp), observations)
     lines = cp.read_text().splitlines()
     lines[3] = lines[3] + ",extra"
     cp.write_text("\n".join(lines) + "\n")
     with pytest.raises(csvio.CsvFormatError, match=":4"):
-        csvio.read_observation_frames(str(cp), str(sp))
+        csvio.read_observations(str(cp), str(sp))
 
 
-def test_header_mismatch(tmp_path, frames):
+def test_header_mismatch(tmp_path, observations):
     cp = tmp_path / "obs.csv"
     sp = tmp_path / "sens.csv"
-    csvio.write_comm_observations(str(cp), frames)
-    csvio.write_sensing_observations(str(sp), frames)
+    csvio.write_comm_observations(str(cp), observations)
+    csvio.write_sensing_observations(str(sp), observations)
     lines = cp.read_text().splitlines()
     lines[1] = lines[1].replace("delay_s", "delay")
     cp.write_text("\n".join(lines) + "\n")
     with pytest.raises(csvio.CsvFormatError, match="header"):
-        csvio.read_observation_frames(str(cp), str(sp))
+        csvio.read_observations(str(cp), str(sp))
 
 
-def test_sensing_taps_round_trip(tmp_path, scene):
-    data = [(t, monostatic_cir(e)) for t, e in zip((0.0, 0.1), echoes(scene, (0.0, 0.1)))]
+def test_sensing_taps_round_trip(tmp_path, observations):
+    taps = monostatic_cir(observations.sensing_detections, observations.offsets[:, 1])
     path = tmp_path / "staps.csv"
-    csvio.write_sensing_taps(str(path), data)
-    rows = csvio.read_columns(str(path), "sensing_taps", csvio.SENSING_TAPS_HEADER, ("delay_s",))
-    assert len(rows["delay_s"]) == sum(len(taps) for _, taps in data)
-    assert rows["delay_s"][0] == data[0][1].table[0, 0]
+    csvio.write_sensing_taps(str(path), observations, taps)
+    rows = csvio.read_columns(str(path), "sensing_taps", csvio.SENSING_TAPS_HEADER, ("delay_s",), ("scatterer_id",))
+    assert len(rows["delay_s"]) == len(taps) == observations.offsets[-1, 1]
+    assert rows["delay_s"][0] == taps.table[0, 0]
+    assert np.array_equal(rows["scatterer_id"], taps.scatterer_id)
 
 
 def test_comm_taps_round_trip(tmp_path, scene):
     half, z, y = scene.config.wavelength / 2.0, Vec3(0.0, 0.0, 1.0), Vec3(0.0, 1.0, 0.0)
     tx, rx = PlanarArray(2, 2, half, scene.bs_position, z, y), PlanarArray(1, 2, half, ORIGIN, z, y)
     draws = draw_polarization_set(scene, CommParams(), np.random.default_rng(2))
-    paths = ground_truth_paths(scene, [0.0])[0]
-    block = next(run_taps(scene, [0.0], tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]), [paths]))[1]
+    paths = ground_truth_paths(scene, [0.0])
+    block = next(run_taps(scene, [0.0], tx, rx, CommParams(), draws, np.array([0, 1]), np.array([0, 1]), *paths))[1]
     path = tmp_path / "ctaps.csv"
     csvio.write_comm_taps(str(path), [[(0.0, block)]])
     back = csvio.read_columns(
@@ -151,18 +154,18 @@ def test_missing_file_oserror(tmp_path):
         csvio.read_spreads(str(tmp_path / "nope.csv"))
 
 
-def test_bad_integer_reports_line(tmp_path, frames):
+def test_bad_integer_reports_line(tmp_path, observations):
     cp = tmp_path / "obs.csv"
     sp = tmp_path / "sens.csv"
-    csvio.write_comm_observations(str(cp), frames)
-    csvio.write_sensing_observations(str(sp), frames)
+    csvio.write_comm_observations(str(cp), observations)
+    csvio.write_sensing_observations(str(sp), observations)
     lines = cp.read_text().splitlines()
     row = lines[4].split(",")
     row[3] = "1.5"  # path_id
     lines[4] = ",".join(row)
     cp.write_text("\n".join(lines) + "\n")
     with pytest.raises(csvio.CsvFormatError, match=r"obs\.csv:5: path_id must be an integer, got '1\.5'$"):
-        csvio.read_observation_frames(str(cp), str(sp))
+        csvio.read_observations(str(cp), str(sp))
 
 
 def csv_writer_bytes(name, header, rows):
@@ -323,8 +326,8 @@ def test_file_with_only_a_header_gives_empty_columns_and_no_warning(probe_path):
         assert (got["t"].dtype, got["k"].dtype, got["kind"]) == (np.float64, np.int64, ())
 
 
-def test_c_reader_columns_own_their_memory(tmp_path, frames):
+def test_c_reader_columns_own_their_memory(tmp_path, observations):
     cp, sp = str(tmp_path / "obs.csv"), str(tmp_path / "sens.csv")
-    csvio.write_comm_observations(cp, frames)
+    csvio.write_comm_observations(cp, observations)
     got = csvio.read_columns(cp, "comm_observations", csvio.OBS_COMM_HEADER, ("t",), ("k",))
     assert all(a.flags.c_contiguous and a.base is None for a in got.values())

@@ -171,8 +171,8 @@ def test_path_terms_matches_noiseless_observation():
     scene = generate_scene(SceneConfig())
     t = 2.0
     paths = observe(
-        scene, [t], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t]), echoes(scene, [t])
-    ).frames[0].comm_paths
+        scene, [t], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [t]), *echoes(scene, [t])
+    ).frame(0).comm_paths
     user = scene.user_position(t)
     for (path_id, fb_id, lb_id, _), (_, obs_delay, aod_az, _, _, aoa_el) in zip(
         paths.ids.tolist(), paths.table.tolist()

@@ -35,11 +35,11 @@ def drop_in_memory(rc):
     drop = pipeline.simulate(rc)
     for _ in pipeline.comm_taps(drop, rc):
         pass
-    score = pipeline.score(pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed), drop.scene)
+    score = pipeline.score(pipeline.track(drop.observations, drop.scene, rc.tracker, rc.scene.seed), drop.scene)
     sources = (
         pipeline.oracle_snapshots(drop.scene, rc),
-        pipeline.observation_snapshots(drop.frames),
-        pipeline.trajectory_snapshots(drop.frames, pipeline.trajectory_columns(score), drop.scene),
+        pipeline.observation_snapshots(drop.observations),
+        pipeline.trajectory_snapshots(drop.observations, pipeline.trajectory_columns(score), drop.scene),
     )
     spreads = [np.array([row[2] for row in pipeline.spreads(source)]) for source in sources]
     cdfs = [[stats.empirical_cdf(column) for column in s.T] for s in spreads]
@@ -79,9 +79,11 @@ def test_in_memory_drop_reads_back_from_the_cli_files(tmp_path, name):
     assert run_cli(str(tmp_path), CFGS[name]) == (0, "")
     drop, score, spreads, _ = drop_in_memory(parse_run_config(CFGS[name]))
 
-    frames = cli._read_frames(str(tmp_path / "run"))
-    assert [f.time for f in frames] == [f.time for f in drop.frames] == drop.times
-    for got, want in zip(frames, drop.frames):
+    observations = cli._read_observations(str(tmp_path / "run"))
+    assert observations.times == drop.observations.times == drop.times
+    assert same_bits(observations.offsets, drop.observations.offsets)
+    for k in range(len(drop.times)):
+        got, want = observations.frame(k), drop.observations.frame(k)
         for columns in ("comm_paths", "los"):
             for field in ("ids", "table", "degenerate"):
                 assert same_bits(getattr(getattr(got, columns), field), getattr(getattr(want, columns), field))
@@ -137,7 +139,7 @@ def test_a_default_track_reads_the_callers_cpu_at_most_once(monkeypatch):
     drop = pipeline.simulate(rc)
     monkeypatch.setattr(normals, "_helper", None)
     monkeypatch.setattr(builtins, "open", counted)
-    pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed)
+    pipeline.track(drop.observations, drop.scene, rc.tracker, rc.scene.seed)
     assert opened.count("/proc/thread-self/stat") <= 1
     assert (normals._helper is not None) == (len(os.sched_getaffinity(0)) > 1)
 
@@ -146,7 +148,7 @@ def test_the_ess_median_is_np_medians_without_numpy_ma():
     # np.median loads numpy.ma, about 0.6 MB of code, at its first call; a default track never calls it
     script = (
         "import sys\nfrom isacsim import config, pipeline\nrc = config.parse_run_config('[run]\\nduration = 0.5\\n')\n"
-        "drop = pipeline.simulate(rc)\nstate = pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed)\n"
+        "drop = pipeline.simulate(rc)\nstate = pipeline.track(drop.observations, drop.scene, rc.tracker, rc.scene.seed)\n"
         "pipeline.score(state, drop.scene)\nsys.exit('numpy.ma' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
@@ -154,7 +156,7 @@ def test_the_ess_median_is_np_medians_without_numpy_ma():
     assert subprocess.run([sys.executable, "-c", script], env=env, timeout=120).returncode == 0
     rc = parse_run_config(CFGS["birth-death-virtual-delay"])
     drop = pipeline.simulate(rc)
-    state = pipeline.track(drop.frames, drop.scene, rc.tracker, rc.scene.seed)
+    state = pipeline.track(drop.observations, drop.scene, rc.tracker, rc.scene.seed)
     ess = [e[~np.isnan(e)] for e in state.spread(state.ess, np.nan).T]
     medians = [cloud[8] for cloud in pipeline.score(state, drop.scene).clouds]
     assert any(e.size % 2 for e in ess) and any(e.size and e.size % 2 == 0 for e in ess)

@@ -392,7 +392,7 @@ def observe_frame(scene, t, noise, rng, paths, detections):
     bs, user = scene.bs_position, scene.user_position(t)
     aod, aoa = angles_from_displacement(sub(user, bs)), angles_from_displacement(sub(bs, user))
     leg = sub(user, bs).norm() + sub(bs, user).norm()
-    n, m = len(paths) + 1, len(detections)
+    n, m = len(paths.columns) + 1, len(detections)
     z = rng.standard_normal(5 * n + 3 * m).tolist()
     scales = [sigma_delay] + [sigma_angle] * 4
     los = [1.0, leg / 2.0 / SPEED_OF_LIGHT, aod.azimuth, aod.elevation, aoa.azimuth, aoa.elevation]
@@ -444,29 +444,31 @@ def test_run_observe_equals_the_per_frame_formula_bit_for_bit(seed, clusters, fb
         seed=seed, duration=n_frames * 0.1, user_start=start, bs_position=Vec3(0.0, 0.0, 10.0),
         user_velocity=Vec3(0.0, 1.0, 0.0),
     ))
-    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
+    (paths, path_offsets), (detections, echo_offsets) = ground_truth_paths(scene, times), echoes(scene, times)
+    p, e = path_offsets.tolist(), echo_offsets.tolist()
     if late is not None and late < n_frames:
         times[late] = scene.duration + 1.0
 
     rng_want = np.random.default_rng(seed)
     want, error = [], None
     try:
-        for t, frame_paths, frame_detections in zip(times, paths, detections):
-            want.append(observe_frame(scene, t, noise, rng_want, frame_paths, frame_detections))
+        for k, t in enumerate(times):
+            want.append(observe_frame(scene, t, noise, rng_want, paths[p[k]:p[k + 1]], detections[e[k]:e[k + 1]]))
     except ValueError as e:
         error = e
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):  # sigma_angle * z overflows to an infinite angle
         if error is not None:
             with pytest.raises(type(error)) as raised:
-                observe(scene, times, noise, rng, paths, detections)
+                observe(scene, times, noise, rng, paths, path_offsets, detections, echo_offsets)
             assert str(raised.value) == str(error)
             return
-        got = observe(scene, times, noise, rng, paths, detections)
-    assert len(got.frames) == n_frames
-    assert len(got.comm_paths) == sum(map(len, paths)) and len(got.los) == n_frames
-    assert len(got.sensing_detections) == sum(map(len, detections))
-    for t, frame, (ids, table, degenerate, echo_ids, echo, echo_degenerate) in zip(times, got.frames, want):
+        got = observe(scene, times, noise, rng, paths, path_offsets, detections, echo_offsets)
+    assert len(got.times) == n_frames
+    assert len(got.comm_paths) == len(paths.columns) and len(got.los) == n_frames
+    assert len(got.sensing_detections) == len(detections)
+    for k, (t, (ids, table, degenerate, echo_ids, echo, echo_degenerate)) in enumerate(zip(times, want)):
+        frame = got.frame(k)
         assert frame.time == t
         assert np.vstack([frame.comm_paths.ids, frame.los.ids]).tolist() == ids
         assert np.vstack([frame.comm_paths.table, frame.los.table]).tolist() == table

@@ -29,6 +29,12 @@ from isacsim.scene import (
 from scalar_truth import alive, alive_first_bounces, angles_from_displacement, distance, position_at, sub, velocity
 
 
+def per_frame(columns, offsets):
+    """Each frame's rows of a run's ``columns``, rows ``offsets[k]`` up to ``offsets[k + 1]``."""
+    bounds = offsets.tolist()
+    return [columns[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def small_config(**kw):
     base = SceneConfig(n_clusters=2, fb_per_cluster=1, lb_per_cluster=2, seed=7)
     return replace(base, **kw)
@@ -139,7 +145,7 @@ def test_run_columns_equal_the_scalar_formulas():
     scene = replace(scene, tracks=Trajectories(anchor, speed, scene.tracks.birth, scene.tracks.death))
     times = [k * 0.1 for k in range(51)]
     alive_sets, vertical = set(), 0
-    for t, paths, echo in zip(times, ground_truth_paths(scene, times), echoes(scene, times)):
+    for t, paths, echo in zip(times, per_frame(*ground_truth_paths(scene, times)), per_frame(*echoes(scene, times))):
         user = scene.user_position(t)
         live = [p for p in scene.paths.tolist() if alive(scene, p[1], t) and alive(scene, p[2], t)]
         points = [(position_at(scene, fb_id, t), position_at(scene, lb_id, t)) for _, fb_id, lb_id, _ in live]
@@ -180,13 +186,13 @@ def test_a_run_resolves_each_time_as_that_time_alone():
     # times out of order and repeated, in a churning scene: each frame holds its own time's alive rows
     scene = generate_scene(SceneConfig(birth_death_rate=0.5, virtual_delay_max=5e-8, seed=4, duration=10.0))
     times = np.random.default_rng(2).permutation([k * 0.25 for k in range(41)] * 2).tolist() + [10.0, 0.0]
-    paths, detections = ground_truth_paths(scene, times), echoes(scene, times)
+    paths, detections = per_frame(*ground_truth_paths(scene, times)), per_frame(*echoes(scene, times))
     assert len({frozenset(p.columns.path_id.tolist()) for p in paths}) > 5
     for t, frame_paths, frame_echoes in zip(times, paths, detections):
         live = [p for p in scene.paths.tolist() if alive(scene, p[1], t) and alive(scene, p[2], t)]
         assert frame_paths.columns.ids.tolist() == live
         assert frame_echoes.scatterer_id.tolist() == alive_first_bounces(scene, t)
-        (want,), (want_echoes,) = ground_truth_paths(scene, [t]), echoes(scene, [t])
+        (want, _), (want_echoes, _) = ground_truth_paths(scene, [t]), echoes(scene, [t])
         assert frame_paths.columns.table.tobytes() == want.columns.table.tobytes()
         assert frame_echoes.table.tobytes() == want_echoes.table.tobytes()
 
@@ -206,7 +212,7 @@ def test_observe_noiseless_matches_geometry():
     scene = generate_scene(SceneConfig())
     rng = np.random.default_rng(0)
     t = 4.0
-    frame = observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0]
+    frame = observe(scene, [t], (0.0, 0.0), rng, *ground_truth_paths(scene, [t]), *echoes(scene, [t])).frame(0)
     user = scene.user_position(t)
     bs = scene.bs_position
     paths = frame.comm_paths
@@ -227,8 +233,8 @@ def test_observe_noiseless_matches_geometry():
 def test_observe_sensing_covers_alive_fb():
     scene = generate_scene(SceneConfig())
     frame = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0]
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0)
     fb_ids = set(alive_first_bounces(scene, 0.0))
     dets = frame.sensing_detections
     assert set(dets.scatterer_id.tolist()) == fb_ids
@@ -243,8 +249,8 @@ def test_observe_doppler_sign():
     # scatterer moving straight toward the BS must give positive Doppler
     scene = generate_scene(SceneConfig())
     dets = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0].sensing_detections
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0).sensing_detections
     for sid, doppler in zip(dets.scatterer_id.tolist(), dets.table[:, 3].tolist()):
         u = sub(position_at(scene, sid, 0.0), scene.bs_position)
         u = u * (1.0 / u.norm())
@@ -257,13 +263,13 @@ def test_observation_noise_statistics():
     rng = np.random.default_rng(12)
     sigma = 5e-9
     clean = observe(
-        scene, [1.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [1.0]), echoes(scene, [1.0])
-    ).frames[0]
+        scene, [1.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [1.0]), *echoes(scene, [1.0])
+    ).frame(0)
     diffs = []
     for _ in range(200):
         noisy = observe(
-            scene, [1.0], (sigma, 0.0), rng, ground_truth_paths(scene, [1.0]), echoes(scene, [1.0])
-        ).frames[0]
+            scene, [1.0], (sigma, 0.0), rng, *ground_truth_paths(scene, [1.0]), *echoes(scene, [1.0])
+        ).frame(0)
         for a, b in zip(noisy.comm_paths.delay.tolist(), clean.comm_paths.delay.tolist()):
             diffs.append(a - b)
     arr = np.array(diffs)
@@ -275,8 +281,8 @@ def test_frame_lookup_helpers():
     # a frame's rows are keyed by id: one comm row per alive path, one echo row per alive FB scatterer
     scene = generate_scene(SceneConfig())
     frame = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0]
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0)
     path_ids = frame.comm_paths.path_id.tolist()
     assert sorted(set(path_ids)) == path_ids == ground_truth_paths(scene, [0.0])[0].columns.path_id.tolist()
     assert frame.comm_paths[1:3].path_id.tolist() == path_ids[1:3]
@@ -395,8 +401,8 @@ def test_time_range_enforced():
     with pytest.raises(SceneRangeError):
         observe(
             scene, [-0.1], (0.0, 0.0), np.random.default_rng(0),
-            ground_truth_paths(scene, [0.0]), echoes(scene, [0.0]),
-        ).frames[0]
+            *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0]),
+        ).frame(0)
 
 
 def test_observe_rejects_a_run_of_no_times():
@@ -404,7 +410,7 @@ def test_observe_rejects_a_run_of_no_times():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ConfigError, match="^a run needs at least one frame time to observe$"):
-        observe(scene, [], (1e-9, 0.01), rng, ground_truth_paths(scene, []), echoes(scene, []))
+        observe(scene, [], (1e-9, 0.01), rng, *ground_truth_paths(scene, []), *echoes(scene, []))
     assert rng.bit_generator.state == state  # rejected before anything is drawn
 
 
@@ -419,7 +425,7 @@ def test_observe_names_the_first_non_finite_noisy_angle(seed, text):
     scene = generate_scene(small_config(n_clusters=1, lb_per_cluster=1, duration=1.0))
     paths, detections = ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
     with np.errstate(over="ignore"), pytest.raises(GeometryError) as raised:
-        observe(scene, [0.0], (0.0, 1e308), np.random.default_rng(seed), paths, detections)
+        observe(scene, [0.0], (0.0, 1e308), np.random.default_rng(seed), *paths, *detections)
     assert str(raised.value) == text
 
 

@@ -60,7 +60,7 @@ def _scene():
 
 def test_cir_covers_alive_fb_sorted_by_delay():
     scene = _scene()
-    taps = monostatic_cir(echoes(scene, [2.0])[0])
+    taps = monostatic_cir(*echoes(scene, [2.0]))
     ids = set(alive_first_bounces(scene, 2.0))
     assert set(taps.scatterer_id.tolist()) == ids
     delays = taps.table[:, 0].tolist()
@@ -70,7 +70,7 @@ def test_cir_covers_alive_fb_sorted_by_delay():
 def test_cir_geometry_consistency():
     scene = _scene()
     t = 1.5
-    taps = monostatic_cir(echoes(scene, [t])[0])
+    taps = monostatic_cir(*echoes(scene, [t]))
     for sid, (round_trip_delay, _, _, _, gain) in zip(taps.scatterer_id.tolist(), taps.table.tolist()):
         d = sub(position_at(scene, sid, t), scene.bs_position).norm()
         assert round_trip_delay == pytest.approx(2.0 * d / SPEED_OF_LIGHT, rel=1e-15)
@@ -81,7 +81,7 @@ def test_cir_geometry_consistency():
 
 def test_doppler_matches_closing_speed():
     scene = _scene()
-    taps = monostatic_cir(echoes(scene, [0.0])[0])
+    taps = monostatic_cir(*echoes(scene, [0.0]))
     lam = scene.config.wavelength
     for sid, doppler in zip(taps.scatterer_id.tolist(), taps.table[:, 3].tolist()):
         disp = sub(position_at(scene, sid, 0.0), scene.bs_position)

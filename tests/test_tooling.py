@@ -72,6 +72,7 @@ UNCALLED = {
     # read by the benchmark
     "comm.comm_cir": "perfbench/spans.py wraps it in a span",
     "tracker.Clouds.size": "perfbench/spans.py's tracker.weight counter reads it",
+    "scene.EchoColumns.__len__": "perfbench/spans.py's sensing.echoes counter reads it",
     # error paths
     "normals._forget_helper": "runs in a forked child, whose calls the profile does not see",
     # library API

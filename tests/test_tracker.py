@@ -671,8 +671,8 @@ def exact_cfg(n=50):
 def test_initialize_exact_at_zero_noise():
     scene = static_scene()
     frame0 = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0]
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0)
     user0 = scene.user_position(0.0), scene.config.user_velocity
     state = initialize(frame0, scene.bs_position, *user0, exact_cfg(), seed=1)
     assert not state.failed_paths
@@ -687,8 +687,8 @@ def test_initialize_exact_at_zero_noise():
 def test_initialize_cloud_bookkeeping():
     scene = static_scene()
     frame0 = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0]
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0)
     user0 = scene.user_position(0.0), scene.config.user_velocity
     state = initialize(frame0, scene.bs_position, *user0, exact_cfg(), seed=1)
     keys = state.keys
@@ -804,8 +804,8 @@ def test_initialize_failure_on_infeasible_budget():
 def test_initialize_deterministic_given_seed():
     scene = static_scene()
     frame0 = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0]
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0)
     user0 = scene.user_position(0.0), scene.config.user_velocity
     cfg = TrackerConfig(n_particles=20)
     a = initialize(frame0, scene.bs_position, *user0, cfg, seed=5)
@@ -830,8 +830,8 @@ def test_step_requires_matching_time():
     scene = static_scene()
     state = initialize_at_truth(scene, zero_noise_cfg(), seed=1)
     frame = observe(
-        scene, [0.3], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.3]), echoes(scene, [0.3])
-    ).frames[0]
+        scene, [0.3], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.3]), *echoes(scene, [0.3])
+    ).frame(0)
     with pytest.raises(TrackerError, match="Ts"):
         step(state, frame)
 
@@ -843,7 +843,7 @@ def test_zero_noise_tracking_is_exact():
     rng = np.random.default_rng(0)
     for k in range(1, 21):
         t = k * cfg.ts
-        step(state, observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0])
+        step(state, observe(scene, [t], (0.0, 0.0), rng, *ground_truth_paths(scene, [t]), *echoes(scene, [t])).frame(0))
         assert distance(est_pos(state, USER_KEY), scene.user_position(t)) < 1e-6
         for key, sid in zip(state.keys[1:], state.entity_ids[1:]):
             truth = position_at(scene, sid, t)
@@ -857,8 +857,8 @@ def test_coasting_extrapolates_straight_line():
     state = initialize_at_truth(scene, cfg, seed=1)
     t = cfg.ts
     full = observe(
-        scene, [t], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t]), echoes(scene, [t])
-    ).frames[0]
+        scene, [t], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [t]), *echoes(scene, [t])
+    ).frame(0)
     pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time,
@@ -882,8 +882,8 @@ def test_step_updates_counters_and_history():
     assert state.k == 0 and len(state.estimates) == 1
     t = cfg.ts
     step(state, observe(
-        scene, [t], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t]), echoes(scene, [t])
-    ).frames[0])
+        scene, [t], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [t]), *echoes(scene, [t])
+    ).frame(0))
     assert state.k == 1 and state.time == pytest.approx(cfg.ts)
     assert len(state.estimates) == 2
     assert len(state.times) == len(state.coasted) == len(state.diverged) == len(state.ess) == 2
@@ -894,7 +894,8 @@ def noisy_frames(scene, ts, n):
     times = [k * ts for k in range(1, n + 1)]
     noise = (scene.config.sigma_delay, scene.config.sigma_angle)
     rng = np.random.default_rng(0)
-    return observe(scene, times, noise, rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
+    observations = observe(scene, times, noise, rng, *ground_truth_paths(scene, times), *echoes(scene, times))
+    return [observations.frame(k) for k in range(n)]
 
 
 def test_retirement_keeps_the_survivors_bits(monkeypatch):
@@ -1126,8 +1127,8 @@ def shipped_batch():
     times = [k * cfg.ts for k in range(1, 23)]
     rng = np.random.default_rng(0)
     noise = (scene.config.sigma_delay, scene.config.sigma_angle)
-    frames = observe(scene, times, noise, rng, ground_truth_paths(scene, times), echoes(scene, times)).frames
-    return state, frames
+    observations = observe(scene, times, noise, rng, *ground_truth_paths(scene, times), *echoes(scene, times))
+    return state, [observations.frame(k) for k in range(len(times))]
 
 
 def test_steps_allocate_no_state_buffer():
@@ -1190,7 +1191,7 @@ def test_step_alternates_between_two_state_buffers(monkeypatch):
     rng = np.random.default_rng(0)
     for k in range(1, 4):
         t = k * cfg.ts
-        step(state, observe(scene, [t], (0.0, 0.0), rng, ground_truth_paths(scene, [t]), echoes(scene, [t])).frames[0])
+        step(state, observe(scene, [t], (0.0, 0.0), rng, *ground_truth_paths(scene, [t]), *echoes(scene, [t])).frame(0))
     assert [name for name, _, _ in seen] == ["predict", "resample"] * 3
     # predict advances the pending draws in place and resample gathers there, while the next
     # step's draws go into the buffer the states left; no third buffer is ever made
@@ -1303,8 +1304,8 @@ def test_coasting_clouds_keep_the_predicted_states_and_their_weights(monkeypatch
     monkeypatch.setattr(tracker_module, "predict", spy)
     t = cfg.ts
     full = observe(
-        scene, [t], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t]), echoes(scene, [t])
-    ).frames[0]
+        scene, [t], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [t]), *echoes(scene, [t])
+    ).frame(0)
     pid = int(full.comm_paths.path_id[0])
     before = state.clouds.states.copy()
     step(state, ObservationFrame(
@@ -1337,8 +1338,8 @@ def test_step_records_ess_of_weighted_clouds_only():
     state = initialize_at_truth(scene, cfg, seed=1)
     t = cfg.ts
     full = observe(
-        scene, [t], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [t]), echoes(scene, [t])
-    ).frames[0]
+        scene, [t], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [t]), *echoes(scene, [t])
+    ).frame(0)
     pid = int(full.comm_paths.path_id[0])
     pruned = ObservationFrame(
         full.time, full.comm_paths[full.comm_paths.path_id != pid], full.sensing_detections, full.los
@@ -1355,8 +1356,8 @@ def test_particle_count_capped_before_allocation():
         TrackerConfig(n_particles=MAX_PARTICLES + 1).validate()
     scene = static_scene()
     frame0 = observe(
-        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), ground_truth_paths(scene, [0.0]), echoes(scene, [0.0])
-    ).frames[0]
+        scene, [0.0], (0.0, 0.0), np.random.default_rng(0), *ground_truth_paths(scene, [0.0]), *echoes(scene, [0.0])
+    ).frame(0)
     user0 = scene.user_position(0.0), scene.config.user_velocity
     cfg = TrackerConfig(n_particles=MAX_PARTICLES // 4)  # one cloud fits, 1 + 2 * 18 do not
     tracemalloc.start()
