@@ -340,23 +340,49 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
                           np.append(a[:, 2], 0.0), np.append(a[:, 3], math.inf))
 
     # every FB carries its single-bounce path, then pairs with each LB of its cluster whose lifetime overlaps
-    fb, lb = np.flatnonzero(~is_lb), np.flatnonzero(is_lb)
-    birth, death = tracks.birth, tracks.death
-    overlap = (cluster[fb, None] == cluster[lb]) & (birth[fb, None] < death[lb]) & (birth[lb] < death[fb, None])
-    n_paths = len(fb) + int(np.count_nonzero(overlap))
-    if n_paths > MAX_PATHS:
-        raise ConfigError(f"the scene has {n_paths} paths, more than {MAX_PATHS}: lower the scatterers "
-                          "per cluster or birth_death_rate")
-    r, j = np.nonzero(overlap)
-    ends = np.column_stack([np.concatenate([fb, fb[r]]), np.concatenate([fb, lb[j]])])
+    fb = np.flatnonzero(~is_lb)
+    ends = np.concatenate([np.column_stack([fb, fb]), _double_bounces(cfg, cluster, is_lb, tracks)])
     ends = ends[np.argsort(ends[:, 0], kind="stable")]  # by FB, its single-bounce path first, then by LB
-    paths = np.column_stack([np.arange(n_paths), ends, cluster[ends[:, 0]]])
-    virtual_delay = np.zeros(n_paths)
+    paths = np.column_stack([np.arange(len(ends)), ends, cluster[ends[:, 0]]])
+    virtual_delay = np.zeros(len(paths))
     if cfg.virtual_delay_max > 0.0:  # single-bounce paths have no in-between propagation to stand in for
         double = paths[:, 1] != paths[:, 2]
         virtual_delay[double] = rng.uniform(0.0, cfg.virtual_delay_max, size=np.count_nonzero(double))
     return SceneTruth(cfg, cluster, np.array([ROLE_FB, ROLE_LB])[is_lb.astype(int)], a[:, 11], tracks, paths,
                       virtual_delay)
+
+
+def _double_bounces(cfg: SceneConfig, cluster: np.ndarray, is_lb: np.ndarray, tracks: Trajectories) -> np.ndarray:
+    """The (FB, LB) ids of every double-bounce path, by FB then LB: each LB of the FB's cluster whose
+    lifetime overlaps the FB's.
+
+    The paths are counted before any pair is made, from each cluster's sorted LB births and deaths in
+    O((F + L) log L): an FB overlaps the LBs born before it dies less those dead by its birth, which were
+    born before it dies too. A slot's LBs live one after another in id order, each born as the last one
+    dies until one outlives the run, so the LBs of a slot that overlap an FB are a range of ids.
+
+    Raises:
+        ConfigError: where the scene would hold more than ``MAX_PATHS`` paths.
+    """
+    fb, lb = np.flatnonzero(~is_lb), np.flatnonzero(is_lb)
+    birth, death = tracks.birth, tracks.death
+    fb_cut, lb_cut = (np.searchsorted(cluster[ids], np.arange(cfg.n_clusters + 1)) for ids in (fb, lb))
+    n_paths = len(fb) + sum(int((np.sort(birth[lb[a:b]]).searchsorted(death[fb[f:g]])
+                                 - np.sort(death[lb[a:b]]).searchsorted(birth[fb[f:g]], "right")).sum())
+                            for f, g, a, b in zip(fb_cut, fb_cut[1:], lb_cut, lb_cut[1:]))
+    if n_paths > MAX_PATHS:
+        raise ConfigError(f"the scene has {n_paths} paths, more than {MAX_PATHS}: lower the scatterers "
+                          "per cluster or birth_death_rate")
+    ranges = [(np.zeros(0, dtype=int),) * 3]  # per slot and FB of its cluster: the FB, its first and end LB
+    slots = [0, *(np.flatnonzero(death[lb[:-1]] >= cfg.duration) + 1).tolist(), len(lb)] if len(lb) else []
+    for a, b in zip(slots, slots[1:]):
+        f = fb[fb_cut[cluster[lb[a]]]:fb_cut[cluster[lb[a]] + 1]]
+        ranges.append((f, a + death[lb[a:b]].searchsorted(birth[f], "right"),
+                       a + birth[lb[a:b]].searchsorted(death[f])))
+    f, first, end = (np.concatenate(column) for column in zip(*ranges))
+    order = np.argsort(f, kind="stable")  # by FB, a cluster's slots in id order
+    f, first, n = f[order], first[order], np.maximum(end - first, 0)[order]
+    return np.column_stack([np.repeat(f, n), lb[np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())]])
 
 
 def _alive_spans(scene: SceneTruth, times: Sequence[float], *tracks: Trajectories) -> tuple:

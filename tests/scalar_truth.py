@@ -2,7 +2,8 @@
 
 The references are per-element formulas in Python floats: a scene's
 columns read back one scatterer's table row at a time (so they never call
-``Trajectories.positions`` or ``Trajectories.alive``), angles and vector
+``Trajectories.positions`` or ``Trajectories.alive``), the paths' ends by
+the dense FB x LB overlap mask, angles and vector
 differences on ``Vec3``, and an array element's position; ``element_offsets``
 gives an array's offsets in one numpy pass of its own. ``pair_taps`` and
 ``initialize_at_truth`` call the package's private kernels directly.
@@ -34,6 +35,17 @@ def alive(scene, sid: int, t: float) -> bool:
 def alive_first_bounces(scene, t: float) -> list[int]:
     """The ids of the first-bounce scatterers alive at ``t``, in id order."""
     return [sid for sid, role in enumerate(scene.role.tolist()) if role == ROLE_FB and alive(scene, sid, t)]
+
+
+def dense_path_ends(scene) -> np.ndarray:
+    """The (fb_id, lb_id) ends of a scene's paths by the dense FB x LB overlap mask: each FB's single-bounce
+    path, then each LB of its cluster whose lifetime overlaps the FB's, by LB id."""
+    fb, lb = np.flatnonzero(scene.role == ROLE_FB), np.flatnonzero(scene.role != ROLE_FB)
+    cluster, birth, death = scene.cluster_id, scene.tracks.birth, scene.tracks.death
+    overlap = (cluster[fb, None] == cluster[lb]) & (birth[fb, None] < death[lb]) & (birth[lb] < death[fb, None])
+    r, j = np.nonzero(overlap)
+    ends = np.column_stack([np.concatenate([fb, fb[r]]), np.concatenate([fb, lb[j]])])
+    return ends[np.argsort(ends[:, 0], kind="stable")]
 
 
 def sub(a: Vec3, b: Vec3) -> Vec3:

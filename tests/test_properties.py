@@ -38,7 +38,7 @@ from isacsim.tracker import (
     solve_lb_range,
     weight,
 )
-from scalar_truth import AngleSet, angles_from_displacement, distance, sub, wrap_angle
+from scalar_truth import AngleSet, angles_from_displacement, dense_path_ends, distance, sub, wrap_angle
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 angle = st.floats(allow_nan=False, allow_infinity=False, min_value=-50.0, max_value=50.0)
@@ -481,3 +481,23 @@ def test_run_observe_equals_the_per_frame_formula_bit_for_bit(seed, clusters, fb
         assert np.shares_memory(frame.sensing_detections.table, got.sensing_detections.table) or not echo
     # both drew the same values from the stream
     assert rng.standard_normal() == rng_want.standard_normal()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([0.0, 0.05, 0.5, 5.0, 20.0]),
+    st.floats(min_value=0.1, max_value=10.0),  # at most 4 x 7 slots x 201 lifetimes, under the scatterer cap
+)
+@example(3, 3, 2, 2, 5.0, 2.0)  # the pinned high-churn scene's counts
+@settings(max_examples=150, deadline=None)
+def test_scene_paths_equal_the_dense_overlap_mask(seed, clusters, fbs, lbs, rate, duration):
+    # churning slots overlap an FB in ranges of LB ids, counted before any pair is made
+    scene = generate_scene(SceneConfig(n_clusters=clusters, fb_per_cluster=fbs, lb_per_cluster=lbs,
+                                       birth_death_rate=rate, seed=seed, duration=duration))
+    ends = dense_path_ends(scene)
+    assert np.array_equal(scene.paths[:, 1:3], ends)
+    assert np.array_equal(scene.paths[:, 0], np.arange(len(ends)))
+    assert np.array_equal(scene.paths[:, 3], scene.cluster_id[ends[:, 0]])
