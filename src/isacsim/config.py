@@ -19,6 +19,9 @@ from .scene import ConfigError, SceneConfig, render_value
 from .tracker import TrackerConfig
 
 MAX_FRAMES = 10**6  # a run holds at most this many frames (the shipped config has 201)
+# s, for [tracker] ts: frame times then stay under MAX_FRAMES s, where their rounding stays under the 1e-9 s
+# by which tracker.step matches a frame to the last one plus ts, and positions stay finite (scene.MAX_COORDINATE)
+MAX_TS = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.spacing_wavelengths <= 0.0:
             raise ConfigError("spacing_wavelengths must be positive")
+        if self.tracker.ts > MAX_TS:
+            raise ConfigError(f"ts must be at most {MAX_TS:g} s, got {self.tracker.ts!r}")
         frames = self.scene.duration / self.tracker.ts
         if not math.isfinite(frames) or self.n_frames > MAX_FRAMES:
             raise ConfigError(f"duration / ts gives {frames} frames, more than {MAX_FRAMES}")

@@ -38,6 +38,10 @@ LOS_PATH_ID = -1
 MAX_SCATTERERS = 10**4  # a scene holds at most this many scatterers (the shipped config has 12)
 MAX_PATHS = 10**5  # and at most this many paths (the shipped config has 18)
 MAX_RUN_ROWS = 3 * 10**5  # a run resolves at most this many path and echo rows over its frames (the shipped 4824)
+# m, on each axis of the region corners, bs_position and user_start; with MAX_SPEED and config.MAX_TS every position
+# of a run stays under 1e15 m, whose squared distances and the echo gain's d**4 are finite
+MAX_COORDINATE = 1e9
+MAX_SPEED = 3e8  # m/s, for speed_min, speed_max and each axis of user_velocity: about the speed of light
 
 
 class ConfigError(ValueError):
@@ -212,6 +216,12 @@ class SceneConfig:
 
     def validate(self) -> None:
         check_finite(self, ConfigError)
+        for names, bound, unit in ((("region_min", "region_max", "bs_position", "user_start"), MAX_COORDINATE, "m"),
+                                   (("speed_min", "speed_max", "user_velocity"), MAX_SPEED, "m/s")):
+            for name in names:
+                value = getattr(self, name)
+                if max(map(abs, value.as_tuple() if isinstance(value, Vec3) else [value])) > bound:
+                    raise ConfigError(f"{name} must be within {bound:g} {unit} of 0, got {render_value(value)}")
         if self.n_clusters < 1:
             raise ConfigError("need at least one cluster")
         if self.fb_per_cluster < 1:

@@ -681,6 +681,22 @@ def test_frame_count_capped(tmp_path, capsys, text, message):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nduration = 0.5\n\n[scene]\nregion_max = 1e200 1e200 1e200\n",
+     "region_max must be within 1e+09 m of 0, got 1e+200 1e+200 1e+200"),
+    ("[run]\nduration = 1e202\n\n[scene]\nspeed_min = 0.0\nspeed_max = 0.0\nuser_velocity = 0 0 0\n\n"
+     "[tracker]\nts = 1e200\n", "ts must be at most 1 s, got 1e+200"),
+], ids=["region-1e200", "ts-1e200"])
+def test_a_config_too_large_for_float_squares_exits_2(tmp_path, capsys, text, message):
+    # under the suite's error::RuntimeWarning filter: simulate once overflowed and blamed pdp_decay, and
+    # the static run passed simulate, then track overflowed and blamed a rounding artefact
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(text)
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "huge")) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "huge").exists()
+
+
 @pytest.mark.parametrize("key, value", [("init_pos_std", "1e300"), ("init_vel_std", "1e200"),
                                         ("process_pos_std", "1e200"), ("process_vel_std", "1e200")])
 def test_a_tracker_std_wide_enough_to_overflow_exits_2(tmp_path, capsys, key, value):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -121,6 +122,31 @@ def test_n_frames_stays_within_the_duration():
 def test_non_finite_values_rejected(text):
     with pytest.raises(ValueError, match="must be finite"):
         parse_run_config(text)
+
+
+@pytest.mark.parametrize("key, at_bound, past_it", [
+    ("region_min", "-1e9 20 0", "-1.000001e9 20 0"),
+    ("region_max", "80 1e9 30", "80 1.000001e9 30"),
+    ("bs_position", "0 0 -1e9", "0 0 -1.000001e9"),
+    ("user_start", "1e9 120 1.2", "1.000001e9 120 1.2"),
+    ("speed_min", "3e8\nspeed_max = 4e8", "3.000001e8\nspeed_max = 4e8"),
+    ("speed_max", "3e8", "3.000001e8"),
+    ("user_velocity", "0 -3e8 0", "0 -3.000001e8 0"),
+])
+def test_scene_magnitudes_are_bounded(key, at_bound, past_it):
+    # past these, a run's squared distances or its echo gains' d**4 could overflow
+    bound = "3e+08 m/s" if key.startswith(("speed", "user_velocity")) else "1e+09 m"
+    if key != "speed_min":  # speed_min at the bound needs a speed_max past it
+        assert parse_run_config(f"[scene]\n{key} = {at_bound}\n").scene != SceneConfig()
+    with pytest.raises(ConfigError, match=f"^{key} must be within {re.escape(bound)} of 0, got "):
+        parse_run_config(f"[scene]\n{key} = {past_it}\n")
+
+
+def test_ts_is_bounded():
+    # frame times then stay under 10^6 s, where their rounding stays under tracker.step's 1e-9 s tolerance
+    assert parse_run_config("[run]\nduration = 2.0\n\n[tracker]\nts = 1.0\n").n_frames == 3
+    with pytest.raises(ConfigError, match="^ts must be at most 1 s, got 1.0000000000000002$"):
+        parse_run_config(f"[tracker]\nts = {math.nextafter(1.0, 2.0)!r}\n")
 
 
 def test_arrays_built_from_config():
