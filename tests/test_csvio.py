@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacsim import csvio
+from isacsim import cli, csvio, pipeline
+from isacsim.config import load_run_config
 from isacsim.antenna import PlanarArray
 from isacsim.comm import CommParams, draw_polarization_set, run_taps
 from isacsim.geometry import ORIGIN, Vec3
@@ -45,6 +46,49 @@ def test_observation_round_trip(tmp_path, observations):
         assert same_columns(loaded.comm_paths, orig.comm_paths)  # repr floats: exact
         assert same_columns(loaded.sensing_detections, orig.sensing_detections)
         assert same_columns(loaded.los, orig.los)
+
+
+def test_the_reader_keeps_each_frames_last_los_row(tmp_path):
+    # frame 1 holds a decoy LoS row (its delay doubled) before its own, of which the last counts; frame 2
+    # has no LoS row, so the user coasts; frame 3 holds sensing rows only, so every cloud coasts
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nduration = 0.3\n\n[tracker]\nn_particles = 100\n")
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    comm, sensing = run_dir / "observations.csv", str(run_dir / "sensing_observations.csv")
+    lines = comm.read_text().splitlines(keepends=True)
+    rows = [line.split(",") for line in lines[2:]]
+
+    def edited(decoy_last):
+        out = list(lines[:2])
+        for row, line in zip(rows, lines[2:]):
+            decoy = ",".join(row[:7] + [repr(2.0 * float(row[7]))] + row[8:])
+            if (row[0], row[2]) == ("1", "los"):
+                out += [line, decoy] if decoy_last else [decoy, line]
+            elif (row[0], row[2]) != ("2", "los") and row[0] != "3":
+                out.append(line)
+        path = tmp_path / f"observations_{decoy_last}.csv"
+        path.write_text("".join(out))
+        return csvio.read_observations(str(path), sensing)
+
+    whole, got, decoyed = csvio.read_observations(str(comm), sensing), edited(False), edited(True)
+    assert got.times == whole.times == [0.0, 0.1, 0.2, 0.3]
+    for k in range(4):
+        frame, want = got.frame(k), whole.frame(k)
+        assert frame.time == want.time
+        assert same_columns(frame.sensing_detections, want.sensing_detections) and len(frame.sensing_detections)
+        assert same_columns(frame.comm_paths, want.comm_paths if k < 3 else want.comm_paths[:0])
+        assert same_columns(frame.los, want.los if k < 2 else want.los[:0])
+    assert decoyed.frame(1).los.table[0, 1] == 2.0 * whole.frame(1).los.table[0, 1]
+
+    rc = load_run_config(str(cfg))
+    scene = cli._load_run(cli.build_parser().parse_args(["track", "--run", str(run_dir), "--out", "-"]))[1]
+    states = [pipeline.track(obs, scene, rc.tracker, rc.scene.seed) for obs in (got, decoyed)]
+    assert [c[0].tolist() for c in states[0].coasted[1:]] == [False, True, True]  # the user cloud
+    assert states[0].coasted[3].all() and not states[0].coasted[1].any()
+    fb = [kind == "fb" for kind, _ in states[0].keys]  # every cloud is in the batch at step 1, in cloud order
+    assert np.array_equal(states[0].estimates[1][fb], states[1].estimates[1][fb])  # the FB clouds saw the same paths
+    assert not np.array_equal(states[0].estimates[1][0], states[1].estimates[1][0])  # the user its last LoS row
 
 
 def same_columns(a, b):

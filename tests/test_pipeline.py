@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,3 +252,18 @@ def test_any_valid_drop_finishes_every_stage_or_raises_one_error(text):
         return
     assert all(np.isfinite(s).all() for s in spreads)
     assert all(0.0 <= d <= 1.0 for d in ks)
+
+
+def test_a_long_run_holds_its_rows_not_an_object_per_frame():
+    # one FB scatterer over 20,001 frames, 2 rows a frame: per-frame views once held 66.1 MiB after
+    # simulate returned, the run's columns with their offsets about 9 MiB
+    rc = parse_run_config("[run]\nduration = 2000.0\n\n[scene]\nn_clusters = 1\nfb_per_cluster = 1\n"
+                          "lb_per_cluster = 0\n")
+    tracemalloc.start()
+    try:
+        drop = pipeline.simulate(rc)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 20 * 2**20
+    assert len(drop.times) == 20001 and drop.observations.offsets[-1].tolist() == [20001, 20001, 20001]
