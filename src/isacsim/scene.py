@@ -377,14 +377,17 @@ def _double_bounces(cfg: SceneConfig, cluster: np.ndarray, is_lb: np.ndarray, tr
     fb, lb = np.flatnonzero(~is_lb), np.flatnonzero(is_lb)
     birth, death = tracks.birth, tracks.death
     fb_cut, lb_cut = (np.searchsorted(cluster[ids], np.arange(cfg.n_clusters + 1)) for ids in (fb, lb))
-    n_paths = len(fb) + sum(int((np.sort(birth[lb[a:b]]).searchsorted(death[fb[f:g]])
-                                 - np.sort(death[lb[a:b]]).searchsorted(birth[fb[f:g]], "right")).sum())
-                            for f, g, a, b in zip(fb_cut, fb_cut[1:], lb_cut, lb_cut[1:]))
+    n_paths = len(fb)
+    for f, g, a, b in zip(fb_cut, fb_cut[1:], lb_cut, lb_cut[1:]):  # each cluster's FBs and LBs
+        born, dead = np.sort(birth[lb[a:b]]), np.sort(death[lb[a:b]])
+        n_paths += int((born.searchsorted(death[fb[f:g]]) - dead.searchsorted(birth[fb[f:g]], "right")).sum())
     if n_paths > MAX_PATHS:
         raise ConfigError(f"the scene has {n_paths} paths, more than {MAX_PATHS}: lower the scatterers "
                           "per cluster or birth_death_rate")
-    ranges = [(np.zeros(0, dtype=int),) * 3]  # per slot and FB of its cluster: the FB, its first and end LB
-    slots = [0, *(np.flatnonzero(death[lb[:-1]] >= cfg.duration) + 1).tolist(), len(lb)] if len(lb) else []
+    if not len(lb):
+        return np.zeros((0, 2), dtype=int)
+    ranges = []  # per slot and FB of its cluster: the FB, its first and end LB
+    slots = [0, *(np.flatnonzero(death[lb[:-1]] >= cfg.duration) + 1).tolist(), len(lb)]  # each slot's LBs
     for a, b in zip(slots, slots[1:]):
         f = fb[fb_cut[cluster[lb[a]]]:fb_cut[cluster[lb[a]] + 1]]
         ranges.append((f, a + death[lb[a:b]].searchsorted(birth[f], "right"),
